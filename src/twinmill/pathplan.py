@@ -11,26 +11,31 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    ClosureError,
     ContinuityError,
     InvalidInputError,
     MalformedArcError,
     PlanError,
+    SingularConfigurationError,
     UnreachableTargetError,
     UnsupportedGcodeError,
     WorkspaceError,
 )
-from .geometry import Pose, quat_from_rotvec, quat_multiply
-from .kinematics import inverse_kinematics
+from .geometry import Pose, pose_rows, quat_from_rotvec, quat_multiply
+from .kinematics import DEFAULT_MAX_ITER, DEFAULT_TOL_POS, DEFAULT_TOL_ROT, inverse_kinematics
 from .stiffness import CoupledSystem, Wrench, tension_offset
 
 _POSITION_TOL = 1e-9
 _ARC_RADIUS_TOL = 10e-6  # 10 um start/end radius mismatch
+DEFAULT_CHORD_TOL = 1e-5  # m
+DEFAULT_MAX_STEP = 5e-3  # m
 DEFAULT_JOINT_JUMP_MAX = 0.2  # rad, guards against IK branch flips
 
 
@@ -374,21 +379,92 @@ class SetpointPair:
     q2: np.ndarray
 
 
+_POSE_NAMES = ("tool_pose", "robot1_flange", "robot2_flange_nominal", "robot2_flange_commanded")
+
+
+def _pose_stack(poses):
+    """(N, 7) rows of x, y, z, qw, qx, qy, qz."""
+    return np.reshape(np.hstack([[p.position for p in poses], [p.quaternion for p in poses]]), (-1, 7))
+
+
+class Setpoints:
+    """The setpoint pairs of a program, held as stacked arrays under the
+    field names of SetpointPair: `index` (N,) ints; `tool_pose`,
+    `robot1_flange`, `robot2_flange_nominal` and `robot2_flange_commanded`
+    (N, 7) rows of (x, y, z, qw, qx, qy, qz); `q1` and `q2` (N, 6).
+
+    Indexing with an int builds that row's SetpointPair, with a slice the
+    Setpoints of those rows; no object per setpoint is kept. The arrays
+    are read-only.
+    """
+
+    __slots__ = ("index",) + _POSE_NAMES + ("q1", "q2")
+
+    def __init__(self, index, tool_pose, robot1_flange, robot2_flange_nominal,
+                 robot2_flange_commanded, q1, q2):
+        index = np.array(index)
+        if index.ndim != 1 or not (index.size == 0 or np.issubdtype(index.dtype, np.integer)):
+            raise InvalidInputError("setpoint indices must be a 1-D array of integers")
+        index = index.astype(np.int64)
+        if np.any(np.diff(index) <= 0):
+            raise InvalidInputError("setpoint indices must be strictly increasing")
+        n = len(index)
+        fields = {"index": index}
+        for name, rows in zip(_POSE_NAMES, (tool_pose, robot1_flange, robot2_flange_nominal,
+                                            robot2_flange_commanded)):
+            rows = pose_rows(rows)
+            if rows.shape != (n, 7):
+                raise InvalidInputError(f"{name} must hold one 7-value pose per setpoint")
+            fields[name] = rows
+        for name, q in (("q1", q1), ("q2", q2)):
+            q = np.array(q, dtype=float)
+            if q.shape != (n, 6) or not np.all(np.isfinite(q)):
+                raise InvalidInputError(f"{name} must hold 6 finite joint values per setpoint")
+            fields[name] = q
+        for name, value in fields.items():
+            value.flags.writeable = False
+            setattr(self, name, value)
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        pairs = tuple(pairs)
+        return cls(
+            [p.index for p in pairs],
+            *(_pose_stack([getattr(p, name) for p in pairs]) for name in _POSE_NAMES),
+            np.reshape([p.q1 for p in pairs], (-1, 6)),
+            np.reshape([p.q2 for p in pairs], (-1, 6)),
+        )
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Setpoints(self.index[key], *(getattr(self, name)[key] for name in _POSE_NAMES),
+                             self.q1[key], self.q2[key])
+        i = operator.index(key)
+        poses = [Pose(rows[i, :3], rows[i, 3:]) for rows in (getattr(self, name) for name in _POSE_NAMES)]
+        return SetpointPair(int(self.index[i]), *poses, self.q1[i], self.q2[i])
+
+    def __repr__(self):
+        return f"Setpoints(<{len(self)} setpoints>)"
+
+
 @dataclass(frozen=True)
 class SyncProgram:
-    pairs: tuple
+    """A synchronized program; `pairs` may be given as any sequence of
+    SetpointPair and is held as Setpoints."""
+
+    pairs: Setpoints
     tension: Wrench
     feed_mm_min: float = 0.0
     chord_tol: float = 0.0
     max_step: float = 0.0
 
     def __post_init__(self):
-        pairs = tuple(self.pairs)
-        if not pairs:
+        pairs = self.pairs if isinstance(self.pairs, Setpoints) else Setpoints.from_pairs(self.pairs)
+        if not len(pairs):
             raise InvalidInputError("sync program has no setpoints")
-        for prev, cur in zip(pairs, pairs[1:]):
-            if cur.index <= prev.index:
-                raise InvalidInputError("setpoint indices must be strictly increasing")
         object.__setattr__(self, "pairs", pairs)
 
 
@@ -412,20 +488,23 @@ def plan_sync(
     path: ToolPath,
     tension: Wrench,
     ik_seeds,
-    chord_tol=1e-5,
-    max_step=5e-3,
+    chord_tol=DEFAULT_CHORD_TOL,
+    max_step=DEFAULT_MAX_STEP,
     workspace_box=None,
     joint_jump_max=DEFAULT_JOINT_JUMP_MAX,
-    tol_pos=1e-6,
-    tol_rot=1e-6,
-    max_iter=200,
+    tol_pos=DEFAULT_TOL_POS,
+    tol_rot=DEFAULT_TOL_ROT,
+    max_iter=DEFAULT_MAX_ITER,
 ) -> SyncProgram:
     """Generate synchronized setpoint pairs along the path.
 
-    The tension offset for robot 2 is recomputed at every setpoint from
-    the local configuration; IK is seeded with the previous solution so
-    the joint trajectories stay on one branch. A joint jump above
-    `joint_jump_max` between consecutive pairs aborts planning.
+    Three passes: IK of arm 1 and of arm 2's nominal (untensioned) flange
+    pose, each seeded with its previous solution so the joint
+    trajectories stay on one branch; one stacked tension-offset
+    evaluation from the local configurations; then IK of arm 2's
+    commanded pose, seeded with its nominal solution. A joint jump above
+    `joint_jump_max` between consecutive pairs aborts planning. Failures
+    are raised for the first setpoint at which they occur.
 
     workspace_box: optional (center, size) arrays in m; every discretized
     tool position must lie inside.
@@ -440,41 +519,57 @@ def plan_sync(
                 )
     seed1, seed2 = (np.asarray(s, dtype=float) for s in ik_seeds)
     tool_inv = sys.tool_offset.inverse()
-    q1_prev, q2_prev = seed1, seed2
-    pairs = []
-    for i, tool_pose in enumerate(poses):
-        r1 = tool_pose @ tool_inv
-        r2_nominal = r1 @ sys.flange2_offset
+    r1 = [tool_pose @ tool_inv for tool_pose in poses]
+    r2_nominal = [r @ sys.flange2_offset for r in r1]
+
+    # A failure found in one pass is raised only after the later passes have
+    # covered the setpoints before it, so the first failing setpoint is the
+    # one reported, whichever pass finds it.
+    failure = None
+    # Pass 1: warm-started IK of arm 1 and of arm 2's nominal pose.
+    q1, q2_nominal = [], []
+    for i in range(len(poses)):
         try:
-            q1 = inverse_kinematics(sys.arm1, r1, q1_prev, tol_pos, tol_rot, max_iter)
-            q2_nominal = inverse_kinematics(sys.arm2, r2_nominal, q2_prev, tol_pos, tol_rot, max_iter)
-            offset = tension_offset(sys, q1, q2_nominal, tension)
-            r2_commanded = apply_world_offset(r2_nominal, offset)
-            q2 = inverse_kinematics(sys.arm2, r2_commanded, q2_nominal, tol_pos, tol_rot, max_iter)
+            seed1 = inverse_kinematics(sys.arm1, r1[i], seed1, tol_pos, tol_rot, max_iter)
+            seed2 = inverse_kinematics(sys.arm2, r2_nominal[i], seed2, tol_pos, tol_rot, max_iter)
+        except UnreachableTargetError as exc:
+            failure = PlanError(f"IK failed at setpoint {i}: {exc}", index=i)
+            failure.__cause__ = exc
+            break
+        q1.append(seed1)
+        q2_nominal.append(seed2)
+
+    # Pass 2: every tension offset in one stacked evaluation.
+    q1_all, q2_nominal_all = np.reshape(q1, (-1, 6)), np.reshape(q2_nominal, (-1, 6))
+    try:
+        offsets = tension_offset(sys, q1_all, q2_nominal_all, tension)
+    except (SingularConfigurationError, ClosureError) as exc:
+        failure = exc
+        offsets = tension_offset(sys, q1_all[: exc.index], q2_nominal_all[: exc.index], tension)
+
+    # Pass 3: IK of arm 2's commanded pose and the continuity guard.
+    r2_commanded, q2 = [], []
+    for i, offset in enumerate(offsets):
+        target = apply_world_offset(r2_nominal[i], offset)
+        try:
+            q = inverse_kinematics(sys.arm2, target, q2_nominal[i], tol_pos, tol_rot, max_iter)
         except UnreachableTargetError as exc:
             raise PlanError(f"IK failed at setpoint {i}: {exc}", index=i) from exc
-        if pairs:
-            jump = max(np.max(np.abs(q1 - q1_prev)), np.max(np.abs(q2 - q2_prev)))
+        if i:
+            jump = max(np.max(np.abs(q1[i] - q1[i - 1])), np.max(np.abs(q - q2[-1])))
             if jump > joint_jump_max:
                 raise ContinuityError(
                     f"joint jump {jump:.3f} rad at setpoint {i} exceeds {joint_jump_max} rad",
                     index=i,
                 )
-        pairs.append(
-            SetpointPair(
-                index=i,
-                tool_pose=tool_pose,
-                robot1_flange=r1,
-                robot2_flange_nominal=r2_nominal,
-                robot2_flange_commanded=r2_commanded,
-                q1=q1,
-                q2=q2,
-            )
-        )
-        q1_prev, q2_prev = q1, q2
+        r2_commanded.append(target)
+        q2.append(q)
+    if failure is not None:
+        raise failure
+    pose_stacks = (_pose_stack(stack) for stack in (poses, r1, r2_nominal, r2_commanded))
     return SyncProgram(
-        tuple(pairs), tension=tension, feed_mm_min=path.feed_mm_min,
-        chord_tol=chord_tol, max_step=max_step,
+        Setpoints(np.arange(len(poses)), *pose_stacks, q1, q2),
+        tension=tension, feed_mm_min=path.feed_mm_min, chord_tol=chord_tol, max_step=max_step,
     )
 
 
@@ -485,12 +580,9 @@ _POSE_FIELDS = ("x", "y", "z", "qw", "qx", "qy", "qz")
 _POSE_COLS = ("tool", "r1", "r2_nominal", "r2_commanded")
 
 
-def _pose_values(p: Pose):
-    return list(p.position) + list(p.quaternion)
-
-
-def _pose_from_values(v):
-    return Pose(np.array(v[:3], dtype=float), np.array(v[3:7], dtype=float))
+_COLUMNS = ["index"] + [f"{name}_{f}" for name in _POSE_COLS for f in _POSE_FIELDS] + [
+    f"q{arm}_{i}" for arm in (1, 2) for i in range(6)
+]
 
 
 def program_to_csv(program: SyncProgram) -> str:
@@ -500,17 +592,11 @@ def program_to_csv(program: SyncProgram) -> str:
     buf.write("# tension_wrench=" + " ".join(_fmt(x) for x in w) + "\n")
     buf.write(f"# chord_tol_m={_fmt(program.chord_tol)}\n")
     buf.write(f"# max_step_m={_fmt(program.max_step)}\n")
-    cols = ["index"]
-    for name in _POSE_COLS:
-        cols += [f"{name}_{f}" for f in _POSE_FIELDS]
-    cols += [f"q1_{i}" for i in range(6)] + [f"q2_{i}" for i in range(6)]
-    buf.write(",".join(cols) + "\n")
-    for p in program.pairs:
-        row = [str(p.index)]
-        for pose in (p.tool_pose, p.robot1_flange, p.robot2_flange_nominal, p.robot2_flange_commanded):
-            row += [_fmt(v) for v in _pose_values(pose)]
-        row += [_fmt(v) for v in p.q1] + [_fmt(v) for v in p.q2]
-        buf.write(",".join(row) + "\n")
+    buf.write(",".join(_COLUMNS) + "\n")
+    sp = program.pairs
+    table = np.hstack([getattr(sp, name) for name in _POSE_NAMES] + [sp.q1, sp.q2])
+    for index, row in zip(sp.index.tolist(), table):
+        buf.write(str(index) + "," + ",".join([format(v, ".17g") for v in row.tolist()]) + "\n")
     return buf.getvalue()
 
 
@@ -526,20 +612,21 @@ def program_from_csv(text) -> SyncProgram:
             meta[key.strip()] = value.strip()
         else:
             rows.append(line)
-    if not rows:
+    if len(rows) < 2:
         raise InvalidInputError("program CSV has no data rows")
+    try:
+        table = np.loadtxt(rows[1:], delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InvalidInputError(f"program CSV data rows: {exc}") from exc
+    if table.shape[1] != len(_COLUMNS):
+        raise InvalidInputError(f"program CSV rows must have {len(_COLUMNS)} columns, not {table.shape[1]}")
+    index = table[:, 0]
+    if not np.all(np.isfinite(index) & (index == np.trunc(index))):
+        raise InvalidInputError("program CSV setpoint indices must be integers")
     wrench_vals = [float(x) for x in meta.get("tension_wrench", "0 0 0 0 0 0").split()]
-    pairs = []
-    for row in rows[1:]:
-        vals = row.split(",")
-        idx = int(vals[0])
-        nums = [float(x) for x in vals[1:]]
-        poses = [_pose_from_values(nums[7 * i : 7 * i + 7]) for i in range(4)]
-        q1 = np.array(nums[28:34])
-        q2 = np.array(nums[34:40])
-        pairs.append(SetpointPair(idx, poses[0], poses[1], poses[2], poses[3], q1, q2))
     return SyncProgram(
-        tuple(pairs),
+        Setpoints(index.astype(np.int64), *(table[:, 1 + 7 * k : 8 + 7 * k] for k in range(4)),
+                  table[:, 29:35], table[:, 35:41]),
         tension=Wrench.from_vector(np.array(wrench_vals)),
         feed_mm_min=float(meta.get("feed_mm_min", 0.0)),
         chord_tol=float(meta.get("chord_tol_m", 0.0)),

@@ -5,21 +5,28 @@ joints; the coupling module between the flanges is a six-dimensional
 linear spring. The tool sits rigidly on the arm-1 side of the module, so
 the tool-point stiffness is arm 1 in parallel with the series combination
 of the spring and arm 2.
+
+Every function of joint configurations also takes stacks q[..., 6] (the
+leading axes of q1 and q2 broadcast) and returns stacked results. Stacks
+are evaluated in blocks of _BLOCK_ROWS rows, so peak memory does not grow
+with their length; an error raised for one row carries that row of the
+flattened stack as `index`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ClosureError, InvalidInputError, SingularConfigurationError
 from .geometry import Pose, rotate6, transport_compliance, transport_stiffness
-from .kinematics import ArmModel, forward_kinematics, jacobian
+from .kinematics import ArmModel, flange_transform, jacobian
 
 CLOSURE_TOL = 1e-4
 _MIN_SINGULAR_VALUE = 1e-8
+_BLOCK_ROWS = 256
 
 _AXES = ("x", "y", "z", "rx", "ry", "rz")
 
@@ -53,14 +60,19 @@ class SpringModel:
         scale = np.max(np.abs(K))
         if scale == 0 or np.max(np.abs(K - K.T)) > 1e-9 * scale:
             raise InvalidInputError("spring matrix must be symmetric (1e-9 relative)")
-        if np.min(scipy.linalg.eigvalsh(K)) <= 0:
+        if np.min(np.linalg.eigvalsh(K)) <= 0:
             raise InvalidInputError("spring matrix must be positive definite")
         object.__setattr__(self, "K", 0.5 * (K + K.T))
+
+    @cached_property
+    def compliance(self):
+        return _spd_inverse(self.K, "coupling-module spring stiffness")
 
 
 @dataclass(frozen=True)
 class Wrench:
-    """Force (N) and torque (N·m) in the world frame."""
+    """Force (N) and torque (N·m) in the world frame; stacked wrenches hold
+    force[..., 3] and torque[..., 3]."""
 
     force: np.ndarray
     torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -68,8 +80,11 @@ class Wrench:
     def __post_init__(self):
         f = np.asarray(self.force, dtype=float)
         t = np.asarray(self.torque, dtype=float)
-        if f.shape != (3,) or t.shape != (3,) or not (np.all(np.isfinite(f)) and np.all(np.isfinite(t))):
+        if f.shape[-1:] != (3,) or t.shape[-1:] != (3,) or not (
+            np.all(np.isfinite(f)) and np.all(np.isfinite(t))
+        ):
             raise InvalidInputError("wrench force/torque must be finite 3-vectors")
+        f, t = np.broadcast_arrays(f, t)
         object.__setattr__(self, "force", f)
         object.__setattr__(self, "torque", t)
 
@@ -80,10 +95,10 @@ class Wrench:
     @staticmethod
     def from_vector(v):
         v = np.asarray(v, dtype=float)
-        return Wrench(v[:3], v[3:])
+        return Wrench(v[..., :3], v[..., 3:])
 
     def as_vector(self):
-        return np.concatenate([self.force, self.torque])
+        return np.concatenate([self.force, self.torque], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -108,104 +123,178 @@ class CoupledSystem:
 
 
 def _spd_inverse(M, what):
+    """Inverses of stacked symmetric positive definite matrices."""
     try:
-        c, low = scipy.linalg.cho_factor(M)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularConfigurationError(f"{what} is not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve((c, low), np.eye(M.shape[0]))
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        # Find the failing row to report it.
+        for index, m in enumerate(M.reshape((-1,) + M.shape[-2:])):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError as exc:
+                raise SingularConfigurationError(
+                    f"{what} is not positive definite: {exc}", index=index
+                ) from exc
+        raise
+    Li = np.linalg.inv(L)
+    return np.swapaxes(Li, -1, -2) @ Li
 
 
-def stiffness_from_jacobian(J, k_diag):
-    """Cartesian stiffness (J K_joint^-1 J^T)^-1 for a square Jacobian."""
-    J = np.asarray(J, dtype=float)
-    k = np.asarray(k_diag, dtype=float)
-    if J.ndim != 2 or J.shape[0] != J.shape[1] or k.shape != (J.shape[1],):
-        raise InvalidInputError("Jacobian must be square with matching joint stiffness length")
+def _compliance_from_jacobian(J, k_diag):
+    """J K_joint^-1 J^T for stacked square Jacobians J[..., n, n],
+    rejecting rank-deficient ones."""
     sv = np.linalg.svd(J, compute_uv=False)
-    if sv[-1] <= _MIN_SINGULAR_VALUE:
-        u, _, _ = np.linalg.svd(J)
+    bad = np.flatnonzero(sv[..., -1] <= _MIN_SINGULAR_VALUE)
+    if bad.size:
+        index = int(bad[0])
+        Ji = J.reshape((-1,) + J.shape[-2:])[index]
+        u, svi, _ = np.linalg.svd(Ji)
         dir6 = u[:, -1]
         axis = _AXES[int(np.argmax(np.abs(dir6[: len(_AXES)])))] if len(dir6) >= 6 else "n/a"
         raise SingularConfigurationError(
-            f"Jacobian is rank deficient (smallest singular value {sv[-1]:.3e}); "
-            f"deficient direction dominated by axis '{axis}'"
+            f"Jacobian is rank deficient (smallest singular value {svi[-1]:.3e}); "
+            f"deficient direction dominated by axis '{axis}'",
+            index=index,
         )
-    C = J @ np.diag(1.0 / k) @ J.T
-    K = _spd_inverse(C, "Cartesian compliance")
-    return 0.5 * (K + K.T)
+    return (J * (1.0 / k_diag)) @ np.swapaxes(J, -1, -2)
+
+
+def _symmetric(M):
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def stiffness_from_jacobian(J, k_diag):
+    """Cartesian stiffness (J K_joint^-1 J^T)^-1 for square Jacobians,
+    single [n, n] or stacked [..., n, n]."""
+    J = np.asarray(J, dtype=float)
+    k = np.asarray(k_diag, dtype=float)
+    if J.ndim < 2 or J.shape[-2] != J.shape[-1] or k.shape != J.shape[-1:]:
+        raise InvalidInputError("Jacobian must be square with matching joint stiffness length")
+    return _symmetric(_spd_inverse(_compliance_from_jacobian(J, k), "Cartesian compliance"))
+
+
+def _stacked(fn, out_shape, *stacks):
+    """fn over stacks [..., n] whose leading axes broadcast, flattened to
+    rows and taken in blocks of at most _BLOCK_ROWS rows. The result gets
+    the common leading shape back; an error's index is the row of the
+    flattened stack."""
+    arrays = [np.asarray(a, dtype=float) for a in stacks]
+    try:
+        if any(a.ndim < 1 for a in arrays):
+            raise ValueError("a scalar is not a stack of vectors")
+        lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+    except ValueError as exc:
+        raise InvalidInputError(f"stacked arguments do not broadcast: {exc}") from exc
+    rows = [np.broadcast_to(a, lead + a.shape[-1:]).reshape(-1, a.shape[-1]) for a in arrays]
+    out = np.empty((len(rows[0]),) + out_shape)
+    for start in range(0, len(out), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        try:
+            out[block] = fn(*(r[block] for r in rows))
+        except (SingularConfigurationError, ClosureError) as exc:
+            exc.index += start
+            raise
+    return out.reshape(lead + out_shape)
 
 
 def cartesian_stiffness(arm: ArmModel, q, k_joint: JointStiffness, allow_out_of_limits=False):
     """Configuration-dependent 6x6 Cartesian stiffness at the flange,
     world frame."""
-    J = jacobian(arm, q, allow_out_of_limits=allow_out_of_limits)
-    return stiffness_from_jacobian(J, k_joint.diag)
+    return _stacked(
+        lambda qb: stiffness_from_jacobian(jacobian(arm, qb, allow_out_of_limits), k_joint.diag),
+        (6, 6), q,
+    )
 
 
-def _branch_frames(sys: CoupledSystem, q1, q2, allow_out_of_limits=False, closure_tol=CLOSURE_TOL):
-    fk1 = forward_kinematics(sys.arm1, q1, allow_out_of_limits=allow_out_of_limits)
-    fk2 = forward_kinematics(sys.arm2, q2, allow_out_of_limits=allow_out_of_limits)
-    attach = fk1 @ sys.flange2_offset
-    gap = float(np.linalg.norm(fk2.position - attach.position))
-    if gap > closure_tol:
-        raise ClosureError(
-            f"kinematic closure violated: arm-2 flange is {gap:.3e} m from its attachment frame",
-            gap=gap,
-        )
-    tool = fk1 @ sys.tool_offset
+def _position(T):
+    return T[..., :3, 3]
+
+
+def check_closure(actual, planned, tol, message):
+    """Raise ClosureError for the first row of stacked positions [..., 3]
+    at which `actual` lies more than `tol` m from `planned`. `message` is
+    formatted with that row's `index` and `gap` (m)."""
+    gaps = np.linalg.norm(np.asarray(actual) - planned, axis=-1).reshape(-1)
+    bad = np.flatnonzero(gaps > tol)
+    if bad.size:
+        i = int(bad[0])
+        raise ClosureError(message.format(index=i, gap=gaps[i]), gap=float(gaps[i]), index=i)
+
+
+def _branch_frames(sys: CoupledSystem, q1, q2, allow_out_of_limits, closure_tol):
+    """Arm-1 flange, arm-2 flange, arm-2 attachment and tool transforms of
+    a block of configuration pairs, with the closure check."""
+    fk1 = flange_transform(sys.arm1, q1, allow_out_of_limits)
+    fk2 = flange_transform(sys.arm2, q2, allow_out_of_limits)
+    attach = fk1 @ sys.flange2_offset.matrix()
+    check_closure(_position(fk2), _position(attach), closure_tol,
+                  "kinematic closure violated: arm-2 flange is {gap:.3e} m from its attachment frame")
+    tool = fk1 @ sys.tool_offset.matrix()
     return fk1, fk2, attach, tool
 
 
-def _spring_compliance_world(sys: CoupledSystem, attach: Pose):
-    Ks_world = rotate6(attach.rotation())
-    Ks_world = Ks_world @ sys.spring.K @ Ks_world.T
-    return _spd_inverse(Ks_world, "coupling-module spring stiffness")
-
-
-def _branch2_compliance(sys: CoupledSystem, q2, fk2: Pose, attach: Pose, allow_out_of_limits=False):
+def _branch2_compliance(sys: CoupledSystem, q2, fk2, attach, allow_out_of_limits):
     """Series compliance of arm 2 and the spring, at the attachment point."""
-    K2 = cartesian_stiffness(sys.arm2, q2, sys.joint_stiffness2, allow_out_of_limits=allow_out_of_limits)
-    C2 = _spd_inverse(K2, "arm-2 Cartesian stiffness")
-    C2 = transport_compliance(C2, attach.position - fk2.position)
-    return C2 + _spring_compliance_world(sys, attach)
+    J2 = jacobian(sys.arm2, q2, allow_out_of_limits)
+    C2 = _compliance_from_jacobian(J2, sys.joint_stiffness2.diag)
+    C2 = transport_compliance(C2, _position(attach) - _position(fk2))
+    R6 = rotate6(attach[:, :3, :3])
+    return C2 + R6 @ sys.spring.compliance @ np.swapaxes(R6, -1, -2)
+
+
+def _coupled_block(sys, q1, q2, allow_out_of_limits, closure_tol):
+    fk1, fk2, attach, tool = _branch_frames(sys, q1, q2, allow_out_of_limits, closure_tol)
+    K1 = cartesian_stiffness(sys.arm1, q1, sys.joint_stiffness1, allow_out_of_limits)
+    K1_tool = transport_stiffness(K1, _position(tool) - _position(fk1))
+    C_branch2 = _branch2_compliance(sys, q2, fk2, attach, allow_out_of_limits)
+    C_branch2_tool = transport_compliance(C_branch2, _position(tool) - _position(attach))
+    return _symmetric(K1_tool + _spd_inverse(C_branch2_tool, "arm-2 branch compliance"))
 
 
 def coupled_stiffness(sys: CoupledSystem, q1, q2, allow_out_of_limits=False, closure_tol=CLOSURE_TOL):
     """6x6 stiffness of the closed chain at the tool point, world frame.
 
     closure_tol may be widened when evaluating commanded (tensioned)
-    configurations, whose flange gap is the setpoint offset itself.
+    configurations, whose flange gap is the setpoint offset itself, by a
+    caller that checks closure against the planned poses instead.
     """
-    fk1, fk2, attach, tool = _branch_frames(sys, q1, q2, allow_out_of_limits, closure_tol)
-    K1 = cartesian_stiffness(sys.arm1, q1, sys.joint_stiffness1, allow_out_of_limits=allow_out_of_limits)
-    K1_tool = transport_stiffness(K1, tool.position - fk1.position)
-    C_branch2 = _branch2_compliance(sys, q2, fk2, attach, allow_out_of_limits)
-    C_branch2_tool = transport_compliance(C_branch2, tool.position - attach.position)
-    K = K1_tool + _spd_inverse(C_branch2_tool, "arm-2 branch compliance")
-    return 0.5 * (K + K.T)
+    return _stacked(
+        lambda a, b: _coupled_block(sys, a, b, allow_out_of_limits, closure_tol), (6, 6), q1, q2
+    )
+
+
+def _branch_block(sys, q1, q2, allow_out_of_limits):
+    _, fk2, attach, _ = _branch_frames(sys, q1, q2, allow_out_of_limits, CLOSURE_TOL)
+    return _symmetric(_branch2_compliance(sys, q2, fk2, attach, allow_out_of_limits))
 
 
 def branch_compliance(sys: CoupledSystem, q1, q2, allow_out_of_limits=False):
     """Series compliance of the arm-2 branch (arm 2 + spring) as seen from
     arm 2's flange attachment, world frame."""
-    _, fk2, attach, _ = _branch_frames(sys, q1, q2, allow_out_of_limits)
-    C = _branch2_compliance(sys, q2, fk2, attach, allow_out_of_limits)
-    return 0.5 * (C + C.T)
+    return _stacked(lambda a, b: _branch_block(sys, a, b, allow_out_of_limits), (6, 6), q1, q2)
+
+
+def _matvec(M, v):
+    return (M @ v[..., None])[..., 0]
 
 
 def tension_offset(sys: CoupledSystem, q1, q2, desired: Wrench, allow_out_of_limits=False):
     """Setpoint offset for robot 2 (3 translations m, 3 rotations rad,
     world axes) that makes the coupling module carry `desired`."""
-    C = branch_compliance(sys, q1, q2, allow_out_of_limits)
-    return C @ desired.as_vector()
+    return _stacked(
+        lambda a, b, w: _matvec(_branch_block(sys, a, b, allow_out_of_limits), w),
+        (6,), q1, q2, desired.as_vector(),
+    )
 
 
 def predicted_tension(sys: CoupledSystem, q1, q2, offset, allow_out_of_limits=False) -> Wrench:
     """Internal wrench produced by commanding robot 2 to nominal ⊕ offset;
     exact inverse of tension_offset in the linear model."""
     offset = np.asarray(offset, dtype=float)
-    if offset.shape != (6,) or not np.all(np.isfinite(offset)):
+    if offset.shape[-1:] != (6,) or not np.all(np.isfinite(offset)):
         raise InvalidInputError("offset must be a finite 6-vector")
-    C = branch_compliance(sys, q1, q2, allow_out_of_limits)
-    K = _spd_inverse(C, "arm-2 branch compliance")
-    return Wrench.from_vector(K @ offset)
+    return Wrench.from_vector(_stacked(
+        lambda a, b, d: _matvec(_spd_inverse(_branch_block(sys, a, b, allow_out_of_limits),
+                                             "arm-2 branch compliance"), d),
+        (6,), q1, q2, offset,
+    ))

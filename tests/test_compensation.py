@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,15 @@ from twinmill.compensation import (
     trace_from_csv,
     trace_to_csv,
 )
-from twinmill.errors import DegenerateGeometryError, InvalidInputError
+from twinmill.errors import (
+    ClosureError,
+    DegenerateGeometryError,
+    InvalidInputError,
+    SingularConfigurationError,
+)
 from twinmill.geometry import quat_from_rotvec, quat_to_matrix
+from twinmill.kinematics import forward_kinematics, inverse_kinematics
+from twinmill.pathplan import apply_world_offset
 
 
 def cloud(rng, n=100, scale=0.05):
@@ -143,6 +151,12 @@ class TestCompensate:
             assert after <= before + 1e-15
 
 
+def _with_pair(program, k, pair):
+    pairs = list(program.pairs)
+    pairs[k] = pair
+    return dataclasses.replace(program, pairs=tuple(pairs))
+
+
 class TestDeformation:
     def test_constant_offset_along_demo_path(self, cfg, demo_program):
         trace = simulate_deformation(cfg.system, demo_program)
@@ -159,6 +173,53 @@ class TestDeformation:
         after = residual_report(ref, comp).rms
         assert before > 1e-4
         assert after < 0.05 * before
+
+    def test_open_chain_rejected(self, cfg, demo_program):
+        """Arm-2 joints 5 mm off the commanded flange pose are a different
+        program, not a tensioned one."""
+        k = 7
+        pair = demo_program.pairs[k]
+        target = apply_world_offset(pair.robot2_flange_commanded, [0.005, 0.0, 0.0, 0.0, 0.0, 0.0])
+        q2 = inverse_kinematics(cfg.system.arm2, target, pair.q2)
+        program = _with_pair(demo_program, k, dataclasses.replace(pair, q2=q2))
+        with pytest.raises(ClosureError) as exc:
+            simulate_deformation(cfg.system, program)
+        assert exc.value.index == k
+        assert str(exc.value).startswith(f"setpoint {k}: ")
+        assert exc.value.gap == pytest.approx(0.005, rel=1e-3)
+
+    def test_commanded_offset_bounded(self, cfg, demo_program):
+        """A commanded arm-2 flange 20 mm from the nominal one, with joints
+        that reach it, is not a tension offset of this cell."""
+        k = 11
+        pair = demo_program.pairs[k]
+        target = apply_world_offset(pair.robot2_flange_nominal, [0.0, 0.02, 0.0, 0.0, 0.0, 0.0])
+        q2 = inverse_kinematics(cfg.system.arm2, target, pair.q2)
+        moved = dataclasses.replace(pair, robot2_flange_commanded=target, q2=q2)
+        with pytest.raises(ClosureError) as exc:
+            simulate_deformation(cfg.system, _with_pair(demo_program, k, moved))
+        assert exc.value.index == k
+        assert str(exc.value).startswith(f"setpoint {k}: commanded arm-2 flange")
+        assert exc.value.gap == pytest.approx(0.02, rel=1e-9)
+
+    def test_singular_setpoint_named(self, cfg, demo_program):
+        # Arm 1's wrist stretched out (q5 = 0) aligns joints 4 and 6.
+        k = 3
+        sys_ = cfg.system
+        pair = demo_program.pairs[k]
+        q1 = pair.q1.copy()
+        q1[4] = 0.0
+        r1 = forward_kinematics(sys_.arm1, q1)
+        r2 = r1 @ sys_.flange2_offset
+        q2 = inverse_kinematics(sys_.arm2, r2, pair.q2)
+        singular = dataclasses.replace(
+            pair, tool_pose=r1 @ sys_.tool_offset, robot1_flange=r1, robot2_flange_nominal=r2,
+            robot2_flange_commanded=r2, q1=q1, q2=q2,
+        )
+        with pytest.raises(SingularConfigurationError) as exc:
+            simulate_deformation(sys_, _with_pair(demo_program, k, singular))
+        assert exc.value.index == k
+        assert str(exc.value).startswith(f"setpoint {k}: ")
 
     def test_report_statistics(self):
         ref = PathTrace(np.zeros((4, 3)))

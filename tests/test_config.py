@@ -23,6 +23,21 @@ class TestParse:
         assert size.shape == (3,)
         assert isinstance(cfg.defaults["max_iter"], int)
 
+    def test_defaults_match_the_solver_keyword_defaults(self):
+        import inspect
+
+        from twinmill.pathplan import plan_sync
+
+        kw = inspect.signature(plan_sync).parameters
+        assert default_config().defaults == {
+            "tol_pos_m": kw["tol_pos"].default,
+            "tol_rot_rad": kw["tol_rot"].default,
+            "max_iter": kw["max_iter"].default,
+            "chord_tol_m": kw["chord_tol"].default,
+            "max_step_m": kw["max_step"].default,
+            "joint_jump_max_rad": kw["joint_jump_max"].default,
+        }
+
     def test_json_round_trip(self):
         doc = json.loads(config_to_json(default_config_dict()))
         cfg = parse_config(doc)

@@ -111,6 +111,16 @@ class TestJacobian:
                 np.testing.assert_allclose(J[:3, i], dlin, atol=1e-5)
                 np.testing.assert_allclose(J[3:, i], dang, atol=1e-5)
 
+    def test_stacked_configurations(self, test_arm):
+        rng = np.random.default_rng(14)
+        Q = rng.uniform(test_arm.joint_limits[:, 0], test_arm.joint_limits[:, 1], (2, 3, 6))
+        J = jacobian(test_arm, Q)
+        assert J.shape == (2, 3, 6, 6)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(J[idx], jacobian(test_arm, Q[idx]), rtol=0, atol=1e-15)
+        with pytest.raises(InvalidInputError):
+            forward_kinematics(test_arm, Q)
+
     def test_singular_at_full_stretch(self):
         arm = make_one_link_arm(a1=1.0)
         sv = np.linalg.svd(jacobian(arm, np.zeros(6)), compute_uv=False)
@@ -166,6 +176,30 @@ class TestInverseKinematics:
         q1 = inverse_kinematics(test_arm, target, seed)
         q2 = inverse_kinematics(test_arm, target, seed)
         np.testing.assert_array_equal(q1, q2)
+
+    def test_exhausted_retries_stop_with_best_residual(self, test_arm, monkeypatch):
+        """When no damping reduces the residual, the solve stops at the
+        current configuration instead of taking the worse step."""
+        from twinmill import kinematics
+
+        seed = np.array([0.2, -0.4, 0.6, 0.1, -0.5, 0.3])
+        target = forward_kinematics(test_arm, seed + 0.05)
+        seed_err = pose_error(forward_kinematics(test_arm, seed), target)
+        calls = []
+
+        def worse_first_step(actual, tgt):
+            calls.append(actual)
+            err = pose_error(actual, tgt)
+            # Call 1 evaluates the seed; calls 2-9 are the damped trials of
+            # the first step, all made to look worse than the seed.
+            return err + 1.0 if 2 <= len(calls) <= 9 else err
+
+        monkeypatch.setattr(kinematics, "pose_error", worse_first_step)
+        with pytest.raises(UnreachableTargetError) as exc:
+            inverse_kinematics(test_arm, target, seed)
+        assert len(calls) == 9
+        assert exc.value.pos_residual == pytest.approx(np.linalg.norm(seed_err[:3]), rel=1e-15)
+        assert exc.value.rot_residual == pytest.approx(np.linalg.norm(seed_err[3:]), rel=1e-15)
 
     def test_rejects_bad_arguments(self, test_arm):
         target = forward_kinematics(test_arm, np.zeros(6))

@@ -11,11 +11,13 @@ from twinmill.errors import (
     UnsupportedGcodeError,
     WorkspaceError,
 )
-from twinmill.geometry import Pose, quat_conjugate, quat_multiply, rotvec_from_quat
+from twinmill.geometry import Pose, pose_rows, quat_conjugate, quat_multiply, rotvec_from_quat
 from twinmill.kinematics import forward_kinematics, inverse_kinematics
 from twinmill.pathplan import (
     ArcSegment,
     LinearSegment,
+    Setpoints,
+    SyncProgram,
     ToolPath,
     _subdivisions,
     discretize,
@@ -285,6 +287,19 @@ class TestPlanSync:
         with pytest.raises(ContinuityError):
             demo_plan(cfg, gcode="G1 X400\n", max_step=1.0)
 
+    def test_ik_failure_mid_path_reports_its_setpoint(self, cfg):
+        # The second move leaves the arms' reach at setpoint 135.
+        with pytest.raises(PlanError) as exc:
+            demo_plan(cfg, gcode="G1 X20\nG1 X-2500\n", tension=Wrench(np.array([1000.0, 0.0, 0.0])))
+        assert type(exc.value) is PlanError
+        assert exc.value.index == 135
+
+    def test_continuity_jump_mid_path_reports_its_setpoint(self, cfg):
+        with pytest.raises(ContinuityError) as exc:
+            demo_plan(cfg, gcode="G1 X20\nG1 X40\nG1 X60\nG1 X80\nG0 X480\n", max_step=1.0,
+                      tension=Wrench(np.array([1000.0, 0.0, 0.0])))
+        assert exc.value.index == 5
+
     def test_ik_failure_reports_index(self, cfg):
         path = translate_path(parse_gcode("G1 X40\n"), np.array([20.0, 0.0, 0.0]))
         with pytest.raises(PlanError) as exc:
@@ -310,3 +325,72 @@ class TestProgramCsv:
             np.testing.assert_array_equal(
                 a.robot2_flange_commanded.quaternion, b.robot2_flange_commanded.quaternion
             )
+
+
+class TestSetpoints:
+    def test_pairs_round_trip_through_the_stack(self, demo_program):
+        pairs = list(demo_program.pairs)
+        back = Setpoints.from_pairs(pairs)
+        assert len(back) == len(pairs)
+        for a, b in zip(pairs, back):
+            assert a.index == b.index
+            for name in ("tool_pose", "robot1_flange", "robot2_flange_nominal", "robot2_flange_commanded"):
+                np.testing.assert_array_equal(getattr(a, name).position, getattr(b, name).position)
+                np.testing.assert_array_equal(getattr(a, name).quaternion, getattr(b, name).quaternion)
+            np.testing.assert_array_equal(a.q1, b.q1)
+            np.testing.assert_array_equal(a.q2, b.q2)
+
+    def test_indexing_and_slicing(self, demo_program):
+        sp = demo_program.pairs
+        n = len(sp)
+        assert sp[-1].index == sp[n - 1].index == int(sp.index[-1])
+        part = sp[2:9:3]
+        assert isinstance(part, Setpoints)
+        assert [p.index for p in part] == sp.index[2:9:3].tolist()
+        np.testing.assert_array_equal(part.q2, sp.q2[2:9:3])
+        with pytest.raises(IndexError):
+            sp[n]
+
+    def test_arrays_are_read_only(self, demo_program):
+        with pytest.raises(ValueError):
+            demo_program.pairs.q1[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            demo_program.pairs[0].tool_pose.position[0] = 0.0
+
+    def test_sync_program_accepts_a_tuple_of_pairs(self, demo_program):
+        prog = SyncProgram(tuple(demo_program.pairs), tension=demo_program.tension)
+        assert isinstance(prog.pairs, Setpoints)
+        np.testing.assert_array_equal(prog.pairs.robot2_flange_commanded,
+                                      demo_program.pairs.robot2_flange_commanded)
+        with pytest.raises(InvalidInputError, match="no setpoints"):
+            SyncProgram((), tension=demo_program.tension)
+
+    def test_indices_strictly_increasing(self, demo_program):
+        pairs = list(demo_program.pairs)
+        pairs[1], pairs[2] = pairs[2], pairs[1]
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            Setpoints.from_pairs(pairs)
+
+    def test_pose_rows_check_and_sign_as_pose(self):
+        q = np.array([-0.5, 0.5, -0.5, 0.5])
+        rows = pose_rows([[0.1, 0.2, 0.3, *q], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+        pose = Pose(np.array([0.1, 0.2, 0.3]), q)
+        np.testing.assert_array_equal(rows[0, 3:], pose.quaternion)
+        with pytest.raises(InvalidInputError, match="pose row 1"):
+            pose_rows([[0.0] * 3 + [1.0, 0.0, 0.0, 0.0], [0.0] * 3 + [1.1, 0.0, 0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="pose row 0"):
+            pose_rows([[np.nan, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+
+
+class TestProgramCsvRows:
+    def test_truncated_row_rejected(self, demo_program):
+        lines = program_to_csv(demo_program).splitlines()
+        lines[7] = lines[7].rsplit(",", 3)[0]
+        with pytest.raises(InvalidInputError, match="program CSV"):
+            program_from_csv("\n".join(lines) + "\n")
+
+    def test_fractional_index_rejected(self, demo_program):
+        lines = program_to_csv(demo_program).splitlines()
+        lines[7] = "2.5" + lines[7][lines[7].index(","):]
+        with pytest.raises(InvalidInputError, match="integers"):
+            program_from_csv("\n".join(lines) + "\n")

@@ -247,3 +247,87 @@ class TestTypes:
         arm = make_test_arm()
         with pytest.raises(Exception):
             CoupledSystem(arm, arm, KS, KS, SpringModel(DEFAULT_SPRING))
+
+
+@pytest.fixture(scope="module")
+def demo_rows(cfg, demo_program):
+    """Closed (q1, q2_nominal) pairs along the demo program, q2_nominal
+    solved for each setpoint's nominal arm-2 flange pose."""
+    from twinmill.kinematics import inverse_kinematics
+
+    q1 = np.array([p.q1 for p in demo_program.pairs])
+    q2 = np.array([
+        inverse_kinematics(cfg.system.arm2, p.robot2_flange_nominal, p.q2)
+        for p in demo_program.pairs
+    ])
+    return q1, q2
+
+
+def _assert_rows_equal(stacked, per_row):
+    """Equal to 1e-12 relative to each row's largest entry."""
+    assert stacked.shape == per_row.shape
+    scale = np.max(np.abs(per_row), axis=tuple(range(1, per_row.ndim)), keepdims=True)
+    assert np.all(np.abs(stacked - per_row) <= 1e-12 * scale)
+
+
+class TestStacked:
+    """Stacked q[..., 6] gives the per-row scalar results, also across the
+    block boundary of the stacked evaluation."""
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257])
+    def test_matches_per_row_scalar_calls(self, cfg, demo_rows, n):
+        sys_ = cfg.system
+        m = len(demo_rows[0])
+        # Rows repeat with period m, so the scalar reference is computed once per distinct row.
+        idx = np.arange(n) % m
+        q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
+        w = Wrench(np.array([1000.0, -200.0, 50.0]), np.array([3.0, -1.0, 2.0]))
+        offsets = np.random.default_rng(n).normal(0.0, 1e-4, (n, 6))
+
+        def per_row(fn):
+            rows = [fn(demo_rows[0][i], demo_rows[1][i]) for i in range(m)]
+            return np.array(rows)[idx]
+
+        cases = [
+            (jacobian(sys_.arm1, q1), lambda a, b: jacobian(sys_.arm1, a)),
+            (cartesian_stiffness(sys_.arm2, q2, sys_.joint_stiffness2),
+             lambda a, b: cartesian_stiffness(sys_.arm2, b, sys_.joint_stiffness2)),
+            (coupled_stiffness(sys_, q1, q2), lambda a, b: coupled_stiffness(sys_, a, b)),
+            (branch_compliance(sys_, q1, q2), lambda a, b: branch_compliance(sys_, a, b)),
+            (tension_offset(sys_, q1, q2, w), lambda a, b: tension_offset(sys_, a, b, w)),
+        ]
+        for stacked, scalar in cases:
+            _assert_rows_equal(stacked, per_row(scalar))
+        back = predicted_tension(sys_, q1, q2, offsets).as_vector()
+        expected = np.array([
+            predicted_tension(sys_, q1[i], q2[i], offsets[i]).as_vector() for i in range(n)
+        ])
+        _assert_rows_equal(back, expected)
+
+    def test_single_configuration_shapes_unchanged(self, cfg, demo_rows):
+        sys_ = cfg.system
+        q1, q2 = demo_rows[0][0], demo_rows[1][0]
+        assert jacobian(sys_.arm1, q1).shape == (6, 6)
+        assert cartesian_stiffness(sys_.arm1, q1, sys_.joint_stiffness1).shape == (6, 6)
+        assert coupled_stiffness(sys_, q1, q2).shape == (6, 6)
+        assert branch_compliance(sys_, q1, q2).shape == (6, 6)
+        assert tension_offset(sys_, q1, q2, Wrench(np.array([1.0, 0.0, 0.0]))).shape == (6,)
+        back = predicted_tension(sys_, q1, q2, np.zeros(6))
+        assert back.force.shape == (3,) and back.torque.shape == (3,)
+
+    def test_leading_axes_broadcast(self, cfg, demo_rows):
+        sys_ = cfg.system
+        q1 = demo_rows[0][:6].reshape(2, 3, 6)
+        q2 = demo_rows[1][:6].reshape(2, 3, 6)
+        K = coupled_stiffness(sys_, q1, q2)
+        assert K.shape == (2, 3, 6, 6)
+        flat = coupled_stiffness(sys_, demo_rows[0][:6], demo_rows[1][:6])
+        _assert_rows_equal(K.reshape(6, 6, 6), flat)
+
+    def test_error_names_the_stack_row(self, cfg, demo_rows):
+        idx = np.arange(300) % len(demo_rows[0])
+        q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
+        q2[270, 0] += 0.01  # opens the chain in the second block
+        with pytest.raises(ClosureError) as exc:
+            coupled_stiffness(cfg.system, q1, q2)
+        assert exc.value.index == 270
