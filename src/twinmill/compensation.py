@@ -8,11 +8,11 @@ transform compensates the deformation.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtable import meta_float, read_table, write_table
 from .errors import DegenerateGeometryError, InvalidInputError, SingularConfigurationError
 from .geometry import quat_from_matrix, quat_to_matrix
 from .pathplan import SyncProgram
@@ -36,6 +36,8 @@ class PathTrace:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
             raise InvalidInputError("trace points must be a finite Nx3 array")
+        if not (np.isfinite(self.tension) and np.isfinite(self.noise_sigma)):
+            raise InvalidInputError("trace tension and noise sigma must be finite")
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
@@ -177,51 +179,38 @@ def residual_report(reference: PathTrace, measured: PathTrace) -> ResidualReport
 # CSV interchange
 
 
+_TRACE_COLUMNS = ("index", "x_m", "y_m", "z_m")
+_REPORT_COLUMNS = ("index", "dx_m", "dy_m", "dz_m")
+_INDEXED_ROW = "%d,%.17g,%.17g,%.17g\n"
+
+
+def _indexed(points):
+    return np.column_stack([np.arange(len(points)), points])
+
+
 def trace_to_csv(trace: PathTrace) -> str:
-    buf = io.StringIO()
-    buf.write(f"# label={trace.label}\n")
-    buf.write(f"# tension_N={trace.tension!r}\n")
-    buf.write(f"# noise_sigma_m={trace.noise_sigma!r}\n")
-    buf.write("index,x_m,y_m,z_m\n")
-    for i, p in enumerate(trace.points):
-        buf.write(f"{i},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}\n")
-    return buf.getvalue()
+    meta = {"label": trace.label, "tension_N": repr(trace.tension), "noise_sigma_m": repr(trace.noise_sigma)}
+    return write_table(meta, _TRACE_COLUMNS, _indexed(trace.points), _INDEXED_ROW)
 
 
 def trace_from_csv(text) -> PathTrace:
-    meta = {}
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            meta[key.strip()] = value.strip()
-        else:
-            rows.append(line)
-    if not rows or rows[0] != "index,x_m,y_m,z_m":
-        raise InvalidInputError("trace CSV must start with header 'index,x_m,y_m,z_m'")
-    pts = np.array([[float(x) for x in row.split(",")[1:]] for row in rows[1:]])
+    meta, table = read_table(text, _TRACE_COLUMNS, "trace CSV")
+    if not np.array_equal(table[:, 0], np.arange(len(table))):
+        raise InvalidInputError("trace CSV indices must count 0, 1, 2, ... in order")
     return PathTrace(
-        pts,
+        table[:, 1:],
         label=meta.get("label", ""),
-        tension=float(meta.get("tension_N", 0.0)),
-        noise_sigma=float(meta.get("noise_sigma_m", 0.0)),
+        tension=meta_float(meta, "tension_N", 0.0, "trace CSV"),
+        noise_sigma=meta_float(meta, "noise_sigma_m", 0.0, "trace CSV"),
     )
 
 
 def report_to_csv(report: ResidualReport) -> str:
-    buf = io.StringIO()
-    buf.write(f"# rms_m={report.rms!r}\n")
-    buf.write(f"# max_norm_m={report.max_norm!r}\n")
+    meta = {"rms_m": repr(report.rms), "max_norm_m": repr(report.max_norm)}
     for name, vec in (
         ("mean", report.axis_mean),
         ("std", report.axis_std),
         ("max_abs", report.axis_max_abs),
     ):
-        buf.write(f"# {name}_xyz_m=" + " ".join(repr(float(v)) for v in vec) + "\n")
-    buf.write("index,dx_m,dy_m,dz_m\n")
-    for i, d in enumerate(report.deviations):
-        buf.write(f"{i},{d[0]:.17g},{d[1]:.17g},{d[2]:.17g}\n")
-    return buf.getvalue()
+        meta[f"{name}_xyz_m"] = " ".join(repr(float(v)) for v in vec)
+    return write_table(meta, _REPORT_COLUMNS, _indexed(report.deviations), _INDEXED_ROW)

@@ -9,14 +9,13 @@ linear frequency-shift-vs-tension fit.
 
 from __future__ import annotations
 
-import io
-
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
 
+from .csvtable import meta_float, read_table, write_table
 from .errors import DegenerateSignalError, InvalidInputError, RankDeficiencyError
 
 AXES = ("x", "y", "z")
@@ -60,8 +59,8 @@ class FrfSeries:
             raise InvalidInputError("frequencies and values must be 1-D and the same length")
         if f.size and np.any(np.diff(f) <= 0):
             raise InvalidInputError("frequency grid must be strictly ascending")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v))):
-            raise InvalidInputError("FRF contains non-finite entries")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v)) and math.isfinite(self.tension)):
+            raise InvalidInputError("FRF contains non-finite entries or tension")
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "values", v)
 
@@ -80,12 +79,12 @@ class ImpactRecord:
     def __post_init__(self):
         f = np.asarray(self.force, dtype=float)
         a = np.asarray(self.acceleration, dtype=float)
-        if not (self.sample_rate > 0):
-            raise InvalidInputError("sample rate must be positive")
+        if not (0 < self.sample_rate < math.inf):
+            raise InvalidInputError("sample rate must be positive and finite")
         if f.ndim != 1 or f.shape != a.shape or f.size < 2:
             raise InvalidInputError("force and acceleration must be equal-length series of >= 2 samples")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(a))):
-            raise InvalidInputError("impact record contains non-finite samples")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(a)) and math.isfinite(self.tension)):
+            raise InvalidInputError("impact record contains non-finite samples or tension")
         peak = np.max(np.abs(f))
         if peak == 0:
             raise DegenerateSignalError("force signal is identically zero")
@@ -115,10 +114,14 @@ def effective_stiffness(model: ModalModel, tension):
 
 
 def natural_frequency(model: ModalModel, tension):
-    """f_n(T) = f0 + sensitivity * T; compression (T < 0) is rejected."""
+    """f_n(T) = f0 + sensitivity * T; compression (T < 0) and a tension
+    that drives f_n to zero or below are rejected."""
     if tension < 0:
         raise InvalidInputError("tension must be non-negative")
-    return model.f0 + model.sensitivity * tension
+    fn = model.f0 + model.sensitivity * tension
+    if not fn > 0:
+        raise InvalidInputError(f"natural frequency at tension {tension:g} N is {fn:g} Hz, not positive")
+    return fn
 
 
 def frf_synthesize(model: ModalModel, tension, grid) -> FrfSeries:
@@ -255,75 +258,47 @@ def simulate_impact(model: ModalModel, tension, sample_rate=4096.0, duration=4.0
 # CSV interchange
 
 
-def _write_meta(fh, meta):
-    for key, value in meta.items():
-        fh.write(f"# {key}={value}\n")
-
-
-def _read_meta_lines(text):
-    meta = {}
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
-        else:
-            rows.append(line)
-    return meta, rows
+_FRF_COLUMNS = ("freq_hz", "re", "im")
+_SHIFT_COLUMNS = ("tension_N", "freq_hz", "fit_hz", "residual_hz")
+_IMPACT_COLUMNS = ("time_s", "force_N", "accel_ms2")
 
 
 def frf_to_csv(frf: FrfSeries) -> str:
-    buf = io.StringIO()
-    _write_meta(buf, {"axis": frf.axis, "position": frf.position, "tension_N": repr(frf.tension)})
-    buf.write("freq_hz,re,im\n")
-    for f, v in zip(frf.frequencies, frf.values):
-        buf.write(f"{f:.17g},{v.real:.17g},{v.imag:.17g}\n")
-    return buf.getvalue()
+    meta = {"axis": frf.axis, "position": frf.position, "tension_N": repr(frf.tension)}
+    table = np.column_stack([frf.frequencies, frf.values.real, frf.values.imag])
+    return write_table(meta, _FRF_COLUMNS, table, "%.17g,%.17g,%.17g\n")
 
 
 def frf_from_csv(text) -> FrfSeries:
-    meta, rows = _read_meta_lines(text)
-    if not rows or rows[0] != "freq_hz,re,im":
-        raise InvalidInputError("FRF CSV must start with header 'freq_hz,re,im'")
-    data = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+    meta, data = read_table(text, _FRF_COLUMNS, "FRF CSV")
+    values = np.empty(len(data), dtype=complex)
+    values.real, values.imag = data[:, 1], data[:, 2]  # re + 1j * im would turn re = -0.0 into +0.0
     return FrfSeries(
         data[:, 0],
-        data[:, 1] + 1j * data[:, 2],
+        values,
         axis=meta.get("axis", "x"),
         position=meta.get("position", ""),
-        tension=float(meta.get("tension_N", 0.0)),
+        tension=meta_float(meta, "tension_N", 0.0, "FRF CSV"),
     )
 
 
 def shift_fit_to_csv(points, fit: ShiftFit) -> str:
-    buf = io.StringIO()
-    _write_meta(buf, {"scope": fit.scope, "slope_hz_per_n": repr(fit.slope),
-                      "intercept_hz": repr(fit.intercept)})
-    buf.write("tension_N,freq_hz,fit_hz,residual_hz\n")
-    for (T, f), r in zip(points, fit.residuals):
-        buf.write(f"{T:.17g},{f:.17g},{fit.intercept + fit.slope * T:.17g},{r:.17g}\n")
-    return buf.getvalue()
+    meta = {"scope": fit.scope, "slope_hz_per_n": repr(fit.slope), "intercept_hz": repr(fit.intercept)}
+    T, f = np.reshape(np.asarray(list(points), dtype=float), (-1, 2)).T
+    table = np.column_stack([T, f, fit.intercept + fit.slope * T, fit.residuals])
+    return write_table(meta, _SHIFT_COLUMNS, table, "%.17g,%.17g,%.17g,%.17g\n")
 
 
 def impact_record_from_csv(text) -> ImpactRecord:
     """Parse an impact record CSV: columns time_s, force_N, accel_ms2 with
     metadata in '# key=value' header comments."""
-    meta, rows = _read_meta_lines(text)
-    if not rows or rows[0] != "time_s,force_N,accel_ms2":
-        raise InvalidInputError("impact CSV must start with header 'time_s,force_N,accel_ms2'")
-    data = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+    meta, data = read_table(text, _IMPACT_COLUMNS, "impact CSV")
     if data.shape[0] < 2:
         raise InvalidInputError("impact CSV needs at least two samples")
-    if "sample_rate_hz" in meta:
-        rate = float(meta["sample_rate_hz"])
-    else:
+    rate = meta_float(meta, "sample_rate_hz", None, "impact CSV")
+    if rate is None:
         dt = np.diff(data[:, 0])
-        if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
+        if not (dt[0] > 0 and np.max(np.abs(dt - dt[0])) <= 1e-9 * dt[0]):
             raise InvalidInputError("impact CSV time column is not uniformly sampled")
         rate = 1.0 / dt[0]
     return ImpactRecord(
@@ -332,23 +307,20 @@ def impact_record_from_csv(text) -> ImpactRecord:
         data[:, 2],
         axis=meta.get("axis", "x"),
         position=meta.get("position", ""),
-        tension=float(meta.get("tension_N", 0.0)),
+        tension=meta_float(meta, "tension_N", 0.0, "impact CSV"),
     )
 
 
 def impact_record_to_csv(record: ImpactRecord) -> str:
-    buf = io.StringIO()
-    _write_meta(buf, {
+    meta = {
         "axis": record.axis,
         "position": record.position,
         "tension_N": repr(record.tension),
         "sample_rate_hz": repr(record.sample_rate),
-    })
-    buf.write("time_s,force_N,accel_ms2\n")
+    }
     t = np.arange(record.force.size) / record.sample_rate
-    for ti, fi, ai in zip(t, record.force, record.acceleration):
-        buf.write(f"{ti:.17g},{fi:.17g},{ai:.17g}\n")
-    return buf.getvalue()
+    table = np.column_stack([t, record.force, record.acceleration])
+    return write_table(meta, _IMPACT_COLUMNS, table, "%.17g,%.17g,%.17g\n")
 
 
 def modal_model_from_dict(d, axis) -> ModalModel:

@@ -8,7 +8,6 @@ orientation is held fixed along the path (3-axis milling).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import operator
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtable import meta_float, meta_floats, read_table, write_table
 from .errors import (
     ClosureError,
     ContinuityError,
@@ -583,52 +583,31 @@ _POSE_COLS = ("tool", "r1", "r2_nominal", "r2_commanded")
 _COLUMNS = ["index"] + [f"{name}_{f}" for name in _POSE_COLS for f in _POSE_FIELDS] + [
     f"q{arm}_{i}" for arm in (1, 2) for i in range(6)
 ]
+_ROW_FMT = "%d" + ",%.17g" * (len(_COLUMNS) - 1) + "\n"
 
 
 def program_to_csv(program: SyncProgram) -> str:
-    buf = io.StringIO()
-    w = program.tension.as_vector()
-    buf.write(f"# feed_mm_min={_fmt(program.feed_mm_min)}\n")
-    buf.write("# tension_wrench=" + " ".join(_fmt(x) for x in w) + "\n")
-    buf.write(f"# chord_tol_m={_fmt(program.chord_tol)}\n")
-    buf.write(f"# max_step_m={_fmt(program.max_step)}\n")
-    buf.write(",".join(_COLUMNS) + "\n")
+    meta = {
+        "feed_mm_min": _fmt(program.feed_mm_min),
+        "tension_wrench": " ".join(_fmt(x) for x in program.tension.as_vector()),
+        "chord_tol_m": _fmt(program.chord_tol),
+        "max_step_m": _fmt(program.max_step),
+    }
     sp = program.pairs
-    table = np.hstack([getattr(sp, name) for name in _POSE_NAMES] + [sp.q1, sp.q2])
-    for index, row in zip(sp.index.tolist(), table):
-        buf.write(str(index) + "," + ",".join([format(v, ".17g") for v in row.tolist()]) + "\n")
-    return buf.getvalue()
+    table = np.column_stack([sp.index] + [getattr(sp, name) for name in _POSE_NAMES] + [sp.q1, sp.q2])
+    return write_table(meta, _COLUMNS, table, _ROW_FMT)
 
 
 def program_from_csv(text) -> SyncProgram:
-    meta = {}
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            meta[key.strip()] = value.strip()
-        else:
-            rows.append(line)
-    if len(rows) < 2:
-        raise InvalidInputError("program CSV has no data rows")
-    try:
-        table = np.loadtxt(rows[1:], delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise InvalidInputError(f"program CSV data rows: {exc}") from exc
-    if table.shape[1] != len(_COLUMNS):
-        raise InvalidInputError(f"program CSV rows must have {len(_COLUMNS)} columns, not {table.shape[1]}")
+    meta, table = read_table(text, _COLUMNS, "program CSV")
     index = table[:, 0]
-    if not np.all(np.isfinite(index) & (index == np.trunc(index))):
-        raise InvalidInputError("program CSV setpoint indices must be integers")
-    wrench_vals = [float(x) for x in meta.get("tension_wrench", "0 0 0 0 0 0").split()]
+    if not np.all((index == np.trunc(index)) & (np.abs(index) <= 2.0**53)):
+        raise InvalidInputError("program CSV setpoint indices must be integers within +-2**53")
     return SyncProgram(
         Setpoints(index.astype(np.int64), *(table[:, 1 + 7 * k : 8 + 7 * k] for k in range(4)),
                   table[:, 29:35], table[:, 35:41]),
-        tension=Wrench.from_vector(np.array(wrench_vals)),
-        feed_mm_min=float(meta.get("feed_mm_min", 0.0)),
-        chord_tol=float(meta.get("chord_tol_m", 0.0)),
-        max_step=float(meta.get("max_step_m", 0.0)),
+        tension=Wrench.from_vector(meta_floats(meta, "tension_wrench", [0.0] * 6, "program CSV")),
+        feed_mm_min=meta_float(meta, "feed_mm_min", 0.0, "program CSV"),
+        chord_tol=meta_float(meta, "chord_tol_m", 0.0, "program CSV"),
+        max_step=meta_float(meta, "max_step_m", 0.0, "program CSV"),
     )

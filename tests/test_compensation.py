@@ -250,6 +250,13 @@ class TestCsv:
         with pytest.raises(InvalidInputError):
             trace_from_csv("x,y,z\n1,2,3\n")
 
+    def test_trace_indices_must_count_rows(self):
+        assert len(trace_from_csv("index,x_m,y_m,z_m\n0,1,2,3\n1,4,5,6\n")) == 2
+        for indices in ((5, 5), (0, 2), (1, 0), (0, 0.5)):
+            text = "index,x_m,y_m,z_m\n" + "".join(f"{i},1,2,3\n" for i in indices)
+            with pytest.raises(InvalidInputError, match="indices"):
+                trace_from_csv(text)
+
     def test_report_csv_contains_summary(self):
         ref = PathTrace(np.zeros((3, 3)))
         meas = PathTrace(np.full((3, 3), 1e-3))

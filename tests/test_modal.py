@@ -46,6 +46,17 @@ class TestModel:
         with pytest.raises(InvalidInputError):
             natural_frequency(make_model(), -1.0)
 
+    def test_nonpositive_natural_frequency_rejected(self):
+        m = ModalModel("x", 10.0, 0.05, 100.0, -0.1)
+        assert natural_frequency(m, 999.0) == pytest.approx(0.1)
+        for T in (1000.0, 2000.0):
+            with pytest.raises(InvalidInputError, match="not positive"):
+                natural_frequency(m, T)
+            with pytest.raises(InvalidInputError, match="not positive"):
+                effective_stiffness(m, T)
+        with pytest.raises(InvalidInputError):
+            frf_synthesize(m, 2000.0, np.arange(1.0, 10.0))
+
     def test_effective_stiffness(self):
         m = make_model()
         k = effective_stiffness(m, 0.0)
@@ -109,6 +120,13 @@ class TestImpactRecord:
     def test_no_transient_rejected(self):
         with pytest.raises(InvalidInputError):
             ImpactRecord(1000.0, np.ones(16), np.zeros(16))
+
+    def test_sample_rate_must_be_finite(self):
+        force = np.zeros(16)
+        force[3] = 1.0
+        for rate in (0.0, math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="sample rate"):
+                ImpactRecord(rate, force, np.zeros(16))
 
     def test_csv_round_trip(self):
         rec = simulate_impact(make_model(), 500.0, sample_rate=1024.0, duration=0.25)

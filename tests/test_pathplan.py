@@ -389,8 +389,18 @@ class TestProgramCsvRows:
         with pytest.raises(InvalidInputError, match="program CSV"):
             program_from_csv("\n".join(lines) + "\n")
 
+    def test_garbage_header_rejected(self, demo_program):
+        lines = program_to_csv(demo_program).splitlines()
+        assert lines[4].startswith("index,tool_x,")
+        lines[4] = ",".join(f"col{i}" for i in range(41))
+        with pytest.raises(InvalidInputError, match="program CSV line 5: expected header"):
+            program_from_csv("\n".join(lines) + "\n")
+
     def test_fractional_index_rejected(self, demo_program):
         lines = program_to_csv(demo_program).splitlines()
         lines[7] = "2.5" + lines[7][lines[7].index(","):]
+        with pytest.raises(InvalidInputError, match="integers"):
+            program_from_csv("\n".join(lines) + "\n")
+        lines[7] = "1e300" + lines[7][lines[7].index(","):]
         with pytest.raises(InvalidInputError, match="integers"):
             program_from_csv("\n".join(lines) + "\n")
