@@ -14,98 +14,90 @@ import numpy as np
 from .errors import InvalidInputError
 
 _QUAT_NORM_TOL = 1e-9
-
-
-def quat_normalize(q):
-    q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0 or not np.isfinite(n):
-        raise InvalidInputError("quaternion has zero or non-finite norm")
-    q = q / n
-    if q[0] < 0.0:
-        q = -q
-    return q
+_IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_multiply(q1, q2):
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
+    """Hamilton products of quaternions q1[..., 4] and q2[..., 4]."""
+    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
+    w1, x1, y1, z1 = (q1[..., i] for i in range(4))
+    w2, x2, y2, z2 = (q2[..., i] for i in range(4))
+    out = np.empty(np.broadcast_shapes(q1.shape, q2.shape))
+    out[..., 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    out[..., 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    out[..., 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    out[..., 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    return out
 
 
 def quat_conjugate(q):
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=float) * _CONJUGATE
 
 
 def quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrices R[..., 3, 3] of unit quaternions q[..., 4]."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = (q[..., i] for i in range(4))
+    R = np.empty(q.shape[:-1] + (3, 3))
+    R[..., 0, 0] = 1 - 2 * (y * y + z * z)
+    R[..., 0, 1] = 2 * (x * y - w * z)
+    R[..., 0, 2] = 2 * (x * z + w * y)
+    R[..., 1, 0] = 2 * (x * y + w * z)
+    R[..., 1, 1] = 1 - 2 * (x * x + z * z)
+    R[..., 1, 2] = 2 * (y * z - w * x)
+    R[..., 2, 0] = 2 * (x * z - w * y)
+    R[..., 2, 1] = 2 * (y * z + w * x)
+    R[..., 2, 2] = 1 - 2 * (x * x + y * y)
+    return R
+
+
+# Shepperd's method: with d = (1 + t, 1 + r00 - r11 - r22, 1 + r11 - r00 - r22,
+# 1 + r22 - r00 - r11) and the off-diagonal combinations (r21 - r12, r02 - r20,
+# r10 - r01, r01 + r10, r02 + r20, r12 + r21), row k of the symmetric matrix
+# 4 q q^T, picked from these ten values by _SHEPPERD_ROWS[k], is q scaled by
+# 4 q_k; the branch with the largest q_k is the stable one.
+_SHEPPERD_ROWS = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3]])
 
 
 def quat_from_matrix(R):
+    """Unit quaternions (w >= 0) of rotation matrices R[..., 3, 3]."""
     R = np.asarray(R, dtype=float)
-    # Shepperd's method: pick the largest diagonal combination for stability.
-    t = np.trace(R)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    return quat_normalize(q)
+    r00, r11, r22 = R[..., 0, 0], R[..., 1, 1], R[..., 2, 2]
+    t = r00 + r11 + r22
+    V = np.stack([
+        1.0 + t, 1.0 + r00 - r11 - r22, 1.0 + r11 - r00 - r22, 1.0 + r22 - r00 - r11,
+        R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0], R[..., 1, 0] - R[..., 0, 1],
+        R[..., 0, 1] + R[..., 1, 0], R[..., 0, 2] + R[..., 2, 0], R[..., 1, 2] + R[..., 2, 1],
+    ], axis=-1)
+    branch = np.where(t > 0, 0, np.where((r00 >= r11) & (r00 >= r22), 1, np.where(r11 >= r22, 2, 3)))
+    q = np.take_along_axis(V, _SHEPPERD_ROWS[branch], axis=-1)
+    q /= np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
+    return np.where(q[..., :1] < 0.0, -q, q)
 
 
 def quat_from_rotvec(rv):
+    """Unit quaternions (w >= 0) of rotation vectors rv[..., 3]."""
     rv = np.asarray(rv, dtype=float)
-    angle = np.linalg.norm(rv)
-    if angle < 1e-300:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    axis = rv / angle
+    angle = np.sqrt(np.sum(rv * rv, axis=-1, keepdims=True))
+    tiny = angle < 1e-300
     half = 0.5 * angle
-    q = np.concatenate([[np.cos(half)], np.sin(half) * axis])
-    if q[0] < 0.0:
-        q = -q
-    return q
+    q = np.concatenate([np.cos(half), np.sin(half) * (rv / np.where(tiny, 1.0, angle))], axis=-1)
+    q = np.where(tiny, _IDENTITY_QUAT, q)
+    return np.where(q[..., :1] < 0.0, -q, q)
 
 
 def rotvec_from_quat(q):
-    # Pick the short-way representative of the double cover.
-    if q[0] < 0.0:
-        q = -np.asarray(q, dtype=float)
-    w = min(1.0, max(-1.0, float(q[0])))
-    v = np.asarray(q[1:], dtype=float)
-    s = np.linalg.norm(v)
-    if s < 1e-300:
-        return np.zeros(3)
+    """Rotation vectors of quaternions q[..., 4], taking the short-way
+    representative of the double cover."""
+    q = np.asarray(q, dtype=float)
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    w = np.clip(q[..., 0], -1.0, 1.0)
+    v = q[..., 1:]
+    s = np.sqrt(np.sum(v * v, axis=-1))
+    tiny = s < 1e-300
     angle = 2.0 * np.arctan2(s, w)
-    return (angle / s) * v
+    return np.where(tiny, 0.0, angle / np.where(tiny, 1.0, s))[..., None] * v
 
 
 def skew(v):
@@ -144,11 +136,6 @@ class Pose:
     def identity():
         return Pose(np.zeros(3))
 
-    @staticmethod
-    def from_matrix(T):
-        T = np.asarray(T, dtype=float)
-        return Pose(T[:3, 3].copy(), quat_from_matrix(T[:3, :3]))
-
     def matrix(self):
         T = np.eye(4)
         T[:3, :3] = quat_to_matrix(self.quaternion)
@@ -174,12 +161,19 @@ class Pose:
         return self.compose(other)
 
 
+def _row(pose):
+    """A Pose as its (7,) row; rows[..., 7] pass through."""
+    if isinstance(pose, Pose):
+        return np.concatenate([pose.position, pose.quaternion])
+    return np.asarray(pose, dtype=float)
+
+
 def pose_rows(rows):
     """Stacked poses as rows[..., 7] of (x, y, z, qw, qx, qy, qz), checked
     as Pose checks one (finite position, unit quaternion) and with its
-    sign convention qw >= 0. Returns a new array; a bad row raises
-    InvalidInputError naming it."""
-    rows = np.array(rows, dtype=float)
+    sign convention qw >= 0; a Pose gives its (7,) row. Returns a new
+    array; a bad row raises InvalidInputError naming it."""
+    rows = np.array(_row(rows), dtype=float)
     if rows.shape[-1:] != (7,):
         raise InvalidInputError("stacked poses must have 7 values per row (x, y, z, qw, qx, qy, qz)")
     norm = np.linalg.norm(rows[..., 3:], axis=-1)
@@ -193,11 +187,29 @@ def pose_rows(rows):
     return rows
 
 
-def pose_error(actual: Pose, target: Pose):
-    """6-D error twist [dp; rotvec] taking `actual` to `target`, world axes."""
-    dp = target.position - actual.position
-    dq = quat_multiply(target.quaternion, quat_conjugate(actual.quaternion))
-    return np.concatenate([dp, rotvec_from_quat(dq)])
+def matrix_pose_rows(T):
+    """Pose rows[..., 7] of homogeneous transforms T[..., 4, 4]."""
+    T = np.asarray(T, dtype=float)
+    return np.concatenate([T[..., :3, 3], quat_from_matrix(T[..., :3, :3])], axis=-1)
+
+
+def compose_rows(a, b):
+    """Stacked compositions a ∘ b (b expressed in a's frame) as pose rows,
+    qw >= 0; a and b are Poses or pose rows[..., 7] and broadcast."""
+    a, b = _row(a), _row(b)
+    p = a[..., :3] + (quat_to_matrix(a[..., 3:]) @ b[..., :3, None])[..., 0]
+    q = quat_multiply(a[..., 3:], b[..., 3:])
+    return np.concatenate([p, np.where(q[..., :1] < 0.0, -q, q)], axis=-1)
+
+
+def pose_error(actual, target):
+    """6-D error twists [dp; rotvec] taking `actual` to `target`, world
+    axes. Each argument is a Pose or pose rows[..., 7]; two Poses give a
+    (6,) twist, rows give twists[..., 6]."""
+    a, t = _row(actual), _row(target)
+    dp = t[..., :3] - a[..., :3]
+    rv = rotvec_from_quat(quat_multiply(t[..., 3:], quat_conjugate(a[..., 3:])))
+    return np.concatenate(np.broadcast_arrays(dp, rv), axis=-1)
 
 
 def rotate6(R):

@@ -4,18 +4,18 @@ and damped least-squares inverse kinematics.
 DH convention is standard Denavit-Hartenberg (RotZ(theta) TransZ(d)
 TransX(a) RotX(alpha)); all joints revolute. One kernel evaluates the
 flange transform and the Jacobian of stacked configurations q[..., 6];
-a single (6,) configuration is its unstacked case.
+a single (6,) configuration is its unstacked case. Inverse kinematics
+solves stacked targets in lockstep; one target is its N=1 case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError, UnreachableTargetError
-from .geometry import Pose, pose_error
+from .geometry import Pose, matrix_pose_rows, pose_error, pose_rows
 
 N_JOINTS = 6
 
@@ -130,10 +130,17 @@ def flange_transform(arm: ArmModel, q, allow_out_of_limits=False):
     return _chain(arm, _joint_array(arm, q, allow_out_of_limits))[0]
 
 
-def forward_kinematics(arm: ArmModel, q, allow_out_of_limits=False) -> Pose:
-    """World-frame flange pose: base ∘ DH chain ∘ flange offset."""
-    q = _joint_array(arm, q, allow_out_of_limits, stacked=False)
-    return Pose.from_matrix(_chain(arm, q)[0])
+def forward_kinematics(arm: ArmModel, q, allow_out_of_limits=False):
+    """World-frame flange pose: base ∘ DH chain ∘ flange offset.
+
+    One configuration q (6,) gives a Pose; stacked configurations q[N, 6]
+    give pose rows [N, 7] of (x, y, z, qw, qx, qy, qz), qw >= 0.
+    """
+    q = _joint_array(arm, q, allow_out_of_limits)
+    if q.ndim > 2:
+        raise InvalidInputError("forward_kinematics takes q of shape (6,) or (N, 6)")
+    rows = matrix_pose_rows(_chain(arm, q)[0])
+    return rows if q.ndim == 2 else Pose(rows[:3], rows[3:])
 
 
 def jacobian(arm: ArmModel, q, allow_out_of_limits=False):
@@ -147,14 +154,18 @@ def jacobian(arm: ArmModel, q, allow_out_of_limits=False):
 
 
 def _residuals(err):
-    """Position and rotation norms of a pose error twist."""
-    p, r = err[:3], err[3:]
-    return math.sqrt(p @ p), math.sqrt(r @ r)
+    """Position and rotation norms of error twists err[N, 6], as [N, 2]."""
+    sq = err * err
+    return np.sqrt(np.stack([sq[:, :3].sum(axis=1), sq[:, 3:].sum(axis=1)], axis=1))
+
+
+def _norm(err):
+    return np.sqrt(np.sum(err * err, axis=1))
 
 
 def inverse_kinematics(
     arm: ArmModel,
-    target: Pose,
+    target,
     seed,
     tol_pos=DEFAULT_TOL_POS,
     tol_rot=DEFAULT_TOL_ROT,
@@ -162,70 +173,106 @@ def inverse_kinematics(
 ):
     """Damped least-squares IK on the 6-D pose error twist.
 
-    Joint limits are enforced by clamping inside every iteration, so the
-    returned configuration is always feasible. Deterministic: identical
-    inputs give bit-identical outputs. When no damping up to the last
-    retry reduces the residual, the solve stops at the current
-    configuration with UnreachableTargetError and the best residual.
+    `target` is one Pose or stacked pose rows [N, 7]; `seed` is (6,),
+    shared by every target, or one seed per target [N, 6]. A Pose with a
+    (6,) seed gives q (6,), anything else q [N, 6].
+
+    The rows are solved in lockstep: each step evaluates one trial per
+    row still iterating, with one kernel call and one batched solve. Each
+    row keeps its own schedule: damping starts at _LAMBDA0 and grows 10x
+    per rejected trial, a trial is accepted when it does not increase the
+    residual, and a row stops after _MAX_RETRIES rejected trials in a row
+    or `max_iter` accepted steps. Joint limits are enforced by clamping
+    every trial, so solutions are always feasible. Deterministic:
+    identical inputs give bit-identical outputs, and a row's solution
+    does not depend on the other rows. A row that fails raises
+    UnreachableTargetError for the first failing row, with that row as
+    `index` and its best residual.
     """
     if tol_pos <= 0 or tol_rot <= 0:
         raise InvalidInputError("tolerances must be positive")
     if max_iter < 1:
         raise InvalidInputError("max_iter must be at least 1")
-    seed = _joint_array(arm, seed, allow_out_of_limits=True, stacked=False)
-    if not arm.within_limits(seed):
+    targets = pose_rows(target)
+    seeds = _joint_array(arm, seed, allow_out_of_limits=True)
+    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
+    if not (np.all(seeds >= lo) and np.all(seeds <= hi)):
         raise InvalidInputError("IK seed violates joint limits")
+    if targets.ndim > 2 or seeds.ndim > 2 or (targets.ndim == seeds.ndim == 2 and len(targets) != len(seeds)):
+        raise InvalidInputError("IK takes targets [N, 7] with one seed (6,) or seeds [N, 6]")
+    lead = targets.shape[:-1] or seeds.shape[:-1]
+    targets = np.broadcast_to(targets, lead + (7,)).reshape(-1, 7)
+    q = np.broadcast_to(seeds, lead + (6,)).reshape(-1, 6).copy()
 
-    dist = np.linalg.norm(target.position - arm.base_pose.position)
-    if dist > arm.reach + np.linalg.norm(arm.flange_offset.position):
-        raise UnreachableTargetError(
-            f"target {dist:.3f} m from base exceeds arm reach {arm.reach:.3f} m",
-            pos_residual=dist - arm.reach,
-        )
+    # The first failing row: (index, message, position and rotation residual).
+    # Rows after it no longer matter and are not iterated.
+    failure = (len(q), None, None, None)
+    # The flange lies within reach + |flange offset| of the base origin.
+    extent = arm.reach + np.linalg.norm(arm.flange_offset.position)
+    dist = np.linalg.norm(targets[:, :3] - arm.base_pose.position, axis=1)
+    far = np.flatnonzero(dist > extent)
+    if far.size:
+        i = int(far[0])
+        failure = (i, f"target {dist[i]:.3f} m from base exceeds the arm's extent {extent:.3f} m "
+                      f"(reach + |flange offset|)", dist[i] - extent, None)
 
-    # The seed goes through forward_kinematics and jacobian, where the
+    # The seeds go through forward_kinematics and jacobian, where the
     # benchmark's span tracer (perfbench/spans.py) counts FK and Jacobian
     # calls. Each trial step evaluates its pose and Jacobian in one kernel
     # call, and the Jacobian of an accepted step is reused by the next.
-    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
-    q = seed.copy()
-    lam = _LAMBDA0
-    err = pose_error(forward_kinematics(arm, q, allow_out_of_limits=True), target)
+    err = pose_error(forward_kinematics(arm, q, allow_out_of_limits=True), targets)
+    J = jacobian(arm, q, allow_out_of_limits=True)
     res = _residuals(err)
-    best = res
-    J = None
-    for _ in range(max_iter):
-        if res[0] <= tol_pos and res[1] <= tol_rot:
-            return q
-        if J is None:
-            J = jacobian(arm, q, allow_out_of_limits=True)
-        step_norm = math.sqrt(err @ err)
+    # Per row still iterating (`rows` holds their indices, ascending): its
+    # q, error, Jacobian, residuals, best residual, target, damping,
+    # rejected trials in a row and accepted steps.
+    rows = np.flatnonzero((res[:, 0] > tol_pos) | (res[:, 1] > tol_rot))
+    rows = rows[rows < failure[0]]
+    q_a, err_a, J_a, res_a, tgt_a = q[rows], err[rows], J[rows], res[rows], targets[rows]
+    best_a = res_a.copy()
+    lam_a = np.full(len(rows), _LAMBDA0)
+    retries_a = np.zeros(len(rows), dtype=int)
+    steps_a = np.zeros(len(rows), dtype=int)
+    while len(rows):
+        Jt = np.swapaxes(J_a, 1, 2)
+        A = J_a @ Jt + (lam_a**2)[:, None, None] * _EYE6
+        dq = (Jt @ np.linalg.solve(A, err_a[:, :, None]))[:, :, 0]
+        q_new = np.clip(q_a + dq, lo, hi)
+        T_new, J_new = _chain(arm, q_new)
+        err_new = pose_error(matrix_pose_rows(T_new), tgt_a)
+        ok = _norm(err_new) <= _norm(err_a)
+        res_new = _residuals(err_new)
+        q_a = np.where(ok[:, None], q_new, q_a)
+        err_a = np.where(ok[:, None], err_new, err_a)
+        J_a = np.where(ok[:, None, None], J_new, J_a)
+        res_a = np.where(ok[:, None], res_new, res_a)
+        # Best residual: the lexicographic minimum of (position, rotation).
+        better = ok & ((res_new[:, 0] < best_a[:, 0])
+                       | ((res_new[:, 0] == best_a[:, 0]) & (res_new[:, 1] < best_a[:, 1])))
+        best_a = np.where(better[:, None], res_new, best_a)
         # Damped step; on residual increase back off with 10x damping.
-        for _retry in range(_MAX_RETRIES):
-            dq = J.T @ np.linalg.solve(J @ J.T + lam**2 * _EYE6, err)
-            q_new = np.clip(q + dq, lo, hi)
-            T_new, J_new = _chain(arm, q_new)
-            err_new = pose_error(Pose.from_matrix(T_new), target)
-            if math.sqrt(err_new @ err_new) <= step_norm:
-                lam = _LAMBDA0
-                break
-            lam *= 10.0
-        else:
-            # No damping reduces the residual: q is a local minimum of it.
-            raise UnreachableTargetError(
-                f"IK stalled: no damped step reduced the residual after {_MAX_RETRIES} retries "
-                f"(best residual {best[0]:.3e} m, {best[1]:.3e} rad)",
-                pos_residual=best[0],
-                rot_residual=best[1],
+        lam_a = np.where(ok, _LAMBDA0, 10.0 * lam_a)
+        retries_a = np.where(ok, 0, retries_a + 1)
+        steps_a = steps_a + ok
+        done = ok & (res_a[:, 0] <= tol_pos) & (res_a[:, 1] <= tol_rot)
+        q[rows[done]] = q_a[done]
+        # No damping reduces the residual: q is a local minimum of it.
+        stalled = retries_a == _MAX_RETRIES
+        spent = ~done & (steps_a == max_iter)
+        failed = np.flatnonzero(stalled | spent)
+        if failed.size:
+            k = failed[0]
+            failure = (int(rows[k]), (
+                f"IK stalled: no damped step reduced the residual after {_MAX_RETRIES} retries"
+                if stalled[k] else f"IK did not converge in {max_iter} iterations"
+            ) + f" (best residual {best_a[k, 0]:.3e} m, {best_a[k, 1]:.3e} rad)", *best_a[k])
+        keep = ~(done | stalled | spent) & (rows < failure[0])
+        if not np.all(keep):
+            rows, q_a, err_a, J_a, res_a, tgt_a, best_a, lam_a, retries_a, steps_a = (
+                x[keep] for x in (rows, q_a, err_a, J_a, res_a, tgt_a, best_a, lam_a, retries_a, steps_a)
             )
-        q, err, J = q_new, err_new, J_new
-        res = _residuals(err)
-        best = min(best, res)
-    if res[0] <= tol_pos and res[1] <= tol_rot:
-        return q
-    raise UnreachableTargetError(
-        f"IK did not converge in {max_iter} iterations "
-        f"(best residual {best[0]:.3e} m, {best[1]:.3e} rad)",
-        pos_residual=best[0],
-        rot_residual=best[1],
-    )
+    index, message, pos_residual, rot_residual = failure
+    if message is not None:
+        raise UnreachableTargetError(message, pos_residual=pos_residual, rot_residual=rot_residual,
+                                     index=index)
+    return q.reshape(lead + (6,))

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedGcodeError,
     WorkspaceError,
 )
-from .geometry import Pose, pose_rows, quat_from_rotvec, quat_multiply
+from .geometry import Pose, compose_rows, pose_rows, quat_from_rotvec, quat_multiply
 from .kinematics import DEFAULT_MAX_ITER, DEFAULT_TOL_POS, DEFAULT_TOL_ROT, inverse_kinematics
 from .stiffness import CoupledSystem, Wrench, tension_offset
 
@@ -37,6 +37,8 @@ _ARC_RADIUS_TOL = 10e-6  # 10 um start/end radius mismatch
 DEFAULT_CHORD_TOL = 1e-5  # m
 DEFAULT_MAX_STEP = 5e-3  # m
 DEFAULT_JOINT_JUMP_MAX = 0.2  # rad, guards against IK branch flips
+_SEED_SPAN_M = 0.08  # m of path at most between a pass-1 IK seed and its target
+_BLOCK_ROWS = 256  # rows per stacked IK call of pass 3
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,7 @@ class ToolPath:
 _WORD_RE = re.compile(r"([A-Za-z])\s*([+-]?(?:\d+\.?\d*|\.\d+))")
 _SUPPORTED_LETTERS = set("GXYZIJKF")
 _MM = 1e-3
+_MAX_WORD_VALUE = 1e9  # mm; a word beyond 1000 km is a typo, and squares of it overflow
 
 
 def _strip_comments(line):
@@ -153,7 +156,13 @@ def parse_gcode(text, orientation=None) -> ToolPath:
                 raise UnsupportedGcodeError(
                     f"line {lineno}: unparseable text {line[consumed:m.start()]!r}", line=lineno
                 )
-            words.append((m.group(1).upper(), float(m.group(2))))
+            value = float(m.group(2))
+            if not abs(value) <= _MAX_WORD_VALUE:
+                raise UnsupportedGcodeError(
+                    f"line {lineno}: {m.group(1)} value out of range (|value| > {_MAX_WORD_VALUE:g})",
+                    line=lineno,
+                )
+            words.append((m.group(1).upper(), value))
             consumed = m.end()
         if line[consumed:].strip():
             raise UnsupportedGcodeError(
@@ -216,12 +225,14 @@ def parse_gcode(text, orientation=None) -> ToolPath:
                 sweep = -((theta_s - theta_e) % (2 * math.pi))
                 if sweep == 0.0:
                     sweep = -2 * math.pi
-            segments.append(
-                ArcSegment(center, np.array([0.0, 0.0, 1.0]), Pose(pos, orientation), sweep)
-            )
-            # Snap the running position to the arc's computed endpoint so the
-            # chain stays continuous to machine precision.
-            target = segments[-1].end.position
+            try:
+                arc = ArcSegment(center, np.array([0.0, 0.0, 1.0]), Pose(pos, orientation), sweep)
+                # Snap the running position to the arc's computed endpoint so
+                # the chain stays continuous to machine precision.
+                target = arc.end.position
+            except InvalidInputError as exc:
+                raise MalformedArcError(f"line {lineno}: {exc}", line=lineno) from exc
+            segments.append(arc)
         pos = target
     if not segments:
         raise InvalidInputError("G-code produced no motion segments")
@@ -278,10 +289,6 @@ def _pose_to_dict(p: Pose):
     return {"position_m": list(p.position), "quaternion_wxyz": list(p.quaternion)}
 
 
-def _pose_from_dict(d):
-    return Pose(np.array(d["position_m"], dtype=float), np.array(d["quaternion_wxyz"], dtype=float))
-
-
 def path_to_json(path: ToolPath) -> str:
     segs = []
     for s in path.segments:
@@ -300,24 +307,75 @@ def path_to_json(path: ToolPath) -> str:
     return _dump_json({"feed_mm_min": float(path.feed_mm_min), "segments": segs}) + "\n"
 
 
+def _json_field(obj, key, where):
+    """obj[key] of a JSON object at schema path `where`."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"path JSON {where or 'document'}: expected an object")
+    if key not in obj:
+        raise InvalidInputError(f"path JSON: missing {where + '.' if where else ''}{key}")
+    return obj[key]
+
+
+def _json_number(value, where):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise InvalidInputError(f"path JSON {where}: expected a finite number, got {value!r:.40}")
+
+
+def _json_vector(value, size, where):
+    if not isinstance(value, list) or len(value) != size:
+        raise InvalidInputError(f"path JSON {where}: expected a list of {size} numbers")
+    return np.array([_json_number(x, f"{where}[{i}]") for i, x in enumerate(value)])
+
+
+def _json_build(cls, where, *args):
+    """cls(*args), its InvalidInputError prefixed with the schema path."""
+    try:
+        return cls(*args)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"path JSON {where}: {exc}") from exc
+
+
+def _json_pose(obj, where):
+    return _json_build(Pose, where,
+                       _json_vector(_json_field(obj, "position_m", where), 3, f"{where}.position_m"),
+                       _json_vector(_json_field(obj, "quaternion_wxyz", where), 4, f"{where}.quaternion_wxyz"))
+
+
+def _json_segment(s, where):
+    kind = _json_field(s, "type", where)
+    if kind == "linear":
+        return _json_build(LinearSegment, where,
+                           _json_pose(_json_field(s, "start", where), f"{where}.start"),
+                           _json_pose(_json_field(s, "end", where), f"{where}.end"))
+    if kind == "arc":
+        return _json_build(
+            ArcSegment, where,
+            _json_vector(_json_field(s, "center_m", where), 3, f"{where}.center_m"),
+            _json_vector(_json_field(s, "normal", where), 3, f"{where}.normal"),
+            _json_pose(_json_field(s, "start", where), f"{where}.start"),
+            _json_number(_json_field(s, "sweep_rad", where), f"{where}.sweep_rad"),
+        )
+    raise InvalidInputError(f"path JSON {where}.type: unknown segment type {kind!r:.40}")
+
+
 def path_from_json(text) -> ToolPath:
-    doc = json.loads(text)
-    segments = []
-    for s in doc["segments"]:
-        if s["type"] == "linear":
-            segments.append(LinearSegment(_pose_from_dict(s["start"]), _pose_from_dict(s["end"])))
-        elif s["type"] == "arc":
-            segments.append(
-                ArcSegment(
-                    np.array(s["center_m"], dtype=float),
-                    np.array(s["normal"], dtype=float),
-                    _pose_from_dict(s["start"]),
-                    float(s["sweep_rad"]),
-                )
-            )
-        else:
-            raise InvalidInputError(f"unknown segment type {s['type']!r}")
-    return ToolPath(tuple(segments), feed_mm_min=float(doc.get("feed_mm_min", 0.0)))
+    """Read the native JSON path format. Bad input raises
+    InvalidInputError naming its schema path, e.g. `segments[0].start`."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidInputError(f"path JSON is not valid JSON: {exc}") from exc
+    segs = _json_field(doc, "segments", "")
+    if not isinstance(segs, list):
+        raise InvalidInputError("path JSON segments: expected a list")
+    segments = tuple(_json_segment(s, f"segments[{k}]") for k, s in enumerate(segs))
+    feed = _json_number(doc.get("feed_mm_min", 0.0), "feed_mm_min")
+    return _json_build(ToolPath, "segments", segments, feed)
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +526,24 @@ class SyncProgram:
         object.__setattr__(self, "pairs", pairs)
 
 
-def apply_world_offset(pose: Pose, offset) -> Pose:
-    """Apply a 6-D world-frame displacement (3 translations, 3 rotations as
-    a rotation vector) to a pose."""
-    offset = np.asarray(offset, dtype=float)
-    return Pose(
-        pose.position + offset[:3],
-        quat_multiply(quat_from_rotvec(offset[3:]), pose.quaternion),
-    )
+def apply_world_offset(poses, offsets):
+    """Apply 6-D world-frame displacements offsets[..., 6] (3 translations,
+    3 rotations as a rotation vector) to a Pose, which gives a Pose, or to
+    pose rows[..., 7], which give pose rows."""
+    rows, offsets = pose_rows(poses), np.asarray(offsets, dtype=float)
+    q = quat_multiply(quat_from_rotvec(offsets[..., 3:]), rows[..., 3:])
+    out = np.concatenate([rows[..., :3] + offsets[..., :3], np.where(q[..., :1] < 0.0, -q, q)], axis=-1)
+    return Pose(out[:3], out[3:]) if isinstance(poses, Pose) else out
 
 
-def _in_box(p, box):
-    center, size = box
-    return bool(np.all(np.abs(p - center) <= size / 2 + 1e-12))
+def _ik_prefix(arm, targets, seed, tol):
+    """Stacked IK of `targets`. On a failure, the solutions of the rows
+    before the first failing one, and that failure; else (all, None)."""
+    try:
+        return inverse_kinematics(arm, targets, seed, *tol), None
+    except UnreachableTargetError as exc:
+        seed = seed[: exc.index] if np.ndim(seed) == 2 else seed
+        return inverse_kinematics(arm, targets[: exc.index], seed, *tol), exc
 
 
 def plan_sync(
@@ -498,77 +561,90 @@ def plan_sync(
 ) -> SyncProgram:
     """Generate synchronized setpoint pairs along the path.
 
-    Three passes: IK of arm 1 and of arm 2's nominal (untensioned) flange
-    pose, each seeded with its previous solution so the joint
-    trajectories stay on one branch; one stacked tension-offset
-    evaluation from the local configurations; then IK of arm 2's
-    commanded pose, seeded with its nominal solution. A joint jump above
-    `joint_jump_max` between consecutive pairs aborts planning. Failures
-    are raised for the first setpoint at which they occur.
+    Three passes of stacked IK. Pass 1 solves arm 1 and arm 2's nominal
+    (untensioned) flange pose in consecutive blocks of setpoints that
+    span at most _SEED_SPAN_M of path; every row of a block is seeded
+    with the last solution of the block before, so the joint trajectories
+    stay on one branch (with max_step >= _SEED_SPAN_M each block is one
+    setpoint). Pass 2 is one stacked tension-offset evaluation from the
+    local configurations. Pass 3 solves arm 2's commanded pose in blocks
+    of _BLOCK_ROWS, each row seeded with its nominal solution. A joint
+    jump above `joint_jump_max` between consecutive pairs aborts planning.
+    Failures are raised for the first setpoint at which they occur.
 
     workspace_box: optional (center, size) arrays in m; every discretized
     tool position must lie inside.
     """
-    poses = discretize(path, chord_tol, max_step)
+    tool = _pose_stack(discretize(path, chord_tol, max_step))
     if workspace_box is not None:
-        box = (np.asarray(workspace_box[0], dtype=float), np.asarray(workspace_box[1], dtype=float))
-        for i, pose in enumerate(poses):
-            if not _in_box(pose.position, box):
-                raise WorkspaceError(
-                    f"tool pose {i} at {pose.position} lies outside the workspace box", index=i
-                )
+        center, size = (np.asarray(v, dtype=float) for v in workspace_box)
+        outside = np.flatnonzero(np.any(np.abs(tool[:, :3] - center) > size / 2 + 1e-12, axis=1))
+        if outside.size:
+            i = int(outside[0])
+            raise WorkspaceError(f"tool pose {i} at {tool[i, :3]} lies outside the workspace box", index=i)
     seed1, seed2 = (np.asarray(s, dtype=float) for s in ik_seeds)
-    tool_inv = sys.tool_offset.inverse()
-    r1 = [tool_pose @ tool_inv for tool_pose in poses]
-    r2_nominal = [r @ sys.flange2_offset for r in r1]
+    tol = (tol_pos, tol_rot, max_iter)
+    r1 = compose_rows(tool, sys.tool_offset.inverse())
+    r2_nominal = compose_rows(r1, sys.flange2_offset)
+    n = len(tool)
 
     # A failure found in one pass is raised only after the later passes have
     # covered the setpoints before it, so the first failing setpoint is the
     # one reported, whichever pass finds it.
     failure = None
-    # Pass 1: warm-started IK of arm 1 and of arm 2's nominal pose.
-    q1, q2_nominal = [], []
-    for i in range(len(poses)):
-        try:
-            seed1 = inverse_kinematics(sys.arm1, r1[i], seed1, tol_pos, tol_rot, max_iter)
-            seed2 = inverse_kinematics(sys.arm2, r2_nominal[i], seed2, tol_pos, tol_rot, max_iter)
-        except UnreachableTargetError as exc:
-            failure = PlanError(f"IK failed at setpoint {i}: {exc}", index=i)
+    # Pass 1: blocked, warm-started IK of arm 1 and of arm 2's nominal pose.
+    block = max(1, int(_SEED_SPAN_M // max_step))
+    q1, q2_nominal = np.empty((n, 6)), np.empty((n, 6))
+    for start in range(0, n, block):
+        rows = slice(start, min(start + block, n))
+        q1_block, exc1 = _ik_prefix(sys.arm1, r1[rows], seed1, tol)
+        # Arm 2 is solved up to arm 1's failing row, so its own failure
+        # comes first.
+        q2_block, exc2 = _ik_prefix(sys.arm2, r2_nominal[rows][: len(q1_block)], seed2, tol)
+        k = len(q2_block)
+        q1[start : start + k], q2_nominal[start : start + k] = q1_block[:k], q2_block
+        exc = exc2 or exc1
+        if exc is not None:
+            failure = PlanError(f"IK failed at setpoint {start + k}: {exc}", index=start + k)
             failure.__cause__ = exc
+            q1, q2_nominal = q1[: start + k], q2_nominal[: start + k]
             break
-        q1.append(seed1)
-        q2_nominal.append(seed2)
+        seed1, seed2 = q1_block[-1], q2_block[-1]
 
     # Pass 2: every tension offset in one stacked evaluation.
-    q1_all, q2_nominal_all = np.reshape(q1, (-1, 6)), np.reshape(q2_nominal, (-1, 6))
     try:
-        offsets = tension_offset(sys, q1_all, q2_nominal_all, tension)
+        offsets = tension_offset(sys, q1, q2_nominal, tension)
     except (SingularConfigurationError, ClosureError) as exc:
         failure = exc
-        offsets = tension_offset(sys, q1_all[: exc.index], q2_nominal_all[: exc.index], tension)
+        offsets = tension_offset(sys, q1[: exc.index], q2_nominal[: exc.index], tension)
 
-    # Pass 3: IK of arm 2's commanded pose and the continuity guard.
-    r2_commanded, q2 = [], []
-    for i, offset in enumerate(offsets):
-        target = apply_world_offset(r2_nominal[i], offset)
-        try:
-            q = inverse_kinematics(sys.arm2, target, q2_nominal[i], tol_pos, tol_rot, max_iter)
-        except UnreachableTargetError as exc:
-            raise PlanError(f"IK failed at setpoint {i}: {exc}", index=i) from exc
-        if i:
-            jump = max(np.max(np.abs(q1[i] - q1[i - 1])), np.max(np.abs(q - q2[-1])))
-            if jump > joint_jump_max:
-                raise ContinuityError(
-                    f"joint jump {jump:.3f} rad at setpoint {i} exceeds {joint_jump_max} rad",
-                    index=i,
-                )
-        r2_commanded.append(target)
-        q2.append(q)
+    # Pass 3: IK of arm 2's commanded pose, each row seeded with its
+    # nominal solution; stops at the first failing row.
+    m = len(offsets)
+    r2_commanded = apply_world_offset(r2_nominal[:m], offsets)
+    q2 = np.empty((m, 6))
+    for start in range(0, m, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, m))
+        q2_block, exc = _ik_prefix(sys.arm2, r2_commanded[rows], q2_nominal[rows], tol)
+        q2[start : start + len(q2_block)] = q2_block
+        if exc is not None:
+            i = start + len(q2_block)
+            m, failure = i, PlanError(f"IK failed at setpoint {i}: {exc}", index=i)
+            failure.__cause__ = exc
+            break
+
+    # Continuity guard over the setpoints solved so far, before any failure.
+    jumps = np.max(np.abs(np.hstack([np.diff(q1[:m], axis=0), np.diff(q2[:m], axis=0)])), axis=1)
+    over = np.flatnonzero(jumps > joint_jump_max)
+    if over.size:
+        i = int(over[0]) + 1
+        raise ContinuityError(
+            f"joint jump {jumps[i - 1]:.3f} rad at setpoint {i} exceeds {joint_jump_max} rad", index=i
+        )
     if failure is not None:
         raise failure
-    pose_stacks = (_pose_stack(stack) for stack in (poses, r1, r2_nominal, r2_commanded))
     return SyncProgram(
-        Setpoints(np.arange(len(poses)), *pose_stacks, q1, q2),
+        Setpoints(np.arange(n), tool, r1, r2_nominal, r2_commanded, q1, q2),
         tension=tension, feed_mm_min=path.feed_mm_min, chord_tol=chord_tol, max_step=max_step,
     )
 

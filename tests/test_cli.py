@@ -160,6 +160,20 @@ class TestPlan:
         )
         assert code == 64
 
+    @pytest.mark.parametrize("text", [
+        "{}",
+        '{"segments": [{"type": "linear", "end": {"position_m": [0, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}}]}',
+        "not json",
+        "[]",
+        '{"feed_mm_min": "fast", "segments": []}',
+    ])
+    def test_bad_path_json_exits_3(self, tmp_path, config_file, text, capsys):
+        path_file = tmp_path / "path.json"
+        path_file.write_text(text)
+        code = cli.main(["--config", config_file, "plan", str(path_file), "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: path JSON")
+
     def test_missing_path_file_exits_3(self, tmp_path, config_file):
         code = cli.main(
             ["--config", config_file, "plan", str(tmp_path / "none.gcode"),

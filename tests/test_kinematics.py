@@ -225,3 +225,176 @@ class TestGeometryHelpers:
             ident = p @ p.inverse()
             np.testing.assert_allclose(ident.position, 0.0, atol=1e-12)
             np.testing.assert_allclose(ident.quaternion, [1, 0, 0, 0], atol=1e-12)
+
+
+def reachable_stack(arm, n, spread=0.05, seed=21):
+    """Pose rows of n random in-limits configurations and seeds near them."""
+    rng = np.random.default_rng(seed)
+    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
+    q_star = rng.uniform(lo * 0.8, hi * 0.8, (n, 6))
+    seeds = np.clip(q_star + rng.uniform(-spread, spread, (n, 6)), lo, hi)
+    return forward_kinematics(arm, q_star), seeds
+
+
+def scalar_dls(arm, target, seed, tol_pos=1e-6, tol_rot=1e-6, max_iter=200):
+    """Reference: the damped least-squares schedule one target at a time,
+    as a plain loop (damping 1e-3, 10x per rejected trial, at most 8
+    rejected trials in a row, accept when the residual does not grow).
+    Returns q, or None when the solve fails."""
+    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
+    q = np.array(seed, dtype=float)
+    err = pose_error(forward_kinematics(arm, q), target)
+    for _ in range(max_iter):
+        if np.linalg.norm(err[:3]) <= tol_pos and np.linalg.norm(err[3:]) <= tol_rot:
+            return q
+        J = jacobian(arm, q)
+        lam = 1e-3
+        for _retry in range(8):
+            dq = J.T @ np.linalg.solve(J @ J.T + lam**2 * np.eye(6), err)
+            q_new = np.clip(q + dq, lo, hi)
+            err_new = pose_error(forward_kinematics(arm, q_new), target)
+            if np.linalg.norm(err_new) <= np.linalg.norm(err):
+                break
+            lam *= 10.0
+        else:
+            return None
+        q, err = q_new, err_new
+    if np.linalg.norm(err[:3]) <= tol_pos and np.linalg.norm(err[3:]) <= tol_rot:
+        return q
+    return None
+
+
+class TestStackedInverseKinematics:
+    @pytest.fixture(scope="class")
+    def stack(self):
+        arm = make_test_arm()
+        targets, seeds = reachable_stack(arm, 257)
+        single = np.array([inverse_kinematics(arm, Pose(t[:3], t[3:]), s) for t, s in zip(targets, seeds)])
+        return arm, targets, seeds, single
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257])
+    def test_rows_equal_single_solves(self, stack, n):
+        arm, targets, seeds, single = stack
+        q = inverse_kinematics(arm, targets[:n], seeds[:n])
+        assert q.shape == (n, 6)
+        np.testing.assert_allclose(q, single[:n], rtol=0, atol=1e-12)
+
+    def test_rows_follow_the_scalar_schedule(self, stack):
+        """Far seeds need damped retries; every row still takes the steps
+        of the one-target loop."""
+        arm = stack[0]
+        targets, seeds = reachable_stack(arm, 40, spread=0.6, seed=23)
+        reference = [scalar_dls(arm, Pose(t[:3], t[3:]), s) for t, s in zip(targets, seeds)]
+        assert all(q is not None for q in reference)
+        q = inverse_kinematics(arm, targets, seeds)
+        np.testing.assert_allclose(q, reference, rtol=0, atol=1e-12)
+
+    def test_one_seed_is_shared(self, stack):
+        arm, _, seeds, _ = stack
+        targets = forward_kinematics(arm, seeds[0] + np.linspace(-0.04, 0.04, 5)[:, None])
+        q = inverse_kinematics(arm, targets, seeds[0])
+        for row, target in zip(q, targets):
+            np.testing.assert_allclose(row, inverse_kinematics(arm, target, seeds[0]), rtol=0, atol=1e-12)
+
+    def test_pose_target_with_stacked_seeds(self, stack):
+        arm, targets, seeds, _ = stack
+        q = inverse_kinematics(arm, Pose(targets[0, :3], targets[0, 3:]), seeds[:1])
+        assert q.shape == (1, 6)
+
+    def test_empty_stack(self, test_arm):
+        q = inverse_kinematics(test_arm, np.empty((0, 7)), np.zeros(6))
+        assert q.shape == (0, 6)
+
+    def test_unreachable_row_is_named(self, stack):
+        arm, targets, seeds, _ = stack
+        bad = targets[:8].copy()
+        bad[5, :3] = [10.0, 0.0, 0.0]
+        with pytest.raises(UnreachableTargetError) as exc:
+            inverse_kinematics(arm, bad, seeds[:8])
+        assert exc.value.index == 5
+
+    def test_rows_after_a_failing_row_are_not_solved(self, stack):
+        """A later row that would fail too cannot displace the first one."""
+        arm, targets, seeds, single = stack
+        mixed = np.vstack([forward_kinematics(arm, single[:1]), [[10.0, 0, 0, 1, 0, 0, 0]], targets[2:4]])
+        with pytest.raises(UnreachableTargetError) as exc:
+            inverse_kinematics(arm, mixed, np.vstack([single[:1], seeds[1:4]]), max_iter=1)
+        assert exc.value.index == 1
+        assert "exceeds the arm's extent" in str(exc.value)
+
+    def test_a_later_row_failing_later_cannot_displace_the_first(self, stack, monkeypatch):
+        from twinmill import kinematics
+
+        arm, targets, seeds, _ = stack
+        calls = []
+
+        def reject_row_1_twice(actual, tgt):
+            calls.append(actual)
+            err = pose_error(actual, tgt)
+            # Calls 2 and 3 are the first two trial steps: row 1's trials
+            # look worse, so it fails one step after row 0.
+            if 2 <= len(calls) <= 3:
+                err = err + np.all(tgt == targets[1], axis=-1)[:, None]
+            return err
+
+        monkeypatch.setattr(kinematics, "pose_error", reject_row_1_twice)
+        with pytest.raises(UnreachableTargetError) as exc:
+            inverse_kinematics(arm, targets[:2], seeds[:2], max_iter=1)
+        assert exc.value.index == 0
+
+    def test_first_failing_row_wins(self, stack):
+        """A row that fails while iterating is reported before a later row
+        that fails the reach check."""
+        arm, targets, seeds, single = stack
+        stuck = targets[:6].copy()
+        stuck[4, :3] = [10.0, 0.0, 0.0]
+        with pytest.raises(UnreachableTargetError) as exc:
+            inverse_kinematics(arm, stuck, seeds[:6], max_iter=1)
+        assert exc.value.index == 0
+        assert "did not converge in 1 iterations" in str(exc.value)
+        # Rows already at their target converge without a step.
+        fixed = np.vstack([forward_kinematics(arm, single[:3]), targets[3:4]])
+        with pytest.raises(UnreachableTargetError) as exc:
+            inverse_kinematics(arm, fixed, np.vstack([single[:3], seeds[3:4]]), max_iter=1)
+        assert exc.value.index == 3
+
+    def test_mismatched_stacks_rejected(self, stack):
+        arm, targets, seeds, _ = stack
+        with pytest.raises(InvalidInputError):
+            inverse_kinematics(arm, targets[:3], seeds[:4])
+        with pytest.raises(InvalidInputError):
+            inverse_kinematics(arm, targets[:4].reshape(2, 2, 7), seeds[0])
+
+    def test_forward_kinematics_rows(self, stack):
+        arm, _, seeds, _ = stack
+        rows = forward_kinematics(arm, seeds[:4])
+        assert rows.shape == (4, 7)
+        for row, q in zip(rows, seeds[:4]):
+            pose = forward_kinematics(arm, q)
+            np.testing.assert_allclose(row, np.concatenate([pose.position, pose.quaternion]),
+                                       rtol=0, atol=1e-15)
+
+
+class TestReachCheck:
+    def test_flange_offset_counts_towards_the_extent(self):
+        flange = Pose(np.array([0.0, 0.0, 0.25]))
+        arm = make_test_arm(flange=flange)
+        extent = arm.reach + 0.25
+        with pytest.raises(UnreachableTargetError) as exc:
+            inverse_kinematics(arm, Pose(np.array([3.0, 0.0, 0.0])), np.zeros(6))
+        assert exc.value.pos_residual == pytest.approx(3.0 - extent, rel=1e-12)
+        assert f"{extent:.3f} m" in str(exc.value)
+        assert exc.value.index == 0
+
+    def test_target_beyond_reach_within_extent_is_solved(self):
+        # One link of 1 m and a 1 m flange offset: the flange point lies up
+        # to 2 m from the base.
+        rows = np.zeros((6, 4))
+        rows[0, 0] = 1.0
+        arm = ArmModel(rows, np.tile([-np.pi, np.pi], (6, 1)), flange_offset=Pose(np.array([1.0, 0.0, 0.0])))
+        q_star = np.array([0.3, 0.0, 0.0, 0.0, 0.0, 0.0])
+        target = forward_kinematics(arm, q_star)
+        assert np.linalg.norm(target.position) > arm.reach
+        q = inverse_kinematics(arm, target, np.full(6, 0.05))
+        err = pose_error(forward_kinematics(arm, q), target)
+        assert np.linalg.norm(err[:3]) < 1e-6 and np.linalg.norm(err[3:]) < 1e-6

@@ -1,8 +1,12 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twinmill import pathplan
 from twinmill.errors import (
     ContinuityError,
     InvalidInputError,
@@ -41,6 +45,7 @@ G1 X0 ; back along the far side
 SLOT_LENGTH = 0.040 + math.pi * 0.020 + 0.040
 
 WORK_OFFSET = np.array([2.105, -0.020, 1.100])
+SLOT_JSON = (Path(__file__).parent / "data" / "slot_path.json").read_text()
 
 
 def demo_plan(cfg, gcode=SLOT_GCODE, tension=Wrench.zero(), **kw):
@@ -115,6 +120,18 @@ class TestParser:
         with pytest.raises(InvalidInputError):
             parse_gcode("G1 X0\n")  # zero-length move only
 
+    def test_overlong_number_reports_line(self):
+        with pytest.raises(UnsupportedGcodeError) as exc:
+            parse_gcode("G1 X10\nG1 X" + "9" * 400 + "\n")
+        assert exc.value.line == 2
+        assert str(exc.value).startswith("line 2: X value out of range")
+
+    def test_arc_center_off_plane_reports_line(self):
+        with pytest.raises(MalformedArcError) as exc:
+            parse_gcode("G1 Y1\n\nG3 X2 Y1 I1 J0 K5\n")
+        assert exc.value.line == 3
+        assert str(exc.value) == "line 3: arc start does not lie in the plane through the center"
+
 
 class TestSegments:
     def test_arc_end_and_length(self):
@@ -164,6 +181,53 @@ class TestJson:
         for a, b in zip(path.segments, back.segments):
             np.testing.assert_array_equal(a.start.position, b.start.position)
             np.testing.assert_array_equal(a.start.quaternion, b.start.quaternion)
+
+
+def _slot_doc(**changes):
+    doc = json.loads(SLOT_JSON)
+    doc.update(changes)
+    return doc
+
+
+def _linear_without_start():
+    doc = _slot_doc()
+    del doc["segments"][0]["start"]
+    return json.dumps(doc)
+
+
+def _first_segment(**changes):
+    doc = _slot_doc()
+    doc["segments"][0].update(changes)
+    return json.dumps(doc)
+
+
+class TestJsonErrors:
+    @pytest.mark.parametrize("text, where", [
+        ("{}", "missing segments"),
+        (_linear_without_start(), "missing segments[0].start"),
+        ("not json", "not valid JSON"),
+        ("[]", "document: expected an object"),
+        (json.dumps(_slot_doc(feed_mm_min="fast")), "feed_mm_min: expected a finite number"),
+        (json.dumps(_slot_doc(feed_mm_min=True)), "feed_mm_min: expected a finite number"),
+        (json.dumps(_slot_doc(feed_mm_min=10**400)), "feed_mm_min: expected a finite number"),
+        (json.dumps(_slot_doc(segments=5)), "segments: expected a list"),
+        (json.dumps(_slot_doc(segments=[7])), "segments[0]: expected an object"),
+        (_first_segment(type="spline"), "segments[0].type: unknown segment type 'spline'"),
+        (_first_segment(end={"position_m": [0, 0], "quaternion_wxyz": [1, 0, 0, 0]}),
+         "segments[0].end.position_m: expected a list of 3 numbers"),
+        (_first_segment(end={"position_m": [0, 0, None], "quaternion_wxyz": [1, 0, 0, 0]}),
+         "segments[0].end.position_m[2]: expected a finite number"),
+        (_first_segment(end={"position_m": [0, 0, 0], "quaternion_wxyz": [2, 0, 0, 0]}),
+         "segments[0].end: quaternion norm"),
+        ('{"segments": [{"type": "arc", "center_m": [0, 0, 0], "normal": [0, 0, 1], "sweep_rad": 1,'
+         ' "start": {"position_m": [1, 0, 1], "quaternion_wxyz": [1, 0, 0, 0]}}]}',
+         "segments[0]: arc start does not lie in the plane"),
+        ("[" * 100000, "not valid JSON"),
+        (json.dumps(_slot_doc(segments=[])), "segments: toolpath has no segments"),
+    ])
+    def test_bad_input_names_the_schema_path(self, text, where):
+        with pytest.raises(InvalidInputError, match="^path JSON.*" + re.escape(where)):
+            path_from_json(text)
 
 
 class TestDiscretize:
@@ -305,6 +369,70 @@ class TestPlanSync:
         with pytest.raises(PlanError) as exc:
             plan_sync(cfg.system, path, Wrench.zero(), (cfg.ik_seed1, cfg.ik_seed2))
         assert exc.value.index == 0
+
+
+class TestPassOneSeeding:
+    @staticmethod
+    def spy(monkeypatch):
+        """Record (arm, target shape, seed) of every IK call plan_sync makes."""
+        calls = []
+        real = pathplan.inverse_kinematics
+
+        def spy(arm, target, seed, *args):
+            calls.append((arm, np.shape(target), np.array(seed)))
+            return real(arm, target, seed, *args)
+
+        monkeypatch.setattr(pathplan, "inverse_kinematics", spy)
+        return calls
+
+    def test_blocks_seeded_by_the_block_before(self, cfg, monkeypatch):
+        calls = self.spy(monkeypatch)
+        q1 = demo_plan(cfg, gcode="G1 X200\n").pairs.q1
+        block = int(pathplan._SEED_SPAN_M // pathplan.DEFAULT_MAX_STEP)
+        pass1 = [(shape[0], seed) for arm, shape, seed in calls if arm is cfg.system.arm1]
+        starts = range(0, len(q1), block)
+        assert [rows for rows, _ in pass1] == [min(block, len(q1) - k) for k in starts]
+        for (_, seed), start in zip(pass1, starts):
+            np.testing.assert_array_equal(seed, q1[start - 1] if start else cfg.ik_seed1)
+
+    def test_falls_back_to_row_by_row(self, cfg, monkeypatch):
+        calls = self.spy(monkeypatch)
+        prog = demo_plan(cfg, gcode="G1 X400\n", max_step=pathplan._SEED_SPAN_M)
+        monkeypatch.undo()
+        pass1 = [shape for arm, shape, _ in calls if arm is cfg.system.arm1]
+        assert len(pass1) == len(prog.pairs) > 2
+        assert all(shape == (1, 7) for shape in pass1)
+        q1, q2 = prog.pairs.q1, prog.pairs.q2
+        for i in range(1, len(prog.pairs)):
+            pair = prog.pairs[i]
+            np.testing.assert_array_equal(q1[i], inverse_kinematics(cfg.system.arm1, pair.robot1_flange, q1[i - 1]))
+        # Pass 3 seeds each commanded solve with its nominal solution.
+        pair = prog.pairs[2]
+        q2n = inverse_kinematics(cfg.system.arm2, pair.robot2_flange_nominal, q2[1])
+        np.testing.assert_array_equal(q2[2], inverse_kinematics(cfg.system.arm2, pair.robot2_flange_commanded, q2n))
+
+
+    def test_commanded_failure_in_a_later_block_reports_its_setpoint(self, cfg, monkeypatch):
+        """Pass 3 solves in blocks of _BLOCK_ROWS; a row that fails in the
+        second block is named by its setpoint, not its row in the block."""
+        real = pathplan.inverse_kinematics
+        blocks = []
+
+        def unreachable_row_10(arm, target, seed, *args):
+            if np.ndim(seed) == 2 and len(target) > 10:  # a full pass-3 block
+                blocks.append(len(target))
+                if len(blocks) == 2:
+                    target = target.copy()
+                    target[10, :3] = [10.0, 0.0, 0.0]
+            return real(arm, target, seed, *args)
+
+        monkeypatch.setattr(pathplan, "inverse_kinematics", unreachable_row_10)
+        with pytest.raises(PlanError) as exc:
+            demo_plan(cfg, gcode="G1 X200\nG1 Y20\n", max_step=0.001,
+                      tension=Wrench(np.array([1000.0, 0.0, 0.0])))
+        assert type(exc.value) is PlanError
+        assert blocks[0] == pathplan._BLOCK_ROWS
+        assert exc.value.index == pathplan._BLOCK_ROWS + 10
 
 
 class TestProgramCsv:
