@@ -54,7 +54,7 @@ class RigidTransform:
     def __post_init__(self):
         q = np.asarray(self.rotation, dtype=float)
         t = np.asarray(self.translation, dtype=float)
-        if q.shape != (4,) or abs(np.linalg.norm(q) - 1.0) > 1e-9:
+        if q.shape != (4,) or not abs(np.linalg.norm(q) - 1.0) <= 1e-9:
             raise InvalidInputError("rotation must be a unit quaternion (w, x, y, z)")
         if t.shape != (3,) or not np.all(np.isfinite(t)):
             raise InvalidInputError("translation must be a finite 3-vector")

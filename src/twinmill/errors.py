@@ -11,13 +11,15 @@ class InvalidInputError(TwinmillError):
 
 class UnreachableTargetError(TwinmillError):
     """IK failed to converge; carries the best residual seen and, for
-    stacked targets, the failing row as `index`."""
+    stacked targets, the failing row as `index` and, when several arms
+    were solved together, the failing arm's position as `arm`."""
 
-    def __init__(self, message, pos_residual=None, rot_residual=None, index=None):
+    def __init__(self, message, pos_residual=None, rot_residual=None, index=None, arm=None):
         super().__init__(message)
         self.pos_residual = pos_residual
         self.rot_residual = rot_residual
         self.index = index
+        self.arm = arm
 
 
 class SingularConfigurationError(TwinmillError):

@@ -125,7 +125,7 @@ class Pose:
         if q.shape != (4,):
             raise InvalidInputError("quaternion must have 4 components (w, x, y, z)")
         n = np.linalg.norm(q)
-        if abs(n - 1.0) > _QUAT_NORM_TOL:
+        if not abs(n - 1.0) <= _QUAT_NORM_TOL:
             raise InvalidInputError(f"quaternion norm {n} deviates from 1 by more than 1e-9")
         if q[0] < 0.0:
             q = -q

@@ -5,7 +5,8 @@ DH convention is standard Denavit-Hartenberg (RotZ(theta) TransZ(d)
 TransX(a) RotX(alpha)); all joints revolute. One kernel evaluates the
 flange transform and the Jacobian of stacked configurations q[..., 6];
 a single (6,) configuration is its unstacked case. Inverse kinematics
-solves stacked targets in lockstep; one target is its N=1 case.
+solves stacked targets in lockstep, for one arm or for several arms at
+once; one target of one arm is its N=1, A=1 case.
 """
 
 from __future__ import annotations
@@ -69,11 +70,10 @@ class ArmModel:
         cos_part[:, :2] = L[:, :2]
         sin_part[:, 0], sin_part[:, 1] = -L[:, 1], L[:, 0]
         fixed[:, 2:] = L[:, 2:]
-        object.__setattr__(self, "_links_cos", cos_part)
-        object.__setattr__(self, "_links_sin", sin_part)
-        object.__setattr__(self, "_links_fixed", fixed)
-        object.__setattr__(self, "_base", self.base_pose.matrix())
-        object.__setattr__(self, "_flange", self.flange_offset.matrix())
+        # The constants of _chain: theta offsets, the three link parts, the
+        # base and the flange transform.
+        object.__setattr__(self, "_chain_consts", (
+            rows[:, 3], cos_part, sin_part, fixed, self.base_pose.matrix(), self.flange_offset.matrix()))
 
     @property
     def reach(self):
@@ -102,18 +102,23 @@ def _joint_array(arm, q, allow_out_of_limits, stacked=True):
     return q
 
 
-def _chain(arm: ArmModel, q):
+def _chain(consts, q):
     """Flange transforms T[..., 4, 4] and geometric Jacobians J[..., 6, 6]
-    of stacked configurations q[..., 6], both from one pass over the frames."""
-    theta = (q + arm.dh_rows[:, 3])[..., None, None]
-    A = np.cos(theta) * arm._links_cos + np.sin(theta) * arm._links_sin + arm._links_fixed
+    of stacked configurations q[..., 6], both from one pass over the frames.
+
+    `consts` are an arm's `_chain_consts`, or those of several arms
+    gathered per row of q (each with q's leading axes in front).
+    """
+    offset, links_cos, links_sin, links_fixed, base, flange = consts
+    theta = (q + offset)[..., None, None]
+    A = np.cos(theta) * links_cos + np.sin(theta) * links_sin + links_fixed
     # F[..., i] is the world frame of joint i's axis; F[..., 6] the last link.
     lead = q.shape[:-1]
     F = np.empty(lead + (N_JOINTS + 1, 4, 4))
-    F[..., 0, :, :] = arm._base
+    F[..., 0, :, :] = base
     for i in range(N_JOINTS):
         np.matmul(F[..., i, :, :], A[..., i, :, :], out=F[..., i + 1, :, :])
-    T = F[..., N_JOINTS, :, :] @ arm._flange
+    T = F[..., N_JOINTS, :, :] @ flange
     z = F[..., :N_JOINTS, :3, 2]
     r = T[..., None, :3, 3] - F[..., :N_JOINTS, :3, 3]
     J = np.empty(lead + (6, N_JOINTS))
@@ -127,7 +132,7 @@ def _chain(arm: ArmModel, q):
 
 def flange_transform(arm: ArmModel, q, allow_out_of_limits=False):
     """World-frame 4x4 flange transforms of stacked configurations q[..., 6]."""
-    return _chain(arm, _joint_array(arm, q, allow_out_of_limits))[0]
+    return _chain(arm._chain_consts, _joint_array(arm, q, allow_out_of_limits))[0]
 
 
 def forward_kinematics(arm: ArmModel, q, allow_out_of_limits=False):
@@ -139,7 +144,7 @@ def forward_kinematics(arm: ArmModel, q, allow_out_of_limits=False):
     q = _joint_array(arm, q, allow_out_of_limits)
     if q.ndim > 2:
         raise InvalidInputError("forward_kinematics takes q of shape (6,) or (N, 6)")
-    rows = matrix_pose_rows(_chain(arm, q)[0])
+    rows = matrix_pose_rows(_chain(arm._chain_consts, q)[0])
     return rows if q.ndim == 2 else Pose(rows[:3], rows[3:])
 
 
@@ -150,7 +155,7 @@ def jacobian(arm: ArmModel, q, allow_out_of_limits=False):
     Rows 0-2 map joint rates to flange linear velocity, rows 3-5 to
     angular velocity.
     """
-    return _chain(arm, _joint_array(arm, q, allow_out_of_limits))[1]
+    return _chain(arm._chain_consts, _joint_array(arm, q, allow_out_of_limits))[1]
 
 
 def _residuals(err):
@@ -163,8 +168,25 @@ def _norm(err):
     return np.sqrt(np.sum(err * err, axis=1))
 
 
+def _ik_stacks(arm, targets, seeds):
+    """The arms of an IK call, its targets [A, N, 7], its seeds [A, 1, 6]
+    (one per arm) or [A, N, 6], and the shape of its result."""
+    if isinstance(arm, ArmModel):
+        if targets.ndim > 2 or seeds.ndim > 2 or (targets.ndim == seeds.ndim == 2 and len(targets) != len(seeds)):
+            raise InvalidInputError("IK takes targets [N, 7] with one seed (6,) or seeds [N, 6]")
+        lead = targets.shape[:-1] or seeds.shape[:-1]
+        n = lead[0] if lead else 1
+        return (arm,), np.broadcast_to(targets, (1, n, 7)), seeds[None] if seeds.ndim == 2 else seeds[None, None], lead + (6,)
+    arms = tuple(arm) if isinstance(arm, (tuple, list)) else ()
+    if not (arms and all(isinstance(a, ArmModel) for a in arms) and targets.ndim == 3
+            and len(targets) == len(arms) and seeds.ndim in (2, 3) and len(seeds) == len(arms)
+            and seeds.shape[1:-1] in ((), targets.shape[1:2])):
+        raise InvalidInputError("IK of A arms takes targets [A, N, 7] with seeds [A, 6] or [A, N, 6]")
+    return arms, targets, seeds[:, None] if seeds.ndim == 2 else seeds, targets.shape[:2] + (6,)
+
+
 def inverse_kinematics(
-    arm: ArmModel,
+    arm,
     target,
     seed,
     tol_pos=DEFAULT_TOL_POS,
@@ -173,9 +195,12 @@ def inverse_kinematics(
 ):
     """Damped least-squares IK on the 6-D pose error twist.
 
-    `target` is one Pose or stacked pose rows [N, 7]; `seed` is (6,),
-    shared by every target, or one seed per target [N, 6]. A Pose with a
-    (6,) seed gives q (6,), anything else q [N, 6].
+    For one ArmModel, `target` is one Pose or stacked pose rows [N, 7];
+    `seed` is (6,), shared by every target, or one seed per target
+    [N, 6]. A Pose with a (6,) seed gives q (6,), anything else q [N, 6].
+    For a tuple of A arms, `target` holds rows [A, N, 7], arm a's targets
+    in targets[a], and `seed` is one seed per arm [A, 6] or one per
+    target [A, N, 6]; the result is q [A, N, 6].
 
     The rows are solved in lockstep: each step evaluates one trial per
     row still iterating, with one kernel call and one batched solve. Each
@@ -185,50 +210,66 @@ def inverse_kinematics(
     or `max_iter` accepted steps. Joint limits are enforced by clamping
     every trial, so solutions are always feasible. Deterministic:
     identical inputs give bit-identical outputs, and a row's solution
-    does not depend on the other rows. A row that fails raises
-    UnreachableTargetError for the first failing row, with that row as
-    `index` and its best residual.
+    depends neither on the other rows nor on the other arms.
+
+    A row that fails raises UnreachableTargetError for the first failing
+    row, with its best residual, that row as `index` and, for a tuple of
+    arms, the arm's position in the tuple as `arm`. Rows are ordered
+    target-major: target n of every arm comes before target n + 1, and
+    on a tie the first arm of the tuple is the one named.
     """
     if tol_pos <= 0 or tol_rot <= 0:
         raise InvalidInputError("tolerances must be positive")
     if max_iter < 1:
         raise InvalidInputError("max_iter must be at least 1")
     targets = pose_rows(target)
-    seeds = _joint_array(arm, seed, allow_out_of_limits=True)
-    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
-    if not (np.all(seeds >= lo) and np.all(seeds <= hi)):
+    seeds = _joint_array(None, seed, allow_out_of_limits=True)
+    arms, targets, seeds, out_shape = _ik_stacks(arm, targets, seeds)
+    # Rows target-major: row n * A + a is target n of arm a.
+    n_arms = len(arms)
+    q = np.broadcast_to(seeds, targets.shape[:2] + (6,)).swapaxes(0, 1).reshape(-1, 6).copy()
+    targets = targets.swapaxes(0, 1).reshape(-1, 7)
+    who = np.tile(np.arange(n_arms), len(q) // n_arms)
+    # Each row's chain constants and joint limits (lo, hi); those of a
+    # single arm broadcast over its rows as they are.
+    gathered = n_arms > 1
+    consts = tuple(np.stack(c)[who] if gathered else c[0] for c in zip(*(
+        a._chain_consts + (a.joint_limits[:, 0], a.joint_limits[:, 1]) for a in arms)))
+    lo, hi = consts[6:]
+    if not (np.all(q >= lo) and np.all(q <= hi)):
         raise InvalidInputError("IK seed violates joint limits")
-    if targets.ndim > 2 or seeds.ndim > 2 or (targets.ndim == seeds.ndim == 2 and len(targets) != len(seeds)):
-        raise InvalidInputError("IK takes targets [N, 7] with one seed (6,) or seeds [N, 6]")
-    lead = targets.shape[:-1] or seeds.shape[:-1]
-    targets = np.broadcast_to(targets, lead + (7,)).reshape(-1, 7)
-    q = np.broadcast_to(seeds, lead + (6,)).reshape(-1, 6).copy()
 
     # The first failing row: (index, message, position and rotation residual).
     # Rows after it no longer matter and are not iterated.
     failure = (len(q), None, None, None)
     # The flange lies within reach + |flange offset| of the base origin.
-    extent = arm.reach + np.linalg.norm(arm.flange_offset.position)
-    dist = np.linalg.norm(targets[:, :3] - arm.base_pose.position, axis=1)
+    extent = np.array([a.reach + np.linalg.norm(a.flange_offset.position) for a in arms])[who]
+    base = np.array([a.base_pose.position for a in arms])[who]
+    dist = np.linalg.norm(targets[:, :3] - base, axis=1)
     far = np.flatnonzero(dist > extent)
     if far.size:
         i = int(far[0])
-        failure = (i, f"target {dist[i]:.3f} m from base exceeds the arm's extent {extent:.3f} m "
-                      f"(reach + |flange offset|)", dist[i] - extent, None)
+        failure = (i, f"target {dist[i]:.3f} m from base exceeds the arm's extent {extent[i]:.3f} m "
+                      f"(reach + |flange offset|)", dist[i] - extent[i], None)
 
-    # The seeds go through forward_kinematics and jacobian, where the
-    # benchmark's span tracer (perfbench/spans.py) counts FK and Jacobian
-    # calls. Each trial step evaluates its pose and Jacobian in one kernel
-    # call, and the Jacobian of an accepted step is reused by the next.
-    err = pose_error(forward_kinematics(arm, q, allow_out_of_limits=True), targets)
-    J = jacobian(arm, q, allow_out_of_limits=True)
+    # The seeds go through forward_kinematics and jacobian, one call each
+    # per arm (on its one shared seed, if so given), where the benchmark's
+    # span tracer (perfbench/spans.py) counts FK and Jacobian calls. Each
+    # trial step evaluates its pose and Jacobian in one kernel call, and
+    # the Jacobian of an accepted step is reused by the next.
+    err, J = np.empty((len(q), 6)), np.empty((len(q), 6, N_JOINTS))
+    for a, arm_a in enumerate(arms):
+        mine = slice(a, None, n_arms)
+        err[mine] = pose_error(forward_kinematics(arm_a, seeds[a], allow_out_of_limits=True), targets[mine])
+        J[mine] = jacobian(arm_a, seeds[a], allow_out_of_limits=True)
     res = _residuals(err)
     # Per row still iterating (`rows` holds their indices, ascending): its
     # q, error, Jacobian, residuals, best residual, target, damping,
-    # rejected trials in a row and accepted steps.
+    # rejected trials in a row, accepted steps, and constants.
     rows = np.flatnonzero((res[:, 0] > tol_pos) | (res[:, 1] > tol_rot))
     rows = rows[rows < failure[0]]
-    q_a, err_a, J_a, res_a, tgt_a = q[rows], err[rows], J[rows], res[rows], targets[rows]
+    q_a, err_a, J_a, res_a, tgt_a = (x[rows] for x in (q, err, J, res, targets))
+    consts_a = tuple(c[rows] for c in consts) if gathered else consts
     best_a = res_a.copy()
     lam_a = np.full(len(rows), _LAMBDA0)
     retries_a = np.zeros(len(rows), dtype=int)
@@ -237,8 +278,8 @@ def inverse_kinematics(
         Jt = np.swapaxes(J_a, 1, 2)
         A = J_a @ Jt + (lam_a**2)[:, None, None] * _EYE6
         dq = (Jt @ np.linalg.solve(A, err_a[:, :, None]))[:, :, 0]
-        q_new = np.clip(q_a + dq, lo, hi)
-        T_new, J_new = _chain(arm, q_new)
+        q_new = np.clip(q_a + dq, *consts_a[6:])
+        T_new, J_new = _chain(consts_a[:6], q_new)
         err_new = pose_error(matrix_pose_rows(T_new), tgt_a)
         ok = _norm(err_new) <= _norm(err_a)
         res_new = _residuals(err_new)
@@ -271,8 +312,11 @@ def inverse_kinematics(
             rows, q_a, err_a, J_a, res_a, tgt_a, best_a, lam_a, retries_a, steps_a = (
                 x[keep] for x in (rows, q_a, err_a, J_a, res_a, tgt_a, best_a, lam_a, retries_a, steps_a)
             )
-    index, message, pos_residual, rot_residual = failure
+            if gathered:
+                consts_a = tuple(c[keep] for c in consts_a)
+    row, message, pos_residual, rot_residual = failure
     if message is not None:
+        index, a = divmod(row, n_arms)
         raise UnreachableTargetError(message, pos_residual=pos_residual, rot_residual=rot_residual,
-                                     index=index)
-    return q.reshape(lead + (6,))
+                                     index=index, arm=None if isinstance(arm, ArmModel) else a)
+    return q.reshape(len(q) // n_arms, n_arms, 6).swapaxes(0, 1).reshape(out_shape)

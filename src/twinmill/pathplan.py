@@ -65,12 +65,14 @@ class ArcSegment:
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
         n = np.asarray(self.normal, dtype=float)
-        if c.shape != (3,) or n.shape != (3,):
-            raise InvalidInputError("arc center and normal must be 3-vectors")
-        if abs(np.linalg.norm(n) - 1.0) > 1e-9:
+        if c.shape != (3,) or n.shape != (3,) or not np.all(np.isfinite(c)):
+            raise InvalidInputError("arc center and normal must be 3-vectors, the center finite")
+        if not abs(np.linalg.norm(n) - 1.0) <= 1e-9:
             raise InvalidInputError("arc normal must be unit length (1e-9)")
+        if not math.isfinite(self.sweep):
+            raise InvalidInputError("arc sweep must be finite")
         r = self.start.position - c
-        if abs(float(np.dot(r, n))) > _POSITION_TOL + 1e-12 * np.linalg.norm(r):
+        if not abs(float(np.dot(r, n))) <= _POSITION_TOL + 1e-12 * np.linalg.norm(r):
             raise InvalidInputError("arc start does not lie in the plane through the center")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "normal", n)
@@ -107,7 +109,7 @@ class ToolPath:
             raise InvalidInputError("toolpath has no segments")
         for prev, cur in zip(segs, segs[1:]):
             gap = np.linalg.norm(cur.start.position - prev.end.position)
-            if gap > _POSITION_TOL:
+            if not gap <= _POSITION_TOL:
                 raise InvalidInputError(f"toolpath is not C0-continuous (gap {gap:.3e} m)")
         object.__setattr__(self, "segments", segs)
 
@@ -207,7 +209,7 @@ def parse_gcode(text, orientation=None) -> ToolPath:
                 center[axis] += value
             r_start = np.linalg.norm(pos - center)
             r_end = np.linalg.norm(target - center)
-            if abs(r_start - r_end) > _ARC_RADIUS_TOL:
+            if not abs(r_start - r_end) <= _ARC_RADIUS_TOL:
                 raise MalformedArcError(
                     f"line {lineno}: arc radii differ by {abs(r_start - r_end) * 1e6:.1f} um "
                     f"(start {r_start * 1e3:.3f} mm, end {r_end * 1e3:.3f} mm)",
@@ -390,22 +392,33 @@ def _subdivisions(x):
     return 1 << math.ceil(math.log2(x))
 
 
+def _rows(positions, quaternion):
+    """Pose rows [N, 7] of positions [N, 3] sharing one quaternion."""
+    rows = np.empty((len(positions), 7))
+    rows[:, :3], rows[:, 3:] = positions, quaternion
+    return rows
+
+
 def discretize(path: ToolPath, chord_tol, max_step):
-    """Sample poses along the path: chordal deviation on arcs <= chord_tol,
-    consecutive samples <= max_step apart, endpoints exact."""
-    if chord_tol <= 0 or max_step <= 0:
+    """Sample the path as pose rows [N, 7] of (x, y, z, qw, qx, qy, qz):
+    chordal deviation on arcs <= chord_tol, consecutive samples <= max_step
+    apart, endpoints exact.
+
+    A line's inner samples take its start orientation and its end sample
+    its end pose; an arc's samples all take its start orientation.
+    """
+    if not (chord_tol > 0 and max_step > 0):
         raise InvalidInputError("chord_tol and max_step must be positive")
-    poses = [path.segments[0].start]
+    start = path.segments[0].start
+    parts = [_rows(start.position[None], start.quaternion)]
     for seg in path.segments:
         if isinstance(seg, LinearSegment):
             n = _subdivisions(seg.length / max_step)
-            for j in range(1, n):
-                p = seg.start.position + (j / n) * (seg.end.position - seg.start.position)
-                poses.append(Pose(p, seg.start.quaternion))
-            poses.append(seg.end)
-        else:
-            if seg.sweep == 0.0:
-                continue
+            t = (np.arange(1, n) / n)[:, None]
+            parts.append(_rows(seg.start.position + t * (seg.end.position - seg.start.position),
+                               seg.start.quaternion))
+            parts.append(_rows(seg.end.position[None], seg.end.quaternion))
+        elif seg.sweep != 0.0:
             r = seg.radius
             if chord_tol < r:
                 dtheta_chord = 2 * math.acos(1 - chord_tol / r)
@@ -413,10 +426,13 @@ def discretize(path: ToolPath, chord_tol, max_step):
                 dtheta_chord = math.pi
             dtheta = min(dtheta_chord, max_step / r)
             n = _subdivisions(abs(seg.sweep) / dtheta)
-            for j in range(1, n):
-                poses.append(seg.pose_at(seg.sweep * j / n))
-            poses.append(seg.end)
-    return poses
+            # n is a power of two, so the last angle is the sweep exactly
+            # and the last sample is seg.end.
+            angle = (seg.sweep * np.arange(1, n + 1) / n)[:, None]
+            u = seg.start.position - seg.center
+            v = np.cross(seg.normal, u)
+            parts.append(_rows(seg.center + np.cos(angle) * u + np.sin(angle) * v, seg.start.quaternion))
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +454,6 @@ class SetpointPair:
 
 
 _POSE_NAMES = ("tool_pose", "robot1_flange", "robot2_flange_nominal", "robot2_flange_commanded")
-
-
-def _pose_stack(poses):
-    """(N, 7) rows of x, y, z, qw, qx, qy, qz."""
-    return np.reshape(np.hstack([[p.position for p in poses], [p.quaternion for p in poses]]), (-1, 7))
 
 
 class Setpoints:
@@ -488,7 +499,7 @@ class Setpoints:
         pairs = tuple(pairs)
         return cls(
             [p.index for p in pairs],
-            *(_pose_stack([getattr(p, name) for p in pairs]) for name in _POSE_NAMES),
+            *(np.reshape([pose_rows(getattr(p, name)) for p in pairs], (-1, 7)) for name in _POSE_NAMES),
             np.reshape([p.q1 for p in pairs], (-1, 6)),
             np.reshape([p.q2 for p in pairs], (-1, 6)),
         )
@@ -537,13 +548,35 @@ def apply_world_offset(poses, offsets):
 
 
 def _ik_prefix(arm, targets, seed, tol):
-    """Stacked IK of `targets`. On a failure, the solutions of the rows
-    before the first failing one, and that failure; else (all, None)."""
+    """Stacked IK of `targets` (rows [N, 7], or [A, N, 7] for a tuple of
+    arms). On a failure, the solutions of the targets before the first
+    failing one, and that failure; else (all, None)."""
     try:
         return inverse_kinematics(arm, targets, seed, *tol), None
     except UnreachableTargetError as exc:
-        seed = seed[: exc.index] if np.ndim(seed) == 2 else seed
-        return inverse_kinematics(arm, targets[: exc.index], seed, *tol), exc
+        seed = seed[..., : exc.index, :] if np.ndim(seed) == np.ndim(targets) else seed
+        return inverse_kinematics(arm, targets[..., : exc.index, :], seed, *tol), exc
+
+
+def _seed_blocks(positions):
+    """Bounds (start, stop) of the pass-1 blocks of the tool positions
+    [N, 3]. The first block is row 0, seeded by the caller's seeds. Every
+    later block is seeded by the last row of the block before and holds
+    the rows that lie at most _SEED_SPAN_M of path (cumulative chord
+    length) after that seed row, at least one."""
+    s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(positions, axis=0), axis=1))])
+    start, stop = 0, 1
+    while start < len(s):
+        yield start, stop
+        start = stop
+        stop = max(start + 1, int(np.searchsorted(s, s[start - 1] + _SEED_SPAN_M, side="right")))
+
+
+def _ik_failure(i, exc, what):
+    """PlanError for the IK failure `exc` at setpoint i of the pose `what`."""
+    failure = PlanError(f"IK failed at setpoint {i} ({what}): {exc}", index=i)
+    failure.__cause__ = exc
+    return failure
 
 
 def plan_sync(
@@ -562,27 +595,33 @@ def plan_sync(
     """Generate synchronized setpoint pairs along the path.
 
     Three passes of stacked IK. Pass 1 solves arm 1 and arm 2's nominal
-    (untensioned) flange pose in consecutive blocks of setpoints that
-    span at most _SEED_SPAN_M of path; every row of a block is seeded
-    with the last solution of the block before, so the joint trajectories
+    (untensioned) flange pose together, in one lockstep IK per block of
+    setpoints. The first block is setpoint 0, seeded with `ik_seeds`;
+    every later block is seeded with the last solutions of the block
+    before and holds the setpoints that lie at most _SEED_SPAN_M of path
+    after that seed setpoint (at least one), so the joint trajectories
     stay on one branch (with max_step >= _SEED_SPAN_M each block is one
-    setpoint). Pass 2 is one stacked tension-offset evaluation from the
-    local configurations. Pass 3 solves arm 2's commanded pose in blocks
-    of _BLOCK_ROWS, each row seeded with its nominal solution. A joint
-    jump above `joint_jump_max` between consecutive pairs aborts planning.
-    Failures are raised for the first setpoint at which they occur.
+    setpoint on straight moves). Pass 2 is one stacked tension-offset
+    evaluation from the local configurations. Pass 3 solves arm 2's
+    commanded pose in blocks of _BLOCK_ROWS, each row seeded with its
+    nominal solution. A joint jump above `joint_jump_max` between
+    consecutive pairs aborts planning. Failures are raised for the first
+    setpoint at which they occur, naming the arm.
 
     workspace_box: optional (center, size) arrays in m; every discretized
     tool position must lie inside.
     """
-    tool = _pose_stack(discretize(path, chord_tol, max_step))
+    tool = discretize(path, chord_tol, max_step)
     if workspace_box is not None:
         center, size = (np.asarray(v, dtype=float) for v in workspace_box)
-        outside = np.flatnonzero(np.any(np.abs(tool[:, :3] - center) > size / 2 + 1e-12, axis=1))
+        outside = np.flatnonzero(~np.all(np.abs(tool[:, :3] - center) <= size / 2 + 1e-12, axis=1))
         if outside.size:
             i = int(outside[0])
             raise WorkspaceError(f"tool pose {i} at {tool[i, :3]} lies outside the workspace box", index=i)
-    seed1, seed2 = (np.asarray(s, dtype=float) for s in ik_seeds)
+    seeds = [np.asarray(s, dtype=float) for s in ik_seeds]
+    if len(seeds) != 2 or any(s.shape != (6,) for s in seeds):
+        raise InvalidInputError("ik_seeds must be two configurations of 6 joints")
+    seeds = np.stack(seeds)
     tol = (tol_pos, tol_rot, max_iter)
     r1 = compose_rows(tool, sys.tool_offset.inverse())
     r2_nominal = compose_rows(r1, sys.flange2_offset)
@@ -592,24 +631,20 @@ def plan_sync(
     # covered the setpoints before it, so the first failing setpoint is the
     # one reported, whichever pass finds it.
     failure = None
-    # Pass 1: blocked, warm-started IK of arm 1 and of arm 2's nominal pose.
-    block = max(1, int(_SEED_SPAN_M // max_step))
-    q1, q2_nominal = np.empty((n, 6)), np.empty((n, 6))
-    for start in range(0, n, block):
-        rows = slice(start, min(start + block, n))
-        q1_block, exc1 = _ik_prefix(sys.arm1, r1[rows], seed1, tol)
-        # Arm 2 is solved up to arm 1's failing row, so its own failure
-        # comes first.
-        q2_block, exc2 = _ik_prefix(sys.arm2, r2_nominal[rows][: len(q1_block)], seed2, tol)
-        k = len(q2_block)
-        q1[start : start + k], q2_nominal[start : start + k] = q1_block[:k], q2_block
-        exc = exc2 or exc1
+    # Pass 1: blocked, warm-started IK of arm 1 and of arm 2's nominal pose,
+    # both arms in one lockstep solve per block.
+    arms, targets = (sys.arm1, sys.arm2), np.stack([r1, r2_nominal])
+    q_nominal = np.empty((2, n, 6))
+    for start, stop in _seed_blocks(tool[:, :3]):
+        q_block, exc = _ik_prefix(arms, targets[:, start:stop], seeds, tol)
+        k = q_block.shape[1]
+        q_nominal[:, start : start + k] = q_block
         if exc is not None:
-            failure = PlanError(f"IK failed at setpoint {start + k}: {exc}", index=start + k)
-            failure.__cause__ = exc
-            q1, q2_nominal = q1[: start + k], q2_nominal[: start + k]
+            failure = _ik_failure(start + k, exc, ("arm 1", "arm 2 nominal")[exc.arm])
+            q_nominal = q_nominal[:, : start + k]
             break
-        seed1, seed2 = q1_block[-1], q2_block[-1]
+        seeds = q_block[:, -1]
+    q1, q2_nominal = q_nominal
 
     # Pass 2: every tension offset in one stacked evaluation.
     try:
@@ -628,14 +663,13 @@ def plan_sync(
         q2_block, exc = _ik_prefix(sys.arm2, r2_commanded[rows], q2_nominal[rows], tol)
         q2[start : start + len(q2_block)] = q2_block
         if exc is not None:
-            i = start + len(q2_block)
-            m, failure = i, PlanError(f"IK failed at setpoint {i}: {exc}", index=i)
-            failure.__cause__ = exc
+            m = start + len(q2_block)
+            failure = _ik_failure(m, exc, "arm 2 commanded")
             break
 
     # Continuity guard over the setpoints solved so far, before any failure.
     jumps = np.max(np.abs(np.hstack([np.diff(q1[:m], axis=0), np.diff(q2[:m], axis=0)])), axis=1)
-    over = np.flatnonzero(jumps > joint_jump_max)
+    over = np.flatnonzero(~(jumps <= joint_jump_max))
     if over.size:
         i = int(over[0]) + 1
         raise ContinuityError(

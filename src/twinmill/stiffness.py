@@ -212,10 +212,11 @@ def _position(T):
 
 def check_closure(actual, planned, tol, message):
     """Raise ClosureError for the first row of stacked positions [..., 3]
-    at which `actual` lies more than `tol` m from `planned`. `message` is
-    formatted with that row's `index` and `gap` (m)."""
+    at which `actual` lies more than `tol` m (or a NaN distance) from
+    `planned`. `message` is formatted with that row's `index` and `gap`
+    (m)."""
     gaps = np.linalg.norm(np.asarray(actual) - planned, axis=-1).reshape(-1)
-    bad = np.flatnonzero(gaps > tol)
+    bad = np.flatnonzero(~(gaps <= tol))
     if bad.size:
         i = int(bad[0])
         raise ClosureError(message.format(index=i, gap=gaps[i]), gap=float(gaps[i]), index=i)

@@ -18,7 +18,15 @@ from twinmill.modal import (
     impact_record_from_csv,
     impact_record_to_csv,
 )
-from twinmill.pathplan import parse_gcode, plan_sync, program_from_csv, program_to_csv, translate_path
+from twinmill.pathplan import (
+    Setpoints,
+    SyncProgram,
+    parse_gcode,
+    plan_sync,
+    program_from_csv,
+    program_to_csv,
+    translate_path,
+)
 from twinmill.stiffness import Wrench
 
 # Fixed example order and a small budget keep tier-1 deterministic and fast.
@@ -93,6 +101,38 @@ def test_trace_round_trip(points, tension, noise, label):
     assert back.label == trace.label
     assert_bits_equal([back.tension, back.noise_sigma], [tension, noise])
     assert trace_to_csv(back) == text
+
+
+@st.composite
+def programs(draw):
+    """A SyncProgram of random finite doubles: unit quaternions, strictly
+    increasing indices within +-2**53."""
+    n = draw(st.integers(1, 12))
+    index = sorted(draw(st.sets(st.integers(-2**53, 2**53), min_size=n, max_size=n)))
+    poses = draw(arrays(np.float64, (4, n, 7), elements=FINITE))
+    quats = draw(arrays(np.float64, (4, n, 4), elements=st.floats(-1.0, 1.0)))
+    norms = np.linalg.norm(quats, axis=-1, keepdims=True)
+    assume(np.all(norms > 0.1))
+    poses[..., 3:] = quats / norms
+    q = draw(arrays(np.float64, (2, n, 6), elements=FINITE))
+    tension = Wrench.from_vector(draw(arrays(np.float64, 6, elements=FINITE)))
+    feed, chord_tol, max_step = draw(arrays(np.float64, 3, elements=FINITE))
+    return SyncProgram(Setpoints(index, *poses, *q), tension=tension, feed_mm_min=feed,
+                       chord_tol=chord_tol, max_step=max_step)
+
+
+@PROPERTY
+@given(programs())
+def test_program_round_trip(program):
+    text = program_to_csv(program)
+    back = program_from_csv(text)
+    for name in ("index", "tool_pose", "robot1_flange", "robot2_flange_nominal", "robot2_flange_commanded",
+                 "q1", "q2"):
+        assert_bits_equal(getattr(back.pairs, name), getattr(program.pairs, name))
+    assert_bits_equal(back.tension.as_vector(), program.tension.as_vector())
+    assert_bits_equal([back.feed_mm_min, back.chord_tol, back.max_step],
+                      [program.feed_mm_min, program.chord_tol, program.max_step])
+    assert program_to_csv(back) == text
 
 
 def _sample_files():

@@ -58,6 +58,10 @@ class TestRigidTransform:
         with pytest.raises(InvalidInputError):
             RigidTransform(np.array([1.0, 1.0, 0.0, 0.0]), np.zeros(3))
 
+    def test_nan_quaternion_rejected(self):
+        with pytest.raises(InvalidInputError, match="unit quaternion"):
+            RigidTransform(np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(3))
+
 
 class TestFitRigid:
     def test_identity_fit(self):

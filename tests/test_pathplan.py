@@ -15,7 +15,14 @@ from twinmill.errors import (
     UnsupportedGcodeError,
     WorkspaceError,
 )
-from twinmill.geometry import Pose, pose_rows, quat_conjugate, quat_multiply, rotvec_from_quat
+from twinmill.geometry import (
+    Pose,
+    pose_rows,
+    quat_conjugate,
+    quat_from_rotvec,
+    quat_multiply,
+    rotvec_from_quat,
+)
 from twinmill.kinematics import forward_kinematics, inverse_kinematics
 from twinmill.pathplan import (
     ArcSegment,
@@ -157,6 +164,19 @@ class TestSegments:
         with pytest.raises(InvalidInputError):
             ArcSegment(np.zeros(3), np.array([0.0, 0.0, 2.0]), Pose(np.array([0.01, 0.0, 0.0])), 1.0)
 
+    def test_arc_nan_center_rejected(self):
+        with pytest.raises(InvalidInputError, match="center finite"):
+            ArcSegment(np.array([np.nan, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+                       Pose(np.array([0.01, 0.0, 0.0])), 1.0)
+
+    def test_arc_nan_normal_rejected(self):
+        with pytest.raises(InvalidInputError, match="unit length"):
+            ArcSegment(np.zeros(3), np.array([np.nan, 0.0, 1.0]), Pose(np.array([0.01, 0.0, 0.0])), 1.0)
+
+    def test_arc_nan_sweep_rejected(self):
+        with pytest.raises(InvalidInputError, match="sweep must be finite"):
+            ArcSegment(np.zeros(3), np.array([0.0, 0.0, 1.0]), Pose(np.array([0.01, 0.0, 0.0])), np.nan)
+
     def test_path_continuity_enforced(self):
         a = LinearSegment(Pose(np.zeros(3)), Pose(np.array([0.01, 0.0, 0.0])))
         b = LinearSegment(Pose(np.array([0.02, 0.0, 0.0])), Pose(np.array([0.03, 0.0, 0.0])))
@@ -230,6 +250,67 @@ class TestJsonErrors:
             path_from_json(text)
 
 
+def per_pose_samples(path, chord_tol, max_step):
+    """The sampler discretize replaced, one Pose per sample, kept as a
+    reference; its samples as pose rows."""
+    poses = [path.segments[0].start]
+    for seg in path.segments:
+        if isinstance(seg, LinearSegment):
+            n = _subdivisions(seg.length / max_step)
+            for j in range(1, n):
+                p = seg.start.position + (j / n) * (seg.end.position - seg.start.position)
+                poses.append(Pose(p, seg.start.quaternion))
+            poses.append(seg.end)
+        else:
+            if seg.sweep == 0.0:
+                continue
+            r = seg.radius
+            dtheta_chord = 2 * math.acos(1 - chord_tol / r) if chord_tol < r else math.pi
+            n = _subdivisions(abs(seg.sweep) / min(dtheta_chord, max_step / r))
+            for j in range(1, n):
+                poses.append(seg.pose_at(seg.sweep * j / n))
+            poses.append(seg.end)
+    return np.array([np.concatenate([p.position, p.quaternion]) for p in poses])
+
+
+TILTED = quat_from_rotvec(np.array([0.3, -0.2, 0.1]))
+
+
+def _lines_turning():
+    a, b, c = np.zeros(3), np.array([0.031, 0.007, -0.002]), np.array([0.05, 0.1, 0.0])
+    return ToolPath((LinearSegment(Pose(a), Pose(b, TILTED)), LinearSegment(Pose(b, TILTED), Pose(c))))
+
+
+def _zero_sweep_between_lines():
+    line = LinearSegment(Pose(np.zeros(3)), Pose(np.array([0.02, 0.0, 0.0])))
+    arc = ArcSegment(np.array([0.02, 0.01, 0.0]), np.array([0.0, 0.0, 1.0]),
+                     Pose(np.array([0.02, 0.0, 0.0])), 0.0)
+    back = LinearSegment(Pose(np.array([0.02, 0.0, 0.0])), Pose(np.array([0.0, 0.003, 0.0])))
+    return ToolPath((line, arc, back))
+
+
+class TestDiscretizeRows:
+    """discretize equals the per-Pose sampler it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("path", [
+        translate_path(parse_gcode(SLOT_GCODE), WORK_OFFSET),
+        translate_path(parse_gcode("G1 X300 F600\nG3 X300 Y20 J10\nG1 X0\nG2 X0 Y40 J10\nG1 X300\n"),
+                       np.array([1.975, -0.110, 1.100])),
+        parse_gcode("G2 X0 Y0 I-50\nG3 X10 Y10 I5 J5\n", orientation=TILTED),
+        _lines_turning(),
+        _zero_sweep_between_lines(),
+    ], ids=["slot", "raster", "g2-g3-tilted", "lines", "zero-sweep"])
+    @pytest.mark.parametrize("chord_tol, max_step", [(1e-5, 5e-3), (1e-3, 0.004), (1e-2, 1.0), (1e-6, 3e-4)])
+    def test_rows_equal_the_per_pose_sampler(self, path, chord_tol, max_step):
+        rows = discretize(path, chord_tol, max_step)
+        assert rows.dtype == np.float64
+        np.testing.assert_array_equal(rows, per_pose_samples(path, chord_tol, max_step))
+
+    def test_rows_are_pose_rows(self):
+        rows = discretize(parse_gcode(SLOT_GCODE, orientation=-TILTED), 1e-5, 0.005)
+        np.testing.assert_array_equal(pose_rows(rows), rows)
+
+
 class TestDiscretize:
     def test_subdivision_counts(self):
         assert _subdivisions(0.5) == 1
@@ -240,21 +321,20 @@ class TestDiscretize:
 
     def test_linear_even_spacing(self):
         path = parse_gcode("G1 X40\n")
-        poses = discretize(path, 1e-5, 0.010)
-        assert len(poses) == 5
-        pts = np.array([p.position for p in poses])
+        rows = discretize(path, 1e-5, 0.010)
+        assert rows.shape == (5, 7)
+        pts = rows[:, :3]
         np.testing.assert_allclose(np.diff(pts[:, 0]), 0.010, atol=1e-15)
 
     def test_endpoints_exact(self):
         path = parse_gcode(SLOT_GCODE)
-        poses = discretize(path, 1e-5, 0.005)
-        np.testing.assert_array_equal(poses[0].position, path.segments[0].start.position)
-        np.testing.assert_array_equal(poses[-1].position, path.segments[-1].end.position)
+        rows = discretize(path, 1e-5, 0.005)
+        np.testing.assert_array_equal(rows[0, :3], path.segments[0].start.position)
+        np.testing.assert_array_equal(rows[-1, :3], path.segments[-1].end.position)
 
     def test_step_bound(self):
         path = parse_gcode(SLOT_GCODE)
-        poses = discretize(path, 1e-5, 0.004)
-        pts = np.array([p.position for p in poses])
+        pts = discretize(path, 1e-5, 0.004)[:, :3]
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         assert np.max(steps) <= 0.004 + 1e-12
 
@@ -262,8 +342,7 @@ class TestDiscretize:
         path = parse_gcode("G3 X0 Y40 J20\n")
         arc = path.segments[0]
         for tol in (1e-3, 1e-4, 1e-5):
-            poses = discretize(path, tol, 1.0)
-            pts = np.array([p.position for p in poses])
+            pts = discretize(path, tol, 1.0)[:, :3]
             mids = 0.5 * (pts[:-1] + pts[1:])
             sagitta = arc.radius - np.linalg.norm(mids - arc.center, axis=1)
             assert np.max(sagitta) <= tol + 1e-12
@@ -337,6 +416,17 @@ class TestPlanSync:
             # IK converges to 1e-6 in pose; the stiff branch magnifies that
             np.testing.assert_allclose(back.as_vector(), w.as_vector(), rtol=1e-6, atol=1e-3)
 
+    def test_seeds_must_be_two_six_joint_configurations(self, cfg):
+        for seeds in ((cfg.ik_seed1,), (cfg.ik_seed1, cfg.ik_seed2[:5]), (cfg.ik_seed1,) * 3):
+            with pytest.raises(InvalidInputError):
+                plan_sync(cfg.system, parse_gcode("G1 X4\n"), Wrench.zero(), seeds)
+
+    def test_nan_guards_reject(self, cfg):
+        with pytest.raises(WorkspaceError):
+            demo_plan(cfg, workspace_box=(np.full(3, np.nan), np.ones(3)))
+        with pytest.raises(ContinuityError):
+            demo_plan(cfg, gcode="G1 X4\n", joint_jump_max=np.nan)
+
     def test_workspace_guard(self, cfg):
         with pytest.raises(WorkspaceError) as exc:
             demo_plan(cfg, workspace_box=(np.array([0.0, 0.0, 0.0]), np.array([0.1, 0.1, 0.1])))
@@ -385,32 +475,115 @@ class TestPassOneSeeding:
         monkeypatch.setattr(pathplan, "inverse_kinematics", spy)
         return calls
 
+    @staticmethod
+    def pass_one(calls, cfg):
+        """(target shape, seeds) of the pass-1 calls: both arms, in order."""
+        return [(shape, seed) for arm, shape, seed in calls
+                if isinstance(arm, tuple) and arm[0] is cfg.system.arm1 and arm[1] is cfg.system.arm2]
+
+    @staticmethod
+    def path_lengths(tool):
+        return np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(tool[:, :3], axis=0), axis=1))])
+
     def test_blocks_seeded_by_the_block_before(self, cfg, monkeypatch):
         calls = self.spy(monkeypatch)
-        q1 = demo_plan(cfg, gcode="G1 X200\n").pairs.q1
-        block = int(pathplan._SEED_SPAN_M // pathplan.DEFAULT_MAX_STEP)
-        pass1 = [(shape[0], seed) for arm, shape, seed in calls if arm is cfg.system.arm1]
-        starts = range(0, len(q1), block)
-        assert [rows for rows, _ in pass1] == [min(block, len(q1) - k) for k in starts]
-        for (_, seed), start in zip(pass1, starts):
-            np.testing.assert_array_equal(seed, q1[start - 1] if start else cfg.ik_seed1)
+        prog = demo_plan(cfg, gcode="G1 X200\n")
+        # 65 setpoints 3.125 mm apart: setpoint 0 alone, then every row at
+        # most 80 mm of path after the last row of the block before.
+        bounds = [(0, 1), (1, 26), (26, 51), (51, 65)]
+        assert len(prog.pairs) == 65
+        pass1 = self.pass_one(calls, cfg)
+        assert len(pass1) == len(calls) - 1  # and one pass-3 call
+        assert [shape for shape, _ in pass1] == [(2, stop - start, 7) for start, stop in bounds]
+        s = self.path_lengths(prog.pairs.tool_pose)
+        q1, q2 = prog.pairs.q1, prog.pairs.q2  # q2 is the nominal solution at zero tension
+        np.testing.assert_array_equal(pass1[0][1], [cfg.ik_seed1, cfg.ik_seed2])
+        for (_, seed), (start, stop) in zip(pass1[1:], bounds[1:]):
+            np.testing.assert_array_equal(seed, [q1[start - 1], q2[start - 1]])
+            assert s[stop - 1] - s[start - 1] <= pathplan._SEED_SPAN_M
+            assert stop == len(s) or s[stop] - s[start - 1] > pathplan._SEED_SPAN_M
+
+    def test_arc_samples_do_not_cut_blocks_short(self, cfg, monkeypatch):
+        calls = self.spy(monkeypatch)
+        prog = demo_plan(cfg)
+        s = self.path_lengths(prog.pairs.tool_pose)
+        sizes = [shape[1] for shape, _ in self.pass_one(calls, cfg)]
+        assert sum(sizes) == len(s) and sizes[0] == 1
+        stops = np.cumsum(sizes)
+        for start, stop in zip(stops[:-1], stops[1:]):
+            assert s[stop - 1] - s[start - 1] <= pathplan._SEED_SPAN_M
+            assert stop == len(s) or s[stop] - s[start - 1] > pathplan._SEED_SPAN_M
+        # The semicircle's short chords put more rows in a block than
+        # 80 mm / max_step.
+        assert max(sizes) > pathplan._SEED_SPAN_M // pathplan.DEFAULT_MAX_STEP
+
+    def test_a_row_exactly_80_mm_after_its_seed_row_belongs_to_the_block(self):
+        # 0.04 + 0.04 == 0.08 in floating point: row 2 lies exactly
+        # _SEED_SPAN_M after row 0, the seed row of the second block.
+        x = np.array([0.0, 0.04, 0.08, 0.1, 0.2, 0.3])
+        assert x[2] - x[1] + x[1] - x[0] == pathplan._SEED_SPAN_M
+        blocks = list(pathplan._seed_blocks(np.column_stack([x, np.zeros((6, 2))])))
+        assert blocks == [(0, 1), (1, 3), (3, 4), (4, 5), (5, 6)]
 
     def test_falls_back_to_row_by_row(self, cfg, monkeypatch):
         calls = self.spy(monkeypatch)
         prog = demo_plan(cfg, gcode="G1 X400\n", max_step=pathplan._SEED_SPAN_M)
         monkeypatch.undo()
-        pass1 = [shape for arm, shape, _ in calls if arm is cfg.system.arm1]
+        pass1 = self.pass_one(calls, cfg)
         assert len(pass1) == len(prog.pairs) > 2
-        assert all(shape == (1, 7) for shape in pass1)
-        q1, q2 = prog.pairs.q1, prog.pairs.q2
+        assert all(shape == (2, 1, 7) for shape, _ in pass1)
+        q1, q2 = prog.pairs.q1, prog.pairs.q2  # q2 is the nominal solution at zero tension
         for i in range(1, len(prog.pairs)):
             pair = prog.pairs[i]
+            np.testing.assert_array_equal(pass1[i][1], [q1[i - 1], q2[i - 1]])
             np.testing.assert_array_equal(q1[i], inverse_kinematics(cfg.system.arm1, pair.robot1_flange, q1[i - 1]))
+            np.testing.assert_array_equal(q2[i], inverse_kinematics(cfg.system.arm2, pair.robot2_flange_nominal,
+                                                                    q2[i - 1]))
         # Pass 3 seeds each commanded solve with its nominal solution.
         pair = prog.pairs[2]
         q2n = inverse_kinematics(cfg.system.arm2, pair.robot2_flange_nominal, q2[1])
         np.testing.assert_array_equal(q2[2], inverse_kinematics(cfg.system.arm2, pair.robot2_flange_commanded, q2n))
 
+    @pytest.mark.parametrize("gcode, index, arm", [
+        ("G1 X20\nG1 X2500\n", 192, "arm 1"),
+        ("G1 X20\nG1 X-2500\n", 135, "arm 2 nominal"),
+    ])
+    def test_failure_names_the_setpoint_and_the_arm(self, cfg, gcode, index, arm):
+        with pytest.raises(PlanError) as exc:
+            demo_plan(cfg, gcode=gcode, tension=Wrench(np.array([1000.0, 0.0, 0.0])))
+        assert type(exc.value) is PlanError
+        assert exc.value.index == index
+        assert str(exc.value).startswith(f"IK failed at setpoint {index} ({arm}): ")
+        assert exc.value.__cause__.arm == ("arm 1", "arm 2 nominal").index(arm)
+
+    @pytest.mark.parametrize("bad, index, arm", [
+        ({0: 40}, 40, "arm 1"),
+        ({1: 40}, 40, "arm 2 nominal"),
+        ({0: 40, 1: 40}, 40, "arm 1"),
+        ({0: 41, 1: 40}, 40, "arm 2 nominal"),
+        ({0: 40, 1: 41}, 40, "arm 1"),
+    ])
+    def test_first_failing_setpoint_wins_arm_1_on_a_tie(self, cfg, monkeypatch, bad, index, arm):
+        """Setpoints are moved out of reach per arm (arm position: setpoint)
+        inside the pass-1 calls; the earliest setpoint is named, arm 1
+        before arm 2 when both fail there."""
+        real = pathplan.inverse_kinematics
+        done = [0]
+
+        def unreachable(arms, target, seed, *args):
+            if isinstance(arms, tuple):
+                target = target.copy()
+                for a, i in bad.items():
+                    if done[0] <= i < done[0] + target.shape[1]:
+                        target[a, i - done[0], :3] = [10.0, 0.0, 0.0]
+                done[0] += target.shape[1]
+            return real(arms, target, seed, *args)
+
+        monkeypatch.setattr(pathplan, "inverse_kinematics", unreachable)
+        with pytest.raises(PlanError) as exc:
+            demo_plan(cfg, gcode="G1 X200\n")
+        assert exc.value.index == index
+        assert str(exc.value).startswith(f"IK failed at setpoint {index} ({arm}): target ")
 
     def test_commanded_failure_in_a_later_block_reports_its_setpoint(self, cfg, monkeypatch):
         """Pass 3 solves in blocks of _BLOCK_ROWS; a row that fails in the
