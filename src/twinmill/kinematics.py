@@ -233,10 +233,13 @@ def inverse_kinematics(
     # Each row's chain constants and joint limits (lo, hi); those of a
     # single arm broadcast over its rows as they are.
     gathered = n_arms > 1
-    consts = tuple(np.stack(c)[who] if gathered else c[0] for c in zip(*(
-        a._chain_consts + (a.joint_limits[:, 0], a.joint_limits[:, 1]) for a in arms)))
-    lo, hi = consts[6:]
-    if not (np.all(q >= lo) and np.all(q <= hi)):
+
+    def per_row(values):
+        return np.stack(values)[who] if gathered else values[0]
+
+    consts = tuple(per_row(c) for c in zip(*(a._chain_consts for a in arms)))
+    limits = tuple(per_row([a.joint_limits[:, k] for a in arms]) for k in (0, 1))
+    if not (np.all(q >= limits[0]) and np.all(q <= limits[1])):
         raise InvalidInputError("IK seed violates joint limits")
 
     # The first failing row: (index, message, position and rotation residual).
@@ -269,7 +272,8 @@ def inverse_kinematics(
     rows = np.flatnonzero((res[:, 0] > tol_pos) | (res[:, 1] > tol_rot))
     rows = rows[rows < failure[0]]
     q_a, err_a, J_a, res_a, tgt_a = (x[rows] for x in (q, err, J, res, targets))
-    consts_a = tuple(c[rows] for c in consts) if gathered else consts
+    consts_a, limits_a = ((tuple(c[rows] for c in x) for x in (consts, limits)) if gathered
+                          else (consts, limits))
     best_a = res_a.copy()
     lam_a = np.full(len(rows), _LAMBDA0)
     retries_a = np.zeros(len(rows), dtype=int)
@@ -278,8 +282,8 @@ def inverse_kinematics(
         Jt = np.swapaxes(J_a, 1, 2)
         A = J_a @ Jt + (lam_a**2)[:, None, None] * _EYE6
         dq = (Jt @ np.linalg.solve(A, err_a[:, :, None]))[:, :, 0]
-        q_new = np.clip(q_a + dq, *consts_a[6:])
-        T_new, J_new = _chain(consts_a[:6], q_new)
+        q_new = np.clip(q_a + dq, *limits_a)
+        T_new, J_new = _chain(consts_a, q_new)
         err_new = pose_error(matrix_pose_rows(T_new), tgt_a)
         ok = _norm(err_new) <= _norm(err_a)
         res_new = _residuals(err_new)
@@ -313,7 +317,7 @@ def inverse_kinematics(
                 x[keep] for x in (rows, q_a, err_a, J_a, res_a, tgt_a, best_a, lam_a, retries_a, steps_a)
             )
             if gathered:
-                consts_a = tuple(c[keep] for c in consts_a)
+                consts_a, limits_a = (tuple(c[keep] for c in x) for x in (consts_a, limits_a))
     row, message, pos_residual, rot_residual = failure
     if message is not None:
         index, a = divmod(row, n_arms)

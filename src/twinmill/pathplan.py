@@ -82,9 +82,12 @@ class ArcSegment:
         return float(np.linalg.norm(self.start.position - self.center))
 
     def point_at(self, angle):
+        """The point `angle` rad along the arc from its start, or the points
+        [N, 3] at angles [N]."""
+        angle = np.asarray(angle, dtype=float)[..., None]
         u = self.start.position - self.center
         v = np.cross(self.normal, u)
-        return self.center + math.cos(angle) * u + math.sin(angle) * v
+        return self.center + np.cos(angle) * u + np.sin(angle) * v
 
     def pose_at(self, angle):
         return Pose(self.point_at(angle), self.start.quaternion)
@@ -427,11 +430,8 @@ def discretize(path: ToolPath, chord_tol, max_step):
             dtheta = min(dtheta_chord, max_step / r)
             n = _subdivisions(abs(seg.sweep) / dtheta)
             # n is a power of two, so the last angle is the sweep exactly
-            # and the last sample is seg.end.
-            angle = (seg.sweep * np.arange(1, n + 1) / n)[:, None]
-            u = seg.start.position - seg.center
-            v = np.cross(seg.normal, u)
-            parts.append(_rows(seg.center + np.cos(angle) * u + np.sin(angle) * v, seg.start.quaternion))
+            # and the last sample, from the same point_at, is seg.end.
+            parts.append(_rows(seg.point_at(seg.sweep * np.arange(1, n + 1) / n), seg.start.quaternion))
     return np.concatenate(parts)
 
 
