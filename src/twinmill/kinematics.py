@@ -6,17 +6,21 @@ TransX(a) RotX(alpha)); all joints revolute. One kernel evaluates the
 flange transform and the Jacobian of stacked configurations q[..., 6];
 a single (6,) configuration is its unstacked case. Inverse kinematics
 solves stacked targets in lockstep, for one arm or for several arms at
-once; one target of one arm is its N=1, A=1 case.
+once; one target of one arm is its N=1, A=1 case. It is the only solver
+that certifies a tolerance and the joint limits. Ortho-parallel arms with
+a spherical wrist, such as both demo arms, also have a closed-form IK of
+8 branches for stacked targets, which gives path planning exact seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError, UnreachableTargetError
-from .geometry import Pose, matrix_pose_rows, pose_error, pose_rows
+from .geometry import Pose, matrix_pose_rows, pose_error, pose_rows, quat_to_matrix
 
 N_JOINTS = 6
 
@@ -74,6 +78,13 @@ class ArmModel:
         # base and the flange transform.
         object.__setattr__(self, "_chain_consts", (
             rows[:, 3], cos_part, sin_part, fixed, self.base_pose.matrix(), self.flange_offset.matrix()))
+        object.__setattr__(self, "_closed_form", _closed_form_consts(self, L[5]))
+
+    @property
+    def has_closed_form_ik(self):
+        """Whether `closed_form_ik` applies: an ortho-parallel arm with a
+        spherical wrist (see there)."""
+        return self._closed_form is not None
 
     @property
     def reach(self):
@@ -156,6 +167,136 @@ def jacobian(arm: ArmModel, q, allow_out_of_limits=False):
     angular velocity.
     """
     return _chain(arm._chain_consts, _joint_array(arm, q, allow_out_of_limits))[1]
+
+
+# Twists within this of their nominal value, and offsets within this of
+# zero, count as exact when an arm is checked for the closed-form IK.
+_CLOSED_FORM_TOL = 1e-12
+N_BRANCHES = 8
+_TWO_PI = 2.0 * np.pi
+
+
+class _ClosedForm(NamedTuple):
+    """The constants of `closed_form_ik` for one arm."""
+
+    base_inv: np.ndarray  # inverse base transform
+    tail: np.ndarray  # inverse of link 6 (past its RotZ) and the flange offset
+    a1: float
+    d1: float
+    s1: float  # sign of the twist of joint 1, and so on
+    s3: float
+    a2: float
+    r: float  # forearm length, from joint 3 to the wrist centre
+    gamma: float  # theta3 of a straight elbow, the forearm along link 2
+    s4: float
+    s5: float
+    offset: np.ndarray  # theta offsets
+    mid: np.ndarray  # middle of the joint limits
+    wide: np.ndarray  # joints whose limits span more than 2 pi
+
+
+def _closed_form_consts(arm, last_link):
+    """The `_ClosedForm` of `arm`, or None where it does not apply.
+    `last_link` is link 6 without its joint rotation."""
+    a, alpha, d, offset = arm.dh_rows.T
+    quarter = np.abs(np.abs(alpha[[0, 2, 3, 4]]) - np.pi / 2)
+    zero = np.abs([d[1], d[2], a[3], a[4], d[4], alpha[1]])
+    if not (np.all(quarter <= _CLOSED_FORM_TOL) and np.all(zero <= _CLOSED_FORM_TOL) and a[1] > 0
+            and np.hypot(a[2], d[3]) > 0):
+        return None
+    s1, s3, s4, s5 = np.sign(alpha[[0, 2, 3, 4]])
+    lo, hi = arm.joint_limits.T
+    tail = np.linalg.inv(last_link @ arm.flange_offset.matrix())
+    return _ClosedForm(np.linalg.inv(arm.base_pose.matrix()), tail, a[0], d[0], s1, s3, a[1],
+                       np.hypot(a[2], d[3]), np.arctan2(s3 * d[3], a[2]), s4, s5,
+                       offset, (lo + hi) / 2, hi - lo > _TWO_PI)
+
+
+def _unturn(angle, R):
+    """RotZ(angle)^T R of rotations R[N, 3, 3]."""
+    c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    return np.stack([c * R[:, 0] + s * R[:, 1], c * R[:, 1] - s * R[:, 0], R[:, 2]], axis=1)
+
+
+def _untwist(sign, R):
+    """RotX(sign * pi/2)^T R of rotations R[N, 3, 3]."""
+    return np.stack([R[:, 0], sign * R[:, 2], -sign * R[:, 1]], axis=1)
+
+
+def _closed_form_arm(arm):
+    consts = arm._closed_form
+    if consts is None:
+        raise InvalidInputError("closed-form IK needs d2 = d3 = a4 = a5 = d5 = 0, twists "
+                                "(+-pi/2, 0, +-pi/2, +-pi/2, +-pi/2) on joints 1-5 and a2 > 0")
+    return consts
+
+
+def ik_branch(arm: ArmModel, q):
+    """The closed-form IK branch (0-7) of configurations q[..., 6] of an
+    arm with `has_closed_form_ik`: 4 if the wrist centre lies behind joint
+    1's axis, plus 2 if the elbow bends the negative way, plus 1 if joint
+    5's angle (q5 plus its theta offset) has a negative sine."""
+    cf = _closed_form_arm(arm)
+    theta = _joint_array(arm, q, allow_out_of_limits=True) + cf.offset
+    elbow = theta[..., 2] - cf.gamma
+    rho = cf.a1 + cf.a2 * np.cos(theta[..., 1]) + cf.r * np.cos(theta[..., 1] + elbow)
+    return 4 * (rho < 0) + 2 * (np.sin(elbow) < 0) + (np.sin(theta[..., 4]) < 0)
+
+
+def closed_form_ik(arm: ArmModel, target, branch, near=None):
+    """Closed-form IK (Pieper 1968) of an ortho-parallel arm with a
+    spherical wrist: d2 = d3 = a4 = a5 = d5 = 0, twists +-pi/2 on joints 1,
+    3, 4 and 5 and 0 on joint 2, a2 > 0; link 6, the base pose and the
+    flange offset are free. `has_closed_form_ik` tells whether an arm is
+    one; this is decided once, from its DH rows.
+
+    target: pose rows [N, 7] of a path; branch: one of the N_BRANCHES
+    (see `ik_branch`), or one per row. Returns q[N, 6] reproducing each
+    target to rounding, limits not checked. A row the branch cannot reach
+    is NaN. Each joint takes the value nearest the middle of its limits,
+    except a joint whose limits span more than 2 pi: that one is unwrapped
+    along the path, its first row nearest `near` (6,) (default: the
+    middle of its limits).
+    """
+    base_inv, tail, a1, d1, s1, s3, a2, r, gamma, s4, s5, offset, mid, wide = _closed_form_arm(arm)
+    rows = pose_rows(target)
+    if rows.ndim != 2:
+        raise InvalidInputError("closed-form IK takes pose rows [N, 7]")
+    start = mid if near is None else _joint_array(arm, near, allow_out_of_limits=True, stacked=False)
+    branch = np.asarray(branch)
+    if not (np.issubdtype(branch.dtype, np.integer) and np.all((branch >= 0) & (branch < N_BRANCHES))):
+        raise InvalidInputError(f"IK branch must be an integer in 0..{N_BRANCHES - 1}")
+    shoulder, elbow, wrist = (1 - 2 * ((branch >> k) & 1) for k in (2, 1, 0))
+    # The wrist centre and the rotation of base^-1 T tail, for each target T.
+    R = quat_to_matrix(rows[:, 3:])
+    x, y, z = ((R @ tail[:3, 3] + rows[:, :3]) @ base_inv[:3, :3].T + base_inv[:3, 3]).T
+    R = base_inv[:3, :3] @ R @ tail[:3, :3]
+    theta = np.empty((len(rows), N_JOINTS))
+    theta[:, 0] = np.arctan2(shoulder * y, shoulder * x)
+    # The wrist centre in joint 2's plane, reached by the two links a2 and r.
+    u, v = shoulder * np.hypot(x, y) - a1, s1 * (z - d1)
+    with np.errstate(invalid="ignore"):
+        psi = elbow * np.arccos((u * u + v * v - a2 * a2 - r * r) / (2 * a2 * r))
+    theta[:, 1] = np.arctan2(v, u) - np.arctan2(r * np.sin(psi), a2 + r * np.cos(psi))
+    theta[:, 2] = psi + gamma
+    # Less joints 1-3, RotZ(t1) RotX(+-pi/2) RotZ(t2 + t3) RotX(+-pi/2), R is
+    # the wrist's RotZ(t4) RotX(+-pi/2) RotZ(t5) RotX(+-pi/2) RotZ(t6).
+    R = _untwist(s3, _unturn(theta[:, 1] + theta[:, 2], _untwist(s1, _unturn(theta[:, 0], R))))
+    sin5 = wrist * np.hypot(R[:, 0, 2], R[:, 1, 2])
+    theta[:, 4] = np.arctan2(sin5, -s4 * s5 * R[:, 2, 2])
+    theta[:, 3] = np.arctan2(s5 * wrist * R[:, 1, 2], s5 * wrist * R[:, 0, 2])
+    # t6 from the first column of R, which also holds where q5 = 0 leaves
+    # t4 free.
+    c4, n4, c5 = np.cos(theta[:, 3]), np.sin(theta[:, 3]), np.cos(theta[:, 4])
+    theta[:, 5] = np.arctan2(s4 * s5 * (n4 * R[:, 0, 0] - c4 * R[:, 1, 0]),
+                             c4 * c5 * R[:, 0, 0] + n4 * c5 * R[:, 1, 0] + s4 * sin5 * R[:, 2, 0])
+    found = ~np.isnan(psi)
+    q = np.where(found[:, None], theta - offset, np.nan)
+    q += _TWO_PI * np.round((mid - q) / _TWO_PI)
+    if np.any(wide):
+        path = np.unwrap(q[found][:, wide], axis=0)
+        q[np.ix_(found, wide)] = path + _TWO_PI * np.round((start[wide] - path[:1]) / _TWO_PI)
+    return q
 
 
 def _residuals(err):

@@ -8,6 +8,7 @@ orientation is held fixed along the path (3-axis milling).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -29,7 +30,14 @@ from .errors import (
     WorkspaceError,
 )
 from .geometry import Pose, compose_rows, pose_rows, quat_from_rotvec, quat_multiply
-from .kinematics import DEFAULT_MAX_ITER, DEFAULT_TOL_POS, DEFAULT_TOL_ROT, inverse_kinematics
+from .kinematics import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL_POS,
+    DEFAULT_TOL_ROT,
+    closed_form_ik,
+    ik_branch,
+    inverse_kinematics,
+)
 from .stiffness import CoupledSystem, Wrench, tension_offset
 
 _POSITION_TOL = 1e-9
@@ -37,8 +45,9 @@ _ARC_RADIUS_TOL = 10e-6  # 10 um start/end radius mismatch
 DEFAULT_CHORD_TOL = 1e-5  # m
 DEFAULT_MAX_STEP = 5e-3  # m
 DEFAULT_JOINT_JUMP_MAX = 0.2  # rad, guards against IK branch flips
-_SEED_SPAN_M = 0.08  # m of path at most between a pass-1 IK seed and its target
-_BLOCK_ROWS = 256  # rows per stacked IK call of pass 3
+_SEED_SPAN_M = 0.08  # m of path at most between a fallback pass-1 IK seed and its target
+_BLOCK_ROWS = 256  # rows per stacked IK call of passes 1 and 3
+MAX_SAMPLES = 1 << 20  # pose rows at most from `discretize`, 56 MiB of them
 
 
 @dataclass(frozen=True)
@@ -402,33 +411,46 @@ def _rows(positions, quaternion):
     return rows
 
 
+def _samples(seg, chord_tol, max_step):
+    """Rows a segment adds to `discretize`: its intervals, a power of two,
+    or 0 for an arc of zero sweep."""
+    if isinstance(seg, LinearSegment):
+        return _subdivisions(seg.length / max_step)
+    if seg.sweep == 0.0:
+        return 0
+    r = seg.radius
+    dtheta_chord = 2 * math.acos(1 - chord_tol / r) if chord_tol < r else math.pi
+    return _subdivisions(abs(seg.sweep) / min(dtheta_chord, max_step / r))
+
+
 def discretize(path: ToolPath, chord_tol, max_step):
     """Sample the path as pose rows [N, 7] of (x, y, z, qw, qx, qy, qz):
     chordal deviation on arcs <= chord_tol, consecutive samples <= max_step
     apart, endpoints exact.
 
     A line's inner samples take its start orientation and its end sample
-    its end pose; an arc's samples all take its start orientation.
+    its end pose; an arc's samples all take its start orientation. A path
+    of more than MAX_SAMPLES samples raises InvalidInputError naming the
+    segment that crosses the cap, before any row is allocated.
     """
     if not (chord_tol > 0 and max_step > 0):
         raise InvalidInputError("chord_tol and max_step must be positive")
+    counts, total = [], 1
+    for k, seg in enumerate(path.segments):
+        counts.append(_samples(seg, chord_tol, max_step))
+        total += counts[-1]
+        if total > MAX_SAMPLES:
+            raise InvalidInputError(f"segment {k} takes the path past {MAX_SAMPLES} samples "
+                                    f"(chord_tol {chord_tol:g} m, max_step {max_step:g} m)")
     start = path.segments[0].start
     parts = [_rows(start.position[None], start.quaternion)]
-    for seg in path.segments:
+    for seg, n in zip(path.segments, counts):
         if isinstance(seg, LinearSegment):
-            n = _subdivisions(seg.length / max_step)
             t = (np.arange(1, n) / n)[:, None]
             parts.append(_rows(seg.start.position + t * (seg.end.position - seg.start.position),
                                seg.start.quaternion))
             parts.append(_rows(seg.end.position[None], seg.end.quaternion))
-        elif seg.sweep != 0.0:
-            r = seg.radius
-            if chord_tol < r:
-                dtheta_chord = 2 * math.acos(1 - chord_tol / r)
-            else:
-                dtheta_chord = math.pi
-            dtheta = min(dtheta_chord, max_step / r)
-            n = _subdivisions(abs(seg.sweep) / dtheta)
+        elif n:
             # n is a power of two, so the last angle is the sweep exactly
             # and the last sample, from the same point_at, is seg.end.
             parts.append(_rows(seg.point_at(seg.sweep * np.arange(1, n + 1) / n), seg.start.quaternion))
@@ -572,6 +594,43 @@ def _seed_blocks(positions):
         stop = max(start + 1, int(np.searchsorted(s, s[start - 1] + _SEED_SPAN_M, side="right")))
 
 
+def _branch_seeds(arms, targets, q_before, joint_jump_max):
+    """Closed-form IK seeds [A, N, 6] of the targets [A, N, 7] that follow
+    the solutions q_before [A, 6] along the path, each arm on the branch of
+    its q_before. None if an arm has no closed-form IK, a row has no
+    solution within the joint limits on that branch, or consecutive seeds,
+    q_before first, jump by more than joint_jump_max (as across a wrist
+    flip near q5 = 0)."""
+    if not all(arm.has_closed_form_ik for arm in arms):
+        return None
+    seeds = np.stack([closed_form_ik(arm, t, ik_branch(arm, q), near=q)
+                      for arm, t, q in zip(arms, targets, q_before)])
+    path = np.concatenate([q_before[:, None], seeds], axis=1)
+    lo, hi = (np.stack([arm.joint_limits[:, k] for arm in arms])[:, None] for k in (0, 1))
+    if np.all(path >= lo) and np.all(path <= hi) and np.all(np.abs(np.diff(path, axis=1)) <= joint_jump_max):
+        return seeds
+    return None
+
+
+def _pass_one_blocks(arms, targets, positions, seeds, q, joint_jump_max):
+    """(start, stop, seeds) of the pass-1 IK calls of the targets
+    [A, N, 7]. Setpoint 0 comes first, seeded with `seeds`; q[:, :start]
+    holds the solutions of the calls before when the next one is asked
+    for. The rest are blocks of _BLOCK_ROWS with closed-form seeds on the
+    branch of setpoint 0 or, where `_branch_seeds` gives none, the
+    `_seed_blocks` of the tool positions [N, 3], each seeded with the
+    last solutions of the block before."""
+    yield 0, 1, seeds
+    row_seeds = _branch_seeds(arms, targets[:, 1:], q[:, 0], joint_jump_max)
+    if row_seeds is not None:
+        for start in range(1, len(positions), _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, len(positions))
+            yield start, stop, row_seeds[:, start - 1 : stop - 1]
+        return
+    for start, stop in itertools.islice(_seed_blocks(positions), 1, None):
+        yield start, stop, q[:, start - 1]
+
+
 def _ik_failure(i, exc, what):
     """PlanError for the IK failure `exc` at setpoint i of the pose `what`."""
     failure = PlanError(f"IK failed at setpoint {i} ({what}): {exc}", index=i)
@@ -596,17 +655,24 @@ def plan_sync(
 
     Three passes of stacked IK. Pass 1 solves arm 1 and arm 2's nominal
     (untensioned) flange pose together, in one lockstep IK per block of
-    setpoints. The first block is setpoint 0, seeded with `ik_seeds`;
-    every later block is seeded with the last solutions of the block
-    before and holds the setpoints that lie at most _SEED_SPAN_M of path
-    after that seed setpoint (at least one), so the joint trajectories
-    stay on one branch (with max_step >= _SEED_SPAN_M each block is one
-    setpoint on straight moves). Pass 2 is one stacked tension-offset
-    evaluation from the local configurations. Pass 3 solves arm 2's
-    commanded pose in blocks of _BLOCK_ROWS, each row seeded with its
-    nominal solution. A joint jump above `joint_jump_max` between
-    consecutive pairs aborts planning. Failures are raised for the first
-    setpoint at which they occur, naming the arm.
+    setpoints. Setpoint 0 comes first, seeded with `ik_seeds`. Where both
+    arms have a closed-form IK, every later setpoint is seeded with its
+    closed-form solution on the branch of that arm's setpoint-0 solution,
+    in blocks of _BLOCK_ROWS that need no solutions of the blocks before;
+    the damped least-squares IK certifies each row's tolerance and joint
+    limits. Otherwise, or where a row has no solution within the limits
+    on that branch, or consecutive seeds jump by more than
+    `joint_jump_max` (a wrist passing through q5 = 0), every later block
+    is seeded with the last solutions of the block before and holds the
+    setpoints that lie at most _SEED_SPAN_M of path after that seed
+    setpoint (at least one), so the joint trajectories stay on one branch
+    (with max_step >= _SEED_SPAN_M each block is one setpoint on straight
+    moves). Pass 2 is one stacked tension-offset evaluation from the local
+    configurations. Pass 3 solves arm 2's commanded pose in blocks of
+    _BLOCK_ROWS, seeded in closed form as pass 1 is or, where that gives
+    no seeds, each row with its nominal solution. A joint jump above
+    `joint_jump_max` between consecutive pairs aborts planning. Failures
+    are raised for the first setpoint at which they occur, naming the arm.
 
     workspace_box: optional (center, size) arrays in m; every discretized
     tool position must lie inside.
@@ -631,19 +697,19 @@ def plan_sync(
     # covered the setpoints before it, so the first failing setpoint is the
     # one reported, whichever pass finds it.
     failure = None
-    # Pass 1: blocked, warm-started IK of arm 1 and of arm 2's nominal pose,
-    # both arms in one lockstep solve per block.
+    # Pass 1: IK of arm 1 and of arm 2's nominal pose, both arms in one
+    # lockstep solve per block.
     arms, targets = (sys.arm1, sys.arm2), np.stack([r1, r2_nominal])
     q_nominal = np.empty((2, n, 6))
-    for start, stop in _seed_blocks(tool[:, :3]):
-        q_block, exc = _ik_prefix(arms, targets[:, start:stop], seeds, tol)
+    for start, stop, block_seeds in _pass_one_blocks(arms, targets, tool[:, :3], seeds, q_nominal,
+                                                     joint_jump_max):
+        q_block, exc = _ik_prefix(arms, targets[:, start:stop], block_seeds, tol)
         k = q_block.shape[1]
         q_nominal[:, start : start + k] = q_block
         if exc is not None:
             failure = _ik_failure(start + k, exc, ("arm 1", "arm 2 nominal")[exc.arm])
             q_nominal = q_nominal[:, : start + k]
             break
-        seeds = q_block[:, -1]
     q1, q2_nominal = q_nominal
 
     # Pass 2: every tension offset in one stacked evaluation.
@@ -653,14 +719,18 @@ def plan_sync(
         failure = exc
         offsets = tension_offset(sys, q1[: exc.index], q2_nominal[: exc.index], tension)
 
-    # Pass 3: IK of arm 2's commanded pose, each row seeded with its
-    # nominal solution; stops at the first failing row.
+    # Pass 3: IK of arm 2's commanded pose, each row seeded in closed form
+    # on the branch of setpoint 0's nominal solution or, where
+    # `_branch_seeds` gives none, with its nominal solution; stops at the
+    # first failing row.
     m = len(offsets)
     r2_commanded = apply_world_offset(r2_nominal[:m], offsets)
+    seeds2 = _branch_seeds((sys.arm2,), r2_commanded[None], q2_nominal[:1], joint_jump_max) if m else None
+    seeds2 = q2_nominal[:m] if seeds2 is None else seeds2[0]
     q2 = np.empty((m, 6))
     for start in range(0, m, _BLOCK_ROWS):
         rows = slice(start, min(start + _BLOCK_ROWS, m))
-        q2_block, exc = _ik_prefix(sys.arm2, r2_commanded[rows], q2_nominal[rows], tol)
+        q2_block, exc = _ik_prefix(sys.arm2, r2_commanded[rows], seeds2[rows], tol)
         q2[start : start + len(q2_block)] = q2_block
         if exc is not None:
             m = start + len(q2_block)

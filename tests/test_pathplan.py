@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +19,14 @@ from twinmill.errors import (
 )
 from twinmill.geometry import (
     Pose,
+    compose_rows,
     pose_rows,
     quat_conjugate,
     quat_from_rotvec,
     quat_multiply,
     rotvec_from_quat,
 )
-from twinmill.kinematics import forward_kinematics, inverse_kinematics
+from twinmill.kinematics import closed_form_ik, forward_kinematics, ik_branch, inverse_kinematics
 from twinmill.pathplan import (
     ArcSegment,
     LinearSegment,
@@ -55,8 +58,15 @@ WORK_OFFSET = np.array([2.105, -0.020, 1.100])
 SLOT_JSON = (Path(__file__).parent / "data" / "slot_path.json").read_text()
 
 
-def demo_plan(cfg, gcode=SLOT_GCODE, tension=Wrench.zero(), **kw):
-    path = translate_path(parse_gcode(gcode), WORK_OFFSET)
+# The benchmark's raster: 11 passes of 300 mm, 20 mm apart, joined by
+# alternating G3/G2 semicircles; 1345 setpoints on the demo cell.
+RASTER_GCODE = "G1 X300 F600\n" + "".join(
+    f"G3 X300 Y{20 * k} J10\nG1 X0\n" if k % 2 else f"G2 X0 Y{20 * k} J10\nG1 X300\n" for k in range(1, 11))
+RASTER_OFFSET = np.array([1.975, -0.110, 1.100])
+
+
+def demo_plan(cfg, gcode=SLOT_GCODE, tension=Wrench.zero(), offset=WORK_OFFSET, **kw):
+    path = translate_path(parse_gcode(gcode), offset)
     return plan_sync(
         cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2), **kw
     )
@@ -371,6 +381,37 @@ class TestDiscretize:
         with pytest.raises(InvalidInputError):
             discretize(path, 1e-5, 0.0)
 
+    @pytest.mark.parametrize("path, where", [
+        # A 10 mm arc swept 1e9 rad asks for 2**34 samples.
+        (lambda: path_from_json(json.dumps({"segments": [
+            {"type": "linear", "start": {"position_m": [0, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]},
+             "end": {"position_m": [0.01, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}},
+            {"type": "arc", "center_m": [0, 0, 0], "normal": [0, 0, 1],
+             "start": {"position_m": [0.01, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}, "sweep_rad": 1e9},
+        ]})), "segment 1 "),
+        # About 1000 km of line at 5 mm steps asks for 2**28 samples.
+        (lambda: parse_gcode("G1 X999999999\n"), "segment 0 "),
+    ], ids=["arc-sweep-1e9", "gcode-x999999999"])
+    def test_sample_cap_names_the_segment_before_allocating(self, path, where):
+        path = path()
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match=f"^{where}takes the path past {pathplan.MAX_SAMPLES} "):
+                discretize(path, 1e-5, 5e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_sample_cap_counts_every_row(self, monkeypatch):
+        # Two 40 mm lines at 5 mm steps: 1 + 8 + 8 rows.
+        path = parse_gcode("G1 X40\nG1 X80\n")
+        monkeypatch.setattr(pathplan, "MAX_SAMPLES", 17)
+        assert len(discretize(path, 1e-5, 5e-3)) == 17
+        monkeypatch.setattr(pathplan, "MAX_SAMPLES", 16)
+        with pytest.raises(InvalidInputError, match="^segment 1 "):
+            discretize(path, 1e-5, 5e-3)
+
 
 class TestPlanSync:
     def test_zero_tension_commanded_equals_nominal(self, cfg):
@@ -461,7 +502,9 @@ class TestPlanSync:
         assert exc.value.index == 0
 
 
-class TestPassOneSeeding:
+class SeedingCalls:
+    """Spies on the IK calls of plan_sync."""
+
     @staticmethod
     def spy(monkeypatch):
         """Record (arm, target shape, seed) of every IK call plan_sync makes."""
@@ -485,37 +528,103 @@ class TestPassOneSeeding:
     def path_lengths(tool):
         return np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(tool[:, :3], axis=0), axis=1))])
 
-    def test_blocks_seeded_by_the_block_before(self, cfg, monkeypatch):
-        calls = self.spy(monkeypatch)
-        prog = demo_plan(cfg, gcode="G1 X200\n")
-        # 65 setpoints 3.125 mm apart: setpoint 0 alone, then every row at
-        # most 80 mm of path after the last row of the block before.
-        bounds = [(0, 1), (1, 26), (26, 51), (51, 65)]
-        assert len(prog.pairs) == 65
-        pass1 = self.pass_one(calls, cfg)
-        assert len(pass1) == len(calls) - 1  # and one pass-3 call
-        assert [shape for shape, _ in pass1] == [(2, stop - start, 7) for start, stop in bounds]
-        s = self.path_lengths(prog.pairs.tool_pose)
-        q1, q2 = prog.pairs.q1, prog.pairs.q2  # q2 is the nominal solution at zero tension
-        np.testing.assert_array_equal(pass1[0][1], [cfg.ik_seed1, cfg.ik_seed2])
-        for (_, seed), (start, stop) in zip(pass1[1:], bounds[1:]):
-            np.testing.assert_array_equal(seed, [q1[start - 1], q2[start - 1]])
-            assert s[stop - 1] - s[start - 1] <= pathplan._SEED_SPAN_M
-            assert stop == len(s) or s[stop] - s[start - 1] > pathplan._SEED_SPAN_M
 
-    def test_arc_samples_do_not_cut_blocks_short(self, cfg, monkeypatch):
+class TestPassOneSeeding(SeedingCalls):
+    def test_demo_raster_is_one_call_per_256_rows(self, cfg, monkeypatch):
         calls = self.spy(monkeypatch)
-        prog = demo_plan(cfg)
-        s = self.path_lengths(prog.pairs.tool_pose)
-        sizes = [shape[1] for shape, _ in self.pass_one(calls, cfg)]
-        assert sum(sizes) == len(s) and sizes[0] == 1
-        stops = np.cumsum(sizes)
-        for start, stop in zip(stops[:-1], stops[1:]):
-            assert s[stop - 1] - s[start - 1] <= pathplan._SEED_SPAN_M
-            assert stop == len(s) or s[stop] - s[start - 1] > pathplan._SEED_SPAN_M
-        # The semicircle's short chords put more rows in a block than
-        # 80 mm / max_step.
-        assert max(sizes) > pathplan._SEED_SPAN_M // pathplan.DEFAULT_MAX_STEP
+        prog = demo_plan(cfg, gcode=RASTER_GCODE, tension=Wrench(np.array([1000.0, 0.0, 0.0])),
+                         offset=RASTER_OFFSET)
+        n = len(prog.pairs)
+        assert n == 1345
+        pass1 = self.pass_one(calls, cfg)
+        pass3 = [(shape, seed) for arm, shape, seed in calls if arm is cfg.system.arm2]
+        assert len(pass1) + len(pass3) == len(calls)
+        # Setpoint 0 from the caller's seeds, then ceil(1344 / 256) = 6
+        # calls, every row seeded in closed form: no call waits for the
+        # solutions of the one before.
+        assert [shape for shape, _ in pass1] == [(2, 1, 7)] + [(2, k, 7) for k in (256,) * 5 + (64,)]
+        np.testing.assert_array_equal(pass1[0][1], [cfg.ik_seed1, cfg.ik_seed2])
+        seeds = np.concatenate([seed for _, seed in pass1[1:]], axis=1)
+        assert seeds.shape == (2, n - 1, 6)
+        # Exact seeds need no DLS step: pass 1 returns them as they are.
+        np.testing.assert_array_equal(seeds[0], prog.pairs.q1[1:])
+        # Arm 2's seeds are its nominal solutions, 0.2 mm from the commanded.
+        np.testing.assert_allclose(seeds[1], prog.pairs.q2[1:], rtol=0, atol=1e-3)
+        # Pass 3: arm 2's commanded pose in blocks of 256 rows, seeded in
+        # closed form too, so each seed is its solution.
+        assert [shape for shape, _ in pass3] == [(k, 7) for k in (256,) * 5 + (65,)]
+        np.testing.assert_array_equal(np.concatenate([seed for _, seed in pass3]), prog.pairs.q2)
+
+    @pytest.mark.parametrize("wrist_limit", [None, np.pi + 1.0], ids=["demo", "wide-wrist"])
+    def test_a_wrist_flip_falls_back_to_the_block_chain(self, cfg, monkeypatch, wrist_limit):
+        """Arm 1's wrist passes through q5 = 0 at the middle setpoint, where
+        its closed-form branch turns q4 and q6 by pi: out of the demo arm's
+        limits, and with limits of pi + 1 a jump. Either way pass 1 runs the
+        `_seed_blocks` chain, which plans as it does without closed-form
+        seeds."""
+        if wrist_limit is not None:
+            limits = cfg.system.arm1.joint_limits.copy()
+            limits[[3, 5]] = [-wrist_limit, wrist_limit]
+            arm1 = dataclasses.replace(cfg.system.arm1, joint_limits=limits)
+            cfg = dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, arm1=arm1))
+        arm1 = cfg.system.arm1
+        tool = compose_rows(forward_kinematics(arm1, np.array([[-0.01, 0.47, 0.128, -1.8, 0.0, 1.8]])),
+                            cfg.system.tool_offset)[0]
+        path = translate_path(parse_gcode("G1 Z40\nG1 Z80\n", orientation=tool[3:]), tool[:3] - [0.0, 0.0, 0.04])
+        tension = Wrench(np.array([1000.0, 0.0, 0.0]))
+        calls = self.spy(monkeypatch)
+        prog = plan_sync(cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2))
+        q1 = prog.pairs.q1
+        assert np.min(q1[:, 4]) < 0.0 < np.max(q1[:, 4])
+        flip = closed_form_ik(arm1, prog.pairs.robot1_flange[1:], ik_branch(arm1, q1[0]), near=q1[0])
+        within = np.all((flip >= arm1.joint_limits[:, 0]) & (flip <= arm1.joint_limits[:, 1]))
+        assert within == (wrist_limit is not None)
+        assert np.max(np.abs(np.diff(flip, axis=0))) > pathplan.DEFAULT_JOINT_JUMP_MAX
+        blocks = list(pathplan._seed_blocks(prog.pairs.tool_pose[:, :3]))
+        assert [shape for shape, _ in self.pass_one(calls, cfg)] == [(2, b - a, 7) for a, b in blocks]
+        # Pass 1 without closed-form seeds; pass 3 (arm 2 alone) keeps them.
+        real = pathplan._branch_seeds
+        monkeypatch.setattr(pathplan, "_branch_seeds",
+                            lambda arms, *args: None if len(arms) == 2 else real(arms, *args))
+        again = plan_sync(cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2))
+        assert program_to_csv(again) == program_to_csv(prog)
+
+    @pytest.mark.parametrize("plant, gcode, index, cause", [
+        ("unreachable", "G1 X200\n", 40, "target "),
+        ("joint-limit", "G1 Y200\n", 35, "IK did not converge"),
+    ])
+    def test_a_row_without_a_branch_fails_as_the_fallback_does(self, cfg, monkeypatch, plant, gcode, index, cause):
+        """A row with no closed-form solution within the joint limits:
+        tool row 40 moved out of both arms' reach, or arm 1's q1 capped at
+        0.05 rad on a move that turns it further. Pass 1 runs the
+        `_seed_blocks` chain and raises its PlanError, for the first row
+        that has none."""
+        if plant == "unreachable":
+            real_discretize = pathplan.discretize
+
+            def planted(*args):
+                tool = real_discretize(*args)
+                tool[40, :3] = [10.0, 0.0, 0.0]
+                return tool
+
+            monkeypatch.setattr(pathplan, "discretize", planted)
+        else:
+            limits = cfg.system.arm1.joint_limits.copy()
+            limits[0, 1] = 0.05
+            arm1 = dataclasses.replace(cfg.system.arm1, joint_limits=limits)
+            cfg = dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, arm1=arm1))
+        spans, errors = [], []
+        for closed_form in (True, False):
+            if not closed_form:
+                monkeypatch.setattr(pathplan, "_branch_seeds", lambda *args: None)
+            calls = self.spy(monkeypatch)
+            with pytest.raises(PlanError) as exc:
+                demo_plan(cfg, gcode=gcode)
+            spans.append([shape[1] for shape, _ in self.pass_one(calls, cfg)])
+            errors.append((type(exc.value), exc.value.index, str(exc.value), exc.value.__cause__.arm))
+        assert spans[0] == spans[1] and spans[0][:2] == [1, 25]
+        assert errors[0] == errors[1]
+        assert errors[0][1] == index and errors[0][2].startswith(f"IK failed at setpoint {index} (arm 1): {cause}")
 
     def test_a_row_exactly_80_mm_after_its_seed_row_belongs_to_the_block(self):
         # 0.04 + 0.04 == 0.08 in floating point: row 2 lies exactly
@@ -524,25 +633,6 @@ class TestPassOneSeeding:
         assert x[2] - x[1] + x[1] - x[0] == pathplan._SEED_SPAN_M
         blocks = list(pathplan._seed_blocks(np.column_stack([x, np.zeros((6, 2))])))
         assert blocks == [(0, 1), (1, 3), (3, 4), (4, 5), (5, 6)]
-
-    def test_falls_back_to_row_by_row(self, cfg, monkeypatch):
-        calls = self.spy(monkeypatch)
-        prog = demo_plan(cfg, gcode="G1 X400\n", max_step=pathplan._SEED_SPAN_M)
-        monkeypatch.undo()
-        pass1 = self.pass_one(calls, cfg)
-        assert len(pass1) == len(prog.pairs) > 2
-        assert all(shape == (2, 1, 7) for shape, _ in pass1)
-        q1, q2 = prog.pairs.q1, prog.pairs.q2  # q2 is the nominal solution at zero tension
-        for i in range(1, len(prog.pairs)):
-            pair = prog.pairs[i]
-            np.testing.assert_array_equal(pass1[i][1], [q1[i - 1], q2[i - 1]])
-            np.testing.assert_array_equal(q1[i], inverse_kinematics(cfg.system.arm1, pair.robot1_flange, q1[i - 1]))
-            np.testing.assert_array_equal(q2[i], inverse_kinematics(cfg.system.arm2, pair.robot2_flange_nominal,
-                                                                    q2[i - 1]))
-        # Pass 3 seeds each commanded solve with its nominal solution.
-        pair = prog.pairs[2]
-        q2n = inverse_kinematics(cfg.system.arm2, pair.robot2_flange_nominal, q2[1])
-        np.testing.assert_array_equal(q2[2], inverse_kinematics(cfg.system.arm2, pair.robot2_flange_commanded, q2n))
 
     @pytest.mark.parametrize("gcode, index, arm", [
         ("G1 X20\nG1 X2500\n", 192, "arm 1"),
@@ -606,6 +696,72 @@ class TestPassOneSeeding:
         assert type(exc.value) is PlanError
         assert blocks[0] == pathplan._BLOCK_ROWS
         assert exc.value.index == pathplan._BLOCK_ROWS + 10
+
+
+class TestFallbackSeeding(SeedingCalls):
+    """The `_seed_blocks` chain of pass 1, on the demo cell with d5 = 1 mm:
+    arms without a closed-form IK."""
+
+    @pytest.fixture(scope="class")
+    def cfg(self, cfg):
+        arms = []
+        for arm in (cfg.system.arm1, cfg.system.arm2):
+            rows = arm.dh_rows.copy()
+            rows[4, 2] = 1e-3
+            arms.append(dataclasses.replace(arm, dh_rows=rows))
+        assert not any(arm.has_closed_form_ik for arm in arms)
+        return dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, arm1=arms[0], arm2=arms[1]))
+
+    def test_blocks_seeded_by_the_block_before(self, cfg, monkeypatch):
+        calls = self.spy(monkeypatch)
+        prog = demo_plan(cfg, gcode="G1 X200\n")
+        # 65 setpoints 3.125 mm apart: setpoint 0 alone, then every row at
+        # most 80 mm of path after the last row of the block before.
+        bounds = [(0, 1), (1, 26), (26, 51), (51, 65)]
+        assert len(prog.pairs) == 65
+        pass1 = self.pass_one(calls, cfg)
+        assert len(pass1) == len(calls) - 1  # and one pass-3 call
+        assert [shape for shape, _ in pass1] == [(2, stop - start, 7) for start, stop in bounds]
+        s = self.path_lengths(prog.pairs.tool_pose)
+        q1, q2 = prog.pairs.q1, prog.pairs.q2  # q2 is the nominal solution at zero tension
+        np.testing.assert_array_equal(pass1[0][1], [cfg.ik_seed1, cfg.ik_seed2])
+        for (_, seed), (start, stop) in zip(pass1[1:], bounds[1:]):
+            np.testing.assert_array_equal(seed, [q1[start - 1], q2[start - 1]])
+            assert s[stop - 1] - s[start - 1] <= pathplan._SEED_SPAN_M
+            assert stop == len(s) or s[stop] - s[start - 1] > pathplan._SEED_SPAN_M
+
+    def test_arc_samples_do_not_cut_blocks_short(self, cfg, monkeypatch):
+        calls = self.spy(monkeypatch)
+        prog = demo_plan(cfg)
+        s = self.path_lengths(prog.pairs.tool_pose)
+        sizes = [shape[1] for shape, _ in self.pass_one(calls, cfg)]
+        assert sum(sizes) == len(s) and sizes[0] == 1
+        stops = np.cumsum(sizes)
+        for start, stop in zip(stops[:-1], stops[1:]):
+            assert s[stop - 1] - s[start - 1] <= pathplan._SEED_SPAN_M
+            assert stop == len(s) or s[stop] - s[start - 1] > pathplan._SEED_SPAN_M
+        # The semicircle's short chords put more rows in a block than
+        # 80 mm / max_step.
+        assert max(sizes) > pathplan._SEED_SPAN_M // pathplan.DEFAULT_MAX_STEP
+
+    def test_falls_back_to_row_by_row(self, cfg, monkeypatch):
+        calls = self.spy(monkeypatch)
+        prog = demo_plan(cfg, gcode="G1 X400\n", max_step=pathplan._SEED_SPAN_M)
+        monkeypatch.undo()
+        pass1 = self.pass_one(calls, cfg)
+        assert len(pass1) == len(prog.pairs) > 2
+        assert all(shape == (2, 1, 7) for shape, _ in pass1)
+        q1, q2 = prog.pairs.q1, prog.pairs.q2  # q2 is the nominal solution at zero tension
+        for i in range(1, len(prog.pairs)):
+            pair = prog.pairs[i]
+            np.testing.assert_array_equal(pass1[i][1], [q1[i - 1], q2[i - 1]])
+            np.testing.assert_array_equal(q1[i], inverse_kinematics(cfg.system.arm1, pair.robot1_flange, q1[i - 1]))
+            np.testing.assert_array_equal(q2[i], inverse_kinematics(cfg.system.arm2, pair.robot2_flange_nominal,
+                                                                    q2[i - 1]))
+        # Pass 3 seeds each commanded solve with its nominal solution.
+        pair = prog.pairs[2]
+        q2n = inverse_kinematics(cfg.system.arm2, pair.robot2_flange_nominal, q2[1])
+        np.testing.assert_array_equal(q2[2], inverse_kinematics(cfg.system.arm2, pair.robot2_flange_commanded, q2n))
 
 
 class TestProgramCsv:
