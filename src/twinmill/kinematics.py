@@ -141,9 +141,15 @@ def _chain(consts, q):
     return T, J
 
 
+def _frames(arm: ArmModel, q, allow_out_of_limits):
+    """Flange transforms T[..., 4, 4] and Jacobians J[..., 6, 6] of stacked
+    configurations q[..., 6], from one `_chain` call."""
+    return _chain(arm._chain_consts, _joint_array(arm, q, allow_out_of_limits))
+
+
 def flange_transform(arm: ArmModel, q, allow_out_of_limits=False):
     """World-frame 4x4 flange transforms of stacked configurations q[..., 6]."""
-    return _chain(arm._chain_consts, _joint_array(arm, q, allow_out_of_limits))[0]
+    return _frames(arm, q, allow_out_of_limits)[0]
 
 
 def forward_kinematics(arm: ArmModel, q, allow_out_of_limits=False):
@@ -166,7 +172,7 @@ def jacobian(arm: ArmModel, q, allow_out_of_limits=False):
     Rows 0-2 map joint rates to flange linear velocity, rows 3-5 to
     angular velocity.
     """
-    return _chain(arm._chain_consts, _joint_array(arm, q, allow_out_of_limits))[1]
+    return _frames(arm, q, allow_out_of_limits)[1]
 
 
 # Twists within this of their nominal value, and offsets within this of
@@ -371,16 +377,8 @@ def inverse_kinematics(
     q = np.broadcast_to(seeds, targets.shape[:2] + (6,)).swapaxes(0, 1).reshape(-1, 6).copy()
     targets = targets.swapaxes(0, 1).reshape(-1, 7)
     who = np.tile(np.arange(n_arms), len(q) // n_arms)
-    # Each row's chain constants and joint limits (lo, hi); those of a
-    # single arm broadcast over its rows as they are.
-    gathered = n_arms > 1
-
-    def per_row(values):
-        return np.stack(values)[who] if gathered else values[0]
-
-    consts = tuple(per_row(c) for c in zip(*(a._chain_consts for a in arms)))
-    limits = tuple(per_row([a.joint_limits[:, k] for a in arms]) for k in (0, 1))
-    if not (np.all(q >= limits[0]) and np.all(q <= limits[1])):
+    limits = np.stack([a.joint_limits for a in arms])[:, None]
+    if not (np.all(seeds >= limits[..., 0]) and np.all(seeds <= limits[..., 1])):
         raise InvalidInputError("IK seed violates joint limits")
 
     # The first failing row: (index, message, position and rotation residual).
@@ -413,8 +411,15 @@ def inverse_kinematics(
     rows = np.flatnonzero((res[:, 0] > tol_pos) | (res[:, 1] > tol_rot))
     rows = rows[rows < failure[0]]
     q_a, err_a, J_a, res_a, tgt_a = (x[rows] for x in (q, err, J, res, targets))
-    consts_a, limits_a = ((tuple(c[rows] for c in x) for x in (consts, limits)) if gathered
-                          else (consts, limits))
+    # Each iterating row's chain constants and joint limits (lo, hi); those
+    # of a single arm broadcast over its rows as they are.
+    gathered = n_arms > 1
+
+    def per_row(values):
+        return np.stack(values)[who[rows]] if gathered else values[0]
+
+    consts_a = tuple(per_row(c) for c in zip(*(a._chain_consts for a in arms)))
+    limits_a = tuple(per_row([a.joint_limits[:, k] for a in arms]) for k in (0, 1))
     best_a = res_a.copy()
     lam_a = np.full(len(rows), _LAMBDA0)
     retries_a = np.zeros(len(rows), dtype=int)

@@ -10,7 +10,14 @@ Every function of joint configurations also takes stacks q[..., 6] (the
 leading axes of q1 and q2 broadcast) and returns stacked results. Stacks
 are evaluated in blocks of _BLOCK_ROWS rows, so peak memory does not grow
 with their length; an error raised for one row carries that row of the
-flattened stack as `index`.
+flattened stack as `index`. A block evaluates arm 2's flange and Jacobian
+in one frame pass (`kinematics._frames`).
+
+A Jacobian is rank deficient when its smallest singular value is at most
+_MIN_SINGULAR_VALUE. The check is certified by one batched inverse per
+block, since sigma_min(J) >= 1 / ||J^-1||_F; only the rows it cannot
+certify, or every row of a block on which the inverse fails, get an SVD,
+which decides and names the first deficient row.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from .errors import ClosureError, InvalidInputError, SingularConfigurationError
 from .geometry import Pose, rotate6, transport_compliance, transport_stiffness
-from .kinematics import ArmModel, flange_transform, jacobian
+from .kinematics import ArmModel, _frames, flange_transform, jacobian
 
 CLOSURE_TOL = 1e-4
 _MIN_SINGULAR_VALUE = 1e-8
@@ -140,14 +147,34 @@ def _spd_inverse(M, what):
     return np.swapaxes(Li, -1, -2) @ Li
 
 
+def _uncertified(J):
+    """Indices of the finite square matrices J[m, n, n] whose smallest
+    singular value the screen cannot put above _MIN_SINGULAR_VALUE.
+    sigma_min(J) >= 1 / ||J^-1||_F, so a matrix with 1 / ||J^-1||_F >
+    2 _MIN_SINGULAR_VALUE has full rank; the factor 2 covers the rounding
+    of the computed inverse. A NaN bound, and every matrix of a stack on
+    which the inverse fails, is uncertified."""
+    try:
+        Ji = np.linalg.inv(J)
+    except np.linalg.LinAlgError:
+        return np.arange(len(J))
+    with np.errstate(over="ignore"):
+        bound = 1.0 / np.sqrt(np.sum(Ji * Ji, axis=(-2, -1)))
+    return np.flatnonzero(~(bound > 2 * _MIN_SINGULAR_VALUE))
+
+
 def _compliance_from_jacobian(J, k_diag):
-    """J K_joint^-1 J^T for stacked square Jacobians J[..., n, n],
-    rejecting rank-deficient ones."""
-    sv = np.linalg.svd(J, compute_uv=False)
-    bad = np.flatnonzero(sv[..., -1] <= _MIN_SINGULAR_VALUE)
+    """J K_joint^-1 J^T for stacked finite square Jacobians J[..., n, n],
+    rejecting rank-deficient ones. Only the rows `_uncertified` leaves
+    get an SVD, which decides."""
+    flat = J.reshape((-1,) + J.shape[-2:])
+    unsure = _uncertified(flat)
+    bad = unsure
+    if unsure.size:
+        bad = unsure[np.linalg.svd(flat[unsure], compute_uv=False)[:, -1] <= _MIN_SINGULAR_VALUE]
     if bad.size:
         index = int(bad[0])
-        Ji = J.reshape((-1,) + J.shape[-2:])[index]
+        Ji = flat[index]
         u, svi, _ = np.linalg.svd(Ji)
         dir6 = u[:, -1]
         axis = _AXES[int(np.argmax(np.abs(dir6[: len(_AXES)])))] if len(dir6) >= 6 else "n/a"
@@ -170,6 +197,10 @@ def stiffness_from_jacobian(J, k_diag):
     k = np.asarray(k_diag, dtype=float)
     if J.ndim < 2 or J.shape[-2] != J.shape[-1] or k.shape != J.shape[-1:]:
         raise InvalidInputError("Jacobian must be square with matching joint stiffness length")
+    if not np.all(np.isfinite(J)):
+        raise InvalidInputError("Jacobian contains non-finite values")
+    if not np.all(k > 0) or not np.all(np.isfinite(k)):
+        raise InvalidInputError("joint stiffness entries must be positive and finite")
     return _symmetric(_spd_inverse(_compliance_from_jacobian(J, k), "Cartesian compliance"))
 
 
@@ -223,20 +254,20 @@ def check_closure(actual, planned, tol, message):
 
 
 def _branch_frames(sys: CoupledSystem, q1, q2, allow_out_of_limits, closure_tol):
-    """Arm-1 flange, arm-2 flange, arm-2 attachment and tool transforms of
-    a block of configuration pairs, with the closure check."""
+    """Arm-1 flange, arm-2 flange and Jacobian, arm-2 attachment and tool
+    transforms of a block of configuration pairs, with the closure check.
+    Arm 2's flange and Jacobian come from one frame pass."""
     fk1 = flange_transform(sys.arm1, q1, allow_out_of_limits)
-    fk2 = flange_transform(sys.arm2, q2, allow_out_of_limits)
+    fk2, J2 = _frames(sys.arm2, q2, allow_out_of_limits)
     attach = fk1 @ sys.flange2_offset.matrix()
     check_closure(_position(fk2), _position(attach), closure_tol,
                   "kinematic closure violated: arm-2 flange is {gap:.3e} m from its attachment frame")
     tool = fk1 @ sys.tool_offset.matrix()
-    return fk1, fk2, attach, tool
+    return fk1, fk2, J2, attach, tool
 
 
-def _branch2_compliance(sys: CoupledSystem, q2, fk2, attach, allow_out_of_limits):
+def _branch2_compliance(sys: CoupledSystem, J2, fk2, attach):
     """Series compliance of arm 2 and the spring, at the attachment point."""
-    J2 = jacobian(sys.arm2, q2, allow_out_of_limits)
     C2 = _compliance_from_jacobian(J2, sys.joint_stiffness2.diag)
     C2 = transport_compliance(C2, _position(attach) - _position(fk2))
     R6 = rotate6(attach[:, :3, :3])
@@ -244,10 +275,10 @@ def _branch2_compliance(sys: CoupledSystem, q2, fk2, attach, allow_out_of_limits
 
 
 def _coupled_block(sys, q1, q2, allow_out_of_limits, closure_tol):
-    fk1, fk2, attach, tool = _branch_frames(sys, q1, q2, allow_out_of_limits, closure_tol)
+    fk1, fk2, J2, attach, tool = _branch_frames(sys, q1, q2, allow_out_of_limits, closure_tol)
     K1 = cartesian_stiffness(sys.arm1, q1, sys.joint_stiffness1, allow_out_of_limits)
     K1_tool = transport_stiffness(K1, _position(tool) - _position(fk1))
-    C_branch2 = _branch2_compliance(sys, q2, fk2, attach, allow_out_of_limits)
+    C_branch2 = _branch2_compliance(sys, J2, fk2, attach)
     C_branch2_tool = transport_compliance(C_branch2, _position(tool) - _position(attach))
     return _symmetric(K1_tool + _spd_inverse(C_branch2_tool, "arm-2 branch compliance"))
 
@@ -265,8 +296,8 @@ def coupled_stiffness(sys: CoupledSystem, q1, q2, allow_out_of_limits=False, clo
 
 
 def _branch_block(sys, q1, q2, allow_out_of_limits):
-    _, fk2, attach, _ = _branch_frames(sys, q1, q2, allow_out_of_limits, CLOSURE_TOL)
-    return _symmetric(_branch2_compliance(sys, q2, fk2, attach, allow_out_of_limits))
+    _, fk2, J2, attach, _ = _branch_frames(sys, q1, q2, allow_out_of_limits, CLOSURE_TOL)
+    return _symmetric(_branch2_compliance(sys, J2, fk2, attach))
 
 
 def branch_compliance(sys: CoupledSystem, q1, q2, allow_out_of_limits=False):

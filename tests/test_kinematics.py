@@ -461,6 +461,13 @@ class TestMultiArmInverseKinematics:
         with pytest.raises(InvalidInputError, match="seed violates joint limits"):
             inverse_kinematics(arms, targets[:, :2], seeds)
 
+    def test_shared_seed_below_the_lower_limit_rejected(self, arms):
+        arms, targets, seeds = arms
+        seeds = seeds[:, 0].copy()
+        seeds[0, 5] = -3.0  # beyond the -2.9 rad limit
+        with pytest.raises(InvalidInputError, match="seed violates joint limits"):
+            inverse_kinematics(arms, targets[:, :2], seeds)
+
     @pytest.mark.parametrize("targets, seeds", [
         (lambda t: t[0, :3], lambda s: s[:, 0]),         # rows of one arm
         (lambda t: t[:1, :3], lambda s: s[:, 0]),        # one arm's rows for two arms
@@ -472,6 +479,19 @@ class TestMultiArmInverseKinematics:
         arms, t, s = arms
         with pytest.raises(InvalidInputError):
             inverse_kinematics(arms, targets(t), seeds(s))
+
+    def test_exact_seeds_iterate_no_row(self, arms, monkeypatch):
+        """Seeds that already reproduce their targets come back unchanged,
+        and the lockstep loop, whose every step starts with one batched
+        solve, takes no step."""
+        arms, _, seeds = arms
+        targets = np.stack([forward_kinematics(arm, s[:40]) for arm, s in zip(arms, seeds)])
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("an IK row iterated")
+
+        monkeypatch.setattr(np.linalg, "solve", no_step)
+        np.testing.assert_array_equal(inverse_kinematics(arms, targets, seeds[:, :40]), seeds[:, :40])
 
     def test_empty_stack(self, arms):
         arms, targets, seeds = arms

@@ -1,16 +1,27 @@
 """Property tests of the physical models: the tension offset and the
 predicted tension as an inverse pair over random configuration stacks,
-and the rigid fit recovering random proper rigid motions."""
+the rank check of the stiffness layer against a plain SVD, and the rigid
+fit recovering random proper rigid motions."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twinmill.compensation import PathTrace, RigidTransform, fit_rigid
+from twinmill.errors import SingularConfigurationError
 from twinmill.geometry import Pose
 from twinmill.kinematics import jacobian
-from twinmill.stiffness import CoupledSystem, JointStiffness, SpringModel, Wrench, predicted_tension, tension_offset
+from twinmill.stiffness import (
+    CoupledSystem,
+    JointStiffness,
+    SpringModel,
+    Wrench,
+    _compliance_from_jacobian,
+    predicted_tension,
+    tension_offset,
+)
 
 from conftest import make_test_arm
 
@@ -57,6 +68,38 @@ def test_predicted_tension_inverts_tension_offset(shares, log_k, force, torque):
     assert back.shape == q.shape
     scale = max(np.linalg.norm(w.as_vector()), 1.0)
     assert np.all(np.linalg.norm(back - w.as_vector(), axis=1) <= 1e-9 * scale)
+
+
+def random_orthogonal(rng):
+    Q, R = np.linalg.qr(rng.normal(size=(6, 6)))
+    return Q * np.sign(np.diag(R))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0]),
+    arrays(np.float64, 5, elements=st.floats(1e-3, 10.0)),
+    st.integers(0, 7),
+)
+def test_rank_check_rejects_what_the_svd_rejects(seed, min_share, others, position):
+    """J = U diag(s) V^T with smallest singular value min_share * 1e-8, in
+    a stack of 8 otherwise orthogonal matrices: the inverse screen plus
+    its SVD fallback raise exactly when a plain SVD puts sigma_min at or
+    below 1e-8, and name J's row."""
+    rng = np.random.default_rng(seed)
+    s = np.concatenate([[min_share * 1e-8], others])
+    J = random_orthogonal(rng) @ np.diag(s) @ random_orthogonal(rng).T
+    stack = np.array([random_orthogonal(rng) for _ in range(8)])
+    stack[position] = J
+    k = np.exp(rng.uniform(np.log(5e5), np.log(5e6), 6))
+    if np.linalg.svd(J, compute_uv=False)[-1] <= 1e-8:
+        with pytest.raises(SingularConfigurationError) as exc:
+            _compliance_from_jacobian(stack, k)
+        assert exc.value.index == position
+    else:
+        C = _compliance_from_jacobian(stack, k)
+        np.testing.assert_array_equal(C, (stack * (1.0 / k)) @ np.swapaxes(stack, -1, -2))
 
 
 @PROPERTY

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from twinmill.errors import ClosureError, SingularConfigurationError
+from twinmill import kinematics
+from twinmill.compensation import simulate_deformation
+from twinmill.errors import ClosureError, InvalidInputError, SingularConfigurationError
 from twinmill.geometry import Pose, rotate6, transport_stiffness
 from twinmill.kinematics import forward_kinematics, jacobian
 from twinmill.stiffness import (
@@ -331,3 +335,100 @@ class TestStacked:
         with pytest.raises(ClosureError) as exc:
             coupled_stiffness(cfg.system, q1, q2)
         assert exc.value.index == 270
+
+
+RANK_DEFICIENT = re.compile(r"Jacobian is rank deficient \(smallest singular value \S+\); "
+                            r"deficient direction dominated by axis '(x|y|z|rx|ry|rz)'")
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_jacobian_must_be_finite(self, test_arm, value):
+        J = jacobian(test_arm, np.full(6, 0.3))
+        J[2, 4] = value
+        with pytest.raises(InvalidInputError, match="Jacobian contains non-finite values"):
+            stiffness_from_jacobian(J, KS.diag)
+
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_joint_stiffness_must_be_positive_and_finite(self, test_arm, value):
+        k = KS.diag.copy()
+        k[3] = value
+        with pytest.raises(InvalidInputError, match="joint stiffness entries must be positive and finite"):
+            stiffness_from_jacobian(jacobian(test_arm, np.full(6, 0.3)), k)
+
+
+class TestRankScreen:
+    """Rank deficiency is screened with one batched inverse; the rows it
+    cannot certify get the SVD, which names the first deficient one."""
+
+    @pytest.fixture
+    def stack(self, test_arm):
+        rng = np.random.default_rng(41)
+        return np.array([random_nonsingular_q(test_arm, rng) for _ in range(300)])
+
+    def test_singular_row_in_the_second_block_is_named(self, test_arm, stack):
+        stack[270, 4] = 0.0  # q5 = 0 aligns joints 4 and 6
+        with pytest.raises(SingularConfigurationError) as exc:
+            cartesian_stiffness(test_arm, stack, KS)
+        assert exc.value.index == 270
+        assert RANK_DEFICIENT.fullmatch(str(exc.value))
+        with pytest.raises(SingularConfigurationError) as alone:
+            cartesian_stiffness(test_arm, stack[270], KS)
+        assert str(alone.value) == str(exc.value)
+
+    def test_exactly_singular_matrix_sends_its_block_to_the_svd(self, test_arm, stack):
+        J = jacobian(test_arm, stack)
+        J[270, :, 2] = 0.0  # np.linalg.inv raises on the whole block
+        with pytest.raises(SingularConfigurationError) as exc:
+            stiffness_from_jacobian(J, KS.diag)
+        assert exc.value.index == 270
+        assert RANK_DEFICIENT.fullmatch(str(exc.value))
+
+    def test_demo_rows_are_certified_without_an_svd(self, cfg, demo_rows, monkeypatch):
+        idx = np.arange(300) % len(demo_rows[0])
+        q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
+        expected = coupled_stiffness(cfg.system, q1, q2)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the rank check ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        np.testing.assert_array_equal(coupled_stiffness(cfg.system, q1, q2), expected)
+        tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0])))
+
+
+class TestFramePasses:
+    """Kinematic-chain rows per setpoint: `coupled_stiffness` takes 3 (arm
+    1's flange, arm 1's Jacobian in `cartesian_stiffness`, arm 2's flange
+    and Jacobian in one pass), `tension_offset` 2 and
+    `simulate_deformation` 5 (its two closure checks, then
+    `coupled_stiffness`)."""
+
+    @pytest.fixture
+    def chain_rows(self, monkeypatch):
+        rows = [0]
+        chain = kinematics._chain
+
+        def counted(consts, q):
+            rows[0] += int(np.prod(q.shape[:-1]))
+            return chain(consts, q)
+
+        monkeypatch.setattr(kinematics, "_chain", counted)
+        return rows
+
+    @pytest.fixture
+    def pairs(self, demo_rows):
+        idx = np.arange(300) % len(demo_rows[0])
+        return demo_rows[0][idx], demo_rows[1][idx]
+
+    def test_coupled_stiffness(self, cfg, pairs, chain_rows):
+        coupled_stiffness(cfg.system, *pairs)
+        assert chain_rows[0] == 3 * 300
+
+    def test_tension_offset(self, cfg, pairs, chain_rows):
+        tension_offset(cfg.system, *pairs, Wrench(np.array([1000.0, 0.0, 0.0])))
+        assert chain_rows[0] == 2 * 300
+
+    def test_simulate_deformation(self, cfg, demo_program, chain_rows):
+        simulate_deformation(cfg.system, demo_program)
+        assert chain_rows[0] == 5 * len(demo_program.pairs)
