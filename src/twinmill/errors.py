@@ -10,16 +10,14 @@ class InvalidInputError(TwinmillError):
 
 
 class UnreachableTargetError(TwinmillError):
-    """IK failed to converge; carries the best residual seen and, for
-    stacked targets, the failing row as `index` and, when several arms
-    were solved together, the failing arm's position as `arm`."""
+    """IK of one arm failed to converge; carries the best residual seen
+    and, for stacked targets, the failing row as `index`."""
 
-    def __init__(self, message, pos_residual=None, rot_residual=None, index=None, arm=None):
+    def __init__(self, message, pos_residual=None, rot_residual=None, index=None):
         super().__init__(message)
         self.pos_residual = pos_residual
         self.rot_residual = rot_residual
         self.index = index
-        self.arm = arm
 
 
 class SingularConfigurationError(TwinmillError):

@@ -5,9 +5,9 @@ DH convention is standard Denavit-Hartenberg (RotZ(theta) TransZ(d)
 TransX(a) RotX(alpha)); all joints revolute. One kernel evaluates the
 flange transform and the Jacobian of stacked configurations q[..., 6];
 a single (6,) configuration is its unstacked case. Inverse kinematics
-solves stacked targets in lockstep, for one arm or for several arms at
-once; one target of one arm is its N=1, A=1 case. It is the only solver
-that certifies a tolerance and the joint limits. Ortho-parallel arms with
+solves the stacked targets of one arm in lockstep; one target is its N=1
+case, and each arm is solved on its own. It is the only solver that
+certifies a tolerance and the joint limits. Ortho-parallel arms with
 a spherical wrist, such as both demo arms, also have a closed-form IK of
 8 branches for stacked targets, which gives path planning exact seeds.
 """
@@ -94,10 +94,6 @@ class ArmModel:
         q = _joint_array(self, q, allow_out_of_limits=True, stacked=False)
         return bool(np.all(q >= self.joint_limits[:, 0]) and np.all(q <= self.joint_limits[:, 1]))
 
-    def clamp(self, q):
-        q = _joint_array(self, q, allow_out_of_limits=True, stacked=False)
-        return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
-
 
 def _joint_array(arm, q, allow_out_of_limits, stacked=True):
     """Validated joint configurations: (6,) or, with `stacked`, q[..., 6]."""
@@ -117,8 +113,7 @@ def _chain(consts, q):
     """Flange transforms T[..., 4, 4] and geometric Jacobians J[..., 6, 6]
     of stacked configurations q[..., 6], both from one pass over the frames.
 
-    `consts` are an arm's `_chain_consts`, or those of several arms
-    gathered per row of q (each with q's leading axes in front).
+    `consts` are one arm's `_chain_consts`.
     """
     offset, links_cos, links_sin, links_fixed, base, flange = consts
     theta = (q + offset)[..., None, None]
@@ -315,39 +310,20 @@ def _norm(err):
     return np.sqrt(np.sum(err * err, axis=1))
 
 
-def _ik_stacks(arm, targets, seeds):
-    """The arms of an IK call, its targets [A, N, 7], its seeds [A, 1, 6]
-    (one per arm) or [A, N, 6], and the shape of its result."""
-    if isinstance(arm, ArmModel):
-        if targets.ndim > 2 or seeds.ndim > 2 or (targets.ndim == seeds.ndim == 2 and len(targets) != len(seeds)):
-            raise InvalidInputError("IK takes targets [N, 7] with one seed (6,) or seeds [N, 6]")
-        lead = targets.shape[:-1] or seeds.shape[:-1]
-        n = lead[0] if lead else 1
-        return (arm,), np.broadcast_to(targets, (1, n, 7)), seeds[None] if seeds.ndim == 2 else seeds[None, None], lead + (6,)
-    arms = tuple(arm) if isinstance(arm, (tuple, list)) else ()
-    if not (arms and all(isinstance(a, ArmModel) for a in arms) and targets.ndim == 3
-            and len(targets) == len(arms) and seeds.ndim in (2, 3) and len(seeds) == len(arms)
-            and seeds.shape[1:-1] in ((), targets.shape[1:2])):
-        raise InvalidInputError("IK of A arms takes targets [A, N, 7] with seeds [A, 6] or [A, N, 6]")
-    return arms, targets, seeds[:, None] if seeds.ndim == 2 else seeds, targets.shape[:2] + (6,)
-
-
 def inverse_kinematics(
-    arm,
+    arm: ArmModel,
     target,
     seed,
     tol_pos=DEFAULT_TOL_POS,
     tol_rot=DEFAULT_TOL_ROT,
     max_iter=DEFAULT_MAX_ITER,
 ):
-    """Damped least-squares IK on the 6-D pose error twist.
+    """Damped least-squares IK on the 6-D pose error twist of one arm.
 
-    For one ArmModel, `target` is one Pose or stacked pose rows [N, 7];
-    `seed` is (6,), shared by every target, or one seed per target
-    [N, 6]. A Pose with a (6,) seed gives q (6,), anything else q [N, 6].
-    For a tuple of A arms, `target` holds rows [A, N, 7], arm a's targets
-    in targets[a], and `seed` is one seed per arm [A, 6] or one per
-    target [A, N, 6]; the result is q [A, N, 6].
+    `target` is one Pose or stacked pose rows [N, 7]; `seed` is (6,),
+    shared by every target, or one seed per target [N, 6]. A Pose with a
+    (6,) seed gives q (6,), anything else q [N, 6]. Each arm is solved on
+    its own call.
 
     The rows are solved in lockstep: each step evaluates one trial per
     row still iterating, with one kernel call and one batched solve. Each
@@ -357,69 +333,55 @@ def inverse_kinematics(
     or `max_iter` accepted steps. Joint limits are enforced by clamping
     every trial, so solutions are always feasible. Deterministic:
     identical inputs give bit-identical outputs, and a row's solution
-    depends neither on the other rows nor on the other arms.
+    does not depend on the other rows.
 
     A row that fails raises UnreachableTargetError for the first failing
-    row, with its best residual, that row as `index` and, for a tuple of
-    arms, the arm's position in the tuple as `arm`. Rows are ordered
-    target-major: target n of every arm comes before target n + 1, and
-    on a tie the first arm of the tuple is the one named.
+    row, with its best residual and that row as `index`.
     """
+    if not isinstance(arm, ArmModel):
+        raise InvalidInputError("IK takes one ArmModel; solve each arm with its own call")
     if tol_pos <= 0 or tol_rot <= 0:
         raise InvalidInputError("tolerances must be positive")
     if max_iter < 1:
         raise InvalidInputError("max_iter must be at least 1")
     targets = pose_rows(target)
-    seeds = _joint_array(None, seed, allow_out_of_limits=True)
-    arms, targets, seeds, out_shape = _ik_stacks(arm, targets, seeds)
-    # Rows target-major: row n * A + a is target n of arm a.
-    n_arms = len(arms)
-    q = np.broadcast_to(seeds, targets.shape[:2] + (6,)).swapaxes(0, 1).reshape(-1, 6).copy()
-    targets = targets.swapaxes(0, 1).reshape(-1, 7)
-    who = np.tile(np.arange(n_arms), len(q) // n_arms)
-    limits = np.stack([a.joint_limits for a in arms])[:, None]
-    if not (np.all(seeds >= limits[..., 0]) and np.all(seeds <= limits[..., 1])):
+    seeds = _joint_array(arm, seed, allow_out_of_limits=True)
+    if targets.ndim > 2 or seeds.ndim > 2 or (targets.ndim == seeds.ndim == 2 and len(targets) != len(seeds)):
+        raise InvalidInputError("IK takes targets [N, 7] with one seed (6,) or seeds [N, 6]")
+    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
+    if not (np.all(seeds >= lo) and np.all(seeds <= hi)):
         raise InvalidInputError("IK seed violates joint limits")
+    lead = targets.shape[:-1] or seeds.shape[:-1]
+    targets = np.broadcast_to(targets, (lead[0] if lead else 1, 7))
+    seeds = seeds.reshape(-1, 6)
+    q = np.broadcast_to(seeds, (len(targets), 6)).copy()
 
     # The first failing row: (index, message, position and rotation residual).
     # Rows after it no longer matter and are not iterated.
     failure = (len(q), None, None, None)
     # The flange lies within reach + |flange offset| of the base origin.
-    extent = np.array([a.reach + np.linalg.norm(a.flange_offset.position) for a in arms])[who]
-    base = np.array([a.base_pose.position for a in arms])[who]
-    dist = np.linalg.norm(targets[:, :3] - base, axis=1)
+    extent = arm.reach + np.linalg.norm(arm.flange_offset.position)
+    dist = np.linalg.norm(targets[:, :3] - arm.base_pose.position, axis=1)
     far = np.flatnonzero(dist > extent)
     if far.size:
         i = int(far[0])
-        failure = (i, f"target {dist[i]:.3f} m from base exceeds the arm's extent {extent[i]:.3f} m "
-                      f"(reach + |flange offset|)", dist[i] - extent[i], None)
+        failure = (i, f"target {dist[i]:.3f} m from base exceeds the arm's extent {extent:.3f} m "
+                      f"(reach + |flange offset|)", dist[i] - extent, None)
 
     # The seeds go through forward_kinematics and jacobian, one call each
-    # per arm (on its one shared seed, if so given), where the benchmark's
-    # span tracer (perfbench/spans.py) counts FK and Jacobian calls. Each
-    # trial step evaluates its pose and Jacobian in one kernel call, and
-    # the Jacobian of an accepted step is reused by the next.
-    err, J = np.empty((len(q), 6)), np.empty((len(q), 6, N_JOINTS))
-    for a, arm_a in enumerate(arms):
-        mine = slice(a, None, n_arms)
-        err[mine] = pose_error(forward_kinematics(arm_a, seeds[a], allow_out_of_limits=True), targets[mine])
-        J[mine] = jacobian(arm_a, seeds[a], allow_out_of_limits=True)
+    # (on the one shared seed, if so given), where the benchmark's span
+    # tracer (perfbench/spans.py) counts FK and Jacobian calls. Each trial
+    # step evaluates its pose and Jacobian in one kernel call, and the
+    # Jacobian of an accepted step is reused by the next.
+    err = pose_error(forward_kinematics(arm, seeds, allow_out_of_limits=True), targets)
+    J = np.broadcast_to(jacobian(arm, seeds, allow_out_of_limits=True), (len(q), 6, N_JOINTS))
     res = _residuals(err)
     # Per row still iterating (`rows` holds their indices, ascending): its
     # q, error, Jacobian, residuals, best residual, target, damping,
-    # rejected trials in a row, accepted steps, and constants.
+    # rejected trials in a row and accepted steps.
     rows = np.flatnonzero((res[:, 0] > tol_pos) | (res[:, 1] > tol_rot))
     rows = rows[rows < failure[0]]
     q_a, err_a, J_a, res_a, tgt_a = (x[rows] for x in (q, err, J, res, targets))
-    # Each iterating row's chain constants and joint limits (lo, hi); those
-    # of a single arm broadcast over its rows as they are.
-    gathered = n_arms > 1
-
-    def per_row(values):
-        return np.stack(values)[who[rows]] if gathered else values[0]
-
-    consts_a = tuple(per_row(c) for c in zip(*(a._chain_consts for a in arms)))
-    limits_a = tuple(per_row([a.joint_limits[:, k] for a in arms]) for k in (0, 1))
     best_a = res_a.copy()
     lam_a = np.full(len(rows), _LAMBDA0)
     retries_a = np.zeros(len(rows), dtype=int)
@@ -428,8 +390,8 @@ def inverse_kinematics(
         Jt = np.swapaxes(J_a, 1, 2)
         A = J_a @ Jt + (lam_a**2)[:, None, None] * _EYE6
         dq = (Jt @ np.linalg.solve(A, err_a[:, :, None]))[:, :, 0]
-        q_new = np.clip(q_a + dq, *limits_a)
-        T_new, J_new = _chain(consts_a, q_new)
+        q_new = np.clip(q_a + dq, lo, hi)
+        T_new, J_new = _chain(arm._chain_consts, q_new)
         err_new = pose_error(matrix_pose_rows(T_new), tgt_a)
         ok = _norm(err_new) <= _norm(err_a)
         res_new = _residuals(err_new)
@@ -462,11 +424,7 @@ def inverse_kinematics(
             rows, q_a, err_a, J_a, res_a, tgt_a, best_a, lam_a, retries_a, steps_a = (
                 x[keep] for x in (rows, q_a, err_a, J_a, res_a, tgt_a, best_a, lam_a, retries_a, steps_a)
             )
-            if gathered:
-                consts_a, limits_a = (tuple(c[keep] for c in x) for x in (consts_a, limits_a))
     row, message, pos_residual, rot_residual = failure
     if message is not None:
-        index, a = divmod(row, n_arms)
-        raise UnreachableTargetError(message, pos_residual=pos_residual, rot_residual=rot_residual,
-                                     index=index, arm=None if isinstance(arm, ArmModel) else a)
-    return q.reshape(len(q) // n_arms, n_arms, 6).swapaxes(0, 1).reshape(out_shape)
+        raise UnreachableTargetError(message, pos_residual=pos_residual, rot_residual=rot_residual, index=row)
+    return q.reshape(lead + (6,))

@@ -10,6 +10,7 @@ linear frequency-shift-vs-tension fit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +177,8 @@ def h1_estimate(records, nfft=None, force_threshold=0.02, exp_final=0.01,
             raise InvalidInputError("impact records differ in sample rate, axis, position or tension")
     if nfft is None:
         nfft = max(len(r.force) for r in records)
+    if isinstance(nfft, bool) or not (isinstance(nfft, numbers.Integral) and nfft >= 2):
+        raise InvalidInputError(f"nfft must be an integer >= 2, got {nfft!r:.40}")
     s_ff = np.zeros(nfft // 2 + 1)
     s_fa = np.zeros(nfft // 2 + 1, dtype=complex)
     for r in records:

@@ -256,6 +256,8 @@ def parse_gcode(text, orientation=None) -> ToolPath:
 def translate_path(path: ToolPath, delta) -> ToolPath:
     """Shift a whole path by a world-frame vector (work offset)."""
     delta = np.asarray(delta, dtype=float)
+    if delta.shape != (3,) or not np.all(np.isfinite(delta)):
+        raise InvalidInputError("path translation must be a finite 3-vector")
     segments = []
     for s in path.segments:
         if isinstance(s, LinearSegment):
@@ -569,20 +571,31 @@ def apply_world_offset(poses, offsets):
     return Pose(out[:3], out[3:]) if isinstance(poses, Pose) else out
 
 
-def _ik_prefix(arm, targets, seed, tol):
-    """Stacked IK of `targets` (rows [N, 7], or [A, N, 7] for a tuple of
-    arms). On a failure, the solutions of the targets before the first
-    failing one, and that failure; else (all, None)."""
-    try:
-        return inverse_kinematics(arm, targets, seed, *tol), None
-    except UnreachableTargetError as exc:
-        seed = seed[..., : exc.index, :] if np.ndim(seed) == np.ndim(targets) else seed
-        return inverse_kinematics(arm, targets[..., : exc.index, :], seed, *tol), exc
+def _solve(arm, targets, blocks, tol):
+    """Stacked IK of one arm's targets (rows [N, 7]) by the blocks (start,
+    stop, seeds) of `blocks(q)`, in order, `seeds` one (6,) for the block
+    or one per row; when a block is asked for, q[:start] holds the
+    solutions of the blocks before. Each IK call takes _BLOCK_ROWS rows at
+    most. Returns the solutions of the targets before the first failing
+    one and that UnreachableTargetError, or (all of them, None)."""
+    q = np.empty((len(targets), 6))
+    for start, stop, seeds in blocks(q):
+        for first in range(start, stop, _BLOCK_ROWS):
+            last = min(first + _BLOCK_ROWS, stop)
+            seed = seeds if np.ndim(seeds) == 1 else seeds[first - start : last - start]
+            try:
+                q[first:last] = inverse_kinematics(arm, targets[first:last], seed, *tol)
+            except UnreachableTargetError as exc:
+                last = first + exc.index
+                seed = seed if np.ndim(seed) == 1 else seed[: exc.index]
+                q[first:last] = inverse_kinematics(arm, targets[first:last], seed, *tol)
+                return q[:last], exc
+    return q, None
 
 
 def _seed_blocks(positions):
     """Bounds (start, stop) of the pass-1 blocks of the tool positions
-    [N, 3]. The first block is row 0, seeded by the caller's seeds. Every
+    [N, 3]. The first block is row 0, seeded by the caller's seed. Every
     later block is seeded by the last row of the block before and holds
     the rows that lie at most _SEED_SPAN_M of path (cumulative chord
     length) after that seed row, at least one."""
@@ -594,41 +607,38 @@ def _seed_blocks(positions):
         stop = max(start + 1, int(np.searchsorted(s, s[start - 1] + _SEED_SPAN_M, side="right")))
 
 
-def _branch_seeds(arms, targets, q_before, joint_jump_max):
-    """Closed-form IK seeds [A, N, 6] of the targets [A, N, 7] that follow
-    the solutions q_before [A, 6] along the path, each arm on the branch of
-    its q_before. None if an arm has no closed-form IK, a row has no
-    solution within the joint limits on that branch, or consecutive seeds,
-    q_before first, jump by more than joint_jump_max (as across a wrist
-    flip near q5 = 0)."""
-    if not all(arm.has_closed_form_ik for arm in arms):
+def _branch_seeds(arm, targets, q_before, joint_jump_max):
+    """Closed-form IK seeds [N, 6] of one arm's targets [N, 7] that follow
+    its solution q_before (6,) along the path, on the branch of q_before.
+    None if the arm has no closed-form IK, a row has no solution within
+    the joint limits on that branch, or consecutive seeds, q_before first,
+    jump by more than joint_jump_max (as across a wrist flip near q5 = 0)."""
+    if not arm.has_closed_form_ik:
         return None
-    seeds = np.stack([closed_form_ik(arm, t, ik_branch(arm, q), near=q)
-                      for arm, t, q in zip(arms, targets, q_before)])
-    path = np.concatenate([q_before[:, None], seeds], axis=1)
-    lo, hi = (np.stack([arm.joint_limits[:, k] for arm in arms])[:, None] for k in (0, 1))
-    if np.all(path >= lo) and np.all(path <= hi) and np.all(np.abs(np.diff(path, axis=1)) <= joint_jump_max):
+    seeds = closed_form_ik(arm, targets, ik_branch(arm, q_before), near=q_before)
+    path = np.vstack([q_before, seeds])
+    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
+    if np.all(path >= lo) and np.all(path <= hi) and np.all(np.abs(np.diff(path, axis=0)) <= joint_jump_max):
         return seeds
     return None
 
 
-def _pass_one_blocks(arms, targets, positions, seeds, q, joint_jump_max):
-    """(start, stop, seeds) of the pass-1 IK calls of the targets
-    [A, N, 7]. Setpoint 0 comes first, seeded with `seeds`; q[:, :start]
-    holds the solutions of the calls before when the next one is asked
-    for. The rest are blocks of _BLOCK_ROWS with closed-form seeds on the
-    branch of setpoint 0 or, where `_branch_seeds` gives none, the
-    `_seed_blocks` of the tool positions [N, 3], each seeded with the
-    last solutions of the block before."""
-    yield 0, 1, seeds
-    row_seeds = _branch_seeds(arms, targets[:, 1:], q[:, 0], joint_jump_max)
+def _pass_one_blocks(arm, targets, positions, seed, joint_jump_max, q):
+    """The pass-1 blocks of one arm's targets [N, 7], as `_solve` takes
+    them. Setpoint 0 comes first, seeded with `seed`. The rest are one
+    block with closed-form seeds on the branch of setpoint 0's solution
+    or, where `_branch_seeds` gives none, the `_seed_blocks` of the tool
+    positions [N, 3], each seeded with the last solution of the block
+    before."""
+    yield 0, 1, seed
+    if len(targets) < 2:  # no setpoint after 0, or none at all
+        return
+    row_seeds = _branch_seeds(arm, targets[1:], q[0], joint_jump_max)
     if row_seeds is not None:
-        for start in range(1, len(positions), _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, len(positions))
-            yield start, stop, row_seeds[:, start - 1 : stop - 1]
+        yield 1, len(targets), row_seeds
         return
     for start, stop in itertools.islice(_seed_blocks(positions), 1, None):
-        yield start, stop, q[:, start - 1]
+        yield start, stop, q[start - 1]
 
 
 def _ik_failure(i, exc, what):
@@ -653,26 +663,27 @@ def plan_sync(
 ) -> SyncProgram:
     """Generate synchronized setpoint pairs along the path.
 
-    Three passes of stacked IK. Pass 1 solves arm 1 and arm 2's nominal
-    (untensioned) flange pose together, in one lockstep IK per block of
-    setpoints. Setpoint 0 comes first, seeded with `ik_seeds`. Where both
-    arms have a closed-form IK, every later setpoint is seeded with its
-    closed-form solution on the branch of that arm's setpoint-0 solution,
-    in blocks of _BLOCK_ROWS that need no solutions of the blocks before;
-    the damped least-squares IK certifies each row's tolerance and joint
-    limits. Otherwise, or where a row has no solution within the limits
-    on that branch, or consecutive seeds jump by more than
-    `joint_jump_max` (a wrist passing through q5 = 0), every later block
-    is seeded with the last solutions of the block before and holds the
-    setpoints that lie at most _SEED_SPAN_M of path after that seed
-    setpoint (at least one), so the joint trajectories stay on one branch
-    (with max_step >= _SEED_SPAN_M each block is one setpoint on straight
-    moves). Pass 2 is one stacked tension-offset evaluation from the local
-    configurations. Pass 3 solves arm 2's commanded pose in blocks of
+    Three passes of stacked IK; each arm is solved on its own. Pass 1
+    solves arm 1, then arm 2's nominal (untensioned) flange pose, one
+    stacked IK per block of setpoints. Setpoint 0 comes first, seeded with
+    that arm's `ik_seeds` entry. Where the arm has a closed-form IK, every
+    later setpoint is seeded with its closed-form solution on the branch
+    of the arm's setpoint-0 solution, in blocks of _BLOCK_ROWS that need
+    no solutions of the blocks before; the damped least-squares IK
+    certifies each row's tolerance and joint limits. Otherwise, or where
+    a row has no solution within the limits on that branch, or
+    consecutive seeds jump by more than `joint_jump_max` (a wrist passing
+    through q5 = 0), every later block of that arm is seeded with the last
+    solution of the block before and holds the setpoints that lie at most
+    _SEED_SPAN_M of path after that seed setpoint (at least one), so the
+    joint trajectory stays on one branch (with max_step >= _SEED_SPAN_M
+    each block is one setpoint on straight moves). Pass 2 is one stacked
+    tension-offset evaluation from the local configurations. Pass 3 solves arm 2's commanded pose in blocks of
     _BLOCK_ROWS, seeded in closed form as pass 1 is or, where that gives
     no seeds, each row with its nominal solution. A joint jump above
     `joint_jump_max` between consecutive pairs aborts planning. Failures
-    are raised for the first setpoint at which they occur, naming the arm.
+    are raised for the first setpoint at which they occur, naming the arm,
+    arm 1 when both arms fail there.
 
     workspace_box: optional (center, size) arrays in m; every discretized
     tool position must lie inside.
@@ -697,20 +708,18 @@ def plan_sync(
     # covered the setpoints before it, so the first failing setpoint is the
     # one reported, whichever pass finds it.
     failure = None
-    # Pass 1: IK of arm 1 and of arm 2's nominal pose, both arms in one
-    # lockstep solve per block.
-    arms, targets = (sys.arm1, sys.arm2), np.stack([r1, r2_nominal])
-    q_nominal = np.empty((2, n, 6))
-    for start, stop, block_seeds in _pass_one_blocks(arms, targets, tool[:, :3], seeds, q_nominal,
-                                                     joint_jump_max):
-        q_block, exc = _ik_prefix(arms, targets[:, start:stop], block_seeds, tol)
-        k = q_block.shape[1]
-        q_nominal[:, start : start + k] = q_block
-        if exc is not None:
-            failure = _ik_failure(start + k, exc, ("arm 1", "arm 2 nominal")[exc.arm])
-            q_nominal = q_nominal[:, : start + k]
-            break
-    q1, q2_nominal = q_nominal
+    # Pass 1: IK of arm 1, then of arm 2's nominal pose over the setpoints
+    # arm 1 solved, so that arm 1 is named when both fail at one setpoint.
+    q1, exc = _solve(sys.arm1, r1, lambda q: _pass_one_blocks(
+        sys.arm1, r1, tool[:, :3], seeds[0], joint_jump_max, q), tol)
+    if exc is not None:
+        failure = _ik_failure(len(q1), exc, "arm 1")
+    r2_solved, tool_solved = r2_nominal[: len(q1)], tool[: len(q1), :3]
+    q2_nominal, exc = _solve(sys.arm2, r2_solved, lambda q: _pass_one_blocks(
+        sys.arm2, r2_solved, tool_solved, seeds[1], joint_jump_max, q), tol)
+    if exc is not None:
+        failure = _ik_failure(len(q2_nominal), exc, "arm 2 nominal")
+        q1 = q1[: len(q2_nominal)]
 
     # Pass 2: every tension offset in one stacked evaluation.
     try:
@@ -725,17 +734,12 @@ def plan_sync(
     # first failing row.
     m = len(offsets)
     r2_commanded = apply_world_offset(r2_nominal[:m], offsets)
-    seeds2 = _branch_seeds((sys.arm2,), r2_commanded[None], q2_nominal[:1], joint_jump_max) if m else None
-    seeds2 = q2_nominal[:m] if seeds2 is None else seeds2[0]
-    q2 = np.empty((m, 6))
-    for start in range(0, m, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, m))
-        q2_block, exc = _ik_prefix(sys.arm2, r2_commanded[rows], seeds2[rows], tol)
-        q2[start : start + len(q2_block)] = q2_block
-        if exc is not None:
-            m = start + len(q2_block)
-            failure = _ik_failure(m, exc, "arm 2 commanded")
-            break
+    seeds2 = _branch_seeds(sys.arm2, r2_commanded, q2_nominal[0], joint_jump_max) if m else None
+    seeds2 = q2_nominal[:m] if seeds2 is None else seeds2
+    q2, exc = _solve(sys.arm2, r2_commanded, lambda q: [(0, m, seeds2)], tol)
+    if exc is not None:
+        m = len(q2)
+        failure = _ik_failure(m, exc, "arm 2 commanded")
 
     # Continuity guard over the setpoints solved so far, before any failure.
     jumps = np.max(np.abs(np.hstack([np.diff(q1[:m], axis=0), np.diff(q2[:m], axis=0)])), axis=1)

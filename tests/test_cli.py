@@ -134,6 +134,17 @@ class TestFrf:
             files.append(str(p))
         assert cli.main(["frf", *files, "--out", str(tmp_path / "frf.csv")]) == 3
 
+    @pytest.mark.parametrize("nfft", ["0", "-4", "1"])
+    def test_bad_nfft_exits_3(self, tmp_path, capsys, nfft):
+        model = modal.ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
+        p = tmp_path / "impact.csv"
+        p.write_text(modal.impact_record_to_csv(modal.simulate_impact(model, 0.0, sample_rate=2048.0,
+                                                                      duration=0.25)))
+        out = tmp_path / "frf.csv"
+        assert cli.main(["frf", str(p), "--nfft", nfft, "--out", str(out)]) == 3
+        assert "nfft must be an integer >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlan:
     def test_plan_gcode(self, tmp_path, config_file, gcode_file):

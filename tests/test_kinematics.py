@@ -306,8 +306,8 @@ class TestStackedInverseKinematics:
         assert q.shape == (1, 6)
 
     def test_empty_stack(self, test_arm):
-        q = inverse_kinematics(test_arm, np.empty((0, 7)), np.zeros(6))
-        assert q.shape == (0, 6)
+        assert inverse_kinematics(test_arm, np.empty((0, 7)), np.zeros(6)).shape == (0, 6)
+        assert inverse_kinematics(test_arm, np.empty((0, 7)), np.empty((0, 6))).shape == (0, 6)
 
     def test_unreachable_row_is_named(self, stack):
         arm, targets, seeds, _ = stack
@@ -368,6 +368,58 @@ class TestStackedInverseKinematics:
             inverse_kinematics(arm, targets[:3], seeds[:4])
         with pytest.raises(InvalidInputError):
             inverse_kinematics(arm, targets[:4].reshape(2, 2, 7), seeds[0])
+        with pytest.raises(InvalidInputError):
+            inverse_kinematics(arm, targets[:4], seeds[:4].reshape(2, 2, 6))
+        with pytest.raises(InvalidInputError):
+            inverse_kinematics(arm, targets[:3], seeds[:3, :5])  # 5 joints
+
+    @pytest.mark.parametrize("arms", [tuple, list])
+    def test_a_sequence_of_arms_is_rejected(self, stack, arms):
+        """Each arm is solved on its own call."""
+        arm, targets, seeds, _ = stack
+        with pytest.raises(InvalidInputError, match="one ArmModel"):
+            inverse_kinematics(arms([arm, arm]), np.stack([targets[:3]] * 2), np.stack([seeds[:3]] * 2))
+
+    @pytest.mark.parametrize("stuck_rows, index", [((2, 3), 2), ((4,), 4)])
+    def test_failure_while_iterating_names_the_earliest_row(self, stack, stuck_rows, index):
+        """With one step allowed, only rows seeded at their solution
+        converge; the rows moved 0.3 m fail in the same step, and the
+        earliest is named."""
+        arm, targets, seeds, _ = stack
+        solved = inverse_kinematics(arm, targets[:6], seeds[:6])
+        stuck = forward_kinematics(arm, solved)
+        stuck[list(stuck_rows), :3] += 0.3
+        with pytest.raises(UnreachableTargetError) as exc:
+            inverse_kinematics(arm, stuck, solved, max_iter=1)
+        assert exc.value.index == index
+        assert "did not converge in 1 iterations" in str(exc.value)
+
+    def test_seed_limits_checked_per_row(self, stack):
+        arm, targets, seeds, _ = stack
+        seeds = seeds[:2].copy()
+        seeds[1, 0] = 3.0  # beyond the +-2.9 rad limit
+        with pytest.raises(InvalidInputError, match="seed violates joint limits"):
+            inverse_kinematics(arm, targets[:2], seeds)
+
+    def test_shared_seed_below_the_lower_limit_rejected(self, stack):
+        arm, targets, seeds, _ = stack
+        seed = seeds[0].copy()
+        seed[5] = -3.0  # beyond the -2.9 rad limit
+        with pytest.raises(InvalidInputError, match="seed violates joint limits"):
+            inverse_kinematics(arm, targets[:2], seed)
+
+    def test_exact_seeds_iterate_no_row(self, stack, monkeypatch):
+        """Seeds that already reproduce their targets come back unchanged,
+        and the lockstep loop, whose every step starts with one batched
+        solve, takes no step."""
+        arm, _, seeds, _ = stack
+        targets = forward_kinematics(arm, seeds[:40])
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("an IK row iterated")
+
+        monkeypatch.setattr(np.linalg, "solve", no_step)
+        np.testing.assert_array_equal(inverse_kinematics(arm, targets, seeds[:40]), seeds[:40])
 
     def test_forward_kinematics_rows(self, stack):
         arm, _, seeds, _ = stack
@@ -377,127 +429,6 @@ class TestStackedInverseKinematics:
             pose = forward_kinematics(arm, q)
             np.testing.assert_allclose(row, np.concatenate([pose.position, pose.quaternion]),
                                        rtol=0, atol=1e-15)
-
-
-class TestMultiArmInverseKinematics:
-    """A tuple of arms is solved in one lockstep loop, each arm's rows as
-    its own single-arm call would solve them."""
-
-    @pytest.fixture(scope="class")
-    def arms(self):
-        arm_a = make_test_arm()
-        arm_b = make_test_arm(base=Pose(np.array([1.2, 0.3, -0.1]), quat_from_rotvec([0.0, 0.0, 2.5])),
-                              flange=Pose(np.array([0.0, 0.05, 0.1])))
-        (ta, sa), (tb, sb) = reachable_stack(arm_a, 257, seed=31), reachable_stack(arm_b, 257, seed=32)
-        return (arm_a, arm_b), np.stack([ta, tb]), np.stack([sa, sb])
-
-    @pytest.mark.parametrize("n", [1, 16, 257])
-    def test_equals_the_single_arm_solves(self, arms, n):
-        arms, targets, seeds = arms
-        q = inverse_kinematics(arms, targets[:, :n], seeds[:, :n])
-        assert q.shape == (2, n, 6)
-        for a in range(2):
-            np.testing.assert_array_equal(q[a], inverse_kinematics(arms[a], targets[a, :n], seeds[a, :n]))
-
-    def test_one_seed_per_arm_is_shared(self, arms):
-        arms, _, seeds = arms
-        targets = np.stack([forward_kinematics(arm, s[0] + np.linspace(-0.04, 0.04, 5)[:, None])
-                            for arm, s in zip(arms, seeds)])
-        q = inverse_kinematics(arms, targets, seeds[:, 0])
-        for a in range(2):
-            np.testing.assert_array_equal(q[a], inverse_kinematics(arms[a], targets[a], seeds[a, 0]))
-
-    def test_one_arm_tuple_is_the_single_arm_call(self, arms):
-        arms, targets, seeds = arms
-        q = inverse_kinematics(arms[1:], targets[1:, :16], seeds[1:, :16])
-        np.testing.assert_array_equal(q[0], inverse_kinematics(arms[1], targets[1, :16], seeds[1, :16]))
-
-    @pytest.mark.parametrize("bad, index, arm", [
-        ({0: 5}, 5, 0),
-        ({1: 5}, 5, 1),
-        ({0: 5, 1: 3}, 3, 1),
-        ({0: 3, 1: 5}, 3, 0),
-        ({0: 4, 1: 4}, 4, 0),
-    ])
-    def test_failure_names_the_target_and_the_arm(self, arms, bad, index, arm):
-        arms, targets, seeds = arms
-        targets = targets[:, :8].copy()
-        for a, i in bad.items():
-            targets[a, i, :3] = [10.0, 0.0, 0.0]
-        with pytest.raises(UnreachableTargetError) as exc:
-            inverse_kinematics(arms, targets, seeds[:, :8])
-        assert (exc.value.index, exc.value.arm) == (index, arm)
-
-    @pytest.mark.parametrize("stuck_rows, index, arm", [
-        ({1: 2, 0: 3}, 2, 1),
-        ({0: 2, 1: 2}, 2, 0),
-    ])
-    def test_failure_while_iterating_names_the_arm(self, arms, stuck_rows, index, arm):
-        """With one step allowed, only rows seeded at their solution
-        converge; the rows moved 0.3 m fail in the same step, and the
-        earliest target is named, the first arm on a tie."""
-        arms, targets, seeds = arms
-        solved = np.stack([inverse_kinematics(arm_a, t, s) for arm_a, t, s in zip(arms, targets[:, :6], seeds[:, :6])])
-        stuck = np.stack([forward_kinematics(arm_a, q) for arm_a, q in zip(arms, solved)])
-        for a, i in stuck_rows.items():
-            stuck[a, i, :3] += 0.3
-        with pytest.raises(UnreachableTargetError) as exc:
-            inverse_kinematics(arms, stuck, solved, max_iter=1)
-        assert (exc.value.index, exc.value.arm) == (index, arm)
-        assert "did not converge in 1 iterations" in str(exc.value)
-
-    def test_single_arm_failure_has_no_arm(self, arms):
-        arms, targets, seeds = arms
-        bad = targets[0, :3].copy()
-        bad[1, :3] = [10.0, 0.0, 0.0]
-        with pytest.raises(UnreachableTargetError) as exc:
-            inverse_kinematics(arms[0], bad, seeds[0, :3])
-        assert (exc.value.index, exc.value.arm) == (1, None)
-
-    def test_seed_limits_checked_per_arm(self, arms):
-        arms, targets, seeds = arms
-        seeds = seeds[:, :2].copy()
-        seeds[1, 1, 0] = 3.0  # beyond the +-2.9 rad limit
-        with pytest.raises(InvalidInputError, match="seed violates joint limits"):
-            inverse_kinematics(arms, targets[:, :2], seeds)
-
-    def test_shared_seed_below_the_lower_limit_rejected(self, arms):
-        arms, targets, seeds = arms
-        seeds = seeds[:, 0].copy()
-        seeds[0, 5] = -3.0  # beyond the -2.9 rad limit
-        with pytest.raises(InvalidInputError, match="seed violates joint limits"):
-            inverse_kinematics(arms, targets[:, :2], seeds)
-
-    @pytest.mark.parametrize("targets, seeds", [
-        (lambda t: t[0, :3], lambda s: s[:, 0]),         # rows of one arm
-        (lambda t: t[:1, :3], lambda s: s[:, 0]),        # one arm's rows for two arms
-        (lambda t: t[:, :3], lambda s: s[:, :4]),        # 3 targets, 4 seeds
-        (lambda t: t[:, :3], lambda s: s[0, :3]),        # seeds of one arm
-        (lambda t: t[:, :3], lambda s: s[:, :3, :5]),    # 5 joints
-    ])
-    def test_mismatched_stacks_rejected(self, arms, targets, seeds):
-        arms, t, s = arms
-        with pytest.raises(InvalidInputError):
-            inverse_kinematics(arms, targets(t), seeds(s))
-
-    def test_exact_seeds_iterate_no_row(self, arms, monkeypatch):
-        """Seeds that already reproduce their targets come back unchanged,
-        and the lockstep loop, whose every step starts with one batched
-        solve, takes no step."""
-        arms, _, seeds = arms
-        targets = np.stack([forward_kinematics(arm, s[:40]) for arm, s in zip(arms, seeds)])
-
-        def no_step(*args, **kwargs):
-            raise AssertionError("an IK row iterated")
-
-        monkeypatch.setattr(np.linalg, "solve", no_step)
-        np.testing.assert_array_equal(inverse_kinematics(arms, targets, seeds[:, :40]), seeds[:, :40])
-
-    def test_empty_stack(self, arms):
-        arms, targets, seeds = arms
-        assert inverse_kinematics(arms, targets[:, :0], seeds[:, 0]).shape == (2, 0, 6)
-        assert inverse_kinematics(arms, targets[:, :0], seeds[:, :0]).shape == (2, 0, 6)
-        assert inverse_kinematics(arms[0], targets[0, :0], seeds[0, :0]).shape == (0, 6)
 
 
 class TestReachCheck:

@@ -176,6 +176,18 @@ class TestH1:
         with pytest.raises(InvalidInputError):
             h1_estimate([])
 
+    @pytest.mark.parametrize("nfft", [0, -8, 1, 2.5, 256.0, True])
+    def test_nfft_not_an_integer_of_at_least_2_rejected(self, nfft):
+        rec = simulate_impact(make_model(), 0.0, sample_rate=2048.0, duration=0.25)
+        with pytest.raises(InvalidInputError, match="nfft must be an integer >= 2"):
+            h1_estimate([rec], nfft=nfft)
+
+    def test_nfft_of_2_and_numpy_integers_accepted(self):
+        rec = simulate_impact(make_model(), 0.0, sample_rate=2048.0, duration=0.25)
+        assert h1_estimate([rec], nfft=2).frequencies.shape == (1,)
+        np.testing.assert_array_equal(h1_estimate([rec], nfft=np.int64(512)).values,
+                                      h1_estimate([rec], nfft=512).values)
+
 
 class TestPeakPick:
     def test_single_synthetic_peak(self):

@@ -14,6 +14,7 @@ from twinmill.errors import (
     InvalidInputError,
     MalformedArcError,
     PlanError,
+    UnreachableTargetError,
     UnsupportedGcodeError,
     WorkspaceError,
 )
@@ -192,6 +193,12 @@ class TestSegments:
         b = LinearSegment(Pose(np.array([0.02, 0.0, 0.0])), Pose(np.array([0.03, 0.0, 0.0])))
         with pytest.raises(InvalidInputError):
             ToolPath((a, b))
+
+    @pytest.mark.parametrize("delta", [[0.5], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]],
+                                       [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0]])
+    def test_translate_rejects_a_delta_that_is_not_a_finite_3_vector(self, delta):
+        with pytest.raises(InvalidInputError, match="finite 3-vector"):
+            translate_path(parse_gcode(SLOT_GCODE), delta)
 
     def test_translate_preserves_shape(self):
         path = parse_gcode(SLOT_GCODE)
@@ -502,27 +509,43 @@ class TestPlanSync:
         assert exc.value.index == 0
 
 
+# The `_solve` calls of plan_sync, in order: pass 1 of arm 1 and of arm 2's
+# nominal pose, pass 3 of arm 2's commanded pose.
+ARM1, ARM2_NOMINAL, ARM2_COMMANDED = range(3)
+
+
 class SeedingCalls:
     """Spies on the IK calls of plan_sync."""
 
     @staticmethod
-    def spy(monkeypatch):
-        """Record (arm, target shape, seed) of every IK call plan_sync makes."""
-        calls = []
-        real = pathplan.inverse_kinematics
+    def spy(monkeypatch, plant=None):
+        """Record (solve, arm, target shape, seed) of every IK call plan_sync
+        makes, `solve` being the `_solve` call it belongs to (ARM1,
+        ARM2_NOMINAL or ARM2_COMMANDED). `plant` maps a solve to setpoints
+        whose targets are moved out of reach for it."""
+        calls, solves = [], []
+        real_ik, real_solve = pathplan.inverse_kinematics, pathplan._solve
 
-        def spy(arm, target, seed, *args):
-            calls.append((arm, np.shape(target), np.array(seed)))
-            return real(arm, target, seed, *args)
+        def solve(arm, targets, *args):
+            rows = [i for i in (plant or {}).get(len(solves), ()) if i < len(targets)]
+            solves.append(arm)
+            if rows:
+                targets = targets.copy()
+                targets[rows, :3] = [10.0, 0.0, 0.0]
+            return real_solve(arm, targets, *args)
 
-        monkeypatch.setattr(pathplan, "inverse_kinematics", spy)
+        def ik(arm, target, seed, *args):
+            calls.append((len(solves) - 1, arm, np.shape(target), np.array(seed)))
+            return real_ik(arm, target, seed, *args)
+
+        monkeypatch.setattr(pathplan, "_solve", solve)
+        monkeypatch.setattr(pathplan, "inverse_kinematics", ik)
         return calls
 
     @staticmethod
-    def pass_one(calls, cfg):
-        """(target shape, seeds) of the pass-1 calls: both arms, in order."""
-        return [(shape, seed) for arm, shape, seed in calls
-                if isinstance(arm, tuple) and arm[0] is cfg.system.arm1 and arm[1] is cfg.system.arm2]
+    def solve_calls(calls, solve):
+        """(target shape, seed) of the IK calls of one `_solve`, in order."""
+        return [(shape, seed) for k, _, shape, seed in calls if k == solve]
 
     @staticmethod
     def path_lengths(tool):
@@ -536,41 +559,51 @@ class TestPassOneSeeding(SeedingCalls):
                          offset=RASTER_OFFSET)
         n = len(prog.pairs)
         assert n == 1345
-        pass1 = self.pass_one(calls, cfg)
-        pass3 = [(shape, seed) for arm, shape, seed in calls if arm is cfg.system.arm2]
-        assert len(pass1) + len(pass3) == len(calls)
-        # Setpoint 0 from the caller's seeds, then ceil(1344 / 256) = 6
-        # calls, every row seeded in closed form: no call waits for the
+        arm1, arm2, pass3 = (self.solve_calls(calls, k) for k in (ARM1, ARM2_NOMINAL, ARM2_COMMANDED))
+        assert len(arm1) + len(arm2) + len(pass3) == len(calls)
+        assert [arm for _, arm, _, _ in calls] == [cfg.system.arm1] * len(arm1) + [cfg.system.arm2] * (
+            len(arm2) + len(pass3))
+        # Per arm, setpoint 0 from the caller's seed, then ceil(1344 / 256)
+        # = 6 calls, every row seeded in closed form: no call waits for the
         # solutions of the one before.
-        assert [shape for shape, _ in pass1] == [(2, 1, 7)] + [(2, k, 7) for k in (256,) * 5 + (64,)]
-        np.testing.assert_array_equal(pass1[0][1], [cfg.ik_seed1, cfg.ik_seed2])
-        seeds = np.concatenate([seed for _, seed in pass1[1:]], axis=1)
-        assert seeds.shape == (2, n - 1, 6)
+        for pass1, seed in ((arm1, cfg.ik_seed1), (arm2, cfg.ik_seed2)):
+            assert [shape for shape, _ in pass1] == [(1, 7)] + [(k, 7) for k in (256,) * 5 + (64,)]
+            np.testing.assert_array_equal(pass1[0][1], seed)
+        seeds1, seeds2 = (np.concatenate([seed for _, seed in pass1[1:]]) for pass1 in (arm1, arm2))
+        assert seeds1.shape == seeds2.shape == (n - 1, 6)
         # Exact seeds need no DLS step: pass 1 returns them as they are.
-        np.testing.assert_array_equal(seeds[0], prog.pairs.q1[1:])
+        np.testing.assert_array_equal(seeds1, prog.pairs.q1[1:])
         # Arm 2's seeds are its nominal solutions, 0.2 mm from the commanded.
-        np.testing.assert_allclose(seeds[1], prog.pairs.q2[1:], rtol=0, atol=1e-3)
+        np.testing.assert_allclose(seeds2, prog.pairs.q2[1:], rtol=0, atol=1e-3)
         # Pass 3: arm 2's commanded pose in blocks of 256 rows, seeded in
         # closed form too, so each seed is its solution.
         assert [shape for shape, _ in pass3] == [(k, 7) for k in (256,) * 5 + (65,)]
         np.testing.assert_array_equal(np.concatenate([seed for _, seed in pass3]), prog.pairs.q2)
 
-    @pytest.mark.parametrize("wrist_limit", [None, np.pi + 1.0], ids=["demo", "wide-wrist"])
-    def test_a_wrist_flip_falls_back_to_the_block_chain(self, cfg, monkeypatch, wrist_limit):
-        """Arm 1's wrist passes through q5 = 0 at the middle setpoint, where
-        its closed-form branch turns q4 and q6 by pi: out of the demo arm's
-        limits, and with limits of pi + 1 a jump. Either way pass 1 runs the
-        `_seed_blocks` chain, which plans as it does without closed-form
-        seeds."""
+    @staticmethod
+    def wrist_flip(cfg, wrist_limit):
+        """The system and a path on which arm 1's wrist passes through q5 =
+        0 at the middle setpoint, with arm 1's q4 and q6 limits set to
+        +-wrist_limit unless it is None."""
         if wrist_limit is not None:
             limits = cfg.system.arm1.joint_limits.copy()
             limits[[3, 5]] = [-wrist_limit, wrist_limit]
             arm1 = dataclasses.replace(cfg.system.arm1, joint_limits=limits)
             cfg = dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, arm1=arm1))
-        arm1 = cfg.system.arm1
-        tool = compose_rows(forward_kinematics(arm1, np.array([[-0.01, 0.47, 0.128, -1.8, 0.0, 1.8]])),
+        tool = compose_rows(forward_kinematics(cfg.system.arm1, np.array([[-0.01, 0.47, 0.128, -1.8, 0.0, 1.8]])),
                             cfg.system.tool_offset)[0]
         path = translate_path(parse_gcode("G1 Z40\nG1 Z80\n", orientation=tool[3:]), tool[:3] - [0.0, 0.0, 0.04])
+        return cfg, path
+
+    @pytest.mark.parametrize("wrist_limit", [None, np.pi + 1.0], ids=["demo", "wide-wrist"])
+    def test_a_wrist_flip_falls_back_to_the_block_chain(self, cfg, monkeypatch, wrist_limit):
+        """Arm 1's wrist passes through q5 = 0 at the middle setpoint, where
+        its closed-form branch turns q4 and q6 by pi: out of the demo arm's
+        limits, and with limits of pi + 1 a jump. Either way arm 1's pass 1
+        runs the `_seed_blocks` chain, which plans as it does without
+        closed-form seeds."""
+        cfg, path = self.wrist_flip(cfg, wrist_limit)
+        arm1 = cfg.system.arm1
         tension = Wrench(np.array([1000.0, 0.0, 0.0]))
         calls = self.spy(monkeypatch)
         prog = plan_sync(cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2))
@@ -581,13 +614,46 @@ class TestPassOneSeeding(SeedingCalls):
         assert within == (wrist_limit is not None)
         assert np.max(np.abs(np.diff(flip, axis=0))) > pathplan.DEFAULT_JOINT_JUMP_MAX
         blocks = list(pathplan._seed_blocks(prog.pairs.tool_pose[:, :3]))
-        assert [shape for shape, _ in self.pass_one(calls, cfg)] == [(2, b - a, 7) for a, b in blocks]
-        # Pass 1 without closed-form seeds; pass 3 (arm 2 alone) keeps them.
+        pass1 = self.solve_calls(calls, ARM1)
+        assert [shape for shape, _ in pass1] == [(b - a, 7) for a, b in blocks]
+        for (_, seed), (start, _) in zip(pass1[1:], blocks[1:]):
+            np.testing.assert_array_equal(seed, q1[start - 1])
+        # Arm 1 without closed-form seeds; arm 2 keeps them.
         real = pathplan._branch_seeds
         monkeypatch.setattr(pathplan, "_branch_seeds",
-                            lambda arms, *args: None if len(arms) == 2 else real(arms, *args))
+                            lambda arm, *args: None if arm is arm1 else real(arm, *args))
         again = plan_sync(cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2))
         assert program_to_csv(again) == program_to_csv(prog)
+
+    def test_a_wrist_flip_on_arm_1_leaves_arm_2_its_closed_form_seeds(self, cfg, monkeypatch):
+        """Only arm 1's pass 1 goes to `_seed_blocks`; arm 2's nominal pose
+        is seeded in closed form on the branch of its setpoint-0 solution."""
+        cfg, path = self.wrist_flip(cfg, None)
+        arm2 = cfg.system.arm2
+        chains = []
+        real = pathplan._seed_blocks
+
+        def seed_blocks(positions):
+            chains.append(len(positions))
+            return real(positions)
+
+        monkeypatch.setattr(pathplan, "_seed_blocks", seed_blocks)
+        calls = self.spy(monkeypatch)
+        prog = plan_sync(cfg.system, path, Wrench.zero(), (cfg.ik_seed1, cfg.ik_seed2))
+        n = len(prog.pairs)
+        # One `_seed_blocks` chain, arm 1's.
+        assert chains == [n]
+        assert len(self.solve_calls(calls, ARM1)) == len(list(real(prog.pairs.tool_pose[:, :3])))
+        pass1 = self.solve_calls(calls, ARM2_NOMINAL)
+        assert [shape for shape, _ in pass1] == [(1, 7), (n - 1, 7)]
+        np.testing.assert_array_equal(pass1[0][1], cfg.ik_seed2)
+        q0 = inverse_kinematics(arm2, prog.pairs.robot2_flange_nominal[:1], cfg.ik_seed2)[0]
+        seeds = pathplan._branch_seeds(arm2, prog.pairs.robot2_flange_nominal[1:], q0,
+                                       pathplan.DEFAULT_JOINT_JUMP_MAX)
+        assert seeds is not None
+        np.testing.assert_array_equal(pass1[1][1], seeds)
+        # At zero tension q2 is the nominal solution; its seeds were exact.
+        np.testing.assert_array_equal(prog.pairs.q2[1:], seeds)
 
     @pytest.mark.parametrize("plant, gcode, index, cause", [
         ("unreachable", "G1 X200\n", 40, "target "),
@@ -596,7 +662,7 @@ class TestPassOneSeeding(SeedingCalls):
     def test_a_row_without_a_branch_fails_as_the_fallback_does(self, cfg, monkeypatch, plant, gcode, index, cause):
         """A row with no closed-form solution within the joint limits:
         tool row 40 moved out of both arms' reach, or arm 1's q1 capped at
-        0.05 rad on a move that turns it further. Pass 1 runs the
+        0.05 rad on a move that turns it further. Arm 1's pass 1 runs the
         `_seed_blocks` chain and raises its PlanError, for the first row
         that has none."""
         if plant == "unreachable":
@@ -620,11 +686,24 @@ class TestPassOneSeeding(SeedingCalls):
             calls = self.spy(monkeypatch)
             with pytest.raises(PlanError) as exc:
                 demo_plan(cfg, gcode=gcode)
-            spans.append([shape[1] for shape, _ in self.pass_one(calls, cfg)])
-            errors.append((type(exc.value), exc.value.index, str(exc.value), exc.value.__cause__.arm))
+            spans.append([shape[0] for shape, _ in self.solve_calls(calls, ARM1)])
+            errors.append((type(exc.value), exc.value.index, str(exc.value), exc.value.__cause__.index))
         assert spans[0] == spans[1] and spans[0][:2] == [1, 25]
         assert errors[0] == errors[1]
         assert errors[0][1] == index and errors[0][2].startswith(f"IK failed at setpoint {index} (arm 1): {cause}")
+
+    def test_arm_2_pass_one_stops_at_the_first_failing_setpoint_of_arm_1(self, cfg, monkeypatch):
+        """Arm 2's nominal pose is solved only for the setpoints before arm
+        1's first failure, so a later failure of arm 2 cannot be named."""
+        calls = self.spy(monkeypatch, plant={ARM1: [40], ARM2_NOMINAL: [45]})
+        with pytest.raises(PlanError) as exc:
+            demo_plan(cfg, gcode="G1 X200\n")
+        assert str(exc.value).startswith("IK failed at setpoint 40 (arm 1): target ")
+        for solve in (ARM2_NOMINAL, ARM2_COMMANDED):
+            # Each solve re-solves the rows before its failing one, if any.
+            shapes = [shape for shape, _ in self.solve_calls(calls, solve)]
+            assert sum(rows for rows, _ in shapes) == 40
+        assert [shape for shape, _ in self.solve_calls(calls, ARM2_NOMINAL)] == [(1, 7), (39, 7)]
 
     def test_a_row_exactly_80_mm_after_its_seed_row_belongs_to_the_block(self):
         # 0.04 + 0.04 == 0.08 in floating point: row 2 lies exactly
@@ -644,32 +723,20 @@ class TestPassOneSeeding(SeedingCalls):
         assert type(exc.value) is PlanError
         assert exc.value.index == index
         assert str(exc.value).startswith(f"IK failed at setpoint {index} ({arm}): ")
-        assert exc.value.__cause__.arm == ("arm 1", "arm 2 nominal").index(arm)
+        assert isinstance(exc.value.__cause__, UnreachableTargetError)
 
     @pytest.mark.parametrize("bad, index, arm", [
-        ({0: 40}, 40, "arm 1"),
-        ({1: 40}, 40, "arm 2 nominal"),
-        ({0: 40, 1: 40}, 40, "arm 1"),
-        ({0: 41, 1: 40}, 40, "arm 2 nominal"),
-        ({0: 40, 1: 41}, 40, "arm 1"),
+        ({ARM1: 40}, 40, "arm 1"),
+        ({ARM2_NOMINAL: 40}, 40, "arm 2 nominal"),
+        ({ARM1: 40, ARM2_NOMINAL: 40}, 40, "arm 1"),
+        ({ARM1: 41, ARM2_NOMINAL: 40}, 40, "arm 2 nominal"),
+        ({ARM1: 40, ARM2_NOMINAL: 41}, 40, "arm 1"),
     ])
     def test_first_failing_setpoint_wins_arm_1_on_a_tie(self, cfg, monkeypatch, bad, index, arm):
-        """Setpoints are moved out of reach per arm (arm position: setpoint)
-        inside the pass-1 calls; the earliest setpoint is named, arm 1
-        before arm 2 when both fail there."""
-        real = pathplan.inverse_kinematics
-        done = [0]
-
-        def unreachable(arms, target, seed, *args):
-            if isinstance(arms, tuple):
-                target = target.copy()
-                for a, i in bad.items():
-                    if done[0] <= i < done[0] + target.shape[1]:
-                        target[a, i - done[0], :3] = [10.0, 0.0, 0.0]
-                done[0] += target.shape[1]
-            return real(arms, target, seed, *args)
-
-        monkeypatch.setattr(pathplan, "inverse_kinematics", unreachable)
+        """Setpoints are moved out of reach per pass-1 solve (solve:
+        setpoint); the earliest setpoint is named, arm 1 before arm 2 when
+        both fail there."""
+        self.spy(monkeypatch, plant={solve: [i] for solve, i in bad.items()})
         with pytest.raises(PlanError) as exc:
             demo_plan(cfg, gcode="G1 X200\n")
         assert exc.value.index == index
@@ -678,24 +745,16 @@ class TestPassOneSeeding(SeedingCalls):
     def test_commanded_failure_in_a_later_block_reports_its_setpoint(self, cfg, monkeypatch):
         """Pass 3 solves in blocks of _BLOCK_ROWS; a row that fails in the
         second block is named by its setpoint, not its row in the block."""
-        real = pathplan.inverse_kinematics
-        blocks = []
-
-        def unreachable_row_10(arm, target, seed, *args):
-            if np.ndim(seed) == 2 and len(target) > 10:  # a full pass-3 block
-                blocks.append(len(target))
-                if len(blocks) == 2:
-                    target = target.copy()
-                    target[10, :3] = [10.0, 0.0, 0.0]
-            return real(arm, target, seed, *args)
-
-        monkeypatch.setattr(pathplan, "inverse_kinematics", unreachable_row_10)
+        calls = self.spy(monkeypatch, plant={ARM2_COMMANDED: [pathplan._BLOCK_ROWS + 10]})
         with pytest.raises(PlanError) as exc:
             demo_plan(cfg, gcode="G1 X200\nG1 Y20\n", max_step=0.001,
                       tension=Wrench(np.array([1000.0, 0.0, 0.0])))
         assert type(exc.value) is PlanError
-        assert blocks[0] == pathplan._BLOCK_ROWS
+        # Two blocks, then the second one's rows before its failing one.
+        pass3 = [shape for shape, _ in self.solve_calls(calls, ARM2_COMMANDED)]
+        assert len(pass3) == 3 and pass3[0] == (pathplan._BLOCK_ROWS, 7) and pass3[2] == (10, 7)
         assert exc.value.index == pathplan._BLOCK_ROWS + 10
+        assert str(exc.value).startswith(f"IK failed at setpoint {exc.value.index} (arm 2 commanded): target ")
 
 
 class TestFallbackSeeding(SeedingCalls):
@@ -719,22 +778,24 @@ class TestFallbackSeeding(SeedingCalls):
         # most 80 mm of path after the last row of the block before.
         bounds = [(0, 1), (1, 26), (26, 51), (51, 65)]
         assert len(prog.pairs) == 65
-        pass1 = self.pass_one(calls, cfg)
-        assert len(pass1) == len(calls) - 1  # and one pass-3 call
-        assert [shape for shape, _ in pass1] == [(2, stop - start, 7) for start, stop in bounds]
+        arm1, arm2 = self.solve_calls(calls, ARM1), self.solve_calls(calls, ARM2_NOMINAL)
+        assert len(arm1) + len(arm2) == len(calls) - 1  # and one pass-3 call
         s = self.path_lengths(prog.pairs.tool_pose)
-        q1, q2 = prog.pairs.q1, prog.pairs.q2  # q2 is the nominal solution at zero tension
-        np.testing.assert_array_equal(pass1[0][1], [cfg.ik_seed1, cfg.ik_seed2])
-        for (_, seed), (start, stop) in zip(pass1[1:], bounds[1:]):
-            np.testing.assert_array_equal(seed, [q1[start - 1], q2[start - 1]])
-            assert s[stop - 1] - s[start - 1] <= pathplan._SEED_SPAN_M
-            assert stop == len(s) or s[stop] - s[start - 1] > pathplan._SEED_SPAN_M
+        # q2 is the nominal solution at zero tension.
+        for pass1, seed, q in ((arm1, cfg.ik_seed1, prog.pairs.q1), (arm2, cfg.ik_seed2, prog.pairs.q2)):
+            assert [shape for shape, _ in pass1] == [(stop - start, 7) for start, stop in bounds]
+            np.testing.assert_array_equal(pass1[0][1], seed)
+            for (_, seed), (start, stop) in zip(pass1[1:], bounds[1:]):
+                np.testing.assert_array_equal(seed, q[start - 1])
+                assert s[stop - 1] - s[start - 1] <= pathplan._SEED_SPAN_M
+                assert stop == len(s) or s[stop] - s[start - 1] > pathplan._SEED_SPAN_M
 
     def test_arc_samples_do_not_cut_blocks_short(self, cfg, monkeypatch):
         calls = self.spy(monkeypatch)
         prog = demo_plan(cfg)
         s = self.path_lengths(prog.pairs.tool_pose)
-        sizes = [shape[1] for shape, _ in self.pass_one(calls, cfg)]
+        sizes = [shape[0] for shape, _ in self.solve_calls(calls, ARM1)]
+        assert [shape[0] for shape, _ in self.solve_calls(calls, ARM2_NOMINAL)] == sizes
         assert sum(sizes) == len(s) and sizes[0] == 1
         stops = np.cumsum(sizes)
         for start, stop in zip(stops[:-1], stops[1:]):
@@ -748,13 +809,14 @@ class TestFallbackSeeding(SeedingCalls):
         calls = self.spy(monkeypatch)
         prog = demo_plan(cfg, gcode="G1 X400\n", max_step=pathplan._SEED_SPAN_M)
         monkeypatch.undo()
-        pass1 = self.pass_one(calls, cfg)
-        assert len(pass1) == len(prog.pairs) > 2
-        assert all(shape == (2, 1, 7) for shape, _ in pass1)
+        arm1, arm2 = self.solve_calls(calls, ARM1), self.solve_calls(calls, ARM2_NOMINAL)
+        assert len(arm1) == len(arm2) == len(prog.pairs) > 2
+        assert all(shape == (1, 7) for shape, _ in arm1 + arm2)
         q1, q2 = prog.pairs.q1, prog.pairs.q2  # q2 is the nominal solution at zero tension
         for i in range(1, len(prog.pairs)):
             pair = prog.pairs[i]
-            np.testing.assert_array_equal(pass1[i][1], [q1[i - 1], q2[i - 1]])
+            np.testing.assert_array_equal(arm1[i][1], q1[i - 1])
+            np.testing.assert_array_equal(arm2[i][1], q2[i - 1])
             np.testing.assert_array_equal(q1[i], inverse_kinematics(cfg.system.arm1, pair.robot1_flange, q1[i - 1]))
             np.testing.assert_array_equal(q2[i], inverse_kinematics(cfg.system.arm2, pair.robot2_flange_nominal,
                                                                     q2[i - 1]))
