@@ -13,6 +13,7 @@ read as a number that is not finite with one naming its key.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,15 +21,28 @@ import numpy as np
 from .errors import InvalidInputError
 
 _BLOCK_ROWS = 256  # rows formatted per `%` operation, bounding the float objects alive at once
+_CONVERSION = re.compile(r"(%[-+ #0]*\d*(?:\.\d+)?[a-zA-Z])")  # one %-conversion of a row format
 
 
 def write_table(meta, columns, data, row_fmt) -> str:
     """The metadata, the header and the rows of `data` (rows, len(columns))
-    as CSV text; `row_fmt` is the %-format of one row, newline included,
-    applied to its values as Python floats."""
+    as CSV text; `row_fmt` is the %-format of one row, one conversion per
+    column and newline included, applied to its values as Python floats.
+
+    A column whose value is bit-identical in every row (so -0.0 and 0.0
+    differ) is formatted once and written as a literal of the row format."""
     parts = [f"# {key}={value}\n" for key, value in meta.items()]
     parts.append(",".join(columns) + "\n")
     data = np.asarray(data, dtype=float)
+    if len(data):
+        bits = data.view(np.int64)
+        constant = np.all(bits == bits[0], axis=0)
+        if constant.any():
+            pieces = _CONVERSION.split(row_fmt)
+            for k in np.flatnonzero(constant):
+                pieces[2 * k + 1] = (pieces[2 * k + 1] % float(data[0, k])).replace("%", "%%")
+            row_fmt = "".join(pieces)
+            data = data[:, ~constant]
     for start in range(0, len(data), _BLOCK_ROWS):
         block = data[start:start + _BLOCK_ROWS]
         parts.append((row_fmt * len(block)) % tuple(block.ravel().tolist()))

@@ -62,22 +62,24 @@ class ArmModel:
         object.__setattr__(self, "dh_rows", rows)
         object.__setattr__(self, "joint_limits", lims)
         # Link i is RotZ(theta) @ L_i with the constant L_i = TransZ(d) TransX(a)
-        # RotX(alpha), that is cos(theta) * _links_cos + sin(theta) * _links_sin
-        # + _links_fixed: only its first two rows depend on theta.
+        # RotX(alpha). Flattened to 16 entries it is (cos(theta), sin(theta), 1)
+        # @ parts[i], whose rows are the cos, sin and fixed parts [6, 3, 16]:
+        # only the first two rows of L_i turn with theta, and every entry has
+        # exactly one nonzero part.
         a, alpha, d = rows[:, 0], rows[:, 1], rows[:, 2]
         L = np.zeros((N_JOINTS, 4, 4))
         L[:, 0, 0], L[:, 0, 3] = 1.0, a
         L[:, 1, 1], L[:, 1, 2] = np.cos(alpha), -np.sin(alpha)
         L[:, 2, 1], L[:, 2, 2], L[:, 2, 3] = np.sin(alpha), np.cos(alpha), d
         L[:, 3, 3] = 1.0
-        cos_part, sin_part, fixed = np.zeros_like(L), np.zeros_like(L), np.zeros_like(L)
-        cos_part[:, :2] = L[:, :2]
-        sin_part[:, 0], sin_part[:, 1] = -L[:, 1], L[:, 0]
-        fixed[:, 2:] = L[:, 2:]
-        # The constants of _chain: theta offsets, the three link parts, the
-        # base and the flange transform.
+        parts = np.zeros((N_JOINTS, 3, 4, 4))
+        parts[:, 0, :2] = L[:, :2]
+        parts[:, 1, 0], parts[:, 1, 1] = -L[:, 1], L[:, 0]
+        parts[:, 2, 2:] = L[:, 2:]
+        # The constants of _chain: theta offsets, the link parts, the base and
+        # the flange transform.
         object.__setattr__(self, "_chain_consts", (
-            rows[:, 3], cos_part, sin_part, fixed, self.base_pose.matrix(), self.flange_offset.matrix()))
+            rows[:, 3], parts.reshape(N_JOINTS, 3, 16), self.base_pose.matrix(), self.flange_offset.matrix()))
         object.__setattr__(self, "_closed_form", _closed_form_consts(self, L[5]))
 
     @property
@@ -115,15 +117,22 @@ def _chain(consts, q):
 
     `consts` are one arm's `_chain_consts`.
     """
-    offset, links_cos, links_sin, links_fixed, base, flange = consts
-    theta = (q + offset)[..., None, None]
-    A = np.cos(theta) * links_cos + np.sin(theta) * links_sin + links_fixed
-    # F[..., i] is the world frame of joint i's axis; F[..., 6] the last link.
+    offset, parts, base, flange = consts
     lead = q.shape[:-1]
-    F = np.empty(lead + (N_JOINTS + 1, 4, 4))
-    F[..., 0, :, :] = base
+    # The link matrices of every row, one [N, 16] product per joint: trig
+    # [6, N, 3] holds (cos(theta), sin(theta), 1) of each joint and row.
+    theta = (q.reshape(-1, N_JOINTS) + offset).T
+    trig = np.empty(theta.shape + (3,))
+    np.cos(theta, out=trig[..., 0])
+    np.sin(theta, out=trig[..., 1])
+    trig[..., 2] = 1.0
+    A = (trig @ parts).reshape(N_JOINTS, -1, 4, 4)
+    # F[:, i] is the world frame of joint i's axis; F[:, 6] the last link.
+    F = np.empty((A.shape[1], N_JOINTS + 1, 4, 4))
+    F[:, 0] = base
     for i in range(N_JOINTS):
-        np.matmul(F[..., i, :, :], A[..., i, :, :], out=F[..., i + 1, :, :])
+        np.matmul(F[:, i], A[i], out=F[:, i + 1])
+    F = F.reshape(lead + F.shape[1:])
     T = F[..., N_JOINTS, :, :] @ flange
     z = F[..., :N_JOINTS, :3, 2]
     r = T[..., None, :3, 3] - F[..., :N_JOINTS, :3, 3]
@@ -300,6 +309,21 @@ def closed_form_ik(arm: ArmModel, target, branch, near=None):
     return q
 
 
+def _seed_limit_violation(arm: ArmModel, seeds):
+    """Where seeds (6,) or [N, 6] first leave the arm's joint limits (a NaN
+    lies outside), naming the joint, its value, its limits and, for
+    stacked seeds, the row; empty if they do not."""
+    rows = np.reshape(seeds, (-1, N_JOINTS))
+    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
+    outside = np.argwhere(~((rows >= lo) & (rows <= hi)))
+    if not outside.size:
+        return ""
+    row, j = outside[0]
+    where = f" at seed row {row}" if np.ndim(seeds) == 2 else ""
+    return (f"seed violates joint limits: q{j + 1} = {rows[row, j]:.6g} rad "
+            f"outside [{lo[j]:.6g}, {hi[j]:.6g}] rad{where}")
+
+
 def _residuals(err):
     """Position and rotation norms of error twists err[N, 6], as [N, 2]."""
     sq = err * err
@@ -348,9 +372,10 @@ def inverse_kinematics(
     seeds = _joint_array(arm, seed, allow_out_of_limits=True)
     if targets.ndim > 2 or seeds.ndim > 2 or (targets.ndim == seeds.ndim == 2 and len(targets) != len(seeds)):
         raise InvalidInputError("IK takes targets [N, 7] with one seed (6,) or seeds [N, 6]")
+    violation = _seed_limit_violation(arm, seeds)
+    if violation:
+        raise InvalidInputError(f"IK {violation}")
     lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
-    if not (np.all(seeds >= lo) and np.all(seeds <= hi)):
-        raise InvalidInputError("IK seed violates joint limits")
     lead = targets.shape[:-1] or seeds.shape[:-1]
     targets = np.broadcast_to(targets, (lead[0] if lead else 1, 7))
     seeds = seeds.reshape(-1, 6)

@@ -34,6 +34,7 @@ from .kinematics import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL_POS,
     DEFAULT_TOL_ROT,
+    _seed_limit_violation,
     closed_form_ik,
     ik_branch,
     inverse_kinematics,
@@ -685,9 +686,21 @@ def plan_sync(
     are raised for the first setpoint at which they occur, naming the arm,
     arm 1 when both arms fail there.
 
+    An `ik_seeds` entry outside its arm's joint limits, or NaN, raises
+    InvalidInputError naming the entry, the arm and the joint before any
+    IK runs.
+
     workspace_box: optional (center, size) arrays in m; every discretized
     tool position must lie inside.
     """
+    seeds = [np.asarray(s, dtype=float) for s in ik_seeds]
+    if len(seeds) != 2 or any(s.shape != (6,) for s in seeds):
+        raise InvalidInputError("ik_seeds must be two configurations of 6 joints")
+    for k, (arm, seed) in enumerate(zip((sys.arm1, sys.arm2), seeds)):
+        violation = _seed_limit_violation(arm, seed)
+        if violation:
+            raise InvalidInputError(f"ik_seeds[{k}] (arm {k + 1}): {violation}")
+    seeds = np.stack(seeds)
     tool = discretize(path, chord_tol, max_step)
     if workspace_box is not None:
         center, size = (np.asarray(v, dtype=float) for v in workspace_box)
@@ -695,10 +708,6 @@ def plan_sync(
         if outside.size:
             i = int(outside[0])
             raise WorkspaceError(f"tool pose {i} at {tool[i, :3]} lies outside the workspace box", index=i)
-    seeds = [np.asarray(s, dtype=float) for s in ik_seeds]
-    if len(seeds) != 2 or any(s.shape != (6,) for s in seeds):
-        raise InvalidInputError("ik_seeds must be two configurations of 6 joints")
-    seeds = np.stack(seeds)
     tol = (tol_pos, tol_rot, max_iter)
     r1 = compose_rows(tool, sys.tool_offset.inverse())
     r2_nominal = compose_rows(r1, sys.flange2_offset)

@@ -17,7 +17,11 @@ A Jacobian is rank deficient when its smallest singular value is at most
 _MIN_SINGULAR_VALUE. The check is certified by one batched inverse per
 block, since sigma_min(J) >= 1 / ||J^-1||_F; only the rows it cannot
 certify, or every row of a block on which the inverse fails, get an SVD,
-which decides and names the first deficient row.
+which decides and names the first deficient row. The screen's J^-1 is
+reused: the Cartesian stiffness of an arm is J^-T K_joint J^-1, with no
+compliance to invert. Symmetric positive definite matrices are inverted
+through their Cholesky factor L, whose inverse is taken by forward
+substitution.
 """
 
 from __future__ import annotations
@@ -130,7 +134,9 @@ class CoupledSystem:
 
 
 def _spd_inverse(M, what):
-    """Inverses of stacked symmetric positive definite matrices."""
+    """Inverses of stacked symmetric positive definite matrices M[..., n, n]:
+    M^-1 = L^-T L^-1 of the Cholesky factor L, with L^-1 by forward
+    substitution, one row of every matrix per step."""
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -143,39 +149,46 @@ def _spd_inverse(M, what):
                     f"{what} is not positive definite: {exc}", index=index
                 ) from exc
         raise
-    Li = np.linalg.inv(L)
+    d = 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
+    Li = np.zeros_like(L)
+    Li[..., 0, 0] = d[..., 0]
+    for i in range(1, L.shape[-1]):
+        Li[..., i, :i] = np.einsum("...j,...jk->...k", L[..., i, :i], Li[..., :i, :i]) * -d[..., i, None]
+        Li[..., i, i] = d[..., i]
     return np.swapaxes(Li, -1, -2) @ Li
 
 
 def _uncertified(J):
-    """Indices of the finite square matrices J[m, n, n] whose smallest
-    singular value the screen cannot put above _MIN_SINGULAR_VALUE.
-    sigma_min(J) >= 1 / ||J^-1||_F, so a matrix with 1 / ||J^-1||_F >
-    2 _MIN_SINGULAR_VALUE has full rank; the factor 2 covers the rounding
-    of the computed inverse. A NaN bound, and every matrix of a stack on
-    which the inverse fails, is uncertified."""
+    """The inverses of the finite square matrices J[m, n, n] (None where the
+    inverse of the stack fails) and the indices of the matrices whose
+    smallest singular value the screen cannot put above
+    _MIN_SINGULAR_VALUE. sigma_min(J) >= 1 / ||J^-1||_F, so a matrix with
+    1 / ||J^-1||_F > 2 _MIN_SINGULAR_VALUE has full rank; the factor 2
+    covers the rounding of the computed inverse. A NaN bound, and every
+    matrix of a stack on which the inverse fails, is uncertified."""
     try:
         Ji = np.linalg.inv(J)
     except np.linalg.LinAlgError:
-        return np.arange(len(J))
+        return None, np.arange(len(J))
     with np.errstate(over="ignore"):
         bound = 1.0 / np.sqrt(np.sum(Ji * Ji, axis=(-2, -1)))
-    return np.flatnonzero(~(bound > 2 * _MIN_SINGULAR_VALUE))
+    return Ji, np.flatnonzero(~(bound > 2 * _MIN_SINGULAR_VALUE))
 
 
-def _compliance_from_jacobian(J, k_diag):
-    """J K_joint^-1 J^T for stacked finite square Jacobians J[..., n, n],
-    rejecting rank-deficient ones. Only the rows `_uncertified` leaves
-    get an SVD, which decides."""
+def _full_rank_inverse(J):
+    """J^-1 of stacked finite square Jacobians J[..., n, n], rejecting
+    rank-deficient ones. The inverse is the screen's (`_uncertified`);
+    only the rows it leaves get an SVD, which decides. A stack whose
+    inverse fails though every row has full rank is inverted through its
+    SVD."""
     flat = J.reshape((-1,) + J.shape[-2:])
-    unsure = _uncertified(flat)
+    Ji, unsure = _uncertified(flat)
     bad = unsure
     if unsure.size:
         bad = unsure[np.linalg.svd(flat[unsure], compute_uv=False)[:, -1] <= _MIN_SINGULAR_VALUE]
     if bad.size:
         index = int(bad[0])
-        Ji = flat[index]
-        u, svi, _ = np.linalg.svd(Ji)
+        u, svi, _ = np.linalg.svd(flat[index])
         dir6 = u[:, -1]
         axis = _AXES[int(np.argmax(np.abs(dir6[: len(_AXES)])))] if len(dir6) >= 6 else "n/a"
         raise SingularConfigurationError(
@@ -183,6 +196,16 @@ def _compliance_from_jacobian(J, k_diag):
             f"deficient direction dominated by axis '{axis}'",
             index=index,
         )
+    if Ji is None:
+        u, sv, vt = np.linalg.svd(flat)
+        Ji = (np.swapaxes(vt, -1, -2) / sv[:, None, :]) @ np.swapaxes(u, -1, -2)
+    return Ji.reshape(J.shape)
+
+
+def _compliance_from_jacobian(J, k_diag):
+    """J K_joint^-1 J^T for stacked finite square Jacobians J[..., n, n],
+    rejecting rank-deficient ones (`_full_rank_inverse`)."""
+    _full_rank_inverse(J)
     return (J * (1.0 / k_diag)) @ np.swapaxes(J, -1, -2)
 
 
@@ -191,8 +214,9 @@ def _symmetric(M):
 
 
 def stiffness_from_jacobian(J, k_diag):
-    """Cartesian stiffness (J K_joint^-1 J^T)^-1 for square Jacobians,
-    single [n, n] or stacked [..., n, n]."""
+    """Cartesian stiffness J^-T K_joint J^-1 = (J K_joint^-1 J^T)^-1 for
+    square Jacobians, single [n, n] or stacked [..., n, n], from the rank
+    screen's J^-1 (`_full_rank_inverse`)."""
     J = np.asarray(J, dtype=float)
     k = np.asarray(k_diag, dtype=float)
     if J.ndim < 2 or J.shape[-2] != J.shape[-1] or k.shape != J.shape[-1:]:
@@ -201,7 +225,8 @@ def stiffness_from_jacobian(J, k_diag):
         raise InvalidInputError("Jacobian contains non-finite values")
     if not np.all(k > 0) or not np.all(np.isfinite(k)):
         raise InvalidInputError("joint stiffness entries must be positive and finite")
-    return _symmetric(_spd_inverse(_compliance_from_jacobian(J, k), "Cartesian compliance"))
+    Ji = _full_rank_inverse(J)
+    return _symmetric((np.swapaxes(Ji, -1, -2) * k) @ Ji)
 
 
 def _stacked(fn, out_shape, *stacks):

@@ -18,6 +18,8 @@ from twinmill.modal import (
     impact_record_to_csv,
     simulate_impact,
 )
+from twinmill.pathplan import _POSE_NAMES, _ROW_FMT, parse_gcode, plan_sync, program_to_csv, translate_path
+from twinmill.stiffness import Wrench
 
 COLUMNS = ("a", "b", "c")
 ROW = "%.17g,%.17g,%.17g\n"
@@ -59,6 +61,31 @@ class TestWriteTable:
         text = write_table({}, ("index", "x"), np.column_stack([np.arange(3), [0.5, -0.0, 1e300]]),
                            "%d,%.17g\n")
         assert text == "index,x\n0,0.5\n1,-0\n2,1.0000000000000001e+300\n"
+
+
+    @pytest.mark.parametrize("n", [0, 1, 2, _BLOCK_ROWS + 1])
+    def test_constant_columns_match_row_by_row_format(self, n):
+        """Columns bit-identical in every row are written as literals: a
+        1-row table has only such columns, and a column of -0.0 and 0.0
+        is not one."""
+        rng = np.random.default_rng(n)
+        fmt = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+        data = np.column_stack([np.arange(n), np.full(n, 0.1), rng.normal(size=n), np.full(n, -0.0),
+                                np.where(np.arange(n) % 2, 0.0, -0.0), np.full(n, 1e300)])
+        reference = "# k=v\ni,a,b,c,d,e\n" + "".join(fmt % tuple(row) for row in data.tolist())
+        assert write_table({"k": "v"}, "iabcde", data, fmt) == reference
+
+    def test_program_csv_matches_row_by_row_format(self, cfg):
+        """The 12 quaternion columns of a 3-axis program are constant."""
+        path = translate_path(parse_gcode("G1 X4 F300\n"), np.array([2.105, -0.020, 1.100]))
+        program = plan_sync(cfg.system, path, Wrench(np.array([1000.0, 0.0, 0.0])), (cfg.ik_seed1, cfg.ik_seed2))
+        text = program_to_csv(program)
+        sp = program.pairs
+        table = np.column_stack([sp.index] + [getattr(sp, name) for name in _POSE_NAMES] + [sp.q1, sp.q2])
+        assert np.sum(np.all(table == table[0], axis=0)) >= 12
+        header_end = text.index("\nindex,") + 1
+        body = text[text.index("\n", header_end) + 1:]
+        assert body == "".join(_ROW_FMT % tuple(row) for row in table.tolist())
 
 
 class TestReadTable:

@@ -3,13 +3,15 @@ import pytest
 
 from twinmill.errors import InvalidInputError, UnreachableTargetError
 from twinmill.geometry import Pose, pose_error, quat_from_rotvec, rotvec_from_quat
-from twinmill.kinematics import ArmModel, forward_kinematics, inverse_kinematics, jacobian
+from twinmill.kinematics import ArmModel, _chain, forward_kinematics, inverse_kinematics, jacobian
 
 from conftest import make_one_link_arm, make_test_arm
 
 
-def dh_oracle(arm, q):
-    """Independent FK oracle: explicit 4x4 homogeneous products."""
+def dh_frames(arm, q):
+    """Independent FK oracle: the base and the 6 joint frames of one q (6,)
+    from explicit per-link RotZ(theta) TransZ(d) TransX(a) RotX(alpha)
+    4x4 products, and the flange transform."""
     def rz(t):
         c, s = np.cos(t), np.sin(t)
         return np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -23,10 +25,14 @@ def dh_oracle(arm, q):
         T[:3, 3] = (x, y, z)
         return T
 
-    T = arm.base_pose.matrix()
+    frames = [arm.base_pose.matrix()]
     for (a, alpha, d, off), qi in zip(arm.dh_rows, q):
-        T = T @ rz(qi + off) @ trans(0, 0, d) @ trans(a, 0, 0) @ rx(alpha)
-    return T @ arm.flange_offset.matrix()
+        frames.append(frames[-1] @ rz(qi + off) @ trans(0, 0, d) @ trans(a, 0, 0) @ rx(alpha))
+    return frames, frames[-1] @ arm.flange_offset.matrix()
+
+
+def dh_oracle(arm, q):
+    return dh_frames(arm, q)[1]
 
 
 class TestForwardKinematics:
@@ -125,6 +131,80 @@ class TestJacobian:
         arm = make_one_link_arm(a1=1.0)
         sv = np.linalg.svd(jacobian(arm, np.zeros(6)), compute_uv=False)
         assert sv[-1] < 1e-9
+
+
+def three_part_chain(arm, q):
+    """Flange transforms and Jacobians of stacked q[N, 6] with each link
+    matrix summed from its three parts, cos(theta) * C + sin(theta) * S +
+    F, and the frames multiplied as in `_chain`."""
+    a, alpha, d, offset = arm.dh_rows.T
+    L = np.zeros((6, 4, 4))
+    L[:, 0, 0], L[:, 0, 3] = 1.0, a
+    L[:, 1, 1], L[:, 1, 2] = np.cos(alpha), -np.sin(alpha)
+    L[:, 2, 1], L[:, 2, 2], L[:, 2, 3] = np.sin(alpha), np.cos(alpha), d
+    L[:, 3, 3] = 1.0
+    C, S, F = np.zeros_like(L), np.zeros_like(L), np.zeros_like(L)
+    C[:, :2] = L[:, :2]
+    S[:, 0], S[:, 1] = -L[:, 1], L[:, 0]
+    F[:, 2:] = L[:, 2:]
+    theta = (q + offset)[..., None, None]
+    A = np.cos(theta) * C + np.sin(theta) * S + F
+    frames = np.empty((len(q), 7, 4, 4))
+    frames[:, 0] = arm.base_pose.matrix()
+    for i in range(6):
+        np.matmul(frames[:, i], A[:, i], out=frames[:, i + 1])
+    T = frames[:, 6] @ arm.flange_offset.matrix()
+    z = frames[:, :6, :3, 2]
+    r = T[:, None, :3, 3] - frames[:, :6, :3, 3]
+    J = np.empty((len(q), 6, 6))
+    J[:, 0] = z[..., 1] * r[..., 2] - z[..., 2] * r[..., 1]
+    J[:, 1] = z[..., 2] * r[..., 0] - z[..., 0] * r[..., 2]
+    J[:, 2] = z[..., 0] * r[..., 1] - z[..., 1] * r[..., 0]
+    J[:, 3:] = np.swapaxes(z, 1, 2)
+    return T, J
+
+
+def per_link_chain(arm, q):
+    """Flange transform and Jacobian of one q (6,) from `dh_frames`."""
+    frames, T = dh_frames(arm, q)
+    z = np.array([f[:3, 2] for f in frames[:6]])
+    p = np.array([f[:3, 3] for f in frames[:6]])
+    return T, np.vstack([np.cross(z, T[:3, 3] - p).T, z.T])
+
+
+def kernel_arms():
+    from twinmill.config import default_config
+
+    system = default_config().system
+    return {"demo arm 1": system.arm1, "demo arm 2": system.arm2, "test arm": make_test_arm(
+        base=Pose(np.array([0.5, 0.1, 0.0]), quat_from_rotvec([0.0, 0.0, 0.7])),
+        flange=Pose(np.array([0.0, 0.0, 0.1])))}
+
+
+class TestChainKernel:
+    """`_chain` builds every link matrix of a call with one product of
+    (cos, sin, 1) and the arm's [6, 3, 16] link parts."""
+
+    @pytest.mark.parametrize("name", sorted(kernel_arms()))
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_equals_the_three_part_sum(self, name, n):
+        arm = kernel_arms()[name]
+        q = np.random.default_rng(n).uniform(arm.joint_limits[:, 0], arm.joint_limits[:, 1], (n, 6))
+        T, J = _chain(arm._chain_consts, q)
+        T_ref, J_ref = three_part_chain(arm, q)
+        assert np.array_equal(T, T_ref) and np.array_equal(J, J_ref)
+
+    @pytest.mark.parametrize("name", sorted(kernel_arms()))
+    def test_matches_the_per_link_product(self, name):
+        arm = kernel_arms()[name]
+        q = np.random.default_rng(31).uniform(arm.joint_limits[:, 0], arm.joint_limits[:, 1], (300, 6))
+        T, J = _chain(arm._chain_consts, q)
+        for i, row in enumerate(q):
+            T_ref, J_ref = per_link_chain(arm, row)
+            # 1e-15 of the frame's largest entry, a few units of rounding.
+            scale = np.max(np.abs(T_ref))
+            assert np.max(np.abs(T[i] - T_ref)) <= 1e-15 * scale
+            assert np.max(np.abs(J[i] - J_ref)) <= 1e-15 * scale
 
 
 class TestInverseKinematics:
@@ -407,6 +487,19 @@ class TestStackedInverseKinematics:
         seed[5] = -3.0  # beyond the -2.9 rad limit
         with pytest.raises(InvalidInputError, match="seed violates joint limits"):
             inverse_kinematics(arm, targets[:2], seed)
+
+    @pytest.mark.parametrize("row, joint, value, message", [
+        (1, 0, 3.0, "IK seed violates joint limits: q1 = 3 rad outside [-2.9, 2.9] rad at seed row 1"),
+        (4, 5, -7.25, "IK seed violates joint limits: q6 = -7.25 rad outside [-2.9, 2.9] rad at seed row 4"),
+        (None, 2, 3.5, "IK seed violates joint limits: q3 = 3.5 rad outside [-2.9, 2.9] rad"),
+    ])
+    def test_seed_violation_names_the_joint_its_limits_and_the_row(self, stack, row, joint, value, message):
+        arm, targets, seeds, _ = stack
+        seeds = seeds[:6].copy() if row is not None else seeds[0].copy()
+        seeds[(row, joint) if row is not None else joint] = value
+        with pytest.raises(InvalidInputError) as exc:
+            inverse_kinematics(arm, targets[:6], seeds)
+        assert str(exc.value) == message
 
     def test_exact_seeds_iterate_no_row(self, stack, monkeypatch):
         """Seeds that already reproduce their targets come back unchanged,

@@ -1,7 +1,8 @@
 """Property tests of the physical models: the tension offset and the
 predicted tension as an inverse pair over random configuration stacks,
-the rank check of the stiffness layer against a plain SVD, and the rigid
-fit recovering random proper rigid motions."""
+the rank check of the stiffness layer against a plain SVD, the Cartesian
+stiffness and the SPD inverse against plain inverses, and the rigid fit
+recovering random proper rigid motions."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twinmill.compensation import PathTrace, RigidTransform, fit_rigid
+from twinmill.config import default_config
 from twinmill.errors import SingularConfigurationError
 from twinmill.geometry import Pose
 from twinmill.kinematics import jacobian
@@ -19,11 +21,13 @@ from twinmill.stiffness import (
     SpringModel,
     Wrench,
     _compliance_from_jacobian,
+    _spd_inverse,
+    cartesian_stiffness,
     predicted_tension,
     tension_offset,
 )
 
-from conftest import make_test_arm
+from conftest import make_test_arm, random_nonsingular_q
 
 # Fixed example order and a small budget keep tier-1 deterministic and fast.
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None, database=None)
@@ -68,6 +72,39 @@ def test_predicted_tension_inverts_tension_offset(shares, log_k, force, torque):
     assert back.shape == q.shape
     scale = max(np.linalg.norm(w.as_vector()), 1.0)
     assert np.all(np.linalg.norm(back - w.as_vector(), axis=1) <= 1e-9 * scale)
+
+
+DEMO = default_config().system
+STIFFNESS_ARMS = {"test": ARM, "demo 1": DEMO.arm1, "demo 2": DEMO.arm2}
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(STIFFNESS_ARMS)), st.integers(1, 8))
+def test_cartesian_stiffness_inverts_the_compliance(seed, name, n):
+    """K = J^-T K_joint J^-1 from the rank screen's J^-1 equals the
+    inverse of the compliance J K_joint^-1 J^T, row by row."""
+    arm, rng = STIFFNESS_ARMS[name], np.random.default_rng(seed)
+    q = np.array([random_nonsingular_q(arm, rng) for _ in range(n)])
+    k = np.exp(rng.uniform(np.log(5e5), np.log(5e6), 6))
+    K = cartesian_stiffness(arm, q, JointStiffness(k))
+    J = jacobian(arm, q)
+    expected = np.linalg.inv((J * (1.0 / k)) @ np.swapaxes(J, -1, -2))
+    scale = np.max(np.abs(expected), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(K - expected) <= 1e-9 * scale)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.sampled_from([1e-3, 1.0, 1e6]))
+def test_spd_inverse_equals_the_plain_inverse(seed, n, scale):
+    """Stacks of SPD matrices with condition numbers up to about 1e3, at
+    any scale."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, 6, 6))
+    M = scale * (A @ np.swapaxes(A, -1, -2) + 0.5 * np.eye(6))
+    assume(np.max(np.linalg.cond(M)) < 1e3)
+    expected = np.linalg.inv(M)
+    size = np.max(np.abs(expected), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(_spd_inverse(M, "M") - expected) <= 1e-12 * size)
 
 
 def random_orthogonal(rng):

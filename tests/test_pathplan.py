@@ -469,6 +469,23 @@ class TestPlanSync:
             with pytest.raises(InvalidInputError):
                 plan_sync(cfg.system, parse_gcode("G1 X4\n"), Wrench.zero(), seeds)
 
+    @pytest.mark.parametrize("k, value", [(0, 10.0), (1, 10.0), (1, np.nan)])
+    def test_a_seed_outside_its_arm_s_limits_is_named(self, cfg, monkeypatch, k, value):
+        """The demo slot planned with one arm's q1 seed at 10 rad, or NaN,
+        is refused before any IK call, naming the seed, its arm and joint."""
+        seeds = [cfg.ik_seed1.copy(), cfg.ik_seed2.copy()]
+        seeds[k][0] = value
+        lo, hi = (cfg.system.arm1, cfg.system.arm2)[k].joint_limits[0]
+
+        def no_ik(*args, **kwargs):
+            raise AssertionError("IK ran on an out-of-limits seed")
+
+        monkeypatch.setattr(pathplan, "inverse_kinematics", no_ik)
+        with pytest.raises(InvalidInputError) as exc:
+            plan_sync(cfg.system, translate_path(parse_gcode(SLOT_GCODE), WORK_OFFSET), Wrench.zero(), seeds)
+        assert str(exc.value) == (f"ik_seeds[{k}] (arm {k + 1}): seed violates joint limits: "
+                                  f"q1 = {value:g} rad outside [{lo:g}, {hi:g}] rad")
+
     def test_nan_guards_reject(self, cfg):
         with pytest.raises(WorkspaceError):
             demo_plan(cfg, workspace_box=(np.full(3, np.nan), np.ones(3)))

@@ -13,6 +13,8 @@ from twinmill.stiffness import (
     JointStiffness,
     SpringModel,
     Wrench,
+    _spd_inverse,
+    _stacked,
     branch_compliance,
     cartesian_stiffness,
     coupled_stiffness,
@@ -358,8 +360,9 @@ class TestNonFiniteInput:
 
 
 class TestRankScreen:
-    """Rank deficiency is screened with one batched inverse; the rows it
-    cannot certify get the SVD, which names the first deficient one."""
+    """Rank deficiency is screened with one batched inverse, which is also
+    the J^-1 of the Cartesian stiffness; the rows it cannot certify get
+    the SVD, which names the first deficient one."""
 
     @pytest.fixture
     def stack(self, test_arm):
@@ -384,6 +387,23 @@ class TestRankScreen:
         assert exc.value.index == 270
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
 
+    def test_full_rank_block_whose_inverse_fails_is_inverted_by_its_svd(self, test_arm, stack):
+        """LU meets an exact zero pivot in [[3, 1], [1, 1/3]] * 1e9, whose
+        smallest singular value is still about 5e-8: its block gets K from
+        the SVD's inverse, and the other rows keep their own stiffness."""
+        J = jacobian(test_arm, stack[:4])
+        odd = np.eye(6)
+        odd[:2, :2] = [[3.0, 1.0], [1.0, 1.0 / 3.0]]
+        odd *= 1e9
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(odd)
+        assert np.linalg.svd(odd, compute_uv=False)[-1] > 1e-8
+        K = stiffness_from_jacobian(np.concatenate([J, odd[None]]), KS.diag)
+        _assert_rows_equal(K[:4], stiffness_from_jacobian(J, KS.diag))
+        u, sv, vt = np.linalg.svd(odd)
+        odd_inverse = (vt.T / sv) @ u.T
+        np.testing.assert_allclose(K[4], odd_inverse.T @ np.diag(KS.diag) @ odd_inverse, rtol=1e-9)
+
     def test_demo_rows_are_certified_without_an_svd(self, cfg, demo_rows, monkeypatch):
         idx = np.arange(300) % len(demo_rows[0])
         q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
@@ -395,6 +415,25 @@ class TestRankScreen:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         np.testing.assert_array_equal(coupled_stiffness(cfg.system, q1, q2), expected)
         tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0])))
+
+
+class TestSpdInverse:
+    """`_spd_inverse` inverts the Cholesky factor by forward substitution."""
+
+    @pytest.fixture
+    def spd_stack(self):
+        A = np.random.default_rng(42).normal(size=(300, 6, 6))
+        return A @ np.swapaxes(A, -1, -2) + 0.5 * np.eye(6)
+
+    def test_single_matrix(self, spd_stack):
+        np.testing.assert_allclose(_spd_inverse(spd_stack[0], "M"), np.linalg.inv(spd_stack[0]),
+                                   rtol=0, atol=1e-12 * np.max(np.abs(np.linalg.inv(spd_stack[0]))))
+
+    def test_non_positive_definite_row_in_the_second_block_is_named(self, spd_stack):
+        spd_stack[270, 3, 3] = -1.0
+        with pytest.raises(SingularConfigurationError, match="^M is not positive definite") as exc:
+            _stacked(lambda m: _spd_inverse(m.reshape(-1, 6, 6), "M"), (6, 6), spd_stack.reshape(300, 36))
+        assert exc.value.index == 270
 
 
 class TestFramePasses:
