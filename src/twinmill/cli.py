@@ -173,13 +173,13 @@ def build_parser():
     p.add_argument("--axis", choices=modal.AXES, default="x")
     p.add_argument("--df", type=float, default=0.25, help="frequency grid step in Hz")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_modal, needs_config=True)
+    p.set_defaults(func=cmd_modal)
 
     p = sub.add_parser("frf", help="H1 FRF estimate from impact-test CSV files")
     p.add_argument("impacts", nargs="+", help="impact record CSV files")
     p.add_argument("--nfft", type=int, default=None)
     p.add_argument("--out", required=True, help="output FRF CSV file")
-    p.set_defaults(func=cmd_frf, needs_config=False)
+    p.set_defaults(func=cmd_frf)
 
     p = sub.add_parser("plan", help="plan a synchronized dual-robot program for a toolpath")
     p.add_argument("path_file", help="G-code (.nc/.gcode) or native JSON path file")
@@ -191,7 +191,7 @@ def build_parser():
         help="x,y,z work offset in mm added to all path coordinates",
     )
     p.add_argument("--out", required=True, help="output program CSV file")
-    p.set_defaults(func=cmd_plan, needs_config=True)
+    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("deform", help="simulate tension deformation of a planned program")
     p.add_argument("program", help="SyncProgram CSV from 'plan'")
@@ -199,7 +199,7 @@ def build_parser():
     p.add_argument("--noise-sigma", type=float, default=0.0, help="tracker noise sigma in m")
     p.add_argument("--seed", type=int, default=None, help="RNG seed for --noise-sigma")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_deform, needs_config=True)
+    p.set_defaults(func=cmd_deform)
     return parser
 
 

@@ -77,13 +77,13 @@ class RigidTransform:
         return (np.asarray(points, dtype=float) - self.translation) @ self.matrix()
 
 
-def nominal_trace(program: SyncProgram, label="nominal") -> PathTrace:
+def nominal_trace(program: SyncProgram) -> PathTrace:
     """Undeformed tool positions of a program."""
     pts = np.array(program.pairs.tool_pose[:, :3])
-    return PathTrace(pts, label=label, tension=0.0)
+    return PathTrace(pts, label="nominal", tension=0.0)
 
 
-def simulate_deformation(sys: CoupledSystem, program: SyncProgram, label="deformed") -> PathTrace:
+def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
     """Displace every tool position by compliance x internal wrench.
 
     The compliance is the inverse of the coupled tool-point stiffness at
@@ -93,16 +93,23 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram, label="deform
     is checked against the program's own flange targets instead, within
     CLOSURE_TOL: FK1(q1) ∘ flange2_offset against the nominal arm-2
     flange, FK2(q2) against the commanded one. The commanded flange may
-    lie at most _MAX_OFFSET from the nominal one.
+    lie at most _MAX_OFFSET from the nominal one. Joints outside their
+    limits raise InvalidInputError naming the setpoint and the arm.
     """
     sp = program.pairs
     nominal, commanded = sp.robot2_flange_nominal[:, :3], sp.robot2_flange_commanded[:, :3]
-    attach = flange_transform(sys.arm1, sp.q1) @ sys.flange2_offset.matrix()
+    flanges = []
+    for k, (arm, q) in enumerate(((sys.arm1, sp.q1), (sys.arm2, sp.q2)), start=1):
+        try:
+            flanges.append(flange_transform(arm, q))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"setpoint {exc.index}, arm {k}: {exc}", index=exc.index) from exc
+    attach = flanges[0] @ sys.flange2_offset.matrix()
     check_closure(commanded, nominal, _MAX_OFFSET,
                   "setpoint {index}: commanded arm-2 flange is {gap:.3e} m from the nominal one")
     check_closure(attach[:, :3, 3], nominal, CLOSURE_TOL,
                   "setpoint {index}: arm-2 attachment frame is {gap:.3e} m from its planned position")
-    check_closure(flange_transform(sys.arm2, sp.q2)[:, :3, 3], commanded, CLOSURE_TOL,
+    check_closure(flanges[1][:, :3, 3], commanded, CLOSURE_TOL,
                   "setpoint {index}: arm-2 flange is {gap:.3e} m from its planned position")
     try:
         K = coupled_stiffness(sys, sp.q1, sp.q2, closure_tol=np.inf)
@@ -111,7 +118,7 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram, label="deform
     w = np.broadcast_to(program.tension.as_vector(), sp.q1.shape)
     delta = np.linalg.solve(K, w[..., None])[..., 0]
     pts = sp.tool_pose[:, :3] + delta[:, :3]
-    return PathTrace(pts, label=label, tension=float(np.linalg.norm(program.tension.force)))
+    return PathTrace(pts, label="deformed", tension=float(np.linalg.norm(program.tension.force)))
 
 
 def fit_rigid(reference: PathTrace, measured: PathTrace) -> RigidTransform:

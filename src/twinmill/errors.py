@@ -2,7 +2,12 @@
 
 
 class TwinmillError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. For stacked inputs, `index` is
+    the offending row where one is known."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class InvalidInputError(TwinmillError):
@@ -14,29 +19,22 @@ class UnreachableTargetError(TwinmillError):
     and, for stacked targets, the failing row as `index`."""
 
     def __init__(self, message, pos_residual=None, rot_residual=None, index=None):
-        super().__init__(message)
+        super().__init__(message, index)
         self.pos_residual = pos_residual
         self.rot_residual = rot_residual
-        self.index = index
 
 
 class SingularConfigurationError(TwinmillError):
-    """A Jacobian or stiffness matrix is rank deficient; for stacked
-    configurations, `index` is the offending row."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """A Jacobian or stiffness matrix is rank deficient."""
 
 
 class ClosureError(TwinmillError):
     """The two flange poses are inconsistent with the coupling geometry;
-    for stacked configurations, `index` is the offending row."""
+    carries the gap (m)."""
 
     def __init__(self, message, gap=None, index=None):
-        super().__init__(message)
+        super().__init__(message, index)
         self.gap = gap
-        self.index = index
 
 
 class MalformedArcError(TwinmillError):
@@ -56,11 +54,7 @@ class UnsupportedGcodeError(TwinmillError):
 
 
 class PlanError(TwinmillError):
-    """Setpoint generation failed; carries the offending pose index."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """Setpoint generation failed at the pose `index`."""
 
 
 class WorkspaceError(PlanError):

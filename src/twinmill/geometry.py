@@ -145,20 +145,14 @@ class Pose:
     def rotation(self):
         return quat_to_matrix(self.quaternion)
 
-    def compose(self, other: "Pose") -> "Pose":
-        """self followed by other (other expressed in self's frame)."""
-        R = self.rotation()
-        return Pose(self.position + R @ other.position, quat_multiply(self.quaternion, other.quaternion))
-
     def inverse(self) -> "Pose":
         qi = quat_conjugate(self.quaternion)
         return Pose(-(quat_to_matrix(qi) @ self.position), qi)
 
-    def transform_point(self, p):
-        return self.position + self.rotation() @ np.asarray(p, dtype=float)
-
-    def __matmul__(self, other):
-        return self.compose(other)
+    def __matmul__(self, other: "Pose") -> "Pose":
+        """self followed by other (other expressed in self's frame)."""
+        R = self.rotation()
+        return Pose(self.position + R @ other.position, quat_multiply(self.quaternion, other.quaternion))
 
 
 def _row(pose):

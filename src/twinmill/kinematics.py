@@ -94,7 +94,22 @@ class ArmModel:
 
     def within_limits(self, q):
         q = _joint_array(self, q, allow_out_of_limits=True, stacked=False)
-        return bool(np.all(q >= self.joint_limits[:, 0]) and np.all(q <= self.joint_limits[:, 1]))
+        return _limit_violation(self, q, "q")[0] is None
+
+
+def _limit_violation(arm, q, what):
+    """The first row of q (6,) or q[..., 6], flattened, that leaves the
+    arm's joint limits (a NaN lies outside), and a message saying that
+    `what` violates them, naming the joint, its value and its limits;
+    (None, "") if no row does."""
+    rows = np.reshape(q, (-1, N_JOINTS))
+    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
+    inside = (rows >= lo) & (rows <= hi)
+    if inside.all():
+        return None, ""
+    row, j = (int(k) for k in np.argwhere(~inside)[0])
+    return row, (f"{what} violates joint limits: q{j + 1} = {rows[row, j]:.6g} rad "
+                 f"outside [{lo[j]:.6g}, {hi[j]:.6g}] rad")
 
 
 def _joint_array(arm, q, allow_out_of_limits, stacked=True):
@@ -105,9 +120,9 @@ def _joint_array(arm, q, allow_out_of_limits, stacked=True):
     if not np.all(np.isfinite(q)):
         raise InvalidInputError("joint configuration contains non-finite values")
     if not allow_out_of_limits:
-        lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
-        if not (np.all(q >= lo) and np.all(q <= hi)):
-            raise InvalidInputError("joint configuration violates the arm's joint limits")
+        row, violation = _limit_violation(arm, q, "joint configuration")
+        if violation:
+            raise InvalidInputError(violation, index=row if q.ndim > 1 else None)
     return q
 
 
@@ -145,15 +160,15 @@ def _chain(consts, q):
     return T, J
 
 
-def _frames(arm: ArmModel, q, allow_out_of_limits):
+def _frames(arm: ArmModel, q):
     """Flange transforms T[..., 4, 4] and Jacobians J[..., 6, 6] of stacked
-    configurations q[..., 6], from one `_chain` call."""
-    return _chain(arm._chain_consts, _joint_array(arm, q, allow_out_of_limits))
+    configurations q[..., 6] within the joint limits, from one `_chain` call."""
+    return _chain(arm._chain_consts, _joint_array(arm, q, allow_out_of_limits=False))
 
 
-def flange_transform(arm: ArmModel, q, allow_out_of_limits=False):
+def flange_transform(arm: ArmModel, q):
     """World-frame 4x4 flange transforms of stacked configurations q[..., 6]."""
-    return _frames(arm, q, allow_out_of_limits)[0]
+    return _frames(arm, q)[0]
 
 
 def forward_kinematics(arm: ArmModel, q, allow_out_of_limits=False):
@@ -169,14 +184,14 @@ def forward_kinematics(arm: ArmModel, q, allow_out_of_limits=False):
     return rows if q.ndim == 2 else Pose(rows[:3], rows[3:])
 
 
-def jacobian(arm: ArmModel, q, allow_out_of_limits=False):
+def jacobian(arm: ArmModel, q):
     """Geometric Jacobian at the flange, world frame, for q of shape (6,)
     or stacked q[..., 6] (result [..., 6, 6]).
 
     Rows 0-2 map joint rates to flange linear velocity, rows 3-5 to
     angular velocity.
     """
-    return _frames(arm, q, allow_out_of_limits)[1]
+    return _frames(arm, q)[1]
 
 
 # Twists within this of their nominal value, and offsets within this of
@@ -309,21 +324,6 @@ def closed_form_ik(arm: ArmModel, target, branch, near=None):
     return q
 
 
-def _seed_limit_violation(arm: ArmModel, seeds):
-    """Where seeds (6,) or [N, 6] first leave the arm's joint limits (a NaN
-    lies outside), naming the joint, its value, its limits and, for
-    stacked seeds, the row; empty if they do not."""
-    rows = np.reshape(seeds, (-1, N_JOINTS))
-    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
-    outside = np.argwhere(~((rows >= lo) & (rows <= hi)))
-    if not outside.size:
-        return ""
-    row, j = outside[0]
-    where = f" at seed row {row}" if np.ndim(seeds) == 2 else ""
-    return (f"seed violates joint limits: q{j + 1} = {rows[row, j]:.6g} rad "
-            f"outside [{lo[j]:.6g}, {hi[j]:.6g}] rad{where}")
-
-
 def _residuals(err):
     """Position and rotation norms of error twists err[N, 6], as [N, 2]."""
     sq = err * err
@@ -372,9 +372,9 @@ def inverse_kinematics(
     seeds = _joint_array(arm, seed, allow_out_of_limits=True)
     if targets.ndim > 2 or seeds.ndim > 2 or (targets.ndim == seeds.ndim == 2 and len(targets) != len(seeds)):
         raise InvalidInputError("IK takes targets [N, 7] with one seed (6,) or seeds [N, 6]")
-    violation = _seed_limit_violation(arm, seeds)
+    row, violation = _limit_violation(arm, seeds, "seed")
     if violation:
-        raise InvalidInputError(f"IK {violation}")
+        raise InvalidInputError(f"IK {violation}" + (f" at seed row {row}" if seeds.ndim == 2 else ""))
     lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
     lead = targets.shape[:-1] or seeds.shape[:-1]
     targets = np.broadcast_to(targets, (lead[0] if lead else 1, 7))
@@ -398,8 +398,8 @@ def inverse_kinematics(
     # tracer (perfbench/spans.py) counts FK and Jacobian calls. Each trial
     # step evaluates its pose and Jacobian in one kernel call, and the
     # Jacobian of an accepted step is reused by the next.
-    err = pose_error(forward_kinematics(arm, seeds, allow_out_of_limits=True), targets)
-    J = np.broadcast_to(jacobian(arm, seeds, allow_out_of_limits=True), (len(q), 6, N_JOINTS))
+    err = pose_error(forward_kinematics(arm, seeds), targets)
+    J = np.broadcast_to(jacobian(arm, seeds), (len(q), 6, N_JOINTS))
     res = _residuals(err)
     # Per row still iterating (`rows` holds their indices, ascending): its
     # q, error, Jacobian, residuals, best residual, target, damping,

@@ -139,10 +139,10 @@ def frf_synthesize(model: ModalModel, tension, grid) -> FrfSeries:
     return FrfSeries(grid, H, axis=model.axis, tension=float(tension))
 
 
-def _force_window(force, threshold=0.02):
-    """Rectangular window over the impact support (samples above a small
-    fraction of the peak, padded by one sample each side)."""
-    mask = np.abs(force) >= threshold * np.max(np.abs(force))
+def _force_window(force):
+    """Rectangular window over the impact support (samples of at least 2 %
+    of the peak, padded by one sample each side)."""
+    mask = np.abs(force) >= 0.02 * np.max(np.abs(force))
     idx = np.nonzero(mask)[0]
     lo = max(0, idx[0] - 1)
     hi = min(force.size, idx[-1] + 2)
@@ -151,12 +151,11 @@ def _force_window(force, threshold=0.02):
     return w
 
 
-def _exp_window(n, final=0.01):
-    return np.exp(np.log(final) * np.arange(n) / (n - 1))
+def _exp_window(n):
+    return np.exp(np.log(0.01) * np.arange(n) / (n - 1))
 
 
-def h1_estimate(records, nfft=None, force_threshold=0.02, exp_final=0.01,
-                window=True) -> FrfSeries:
+def h1_estimate(records, nfft=None, window=True) -> FrfSeries:
     """H1 compliance FRF averaged over repeated impacts.
 
     Accelerance S_fa/S_ff is formed from windowed FFTs (rectangular force
@@ -185,8 +184,8 @@ def h1_estimate(records, nfft=None, force_threshold=0.02, exp_final=0.01,
         f = r.force
         a = r.acceleration
         if window:
-            f = f * _force_window(f, force_threshold)
-            a = a * _exp_window(a.size, exp_final)
+            f = f * _force_window(f)
+            a = a * _exp_window(a.size)
         F = np.fft.rfft(f, nfft)
         A = np.fft.rfft(a, nfft)
         s_ff += (np.conj(F) * F).real
@@ -235,8 +234,8 @@ def fit_shift(points, scope="global") -> ShiftFit:
 
 
 def simulate_impact(model: ModalModel, tension, sample_rate=4096.0, duration=4.0,
-                    amplitude=100.0, impact_width=0.002) -> ImpactRecord:
-    """Simulate the oscillator response to a half-sine hammer impact.
+                    impact_width=0.002) -> ImpactRecord:
+    """Simulate the oscillator response to a 100 N half-sine hammer impact.
 
     Used to generate desk-scale stand-ins for the physical impact tests.
     """
@@ -244,7 +243,7 @@ def simulate_impact(model: ModalModel, tension, sample_rate=4096.0, duration=4.0
         raise InvalidInputError("sample rate, duration and impact width must be positive")
     n = int(round(sample_rate * duration))
     t = np.arange(n) / sample_rate
-    force = np.where(t < impact_width, amplitude * np.sin(math.pi * t / impact_width), 0.0)
+    force = np.where(t < impact_width, 100.0 * np.sin(math.pi * t / impact_width), 0.0)
     k = effective_stiffness(model, tension)
     c = 2.0 * model.damping_ratio * math.sqrt(k * model.mass)
     m = model.mass

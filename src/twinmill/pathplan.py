@@ -34,7 +34,7 @@ from .kinematics import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL_POS,
     DEFAULT_TOL_ROT,
-    _seed_limit_violation,
+    _limit_violation,
     closed_form_ik,
     ik_branch,
     inverse_kinematics,
@@ -618,8 +618,7 @@ def _branch_seeds(arm, targets, q_before, joint_jump_max):
         return None
     seeds = closed_form_ik(arm, targets, ik_branch(arm, q_before), near=q_before)
     path = np.vstack([q_before, seeds])
-    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
-    if np.all(path >= lo) and np.all(path <= hi) and np.all(np.abs(np.diff(path, axis=0)) <= joint_jump_max):
+    if _limit_violation(arm, path, "seed")[0] is None and np.all(np.abs(np.diff(path, axis=0)) <= joint_jump_max):
         return seeds
     return None
 
@@ -697,7 +696,7 @@ def plan_sync(
     if len(seeds) != 2 or any(s.shape != (6,) for s in seeds):
         raise InvalidInputError("ik_seeds must be two configurations of 6 joints")
     for k, (arm, seed) in enumerate(zip((sys.arm1, sys.arm2), seeds)):
-        violation = _seed_limit_violation(arm, seed)
+        _, violation = _limit_violation(arm, seed, "seed")
         if violation:
             raise InvalidInputError(f"ik_seeds[{k}] (arm {k + 1}): {violation}")
     seeds = np.stack(seeds)

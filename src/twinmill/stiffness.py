@@ -6,12 +6,13 @@ linear spring. The tool sits rigidly on the arm-1 side of the module, so
 the tool-point stiffness is arm 1 in parallel with the series combination
 of the spring and arm 2.
 
-Every function of joint configurations also takes stacks q[..., 6] (the
-leading axes of q1 and q2 broadcast) and returns stacked results. Stacks
-are evaluated in blocks of _BLOCK_ROWS rows, so peak memory does not grow
-with their length; an error raised for one row carries that row of the
-flattened stack as `index`. A block evaluates arm 2's flange and Jacobian
-in one frame pass (`kinematics._frames`).
+Every function of joint configurations refuses joints outside their
+limits, and also takes stacks q[..., 6] (the leading axes of q1 and q2
+broadcast) and returns stacked results. Stacks are evaluated in blocks of
+_BLOCK_ROWS rows, so peak memory does not grow with their length; an
+error raised for one row carries that row of the flattened stack as
+`index`. One block kernel, `_branch`, builds the arm-2 branch from one
+frame pass of arm 2 (`kinematics._frames`).
 
 A Jacobian is rank deficient when its smallest singular value is at most
 _MIN_SINGULAR_VALUE. The check is certified by one batched inverse per
@@ -31,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClosureError, InvalidInputError, SingularConfigurationError
+from .errors import ClosureError, InvalidInputError, SingularConfigurationError, TwinmillError
 from .geometry import Pose, rotate6, transport_compliance, transport_stiffness
 from .kinematics import ArmModel, _frames, flange_transform, jacobian
 
@@ -247,17 +248,18 @@ def _stacked(fn, out_shape, *stacks):
         block = slice(start, start + _BLOCK_ROWS)
         try:
             out[block] = fn(*(r[block] for r in rows))
-        except (SingularConfigurationError, ClosureError) as exc:
-            exc.index += start
+        except TwinmillError as exc:
+            if exc.index is not None:
+                exc.index += start
             raise
     return out.reshape(lead + out_shape)
 
 
-def cartesian_stiffness(arm: ArmModel, q, k_joint: JointStiffness, allow_out_of_limits=False):
+def cartesian_stiffness(arm: ArmModel, q, k_joint: JointStiffness):
     """Configuration-dependent 6x6 Cartesian stiffness at the flange,
     world frame."""
     return _stacked(
-        lambda qb: stiffness_from_jacobian(jacobian(arm, qb, allow_out_of_limits), k_joint.diag),
+        lambda qb: stiffness_from_jacobian(jacobian(arm, qb), k_joint.diag),
         (6, 6), q,
     )
 
@@ -278,80 +280,69 @@ def check_closure(actual, planned, tol, message):
         raise ClosureError(message.format(index=i, gap=gaps[i]), gap=float(gaps[i]), index=i)
 
 
-def _branch_frames(sys: CoupledSystem, q1, q2, allow_out_of_limits, closure_tol):
-    """Arm-1 flange, arm-2 flange and Jacobian, arm-2 attachment and tool
-    transforms of a block of configuration pairs, with the closure check.
-    Arm 2's flange and Jacobian come from one frame pass."""
-    fk1 = flange_transform(sys.arm1, q1, allow_out_of_limits)
-    fk2, J2 = _frames(sys.arm2, q2, allow_out_of_limits)
+def _branch(sys: CoupledSystem, q1, q2, closure_tol=CLOSURE_TOL):
+    """The arm-2 branch of a block of configuration pairs: arm 1's flange
+    transforms, the attachment frames of arm 2 on them and the series
+    compliance of arm 2 and the spring at the attachment point, not yet
+    symmetrized. Checks closure first; arm 2's flange and Jacobian come
+    from one frame pass."""
+    fk1 = flange_transform(sys.arm1, q1)
+    fk2, J2 = _frames(sys.arm2, q2)
     attach = fk1 @ sys.flange2_offset.matrix()
     check_closure(_position(fk2), _position(attach), closure_tol,
                   "kinematic closure violated: arm-2 flange is {gap:.3e} m from its attachment frame")
-    tool = fk1 @ sys.tool_offset.matrix()
-    return fk1, fk2, J2, attach, tool
-
-
-def _branch2_compliance(sys: CoupledSystem, J2, fk2, attach):
-    """Series compliance of arm 2 and the spring, at the attachment point."""
     C2 = _compliance_from_jacobian(J2, sys.joint_stiffness2.diag)
     C2 = transport_compliance(C2, _position(attach) - _position(fk2))
     R6 = rotate6(attach[:, :3, :3])
-    return C2 + R6 @ sys.spring.compliance @ np.swapaxes(R6, -1, -2)
+    return fk1, attach, C2 + R6 @ sys.spring.compliance @ np.swapaxes(R6, -1, -2)
 
 
-def _coupled_block(sys, q1, q2, allow_out_of_limits, closure_tol):
-    fk1, fk2, J2, attach, tool = _branch_frames(sys, q1, q2, allow_out_of_limits, closure_tol)
-    K1 = cartesian_stiffness(sys.arm1, q1, sys.joint_stiffness1, allow_out_of_limits)
-    K1_tool = transport_stiffness(K1, _position(tool) - _position(fk1))
-    C_branch2 = _branch2_compliance(sys, J2, fk2, attach)
-    C_branch2_tool = transport_compliance(C_branch2, _position(tool) - _position(attach))
+def _coupled_block(sys, q1, q2, closure_tol):
+    fk1, attach, C_branch2 = _branch(sys, q1, q2, closure_tol)
+    tool = _position(fk1 @ sys.tool_offset.matrix())
+    K1 = cartesian_stiffness(sys.arm1, q1, sys.joint_stiffness1)
+    K1_tool = transport_stiffness(K1, tool - _position(fk1))
+    C_branch2_tool = transport_compliance(C_branch2, tool - _position(attach))
     return _symmetric(K1_tool + _spd_inverse(C_branch2_tool, "arm-2 branch compliance"))
 
 
-def coupled_stiffness(sys: CoupledSystem, q1, q2, allow_out_of_limits=False, closure_tol=CLOSURE_TOL):
+def coupled_stiffness(sys: CoupledSystem, q1, q2, closure_tol=CLOSURE_TOL):
     """6x6 stiffness of the closed chain at the tool point, world frame.
 
     closure_tol may be widened when evaluating commanded (tensioned)
     configurations, whose flange gap is the setpoint offset itself, by a
     caller that checks closure against the planned poses instead.
     """
-    return _stacked(
-        lambda a, b: _coupled_block(sys, a, b, allow_out_of_limits, closure_tol), (6, 6), q1, q2
-    )
+    return _stacked(lambda a, b: _coupled_block(sys, a, b, closure_tol), (6, 6), q1, q2)
 
 
-def _branch_block(sys, q1, q2, allow_out_of_limits):
-    _, fk2, J2, attach, _ = _branch_frames(sys, q1, q2, allow_out_of_limits, CLOSURE_TOL)
-    return _symmetric(_branch2_compliance(sys, J2, fk2, attach))
-
-
-def branch_compliance(sys: CoupledSystem, q1, q2, allow_out_of_limits=False):
+def branch_compliance(sys: CoupledSystem, q1, q2):
     """Series compliance of the arm-2 branch (arm 2 + spring) as seen from
     arm 2's flange attachment, world frame."""
-    return _stacked(lambda a, b: _branch_block(sys, a, b, allow_out_of_limits), (6, 6), q1, q2)
+    return _stacked(lambda a, b: _symmetric(_branch(sys, a, b)[2]), (6, 6), q1, q2)
 
 
 def _matvec(M, v):
     return (M @ v[..., None])[..., 0]
 
 
-def tension_offset(sys: CoupledSystem, q1, q2, desired: Wrench, allow_out_of_limits=False):
+def tension_offset(sys: CoupledSystem, q1, q2, desired: Wrench):
     """Setpoint offset for robot 2 (3 translations m, 3 rotations rad,
     world axes) that makes the coupling module carry `desired`."""
     return _stacked(
-        lambda a, b, w: _matvec(_branch_block(sys, a, b, allow_out_of_limits), w),
+        lambda a, b, w: _matvec(_symmetric(_branch(sys, a, b)[2]), w),
         (6,), q1, q2, desired.as_vector(),
     )
 
 
-def predicted_tension(sys: CoupledSystem, q1, q2, offset, allow_out_of_limits=False) -> Wrench:
+def predicted_tension(sys: CoupledSystem, q1, q2, offset) -> Wrench:
     """Internal wrench produced by commanding robot 2 to nominal ⊕ offset;
     exact inverse of tension_offset in the linear model."""
     offset = np.asarray(offset, dtype=float)
     if offset.shape[-1:] != (6,) or not np.all(np.isfinite(offset)):
         raise InvalidInputError("offset must be a finite 6-vector")
     return Wrench.from_vector(_stacked(
-        lambda a, b, d: _matvec(_spd_inverse(_branch_block(sys, a, b, allow_out_of_limits),
+        lambda a, b, d: _matvec(_spd_inverse(_symmetric(_branch(sys, a, b)[2]),
                                              "arm-2 branch compliance"), d),
         (6,), q1, q2, offset,
     ))

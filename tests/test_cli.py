@@ -1,8 +1,11 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from twinmill import cli, modal
 from twinmill.config import config_to_json, default_config_dict
-from twinmill.pathplan import program_from_csv
+from twinmill.pathplan import program_from_csv, program_to_csv
 
 SLOT_GCODE = "G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"
 WORK_OFFSET = "2105,-20,1100"
@@ -214,6 +217,22 @@ class TestDeform:
         after = read_rms(out / "residual_after.csv")
         assert before > 1e-4
         assert after < 5e-5
+
+    def test_joint_outside_limits_exits_3(self, tmp_path, config_file, program_file, capsys):
+        """Setpoint 7's q1 joint 5 edited to 2.5 rad, beyond its 2.2 rad limit."""
+        program = program_from_csv(Path(program_file).read_text())
+        pairs = list(program.pairs)
+        q1 = pairs[7].q1.copy()
+        q1[4] = 2.5
+        pairs[7] = dataclasses.replace(pairs[7], q1=q1)
+        edited = tmp_path / "edited.csv"
+        edited.write_text(program_to_csv(dataclasses.replace(program, pairs=pairs)))
+        out = tmp_path / "o"
+        assert cli.main(["--config", config_file, "deform", str(edited), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: setpoint 7, arm 1: joint configuration violates joint limits: "
+            "q5 = 2.5 rad outside [-2.2, 2.2] rad\n")
+        assert not (out / "deformed.csv").exists()
 
     def test_noise_without_seed_exits_64(self, tmp_path, config_file, program_file):
         code = cli.main(

@@ -206,6 +206,23 @@ class TestDeformation:
         assert str(exc.value).startswith(f"setpoint {k}: commanded arm-2 flange")
         assert exc.value.gap == pytest.approx(0.02, rel=1e-9)
 
+    @pytest.mark.parametrize("arm", [1, 2])
+    def test_joint_outside_limits_named(self, cfg, demo_program, arm):
+        """A program whose joints leave an arm's limits, as a hand-edited
+        program CSV can, is refused naming the setpoint, the arm and the
+        joint with its value and limits."""
+        k = 7
+        pair = demo_program.pairs[k]
+        q = (pair.q1 if arm == 1 else pair.q2).copy()
+        q[4] = 2.5
+        lo, hi = (cfg.system.arm1, cfg.system.arm2)[arm - 1].joint_limits[4]
+        program = _with_pair(demo_program, k, dataclasses.replace(pair, **{f"q{arm}": q}))
+        with pytest.raises(InvalidInputError) as exc:
+            simulate_deformation(cfg.system, program)
+        assert exc.value.index == k
+        assert str(exc.value) == (f"setpoint {k}, arm {arm}: joint configuration violates joint limits: "
+                                  f"q5 = 2.5 rad outside [{lo:g}, {hi:g}] rad")
+
     def test_singular_setpoint_named(self, cfg, demo_program):
         # Arm 1's wrist stretched out (q5 = 0) aligns joints 4 and 6.
         k = 3

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ class TestParse:
             "max_step_m": kw["max_step"].default,
             "joint_jump_max_rad": kw["joint_jump_max"].default,
         }
+
+    def test_demo_file_is_the_default_config(self):
+        """The benchmark and the CI demo read demo/system.json, the tests
+        default_config_dict(): both must describe the same cell."""
+        demo = Path(__file__).resolve().parent.parent / "demo" / "system.json"
+        assert json.loads(demo.read_text()) == default_config_dict()
 
     def test_json_round_trip(self):
         doc = json.loads(config_to_json(default_config_dict()))

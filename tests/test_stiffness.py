@@ -189,6 +189,22 @@ class TestCoupledStiffness:
             coupled_stiffness(sys_, q1, q2_bad)
         assert exc.value.gap > 1e-4
 
+    def test_commanded_pairs_need_a_widened_closure_tol(self, cfg, demo_program):
+        """The commanded arm-2 joints of a tensioned program sit the setpoint
+        offset (about 0.27 mm on the demo slot at 1000 N) from the
+        attachment frame: the default tolerance refuses them at setpoint 0,
+        and closure_tol=inf gives the stiffness simulate_deformation uses."""
+        sp = demo_program.pairs
+        with pytest.raises(ClosureError) as exc:
+            coupled_stiffness(cfg.system, sp.q1, sp.q2)
+        assert exc.value.index == 0
+        assert exc.value.gap == pytest.approx(2.73e-4, rel=1e-2)
+        K = coupled_stiffness(cfg.system, sp.q1, sp.q2, closure_tol=np.inf)
+        w = np.broadcast_to(demo_program.tension.as_vector(), sp.q1.shape)
+        delta = np.linalg.solve(K, w[..., None])[..., 0]
+        np.testing.assert_array_equal(simulate_deformation(cfg.system, demo_program).points,
+                                      sp.tool_pose[:, :3] + delta[:, :3])
+
 
 class TestTension:
     def test_zero_wrench_zero_offset(self):
@@ -337,6 +353,20 @@ class TestStacked:
         with pytest.raises(ClosureError) as exc:
             coupled_stiffness(cfg.system, q1, q2)
         assert exc.value.index == 270
+
+    def test_limit_error_names_the_joint_and_the_stack_row(self, cfg, demo_rows):
+        idx = np.arange(300) % len(demo_rows[0])
+        q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
+        q1[270, 4] = 2.5  # beyond arm 1's q5 limit, in the second block
+        lo, hi = cfg.system.arm1.joint_limits[4]
+        for call in (lambda: coupled_stiffness(cfg.system, q1, q2),
+                     lambda: branch_compliance(cfg.system, q1, q2),
+                     lambda: cartesian_stiffness(cfg.system.arm1, q1, cfg.system.joint_stiffness1)):
+            with pytest.raises(InvalidInputError) as exc:
+                call()
+            assert exc.value.index == 270
+            assert str(exc.value) == ("joint configuration violates joint limits: "
+                                      f"q5 = 2.5 rad outside [{lo:g}, {hi:g}] rad")
 
 
 RANK_DEFICIENT = re.compile(r"Jacobian is rank deficient \(smallest singular value \S+\); "
