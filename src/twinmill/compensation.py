@@ -94,7 +94,8 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
     CLOSURE_TOL: FK1(q1) ∘ flange2_offset against the nominal arm-2
     flange, FK2(q2) against the commanded one. The commanded flange may
     lie at most _MAX_OFFSET from the nominal one. Joints outside their
-    limits raise InvalidInputError naming the setpoint and the arm.
+    limits, or non-finite, raise InvalidInputError naming the setpoint
+    and the arm.
     """
     sp = program.pairs
     nominal, commanded = sp.robot2_flange_nominal[:, :3], sp.robot2_flange_commanded[:, :3]

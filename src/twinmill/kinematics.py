@@ -3,13 +3,16 @@ and damped least-squares inverse kinematics.
 
 DH convention is standard Denavit-Hartenberg (RotZ(theta) TransZ(d)
 TransX(a) RotX(alpha)); all joints revolute. One kernel evaluates the
-flange transform and the Jacobian of stacked configurations q[..., 6];
-a single (6,) configuration is its unstacked case. Inverse kinematics
-solves the stacked targets of one arm in lockstep; one target is its N=1
-case, and each arm is solved on its own. It is the only solver that
-certifies a tolerance and the joint limits. Ortho-parallel arms with
-a spherical wrist, such as both demo arms, also have a closed-form IK of
-8 branches for stacked targets, which gives path planning exact seeds.
+flange transform and the Jacobian of stacked configurations q[..., 6]
+from one frame pass; a flange-only kernel, behind forward kinematics and
+`flange_transform`, runs the same products without the frames and the
+Jacobian. A single (6,) configuration is their unstacked case. Inverse
+kinematics solves the stacked targets of one arm in lockstep; one target
+is its N=1 case, and each arm is solved on its own. It is the only
+solver that certifies a tolerance and the joint limits. Ortho-parallel
+arms with a spherical wrist, such as both demo arms, also have a
+closed-form IK of 8 branches for stacked targets, which gives path
+planning exact seeds.
 """
 
 from __future__ import annotations
@@ -97,6 +100,15 @@ class ArmModel:
         return _limit_violation(self, q, "q")[0] is None
 
 
+def _first_false(ok):
+    """(row, joint) of the first False entry of a mask (6,) or [..., 6],
+    flattened to rows; None if every entry is True."""
+    ok = np.reshape(ok, (-1, N_JOINTS))
+    if ok.all():
+        return None
+    return tuple(int(k) for k in np.argwhere(~ok)[0])
+
+
 def _limit_violation(arm, q, what):
     """The first row of q (6,) or q[..., 6], flattened, that leaves the
     arm's joint limits (a NaN lies outside), and a message saying that
@@ -104,26 +116,48 @@ def _limit_violation(arm, q, what):
     (None, "") if no row does."""
     rows = np.reshape(q, (-1, N_JOINTS))
     lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
-    inside = (rows >= lo) & (rows <= hi)
-    if inside.all():
+    first = _first_false((rows >= lo) & (rows <= hi))
+    if first is None:
         return None, ""
-    row, j = (int(k) for k in np.argwhere(~inside)[0])
+    row, j = first
     return row, (f"{what} violates joint limits: q{j + 1} = {rows[row, j]:.6g} rad "
                  f"outside [{lo[j]:.6g}, {hi[j]:.6g}] rad")
 
 
 def _joint_array(arm, q, allow_out_of_limits, stacked=True):
-    """Validated joint configurations: (6,) or, with `stacked`, q[..., 6]."""
+    """Validated joint configurations: (6,) or, with `stacked`, q[..., 6].
+    A non-finite entry, or one outside the limits, is named with its
+    joint; for stacked q its row of the flattened stack is `index`."""
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != (N_JOINTS,) or not (stacked or q.ndim == 1):
         raise InvalidInputError(f"joint configuration must have {N_JOINTS} entries")
-    if not np.all(np.isfinite(q)):
-        raise InvalidInputError("joint configuration contains non-finite values")
+    first = _first_false(np.isfinite(q))
+    if first is not None:
+        row, j = first
+        raise InvalidInputError(
+            f"joint configuration contains non-finite values: q{j + 1} = {q.reshape(-1, N_JOINTS)[row, j]}",
+            index=row if q.ndim > 1 else None)
     if not allow_out_of_limits:
         row, violation = _limit_violation(arm, q, "joint configuration")
         if violation:
             raise InvalidInputError(violation, index=row if q.ndim > 1 else None)
     return q
+
+
+def _links(consts, q):
+    """The link matrices A[6, N, 4, 4] of the N rows of stacked
+    configurations q[..., 6], one [N, 16] product per joint: trig [6, N, 3]
+    holds (cos(theta), sin(theta), 1) of each joint and row.
+
+    `consts` are one arm's `_chain_consts`.
+    """
+    offset, parts = consts[:2]
+    theta = (q.reshape(-1, N_JOINTS) + offset).T
+    trig = np.empty(theta.shape + (3,))
+    np.cos(theta, out=trig[..., 0])
+    np.sin(theta, out=trig[..., 1])
+    trig[..., 2] = 1.0
+    return (trig @ parts).reshape(N_JOINTS, -1, 4, 4)
 
 
 def _chain(consts, q):
@@ -132,16 +166,9 @@ def _chain(consts, q):
 
     `consts` are one arm's `_chain_consts`.
     """
-    offset, parts, base, flange = consts
+    base, flange = consts[2:]
     lead = q.shape[:-1]
-    # The link matrices of every row, one [N, 16] product per joint: trig
-    # [6, N, 3] holds (cos(theta), sin(theta), 1) of each joint and row.
-    theta = (q.reshape(-1, N_JOINTS) + offset).T
-    trig = np.empty(theta.shape + (3,))
-    np.cos(theta, out=trig[..., 0])
-    np.sin(theta, out=trig[..., 1])
-    trig[..., 2] = 1.0
-    A = (trig @ parts).reshape(N_JOINTS, -1, 4, 4)
+    A = _links(consts, q)
     # F[:, i] is the world frame of joint i's axis; F[:, 6] the last link.
     F = np.empty((A.shape[1], N_JOINTS + 1, 4, 4))
     F[:, 0] = base
@@ -160,15 +187,31 @@ def _chain(consts, q):
     return T, J
 
 
+def _flange(consts, q):
+    """Flange transforms T[..., 4, 4] of stacked configurations q[..., 6]:
+    the link matrices and the left-to-right products of `_chain`, without
+    its frame stack and Jacobian, so T is bit-identical to `_chain`'s."""
+    base, flange = consts[2:]
+    A = _links(consts, q)
+    M = base @ A[0]
+    for i in range(1, N_JOINTS):
+        M = M @ A[i]
+    return (M @ flange).reshape(q.shape[:-1] + (4, 4))
+
+
 def _frames(arm: ArmModel, q):
     """Flange transforms T[..., 4, 4] and Jacobians J[..., 6, 6] of stacked
-    configurations q[..., 6] within the joint limits, from one `_chain` call."""
+    configurations q[..., 6] within the joint limits, from one `_chain`
+    call, for callers that need both; `flange_transform` evaluates the
+    flange alone."""
     return _chain(arm._chain_consts, _joint_array(arm, q, allow_out_of_limits=False))
 
 
 def flange_transform(arm: ArmModel, q):
-    """World-frame 4x4 flange transforms of stacked configurations q[..., 6]."""
-    return _frames(arm, q)[0]
+    """World-frame 4x4 flange transforms of stacked configurations q[..., 6]
+    within the joint limits, from the flange-only kernel: no frame stack,
+    no Jacobian."""
+    return _flange(arm._chain_consts, _joint_array(arm, q, allow_out_of_limits=False))
 
 
 def forward_kinematics(arm: ArmModel, q, allow_out_of_limits=False):
@@ -180,7 +223,7 @@ def forward_kinematics(arm: ArmModel, q, allow_out_of_limits=False):
     q = _joint_array(arm, q, allow_out_of_limits)
     if q.ndim > 2:
         raise InvalidInputError("forward_kinematics takes q of shape (6,) or (N, 6)")
-    rows = matrix_pose_rows(_chain(arm._chain_consts, q)[0])
+    rows = matrix_pose_rows(_flange(arm._chain_consts, q))
     return rows if q.ndim == 2 else Pose(rows[:3], rows[3:])
 
 
@@ -393,20 +436,23 @@ def inverse_kinematics(
         failure = (i, f"target {dist[i]:.3f} m from base exceeds the arm's extent {extent:.3f} m "
                       f"(reach + |flange offset|)", dist[i] - extent, None)
 
-    # The seeds go through forward_kinematics and jacobian, one call each
-    # (on the one shared seed, if so given), where the benchmark's span
-    # tracer (perfbench/spans.py) counts FK and Jacobian calls. Each trial
-    # step evaluates its pose and Jacobian in one kernel call, and the
-    # Jacobian of an accepted step is reused by the next.
+    # The seeds' poses come from one forward_kinematics call (on the one
+    # shared seed, if so given). Only the rows they leave outside the
+    # tolerance iterate, and only those get a Jacobian: one jacobian call
+    # on their seeds, or on the one shared seed. Both are the public
+    # functions, which the benchmark's span tracer (perfbench/spans.py)
+    # counts. Each trial step evaluates its pose and Jacobian in one kernel
+    # call, and the Jacobian of an accepted step is reused by the next.
     err = pose_error(forward_kinematics(arm, seeds), targets)
-    J = np.broadcast_to(jacobian(arm, seeds), (len(q), 6, N_JOINTS))
     res = _residuals(err)
     # Per row still iterating (`rows` holds their indices, ascending): its
     # q, error, Jacobian, residuals, best residual, target, damping,
     # rejected trials in a row and accepted steps.
     rows = np.flatnonzero((res[:, 0] > tol_pos) | (res[:, 1] > tol_rot))
     rows = rows[rows < failure[0]]
-    q_a, err_a, J_a, res_a, tgt_a = (x[rows] for x in (q, err, J, res, targets))
+    q_a, err_a, res_a, tgt_a = (x[rows] for x in (q, err, res, targets))
+    if len(rows):
+        J_a = np.broadcast_to(jacobian(arm, seeds if len(seeds) == 1 else seeds[rows]), (len(rows), 6, N_JOINTS))
     best_a = res_a.copy()
     lam_a = np.full(len(rows), _LAMBDA0)
     retries_a = np.zeros(len(rows), dtype=int)

@@ -11,8 +11,10 @@ limits, and also takes stacks q[..., 6] (the leading axes of q1 and q2
 broadcast) and returns stacked results. Stacks are evaluated in blocks of
 _BLOCK_ROWS rows, so peak memory does not grow with their length; an
 error raised for one row carries that row of the flattened stack as
-`index`. One block kernel, `_branch`, builds the arm-2 branch from one
-frame pass of arm 2 (`kinematics._frames`).
+`index`. One block kernel, `_branch`, builds the arm-2 branch from arm
+1's flange, evaluated without a Jacobian (`kinematics.flange_transform`),
+and one frame pass of arm 2 (`kinematics._frames`); arm 1's Jacobian is
+built only where its stiffness is (`cartesian_stiffness`).
 
 A Jacobian is rank deficient when its smallest singular value is at most
 _MIN_SINGULAR_VALUE. The check is certified by one batched inverse per
@@ -284,8 +286,8 @@ def _branch(sys: CoupledSystem, q1, q2, closure_tol=CLOSURE_TOL):
     """The arm-2 branch of a block of configuration pairs: arm 1's flange
     transforms, the attachment frames of arm 2 on them and the series
     compliance of arm 2 and the spring at the attachment point, not yet
-    symmetrized. Checks closure first; arm 2's flange and Jacobian come
-    from one frame pass."""
+    symmetrized. Checks closure first. Arm 1's flange comes from the
+    flange-only kernel, arm 2's flange and Jacobian from one frame pass."""
     fk1 = flange_transform(sys.arm1, q1)
     fk2, J2 = _frames(sys.arm2, q2)
     attach = fk1 @ sys.flange2_offset.matrix()

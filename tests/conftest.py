@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from twinmill.config import default_config
 from twinmill.geometry import Pose
 from twinmill.kinematics import ArmModel
+
+# Property tests run a fixed example order with no example database or
+# deadline, so tier-1 is deterministic; each test sets its own
+# max_examples, a small budget that keeps tier-1 fast.
+settings.register_profile("twinmill", derandomize=True, database=None, deadline=None)
+settings.load_profile("twinmill")
 
 
 @pytest.fixture(scope="session")

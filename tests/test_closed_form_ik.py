@@ -23,9 +23,6 @@ from twinmill.kinematics import (
 
 from conftest import make_one_link_arm, make_test_arm
 
-# Fixed example order and a small budget keep tier-1 deterministic and fast.
-PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
-
 BASE = Pose(np.array([0.3, -0.2, 0.1]), np.array([0.8, 0.2, -0.3, 0.4]) / np.linalg.norm([0.8, 0.2, -0.3, 0.4]))
 FLANGE = Pose(np.array([0.01, 0.02, 0.1]), np.array([0.9, 0.1, 0.3, -0.3]) / np.linalg.norm([0.9, 0.1, 0.3, -0.3]))
 DEMO = default_config().system.arm1
@@ -63,7 +60,7 @@ def test_the_arms_under_test_have_a_closed_form(name):
     assert ARMS[name].has_closed_form_ik
 
 
-@PROPERTY
+@settings(max_examples=40)
 @given(st.sampled_from(sorted(ARMS)), SHARES)
 def test_the_branch_of_q_gives_q_back(name, shares):
     arm = ARMS[name]
@@ -72,7 +69,7 @@ def test_the_branch_of_q_gives_q_back(name, shares):
     np.testing.assert_allclose(back, q, rtol=0, atol=1e-9)
 
 
-@PROPERTY
+@settings(max_examples=40)
 @given(st.sampled_from(sorted(ARMS)), SHARES)
 def test_every_branch_that_exists_reaches_the_target(name, shares):
     arm = ARMS[name]

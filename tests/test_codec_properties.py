@@ -29,9 +29,6 @@ from twinmill.pathplan import (
 )
 from twinmill.stiffness import Wrench
 
-# Fixed example order and a small budget keep tier-1 deterministic and fast.
-PROPERTY = settings(derandomize=True, max_examples=30, deadline=None, database=None)
-
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EDGES = np.array([5e-324, -2.2250738585072014e-308, 0.0, -0.0, 1e300, -1e-300, 1.7976931348623157e308])
 
@@ -46,7 +43,7 @@ def assert_bits_equal(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(columns_of(3))
 @example(EDGES[:6].reshape(2, 3))
 def test_table_round_trip(data):
@@ -56,7 +53,7 @@ def test_table_round_trip(data):
     assert_bits_equal(back, data)
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(columns_of(3), FINITE)
 @example(np.column_stack([np.arange(1.0, 8.0), EDGES, -EDGES]), -0.0)
 def test_frf_round_trip(data, tension):
@@ -74,7 +71,7 @@ def test_frf_round_trip(data, tension):
     assert frf_to_csv(back) == text
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(columns_of(2, min_rows=3), st.floats(1e-300, 1e300), FINITE)
 @example(np.column_stack([EDGES, EDGES[::-1]]), 2048.0, 1e-300)
 def test_impact_round_trip(data, sample_rate, tension):
@@ -90,7 +87,7 @@ def test_impact_round_trip(data, sample_rate, tension):
     assert impact_record_to_csv(back) == text
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(columns_of(3), FINITE, FINITE, st.text("abc_-. 0123", max_size=8))
 @example(EDGES[:6].reshape(2, 3), -0.0, 5e-324, "run 1")
 def test_trace_round_trip(points, tension, noise, label):
@@ -121,7 +118,7 @@ def programs(draw):
                        chord_tol=chord_tol, max_step=max_step)
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(programs())
 def test_program_round_trip(program):
     text = program_to_csv(program)
@@ -180,7 +177,7 @@ def mangled(draw):
     return reader, "\n".join(lines)
 
 
-@settings(PROPERTY, max_examples=60)
+@settings(max_examples=60)
 @given(mangled())
 def test_mangled_files_raise_only_twinmill_errors(case):
     reader, text = case

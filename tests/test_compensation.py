@@ -223,6 +223,21 @@ class TestDeformation:
         assert str(exc.value) == (f"setpoint {k}, arm {arm}: joint configuration violates joint limits: "
                                   f"q5 = 2.5 rad outside [{lo:g}, {hi:g}] rad")
 
+    @pytest.mark.parametrize("arm", [1, 2])
+    def test_non_finite_joint_named(self, cfg, demo_program, arm):
+        """Setpoints refuse non-finite joints, so the NaN is put in after
+        construction, as a caller editing the arrays could; the error
+        still names the setpoint, the arm and the joint."""
+        k = 7
+        pairs = demo_program.pairs[:]
+        q = getattr(pairs, f"q{arm}").copy()
+        q[k, 4] = np.nan
+        setattr(pairs, f"q{arm}", q)
+        with pytest.raises(InvalidInputError) as exc:
+            simulate_deformation(cfg.system, dataclasses.replace(demo_program, pairs=pairs))
+        assert exc.value.index == k
+        assert str(exc.value) == f"setpoint {k}, arm {arm}: joint configuration contains non-finite values: q5 = nan"
+
     def test_singular_setpoint_named(self, cfg, demo_program):
         # Arm 1's wrist stretched out (q5 = 0) aligns joints 4 and 6.
         k = 3

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twinmill.errors import InvalidInputError, UnreachableTargetError
 from twinmill.geometry import Pose, pose_error, quat_from_rotvec, rotvec_from_quat
-from twinmill.kinematics import ArmModel, _chain, forward_kinematics, inverse_kinematics, jacobian
+from twinmill.kinematics import ArmModel, _chain, _flange, forward_kinematics, inverse_kinematics, jacobian
 
 from conftest import make_one_link_arm, make_test_arm
 
@@ -205,6 +210,36 @@ class TestChainKernel:
             scale = np.max(np.abs(T_ref))
             assert np.max(np.abs(T[i] - T_ref)) <= 1e-15 * scale
             assert np.max(np.abs(J[i] - J_ref)) <= 1e-15 * scale
+
+
+def flange_kernel_arms():
+    """`kernel_arms` and both demo arms with d5 = 1 mm, which have no
+    closed-form IK."""
+    arms = kernel_arms()
+    for k in (1, 2):
+        arm = arms[f"demo arm {k}"]
+        rows = arm.dh_rows.copy()
+        rows[4, 2] = 1e-3
+        arms[f"demo arm {k}, d5 = 1 mm"] = dataclasses.replace(arm, dh_rows=rows)
+    return arms
+
+
+FLANGE_ARMS = flange_kernel_arms()
+STACK_SHAPES = st.one_of(st.just(()), st.tuples(st.integers(1, 64)), st.tuples(st.integers(1, 8), st.integers(1, 8)))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(FLANGE_ARMS)), STACK_SHAPES, st.data())
+def test_the_flange_kernel_is_the_chain_transform(name, shape, data):
+    """`_flange` runs `_chain`'s products without its frames and Jacobian:
+    T is bit-identical on in-limits stacks q (6,), [N, 6] and [a, b, 6]."""
+    arm = FLANGE_ARMS[name]
+    share = data.draw(arrays(np.float64, shape + (6,), elements=st.floats(0.0, 1.0)))
+    lo, hi = arm.joint_limits.T
+    q = lo + share * (hi - lo)
+    T = _flange(arm._chain_consts, q)
+    assert T.shape == shape + (4, 4)
+    assert np.array_equal(T, _chain(arm._chain_consts, q)[0])
 
 
 class TestInverseKinematics:

@@ -29,9 +29,6 @@ from twinmill.stiffness import (
 
 from conftest import make_test_arm, random_nonsingular_q
 
-# Fixed example order and a small budget keep tier-1 deterministic and fast.
-PROPERTY = settings(derandomize=True, max_examples=30, deadline=None, database=None)
-
 ARM = make_test_arm()
 LO, HI = ARM.joint_limits[:, 0], ARM.joint_limits[:, 1]
 
@@ -54,7 +51,7 @@ def unit_quaternion(v):
     return v / n
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(
     arrays(np.float64, st.tuples(st.integers(1, 8), st.just(6)), elements=st.floats(-0.9, 0.9)),
     arrays(np.float64, 6, elements=st.floats(np.log(5e5), np.log(5e6))),
@@ -78,7 +75,7 @@ DEMO = default_config().system
 STIFFNESS_ARMS = {"test": ARM, "demo 1": DEMO.arm1, "demo 2": DEMO.arm2}
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(STIFFNESS_ARMS)), st.integers(1, 8))
 def test_cartesian_stiffness_inverts_the_compliance(seed, name, n):
     """K = J^-T K_joint J^-1 from the rank screen's J^-1 equals the
@@ -93,7 +90,7 @@ def test_cartesian_stiffness_inverts_the_compliance(seed, name, n):
     assert np.all(np.abs(K - expected) <= 1e-9 * scale)
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.sampled_from([1e-3, 1.0, 1e6]))
 def test_spd_inverse_equals_the_plain_inverse(seed, n, scale):
     """Stacks of SPD matrices with condition numbers up to about 1e3, at
@@ -112,7 +109,7 @@ def random_orthogonal(rng):
     return Q * np.sign(np.diag(R))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from([0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0]),
@@ -139,7 +136,7 @@ def test_rank_check_rejects_what_the_svd_rejects(seed, min_share, others, positi
         np.testing.assert_array_equal(C, (stack * (1.0 / k)) @ np.swapaxes(stack, -1, -2))
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(
     arrays(np.float64, st.tuples(st.integers(3, 40), st.just(3)), elements=st.floats(-1.0, 1.0)),
     arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)),

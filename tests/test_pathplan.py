@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinmill import pathplan
+from twinmill import kinematics, pathplan
 from twinmill.errors import (
     ContinuityError,
     InvalidInputError,
@@ -21,13 +21,21 @@ from twinmill.errors import (
 from twinmill.geometry import (
     Pose,
     compose_rows,
+    pose_error,
     pose_rows,
     quat_conjugate,
     quat_from_rotvec,
     quat_multiply,
     rotvec_from_quat,
 )
-from twinmill.kinematics import closed_form_ik, forward_kinematics, ik_branch, inverse_kinematics
+from twinmill.kinematics import (
+    DEFAULT_TOL_POS,
+    DEFAULT_TOL_ROT,
+    closed_form_ik,
+    forward_kinematics,
+    ik_branch,
+    inverse_kinematics,
+)
 from twinmill.pathplan import (
     ArcSegment,
     LinearSegment,
@@ -560,6 +568,33 @@ class SeedingCalls:
         return calls
 
     @staticmethod
+    def jacobian_spy(monkeypatch):
+        """Record (iterating, shared, jacobian_rows) of every IK call
+        plan_sync makes: the rows whose seed misses the tolerance, and so
+        take damped least-squares steps; whether one (6,) seed is shared by
+        the call's targets; and the rows of the `kinematics.jacobian` calls
+        made during the call."""
+        calls, jacobian_rows = [], [0]
+        real_ik, real_jacobian = pathplan.inverse_kinematics, kinematics.jacobian
+
+        def jacobian(arm, q):
+            jacobian_rows[0] += int(np.prod(np.shape(q)[:-1]))
+            return real_jacobian(arm, q)
+
+        def ik(arm, target, seed, tol_pos=DEFAULT_TOL_POS, tol_rot=DEFAULT_TOL_ROT, *args):
+            err = pose_error(forward_kinematics(arm, np.atleast_2d(seed)), target)
+            iterating = np.sum((np.linalg.norm(err[:, :3], axis=1) > tol_pos)
+                               | (np.linalg.norm(err[:, 3:], axis=1) > tol_rot))
+            before = jacobian_rows[0]
+            q = real_ik(arm, target, seed, tol_pos, tol_rot, *args)
+            calls.append((int(iterating), np.ndim(seed) == 1, jacobian_rows[0] - before))
+            return q
+
+        monkeypatch.setattr(kinematics, "jacobian", jacobian)
+        monkeypatch.setattr(pathplan, "inverse_kinematics", ik)
+        return calls
+
+    @staticmethod
     def solve_calls(calls, solve):
         """(target shape, seed) of the IK calls of one `_solve`, in order."""
         return [(shape, seed) for k, _, shape, seed in calls if k == solve]
@@ -596,6 +631,16 @@ class TestPassOneSeeding(SeedingCalls):
         # closed form too, so each seed is its solution.
         assert [shape for shape, _ in pass3] == [(k, 7) for k in (256,) * 5 + (65,)]
         np.testing.assert_array_equal(np.concatenate([seed for _, seed in pass3]), prog.pairs.q2)
+
+    def test_demo_raster_evaluates_jacobians_only_for_rows_that_iterate(self, cfg, monkeypatch):
+        calls = self.jacobian_spy(monkeypatch)
+        demo_plan(cfg, gcode=RASTER_GCODE, tension=Wrench(np.array([1000.0, 0.0, 0.0])), offset=RASTER_OFFSET)
+        for iterating, shared, rows in calls:
+            assert rows == (min(iterating, 1) if shared else iterating)
+        # Only setpoint 0 of each arm iterates, from the caller's seed: the
+        # closed-form seeds of every other row meet the tolerance.
+        assert [call[0] for call in calls if call[0]] == [1, 1]
+        assert sum(rows for *_, rows in calls) == 2
 
     @staticmethod
     def wrist_flip(cfg, wrist_limit):
@@ -806,6 +851,16 @@ class TestFallbackSeeding(SeedingCalls):
                 np.testing.assert_array_equal(seed, q[start - 1])
                 assert s[stop - 1] - s[start - 1] <= pathplan._SEED_SPAN_M
                 assert stop == len(s) or s[stop] - s[start - 1] > pathplan._SEED_SPAN_M
+
+    def test_a_shared_seed_gets_one_jacobian_row(self, cfg, monkeypatch):
+        calls = self.jacobian_spy(monkeypatch)
+        prog = demo_plan(cfg, gcode="G1 X200\n", tension=Wrench(np.array([1000.0, 0.0, 0.0])))
+        # Pass 1: setpoint 0 and three blocks per arm, each seeded by one
+        # shared seed, from which every row iterates; pass 3: one seed per
+        # row, each row's nominal solution, off its commanded target.
+        assert [(iterating, shared) for iterating, shared, _ in calls] == (
+            [(1, True), (25, True), (25, True), (14, True)] * 2 + [(len(prog.pairs), False)])
+        assert [rows for *_, rows in calls] == [1] * 8 + [len(prog.pairs)]
 
     def test_arc_samples_do_not_cut_blocks_short(self, cfg, monkeypatch):
         calls = self.spy(monkeypatch)

@@ -14,14 +14,11 @@ from twinmill.pathplan import ToolPath, parse_gcode
 
 from conftest import make_test_arm
 
-# Fixed example order and a small budget keep tier-1 deterministic and fast.
-PROPERTY = settings(derandomize=True, max_examples=30, deadline=None, database=None)
-
 ARM = make_test_arm(base=Pose(np.array([0.2, -0.1, 0.3])), flange=Pose(np.array([0.0, 0.0, 0.1])))
 LO, HI = ARM.joint_limits[:, 0], ARM.joint_limits[:, 1]
 
 
-@PROPERTY
+@settings(max_examples=30)
 @given(
     arrays(np.float64, st.tuples(st.integers(1, 6), st.just(6)), elements=st.floats(-0.8, 0.8)),
     arrays(np.float64, (6, 6), elements=st.floats(-0.05, 0.05)),
@@ -57,7 +54,7 @@ LINE = st.one_of(
 WHOLE_TEXT = ("G-code text is empty", "G-code produced no motion segments")
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(st.lists(LINE, min_size=1, max_size=8).map("\n".join))
 def test_gcode_fuzz_raises_only_twinmill_errors_with_a_line(text):
     try:

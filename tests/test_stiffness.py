@@ -368,6 +368,19 @@ class TestStacked:
             assert str(exc.value) == ("joint configuration violates joint limits: "
                                       f"q5 = 2.5 rad outside [{lo:g}, {hi:g}] rad")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_error_names_the_joint_and_the_stack_row(self, cfg, demo_rows, value):
+        idx = np.arange(300) % len(demo_rows[0])
+        q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
+        q1[280, 2] = value  # in the second block
+        for call in (lambda: coupled_stiffness(cfg.system, q1, q2),
+                     lambda: branch_compliance(cfg.system, q1, q2),
+                     lambda: cartesian_stiffness(cfg.system.arm1, q1, cfg.system.joint_stiffness1)):
+            with pytest.raises(InvalidInputError) as exc:
+                call()
+            assert exc.value.index == 280
+            assert str(exc.value) == f"joint configuration contains non-finite values: q3 = {value}"
+
 
 RANK_DEFICIENT = re.compile(r"Jacobian is rank deficient \(smallest singular value \S+\); "
                             r"deficient direction dominated by axis '(x|y|z|rx|ry|rz)'")
@@ -467,22 +480,29 @@ class TestSpdInverse:
 
 
 class TestFramePasses:
-    """Kinematic-chain rows per setpoint: `coupled_stiffness` takes 3 (arm
-    1's flange, arm 1's Jacobian in `cartesian_stiffness`, arm 2's flange
-    and Jacobian in one pass), `tension_offset` 2 and
-    `simulate_deformation` 5 (its two closure checks, then
-    `coupled_stiffness`)."""
+    """Kinematic-chain rows per setpoint, as (flange-only, full) rows: the
+    flange-only kernel `_flange` builds no frame stack and no Jacobian,
+    the full `_chain` both. `coupled_stiffness` takes (1, 2): arm 1's
+    flange, then arm 1's Jacobian in `cartesian_stiffness` and arm 2's
+    flange and Jacobian in one pass. `tension_offset` takes (1, 1) and
+    `simulate_deformation` (3, 2): its two closure-check flanges, then
+    `coupled_stiffness`."""
 
     @pytest.fixture
     def chain_rows(self, monkeypatch):
-        rows = [0]
-        chain = kinematics._chain
+        rows = {"_flange": 0, "_chain": 0}
 
-        def counted(consts, q):
-            rows[0] += int(np.prod(q.shape[:-1]))
-            return chain(consts, q)
+        def counted(name):
+            kernel = getattr(kinematics, name)
 
-        monkeypatch.setattr(kinematics, "_chain", counted)
+            def spy(consts, q):
+                rows[name] += int(np.prod(q.shape[:-1]))
+                return kernel(consts, q)
+
+            monkeypatch.setattr(kinematics, name, spy)
+
+        for name in rows:
+            counted(name)
         return rows
 
     @pytest.fixture
@@ -492,12 +512,13 @@ class TestFramePasses:
 
     def test_coupled_stiffness(self, cfg, pairs, chain_rows):
         coupled_stiffness(cfg.system, *pairs)
-        assert chain_rows[0] == 3 * 300
+        assert chain_rows == {"_flange": 300, "_chain": 2 * 300}
 
     def test_tension_offset(self, cfg, pairs, chain_rows):
         tension_offset(cfg.system, *pairs, Wrench(np.array([1000.0, 0.0, 0.0])))
-        assert chain_rows[0] == 2 * 300
+        assert chain_rows == {"_flange": 300, "_chain": 300}
 
     def test_simulate_deformation(self, cfg, demo_program, chain_rows):
         simulate_deformation(cfg.system, demo_program)
-        assert chain_rows[0] == 5 * len(demo_program.pairs)
+        n = len(demo_program.pairs)
+        assert chain_rows == {"_flange": 3 * n, "_chain": 2 * n}
