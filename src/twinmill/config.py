@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,28 @@ def _arm(d, path):
     return arm, ks
 
 
+def _floats(value, path):
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}", path=path) from exc
+
+
+def _default(value, key):
+    """One `defaults` entry: max_iter an integer >= 1, every tolerance and
+    step a positive finite number."""
+    path = f"config.defaults.{key}"
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if isinstance(_DEFAULTS[key], int):
+        if not (number and value >= 1
+                and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+            raise ConfigError(f"{path}: must be an integer >= 1, got {value!r:.40}", path=path)
+        return int(value)
+    if not (number and 0 < value < math.inf):
+        raise ConfigError(f"{path}: must be a positive finite number, got {value!r:.40}", path=path)
+    return float(value)
+
+
 def parse_config(doc) -> SystemConfig:
     _check_keys(doc, _TOP_KEYS, "config")
     if doc["schema_version"] != SCHEMA_VERSION:
@@ -123,24 +146,25 @@ def parse_config(doc) -> SystemConfig:
     tool_offset = _pose(doc["tool_offset"], "config.tool_offset")
     flange2_offset = _pose(doc["flange2_offset"], "config.flange2_offset")
     _check_keys(doc["workspace_box"], _BOX_KEYS, "config.workspace_box")
-    center = np.array(doc["workspace_box"]["center_m"], dtype=float)
-    size = np.array(doc["workspace_box"]["size_m"], dtype=float)
-    if center.shape != (3,) or size.shape != (3,) or np.any(size <= 0):
-        raise ConfigError("config.workspace_box: center/size must be 3-vectors, size positive",
-                          path="config.workspace_box")
+    center = _floats(doc["workspace_box"]["center_m"], "config.workspace_box")
+    size = _floats(doc["workspace_box"]["size_m"], "config.workspace_box")
+    if (center.shape != (3,) or size.shape != (3,)
+            or not (np.all(np.isfinite(center)) and np.all(size > 0))):
+        raise ConfigError("config.workspace_box: center/size must be 3-vectors, center finite, "
+                          "size positive", path="config.workspace_box")
     _check_keys(doc["modal_models"], set(AXES), "config.modal_models")
     modal_models = {}
     for axis in AXES:
         _check_keys(doc["modal_models"][axis], _MODAL_KEYS, f"config.modal_models.{axis}")
         try:
             modal_models[axis] = modal_model_from_dict(doc["modal_models"][axis], axis)
-        except InvalidInputError as exc:
+        except (InvalidInputError, TypeError, ValueError) as exc:
             raise ConfigError(f"config.modal_models.{axis}: {exc}",
                               path=f"config.modal_models.{axis}") from exc
     _check_keys(doc["defaults"], _DEFAULT_KEYS, "config.defaults")
-    defaults = {k: type(_DEFAULTS[k])(doc["defaults"][k]) for k in _DEFAULTS}
-    seed1 = np.array(doc["ik_seed1_rad"], dtype=float)
-    seed2 = np.array(doc["ik_seed2_rad"], dtype=float)
+    defaults = {k: _default(doc["defaults"][k], k) for k in _DEFAULTS}
+    seed1 = _floats(doc["ik_seed1_rad"], "config.ik_seed1_rad")
+    seed2 = _floats(doc["ik_seed2_rad"], "config.ik_seed2_rad")
     if seed1.shape != (6,) or seed2.shape != (6,):
         raise ConfigError("config.ik_seed1_rad/ik_seed2_rad: must be 6 joint values",
                           path="config.ik_seed1_rad")

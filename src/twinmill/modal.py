@@ -14,7 +14,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .csvtable import meta_float, read_table, write_table
 from .errors import DegenerateSignalError, InvalidInputError, RankDeficiencyError
@@ -35,12 +34,14 @@ class ModalModel:
     def __post_init__(self):
         if self.axis not in AXES:
             raise InvalidInputError(f"axis must be one of {AXES}")
-        if not (self.mass > 0):
-            raise InvalidInputError("mass must be positive")
+        if not (0 < self.mass < math.inf):
+            raise InvalidInputError("mass must be positive and finite")
         if not (0 <= self.damping_ratio < 1):
             raise InvalidInputError("damping ratio must lie in [0, 1)")
-        if not (self.f0 > 0):
-            raise InvalidInputError("zero-tension natural frequency must be positive")
+        if not (0 < self.f0 < math.inf):
+            raise InvalidInputError("zero-tension natural frequency must be positive and finite")
+        if not math.isfinite(self.sensitivity):
+            raise InvalidInputError("tension sensitivity must be finite")
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def peak_pick(frf: FrfSeries, min_freq, max_freq, prominence_factor=3.0):
     Prominence threshold is prominence_factor times the median magnitude
     inside the band.
     """
-    if prominence_factor <= 0:
+    if not (prominence_factor > 0):
         raise InvalidInputError("prominence factor must be positive")
     sel = (frf.frequencies >= min_freq) & (frf.frequencies <= max_freq)
     if min_freq >= max_freq or not np.any(sel):
@@ -215,6 +216,8 @@ def peak_pick(frf: FrfSeries, min_freq, max_freq, prominence_factor=3.0):
     mag = np.abs(frf.values[sel])
     freqs = frf.frequencies[sel]
     prominence = prominence_factor * np.median(mag)
+    import scipy.signal  # here, not at module level: plan, deform and frf never load scipy
+
     idx, _ = scipy.signal.find_peaks(mag, prominence=prominence)
     return [(float(freqs[i]), float(mag[i])) for i in idx]
 
@@ -224,6 +227,8 @@ def fit_shift(points, scope="global") -> ShiftFit:
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise InvalidInputError("at least two (tension, frequency) points are required")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError("(tension, frequency) points must be finite")
     T, f = pts[:, 0], pts[:, 1]
     if np.ptp(T) == 0:
         raise RankDeficiencyError("all tensions identical: the line fit is rank deficient")
@@ -239,9 +244,12 @@ def simulate_impact(model: ModalModel, tension, sample_rate=4096.0, duration=4.0
 
     Used to generate desk-scale stand-ins for the physical impact tests.
     """
-    if sample_rate <= 0 or duration <= 0 or impact_width <= 0:
-        raise InvalidInputError("sample rate, duration and impact width must be positive")
-    n = int(round(sample_rate * duration))
+    if not all(0 < v < math.inf for v in (sample_rate, duration, impact_width)):
+        raise InvalidInputError("sample rate, duration and impact width must be positive and finite")
+    span = sample_rate * duration
+    if not (1.5 <= span < math.inf):  # round(1.5) == 2
+        raise InvalidInputError(f"sample rate x duration is {span:g} samples, need a finite count >= 2")
+    n = int(round(span))
     t = np.arange(n) / sample_rate
     force = np.where(t < impact_width, 100.0 * np.sin(math.pi * t / impact_width), 0.0)
     k = effective_stiffness(model, tension)
@@ -251,6 +259,8 @@ def simulate_impact(model: ModalModel, tension, sample_rate=4096.0, duration=4.0
     B = np.array([[0.0], [1.0 / m]])
     C = np.array([[-k / m, -c / m]])  # output: acceleration
     D = np.array([[1.0 / m]])
+    import scipy.signal  # here, not at module level: plan, deform and frf never load scipy
+
     _, accel, _ = scipy.signal.lsim((A, B, C, D), force, t)
     return ImpactRecord(sample_rate, force, np.asarray(accel), axis=model.axis,
                         tension=float(tension))

@@ -188,6 +188,22 @@ class TestPlan:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: path JSON")
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_iter", float("nan")), ("max_iter", 2.7), ("tol_pos_m", float("nan")),
+        ("max_step_m", float("inf")),
+    ])
+    def test_bad_config_default_exits_2(self, tmp_path, gcode_file, key, value, capsys):
+        doc = default_config_dict()
+        doc["defaults"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(config_to_json(doc))
+        out = tmp_path / "p.csv"
+        code = cli.main(["--config", str(bad), "plan", gcode_file, "--tension", "1000",
+                         "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
+        assert code == 2
+        assert f"config.defaults.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_path_file_exits_3(self, tmp_path, config_file):
         code = cli.main(
             ["--config", config_file, "plan", str(tmp_path / "none.gcode"),

@@ -103,6 +103,67 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("center_m", float("nan")), ("center_m", float("inf")), ("center_m", float("-inf")),
+        ("size_m", float("nan")),
+    ])
+    def test_non_finite_center_or_nan_size_rejected(self, key, value):
+        doc = default_config_dict()
+        doc["workspace_box"][key][1] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.path == "config.workspace_box"
+
+    @pytest.mark.parametrize("keys, path", [
+        (("workspace_box", "center_m", 0), "config.workspace_box"),
+        (("workspace_box", "size_m", 2), "config.workspace_box"),
+        (("modal_models", "x", "mass_kg"), "config.modal_models.x"),
+        (("ik_seed2_rad", 3), "config.ik_seed2_rad"),
+    ])
+    def test_non_numeric_entry_rejected(self, keys, path):
+        doc = default_config_dict()
+        entry = doc
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = "abc"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("key", ["mass_kg", "f0_hz", "sensitivity_hz_per_n"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_modal_parameter_rejected(self, key, value):
+        doc = default_config_dict()
+        doc["modal_models"]["z"][key] = value
+        with pytest.raises(ConfigError, match="finite") as exc:
+            parse_config(doc)
+        assert exc.value.path == "config.modal_models.z"
+
+    @pytest.mark.parametrize("key", ["tol_pos_m", "tol_rot_rad", "chord_tol_m", "max_step_m",
+                                     "joint_jump_max_rad"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-6, "1e-6", True, None])
+    def test_bad_tolerance_or_step_rejected(self, key, value):
+        doc = default_config_dict()
+        doc["defaults"][key] = value
+        with pytest.raises(ConfigError, match="positive finite number") as exc:
+            parse_config(doc)
+        assert exc.value.path == f"config.defaults.{key}"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.7, 0, -3, True, "200"])
+    def test_bad_max_iter_rejected(self, value):
+        doc = default_config_dict()
+        doc["defaults"]["max_iter"] = value
+        with pytest.raises(ConfigError, match="integer >= 1") as exc:
+            parse_config(doc)
+        assert exc.value.path == "config.defaults.max_iter"
+
+    def test_integral_defaults_accepted(self):
+        doc = default_config_dict()
+        doc["defaults"].update(max_iter=50.0, max_step_m=1)
+        defaults = parse_config(doc).defaults
+        assert defaults["max_iter"] == 50 and isinstance(defaults["max_iter"], int)
+        assert defaults["max_step_m"] == 1.0 and isinstance(defaults["max_step_m"], float)
+
     def test_identical_bases_rejected(self):
         doc = default_config_dict()
         doc["arm2"]["base_pose"] = doc["arm1"]["base_pose"]

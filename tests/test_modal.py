@@ -72,6 +72,14 @@ class TestModel:
         with pytest.raises(InvalidInputError):
             make_model(f0=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mass", math.inf), ("mass", math.nan), ("f0", math.inf), ("f0", math.nan),
+        ("sens", math.nan), ("sens", math.inf), ("sens", -math.inf),
+    ])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match="finite"):
+            make_model(**{field: value})
+
     def test_dict_round_trip(self):
         m = make_model()
         assert modal_model_from_dict(modal_model_to_dict(m), "x") == m
@@ -218,8 +226,9 @@ class TestPeakPick:
         frf = frf_synthesize(m, 0.0, grid)
         with pytest.raises(InvalidInputError):
             peak_pick(frf, 300.0, 100.0)
-        with pytest.raises(InvalidInputError):
-            peak_pick(frf, 0.0, 200.0, prominence_factor=-1.0)
+        for factor in (-1.0, math.nan):
+            with pytest.raises(InvalidInputError, match="prominence"):
+                peak_pick(frf, 0.0, 200.0, prominence_factor=factor)
 
 
 class TestFitShift:
@@ -250,6 +259,31 @@ class TestFitShift:
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
             fit_shift([(0.0, 159.0)])
+
+    @pytest.mark.parametrize("point", [(math.nan, 190.0), (1400.0, math.inf), (-math.inf, 190.0)])
+    def test_non_finite_point_rejected(self, point):
+        with pytest.raises(InvalidInputError, match="finite"):
+            fit_shift(MEASURED_POINTS[:2] + [point])
+
+
+class TestSimulateImpact:
+    @pytest.mark.parametrize("kw", [
+        {"sample_rate": math.nan}, {"sample_rate": math.inf}, {"duration": math.nan},
+        {"duration": math.inf}, {"impact_width": math.nan}, {"impact_width": math.inf},
+        {"sample_rate": 0.0}, {"duration": -1.0}, {"impact_width": 0.0},
+    ])
+    def test_non_finite_or_non_positive_argument_rejected(self, kw):
+        with pytest.raises(InvalidInputError, match="positive and finite"):
+            simulate_impact(make_model(), 0.0, **kw)
+
+    @pytest.mark.parametrize("sample_rate, duration", [(1.0, 1.0), (4096.0, 1e-4), (1e200, 1e200)])
+    def test_record_of_fewer_than_two_or_unbounded_samples_rejected(self, sample_rate, duration):
+        with pytest.raises(InvalidInputError, match="samples"):
+            simulate_impact(make_model(), 0.0, sample_rate=sample_rate, duration=duration)
+
+    def test_three_sample_record_accepted(self):
+        rec = simulate_impact(make_model(), 0.0, sample_rate=1.0, duration=3.0, impact_width=2.0)
+        np.testing.assert_array_equal(rec.force, [0.0, 100.0, 0.0])
 
 
 class TestPipeline:
