@@ -30,6 +30,16 @@ class _UsageError(Exception):
     pass
 
 
+def _read_input(path):
+    """The text of a CLI input file other than the config (which
+    `config.load_config` reads); a file that cannot be read or is not UTF-8
+    raises a TwinmillError (exit 3) naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TwinmillError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_config(path_arg):
     path = path_arg or os.environ.get(CONFIG_ENV_VAR)
     if not path:
@@ -77,7 +87,7 @@ def cmd_modal(args):
 
 
 def cmd_frf(args):
-    records = [modal.impact_record_from_csv(Path(p).read_text()) for p in args.impacts]
+    records = [modal.impact_record_from_csv(_read_input(p)) for p in args.impacts]
     frf = modal.h1_estimate(records, nfft=args.nfft)
     Path(args.out).write_text(modal.frf_to_csv(frf))
     print(f"wrote H1 FRF ({frf.frequencies.size} bins) to {args.out}")
@@ -85,7 +95,7 @@ def cmd_frf(args):
 
 
 def _read_path(path_file, work_offset_mm=None):
-    text = Path(path_file).read_text()
+    text = _read_input(path_file)
     if path_file.endswith(".json"):
         path = pathplan.path_from_json(text)
     else:
@@ -126,7 +136,7 @@ def cmd_plan(args):
 
 def cmd_deform(args):
     cfg = _load_config(args.config)
-    program = pathplan.program_from_csv(Path(args.program).read_text())
+    program = pathplan.program_from_csv(_read_input(args.program))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reference = compensation.nominal_trace(program)

@@ -1,25 +1,24 @@
 """System configuration: strict JSON schema tying together both arms, the
 coupling-module spring, cell geometry, modal models and solver defaults.
 
-Unknown keys are rejected with their schema path so unit mistakes (e.g. a
-misspelled stiffness key silently falling back to a default) cannot slip
-through.
+The document is read by `jsondoc`: JSON numbers only, no unknown or
+missing key, and bad data is refused naming its exact schema path, so unit
+mistakes (e.g. a misspelled stiffness key silently falling back to a
+default) cannot slip through.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kinematics, pathplan
-from .errors import ConfigError, InvalidInputError, TwinmillError
-from .geometry import Pose
+from . import jsondoc, kinematics, pathplan
+from .errors import ConfigError
 from .kinematics import ArmModel
-from .modal import AXES, modal_model_from_dict
+from .modal import AXES, ModalModel
 from .stiffness import CoupledSystem, JointStiffness, SpringModel
 
 SCHEMA_VERSION = 1
@@ -32,26 +31,6 @@ _DEFAULTS = {
     "max_step_m": pathplan.DEFAULT_MAX_STEP,
     "joint_jump_max_rad": pathplan.DEFAULT_JOINT_JUMP_MAX,
 }
-
-_POSE_KEYS = {"position_m", "quaternion_wxyz"}
-_ARM_KEYS = {"dh_rows", "joint_limits_rad", "base_pose", "flange_offset", "joint_stiffness_nm_per_rad"}
-_TOP_KEYS = {
-    "schema_version",
-    "dh_convention",
-    "arm1",
-    "arm2",
-    "spring_matrix",
-    "tool_offset",
-    "flange2_offset",
-    "workspace_box",
-    "modal_models",
-    "defaults",
-    "ik_seed1_rad",
-    "ik_seed2_rad",
-}
-_BOX_KEYS = {"center_m", "size_m"}
-_MODAL_KEYS = {"mass_kg", "damping_ratio", "f0_hz", "sensitivity_hz_per_n"}
-_DEFAULT_KEYS = set(_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -69,135 +48,77 @@ class SystemConfig:
         return (self.workspace_center, self.workspace_size)
 
 
-def _check_keys(d, allowed, path):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object", path=path)
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key", path=f"{path}.{key}")
-    missing = allowed - set(d)
-    if missing:
-        raise ConfigError(f"{path}: missing key(s) {sorted(missing)}", path=path)
-
-
-def _pose(d, path) -> Pose:
-    _check_keys(d, _POSE_KEYS, path)
-    try:
-        return Pose(np.array(d["position_m"], dtype=float), np.array(d["quaternion_wxyz"], dtype=float))
-    except (InvalidInputError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}", path=path) from exc
-
-
-def _arm(d, path):
-    _check_keys(d, _ARM_KEYS, path)
-    try:
-        arm = ArmModel(
-            dh_rows=np.array(d["dh_rows"], dtype=float),
-            joint_limits=np.array(d["joint_limits_rad"], dtype=float),
-            base_pose=_pose(d["base_pose"], f"{path}.base_pose"),
-            flange_offset=_pose(d["flange_offset"], f"{path}.flange_offset"),
-        )
-        ks = JointStiffness(np.array(d["joint_stiffness_nm_per_rad"], dtype=float))
-    except (InvalidInputError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}", path=path) from exc
+def _arm(d, where):
+    jsondoc.obj(d, where, ("dh_rows", "joint_limits_rad", "base_pose", "flange_offset",
+                           "joint_stiffness_nm_per_rad"))
+    arm = jsondoc.build(ArmModel, where,
+                        jsondoc.array(d["dh_rows"], (6, 4), f"{where}.dh_rows"),
+                        jsondoc.array(d["joint_limits_rad"], (6, 2), f"{where}.joint_limits_rad"),
+                        jsondoc.pose(d["base_pose"], f"{where}.base_pose"),
+                        jsondoc.pose(d["flange_offset"], f"{where}.flange_offset"))
+    ks = jsondoc.build(JointStiffness, where, jsondoc.array(
+        d["joint_stiffness_nm_per_rad"], (6,), f"{where}.joint_stiffness_nm_per_rad"))
     return arm, ks
 
 
-def _floats(value, path):
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}", path=path) from exc
+def _modal_model(d, axis):
+    where = f"config.modal_models.{axis}"
+    keys = ("mass_kg", "damping_ratio", "f0_hz", "sensitivity_hz_per_n")  # ModalModel's field order
+    jsondoc.obj(d, where, keys)
+    return jsondoc.build(ModalModel, where, axis, *(jsondoc.number(d[k], f"{where}.{k}") for k in keys))
 
 
-def _default(value, key):
-    """One `defaults` entry: max_iter an integer >= 1, every tolerance and
-    step a positive finite number."""
-    path = f"config.defaults.{key}"
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if isinstance(_DEFAULTS[key], int):
-        if not (number and value >= 1
-                and (isinstance(value, numbers.Integral) or float(value).is_integer())):
-            raise ConfigError(f"{path}: must be an integer >= 1, got {value!r:.40}", path=path)
-        return int(value)
-    if not (number and 0 < value < math.inf):
-        raise ConfigError(f"{path}: must be a positive finite number, got {value!r:.40}", path=path)
-    return float(value)
+def _parse(doc) -> SystemConfig:
+    jsondoc.obj(doc, "config", ("schema_version", "dh_convention", "arm1", "arm2", "spring_matrix",
+                                "tool_offset", "flange2_offset", "workspace_box", "modal_models",
+                                "defaults", "ik_seed1_rad", "ik_seed2_rad"))
+    if jsondoc.count(doc["schema_version"], "config.schema_version") != SCHEMA_VERSION:
+        raise jsondoc.SchemaError(f"config.schema_version: expected {SCHEMA_VERSION}, "
+                                  f"got {doc['schema_version']}", "config.schema_version")
+    if doc["dh_convention"] != "standard":
+        raise jsondoc.SchemaError("config.dh_convention: only 'standard' Denavit-Hartenberg "
+                                  "is supported", "config.dh_convention")
+    arm1, ks1 = _arm(doc["arm1"], "config.arm1")
+    arm2, ks2 = _arm(doc["arm2"], "config.arm2")
+    spring = jsondoc.build(SpringModel, "config.spring_matrix",
+                           jsondoc.array(doc["spring_matrix"], (6, 6), "config.spring_matrix"))
+    system = jsondoc.build(CoupledSystem, "config", arm1, arm2, ks1, ks2, spring,
+                           jsondoc.pose(doc["tool_offset"], "config.tool_offset"),
+                           jsondoc.pose(doc["flange2_offset"], "config.flange2_offset"))
+    box = jsondoc.obj(doc["workspace_box"], "config.workspace_box", ("center_m", "size_m"))
+    models = jsondoc.obj(doc["modal_models"], "config.modal_models", AXES)
+    defaults = jsondoc.obj(doc["defaults"], "config.defaults", tuple(_DEFAULTS))
+    return SystemConfig(
+        system=system,
+        workspace_center=jsondoc.array(box["center_m"], (3,), "config.workspace_box.center_m"),
+        workspace_size=jsondoc.array(box["size_m"], (3,), "config.workspace_box.size_m",
+                                     jsondoc.positive),
+        modal_models={axis: _modal_model(models[axis], axis) for axis in AXES},
+        # max_iter an integer >= 1, every tolerance and step a positive finite number.
+        defaults={k: (jsondoc.count if isinstance(v, int) else jsondoc.positive)(
+            defaults[k], f"config.defaults.{k}") for k, v in _DEFAULTS.items()},
+        ik_seed1=jsondoc.array(doc["ik_seed1_rad"], (6,), "config.ik_seed1_rad"),
+        ik_seed2=jsondoc.array(doc["ik_seed2_rad"], (6,), "config.ik_seed2_rad"),
+    )
 
 
 def parse_config(doc) -> SystemConfig:
-    _check_keys(doc, _TOP_KEYS, "config")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config.schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']}",
-            path="config.schema_version",
-        )
-    if doc["dh_convention"] != "standard":
-        raise ConfigError(
-            "config.dh_convention: only 'standard' Denavit-Hartenberg is supported",
-            path="config.dh_convention",
-        )
-    arm1, ks1 = _arm(doc["arm1"], "config.arm1")
-    arm2, ks2 = _arm(doc["arm2"], "config.arm2")
+    """The SystemConfig of a decoded config document; bad data raises
+    ConfigError whose `path` names the element, e.g.
+    `config.arm1.dh_rows[0][2]`."""
     try:
-        spring = SpringModel(np.array(doc["spring_matrix"], dtype=float))
-    except (InvalidInputError, ValueError) as exc:
-        raise ConfigError(f"config.spring_matrix: {exc}", path="config.spring_matrix") from exc
-    tool_offset = _pose(doc["tool_offset"], "config.tool_offset")
-    flange2_offset = _pose(doc["flange2_offset"], "config.flange2_offset")
-    _check_keys(doc["workspace_box"], _BOX_KEYS, "config.workspace_box")
-    center = _floats(doc["workspace_box"]["center_m"], "config.workspace_box")
-    size = _floats(doc["workspace_box"]["size_m"], "config.workspace_box")
-    if (center.shape != (3,) or size.shape != (3,)
-            or not (np.all(np.isfinite(center)) and np.all(size > 0))):
-        raise ConfigError("config.workspace_box: center/size must be 3-vectors, center finite, "
-                          "size positive", path="config.workspace_box")
-    _check_keys(doc["modal_models"], set(AXES), "config.modal_models")
-    modal_models = {}
-    for axis in AXES:
-        _check_keys(doc["modal_models"][axis], _MODAL_KEYS, f"config.modal_models.{axis}")
-        try:
-            modal_models[axis] = modal_model_from_dict(doc["modal_models"][axis], axis)
-        except (InvalidInputError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config.modal_models.{axis}: {exc}",
-                              path=f"config.modal_models.{axis}") from exc
-    _check_keys(doc["defaults"], _DEFAULT_KEYS, "config.defaults")
-    defaults = {k: _default(doc["defaults"][k], k) for k in _DEFAULTS}
-    seed1 = _floats(doc["ik_seed1_rad"], "config.ik_seed1_rad")
-    seed2 = _floats(doc["ik_seed2_rad"], "config.ik_seed2_rad")
-    if seed1.shape != (6,) or seed2.shape != (6,):
-        raise ConfigError("config.ik_seed1_rad/ik_seed2_rad: must be 6 joint values",
-                          path="config.ik_seed1_rad")
-    try:
-        system = CoupledSystem(
-            arm1=arm1,
-            arm2=arm2,
-            joint_stiffness1=ks1,
-            joint_stiffness2=ks2,
-            spring=spring,
-            tool_offset=tool_offset,
-            flange2_offset=flange2_offset,
-        )
-    except TwinmillError as exc:
-        raise ConfigError(f"config: {exc}", path="config") from exc
-    return SystemConfig(
-        system=system,
-        workspace_center=center,
-        workspace_size=size,
-        modal_models=modal_models,
-        defaults=defaults,
-        ik_seed1=seed1,
-        ik_seed2=seed2,
-    )
+        return _parse(doc)
+    except jsondoc.SchemaError as exc:
+        raise ConfigError(str(exc), path=exc.where) from exc
 
 
 def load_config(path) -> SystemConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 

@@ -1,0 +1,105 @@
+"""The one JSON schema reader of twinmill, for the system config and the
+native path format.
+
+A value is read at its schema path `where` (`config.arm1.dh_rows[0][2]`,
+`segments[0].start`). Numbers are JSON numbers only (no string, bool, null,
+NaN or Infinity), objects refuse unknown and missing keys, and every
+refusal raises one SchemaError that carries `where`, which the document's
+reader turns into its own error.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import InvalidInputError
+from .geometry import Pose
+
+
+class SchemaError(InvalidInputError):
+    """A JSON document breaks its schema at the element `where`."""
+
+    def __init__(self, message, where):
+        super().__init__(message)
+        self.where = where
+
+
+def _key(where, key):
+    return f"{where}.{key}" if where else key
+
+
+def obj(value, where, required, optional=()):
+    """`value` as a JSON object holding every key of `required`, and no key
+    outside `required` and `optional`."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where or 'document'}: expected an object", where)
+    for key in value:
+        if key not in required and key not in optional:
+            raise SchemaError(f"{_key(where, key)}: unknown key", _key(where, key))
+    for key in required:
+        if key not in value:
+            raise SchemaError(f"missing {_key(where, key)}", _key(where, key))
+    return value
+
+
+def _real(value):
+    """A JSON number as a finite float, else None."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            return None
+        if math.isfinite(x):
+            return x
+    return None
+
+
+def number(value, where):
+    x = _real(value)
+    if x is None:
+        raise SchemaError(f"{where}: expected a finite number, got {value!r:.40}", where)
+    return x
+
+
+def positive(value, where):
+    x = _real(value)
+    if x is None or x <= 0:
+        raise SchemaError(f"{where}: expected a positive finite number, got {value!r:.40}", where)
+    return x
+
+
+def count(value, where):
+    """An integer >= 1; an integral float such as 50.0 counts."""
+    x = _real(value)
+    if x is None or x < 1 or not x.is_integer():
+        raise SchemaError(f"{where}: expected an integer >= 1, got {value!r:.40}", where)
+    return int(value)
+
+
+def array(value, shape, where, leaf=number):
+    """Nested lists of the given shape as a float array, each element read
+    by `leaf` at its own path (`where[i][j]`)."""
+    if not shape:
+        return leaf(value, where)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        kind = "numbers" if len(shape) == 1 else "lists"
+        raise SchemaError(f"{where}: expected a list of {shape[0]} {kind}", where)
+    return np.array([array(v, shape[1:], f"{where}[{i}]", leaf) for i, v in enumerate(value)])
+
+
+def build(cls, where, *args):
+    """cls(*args), its InvalidInputError prefixed with and carrying `where`."""
+    try:
+        return cls(*args)
+    except InvalidInputError as exc:
+        raise SchemaError(f"{where}: {exc}", where) from exc
+
+
+def pose(value, where) -> Pose:
+    """A `{"position_m": [3], "quaternion_wxyz": [4]}` object."""
+    obj(value, where, ("position_m", "quaternion_wxyz"))
+    return build(Pose, where,
+                 array(value["position_m"], (3,), _key(where, "position_m")),
+                 array(value["quaternion_wxyz"], (4,), _key(where, "quaternion_wxyz")))

@@ -214,13 +214,14 @@ def flange_transform(arm: ArmModel, q):
     return _flange(arm._chain_consts, _joint_array(arm, q, allow_out_of_limits=False))
 
 
-def forward_kinematics(arm: ArmModel, q, allow_out_of_limits=False):
+def forward_kinematics(arm: ArmModel, q):
     """World-frame flange pose: base ∘ DH chain ∘ flange offset.
 
     One configuration q (6,) gives a Pose; stacked configurations q[N, 6]
-    give pose rows [N, 7] of (x, y, z, qw, qx, qy, qz), qw >= 0.
+    within the joint limits give pose rows [N, 7] of (x, y, z, qw, qx, qy,
+    qz), qw >= 0.
     """
-    q = _joint_array(arm, q, allow_out_of_limits)
+    q = _joint_array(arm, q, allow_out_of_limits=False)
     if q.ndim > 2:
         raise InvalidInputError("forward_kinematics takes q of shape (6,) or (N, 6)")
     rows = matrix_pose_rows(_flange(arm._chain_consts, q))

@@ -156,7 +156,7 @@ def _exp_window(n):
     return np.exp(np.log(0.01) * np.arange(n) / (n - 1))
 
 
-def h1_estimate(records, nfft=None, window=True) -> FrfSeries:
+def h1_estimate(records, nfft=None) -> FrfSeries:
     """H1 compliance FRF averaged over repeated impacts.
 
     Accelerance S_fa/S_ff is formed from windowed FFTs (rectangular force
@@ -182,13 +182,8 @@ def h1_estimate(records, nfft=None, window=True) -> FrfSeries:
     s_ff = np.zeros(nfft // 2 + 1)
     s_fa = np.zeros(nfft // 2 + 1, dtype=complex)
     for r in records:
-        f = r.force
-        a = r.acceleration
-        if window:
-            f = f * _force_window(f)
-            a = a * _exp_window(a.size)
-        F = np.fft.rfft(f, nfft)
-        A = np.fft.rfft(a, nfft)
+        F = np.fft.rfft(r.force * _force_window(r.force), nfft)
+        A = np.fft.rfft(r.acceleration * _exp_window(r.acceleration.size), nfft)
         s_ff += (np.conj(F) * F).real
         s_fa += np.conj(F) * A
     if np.all(s_ff == 0):
@@ -334,21 +329,3 @@ def impact_record_to_csv(record: ImpactRecord) -> str:
     table = np.column_stack([t, record.force, record.acceleration])
     return write_table(meta, _IMPACT_COLUMNS, table, "%.17g,%.17g,%.17g\n")
 
-
-def modal_model_from_dict(d, axis) -> ModalModel:
-    return ModalModel(
-        axis=axis,
-        mass=float(d["mass_kg"]),
-        damping_ratio=float(d["damping_ratio"]),
-        f0=float(d["f0_hz"]),
-        sensitivity=float(d["sensitivity_hz_per_n"]),
-    )
-
-
-def modal_model_to_dict(m: ModalModel):
-    return {
-        "mass_kg": m.mass,
-        "damping_ratio": m.damping_ratio,
-        "f0_hz": m.f0,
-        "sensitivity_hz_per_n": m.sensitivity,
-    }

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsondoc
 from .csvtable import meta_float, meta_floats, read_table, write_table
 from .errors import (
     ClosureError,
@@ -324,60 +325,23 @@ def path_to_json(path: ToolPath) -> str:
     return _dump_json({"feed_mm_min": float(path.feed_mm_min), "segments": segs}) + "\n"
 
 
-def _json_field(obj, key, where):
-    """obj[key] of a JSON object at schema path `where`."""
-    if not isinstance(obj, dict):
-        raise InvalidInputError(f"path JSON {where or 'document'}: expected an object")
-    if key not in obj:
-        raise InvalidInputError(f"path JSON: missing {where + '.' if where else ''}{key}")
-    return obj[key]
-
-
-def _json_number(value, where):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise InvalidInputError(f"path JSON {where}: expected a finite number, got {value!r:.40}")
-
-
-def _json_vector(value, size, where):
-    if not isinstance(value, list) or len(value) != size:
-        raise InvalidInputError(f"path JSON {where}: expected a list of {size} numbers")
-    return np.array([_json_number(x, f"{where}[{i}]") for i, x in enumerate(value)])
-
-
-def _json_build(cls, where, *args):
-    """cls(*args), its InvalidInputError prefixed with the schema path."""
-    try:
-        return cls(*args)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"path JSON {where}: {exc}") from exc
-
-
-def _json_pose(obj, where):
-    return _json_build(Pose, where,
-                       _json_vector(_json_field(obj, "position_m", where), 3, f"{where}.position_m"),
-                       _json_vector(_json_field(obj, "quaternion_wxyz", where), 4, f"{where}.quaternion_wxyz"))
+_SEGMENT_KEYS = {"linear": ("type", "start", "end"),
+                 "arc": ("type", "center_m", "normal", "start", "sweep_rad")}
 
 
 def _json_segment(s, where):
-    kind = _json_field(s, "type", where)
+    kind = jsondoc.obj(s, where, ("type",), ("start", "end", "center_m", "normal", "sweep_rad"))["type"]
+    if kind not in _SEGMENT_KEYS:
+        raise jsondoc.SchemaError(f"{where}.type: unknown segment type {kind!r:.40}", f"{where}.type")
+    jsondoc.obj(s, where, _SEGMENT_KEYS[kind])
     if kind == "linear":
-        return _json_build(LinearSegment, where,
-                           _json_pose(_json_field(s, "start", where), f"{where}.start"),
-                           _json_pose(_json_field(s, "end", where), f"{where}.end"))
-    if kind == "arc":
-        return _json_build(
-            ArcSegment, where,
-            _json_vector(_json_field(s, "center_m", where), 3, f"{where}.center_m"),
-            _json_vector(_json_field(s, "normal", where), 3, f"{where}.normal"),
-            _json_pose(_json_field(s, "start", where), f"{where}.start"),
-            _json_number(_json_field(s, "sweep_rad", where), f"{where}.sweep_rad"),
-        )
-    raise InvalidInputError(f"path JSON {where}.type: unknown segment type {kind!r:.40}")
+        return jsondoc.build(LinearSegment, where, jsondoc.pose(s["start"], f"{where}.start"),
+                             jsondoc.pose(s["end"], f"{where}.end"))
+    return jsondoc.build(ArcSegment, where,
+                         jsondoc.array(s["center_m"], (3,), f"{where}.center_m"),
+                         jsondoc.array(s["normal"], (3,), f"{where}.normal"),
+                         jsondoc.pose(s["start"], f"{where}.start"),
+                         jsondoc.number(s["sweep_rad"], f"{where}.sweep_rad"))
 
 
 def path_from_json(text) -> ToolPath:
@@ -387,12 +351,16 @@ def path_from_json(text) -> ToolPath:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"path JSON is not valid JSON: {exc}") from exc
-    segs = _json_field(doc, "segments", "")
-    if not isinstance(segs, list):
-        raise InvalidInputError("path JSON segments: expected a list")
-    segments = tuple(_json_segment(s, f"segments[{k}]") for k, s in enumerate(segs))
-    feed = _json_number(doc.get("feed_mm_min", 0.0), "feed_mm_min")
-    return _json_build(ToolPath, "segments", segments, feed)
+    try:
+        jsondoc.obj(doc, "", ("segments",), ("feed_mm_min",))
+        segs = doc["segments"]
+        if not isinstance(segs, list):
+            raise jsondoc.SchemaError("segments: expected a list", "segments")
+        return jsondoc.build(ToolPath, "segments",
+                             tuple(_json_segment(s, f"segments[{k}]") for k, s in enumerate(segs)),
+                             jsondoc.number(doc.get("feed_mm_min", 0.0), "feed_mm_min"))
+    except jsondoc.SchemaError as exc:
+        raise InvalidInputError(f"path JSON {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

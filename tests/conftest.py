@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -74,3 +76,41 @@ def random_nonsingular_q(arm, rng, min_sv=1e-3):
         q = rng.uniform(arm.joint_limits[:, 0] * 0.7, arm.joint_limits[:, 1] * 0.7)
         if np.linalg.svd(jacobian(arm, q), compute_uv=False)[-1] > min_sv:
             return q
+
+
+def json_elements(doc, where="", keys=()):
+    """(schema path, keys from the root, value) of every element of a
+    decoded JSON document below its root `where`, parents first."""
+    items = enumerate(doc) if isinstance(doc, list) else doc.items()
+    for key, value in items:
+        if isinstance(doc, list):
+            path = f"{where}[{key}]"
+        else:
+            path = f"{where}.{key}" if where else key
+        yield path, keys + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from json_elements(value, path, keys + (key,))
+
+
+def json_numbers(doc, where=""):
+    """(schema path, keys) of every number of a decoded JSON document."""
+    return [(path, keys) for path, keys, value in json_elements(doc, where)
+            if isinstance(value, (int, float)) and not isinstance(value, bool)]
+
+
+def json_objects(doc, where=""):
+    """(schema path, keys) of every object of a decoded JSON document, the
+    root `where` first."""
+    return [(where, ())] + [(path, keys) for path, keys, value in json_elements(doc, where)
+                            if isinstance(value, dict)]
+
+
+def json_replaced(doc, keys, value):
+    """A deep copy of `doc` with the element at `keys` set (or added) to
+    `value`."""
+    doc = copy.deepcopy(doc)
+    entry = doc
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    return doc

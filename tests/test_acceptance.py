@@ -21,8 +21,8 @@ from twinmill.compensation import (
 )
 from twinmill.config import default_config
 from twinmill.errors import ContinuityError
-from twinmill.geometry import pose_error
-from twinmill.kinematics import forward_kinematics, inverse_kinematics, jacobian
+from twinmill.geometry import matrix_pose_rows, pose_error
+from twinmill.kinematics import _flange, forward_kinematics, inverse_kinematics, jacobian
 from twinmill.modal import (
     ModalModel,
     fit_shift,
@@ -206,9 +206,9 @@ def test_acceptance_6_kinematics():
         for j in range(6):
             dq = np.zeros(6)
             dq[j] = h
-            fp = forward_kinematics(arm, q + dq, allow_out_of_limits=True)
-            fm = forward_kinematics(arm, q - dq, allow_out_of_limits=True)
-            dlin = (fp.position - fm.position) / (2 * h)
+            fp = matrix_pose_rows(_flange(arm._chain_consts, q + dq))
+            fm = matrix_pose_rows(_flange(arm._chain_consts, q - dq))
+            dlin = (fp[:3] - fm[:3]) / (2 * h)
             dang = pose_error(fm, fp)[3:] / (2 * h)
             ok = ok and np.max(np.abs(J[:3, j] - dlin)) < 1e-5
             ok = ok and np.max(np.abs(J[3:, j] - dang)) < 1e-5

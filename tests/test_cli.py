@@ -80,6 +80,43 @@ class TestConfigHandling:
         assert code == 2
 
 
+NOT_UTF8 = b"\xff\xfe G1 X10\n"
+DEEP_JSON = b"[" * 100000 + b"]" * 100000
+
+
+class TestUnreadableInput:
+    """An input file that is not UTF-8, or a config nested past the JSON
+    decoder's recursion limit, exits with its documented code naming the
+    file: 2 for the config, 3 for every other input."""
+
+    @pytest.mark.parametrize("data", [NOT_UTF8, DEEP_JSON], ids=["not_utf8", "nested"])
+    def test_modal_config(self, tmp_path, data, capsys):
+        bad = tmp_path / "system.json"
+        bad.write_bytes(data)
+        code = cli.main(["--config", str(bad), "modal", "--tensions", "0,500", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["slot.gcode", "slot.json"])
+    def test_plan_path_file(self, tmp_path, config_file, name, capsys):
+        bad = tmp_path / name
+        bad.write_bytes(NOT_UTF8)
+        assert cli.main(["--config", config_file, "plan", str(bad), "--out", str(tmp_path / "p.csv")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+
+    def test_deform_program(self, tmp_path, config_file, capsys):
+        bad = tmp_path / "program.csv"
+        bad.write_bytes(NOT_UTF8)
+        assert cli.main(["--config", config_file, "deform", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+
+    def test_frf_impact(self, tmp_path, capsys):
+        bad = tmp_path / "impact.csv"
+        bad.write_bytes(NOT_UTF8)
+        assert cli.main(["frf", str(bad), "--out", str(tmp_path / "frf.csv")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+
+
 class TestModal:
     def test_writes_frfs_and_fit(self, tmp_path, config_file, capsys):
         out = tmp_path / "modal_out"
@@ -202,6 +239,16 @@ class TestPlan:
                          "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
         assert code == 2
         assert f"config.defaults.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_seed_exits_2(self, tmp_path, gcode_file, capsys):
+        doc = default_config_dict()
+        doc["ik_seed2_rad"][3] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(config_to_json(doc))
+        out = tmp_path / "p.csv"
+        assert cli.main(["--config", str(bad), "plan", gcode_file, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config.ik_seed2_rad[3]: expected a finite number")
         assert not out.exists()
 
     def test_missing_path_file_exits_3(self, tmp_path, config_file):

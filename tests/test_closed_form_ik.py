@@ -11,10 +11,11 @@ from hypothesis.extra.numpy import arrays
 
 from twinmill.config import default_config
 from twinmill.errors import InvalidInputError
-from twinmill.geometry import Pose, pose_error
+from twinmill.geometry import Pose, matrix_pose_rows, pose_error
 from twinmill.kinematics import (
     N_BRANCHES,
     ArmModel,
+    _flange,
     closed_form_ik,
     forward_kinematics,
     ik_branch,
@@ -81,7 +82,7 @@ def test_every_branch_that_exists_reaches_the_target(name, shares):
         found = ~np.isnan(qb[:, 0])
         # A branch that does not exist is NaN in every joint.
         assert np.all(np.isnan(qb[~found])) and np.all(np.isfinite(qb[found]))
-        err = pose_error(forward_kinematics(arm, qb[found], allow_out_of_limits=True), targets[found])
+        err = pose_error(matrix_pose_rows(_flange(arm._chain_consts, qb[found])), targets[found])
         assert np.all(np.abs(err) <= 1e-9)
         # Each solution lies on the branch asked for.
         np.testing.assert_array_equal(ik_branch(arm, qb[found]), branch)

@@ -13,6 +13,8 @@ from twinmill.config import (
 )
 from twinmill.errors import ConfigError
 
+from conftest import json_numbers, json_objects, json_replaced
+
 
 class TestParse:
     def test_default_config_parses(self):
@@ -112,13 +114,13 @@ class TestParse:
         doc["workspace_box"][key][1] = value
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
-        assert exc.value.path == "config.workspace_box"
+        assert exc.value.path == f"config.workspace_box.{key}[1]"
 
     @pytest.mark.parametrize("keys, path", [
-        (("workspace_box", "center_m", 0), "config.workspace_box"),
-        (("workspace_box", "size_m", 2), "config.workspace_box"),
-        (("modal_models", "x", "mass_kg"), "config.modal_models.x"),
-        (("ik_seed2_rad", 3), "config.ik_seed2_rad"),
+        (("workspace_box", "center_m", 0), "config.workspace_box.center_m[0]"),
+        (("workspace_box", "size_m", 2), "config.workspace_box.size_m[2]"),
+        (("modal_models", "x", "mass_kg"), "config.modal_models.x.mass_kg"),
+        (("ik_seed2_rad", 3), "config.ik_seed2_rad[3]"),
     ])
     def test_non_numeric_entry_rejected(self, keys, path):
         doc = default_config_dict()
@@ -137,7 +139,7 @@ class TestParse:
         doc["modal_models"]["z"][key] = value
         with pytest.raises(ConfigError, match="finite") as exc:
             parse_config(doc)
-        assert exc.value.path == "config.modal_models.z"
+        assert exc.value.path == f"config.modal_models.z.{key}"
 
     @pytest.mark.parametrize("key", ["tol_pos_m", "tol_rot_rad", "chord_tol_m", "max_step_m",
                                      "joint_jump_max_rad"])
@@ -169,6 +171,27 @@ class TestParse:
         doc["arm2"]["base_pose"] = doc["arm1"]["base_pose"]
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    @pytest.mark.parametrize("bad", [True, "1", None, float("nan"), float("inf")])
+    def test_every_number_refuses_a_non_number(self, bad):
+        """Each number of the document in turn replaced by `bad` is refused,
+        naming exactly that element."""
+        doc = default_config_dict()
+        numbers = json_numbers(doc, "config")
+        assert len(numbers) == 199
+        for path, keys in numbers:
+            with pytest.raises(ConfigError) as exc:
+                parse_config(json_replaced(doc, keys, bad))
+            assert exc.value.path == path
+
+    def test_every_object_refuses_an_unknown_key(self):
+        doc = default_config_dict()
+        objects = json_objects(doc, "config")
+        assert len(objects) == 15
+        for path, keys in objects:
+            with pytest.raises(ConfigError, match="unknown key") as exc:
+                parse_config(json_replaced(doc, keys + ("bogus",), 1))
+            assert exc.value.path == f"{path}.bogus"
 
     def test_bad_seed_length(self):
         doc = default_config_dict()

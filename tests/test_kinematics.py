@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twinmill.errors import InvalidInputError, UnreachableTargetError
-from twinmill.geometry import Pose, pose_error, quat_from_rotvec, rotvec_from_quat
+from twinmill.geometry import Pose, matrix_pose_rows, pose_error, quat_from_rotvec, rotvec_from_quat
 from twinmill.kinematics import ArmModel, _chain, _flange, forward_kinematics, inverse_kinematics, jacobian
 
 from conftest import make_one_link_arm, make_test_arm
@@ -94,7 +94,6 @@ class TestForwardKinematics:
         q[0] = 3.5
         with pytest.raises(InvalidInputError):
             forward_kinematics(arm, q)
-        forward_kinematics(arm, q, allow_out_of_limits=True)
 
 
 class TestJacobian:
@@ -115,9 +114,9 @@ class TestJacobian:
                 qp, qm = q.copy(), q.copy()
                 qp[i] += h
                 qm[i] -= h
-                fp = forward_kinematics(arm, qp, allow_out_of_limits=True)
-                fm = forward_kinematics(arm, qm, allow_out_of_limits=True)
-                dlin = (fp.position - fm.position) / (2 * h)
+                fp = matrix_pose_rows(_flange(arm._chain_consts, qp))
+                fm = matrix_pose_rows(_flange(arm._chain_consts, qm))
+                dlin = (fp[:3] - fm[:3]) / (2 * h)
                 dang = pose_error(fm, fp)[3:] / (2 * h)
                 np.testing.assert_allclose(J[:3, i], dlin, atol=1e-5)
                 np.testing.assert_allclose(J[3:, i], dang, atol=1e-5)

@@ -54,6 +54,8 @@ from twinmill.pathplan import (
 )
 from twinmill.stiffness import Wrench, predicted_tension
 
+from conftest import json_numbers, json_objects, json_replaced
+
 # two straight cuts joined by a semicircle, hand-checked lengths
 SLOT_GCODE = """\
 (slot with a semicircular end)
@@ -273,6 +275,24 @@ class TestJsonErrors:
     def test_bad_input_names_the_schema_path(self, text, where):
         with pytest.raises(InvalidInputError, match="^path JSON.*" + re.escape(where)):
             path_from_json(text)
+
+    @pytest.mark.parametrize("bad", [True, "1", None, float("nan"), float("inf")])
+    def test_every_number_refuses_a_non_number(self, bad):
+        doc = json.loads(SLOT_JSON)
+        numbers = json_numbers(doc)
+        assert len(numbers) == 43
+        for path, keys in numbers:
+            with pytest.raises(InvalidInputError, match=f"^path JSON {re.escape(path)}: "):
+                path_from_json(json.dumps(json_replaced(doc, keys, bad)))
+
+    def test_every_object_refuses_an_unknown_key(self):
+        doc = json.loads(SLOT_JSON)
+        objects = json_objects(doc)
+        assert len(objects) == 9
+        for path, keys in objects:
+            where = f"{path}.bogus" if path else "bogus"
+            with pytest.raises(InvalidInputError, match=f"^path JSON {re.escape(where)}: unknown key"):
+                path_from_json(json.dumps(json_replaced(doc, keys + ("bogus",), 1)))
 
 
 def per_pose_samples(path, chord_tol, max_step):
