@@ -20,7 +20,7 @@ from .compensation import (
     residual_report,
     simulate_deformation,
 )
-from .config import SystemConfig, default_config, load_config
+from .config import SystemConfig, load_config
 from .geometry import Pose
 from .kinematics import ArmModel, forward_kinematics, inverse_kinematics, jacobian
 from .modal import (

@@ -8,6 +8,7 @@ is the deform --noise-sigma option, which requires --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,6 +25,10 @@ EXIT_COMPUTE = 3
 EXIT_USAGE = 64
 
 CONFIG_ENV_VAR = "TWINMILL_CONFIG"
+
+# The modal frequency grid is refused above this many points, before it is
+# allocated.
+MAX_GRID_POINTS = 2**20
 
 
 class _UsageError(Exception):
@@ -47,14 +52,36 @@ def _load_config(path_arg):
     return config_mod.load_config(path)
 
 
-def _parse_tensions(text):
-    try:
-        values = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"bad tension list {text!r}: {exc}") from exc
+def _number(low, strict=False):
+    """argparse type of a finite float >= low (> low if strict); argparse
+    reports a refusal as a usage error naming the option."""
+    def parse(text):
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not (math.isfinite(x) and (x > low if strict else x >= low)):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {'>' if strict else '>='} {low:g}, got {text!r}")
+        return x
+    return parse
+
+
+def _tension_list(text):
+    values = [_number(0.0)(x) for x in text.split(",") if x.strip()]
     if not values:
-        raise _UsageError("tension list is empty")
+        raise argparse.ArgumentTypeError("tension list is empty")
     return values
+
+
+def _frequency_grid(fmax, df):
+    """np.arange(1.0, fmax, df), refused before it is allocated when it
+    would hold more than MAX_GRID_POINTS points."""
+    n = math.ceil((fmax - 1.0) / df)
+    if n > MAX_GRID_POINTS:
+        raise _UsageError(f"--tensions and --df give a frequency grid of {n:.4g} points up to "
+                          f"{fmax:g} Hz, more than {MAX_GRID_POINTS}")
+    return np.arange(1.0, fmax, df)
 
 
 def _tension_wrench(magnitude, axis):
@@ -65,12 +92,12 @@ def _tension_wrench(magnitude, axis):
 
 def cmd_modal(args):
     cfg = _load_config(args.config)
-    tensions = _parse_tensions(args.tensions)
+    tensions = args.tensions
     model = cfg.modal_models[args.axis]
+    fmax = model.f0 + abs(model.sensitivity) * max(tensions) + 200.0
+    grid = _frequency_grid(fmax, args.df)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fmax = model.f0 + abs(model.sensitivity) * max(tensions) + 200.0
-    grid = np.arange(1.0, fmax, args.df)
     points = []
     for T in tensions:
         frf = modal.frf_synthesize(model, T, grid)
@@ -179,9 +206,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("modal", help="synthesize FRFs over tensions and fit the frequency shift")
-    p.add_argument("--tensions", required=True, help="comma-separated tension forces in N")
+    p.add_argument("--tensions", type=_tension_list, required=True,
+                   help="comma-separated tension forces in N, >= 0")
     p.add_argument("--axis", choices=modal.AXES, default="x")
-    p.add_argument("--df", type=float, default=0.25, help="frequency grid step in Hz")
+    p.add_argument("--df", type=_number(0.0, strict=True), default=0.25,
+                   help="frequency grid step in Hz, > 0")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_modal)
 
@@ -206,7 +235,8 @@ def build_parser():
     p = sub.add_parser("deform", help="simulate tension deformation of a planned program")
     p.add_argument("program", help="SyncProgram CSV from 'plan'")
     p.add_argument("--compensate", action="store_true", help="also fit and remove a rigid transform")
-    p.add_argument("--noise-sigma", type=float, default=0.0, help="tracker noise sigma in m")
+    p.add_argument("--noise-sigma", type=_number(0.0), default=0.0,
+                   help="tracker noise sigma in m, >= 0")
     p.add_argument("--seed", type=int, default=None, help="RNG seed for --noise-sigma")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_deform)

@@ -63,10 +63,6 @@ class RigidTransform:
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity():
-        return RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
-
     def matrix(self):
         return quat_to_matrix(self.rotation)
 

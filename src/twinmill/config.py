@@ -10,7 +10,6 @@ default) cannot slip through.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,83 +120,3 @@ def load_config(path) -> SystemConfig:
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
-
-
-# ---------------------------------------------------------------------------
-# Illustrative default system ("nj290-like" cell). These are NOT vendor
-# data: the DH rows, stiffness values and modal parameters are plausible
-# placeholders for a ~3 m reach heavy arm.
-
-
-def _pose_dict(position, quaternion=(1.0, 0.0, 0.0, 0.0)):
-    return {"position_m": list(position), "quaternion_wxyz": list(quaternion)}
-
-
-def _default_arm_dict(base_position, base_quaternion):
-    return {
-        "dh_rows": [
-            [0.35, -math.pi / 2, 0.85, 0.0],
-            [1.25, 0.0, 0.0, -math.pi / 2],
-            [0.30, -math.pi / 2, 0.0, 0.0],
-            [0.0, math.pi / 2, 1.10, 0.0],
-            [0.0, -math.pi / 2, 0.0, 0.0],
-            [0.0, 0.0, 0.24, math.pi],
-        ],
-        "joint_limits_rad": [
-            [-3.0, 3.0],
-            [-2.4, 2.4],
-            [-2.9, 2.9],
-            [-3.0, 3.0],
-            [-2.2, 2.2],
-            [-3.0, 3.0],
-        ],
-        "base_pose": _pose_dict(base_position, base_quaternion),
-        "flange_offset": _pose_dict((0.0, 0.0, 0.0)),
-        "joint_stiffness_nm_per_rad": [4e6, 4e6, 3e6, 1.5e6, 1.5e6, 1e6],
-    }
-
-
-def default_config_dict():
-    """Illustrative two-robot cell: 4.25 m base spacing, 1 m^3 workspace
-    between the robots, diagonal spring defaults.
-
-    Arm 1 carries the module with its flange axis pointing at arm 2
-    (tool hanging below); arm 2 grips the module from above, flange axis
-    down. Tool orientation along paths is the world identity.
-    """
-    spring = np.diag([5e7, 5e7, 5e7, 5e5, 5e5, 5e5])
-    h = math.sqrt(0.5)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "dh_convention": "standard",
-        "arm1": _default_arm_dict((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
-        # Second robot faces the first (yaw pi).
-        "arm2": _default_arm_dict((4.25, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)),
-        "spring_matrix": [list(row) for row in spring],
-        # Tool point 0.30 m below / 0.10 m ahead of the arm-1 flange, with
-        # identity world orientation (flange frame: Ry(-pi/2)).
-        "tool_offset": _pose_dict((0.30, 0.0, 0.10), (h, 0.0, -h, 0.0)),
-        # Arm-2 flange attachment, 0.30 m towards arm 2 and 0.15 m up from
-        # the arm-1 flange, flange axis down (world Rx(pi)).
-        "flange2_offset": _pose_dict((-0.15, 0.0, 0.30), (0.0, h, 0.0, h)),
-        "workspace_box": {"center_m": [2.125, 0.0, 1.10], "size_m": [1.0, 1.0, 1.0]},
-        "modal_models": {
-            "x": {"mass_kg": 60.0, "damping_ratio": 0.03, "f0_hz": 159.0,
-                  "sensitivity_hz_per_n": 0.0226},
-            "y": {"mass_kg": 60.0, "damping_ratio": 0.03, "f0_hz": 700.0,
-                  "sensitivity_hz_per_n": 0.02},
-            "z": {"mass_kg": 60.0, "damping_ratio": 0.03, "f0_hz": 200.0,
-                  "sensitivity_hz_per_n": 0.01},
-        },
-        "defaults": dict(_DEFAULTS),
-        "ik_seed1_rad": [0.0, 0.45, 0.34, 0.0, -0.79, 0.0],
-        "ik_seed2_rad": [0.0, 0.54, -0.16, 0.0, 1.19, 0.0],
-    }
-
-
-def default_config() -> SystemConfig:
-    return parse_config(default_config_dict())
-
-
-def config_to_json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"

@@ -95,10 +95,6 @@ class ArmModel:
     def reach(self):
         return float(np.sum(np.abs(self.dh_rows[:, 0])) + np.sum(np.abs(self.dh_rows[:, 2])))
 
-    def within_limits(self, q):
-        q = _joint_array(self, q, allow_out_of_limits=True, stacked=False)
-        return _limit_violation(self, q, "q")[0] is None
-
 
 def _first_false(ok):
     """(row, joint) of the first False entry of a mask (6,) or [..., 6],

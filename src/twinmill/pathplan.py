@@ -194,6 +194,8 @@ def parse_gcode(text, orientation=None) -> ToolPath:
                     raise UnsupportedGcodeError(f"line {lineno}: unsupported G{value:g}", line=lineno)
                 motion = int(value)
             elif letter == "F":
+                if value < 0:
+                    raise UnsupportedGcodeError(f"line {lineno}: negative feed F{value:g}", line=lineno)
                 feed = value
             elif letter in "XYZ":
                 coords["XYZ".index(letter)] = value * _MM
@@ -356,9 +358,11 @@ def path_from_json(text) -> ToolPath:
         segs = doc["segments"]
         if not isinstance(segs, list):
             raise jsondoc.SchemaError("segments: expected a list", "segments")
+        feed = jsondoc.number(doc.get("feed_mm_min", 0.0), "feed_mm_min")
+        if feed < 0:
+            raise jsondoc.SchemaError(f"feed_mm_min: expected a feed >= 0, got {feed:g}", "feed_mm_min")
         return jsondoc.build(ToolPath, "segments",
-                             tuple(_json_segment(s, f"segments[{k}]") for k, s in enumerate(segs)),
-                             jsondoc.number(doc.get("feed_mm_min", 0.0), "feed_mm_min"))
+                             tuple(_json_segment(s, f"segments[{k}]") for k, s in enumerate(segs)), feed)
     except jsondoc.SchemaError as exc:
         raise InvalidInputError(f"path JSON {exc}") from exc
 
@@ -487,16 +491,6 @@ class Setpoints:
             value.flags.writeable = False
             setattr(self, name, value)
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        pairs = tuple(pairs)
-        return cls(
-            [p.index for p in pairs],
-            *(np.reshape([pose_rows(getattr(p, name)) for p in pairs], (-1, 7)) for name in _POSE_NAMES),
-            np.reshape([p.q1 for p in pairs], (-1, 6)),
-            np.reshape([p.q2 for p in pairs], (-1, 6)),
-        )
-
     def __len__(self):
         return len(self.index)
 
@@ -514,8 +508,8 @@ class Setpoints:
 
 @dataclass(frozen=True)
 class SyncProgram:
-    """A synchronized program; `pairs` may be given as any sequence of
-    SetpointPair and is held as Setpoints."""
+    """A synchronized program: its setpoints, the tension they were
+    planned for and the feed and step sizes it was discretized with."""
 
     pairs: Setpoints
     tension: Wrench
@@ -524,10 +518,10 @@ class SyncProgram:
     max_step: float = 0.0
 
     def __post_init__(self):
-        pairs = self.pairs if isinstance(self.pairs, Setpoints) else Setpoints.from_pairs(self.pairs)
-        if not len(pairs):
+        if not isinstance(self.pairs, Setpoints):
+            raise InvalidInputError(f"sync program pairs must be Setpoints, got {type(self.pairs).__name__}")
+        if not len(self.pairs):
             raise InvalidInputError("sync program has no setpoints")
-        object.__setattr__(self, "pairs", pairs)
 
 
 def apply_world_offset(poses, offsets):

@@ -318,12 +318,6 @@ def coupled_stiffness(sys: CoupledSystem, q1, q2, closure_tol=CLOSURE_TOL):
     return _stacked(lambda a, b: _coupled_block(sys, a, b, closure_tol), (6, 6), q1, q2)
 
 
-def branch_compliance(sys: CoupledSystem, q1, q2):
-    """Series compliance of the arm-2 branch (arm 2 + spring) as seen from
-    arm 2's flange attachment, world frame."""
-    return _stacked(lambda a, b: _symmetric(_branch(sys, a, b)[2]), (6, 6), q1, q2)
-
-
 def _matvec(M, v):
     return (M @ v[..., None])[..., 0]
 

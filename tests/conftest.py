@@ -1,12 +1,18 @@
 import copy
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from twinmill.config import default_config
+from twinmill.config import load_config
 from twinmill.geometry import Pose
 from twinmill.kinematics import ArmModel
+
+# The illustrative two-robot cell, the one copy the CLI demo, the
+# benchmark and the tests all read.
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "system.json"
 
 # Property tests run a fixed example order with no example database or
 # deadline, so tier-1 is deterministic; each test sets its own
@@ -15,9 +21,14 @@ settings.register_profile("twinmill", derandomize=True, database=None, deadline=
 settings.load_profile("twinmill")
 
 
+def demo_config_dict():
+    """A fresh decoded copy of the demo config document, free to edit."""
+    return json.loads(DEMO_CONFIG.read_text())
+
+
 @pytest.fixture(scope="session")
 def cfg():
-    return default_config()
+    return load_config(DEMO_CONFIG)
 
 
 def make_one_link_arm(a1=1.0):

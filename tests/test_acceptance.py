@@ -19,7 +19,7 @@ from twinmill.compensation import (
     residual_report,
     simulate_deformation,
 )
-from twinmill.config import default_config
+from twinmill.config import load_config
 from twinmill.errors import ContinuityError
 from twinmill.geometry import matrix_pose_rows, pose_error
 from twinmill.kinematics import _flange, forward_kinematics, inverse_kinematics, jacobian
@@ -47,10 +47,11 @@ from twinmill.stiffness import (
     tension_offset,
 )
 
-from conftest import random_nonsingular_q
+from conftest import DEMO_CONFIG, random_nonsingular_q
 from test_stiffness import make_twin_system, tool_point_branch_stiffness
 
 DATA = Path(__file__).parent / "data"
+SLOT_GCODE = DEMO_CONFIG.with_name("slot.gcode")
 WORK_OFFSET = np.array([2.105, -0.020, 1.100])
 
 
@@ -60,7 +61,7 @@ def _report(num, name, ok):
 
 
 def _plan_slot(cfg, tension=Wrench.zero(), system=None, **kw):
-    path = translate_path(parse_gcode((DATA / "slot.gcode").read_text()), WORK_OFFSET)
+    path = translate_path(parse_gcode(SLOT_GCODE.read_text()), WORK_OFFSET)
     return plan_sync(
         system or cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2), **kw
     )
@@ -144,7 +145,7 @@ def test_acceptance_4_tension_round_trip():
 
 def test_acceptance_5_compensation_residual():
     t0 = time.perf_counter()
-    cfg = default_config()
+    cfg = load_config(DEMO_CONFIG)
     probe = _plan_slot(cfg)
     mid = probe.pairs[len(probe.pairs) // 2]
     C = np.linalg.inv(coupled_stiffness(cfg.system, mid.q1, mid.q2))
@@ -181,7 +182,7 @@ def test_acceptance_5_compensation_residual():
 
 def test_acceptance_6_kinematics():
     t0 = time.perf_counter()
-    cfg = default_config()
+    cfg = load_config(DEMO_CONFIG)
     arm = cfg.system.arm1
     rng = np.random.default_rng(6)
     successes = 0
@@ -218,11 +219,11 @@ def test_acceptance_6_kinematics():
 
 def test_acceptance_7_path_planning():
     t0 = time.perf_counter()
-    gcode = (DATA / "slot.gcode").read_text()
+    gcode = SLOT_GCODE.read_text()
     golden = (DATA / "slot_path.json").read_text()
     ok = path_to_json(parse_gcode(gcode)) == golden
     ok = ok and path_to_json(path_from_json(golden)) == golden
-    cfg = default_config()
+    cfg = load_config(DEMO_CONFIG)
     program = _plan_slot(cfg, workspace_box=cfg.workspace_box)
     for pair in program.pairs:
         half = cfg.workspace_size / 2

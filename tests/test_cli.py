@@ -1,21 +1,21 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import pytest
 
 from twinmill import cli, modal
-from twinmill.config import config_to_json, default_config_dict
-from twinmill.pathplan import program_from_csv, program_to_csv
+from twinmill.pathplan import Setpoints, program_from_csv, program_to_csv
+
+from conftest import DEMO_CONFIG, demo_config_dict
 
 SLOT_GCODE = "G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"
 WORK_OFFSET = "2105,-20,1100"
 
 
 @pytest.fixture
-def config_file(tmp_path):
-    p = tmp_path / "system.json"
-    p.write_text(config_to_json(default_config_dict()))
-    return str(p)
+def config_file():
+    return str(DEMO_CONFIG)
 
 
 @pytest.fixture
@@ -146,6 +146,28 @@ class TestModal:
         )
         assert code == 64
 
+    @pytest.mark.parametrize("option, value", [
+        ("--df", "0"), ("--df", "nan"), ("--df", "-0.25"), ("--df", "inf"),
+        ("--tensions", "0,inf"), ("--tensions", "0,nan"), ("--tensions", "0,1e300"),
+        ("--tensions", "0,-500"),
+    ])
+    def test_bad_numeric_option_exits_64(self, tmp_path, config_file, capsys, option, value):
+        options = {"--tensions": "0,500", "--df": "0.25", option: value}
+        out = tmp_path / "o"
+        code = cli.main(["--config", config_file, "modal", *(x for kv in options.items() for x in kv),
+                         "--out", str(out)])
+        assert code == 64
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_over_the_cap_refused_before_allocating(self, monkeypatch):
+        with pytest.raises(cli._UsageError, match=r"grid of 1\.049e\+06 points"):
+            cli._frequency_grid(1.0 + 0.25 * 2**20 + 0.1, 0.25)
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 100)
+        assert len(cli._frequency_grid(26.0, 0.25)) == 100  # the count is np.arange's
+        with pytest.raises(cli._UsageError, match="grid of 101 points"):
+            cli._frequency_grid(26.1, 0.25)
+
 
 class TestFrf:
     def test_h1_from_impacts(self, tmp_path, config_file):
@@ -230,10 +252,10 @@ class TestPlan:
         ("max_step_m", float("inf")),
     ])
     def test_bad_config_default_exits_2(self, tmp_path, gcode_file, key, value, capsys):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["defaults"][key] = value
         bad = tmp_path / "bad.json"
-        bad.write_text(config_to_json(doc))
+        bad.write_text(json.dumps(doc))
         out = tmp_path / "p.csv"
         code = cli.main(["--config", str(bad), "plan", gcode_file, "--tension", "1000",
                          "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
@@ -242,10 +264,10 @@ class TestPlan:
         assert not out.exists()
 
     def test_null_seed_exits_2(self, tmp_path, gcode_file, capsys):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["ik_seed2_rad"][3] = None
         bad = tmp_path / "bad.json"
-        bad.write_text(config_to_json(doc))
+        bad.write_text(json.dumps(doc))
         out = tmp_path / "p.csv"
         assert cli.main(["--config", str(bad), "plan", gcode_file, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: config.ik_seed2_rad[3]: expected a finite number")
@@ -284,10 +306,11 @@ class TestDeform:
     def test_joint_outside_limits_exits_3(self, tmp_path, config_file, program_file, capsys):
         """Setpoint 7's q1 joint 5 edited to 2.5 rad, beyond its 2.2 rad limit."""
         program = program_from_csv(Path(program_file).read_text())
-        pairs = list(program.pairs)
-        q1 = pairs[7].q1.copy()
-        q1[4] = 2.5
-        pairs[7] = dataclasses.replace(pairs[7], q1=q1)
+        sp = program.pairs
+        q1 = sp.q1.copy()
+        q1[7, 4] = 2.5
+        pairs = Setpoints(sp.index, sp.tool_pose, sp.robot1_flange, sp.robot2_flange_nominal,
+                          sp.robot2_flange_commanded, q1, sp.q2)
         edited = tmp_path / "edited.csv"
         edited.write_text(program_to_csv(dataclasses.replace(program, pairs=pairs)))
         out = tmp_path / "o"
@@ -296,6 +319,15 @@ class TestDeform:
             "error: setpoint 7, arm 1: joint configuration violates joint limits: "
             "q5 = 2.5 rad outside [-2.2, 2.2] rad\n")
         assert not (out / "deformed.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_noise_sigma_exits_64(self, tmp_path, config_file, program_file, capsys, value):
+        out = tmp_path / "o"
+        code = cli.main(["--config", config_file, "deform", program_file, "--noise-sigma", value,
+                         "--seed", "7", "--out", str(out)])
+        assert code == 64
+        assert "argument --noise-sigma: expected" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_noise_without_seed_exits_64(self, tmp_path, config_file, program_file):
         code = cli.main(

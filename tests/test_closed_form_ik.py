@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twinmill.config import default_config
+from twinmill.config import load_config
 from twinmill.errors import InvalidInputError
 from twinmill.geometry import Pose, matrix_pose_rows, pose_error
 from twinmill.kinematics import (
@@ -22,11 +22,11 @@ from twinmill.kinematics import (
     jacobian,
 )
 
-from conftest import make_one_link_arm, make_test_arm
+from conftest import DEMO_CONFIG, make_one_link_arm, make_test_arm
 
 BASE = Pose(np.array([0.3, -0.2, 0.1]), np.array([0.8, 0.2, -0.3, 0.4]) / np.linalg.norm([0.8, 0.2, -0.3, 0.4]))
 FLANGE = Pose(np.array([0.01, 0.02, 0.1]), np.array([0.9, 0.1, 0.3, -0.3]) / np.linalg.norm([0.9, 0.1, 0.3, -0.3]))
-DEMO = default_config().system.arm1
+DEMO = load_config(DEMO_CONFIG).system.arm1
 
 
 def mirrored_test_arm():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
-from twinmill.config import default_config
+from twinmill.config import load_config
 from twinmill.csvtable import read_table, write_table
 from twinmill.errors import TwinmillError
 from twinmill.modal import (
@@ -28,6 +28,8 @@ from twinmill.pathplan import (
     translate_path,
 )
 from twinmill.stiffness import Wrench
+
+from conftest import DEMO_CONFIG
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EDGES = np.array([5e-324, -2.2250738585072014e-308, 0.0, -0.0, 1e300, -1e-300, 1.7976931348623157e308])
@@ -133,7 +135,7 @@ def test_program_round_trip(program):
 
 
 def _sample_files():
-    cfg = default_config()
+    cfg = load_config(DEMO_CONFIG)
     path = translate_path(parse_gcode("G1 X2 F300\n"), np.array([2.105, -0.02, 1.1]))
     program = plan_sync(cfg.system, path, Wrench(np.array([800.0, 0.0, 0.0])),
                         (cfg.ik_seed1, cfg.ik_seed2))

@@ -22,9 +22,9 @@ from twinmill.errors import (
     InvalidInputError,
     SingularConfigurationError,
 )
-from twinmill.geometry import quat_from_rotvec, quat_to_matrix
+from twinmill.geometry import pose_rows, quat_from_rotvec, quat_to_matrix
 from twinmill.kinematics import forward_kinematics, inverse_kinematics
-from twinmill.pathplan import apply_world_offset
+from twinmill.pathplan import _POSE_NAMES, Setpoints, apply_world_offset
 
 
 def cloud(rng, n=100, scale=0.05):
@@ -47,7 +47,8 @@ class TestRigidTransform:
 
     def test_identity(self):
         pts = np.eye(3)
-        np.testing.assert_array_equal(RigidTransform.identity().apply(pts), pts)
+        identity = RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+        np.testing.assert_array_equal(identity.apply(pts), pts)
 
     def test_quaternion_canonical_sign(self):
         q = -quat_from_rotvec(np.array([0.1, 0.0, 0.0]))
@@ -156,9 +157,13 @@ class TestCompensate:
 
 
 def _with_pair(program, k, pair):
-    pairs = list(program.pairs)
-    pairs[k] = pair
-    return dataclasses.replace(program, pairs=tuple(pairs))
+    """`program` with setpoint row k replaced by the SetpointPair `pair`."""
+    fields = []
+    for name in ("index",) + _POSE_NAMES + ("q1", "q2"):
+        rows = getattr(program.pairs, name).copy()
+        rows[k] = pose_rows(getattr(pair, name)) if name in _POSE_NAMES else getattr(pair, name)
+        fields.append(rows)
+    return dataclasses.replace(program, pairs=Setpoints(*fields))
 
 
 class TestDeformation:

@@ -1,24 +1,14 @@
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from twinmill.config import (
-    config_to_json,
-    default_config,
-    default_config_dict,
-    load_config,
-    parse_config,
-)
+from twinmill.config import load_config, parse_config
 from twinmill.errors import ConfigError
 
-from conftest import json_numbers, json_objects, json_replaced
+from conftest import DEMO_CONFIG, demo_config_dict, json_numbers, json_objects, json_replaced
 
 
 class TestParse:
-    def test_default_config_parses(self):
-        cfg = default_config()
+    def test_demo_config_parses(self, cfg):
         assert cfg.system.arm1.dh_rows.shape == (6, 4)
         assert set(cfg.modal_models) == {"x", "y", "z"}
         np.testing.assert_allclose(cfg.workspace_center, [2.125, 0.0, 1.10])
@@ -32,7 +22,7 @@ class TestParse:
         from twinmill.pathplan import plan_sync
 
         kw = inspect.signature(plan_sync).parameters
-        assert default_config().defaults == {
+        assert demo_config_dict()["defaults"] == {
             "tol_pos_m": kw["tol_pos"].default,
             "tol_rot_rad": kw["tol_rot"].default,
             "max_iter": kw["max_iter"].default,
@@ -41,66 +31,55 @@ class TestParse:
             "joint_jump_max_rad": kw["joint_jump_max"].default,
         }
 
-    def test_demo_file_is_the_default_config(self):
-        """The benchmark and the CI demo read demo/system.json, the tests
-        default_config_dict(): both must describe the same cell."""
-        demo = Path(__file__).resolve().parent.parent / "demo" / "system.json"
-        assert json.loads(demo.read_text()) == default_config_dict()
-
-    def test_json_round_trip(self):
-        doc = json.loads(config_to_json(default_config_dict()))
-        cfg = parse_config(doc)
-        assert cfg.defaults["chord_tol_m"] == 1e-5
-
     def test_unknown_top_key_rejected(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["extra"] = 1
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         assert "config.extra" in str(exc.value)
 
     def test_missing_key_rejected(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         del doc["spring_matrix"]
         with pytest.raises(ConfigError):
             parse_config(doc)
 
     def test_unknown_nested_key_reports_path(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["arm1"]["payload_kg"] = 100
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         assert "config.arm1.payload_kg" in str(exc.value)
 
     def test_schema_version_checked(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["schema_version"] = 99
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         assert exc.value.path == "config.schema_version"
 
     def test_dh_convention_checked(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["dh_convention"] = "modified"
         with pytest.raises(ConfigError):
             parse_config(doc)
 
     def test_bad_spring_matrix(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["spring_matrix"][0][1] = 1e3  # asymmetric
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         assert exc.value.path == "config.spring_matrix"
 
     def test_bad_modal_parameter(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["modal_models"]["y"]["mass_kg"] = -1.0
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         assert "modal_models.y" in str(exc.value)
 
     def test_bad_workspace(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["workspace_box"]["size_m"] = [1.0, 0.0, 1.0]
         with pytest.raises(ConfigError):
             parse_config(doc)
@@ -110,7 +89,7 @@ class TestParse:
         ("size_m", float("nan")),
     ])
     def test_non_finite_center_or_nan_size_rejected(self, key, value):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["workspace_box"][key][1] = value
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
@@ -123,7 +102,7 @@ class TestParse:
         (("ik_seed2_rad", 3), "config.ik_seed2_rad[3]"),
     ])
     def test_non_numeric_entry_rejected(self, keys, path):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         entry = doc
         for key in keys[:-1]:
             entry = entry[key]
@@ -135,7 +114,7 @@ class TestParse:
     @pytest.mark.parametrize("key", ["mass_kg", "f0_hz", "sensitivity_hz_per_n"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_modal_parameter_rejected(self, key, value):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["modal_models"]["z"][key] = value
         with pytest.raises(ConfigError, match="finite") as exc:
             parse_config(doc)
@@ -145,7 +124,7 @@ class TestParse:
                                      "joint_jump_max_rad"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-6, "1e-6", True, None])
     def test_bad_tolerance_or_step_rejected(self, key, value):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["defaults"][key] = value
         with pytest.raises(ConfigError, match="positive finite number") as exc:
             parse_config(doc)
@@ -153,21 +132,21 @@ class TestParse:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.7, 0, -3, True, "200"])
     def test_bad_max_iter_rejected(self, value):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["defaults"]["max_iter"] = value
         with pytest.raises(ConfigError, match="integer >= 1") as exc:
             parse_config(doc)
         assert exc.value.path == "config.defaults.max_iter"
 
     def test_integral_defaults_accepted(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["defaults"].update(max_iter=50.0, max_step_m=1)
         defaults = parse_config(doc).defaults
         assert defaults["max_iter"] == 50 and isinstance(defaults["max_iter"], int)
         assert defaults["max_step_m"] == 1.0 and isinstance(defaults["max_step_m"], float)
 
     def test_identical_bases_rejected(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["arm2"]["base_pose"] = doc["arm1"]["base_pose"]
         with pytest.raises(ConfigError):
             parse_config(doc)
@@ -176,7 +155,7 @@ class TestParse:
     def test_every_number_refuses_a_non_number(self, bad):
         """Each number of the document in turn replaced by `bad` is refused,
         naming exactly that element."""
-        doc = default_config_dict()
+        doc = demo_config_dict()
         numbers = json_numbers(doc, "config")
         assert len(numbers) == 199
         for path, keys in numbers:
@@ -185,7 +164,7 @@ class TestParse:
             assert exc.value.path == path
 
     def test_every_object_refuses_an_unknown_key(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         objects = json_objects(doc, "config")
         assert len(objects) == 15
         for path, keys in objects:
@@ -194,17 +173,15 @@ class TestParse:
             assert exc.value.path == f"{path}.bogus"
 
     def test_bad_seed_length(self):
-        doc = default_config_dict()
+        doc = demo_config_dict()
         doc["ik_seed1_rad"] = [0.0, 0.0]
         with pytest.raises(ConfigError):
             parse_config(doc)
 
 
 class TestLoad:
-    def test_load_from_file(self, tmp_path):
-        p = tmp_path / "system.json"
-        p.write_text(config_to_json(default_config_dict()))
-        cfg = load_config(p)
+    def test_load_from_file(self):
+        cfg = load_config(DEMO_CONFIG)
         assert cfg.system.arm2.base_pose.position[0] == 4.25
 
     def test_missing_file(self, tmp_path):

@@ -12,8 +12,10 @@ from pathlib import Path
 
 from twinmill import config, modal
 
+from conftest import DEMO_CONFIG
+
 ROOT = Path(__file__).resolve().parent.parent
-DEMO = ROOT / "demo"
+DEMO = DEMO_CONFIG.parent
 
 
 def run_fresh(script, *args):
@@ -27,7 +29,7 @@ def run_fresh(script, *args):
 
 
 def test_cli_commands_load_no_scipy(tmp_path):
-    model = config.load_config(DEMO / "system.json").modal_models["x"]
+    model = config.load_config(DEMO_CONFIG).modal_models["x"]
     impacts = [tmp_path / "i1.csv", tmp_path / "i2.csv"]
     for p in impacts:
         p.write_text(modal.impact_record_to_csv(modal.simulate_impact(model, 0.0, duration=0.5)))
@@ -66,10 +68,10 @@ def test_peak_pick_and_simulate_impact_load_scipy_on_first_use():
 import sys
 from twinmill import config, modal
 assert "scipy.signal" not in sys.modules
-model = config.default_config().modal_models["x"]
+model = config.load_config(sys.argv[1]).modal_models["x"]
 record = modal.simulate_impact(model, 0.0, sample_rate=2048.0, duration=2.0)
 assert "scipy.signal" in sys.modules
 peaks = modal.peak_pick(modal.h1_estimate([record]), 80.0, 400.0)
 print(len(peaks), round(peaks[0][0]))
 """
-    assert run_fresh(script) == "1 159\n"
+    assert run_fresh(script, DEMO_CONFIG) == "1 159\n"

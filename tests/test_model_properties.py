@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twinmill.compensation import PathTrace, RigidTransform, fit_rigid
-from twinmill.config import default_config
+from twinmill.config import load_config
 from twinmill.errors import SingularConfigurationError
 from twinmill.geometry import Pose
 from twinmill.kinematics import jacobian
@@ -27,7 +27,7 @@ from twinmill.stiffness import (
     tension_offset,
 )
 
-from conftest import make_test_arm, random_nonsingular_q
+from conftest import DEMO_CONFIG, make_test_arm, random_nonsingular_q
 
 ARM = make_test_arm()
 LO, HI = ARM.joint_limits[:, 0], ARM.joint_limits[:, 1]
@@ -71,7 +71,7 @@ def test_predicted_tension_inverts_tension_offset(shares, log_k, force, torque):
     assert np.all(np.linalg.norm(back - w.as_vector(), axis=1) <= 1e-9 * scale)
 
 
-DEMO = default_config().system
+DEMO = load_config(DEMO_CONFIG).system
 STIFFNESS_ARMS = {"test": ARM, "demo 1": DEMO.arm1, "demo 2": DEMO.arm2}
 
 

@@ -154,6 +154,13 @@ class TestParser:
         assert exc.value.line == 2
         assert str(exc.value).startswith("line 2: X value out of range")
 
+    def test_negative_feed_reports_line(self):
+        with pytest.raises(UnsupportedGcodeError) as exc:
+            parse_gcode("G1 X10 F100\nG1 X20 F-100\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: negative feed F-100"
+        assert parse_gcode("G1 X10 F0\n").feed_mm_min == 0.0
+
     def test_arc_center_off_plane_reports_line(self):
         with pytest.raises(MalformedArcError) as exc:
             parse_gcode("G1 Y1\n\nG3 X2 Y1 I1 J0 K5\n")
@@ -257,6 +264,7 @@ class TestJsonErrors:
         (json.dumps(_slot_doc(feed_mm_min="fast")), "feed_mm_min: expected a finite number"),
         (json.dumps(_slot_doc(feed_mm_min=True)), "feed_mm_min: expected a finite number"),
         (json.dumps(_slot_doc(feed_mm_min=10**400)), "feed_mm_min: expected a finite number"),
+        (json.dumps(_slot_doc(feed_mm_min=-100)), "feed_mm_min: expected a feed >= 0, got -100"),
         (json.dumps(_slot_doc(segments=5)), "segments: expected a list"),
         (json.dumps(_slot_doc(segments=[7])), "segments[0]: expected an object"),
         (_first_segment(type="spline"), "segments[0].type: unknown segment type 'spline'"),
@@ -940,16 +948,16 @@ class TestProgramCsv:
 
 class TestSetpoints:
     def test_pairs_round_trip_through_the_stack(self, demo_program):
-        pairs = list(demo_program.pairs)
-        back = Setpoints.from_pairs(pairs)
-        assert len(back) == len(pairs)
-        for a, b in zip(pairs, back):
-            assert a.index == b.index
-            for name in ("tool_pose", "robot1_flange", "robot2_flange_nominal", "robot2_flange_commanded"):
-                np.testing.assert_array_equal(getattr(a, name).position, getattr(b, name).position)
-                np.testing.assert_array_equal(getattr(a, name).quaternion, getattr(b, name).quaternion)
-            np.testing.assert_array_equal(a.q1, b.q1)
-            np.testing.assert_array_equal(a.q2, b.q2)
+        sp = demo_program.pairs
+        pairs = list(sp)
+        assert len(pairs) == len(sp)
+        for i, pair in enumerate(pairs):
+            assert pair.index == sp.index[i]
+            for name in pathplan._POSE_NAMES:
+                np.testing.assert_array_equal(getattr(pair, name).position, getattr(sp, name)[i, :3])
+                np.testing.assert_array_equal(getattr(pair, name).quaternion, getattr(sp, name)[i, 3:])
+            np.testing.assert_array_equal(pair.q1, sp.q1[i])
+            np.testing.assert_array_equal(pair.q2, sp.q2[i])
 
     def test_indexing_and_slicing(self, demo_program):
         sp = demo_program.pairs
@@ -968,19 +976,18 @@ class TestSetpoints:
         with pytest.raises(ValueError):
             demo_program.pairs[0].tool_pose.position[0] = 0.0
 
-    def test_sync_program_accepts_a_tuple_of_pairs(self, demo_program):
-        prog = SyncProgram(tuple(demo_program.pairs), tension=demo_program.tension)
-        assert isinstance(prog.pairs, Setpoints)
-        np.testing.assert_array_equal(prog.pairs.robot2_flange_commanded,
-                                      demo_program.pairs.robot2_flange_commanded)
+    def test_sync_program_refuses_a_tuple_of_pairs(self, demo_program):
+        with pytest.raises(InvalidInputError, match="pairs must be Setpoints, got tuple"):
+            SyncProgram(tuple(demo_program.pairs), tension=demo_program.tension)
         with pytest.raises(InvalidInputError, match="no setpoints"):
-            SyncProgram((), tension=demo_program.tension)
+            SyncProgram(demo_program.pairs[:0], tension=demo_program.tension)
 
     def test_indices_strictly_increasing(self, demo_program):
-        pairs = list(demo_program.pairs)
-        pairs[1], pairs[2] = pairs[2], pairs[1]
+        sp = demo_program.pairs
+        index = sp.index.copy()
+        index[[1, 2]] = index[[2, 1]]
         with pytest.raises(InvalidInputError, match="strictly increasing"):
-            Setpoints.from_pairs(pairs)
+            Setpoints(index, *(getattr(sp, name) for name in pathplan._POSE_NAMES), sp.q1, sp.q2)
 
     def test_pose_rows_check_and_sign_as_pose(self):
         q = np.array([-0.5, 0.5, -0.5, 0.5])

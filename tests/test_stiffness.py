@@ -15,7 +15,6 @@ from twinmill.stiffness import (
     Wrench,
     _spd_inverse,
     _stacked,
-    branch_compliance,
     cartesian_stiffness,
     coupled_stiffness,
     predicted_tension,
@@ -244,13 +243,6 @@ class TestTension:
         np.testing.assert_allclose(w2.as_vector(), 2 * w1.as_vector(), rtol=1e-12)
         assert np.all(predicted_tension(sys_, q1, q2, np.zeros(6)).as_vector() == 0.0)
 
-    def test_mutually_inverse_operator(self):
-        sys_, q1, q2, _ = make_twin_system()
-        C = branch_compliance(sys_, q1, q2)
-        K = np.linalg.inv(C)
-        n = np.linalg.norm(C @ K - np.eye(6), ord=2)
-        assert n < 1e-9
-
 
 class TestTypes:
     def test_spring_must_be_spd(self):
@@ -315,7 +307,6 @@ class TestStacked:
             (cartesian_stiffness(sys_.arm2, q2, sys_.joint_stiffness2),
              lambda a, b: cartesian_stiffness(sys_.arm2, b, sys_.joint_stiffness2)),
             (coupled_stiffness(sys_, q1, q2), lambda a, b: coupled_stiffness(sys_, a, b)),
-            (branch_compliance(sys_, q1, q2), lambda a, b: branch_compliance(sys_, a, b)),
             (tension_offset(sys_, q1, q2, w), lambda a, b: tension_offset(sys_, a, b, w)),
         ]
         for stacked, scalar in cases:
@@ -332,7 +323,6 @@ class TestStacked:
         assert jacobian(sys_.arm1, q1).shape == (6, 6)
         assert cartesian_stiffness(sys_.arm1, q1, sys_.joint_stiffness1).shape == (6, 6)
         assert coupled_stiffness(sys_, q1, q2).shape == (6, 6)
-        assert branch_compliance(sys_, q1, q2).shape == (6, 6)
         assert tension_offset(sys_, q1, q2, Wrench(np.array([1.0, 0.0, 0.0]))).shape == (6,)
         back = predicted_tension(sys_, q1, q2, np.zeros(6))
         assert back.force.shape == (3,) and back.torque.shape == (3,)
@@ -360,7 +350,7 @@ class TestStacked:
         q1[270, 4] = 2.5  # beyond arm 1's q5 limit, in the second block
         lo, hi = cfg.system.arm1.joint_limits[4]
         for call in (lambda: coupled_stiffness(cfg.system, q1, q2),
-                     lambda: branch_compliance(cfg.system, q1, q2),
+                     lambda: tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0]))),
                      lambda: cartesian_stiffness(cfg.system.arm1, q1, cfg.system.joint_stiffness1)):
             with pytest.raises(InvalidInputError) as exc:
                 call()
@@ -374,7 +364,7 @@ class TestStacked:
         q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
         q1[280, 2] = value  # in the second block
         for call in (lambda: coupled_stiffness(cfg.system, q1, q2),
-                     lambda: branch_compliance(cfg.system, q1, q2),
+                     lambda: tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0]))),
                      lambda: cartesian_stiffness(cfg.system.arm1, q1, cfg.system.joint_stiffness1)):
             with pytest.raises(InvalidInputError) as exc:
                 call()
