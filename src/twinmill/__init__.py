@@ -13,7 +13,6 @@ Subsystems:
 
 from .compensation import (
     PathTrace,
-    RigidTransform,
     compensate,
     fit_rigid,
     nominal_trace,

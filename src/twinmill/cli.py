@@ -52,7 +52,7 @@ def _load_config(path_arg):
     return config_mod.load_config(path)
 
 
-def _number(low, strict=False):
+def _number(low=-math.inf, strict=False):
     """argparse type of a finite float >= low (> low if strict); argparse
     reports a refusal as a usage error naming the option."""
     def parse(text):
@@ -61,8 +61,8 @@ def _number(low, strict=False):
         except ValueError:
             x = math.nan
         if not (math.isfinite(x) and (x > low if strict else x >= low)):
-            raise argparse.ArgumentTypeError(
-                f"expected a finite number {'>' if strict else '>='} {low:g}, got {text!r}")
+            bound = f" {'>' if strict else '>='} {low:g}" if math.isfinite(low) else ""
+            raise argparse.ArgumentTypeError(f"expected a finite number{bound}, got {text!r}")
         return x
     return parse
 
@@ -216,13 +216,15 @@ def build_parser():
 
     p = sub.add_parser("frf", help="H1 FRF estimate from impact-test CSV files")
     p.add_argument("impacts", nargs="+", help="impact record CSV files")
-    p.add_argument("--nfft", type=int, default=None)
+    p.add_argument("--nfft", type=int, default=None,
+                   help=f"FFT length, 2 to max({modal.MAX_NFFT}, longest record); default the longest record")
     p.add_argument("--out", required=True, help="output FRF CSV file")
     p.set_defaults(func=cmd_frf)
 
     p = sub.add_parser("plan", help="plan a synchronized dual-robot program for a toolpath")
     p.add_argument("path_file", help="G-code (.nc/.gcode) or native JSON path file")
-    p.add_argument("--tension", type=float, default=0.0, help="tension force magnitude in N")
+    p.add_argument("--tension", type=_number(), default=0.0,
+                   help="tension force in N along --tension-axis, finite (may be negative)")
     p.add_argument("--tension-axis", choices=("x", "y", "z"), default="x")
     p.add_argument(
         "--work-offset-mm",

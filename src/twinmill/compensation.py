@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvtable import meta_float, read_table, write_table
 from .errors import DegenerateGeometryError, InvalidInputError, SingularConfigurationError
-from .geometry import quat_from_matrix, quat_to_matrix
+from .geometry import Pose, quat_from_matrix
 from .pathplan import SyncProgram
 from .kinematics import flange_transform
 from .stiffness import CLOSURE_TOL, CoupledSystem, check_closure, coupled_stiffness
@@ -42,35 +42,6 @@ class PathTrace:
 
     def __len__(self):
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Proper rigid motion p -> R p + t (no scale, no reflection)."""
-
-    rotation: np.ndarray  # unit quaternion (w, x, y, z)
-    translation: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float)
-        if q.shape != (4,) or not abs(np.linalg.norm(q) - 1.0) <= 1e-9:
-            raise InvalidInputError("rotation must be a unit quaternion (w, x, y, z)")
-        if t.shape != (3,) or not np.all(np.isfinite(t)):
-            raise InvalidInputError("translation must be a finite 3-vector")
-        if q[0] < 0:
-            q = -q
-        object.__setattr__(self, "rotation", q)
-        object.__setattr__(self, "translation", t)
-
-    def matrix(self):
-        return quat_to_matrix(self.rotation)
-
-    def apply(self, points):
-        return np.asarray(points, dtype=float) @ self.matrix().T + self.translation
-
-    def apply_inverse(self, points):
-        return (np.asarray(points, dtype=float) - self.translation) @ self.matrix()
 
 
 def nominal_trace(program: SyncProgram) -> PathTrace:
@@ -118,17 +89,16 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
     return PathTrace(pts, label="deformed", tension=float(np.linalg.norm(program.tension.force)))
 
 
-def fit_rigid(reference: PathTrace, measured: PathTrace) -> RigidTransform:
-    """Least-squares rotation + translation mapping reference onto measured
-    (orthogonal Procrustes, correspondence by index, reflection excluded)."""
-    A = reference.points
-    B = measured.points
+def fit_rigid(reference: PathTrace, measured: PathTrace) -> Pose:
+    """Least-squares rigid motion p -> R p + t mapping reference onto
+    measured (orthogonal Procrustes, correspondence by index, reflection
+    excluded), as the Pose (t, R)."""
+    A, B = reference.points, measured.points
     if A.shape != B.shape:
         raise InvalidInputError("reference and measured traces must have equal point counts")
     if A.shape[0] < 3:
         raise InvalidInputError("at least 3 point pairs are required for a rigid fit")
-    ca = A.mean(axis=0)
-    cb = B.mean(axis=0)
+    ca, cb = A.mean(axis=0), B.mean(axis=0)
     Ac = A - ca
     sv = np.linalg.svd(Ac, compute_uv=False)
     if sv[1] <= _COLLINEAR_REL_TOL * sv[0]:
@@ -139,13 +109,13 @@ def fit_rigid(reference: PathTrace, measured: PathTrace) -> RigidTransform:
     d = np.sign(np.linalg.det(V @ U.T))
     R = V @ np.diag([1.0, 1.0, d]) @ U.T
     t = cb - R @ ca
-    return RigidTransform(quat_from_matrix(R), t)
+    return Pose(t, quat_from_matrix(R))
 
 
-def compensate(measured: PathTrace, transform: RigidTransform) -> PathTrace:
-    """Remove a fitted rigid deformation: p -> R^-1 (p - t)."""
+def compensate(measured: PathTrace, transform: Pose) -> PathTrace:
+    """Remove a fitted rigid deformation p -> R p + t: p -> R^T (p - t)."""
     return PathTrace(
-        transform.apply_inverse(measured.points),
+        (measured.points - transform.position) @ transform.rotation(),
         label=(measured.label + "_compensated") if measured.label else "compensated",
         tension=measured.tension,
         noise_sigma=measured.noise_sigma,

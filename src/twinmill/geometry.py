@@ -7,6 +7,7 @@ rotation: twists are [v; omega], wrenches [f; tau], both in world axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,11 @@ from .errors import InvalidInputError
 _QUAT_NORM_TOL = 1e-9
 _IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def quat_canonical(q):
+    """Quaternions q[..., 4] (an array) with the sign that makes w >= 0."""
+    return np.where(q[..., :1] < 0.0, -q, q)
 
 
 def quat_multiply(q1, q2):
@@ -73,7 +79,7 @@ def quat_from_matrix(R):
     branch = np.where(t > 0, 0, np.where((r00 >= r11) & (r00 >= r22), 1, np.where(r11 >= r22, 2, 3)))
     q = np.take_along_axis(V, _SHEPPERD_ROWS[branch], axis=-1)
     q /= np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
-    return np.where(q[..., :1] < 0.0, -q, q)
+    return quat_canonical(q)
 
 
 def quat_from_rotvec(rv):
@@ -83,15 +89,13 @@ def quat_from_rotvec(rv):
     tiny = angle < 1e-300
     half = 0.5 * angle
     q = np.concatenate([np.cos(half), np.sin(half) * (rv / np.where(tiny, 1.0, angle))], axis=-1)
-    q = np.where(tiny, _IDENTITY_QUAT, q)
-    return np.where(q[..., :1] < 0.0, -q, q)
+    return quat_canonical(np.where(tiny, _IDENTITY_QUAT, q))
 
 
 def rotvec_from_quat(q):
     """Rotation vectors of quaternions q[..., 4], taking the short-way
     representative of the double cover."""
-    q = np.asarray(q, dtype=float)
-    q = np.where(q[..., :1] < 0.0, -q, q)
+    q = quat_canonical(np.asarray(q, dtype=float))
     w = np.clip(q[..., 0], -1.0, 1.0)
     v = q[..., 1:]
     s = np.sqrt(np.sum(v * v, axis=-1))
@@ -118,17 +122,19 @@ class Pose:
     quaternion: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
 
     def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        q = np.asarray(self.quaternion, dtype=float)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
+        # Read-only copies: a caller's array is never frozen.
+        p = np.array(self.position, dtype=float)
+        q = np.array(self.quaternion, dtype=float)
+        if p.shape != (3,) or not np.isfinite(p).all():
             raise InvalidInputError("pose position must be a finite 3-vector")
         if q.shape != (4,):
             raise InvalidInputError("quaternion must have 4 components (w, x, y, z)")
-        n = np.linalg.norm(q)
+        n = math.sqrt(q @ q)
         if not abs(n - 1.0) <= _QUAT_NORM_TOL:
             raise InvalidInputError(f"quaternion norm {n} deviates from 1 by more than 1e-9")
-        if q[0] < 0.0:
+        if q[0] < 0.0:  # quat_canonical of one quaternion
             q = -q
+        p.flags.writeable = q.flags.writeable = False
         object.__setattr__(self, "position", p)
         object.__setattr__(self, "quaternion", q)
 
@@ -151,8 +157,8 @@ class Pose:
 
     def __matmul__(self, other: "Pose") -> "Pose":
         """self followed by other (other expressed in self's frame)."""
-        R = self.rotation()
-        return Pose(self.position + R @ other.position, quat_multiply(self.quaternion, other.quaternion))
+        row = compose_rows(self, other)
+        return Pose(row[:3], row[3:])
 
 
 def _row(pose):
@@ -177,7 +183,7 @@ def pose_rows(rows):
         raise InvalidInputError(
             f"pose row {int(bad[0])}: position must be finite and quaternion norm 1 within 1e-9"
         )
-    rows[..., 3:] *= np.where(rows[..., 3:4] < 0.0, -1.0, 1.0)
+    rows[..., 3:] = quat_canonical(rows[..., 3:])
     return rows
 
 
@@ -192,8 +198,7 @@ def compose_rows(a, b):
     qw >= 0; a and b are Poses or pose rows[..., 7] and broadcast."""
     a, b = _row(a), _row(b)
     p = a[..., :3] + (quat_to_matrix(a[..., 3:]) @ b[..., :3, None])[..., 0]
-    q = quat_multiply(a[..., 3:], b[..., 3:])
-    return np.concatenate([p, np.where(q[..., :1] < 0.0, -q, q)], axis=-1)
+    return np.concatenate([p, quat_canonical(quat_multiply(a[..., 3:], b[..., 3:]))], axis=-1)
 
 
 def pose_error(actual, target):

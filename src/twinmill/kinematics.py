@@ -48,8 +48,9 @@ class ArmModel:
     flange_offset: Pose = field(default_factory=Pose.identity)
 
     def __post_init__(self):
-        rows = np.asarray(self.dh_rows, dtype=float)
-        lims = np.asarray(self.joint_limits, dtype=float)
+        # Read-only copies: the chain constants below are cached from them.
+        rows = np.array(self.dh_rows, dtype=float)
+        lims = np.array(self.joint_limits, dtype=float)
         if rows.shape != (N_JOINTS, 4) or not np.all(np.isfinite(rows)):
             raise InvalidInputError("dh_rows must be a finite 6x4 array (a, alpha, d, theta_offset)")
         if lims.shape != (N_JOINTS, 2) or not np.all(np.isfinite(lims)):
@@ -62,6 +63,7 @@ class ArmModel:
         extent = reach + np.linalg.norm(self.flange_offset.position)
         if not (extent > 0 and np.isfinite(extent)):
             raise InvalidInputError("arm reach (sum of |a| + |d|) must be positive and finite")
+        rows.flags.writeable = lims.flags.writeable = False
         object.__setattr__(self, "dh_rows", rows)
         object.__setattr__(self, "joint_limits", lims)
         # Link i is RotZ(theta) @ L_i with the constant L_i = TransZ(d) TransX(a)

@@ -19,6 +19,8 @@ from .csvtable import meta_float, read_table, write_table
 from .errors import DegenerateSignalError, InvalidInputError, RankDeficiencyError
 
 AXES = ("x", "y", "z")
+# h1_estimate refuses an FFT length above this and above the longest record.
+MAX_NFFT = 2**22
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,7 @@ def h1_estimate(records, nfft=None) -> FrfSeries:
     Accelerance S_fa/S_ff is formed from windowed FFTs (rectangular force
     window over the impact, exponential decay window on the response) and
     converted to compliance by dividing by -w^2; the DC bin is dropped.
+    nfft (default: the longest record) may not exceed both it and MAX_NFFT.
     """
     records = list(records)
     if not records:
@@ -175,10 +178,12 @@ def h1_estimate(records, nfft=None) -> FrfSeries:
             first.tension,
         ):
             raise InvalidInputError("impact records differ in sample rate, axis, position or tension")
-    if nfft is None:
-        nfft = max(len(r.force) for r in records)
+    longest = max(len(r.force) for r in records)
+    nfft = longest if nfft is None else nfft
     if isinstance(nfft, bool) or not (isinstance(nfft, numbers.Integral) and nfft >= 2):
         raise InvalidInputError(f"nfft must be an integer >= 2, got {nfft!r:.40}")
+    if nfft > max(MAX_NFFT, longest):
+        raise InvalidInputError(f"nfft {nfft} exceeds both {MAX_NFFT} and the longest record ({longest})")
     s_ff = np.zeros(nfft // 2 + 1)
     s_fa = np.zeros(nfft // 2 + 1, dtype=complex)
     for r in records:

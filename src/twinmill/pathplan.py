@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedGcodeError,
     WorkspaceError,
 )
-from .geometry import Pose, compose_rows, pose_rows, quat_from_rotvec, quat_multiply
+from .geometry import Pose, compose_rows, pose_rows, quat_canonical, quat_from_rotvec, quat_multiply
 from .kinematics import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL_POS,
@@ -522,6 +522,8 @@ class SyncProgram:
             raise InvalidInputError(f"sync program pairs must be Setpoints, got {type(self.pairs).__name__}")
         if not len(self.pairs):
             raise InvalidInputError("sync program has no setpoints")
+        if not 0.0 <= self.feed_mm_min < math.inf:
+            raise InvalidInputError(f"sync program feed_mm_min must be finite and >= 0, got {self.feed_mm_min:g}")
 
 
 def apply_world_offset(poses, offsets):
@@ -529,8 +531,8 @@ def apply_world_offset(poses, offsets):
     3 rotations as a rotation vector) to a Pose, which gives a Pose, or to
     pose rows[..., 7], which give pose rows."""
     rows, offsets = pose_rows(poses), np.asarray(offsets, dtype=float)
-    q = quat_multiply(quat_from_rotvec(offsets[..., 3:]), rows[..., 3:])
-    out = np.concatenate([rows[..., :3] + offsets[..., :3], np.where(q[..., :1] < 0.0, -q, q)], axis=-1)
+    q = quat_canonical(quat_multiply(quat_from_rotvec(offsets[..., 3:]), rows[..., 3:]))
+    out = np.concatenate([rows[..., :3] + offsets[..., :3], q], axis=-1)
     return Pose(out[:3], out[3:]) if isinstance(poses, Pose) else out
 
 

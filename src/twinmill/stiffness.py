@@ -52,11 +52,12 @@ class JointStiffness:
     diag: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
+        d = np.array(self.diag, dtype=float)
         if d.shape != (6,) or not np.all(np.isfinite(d)):
             raise InvalidInputError("joint stiffness must be 6 finite values")
         if np.any(d <= 0):
             raise InvalidInputError("joint stiffness entries must be positive")
+        d.flags.writeable = False
         object.__setattr__(self, "diag", d)
 
 
@@ -76,11 +77,15 @@ class SpringModel:
             raise InvalidInputError("spring matrix must be symmetric (1e-9 relative)")
         if np.min(np.linalg.eigvalsh(K)) <= 0:
             raise InvalidInputError("spring matrix must be positive definite")
-        object.__setattr__(self, "K", 0.5 * (K + K.T))
+        K = 0.5 * (K + K.T)
+        K.flags.writeable = False  # `compliance` is cached from it
+        object.__setattr__(self, "K", K)
 
     @cached_property
     def compliance(self):
-        return _spd_inverse(self.K, "coupling-module spring stiffness")
+        C = _spd_inverse(self.K, "coupling-module spring stiffness")
+        C.flags.writeable = False
+        return C
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,16 @@ class TestFrf:
         assert "nfft must be an integer >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nfft_over_the_cap_exits_3(self, tmp_path, capsys):
+        model = modal.ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
+        p = tmp_path / "impact.csv"
+        p.write_text(modal.impact_record_to_csv(modal.simulate_impact(model, 0.0, sample_rate=2048.0,
+                                                                      duration=0.25)))
+        out = tmp_path / "frf.csv"
+        assert cli.main(["frf", str(p), "--nfft", "1000000000", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: nfft 1000000000 exceeds both 4194304 ")
+        assert not out.exists()
+
 
 class TestPlan:
     def test_plan_gcode(self, tmp_path, config_file, gcode_file):
@@ -219,6 +229,21 @@ class TestPlan:
         program = program_from_csv(out.read_text())
         assert len(program.pairs) > 10
         assert program.tension.force[0] == 1000.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_tension_exits_64(self, tmp_path, config_file, gcode_file, capsys, value):
+        out = tmp_path / "p.csv"
+        code = cli.main(["--config", config_file, "plan", gcode_file, f"--tension={value}",
+                         "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
+        assert code == 64
+        assert "argument --tension: expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_tension_is_planned(self, tmp_path, config_file, gcode_file):
+        out = tmp_path / "p.csv"
+        assert cli.main(["--config", config_file, "plan", gcode_file, "--tension", "-1000",
+                         "--work-offset-mm", WORK_OFFSET, "--out", str(out)]) == 0
+        assert program_from_csv(out.read_text()).tension.force[0] == -1000.0
 
     def test_plan_outside_workspace_exits_3(self, tmp_path, config_file, gcode_file):
         code = cli.main(
@@ -319,6 +344,17 @@ class TestDeform:
             "error: setpoint 7, arm 1: joint configuration violates joint limits: "
             "q5 = 2.5 rad outside [-2.2, 2.2] rad\n")
         assert not (out / "deformed.csv").exists()
+
+    @pytest.mark.parametrize("feed", ["-100", "-1e-300"])
+    def test_negative_feed_in_the_program_exits_3(self, tmp_path, config_file, program_file, capsys, feed):
+        text = Path(program_file).read_text()
+        assert "# feed_mm_min=300\n" in text
+        edited = tmp_path / "edited.csv"
+        edited.write_text(text.replace("# feed_mm_min=300\n", f"# feed_mm_min={feed}\n"))
+        out = tmp_path / "o"
+        assert cli.main(["--config", config_file, "deform", str(edited), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: sync program feed_mm_min must be finite and >= 0")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     def test_bad_noise_sigma_exits_64(self, tmp_path, config_file, program_file, capsys, value):

@@ -105,7 +105,7 @@ def test_trace_round_trip(points, tension, noise, label):
 @st.composite
 def programs(draw):
     """A SyncProgram of random finite doubles: unit quaternions, strictly
-    increasing indices within +-2**53."""
+    increasing indices within +-2**53, a feed >= 0."""
     n = draw(st.integers(1, 12))
     index = sorted(draw(st.sets(st.integers(-2**53, 2**53), min_size=n, max_size=n)))
     poses = draw(arrays(np.float64, (4, n, 7), elements=FINITE))
@@ -115,7 +115,8 @@ def programs(draw):
     poses[..., 3:] = quats / norms
     q = draw(arrays(np.float64, (2, n, 6), elements=FINITE))
     tension = Wrench.from_vector(draw(arrays(np.float64, 6, elements=FINITE)))
-    feed, chord_tol, max_step = draw(arrays(np.float64, 3, elements=FINITE))
+    feed = draw(st.floats(min_value=-0.0, allow_infinity=False))  # a program's feed is >= 0
+    chord_tol, max_step = draw(arrays(np.float64, 2, elements=FINITE))
     return SyncProgram(Setpoints(index, *poses, *q), tension=tension, feed_mm_min=feed,
                        chord_tol=chord_tol, max_step=max_step)
 

@@ -6,7 +6,6 @@ import pytest
 
 from twinmill.compensation import (
     PathTrace,
-    RigidTransform,
     compensate,
     fit_rigid,
     nominal_trace,
@@ -22,7 +21,7 @@ from twinmill.errors import (
     InvalidInputError,
     SingularConfigurationError,
 )
-from twinmill.geometry import pose_rows, quat_from_rotvec, quat_to_matrix
+from twinmill.geometry import Pose, pose_rows, quat_from_rotvec, quat_to_matrix
 from twinmill.kinematics import forward_kinematics, inverse_kinematics
 from twinmill.pathplan import _POSE_NAMES, Setpoints, apply_world_offset
 
@@ -35,33 +34,12 @@ def random_transform(rng, angle=0.02, shift=2e-3):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     q = quat_from_rotvec(angle * axis)
-    return RigidTransform(q, rng.uniform(-shift, shift, 3))
+    return Pose(rng.uniform(-shift, shift, 3), q)
 
 
-class TestRigidTransform:
-    def test_apply_inverse_is_exact(self):
-        rng = np.random.default_rng(40)
-        T = random_transform(rng)
-        pts = rng.normal(size=(50, 3))
-        np.testing.assert_allclose(T.apply_inverse(T.apply(pts)), pts, atol=1e-12)
-
-    def test_identity(self):
-        pts = np.eye(3)
-        identity = RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
-        np.testing.assert_array_equal(identity.apply(pts), pts)
-
-    def test_quaternion_canonical_sign(self):
-        q = -quat_from_rotvec(np.array([0.1, 0.0, 0.0]))
-        T = RigidTransform(q, np.zeros(3))
-        assert T.rotation[0] > 0
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            RigidTransform(np.array([1.0, 1.0, 0.0, 0.0]), np.zeros(3))
-
-    def test_nan_quaternion_rejected(self):
-        with pytest.raises(InvalidInputError, match="unit quaternion"):
-            RigidTransform(np.array([np.nan, 0.0, 0.0, 0.0]), np.zeros(3))
+def apply(pose, pts):
+    """The rigid motion p -> R p + t of `pose` applied to points [N, 3]."""
+    return np.asarray(pts, dtype=float) @ pose.rotation().T + pose.position
 
 
 class TestFitRigid:
@@ -69,25 +47,25 @@ class TestFitRigid:
         rng = np.random.default_rng(41)
         ref = cloud(rng)
         T = fit_rigid(ref, ref)
-        assert np.allclose(T.rotation, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(T.translation, 0.0, atol=1e-12)
+        assert np.allclose(T.quaternion, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(T.position, 0.0, atol=1e-12)
 
     def test_exact_recovery(self):
         rng = np.random.default_rng(42)
         ref = cloud(rng)
         T_true = random_transform(rng)
-        meas = PathTrace(T_true.apply(ref.points))
+        meas = PathTrace(apply(T_true, ref.points))
         T = fit_rigid(ref, meas)
-        np.testing.assert_allclose(T.rotation, T_true.rotation, atol=1e-12)
-        np.testing.assert_allclose(T.translation, T_true.translation, atol=1e-12)
+        np.testing.assert_allclose(T.quaternion, T_true.quaternion, atol=1e-12)
+        np.testing.assert_allclose(T.position, T_true.position, atol=1e-12)
 
     def test_pure_translation(self):
         rng = np.random.default_rng(43)
         ref = cloud(rng)
         shift = np.array([0.0, 2.0e-3, 1.2e-3])
         T = fit_rigid(ref, PathTrace(ref.points + shift))
-        np.testing.assert_allclose(T.translation, shift, atol=1e-12)
-        assert np.allclose(T.rotation, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(T.position, shift, atol=1e-12)
+        assert np.allclose(T.quaternion, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_noisy_recovery_within_statistics(self):
         # sigma/sqrt(N) bound on the translation estimate
@@ -95,10 +73,10 @@ class TestFitRigid:
         ref = cloud(rng, n=100)
         T_true = random_transform(rng)
         sigma = 15e-6
-        meas = PathTrace(T_true.apply(ref.points) + rng.normal(0.0, sigma, (100, 3)))
+        meas = PathTrace(apply(T_true, ref.points) + rng.normal(0.0, sigma, (100, 3)))
         T = fit_rigid(ref, meas)
-        assert np.linalg.norm(T.translation - T_true.translation) < 5 * sigma / math.sqrt(100) * 3
-        dR = quat_to_matrix(T.rotation) @ quat_to_matrix(T_true.rotation).T
+        assert np.linalg.norm(T.position - T_true.position) < 5 * sigma / math.sqrt(100) * 3
+        dR = quat_to_matrix(T.quaternion) @ quat_to_matrix(T_true.quaternion).T
         angle = math.acos(min(1.0, (np.trace(dR) - 1) / 2))
         assert angle < 1e-3
 
@@ -107,7 +85,7 @@ class TestFitRigid:
         ref = cloud(rng)
         meas = PathTrace(ref.points * np.array([1.0, 1.0, -1.0]))  # mirrored
         T = fit_rigid(ref, meas)
-        assert np.linalg.det(T.matrix()) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.det(T.rotation()) == pytest.approx(1.0, abs=1e-9)
 
     def test_collinear_rejected(self):
         pts = np.outer(np.linspace(0, 1, 10), np.array([1.0, 2.0, 3.0]))
@@ -124,21 +102,31 @@ class TestFitRigid:
         rng = np.random.default_rng(46)
         ref = cloud(rng)
         T_true = random_transform(rng)
-        meas = PathTrace(T_true.apply(ref.points) + rng.normal(0.0, 1e-5, ref.points.shape))
+        meas = PathTrace(apply(T_true, ref.points) + rng.normal(0.0, 1e-5, ref.points.shape))
         G = random_transform(rng, angle=0.5, shift=0.3)
         r0 = residual_report(ref, compensate(meas, fit_rigid(ref, meas))).rms
-        ref2 = PathTrace(G.apply(ref.points))
-        meas2 = PathTrace(G.apply(meas.points))
+        ref2 = PathTrace(apply(G, ref.points))
+        meas2 = PathTrace(apply(G, meas.points))
         r1 = residual_report(ref2, compensate(meas2, fit_rigid(ref2, meas2))).rms
         assert r1 == pytest.approx(r0, rel=1e-6)
 
 
 class TestCompensate:
+    def test_inverts_a_given_transform_exactly(self):
+        rng = np.random.default_rng(40)
+        T = random_transform(rng)
+        pts = rng.normal(size=(50, 3))
+        np.testing.assert_allclose(compensate(PathTrace(apply(T, pts)), T).points, pts, atol=1e-12)
+
+    def test_identity_leaves_points_unchanged(self):
+        pts = np.eye(3)
+        np.testing.assert_array_equal(compensate(PathTrace(pts), Pose.identity()).points, pts)
+
     def test_exact_inverse(self):
         rng = np.random.default_rng(47)
         ref = cloud(rng)
         T_true = random_transform(rng)
-        meas = PathTrace(T_true.apply(ref.points), label="run")
+        meas = PathTrace(apply(T_true, ref.points), label="run")
         comp = compensate(meas, fit_rigid(ref, meas))
         assert comp.label == "run_compensated"
         np.testing.assert_allclose(comp.points, ref.points, atol=1e-12)
@@ -148,7 +136,7 @@ class TestCompensate:
         for _ in range(10):
             ref = cloud(rng)
             meas = PathTrace(
-                random_transform(rng).apply(ref.points)
+                apply(random_transform(rng), ref.points)
                 + rng.normal(0.0, 2e-5, ref.points.shape)
             )
             before = residual_report(ref, meas).rms

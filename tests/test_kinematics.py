@@ -2,12 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twinmill.errors import InvalidInputError, UnreachableTargetError
-from twinmill.geometry import Pose, matrix_pose_rows, pose_error, quat_from_rotvec, rotvec_from_quat
+from twinmill.geometry import Pose, matrix_pose_rows, pose_error, pose_rows, quat_from_rotvec, rotvec_from_quat
 from twinmill.kinematics import ArmModel, _chain, _flange, forward_kinematics, inverse_kinematics, jacobian
 
 from conftest import DEMO_CONFIG, make_one_link_arm, make_test_arm
@@ -336,6 +336,17 @@ class TestGeometryHelpers:
             back = rotvec_from_quat(quat_from_rotvec(rv))
             np.testing.assert_allclose(back, rv, atol=1e-12)
 
+    def test_pose_arrays_are_read_only_copies(self):
+        p, q = np.array([0.1, 0.2, 0.3]), np.array([0.0, 1.0, 0.0, 0.0])
+        pose = Pose(p, q)
+        with pytest.raises(ValueError):
+            pose.position[0] += 1.0
+        with pytest.raises(ValueError):
+            pose.quaternion[0] = 1.0
+        p[0] = q[0] = 5.0  # the caller's arrays stay writeable and are not the Pose's
+        np.testing.assert_array_equal(pose.position, [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(pose.quaternion, [0.0, 1.0, 0.0, 0.0])
+
     def test_pose_compose_inverse(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -343,6 +354,59 @@ class TestGeometryHelpers:
             ident = p @ p.inverse()
             np.testing.assert_allclose(ident.position, 0.0, atol=1e-12)
             np.testing.assert_allclose(ident.quaternion, [1, 0, 0, 0], atol=1e-12)
+
+
+# Quaternion norms either side of the 1e-9 tolerance of Pose and pose_rows.
+NORMS = (1.0, 1.0 - 0.9e-9, 1.0 + 0.9e-9, 1.0 - 1.1e-9, 1.0 + 1.1e-9)
+
+
+@settings(max_examples=80)
+@given(
+    arrays(np.float64, 3, elements=st.floats()),
+    arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)),
+    st.sampled_from((None, 0.0, -0.0)),
+    st.sampled_from(NORMS),
+    st.integers(0, 3),
+    st.sampled_from((None, np.nan, np.inf, -np.inf)),
+)
+@example(np.zeros(3), np.array([0.3, 0.5, -0.5, 0.5]), -0.0, 1.0, 0, None)
+@example(np.zeros(3), np.array([-0.3, 0.5, -0.5, 0.5]), None, NORMS[1], 0, None)
+@example(np.zeros(3), np.array([-0.3, 0.5, -0.5, 0.5]), None, NORMS[2], 0, None)
+@example(np.zeros(3), np.array([-0.3, 0.5, -0.5, 0.5]), None, NORMS[3], 0, None)
+@example(np.zeros(3), np.array([-0.3, 0.5, -0.5, 0.5]), None, NORMS[4], 0, None)
+@example(np.zeros(3), np.array([-0.3, 0.5, -0.5, 0.5]), None, 1.0, 0, np.nan)
+@example(np.zeros(3), np.array([-0.3, 0.5, -0.5, 0.5]), None, 1.0, 2, np.inf)
+@example(np.array([0.0, np.nan, 0.0]), np.array([-0.3, 0.5, -0.5, 0.5]), None, 1.0, 0, None)
+@example(np.array([0.0, 0.0, -np.inf]), np.array([-0.3, 0.5, -0.5, 0.5]), None, 1.0, 0, None)
+def test_pose_and_pose_rows_accept_the_same_inputs(position, direction, w, norm, k, bad):
+    """The scalar rule of Pose and the stacked rule of pose_rows: a finite
+    position, a quaternion of norm 1 within 1e-9, the sign with w >= 0
+    (w = -0.0 is kept), the same canonical row."""
+    direction = direction.copy()
+    if w is not None:
+        direction[0] = w
+    length = np.linalg.norm(direction)
+    assume(length > 0.1)
+    q = direction / length * norm
+    if bad is not None:
+        q[k] = bad
+    row = np.concatenate([position, q])
+    valid = bool(np.isfinite(position).all()) and bad is None and norm in NORMS[:3]
+    try:
+        pose = Pose(position, q)
+        pose = np.concatenate([pose.position, pose.quaternion])
+    except InvalidInputError:
+        pose = None
+    try:
+        rows = pose_rows(row)
+    except InvalidInputError:
+        rows = None
+    assert (pose is not None) == (rows is not None) == valid
+    if valid:
+        canonical = np.concatenate([position, -q if q[0] < 0.0 else q])
+        assert rows[3] >= 0.0
+        np.testing.assert_array_equal(rows.view(np.uint64), canonical.view(np.uint64))
+        np.testing.assert_array_equal(pose.view(np.uint64), canonical.view(np.uint64))
 
 
 def reachable_stack(arm, n, spread=0.05, seed=21):
@@ -556,6 +620,22 @@ class TestStackedInverseKinematics:
             pose = forward_kinematics(arm, q)
             np.testing.assert_allclose(row, np.concatenate([pose.position, pose.quaternion]),
                                        rtol=0, atol=1e-15)
+
+
+class TestArmModel:
+    def test_arrays_are_read_only_copies(self):
+        rows, limits = np.array(make_test_arm().dh_rows), np.tile([-2.9, 2.9], (6, 1))
+        arm = ArmModel(rows, limits, base_pose=Pose(np.array([0.5, 0.0, 0.0])))
+        with pytest.raises(ValueError):
+            arm.dh_rows[1, 0] += 0.1
+        with pytest.raises(ValueError):
+            arm.joint_limits[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            arm.base_pose.position[0] += 1.0
+        rows[1, 0] += 0.1  # the caller's arrays stay writeable and are not the arm's
+        limits[0, 0] = 0.0
+        np.testing.assert_array_equal(arm.dh_rows, make_test_arm().dh_rows)
+        assert arm.joint_limits[0, 0] == -2.9
 
 
 class TestReachCheck:

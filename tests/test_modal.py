@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from twinmill import modal
 from twinmill.errors import DegenerateSignalError, InvalidInputError, RankDeficiencyError
 from twinmill.modal import (
     FrfSeries,
@@ -189,6 +191,32 @@ class TestH1:
         assert h1_estimate([rec], nfft=2).frequencies.shape == (1,)
         np.testing.assert_array_equal(h1_estimate([rec], nfft=np.int64(512)).values,
                                       h1_estimate([rec], nfft=512).values)
+
+    def test_nfft_over_the_cap_refused_before_allocating(self):
+        rec = simulate_impact(make_model(), 0.0, sample_rate=2048.0, duration=0.25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match=r"^nfft 1000000000 exceeds both 4194304 and the "
+                                                        r"longest record \(512\)$"):
+                h1_estimate([rec], nfft=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_nfft_cap_is_the_larger_of_max_nfft_and_the_longest_record(self, monkeypatch):
+        short = simulate_impact(make_model(), 0.0, sample_rate=2048.0, duration=0.125)
+        rec = simulate_impact(make_model(), 0.0, sample_rate=2048.0, duration=0.25)
+        monkeypatch.setattr(modal, "MAX_NFFT", 1024)
+        assert h1_estimate([rec], nfft=1024).frequencies.size == 512
+        with pytest.raises(InvalidInputError, match="^nfft 1025 exceeds"):
+            h1_estimate([rec], nfft=1025)
+        monkeypatch.setattr(modal, "MAX_NFFT", 64)
+        # The default, the longest record, is always allowed.
+        assert h1_estimate([short, rec]).frequencies.size == 256
+        assert h1_estimate([short, rec], nfft=512).frequencies.size == 256
+        with pytest.raises(InvalidInputError, match=r"^nfft 513 exceeds both 64 and the longest record \(512\)$"):
+            h1_estimate([short, rec], nfft=513)
 
 
 class TestPeakPick:

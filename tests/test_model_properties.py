@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twinmill.compensation import PathTrace, RigidTransform, fit_rigid
+from twinmill.compensation import PathTrace, fit_rigid
 from twinmill.config import load_config
 from twinmill.errors import SingularConfigurationError
 from twinmill.geometry import Pose
@@ -147,8 +147,8 @@ def test_fit_rigid_recovers_proper_rigid_motions(points, rotation, translation):
     sv = np.linalg.svd(centered, compute_uv=False)
     # Well away from collinear clouds, whose rotation is not unique.
     assume(sv[1] > 1e-2 * sv[0] and sv[0] > 1e-3)
-    truth = RigidTransform(unit_quaternion(rotation), translation)
-    fit = fit_rigid(PathTrace(points), PathTrace(truth.apply(points)))
-    np.testing.assert_allclose(fit.matrix(), truth.matrix(), rtol=0, atol=1e-9)
-    np.testing.assert_allclose(fit.translation, truth.translation, rtol=0, atol=1e-9)
-    assert np.linalg.det(fit.matrix()) > 0
+    truth = Pose(translation, unit_quaternion(rotation))
+    fit = fit_rigid(PathTrace(points), PathTrace(points @ truth.rotation().T + truth.position))
+    np.testing.assert_allclose(fit.rotation(), truth.rotation(), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(fit.position, truth.position, rtol=0, atol=1e-9)
+    assert np.linalg.det(fit.rotation()) > 0

@@ -982,6 +982,12 @@ class TestSetpoints:
         with pytest.raises(InvalidInputError, match="no setpoints"):
             SyncProgram(demo_program.pairs[:0], tension=demo_program.tension)
 
+    @pytest.mark.parametrize("feed", [-100.0, -5e-324, np.nan, np.inf])
+    def test_sync_program_refuses_a_negative_or_non_finite_feed(self, demo_program, feed):
+        with pytest.raises(InvalidInputError, match="^sync program feed_mm_min must be finite and >= 0"):
+            SyncProgram(demo_program.pairs, tension=demo_program.tension, feed_mm_min=feed)
+        assert SyncProgram(demo_program.pairs, tension=demo_program.tension, feed_mm_min=-0.0).feed_mm_min == 0.0
+
     def test_indices_strictly_increasing(self, demo_program):
         sp = demo_program.pairs
         index = sp.index.copy()

@@ -257,6 +257,24 @@ class TestTypes:
         with pytest.raises(Exception):
             JointStiffness(np.array([1.0, 1, 1, 0, 1, 1]))
 
+    def test_joint_stiffness_is_a_read_only_copy(self):
+        diag = np.array([4e6, 4e6, 3e6, 1.5e6, 1.5e6, 1e6])
+        ks = JointStiffness(diag)
+        with pytest.raises(ValueError):
+            ks.diag[0] *= 2
+        diag[0] = 1.0  # the caller's array stays writeable and is not the model's
+        assert ks.diag[0] == 4e6
+
+    def test_spring_is_read_only(self):
+        K = DEFAULT_SPRING.copy()
+        spring = SpringModel(K)
+        with pytest.raises(ValueError):
+            spring.K[0, 0] *= 2
+        with pytest.raises(ValueError):
+            spring.compliance[0, 0] *= 2
+        K[0, 0] = 1.0  # the caller's array stays writeable and is not the model's
+        np.testing.assert_allclose(spring.compliance, np.linalg.inv(DEFAULT_SPRING), rtol=1e-12)
+
     def test_distinct_bases_required(self):
         arm = make_test_arm()
         with pytest.raises(Exception):
