@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvtable import meta_float, read_table, write_table
 from .errors import DegenerateGeometryError, InvalidInputError, SingularConfigurationError
-from .geometry import Pose, quat_from_matrix
+from .geometry import Pose, frozen, quat_from_matrix
 from .pathplan import SyncProgram
 from .kinematics import flange_transform
 from .stiffness import CLOSURE_TOL, CoupledSystem, check_closure, coupled_stiffness
@@ -33,7 +33,7 @@ class PathTrace:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = frozen(self.points)
         if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
             raise InvalidInputError("trace points must be a finite Nx3 array")
         if not (np.isfinite(self.tension) and np.isfinite(self.noise_sigma)):

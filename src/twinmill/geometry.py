@@ -19,6 +19,14 @@ _IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
+def frozen(a):
+    """A read-only float copy of `a`: a value object's arrays cannot change
+    after their checks, and the caller's array is never frozen."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def quat_canonical(q):
     """Quaternions q[..., 4] (an array) with the sign that makes w >= 0."""
     return np.where(q[..., :1] < 0.0, -q, q)
@@ -122,9 +130,8 @@ class Pose:
     quaternion: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
 
     def __post_init__(self):
-        # Read-only copies: a caller's array is never frozen.
-        p = np.array(self.position, dtype=float)
-        q = np.array(self.quaternion, dtype=float)
+        p = frozen(self.position)
+        q = np.asarray(self.quaternion, dtype=float)
         if p.shape != (3,) or not np.isfinite(p).all():
             raise InvalidInputError("pose position must be a finite 3-vector")
         if q.shape != (4,):
@@ -134,9 +141,8 @@ class Pose:
             raise InvalidInputError(f"quaternion norm {n} deviates from 1 by more than 1e-9")
         if q[0] < 0.0:  # quat_canonical of one quaternion
             q = -q
-        p.flags.writeable = q.flags.writeable = False
         object.__setattr__(self, "position", p)
-        object.__setattr__(self, "quaternion", q)
+        object.__setattr__(self, "quaternion", frozen(q))
 
     @staticmethod
     def identity():

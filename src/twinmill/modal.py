@@ -216,10 +216,62 @@ def peak_pick(frf: FrfSeries, min_freq, max_freq, prominence_factor=3.0):
     mag = np.abs(frf.values[sel])
     freqs = frf.frequencies[sel]
     prominence = prominence_factor * np.median(mag)
-    import scipy.signal  # here, not at module level: plan, deform and frf never load scipy
+    return [(float(freqs[i]), float(mag[i])) for i in _prominent_peaks(mag, prominence)]
 
-    idx, _ = scipy.signal.find_peaks(mag, prominence=prominence)
-    return [(float(freqs[i]), float(mag[i])) for i in idx]
+
+def _prominent_peaks(x, prominence):
+    """Indices of the peaks of the finite series x whose prominence is at
+    least `prominence`, ascending.
+
+    A peak is a run of equal samples with a lower sample on each side (not
+    the first or last run), reported at its middle sample. Its prominence is
+    its height over the higher of its two bases; a base is the lowest sample
+    between the peak and the nearest strictly higher sample on that side, or
+    the end of x.
+    """
+    if x.size < 3:
+        return np.zeros(0, dtype=np.intp)
+    change = np.flatnonzero(x[1:] != x[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change - 1, [x.size - 1]))
+    runs = x[starts]
+    if runs.size < 3:
+        return np.zeros(0, dtype=np.intp)
+    # x is monotone between its turning runs (local extrema), so the lowest
+    # sample between a peak and the nearest higher one is a turning run or an
+    # end run: search those alone.
+    up = runs[1:] > runs[:-1]
+    turns = np.flatnonzero(np.concatenate(([True], up[1:] != up[:-1], [True])))
+    y = runs[turns]
+    # No prominence exceeds the height over the minimum: drop those peaks first.
+    peaks = np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] - y.min() >= prominence)) + 1
+    if peaks.size == 0:
+        return peaks
+    # Each base is the minimum of the longest stretch next to the peak that is
+    # no higher than it. Both stretches run rightwards, the left one on y
+    # reversed, and end at an inf wall at the latest: walls[1:m+1] is y and
+    # walls[m+2:2m+2] is y reversed; the `top` trailing walls keep every
+    # table level indexable at any front. Sparse tables hold the max and min
+    # of walls[i:i + 2**k]; binary lifting takes blocks of falling size 2**k.
+    m = y.size
+    top = 1 << (m.bit_length() - 1)  # spans 1, 2, ..., top add up to at least m
+    walls = np.concatenate(([np.inf], y, [np.inf], y[::-1], np.full(top, np.inf)))
+    highs, lows = [walls], [walls]
+    span = 1
+    while span < top:
+        highs.append(np.maximum(highs[-1][:-span], highs[-1][span:]))
+        lows.append(np.minimum(lows[-1][:-span], lows[-1][span:]))
+        span *= 2
+    height = np.tile(y[peaks], 2)
+    front = np.concatenate((peaks + 2, 2 * m + 2 - peaks))  # first sample past each peak
+    base = height.copy()
+    for k in range(len(highs) - 1, -1, -1):
+        take = highs[k][front] <= height
+        np.minimum(base, lows[k][front], out=base, where=take)
+        front += take << k
+    c = peaks.size
+    peaks = peaks[height[:c] - np.maximum(base[:c], base[c:]) >= prominence]
+    return (starts[turns[peaks]] + ends[turns[peaks]]) // 2
 
 
 def fit_shift(points, scope="global") -> ShiftFit:
@@ -243,6 +295,19 @@ def simulate_impact(model: ModalModel, tension, sample_rate=4096.0, duration=4.0
     """Simulate the oscillator response to a 100 N half-sine hammer impact.
 
     Used to generate desk-scale stand-ins for the physical impact tests.
+    The half-sine is sampled at `sample_rate` and held linearly between
+    samples (a first-order hold), the usual lsim discretization. With state
+    x = (displacement, velocity), x' = A x + B u and time step h,
+
+        x[i] = Ad x[i-1] + Bd0 u[i-1] + Bd1 u[i],   x[0] = 0,
+
+    where Ad = e^{A h}, Bd0 + Bd1 = int_0^h e^{A s} ds B and
+    Bd1 = int_0^h e^{A s} (1 - s/h) ds B: the blocks of the exponential of
+    [[A h, B h, 0], [0, 0, 1], [0, 0, 0]]. The acceleration is C x + D u.
+    The steps run over the pulse samples only. Past the last nonzero force
+    sample the response is free, x[last + j] = e^{A j h} x[last], and is
+    written for all remaining samples at once; with 0 <= damping ratio < 1
+    the oscillator is underdamped, so e^{A t} has a closed form.
     """
     if not all(0 < v < math.inf for v in (sample_rate, duration, impact_width)):
         raise InvalidInputError("sample rate, duration and impact width must be positive and finite")
@@ -256,14 +321,36 @@ def simulate_impact(model: ModalModel, tension, sample_rate=4096.0, duration=4.0
     c = 2.0 * model.damping_ratio * math.sqrt(k * model.mass)
     m = model.mass
     A = np.array([[0.0, 1.0], [-k / m, -c / m]])
-    B = np.array([[0.0], [1.0 / m]])
-    C = np.array([[-k / m, -c / m]])  # output: acceleration
-    D = np.array([[1.0 / m]])
-    import scipy.signal  # here, not at module level: plan, deform and frf never load scipy
+    B = np.array([0.0, 1.0 / m])
+    C = np.array([-k / m, -c / m])  # output: acceleration
+    D = 1.0 / m
+    wn = math.sqrt(k / m)
+    decay = model.damping_ratio * wn
+    wd = wn * math.sqrt(1.0 - model.damping_ratio**2)
 
-    _, accel, _ = scipy.signal.lsim((A, B, C, D), force, t)
-    return ImpactRecord(sample_rate, force, np.asarray(accel), axis=model.axis,
-                        tension=float(tension))
+    def expm_coefficients(t):
+        """(a, b) with e^{A t} = a I + b (A + decay I)."""
+        envelope = np.exp(-decay * t)
+        return envelope * np.cos(wd * t), envelope * np.sin(wd * t) / wd
+
+    h = 1.0 / sample_rate
+    a, b = expm_coefficients(h)
+    Ad = a * np.eye(2) + b * (A + decay * np.eye(2))
+    A_inv = np.linalg.inv(A)
+    G = A_inv @ (Ad @ B - B)  # int_0^h e^{A s} ds B
+    Bd1 = G - A_inv @ (Ad @ B - G / h)
+    Bd0 = G - Bd1
+
+    accel = force * D
+    pulse = np.flatnonzero(force)
+    last = min(pulse[-1] + 1, n - 1) if pulse.size else 0
+    x = np.zeros(2)
+    for i in range(1, last + 1):
+        x = Ad @ x + Bd0 * force[i - 1] + Bd1 * force[i]
+        accel[i] += C @ x
+    a, b = expm_coefficients(np.arange(1, n - last) * h)
+    accel[last + 1:] = a * (C @ x) + b * (C @ (A @ x + decay * x))
+    return ImpactRecord(sample_rate, force, accel, axis=model.axis, tension=float(tension))
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,8 @@ class ToolPath:
         segs = tuple(self.segments)
         if not segs:
             raise InvalidInputError("toolpath has no segments")
+        if not 0.0 <= self.feed_mm_min < math.inf:
+            raise InvalidInputError(f"toolpath feed_mm_min must be finite and >= 0, got {self.feed_mm_min:g}")
         for prev, cur in zip(segs, segs[1:]):
             gap = np.linalg.norm(cur.start.position - prev.end.position)
             if not gap <= _POSITION_TOL:

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ClosureError, InvalidInputError, SingularConfigurationError, TwinmillError
-from .geometry import Pose, rotate6, transport_compliance, transport_stiffness
+from .geometry import Pose, frozen, rotate6, transport_compliance, transport_stiffness
 from .kinematics import ArmModel, _frames, flange_transform, jacobian
 
 CLOSURE_TOL = 1e-4
@@ -52,12 +52,11 @@ class JointStiffness:
     diag: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.diag, dtype=float)
+        d = frozen(self.diag)
         if d.shape != (6,) or not np.all(np.isfinite(d)):
             raise InvalidInputError("joint stiffness must be 6 finite values")
         if np.any(d <= 0):
             raise InvalidInputError("joint stiffness entries must be positive")
-        d.flags.writeable = False
         object.__setattr__(self, "diag", d)
 
 
@@ -97,8 +96,8 @@ class Wrench:
     torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        f = np.asarray(self.force, dtype=float)
-        t = np.asarray(self.torque, dtype=float)
+        f = frozen(self.force)
+        t = frozen(self.torque)
         if f.shape[-1:] != (3,) or t.shape[-1:] != (3,) or not (
             np.all(np.isfinite(f)) and np.all(np.isfinite(t))
         ):

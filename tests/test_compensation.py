@@ -111,6 +111,16 @@ class TestFitRigid:
         assert r1 == pytest.approx(r0, rel=1e-6)
 
 
+class TestPathTrace:
+    def test_points_are_a_read_only_copy(self):
+        pts = np.zeros((3, 3))
+        trace = PathTrace(pts)
+        with pytest.raises(ValueError):
+            trace.points[0, 0] = 1.0
+        pts[0, 0] = 1.0  # the caller's array stays writeable and is not the trace's
+        np.testing.assert_array_equal(trace.points, np.zeros((3, 3)))
+
+
 class TestCompensate:
     def test_inverts_a_given_transform_exactly(self):
         rng = np.random.default_rng(40)

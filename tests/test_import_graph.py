@@ -1,5 +1,5 @@
-"""Import graph: `import twinmill` and the plan, deform and frf commands load
-numpy only; scipy is imported on first use by peak_pick and simulate_impact.
+"""Import graph: `import twinmill`, every CLI command, simulate_impact and
+peak_pick load numpy only, never a scipy module.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already.
@@ -52,6 +52,7 @@ commands = {
     "deform": system + ["deform", f"{out}/p.csv", "--compensate", "--noise-sigma", "15e-6",
                         "--seed", "7", "--out", f"{out}/d"],
     "frf": ["frf", i1, i2, "--out", f"{out}/f.csv"],
+    "modal": system + ["modal", "--tensions", "0,500,1400,2000", "--out", f"{out}/m"],
 }
 for name, argv in commands.items():
     assert cli.main(argv) == 0, name
@@ -61,17 +62,18 @@ print("ok")
     assert run_fresh(script, DEMO, tmp_path, *impacts).splitlines()[-1] == "ok"
     assert (tmp_path / "d" / "residual_after.csv").is_file()
     assert (tmp_path / "f.csv").is_file()
+    assert (tmp_path / "m" / "shift_fit_x.csv").is_file()
 
 
-def test_peak_pick_and_simulate_impact_load_scipy_on_first_use():
+def test_simulate_impact_and_peak_pick_load_no_scipy():
     script = """
 import sys
 from twinmill import config, modal
-assert "scipy.signal" not in sys.modules
 model = config.load_config(sys.argv[1]).modal_models["x"]
 record = modal.simulate_impact(model, 0.0, sample_rate=2048.0, duration=2.0)
-assert "scipy.signal" in sys.modules
 peaks = modal.peak_pick(modal.h1_estimate([record]), 80.0, 400.0)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
 print(len(peaks), round(peaks[0][0]))
 """
     assert run_fresh(script, DEMO_CONFIG) == "1 159\n"

@@ -307,6 +307,11 @@ class TestSimulateImpact:
         rec = simulate_impact(make_model(), 0.0, sample_rate=1.0, duration=3.0, impact_width=2.0)
         np.testing.assert_array_equal(rec.force, [0.0, 100.0, 0.0])
 
+    def test_pulse_to_the_record_end_rejected(self):
+        # Every sample after the first is force: no dominant transient.
+        with pytest.raises(InvalidInputError, match="dominant transient"):
+            simulate_impact(make_model(), 0.0, sample_rate=1.0, duration=3.0, impact_width=10.0)
+
 
 class TestPipeline:
     def test_simulate_estimate_fit_closes(self):

@@ -211,6 +211,13 @@ class TestSegments:
         with pytest.raises(InvalidInputError):
             ToolPath((a, b))
 
+    @pytest.mark.parametrize("feed", [-100.0, -5e-324, np.nan, np.inf, -np.inf])
+    def test_path_refuses_a_negative_or_non_finite_feed(self, feed):
+        line = LinearSegment(Pose(np.zeros(3)), Pose(np.array([0.01, 0.0, 0.0])))
+        with pytest.raises(InvalidInputError, match="^toolpath feed_mm_min must be finite and >= 0"):
+            ToolPath((line,), feed_mm_min=feed)
+        assert ToolPath((line,), feed_mm_min=0.0).feed_mm_min == 0.0
+
     @pytest.mark.parametrize("delta", [[0.5], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]],
                                        [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0]])
     def test_translate_rejects_a_delta_that_is_not_a_finite_3_vector(self, delta):

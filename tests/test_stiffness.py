@@ -265,6 +265,21 @@ class TestTypes:
         diag[0] = 1.0  # the caller's array stays writeable and is not the model's
         assert ks.diag[0] == 4e6
 
+    def test_wrench_arrays_are_read_only_copies(self):
+        f, t = np.array([1000.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0])
+        w = Wrench(f, t)
+        with pytest.raises(ValueError):
+            w.force[1] = 7.0
+        with pytest.raises(ValueError):
+            w.torque[0] = 7.0
+        f[0] = t[1] = 5.0  # the caller's arrays stay writeable and are not the wrench's
+        np.testing.assert_array_equal(w.as_vector(), [1000.0, 0.0, 0.0, 0.0, 2.0, 0.0])
+        stacked = Wrench(np.ones((4, 3)))
+        with pytest.raises(ValueError):
+            stacked.force[2, 0] = 7.0
+        with pytest.raises(ValueError):
+            stacked.torque[2, 0] = 7.0
+
     def test_spring_is_read_only(self):
         K = DEFAULT_SPRING.copy()
         spring = SpringModel(K)
