@@ -74,6 +74,13 @@ def _tension_list(text):
     return values
 
 
+def _work_offset(text):
+    values = text.split(",")
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"expected three comma-separated values x,y,z, got {text!r}")
+    return [_number()(x) for x in values]
+
+
 def _frequency_grid(fmax, df):
     """np.arange(1.0, fmax, df), refused before it is allocated when it
     would hold more than MAX_GRID_POINTS points."""
@@ -127,14 +134,8 @@ def _read_path(path_file, work_offset_mm=None):
         path = pathplan.path_from_json(text)
     else:
         path = pathplan.parse_gcode(text)
-    if work_offset_mm:
-        try:
-            offset = np.array([float(x) for x in work_offset_mm.split(",")], dtype=float)
-        except ValueError as exc:
-            raise _UsageError(f"bad work offset {work_offset_mm!r}: {exc}") from exc
-        if offset.shape != (3,):
-            raise _UsageError("work offset needs exactly three values")
-        path = pathplan.translate_path(path, offset * 1e-3)
+    if work_offset_mm is not None:
+        path = pathplan.translate_path(path, np.array(work_offset_mm) * 1e-3)
     return path
 
 
@@ -226,11 +227,8 @@ def build_parser():
     p.add_argument("--tension", type=_number(), default=0.0,
                    help="tension force in N along --tension-axis, finite (may be negative)")
     p.add_argument("--tension-axis", choices=("x", "y", "z"), default="x")
-    p.add_argument(
-        "--work-offset-mm",
-        default=None,
-        help="x,y,z work offset in mm added to all path coordinates",
-    )
+    p.add_argument("--work-offset-mm", type=_work_offset, default=None,
+                   help="x,y,z work offset in mm added to all path coordinates, each finite")
     p.add_argument("--out", required=True, help="output program CSV file")
     p.set_defaults(func=cmd_plan)
 

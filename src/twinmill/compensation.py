@@ -155,7 +155,6 @@ def residual_report(reference: PathTrace, measured: PathTrace) -> ResidualReport
 
 _TRACE_COLUMNS = ("index", "x_m", "y_m", "z_m")
 _REPORT_COLUMNS = ("index", "dx_m", "dy_m", "dz_m")
-_INDEXED_ROW = "%d,%.17g,%.17g,%.17g\n"
 
 
 def _indexed(points):
@@ -164,7 +163,7 @@ def _indexed(points):
 
 def trace_to_csv(trace: PathTrace) -> str:
     meta = {"label": trace.label, "tension_N": repr(trace.tension), "noise_sigma_m": repr(trace.noise_sigma)}
-    return write_table(meta, _TRACE_COLUMNS, _indexed(trace.points), _INDEXED_ROW)
+    return write_table(meta, _TRACE_COLUMNS, _indexed(trace.points))
 
 
 def trace_from_csv(text) -> PathTrace:
@@ -187,4 +186,4 @@ def report_to_csv(report: ResidualReport) -> str:
         ("max_abs", report.axis_max_abs),
     ):
         meta[f"{name}_xyz_m"] = " ".join(repr(float(v)) for v in vec)
-    return write_table(meta, _REPORT_COLUMNS, _indexed(report.deviations), _INDEXED_ROW)
+    return write_table(meta, _REPORT_COLUMNS, _indexed(report.deviations))

@@ -2,18 +2,18 @@
 
 A file is a leading block of `# key=value` metadata lines (blank lines and
 `#` lines without `=` are allowed there), then exactly one header line of
-comma-separated column names, then one row of numbers per line. Floats are
-written with 17 significant digits (`%.17g`), so every finite double reads
-back bit-exact; lines end in LF. Data rows are parsed by one
-`np.loadtxt` call; any row that is not a full row of finite numbers is
-rejected with an InvalidInputError naming its line, and a metadata value
-read as a number that is not finite with one naming its key.
+comma-separated column names, then one row of numbers per line. A column
+named `index` holds integers; every other is written with 17 significant
+digits (`%.17g`), so every finite double reads back bit-exact; lines end in
+LF. Data rows are parsed by one `np.loadtxt` call; any row that is not a
+full row of finite numbers is rejected with an InvalidInputError naming its
+line, and a metadata value read as a number that is not finite with one
+naming its key.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import warnings
 
 import numpy as np
@@ -21,28 +21,26 @@ import numpy as np
 from .errors import InvalidInputError
 
 _BLOCK_ROWS = 256  # rows formatted per `%` operation, bounding the float objects alive at once
-_CONVERSION = re.compile(r"(%[-+ #0]*\d*(?:\.\d+)?[a-zA-Z])")  # one %-conversion of a row format
 
 
-def write_table(meta, columns, data, row_fmt) -> str:
+def write_table(meta, columns, data) -> str:
     """The metadata, the header and the rows of `data` (rows, len(columns))
-    as CSV text; `row_fmt` is the %-format of one row, one conversion per
-    column and newline included, applied to its values as Python floats.
+    as CSV text. A column named `index` is written as integers (`%d`), every
+    other column with `%.17g`, from its values as Python floats.
 
     A column whose value is bit-identical in every row (so -0.0 and 0.0
-    differ) is formatted once and written as a literal of the row format."""
+    differ) is formatted once and written as a literal."""
     parts = [f"# {key}={value}\n" for key, value in meta.items()]
     parts.append(",".join(columns) + "\n")
     data = np.asarray(data, dtype=float)
+    fields = ["%d" if name == "index" else "%.17g" for name in columns]
     if len(data):
         bits = data.view(np.int64)
         constant = np.all(bits == bits[0], axis=0)
-        if constant.any():
-            pieces = _CONVERSION.split(row_fmt)
-            for k in np.flatnonzero(constant):
-                pieces[2 * k + 1] = (pieces[2 * k + 1] % float(data[0, k])).replace("%", "%%")
-            row_fmt = "".join(pieces)
-            data = data[:, ~constant]
+        for k in np.flatnonzero(constant):
+            fields[k] = fields[k] % float(data[0, k])
+        data = data[:, ~constant]
+    row_fmt = ",".join(fields) + "\n"
     for start in range(0, len(data), _BLOCK_ROWS):
         block = data[start:start + _BLOCK_ROWS]
         parts.append((row_fmt * len(block)) % tuple(block.ravel().tolist()))

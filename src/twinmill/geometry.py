@@ -19,10 +19,10 @@ _IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def frozen(a):
-    """A read-only float copy of `a`: a value object's arrays cannot change
-    after their checks, and the caller's array is never frozen."""
-    a = np.array(a, dtype=float)
+def frozen(a, dtype=float):
+    """A read-only copy of `a` as `dtype`: a value object's arrays cannot
+    change after their checks, and the caller's array is never frozen."""
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, UnreachableTargetError
-from .geometry import Pose, matrix_pose_rows, pose_error, pose_rows, quat_to_matrix
+from .geometry import Pose, frozen, matrix_pose_rows, pose_error, pose_rows, quat_to_matrix
 
 N_JOINTS = 6
 
@@ -49,8 +49,8 @@ class ArmModel:
 
     def __post_init__(self):
         # Read-only copies: the chain constants below are cached from them.
-        rows = np.array(self.dh_rows, dtype=float)
-        lims = np.array(self.joint_limits, dtype=float)
+        rows = frozen(self.dh_rows)
+        lims = frozen(self.joint_limits)
         if rows.shape != (N_JOINTS, 4) or not np.all(np.isfinite(rows)):
             raise InvalidInputError("dh_rows must be a finite 6x4 array (a, alpha, d, theta_offset)")
         if lims.shape != (N_JOINTS, 2) or not np.all(np.isfinite(lims)):
@@ -63,7 +63,6 @@ class ArmModel:
         extent = reach + np.linalg.norm(self.flange_offset.position)
         if not (extent > 0 and np.isfinite(extent)):
             raise InvalidInputError("arm reach (sum of |a| + |d|) must be positive and finite")
-        rows.flags.writeable = lims.flags.writeable = False
         object.__setattr__(self, "dh_rows", rows)
         object.__setattr__(self, "joint_limits", lims)
         # Link i is RotZ(theta) @ L_i with the constant L_i = TransZ(d) TransX(a)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .csvtable import meta_float, read_table, write_table
 from .errors import DegenerateSignalError, InvalidInputError, RankDeficiencyError
+from .geometry import frozen
 
 AXES = ("x", "y", "z")
 # h1_estimate refuses an FFT length above this and above the longest record.
@@ -57,8 +58,8 @@ class FrfSeries:
     tension: float = 0.0
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
+        f = frozen(self.frequencies)
+        v = frozen(self.values, dtype=complex)
         if f.ndim != 1 or f.shape != v.shape:
             raise InvalidInputError("frequencies and values must be 1-D and the same length")
         if f.size and np.any(np.diff(f) <= 0):
@@ -81,8 +82,8 @@ class ImpactRecord:
     tension: float = 0.0
 
     def __post_init__(self):
-        f = np.asarray(self.force, dtype=float)
-        a = np.asarray(self.acceleration, dtype=float)
+        f = frozen(self.force)
+        a = frozen(self.acceleration)
         if not (0 < self.sample_rate < math.inf):
             raise InvalidInputError("sample rate must be positive and finite")
         if f.ndim != 1 or f.shape != a.shape or f.size < 2:
@@ -227,7 +228,8 @@ def _prominent_peaks(x, prominence):
     the first or last run), reported at its middle sample. Its prominence is
     its height over the higher of its two bases; a base is the lowest sample
     between the peak and the nearest strictly higher sample on that side, or
-    the end of x.
+    the end of x. Each candidate is scanned on its own, as
+    scipy.signal.find_peaks does: O(candidates x runs).
     """
     if x.size < 3:
         return np.zeros(0, dtype=np.intp)
@@ -235,43 +237,19 @@ def _prominent_peaks(x, prominence):
     starts = np.concatenate(([0], change))
     ends = np.concatenate((change - 1, [x.size - 1]))
     runs = x[starts]
-    if runs.size < 3:
-        return np.zeros(0, dtype=np.intp)
-    # x is monotone between its turning runs (local extrema), so the lowest
-    # sample between a peak and the nearest higher one is a turning run or an
-    # end run: search those alone.
-    up = runs[1:] > runs[:-1]
-    turns = np.flatnonzero(np.concatenate(([True], up[1:] != up[:-1], [True])))
-    y = runs[turns]
     # No prominence exceeds the height over the minimum: drop those peaks first.
-    peaks = np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] - y.min() >= prominence)) + 1
-    if peaks.size == 0:
-        return peaks
-    # Each base is the minimum of the longest stretch next to the peak that is
-    # no higher than it. Both stretches run rightwards, the left one on y
-    # reversed, and end at an inf wall at the latest: walls[1:m+1] is y and
-    # walls[m+2:2m+2] is y reversed; the `top` trailing walls keep every
-    # table level indexable at any front. Sparse tables hold the max and min
-    # of walls[i:i + 2**k]; binary lifting takes blocks of falling size 2**k.
-    m = y.size
-    top = 1 << (m.bit_length() - 1)  # spans 1, 2, ..., top add up to at least m
-    walls = np.concatenate(([np.inf], y, [np.inf], y[::-1], np.full(top, np.inf)))
-    highs, lows = [walls], [walls]
-    span = 1
-    while span < top:
-        highs.append(np.maximum(highs[-1][:-span], highs[-1][span:]))
-        lows.append(np.minimum(lows[-1][:-span], lows[-1][span:]))
-        span *= 2
-    height = np.tile(y[peaks], 2)
-    front = np.concatenate((peaks + 2, 2 * m + 2 - peaks))  # first sample past each peak
-    base = height.copy()
-    for k in range(len(highs) - 1, -1, -1):
-        take = highs[k][front] <= height
-        np.minimum(base, lows[k][front], out=base, where=take)
-        front += take << k
-    c = peaks.size
-    peaks = peaks[height[:c] - np.maximum(base[:c], base[c:]) >= prominence]
-    return (starts[turns[peaks]] + ends[turns[peaks]]) // 2
+    mid = runs[1:-1]
+    candidates = np.flatnonzero((mid > runs[:-2]) & (mid > runs[2:]) & (mid - runs.min() >= prominence)) + 1
+    peaks = []
+    for k in candidates:
+        higher = np.flatnonzero(runs > runs[k])
+        j = np.searchsorted(higher, k)
+        left = higher[j - 1] + 1 if j else 0
+        right = higher[j] if j < higher.size else runs.size
+        if runs[k] - max(runs[left:k].min(), runs[k + 1:right].min()) >= prominence:
+            peaks.append(k)
+    peaks = np.array(peaks, dtype=np.intp)
+    return (starts[peaks] + ends[peaks]) // 2
 
 
 def fit_shift(points, scope="global") -> ShiftFit:
@@ -365,7 +343,7 @@ _IMPACT_COLUMNS = ("time_s", "force_N", "accel_ms2")
 def frf_to_csv(frf: FrfSeries) -> str:
     meta = {"axis": frf.axis, "position": frf.position, "tension_N": repr(frf.tension)}
     table = np.column_stack([frf.frequencies, frf.values.real, frf.values.imag])
-    return write_table(meta, _FRF_COLUMNS, table, "%.17g,%.17g,%.17g\n")
+    return write_table(meta, _FRF_COLUMNS, table)
 
 
 def frf_from_csv(text) -> FrfSeries:
@@ -385,7 +363,7 @@ def shift_fit_to_csv(points, fit: ShiftFit) -> str:
     meta = {"scope": fit.scope, "slope_hz_per_n": repr(fit.slope), "intercept_hz": repr(fit.intercept)}
     T, f = np.reshape(np.asarray(list(points), dtype=float), (-1, 2)).T
     table = np.column_stack([T, f, fit.intercept + fit.slope * T, fit.residuals])
-    return write_table(meta, _SHIFT_COLUMNS, table, "%.17g,%.17g,%.17g,%.17g\n")
+    return write_table(meta, _SHIFT_COLUMNS, table)
 
 
 def impact_record_from_csv(text) -> ImpactRecord:
@@ -419,5 +397,5 @@ def impact_record_to_csv(record: ImpactRecord) -> str:
     }
     t = np.arange(record.force.size) / record.sample_rate
     table = np.column_stack([t, record.force, record.acceleration])
-    return write_table(meta, _IMPACT_COLUMNS, table, "%.17g,%.17g,%.17g\n")
+    return write_table(meta, _IMPACT_COLUMNS, table)
 

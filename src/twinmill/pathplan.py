@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedGcodeError,
     WorkspaceError,
 )
-from .geometry import Pose, compose_rows, pose_rows, quat_canonical, quat_from_rotvec, quat_multiply
+from .geometry import Pose, compose_rows, frozen, pose_rows, quat_canonical, quat_from_rotvec, quat_multiply
 from .kinematics import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL_POS,
@@ -74,8 +74,8 @@ class ArcSegment:
     sweep: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        n = np.asarray(self.normal, dtype=float)
+        c = frozen(self.center)
+        n = frozen(self.normal)
         if c.shape != (3,) or n.shape != (3,) or not np.all(np.isfinite(c)):
             raise InvalidInputError("arc center and normal must be 3-vectors, the center finite")
         if not abs(np.linalg.norm(n) - 1.0) <= 1e-9:
@@ -741,7 +741,6 @@ _POSE_COLS = ("tool", "r1", "r2_nominal", "r2_commanded")
 _COLUMNS = ["index"] + [f"{name}_{f}" for name in _POSE_COLS for f in _POSE_FIELDS] + [
     f"q{arm}_{i}" for arm in (1, 2) for i in range(6)
 ]
-_ROW_FMT = "%d" + ",%.17g" * (len(_COLUMNS) - 1) + "\n"
 
 
 def program_to_csv(program: SyncProgram) -> str:
@@ -753,7 +752,7 @@ def program_to_csv(program: SyncProgram) -> str:
     }
     sp = program.pairs
     table = np.column_stack([sp.index] + [getattr(sp, name) for name in _POSE_NAMES] + [sp.q1, sp.q2])
-    return write_table(meta, _COLUMNS, table, _ROW_FMT)
+    return write_table(meta, _COLUMNS, table)
 
 
 def program_from_csv(text) -> SyncProgram:

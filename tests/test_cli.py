@@ -251,12 +251,14 @@ class TestPlan:
         )
         assert code == 3
 
-    def test_bad_work_offset_exits_64(self, tmp_path, config_file, gcode_file):
-        code = cli.main(
-            ["--config", config_file, "plan", gcode_file, "--work-offset-mm", "1,2",
-             "--out", str(tmp_path / "p.csv")]
-        )
+    @pytest.mark.parametrize("value", ["1,2", "2105,-20,nan", "2105,-20,1e400", "a,b,c"])
+    def test_bad_work_offset_exits_64(self, tmp_path, config_file, gcode_file, capsys, value):
+        out = tmp_path / "p.csv"
+        code = cli.main(["--config", config_file, "plan", gcode_file, "--work-offset-mm", value,
+                         "--out", str(out)])
         assert code == 64
+        assert "argument --work-offset-mm: expected " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         "{}",

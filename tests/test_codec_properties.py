@@ -49,7 +49,7 @@ def assert_bits_equal(a, b):
 @given(columns_of(3))
 @example(EDGES[:6].reshape(2, 3))
 def test_table_round_trip(data):
-    text = write_table({"k": "v"}, ("a", "b", "c"), data, "%.17g,%.17g,%.17g\n")
+    text = write_table({"k": "v"}, ("a", "b", "c"), data)
     meta, back = read_table(text, ("a", "b", "c"), "T")
     assert meta == {"k": "v"}
     assert_bits_equal(back, data)

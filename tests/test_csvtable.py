@@ -18,11 +18,10 @@ from twinmill.modal import (
     impact_record_to_csv,
     simulate_impact,
 )
-from twinmill.pathplan import _POSE_NAMES, _ROW_FMT, parse_gcode, plan_sync, program_to_csv, translate_path
+from twinmill.pathplan import _POSE_NAMES, parse_gcode, plan_sync, program_to_csv, translate_path
 from twinmill.stiffness import Wrench
 
 COLUMNS = ("a", "b", "c")
-ROW = "%.17g,%.17g,%.17g\n"
 
 
 def impact_text():
@@ -55,12 +54,13 @@ class TestWriteTable:
         data = np.random.default_rng(n).normal(size=(n, 3)) * 10.0 ** np.arange(-3, 6, 3)
         reference = "# k=v\na,b,c\n" + "".join(",".join(format(x, ".17g") for x in row) + "\n"
                                               for row in data.tolist())
-        assert write_table({"k": "v"}, COLUMNS, data, ROW) == reference
+        assert write_table({"k": "v"}, COLUMNS, data) == reference
 
     def test_index_column(self):
-        text = write_table({}, ("index", "x"), np.column_stack([np.arange(3), [0.5, -0.0, 1e300]]),
-                           "%d,%.17g\n")
-        assert text == "index,x\n0,0.5\n1,-0\n2,1.0000000000000001e+300\n"
+        text = write_table({}, ("index", "x"), np.column_stack([[0, 1, 2, 1e17], [0.5, -0.0, 1e300, 7.0]]))
+        assert text == "index,x\n0,0.5\n1,-0\n2,1.0000000000000001e+300\n100000000000000000,7\n"
+        # A one-row table has only constant columns, written as literals in the same formats.
+        assert write_table({}, ("index", "x"), [[1e17, 0.5]]) == "index,x\n100000000000000000,0.5\n"
 
 
     @pytest.mark.parametrize("n", [0, 1, 2, _BLOCK_ROWS + 1])
@@ -72,8 +72,8 @@ class TestWriteTable:
         fmt = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
         data = np.column_stack([np.arange(n), np.full(n, 0.1), rng.normal(size=n), np.full(n, -0.0),
                                 np.where(np.arange(n) % 2, 0.0, -0.0), np.full(n, 1e300)])
-        reference = "# k=v\ni,a,b,c,d,e\n" + "".join(fmt % tuple(row) for row in data.tolist())
-        assert write_table({"k": "v"}, "iabcde", data, fmt) == reference
+        reference = "# k=v\nindex,a,b,c,d,e\n" + "".join(fmt % tuple(row) for row in data.tolist())
+        assert write_table({"k": "v"}, ("index", *"abcde"), data) == reference
 
     def test_program_csv_matches_row_by_row_format(self, cfg):
         """The 12 quaternion columns of a 3-axis program are constant."""
@@ -85,7 +85,8 @@ class TestWriteTable:
         assert np.sum(np.all(table == table[0], axis=0)) >= 12
         header_end = text.index("\nindex,") + 1
         body = text[text.index("\n", header_end) + 1:]
-        assert body == "".join(_ROW_FMT % tuple(row) for row in table.tolist())
+        fmt = "%d" + ",%.17g" * (table.shape[1] - 1) + "\n"
+        assert body == "".join(fmt % tuple(row) for row in table.tolist())
 
 
 class TestReadTable:

@@ -115,6 +115,17 @@ class TestSynthesize:
         with pytest.raises(InvalidInputError):
             frf_synthesize(m, 0.0, np.array([1.0, 1.0]))
 
+    def test_frf_arrays_are_read_only_copies(self):
+        f, v = np.array([1.0, 2.0]), np.array([1 + 1j, 2 - 1j])
+        frf = FrfSeries(f, v)
+        with pytest.raises(ValueError):
+            frf.frequencies[1] = 0.5
+        with pytest.raises(ValueError):
+            frf.values[0] = 0.0
+        f[1], v[0] = 0.5, 0.0  # the caller's arrays stay writeable and are not the FRF's
+        np.testing.assert_array_equal(frf.frequencies, [1.0, 2.0])
+        np.testing.assert_array_equal(frf.values, [1 + 1j, 2 - 1j])
+
 
 class TestImpactRecord:
     def test_zero_force_rejected(self):
@@ -124,6 +135,18 @@ class TestImpactRecord:
     def test_no_transient_rejected(self):
         with pytest.raises(InvalidInputError):
             ImpactRecord(1000.0, np.ones(16), np.zeros(16))
+
+    def test_arrays_are_read_only_copies(self):
+        force, acc = np.zeros(16), np.zeros(16)
+        force[3] = 1.0
+        record = ImpactRecord(1000.0, force, acc)
+        with pytest.raises(ValueError):
+            record.force[3] = 0.0
+        with pytest.raises(ValueError):
+            record.acceleration[0] = 1.0
+        force[:] = 0.0  # the caller's arrays stay writeable and are not the record's
+        acc[0] = 1.0
+        assert record.force[3] == 1.0 and record.acceleration[0] == 0.0
 
     def test_sample_rate_must_be_finite(self):
         force = np.zeros(16)

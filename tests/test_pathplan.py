@@ -188,6 +188,17 @@ class TestSegments:
                 sweep=1.0,
             )
 
+    def test_arc_arrays_are_read_only_copies(self):
+        c, n = np.zeros(3), np.array([0.0, 0.0, 1.0])
+        arc = ArcSegment(c, n, Pose(np.array([0.01, 0.0, 0.0])), 1.0)
+        with pytest.raises(ValueError):
+            arc.center[0] = 1.0
+        with pytest.raises(ValueError):
+            arc.normal[2] = 2.0
+        c[0] = n[2] = 2.0  # the caller's arrays stay writeable and are not the arc's
+        np.testing.assert_array_equal(arc.center, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(arc.normal, [0.0, 0.0, 1.0])
+
     def test_arc_normal_must_be_unit(self):
         with pytest.raises(InvalidInputError):
             ArcSegment(np.zeros(3), np.array([0.0, 0.0, 2.0]), Pose(np.array([0.01, 0.0, 0.0])), 1.0)
