@@ -245,6 +245,12 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value with a leading minus (-20,1,2) as an option;
+    # attached by "=" it is the option's value.
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--work-offset-mm":
+            argv[i : i + 2] = [f"--work-offset-mm={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

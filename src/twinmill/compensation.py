@@ -17,10 +17,9 @@ from .errors import DegenerateGeometryError, InvalidInputError, SingularConfigur
 from .geometry import Pose, frozen, quat_from_matrix
 from .pathplan import SyncProgram
 from .kinematics import flange_transform
-from .stiffness import CLOSURE_TOL, CoupledSystem, check_closure, coupled_stiffness
+from .stiffness import CLOSURE_TOL, MAX_OFFSET, CoupledSystem, check_closure, coupled_stiffness
 
 _COLLINEAR_REL_TOL = 1e-9
-_MAX_OFFSET = 0.01  # m, commanded arm-2 flange from its nominal position
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
     is checked against the program's own flange targets instead, within
     CLOSURE_TOL: FK1(q1) ∘ flange2_offset against the nominal arm-2
     flange, FK2(q2) against the commanded one. The commanded flange may
-    lie at most _MAX_OFFSET from the nominal one. Joints outside their
+    lie at most MAX_OFFSET from the nominal one. Joints outside their
     limits, or non-finite, raise InvalidInputError naming the setpoint
     and the arm.
     """
@@ -73,7 +72,7 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
         except InvalidInputError as exc:
             raise InvalidInputError(f"setpoint {exc.index}, arm {k}: {exc}", index=exc.index) from exc
     attach = flanges[0] @ sys.flange2_offset.matrix()
-    check_closure(commanded, nominal, _MAX_OFFSET,
+    check_closure(commanded, nominal, MAX_OFFSET,
                   "setpoint {index}: commanded arm-2 flange is {gap:.3e} m from the nominal one")
     check_closure(attach[:, :3, 3], nominal, CLOSURE_TOL,
                   "setpoint {index}: arm-2 attachment frame is {gap:.3e} m from its planned position")

@@ -109,9 +109,6 @@ class ShiftFit:
     residuals: np.ndarray
     scope: str = "global"
 
-    def predict(self, tension):
-        return self.intercept + self.slope * np.asarray(tension, dtype=float)
-
 
 def effective_stiffness(model: ModalModel, tension):
     fn = natural_frequency(model, tension)

@@ -40,7 +40,7 @@ from .kinematics import (
     ik_branch,
     inverse_kinematics,
 )
-from .stiffness import CoupledSystem, Wrench, tension_offset
+from .stiffness import MAX_OFFSET, CoupledSystem, Wrench, check_closure, tension_offset
 
 _POSITION_TOL = 1e-9
 _ARC_RADIUS_TOL = 10e-6  # 10 um start/end radius mismatch
@@ -100,12 +100,9 @@ class ArcSegment:
         v = np.cross(self.normal, u)
         return self.center + np.cos(angle) * u + np.sin(angle) * v
 
-    def pose_at(self, angle):
-        return Pose(self.point_at(angle), self.start.quaternion)
-
     @property
     def end(self) -> Pose:
-        return self.pose_at(self.sweep)
+        return Pose(self.point_at(self.sweep), self.start.quaternion)
 
     @property
     def length(self):
@@ -148,17 +145,17 @@ def _strip_comments(line):
     return line.split(";", 1)[0]
 
 
-def parse_gcode(text, orientation=None) -> ToolPath:
-    """Parse the supported G-code subset into a ToolPath.
+def parse_gcode(text) -> ToolPath:
+    """Parse the supported G-code subset into a ToolPath at the identity
+    tool orientation.
 
-    Supported words: G0/G1 (linear), G2/G3 (cw/ccw arc with I/J/K center
-    offsets), X/Y/Z coordinates in mm, F feed in mm/min. Motion words are
-    modal. Anything else raises with the offending line number.
+    Supported words: G0/G1 (linear), G2/G3 (cw/ccw arc in the XY plane
+    with I/J/K center offsets), X/Y/Z coordinates in mm, F feed in mm/min.
+    Motion words are modal. Anything else, a helical arc (G2/G3 with a
+    Z move) too, raises with the offending line number.
     """
     if not text or not text.strip():
         raise InvalidInputError("G-code text is empty")
-    if orientation is None:
-        orientation = np.array([1.0, 0.0, 0.0, 0.0])
     pos = np.zeros(3)
     motion = None
     feed = 0.0
@@ -218,15 +215,18 @@ def parse_gcode(text, orientation=None) -> ToolPath:
                     f"line {lineno}: I/J/K only valid with G2/G3", line=lineno
                 )
             if np.linalg.norm(target - pos) > 0:
-                segments.append(LinearSegment(Pose(pos, orientation), Pose(target, orientation)))
+                segments.append(LinearSegment(Pose(pos), Pose(target)))
         else:
             if not center_offset:
                 raise UnsupportedGcodeError(f"line {lineno}: arc without I/J/K center", line=lineno)
+            if target[2] != pos[2]:
+                raise UnsupportedGcodeError(f"line {lineno}: helical arcs are not supported (Z moves from "
+                                            f"{pos[2] / _MM:g} mm to {target[2] / _MM:g} mm)", line=lineno)
             center = pos.copy()
             for axis, value in center_offset.items():
                 center[axis] += value
-            r_start = np.linalg.norm(pos - center)
-            r_end = np.linalg.norm(target - center)
+            r_start = np.linalg.norm((pos - center)[:2])
+            r_end = np.linalg.norm((target - center)[:2])
             if not abs(r_start - r_end) <= _ARC_RADIUS_TOL:
                 raise MalformedArcError(
                     f"line {lineno}: arc radii differ by {abs(r_start - r_end) * 1e6:.1f} um "
@@ -246,7 +246,7 @@ def parse_gcode(text, orientation=None) -> ToolPath:
                 if sweep == 0.0:
                     sweep = -2 * math.pi
             try:
-                arc = ArcSegment(center, np.array([0.0, 0.0, 1.0]), Pose(pos, orientation), sweep)
+                arc = ArcSegment(center, np.array([0.0, 0.0, 1.0]), Pose(pos), sweep)
                 # Snap the running position to the arc's computed endpoint so
                 # the chain stays continuous to machine precision.
                 target = arc.end.position
@@ -461,9 +461,8 @@ class Setpoints:
     `robot1_flange`, `robot2_flange_nominal` and `robot2_flange_commanded`
     (N, 7) rows of (x, y, z, qw, qx, qy, qz); `q1` and `q2` (N, 6).
 
-    Indexing with an int builds that row's SetpointPair, with a slice the
-    Setpoints of those rows; no object per setpoint is kept. The arrays
-    are read-only.
+    Indexing with an int builds that row's SetpointPair; no object per
+    setpoint is kept. The arrays are read-only.
     """
 
     __slots__ = ("index",) + _POSE_NAMES + ("q1", "q2")
@@ -497,9 +496,6 @@ class Setpoints:
         return len(self.index)
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Setpoints(self.index[key], *(getattr(self, name)[key] for name in _POSE_NAMES),
-                             self.q1[key], self.q2[key])
         i = operator.index(key)
         poses = [Pose(rows[i, :3], rows[i, 3:]) for rows in (getattr(self, name) for name in _POSE_NAMES)]
         return SetpointPair(int(self.index[i]), *poses, self.q1[i], self.q2[i])
@@ -528,14 +524,12 @@ class SyncProgram:
             raise InvalidInputError(f"sync program feed_mm_min must be finite and >= 0, got {self.feed_mm_min:g}")
 
 
-def apply_world_offset(poses, offsets):
+def apply_world_offset(rows, offsets):
     """Apply 6-D world-frame displacements offsets[..., 6] (3 translations,
-    3 rotations as a rotation vector) to a Pose, which gives a Pose, or to
-    pose rows[..., 7], which give pose rows."""
-    rows, offsets = pose_rows(poses), np.asarray(offsets, dtype=float)
+    3 rotations as a rotation vector) to pose rows[..., 7]."""
+    rows, offsets = pose_rows(rows), np.asarray(offsets, dtype=float)
     q = quat_canonical(quat_multiply(quat_from_rotvec(offsets[..., 3:]), rows[..., 3:]))
-    out = np.concatenate([rows[..., :3] + offsets[..., :3], q], axis=-1)
-    return Pose(out[:3], out[3:]) if isinstance(poses, Pose) else out
+    return np.concatenate([rows[..., :3] + offsets[..., :3], q], axis=-1)
 
 
 def _solve(arm, targets, blocks, tol):
@@ -644,9 +638,12 @@ def plan_sync(
     _SEED_SPAN_M of path after that seed setpoint (at least one), so the
     joint trajectory stays on one branch (with max_step >= _SEED_SPAN_M
     each block is one setpoint on straight moves). Pass 2 is one stacked
-    tension-offset evaluation from the local configurations. Pass 3 solves arm 2's commanded pose in blocks of
-    _BLOCK_ROWS, seeded in closed form as pass 1 is or, where that gives
-    no seeds, each row with its nominal solution. A joint jump above
+    tension-offset evaluation from the local configurations; a commanded
+    arm-2 flange more than MAX_OFFSET from its nominal one raises
+    ClosureError, as `simulate_deformation` would on the program. Pass 3
+    solves arm 2's commanded pose in blocks of _BLOCK_ROWS, seeded in
+    closed form as pass 1 is or, where that gives no seeds, each row with
+    its nominal solution. A joint jump above
     `joint_jump_max` between consecutive pairs aborts planning. Failures
     are raised for the first setpoint at which they occur, naming the arm,
     arm 1 when both arms fail there.
@@ -708,6 +705,12 @@ def plan_sync(
     # first failing row.
     m = len(offsets)
     r2_commanded = apply_world_offset(r2_nominal[:m], offsets)
+    try:
+        check_closure(r2_commanded[:, :3], r2_nominal[:m, :3], MAX_OFFSET,
+                      "setpoint {index}: commanded arm-2 flange is {gap:.3e} m from the nominal one")
+    except ClosureError as exc:
+        failure, m = exc, exc.index
+        r2_commanded = r2_commanded[:m]
     seeds2 = _branch_seeds(sys.arm2, r2_commanded, q2_nominal[0], joint_jump_max) if m else None
     seeds2 = q2_nominal[:m] if seeds2 is None else seeds2
     q2, exc = _solve(sys.arm2, r2_commanded, lambda q: [(0, m, seeds2)], tol)

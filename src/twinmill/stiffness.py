@@ -39,6 +39,7 @@ from .geometry import Pose, frozen, rotate6, transport_compliance, transport_sti
 from .kinematics import ArmModel, _frames, flange_transform, jacobian
 
 CLOSURE_TOL = 1e-4
+MAX_OFFSET = 0.01  # m, commanded arm-2 flange from its nominal position
 _MIN_SINGULAR_VALUE = 1e-8
 _BLOCK_ROWS = 256
 
@@ -105,10 +106,6 @@ class Wrench:
         f, t = np.broadcast_arrays(f, t)
         object.__setattr__(self, "force", f)
         object.__setattr__(self, "torque", t)
-
-    @staticmethod
-    def zero():
-        return Wrench(np.zeros(3), np.zeros(3))
 
     @staticmethod
     def from_vector(v):
@@ -220,20 +217,13 @@ def _symmetric(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def stiffness_from_jacobian(J, k_diag):
+def _stiffness_from_jacobian(J, k_diag):
     """Cartesian stiffness J^-T K_joint J^-1 = (J K_joint^-1 J^T)^-1 for
-    square Jacobians, single [n, n] or stacked [..., n, n], from the rank
-    screen's J^-1 (`_full_rank_inverse`)."""
-    J = np.asarray(J, dtype=float)
-    k = np.asarray(k_diag, dtype=float)
-    if J.ndim < 2 or J.shape[-2] != J.shape[-1] or k.shape != J.shape[-1:]:
-        raise InvalidInputError("Jacobian must be square with matching joint stiffness length")
-    if not np.all(np.isfinite(J)):
-        raise InvalidInputError("Jacobian contains non-finite values")
-    if not np.all(k > 0) or not np.all(np.isfinite(k)):
-        raise InvalidInputError("joint stiffness entries must be positive and finite")
+    stacked finite square Jacobians J[..., n, n] and positive joint
+    stiffnesses k_diag[n], from the rank screen's J^-1
+    (`_full_rank_inverse`)."""
     Ji = _full_rank_inverse(J)
-    return _symmetric((np.swapaxes(Ji, -1, -2) * k) @ Ji)
+    return _symmetric((np.swapaxes(Ji, -1, -2) * k_diag) @ Ji)
 
 
 def _stacked(fn, out_shape, *stacks):
@@ -265,7 +255,7 @@ def cartesian_stiffness(arm: ArmModel, q, k_joint: JointStiffness):
     """Configuration-dependent 6x6 Cartesian stiffness at the flange,
     world frame."""
     return _stacked(
-        lambda qb: stiffness_from_jacobian(jacobian(arm, qb), k_joint.diag),
+        lambda qb: _stiffness_from_jacobian(jacobian(arm, qb), k_joint.diag),
         (6, 6), q,
     )
 

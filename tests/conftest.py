@@ -66,18 +66,24 @@ def test_arm():
     return make_test_arm()
 
 
-@pytest.fixture(scope="session")
-def demo_program(cfg):
-    """Slot path planned on the demo cell with a 1000 N axial tension."""
+def plan_slot(cfg, tension):
+    """Slot path planned on the demo cell with an axial tension of
+    `tension` N."""
     from twinmill.pathplan import parse_gcode, plan_sync, translate_path
     from twinmill.stiffness import Wrench
 
     path = translate_path(parse_gcode("G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"),
                           np.array([2.105, -0.020, 1.100]))
     return plan_sync(
-        cfg.system, path, Wrench(np.array([1000.0, 0.0, 0.0])),
+        cfg.system, path, Wrench(np.array([tension, 0.0, 0.0])),
         (cfg.ik_seed1, cfg.ik_seed2),
     )
+
+
+@pytest.fixture(scope="session")
+def demo_program(cfg):
+    """Slot path planned on the demo cell with a 1000 N axial tension."""
+    return plan_slot(cfg, 1000.0)
 
 
 def random_nonsingular_q(arm, rng, min_sv=1e-3):

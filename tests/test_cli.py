@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from twinmill import cli, modal
-from twinmill.pathplan import Setpoints, program_from_csv, program_to_csv
+from twinmill.pathplan import Setpoints, parse_gcode, path_to_json, program_from_csv, program_to_csv, translate_path
 
 from conftest import DEMO_CONFIG, demo_config_dict
 
@@ -258,6 +258,32 @@ class TestPlan:
                          "--out", str(out)])
         assert code == 64
         assert "argument --work-offset-mm: expected " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, code", [("-2105,-20,1100", 0), ("-20,1,2", 3)])
+    def test_work_offset_with_a_leading_minus_in_either_spelling(self, tmp_path, config_file, capsys,
+                                                                 value, code):
+        """`--work-offset-mm V` and `--work-offset-mm=V` plan alike when V
+        starts with a minus sign. The slot 4.21 m along x is planned at
+        -2105,-20,1100; at -20,1,2 it lies outside the workspace box."""
+        path_file = tmp_path / "slot.json"
+        path_file.write_text(path_to_json(translate_path(parse_gcode(SLOT_GCODE), [4.21, 0.0, 0.0])))
+        results = []
+        for option in (["--work-offset-mm", value], [f"--work-offset-mm={value}"]):
+            out = tmp_path / f"p{len(results)}.csv"
+            assert cli.main(["--config", config_file, "plan", str(path_file), *option, "--out", str(out)]) == code
+            results.append((capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+        assert results[0] == results[1]
+        assert (results[0][1] is not None) == (code == 0)
+
+    def test_tension_beyond_the_offset_bound_exits_3(self, tmp_path, config_file, gcode_file, capsys):
+        """40 kN asks for about 11 mm of arm-2 offset, more than `deform`
+        accepts: plan refuses it, naming the first setpoint."""
+        out = tmp_path / "p.csv"
+        code = cli.main(["--config", config_file, "plan", gcode_file, "--tension", "40000",
+                         "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: setpoint 0: commanded arm-2 flange is 1.09")
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [

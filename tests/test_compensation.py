@@ -25,6 +25,8 @@ from twinmill.geometry import Pose, pose_rows, quat_from_rotvec, quat_to_matrix
 from twinmill.kinematics import forward_kinematics, inverse_kinematics
 from twinmill.pathplan import _POSE_NAMES, Setpoints, apply_world_offset
 
+from conftest import plan_slot
+
 
 def cloud(rng, n=100, scale=0.05):
     return PathTrace(rng.uniform(-scale, scale, (n, 3)))
@@ -186,7 +188,8 @@ class TestDeformation:
         program, not a tensioned one."""
         k = 7
         pair = demo_program.pairs[k]
-        target = apply_world_offset(pair.robot2_flange_commanded, [0.005, 0.0, 0.0, 0.0, 0.0, 0.0])
+        row = apply_world_offset(pose_rows(pair.robot2_flange_commanded), [0.005, 0.0, 0.0, 0.0, 0.0, 0.0])
+        target = Pose(row[:3], row[3:])
         q2 = inverse_kinematics(cfg.system.arm2, target, pair.q2)
         program = _with_pair(demo_program, k, dataclasses.replace(pair, q2=q2))
         with pytest.raises(ClosureError) as exc:
@@ -200,7 +203,8 @@ class TestDeformation:
         that reach it, is not a tension offset of this cell."""
         k = 11
         pair = demo_program.pairs[k]
-        target = apply_world_offset(pair.robot2_flange_nominal, [0.0, 0.02, 0.0, 0.0, 0.0, 0.0])
+        row = apply_world_offset(pose_rows(pair.robot2_flange_nominal), [0.0, 0.02, 0.0, 0.0, 0.0, 0.0])
+        target = Pose(row[:3], row[3:])
         q2 = inverse_kinematics(cfg.system.arm2, target, pair.q2)
         moved = dataclasses.replace(pair, robot2_flange_commanded=target, q2=q2)
         with pytest.raises(ClosureError) as exc:
@@ -232,7 +236,8 @@ class TestDeformation:
         construction, as a caller editing the arrays could; the error
         still names the setpoint, the arm and the joint."""
         k = 7
-        pairs = demo_program.pairs[:]
+        sp = demo_program.pairs
+        pairs = Setpoints(sp.index, *(getattr(sp, name) for name in _POSE_NAMES), sp.q1, sp.q2)
         q = getattr(pairs, f"q{arm}").copy()
         q[k, 4] = np.nan
         setattr(pairs, f"q{arm}", q)
@@ -272,6 +277,29 @@ class TestDeformation:
     def test_report_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             residual_report(PathTrace(np.zeros((3, 3))), PathTrace(np.zeros((4, 3))))
+
+
+class TestChainRelations:
+    """Relations between whole plan-and-deform runs that hold whatever the
+    model's numbers are."""
+
+    def test_zero_tension_moves_nothing(self, cfg):
+        program = plan_slot(cfg, 0.0)
+        sp = program.pairs
+        np.testing.assert_array_equal(sp.robot2_flange_commanded, sp.robot2_flange_nominal)
+        np.testing.assert_array_equal(simulate_deformation(cfg.system, program).points, sp.tool_pose[:, :3])
+
+    @pytest.mark.parametrize("tension", [500.0, 2000.0, -1000.0])
+    def test_displacement_scales_with_tension(self, cfg, demo_program, tension):
+        """disp(T) / T matches disp(1000 N) / 1000 N within 1e-3 of its
+        largest component; not exactly, since K depends on the commanded
+        arm-2 joints."""
+        def per_newton(program, newtons):
+            return (simulate_deformation(cfg.system, program).points - program.pairs.tool_pose[:, :3]) / newtons
+
+        reference = per_newton(demo_program, 1000.0)
+        scaled = per_newton(plan_slot(cfg, tension), tension)
+        assert np.max(np.abs(scaled - reference)) <= 1e-3 * np.max(np.abs(reference))
 
 
 class TestCsv:

@@ -10,6 +10,7 @@ import pytest
 
 from twinmill import kinematics, pathplan
 from twinmill.errors import (
+    ClosureError,
     ContinuityError,
     InvalidInputError,
     MalformedArcError,
@@ -52,7 +53,7 @@ from twinmill.pathplan import (
     program_to_csv,
     translate_path,
 )
-from twinmill.stiffness import Wrench, predicted_tension
+from twinmill.stiffness import MAX_OFFSET, Wrench, predicted_tension
 
 from conftest import json_numbers, json_objects, json_replaced
 
@@ -76,7 +77,7 @@ RASTER_GCODE = "G1 X300 F600\n" + "".join(
 RASTER_OFFSET = np.array([1.975, -0.110, 1.100])
 
 
-def demo_plan(cfg, gcode=SLOT_GCODE, tension=Wrench.zero(), offset=WORK_OFFSET, **kw):
+def demo_plan(cfg, gcode=SLOT_GCODE, tension=Wrench(np.zeros(3)), offset=WORK_OFFSET, **kw):
     path = translate_path(parse_gcode(gcode), offset)
     return plan_sync(
         cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2), **kw
@@ -160,6 +161,15 @@ class TestParser:
         assert exc.value.line == 2
         assert str(exc.value) == "line 2: negative feed F-100"
         assert parse_gcode("G1 X10 F0\n").feed_mm_min == 0.0
+
+    @pytest.mark.parametrize("z", ["-0.3", "-5"])
+    def test_helical_arc_reports_line(self, z):
+        """An arc with a Z move is refused, not planned flat (Z-0.3) or
+        reported as an arc of mismatched radii (Z-5)."""
+        with pytest.raises(UnsupportedGcodeError) as exc:
+            parse_gcode(f"G1 X10 Y0\nG3 X0 Y0 Z{z} I-5\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == f"line 2: helical arcs are not supported (Z moves from 0 mm to {z} mm)"
 
     def test_arc_center_off_plane_reports_line(self):
         with pytest.raises(MalformedArcError) as exc:
@@ -339,12 +349,24 @@ def per_pose_samples(path, chord_tol, max_step):
             dtheta_chord = 2 * math.acos(1 - chord_tol / r) if chord_tol < r else math.pi
             n = _subdivisions(abs(seg.sweep) / min(dtheta_chord, max_step / r))
             for j in range(1, n):
-                poses.append(seg.pose_at(seg.sweep * j / n))
+                poses.append(Pose(seg.point_at(seg.sweep * j / n), seg.start.quaternion))
             poses.append(seg.end)
     return np.array([np.concatenate([p.position, p.quaternion]) for p in poses])
 
 
 TILTED = quat_from_rotvec(np.array([0.3, -0.2, 0.1]))
+
+
+def _oriented(path, quaternion):
+    """`path` with every pose at orientation `quaternion`."""
+    segments = []
+    for s in path.segments:
+        start = Pose(s.start.position, quaternion)
+        if isinstance(s, LinearSegment):
+            segments.append(LinearSegment(start, Pose(s.end.position, quaternion)))
+        else:
+            segments.append(ArcSegment(s.center, s.normal, start, s.sweep))
+    return ToolPath(tuple(segments), path.feed_mm_min)
 
 
 def _lines_turning():
@@ -367,7 +389,7 @@ class TestDiscretizeRows:
         translate_path(parse_gcode(SLOT_GCODE), WORK_OFFSET),
         translate_path(parse_gcode("G1 X300 F600\nG3 X300 Y20 J10\nG1 X0\nG2 X0 Y40 J10\nG1 X300\n"),
                        np.array([1.975, -0.110, 1.100])),
-        parse_gcode("G2 X0 Y0 I-50\nG3 X10 Y10 I5 J5\n", orientation=TILTED),
+        _oriented(parse_gcode("G2 X0 Y0 I-50\nG3 X10 Y10 I5 J5\n"), TILTED),
         _lines_turning(),
         _zero_sweep_between_lines(),
     ], ids=["slot", "raster", "g2-g3-tilted", "lines", "zero-sweep"])
@@ -378,7 +400,7 @@ class TestDiscretizeRows:
         np.testing.assert_array_equal(rows, per_pose_samples(path, chord_tol, max_step))
 
     def test_rows_are_pose_rows(self):
-        rows = discretize(parse_gcode(SLOT_GCODE, orientation=-TILTED), 1e-5, 0.005)
+        rows = discretize(_oriented(parse_gcode(SLOT_GCODE), -TILTED), 1e-5, 0.005)
         np.testing.assert_array_equal(pose_rows(rows), rows)
 
 
@@ -488,7 +510,8 @@ class TestPlanSync:
     def test_geometry_chain(self, cfg):
         prog = demo_plan(cfg, gcode="G1 X40\n")
         sys_ = cfg.system
-        for pair in prog.pairs[:: max(1, len(prog.pairs) // 5)]:
+        for i in range(0, len(prog.pairs), max(1, len(prog.pairs) // 5)):
+            pair = prog.pairs[i]
             r1 = pair.tool_pose @ sys_.tool_offset.inverse()
             np.testing.assert_allclose(pair.robot1_flange.position, r1.position, atol=1e-12)
             r2n = r1 @ sys_.flange2_offset
@@ -502,7 +525,8 @@ class TestPlanSync:
         w = Wrench(np.array([1000.0, 0.0, 0.0]))
         prog = demo_plan(cfg, gcode="G1 X40\n", tension=w)
         sys_ = cfg.system
-        for pair in prog.pairs[:: max(1, len(prog.pairs) // 4)]:
+        for i in range(0, len(prog.pairs), max(1, len(prog.pairs) // 4)):
+            pair = prog.pairs[i]
             q2n = inverse_kinematics(sys_.arm2, pair.robot2_flange_nominal, pair.q2)
             dq = quat_multiply(
                 pair.robot2_flange_commanded.quaternion,
@@ -521,7 +545,7 @@ class TestPlanSync:
     def test_seeds_must_be_two_six_joint_configurations(self, cfg):
         for seeds in ((cfg.ik_seed1,), (cfg.ik_seed1, cfg.ik_seed2[:5]), (cfg.ik_seed1,) * 3):
             with pytest.raises(InvalidInputError):
-                plan_sync(cfg.system, parse_gcode("G1 X4\n"), Wrench.zero(), seeds)
+                plan_sync(cfg.system, parse_gcode("G1 X4\n"), Wrench(np.zeros(3)), seeds)
 
     @pytest.mark.parametrize("k, value", [(0, 10.0), (1, 10.0), (1, np.nan)])
     def test_a_seed_outside_its_arm_s_limits_is_named(self, cfg, monkeypatch, k, value):
@@ -536,7 +560,7 @@ class TestPlanSync:
 
         monkeypatch.setattr(pathplan, "inverse_kinematics", no_ik)
         with pytest.raises(InvalidInputError) as exc:
-            plan_sync(cfg.system, translate_path(parse_gcode(SLOT_GCODE), WORK_OFFSET), Wrench.zero(), seeds)
+            plan_sync(cfg.system, translate_path(parse_gcode(SLOT_GCODE), WORK_OFFSET), Wrench(np.zeros(3)), seeds)
         assert str(exc.value) == (f"ik_seeds[{k}] (arm {k + 1}): seed violates joint limits: "
                                   f"q1 = {value:g} rad outside [{lo:g}, {hi:g}] rad")
 
@@ -573,10 +597,33 @@ class TestPlanSync:
                       tension=Wrench(np.array([1000.0, 0.0, 0.0])))
         assert exc.value.index == 5
 
+    def test_offset_beyond_the_bound_reports_setpoint_0(self, cfg):
+        """40 kN asks for about 11 mm of arm-2 offset on the demo slot,
+        more than `simulate_deformation` accepts."""
+        with pytest.raises(ClosureError) as exc:
+            demo_plan(cfg, tension=Wrench(np.array([40000.0, 0.0, 0.0])))
+        assert exc.value.index == 0
+        assert exc.value.gap > MAX_OFFSET
+        assert str(exc.value) == f"setpoint 0: commanded arm-2 flange is {exc.value.gap:.3e} m from the nominal one"
+
+    def test_offset_bound_reports_the_first_setpoint_over_it(self, cfg, monkeypatch):
+        """Along this line the arm-2 offset grows from row to row; with the
+        bound between those of rows 8 and 9, the plan fails at setpoint 9."""
+        w = Wrench(np.array([1000.0, 0.0, 0.0]))
+        path = translate_path(parse_gcode("G1 X-40\n"), WORK_OFFSET + [0.04, 0.0, 0.0])
+        sp = plan_sync(cfg.system, path, w, (cfg.ik_seed1, cfg.ik_seed2)).pairs
+        gaps = np.linalg.norm(sp.robot2_flange_commanded[:, :3] - sp.robot2_flange_nominal[:, :3], axis=1)
+        assert np.all(np.diff(gaps) > 0)
+        monkeypatch.setattr(pathplan, "MAX_OFFSET", (gaps[8] + gaps[9]) / 2)
+        with pytest.raises(ClosureError) as exc:
+            plan_sync(cfg.system, path, w, (cfg.ik_seed1, cfg.ik_seed2))
+        assert exc.value.index == 9
+        assert exc.value.gap == gaps[9]
+
     def test_ik_failure_reports_index(self, cfg):
         path = translate_path(parse_gcode("G1 X40\n"), np.array([20.0, 0.0, 0.0]))
         with pytest.raises(PlanError) as exc:
-            plan_sync(cfg.system, path, Wrench.zero(), (cfg.ik_seed1, cfg.ik_seed2))
+            plan_sync(cfg.system, path, Wrench(np.zeros(3)), (cfg.ik_seed1, cfg.ik_seed2))
         assert exc.value.index == 0
 
 
@@ -700,7 +747,7 @@ class TestPassOneSeeding(SeedingCalls):
             cfg = dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, arm1=arm1))
         tool = compose_rows(forward_kinematics(cfg.system.arm1, np.array([[-0.01, 0.47, 0.128, -1.8, 0.0, 1.8]])),
                             cfg.system.tool_offset)[0]
-        path = translate_path(parse_gcode("G1 Z40\nG1 Z80\n", orientation=tool[3:]), tool[:3] - [0.0, 0.0, 0.04])
+        path = translate_path(_oriented(parse_gcode("G1 Z40\nG1 Z80\n"), tool[3:]), tool[:3] - [0.0, 0.0, 0.04])
         return cfg, path
 
     @pytest.mark.parametrize("wrist_limit", [None, np.pi + 1.0], ids=["demo", "wide-wrist"])
@@ -747,7 +794,7 @@ class TestPassOneSeeding(SeedingCalls):
 
         monkeypatch.setattr(pathplan, "_seed_blocks", seed_blocks)
         calls = self.spy(monkeypatch)
-        prog = plan_sync(cfg.system, path, Wrench.zero(), (cfg.ik_seed1, cfg.ik_seed2))
+        prog = plan_sync(cfg.system, path, Wrench(np.zeros(3)), (cfg.ik_seed1, cfg.ik_seed2))
         n = len(prog.pairs)
         # One `_seed_blocks` chain, arm 1's.
         assert chains == [n]
@@ -981,12 +1028,11 @@ class TestSetpoints:
         sp = demo_program.pairs
         n = len(sp)
         assert sp[-1].index == sp[n - 1].index == int(sp.index[-1])
-        part = sp[2:9:3]
-        assert isinstance(part, Setpoints)
-        assert [p.index for p in part] == sp.index[2:9:3].tolist()
-        np.testing.assert_array_equal(part.q2, sp.q2[2:9:3])
+        assert [sp[i].index for i in range(2, 9, 3)] == sp.index[2:9:3].tolist()
         with pytest.raises(IndexError):
             sp[n]
+        with pytest.raises(TypeError):
+            sp[1:3]
 
     def test_arrays_are_read_only(self, demo_program):
         with pytest.raises(ValueError):
@@ -998,7 +1044,10 @@ class TestSetpoints:
         with pytest.raises(InvalidInputError, match="pairs must be Setpoints, got tuple"):
             SyncProgram(tuple(demo_program.pairs), tension=demo_program.tension)
         with pytest.raises(InvalidInputError, match="no setpoints"):
-            SyncProgram(demo_program.pairs[:0], tension=demo_program.tension)
+            sp = demo_program.pairs
+            empty = Setpoints(sp.index[:0], *(getattr(sp, name)[:0] for name in pathplan._POSE_NAMES),
+                              sp.q1[:0], sp.q2[:0])
+            SyncProgram(empty, tension=demo_program.tension)
 
     @pytest.mark.parametrize("feed", [-100.0, -5e-324, np.nan, np.inf])
     def test_sync_program_refuses_a_negative_or_non_finite_feed(self, demo_program, feed):

@@ -15,10 +15,10 @@ from twinmill.stiffness import (
     Wrench,
     _spd_inverse,
     _stacked,
+    _stiffness_from_jacobian,
     cartesian_stiffness,
     coupled_stiffness,
     predicted_tension,
-    stiffness_from_jacobian,
     tension_offset,
 )
 
@@ -64,7 +64,7 @@ def tool_point_branch_stiffness(sys_, q):
 
 class TestCartesianStiffness:
     def test_unit_jacobian_scalar(self):
-        K = stiffness_from_jacobian(np.array([[1.0]]), np.array([1e6]))
+        K = _stiffness_from_jacobian(np.array([[1.0]]), np.array([1e6]))
         np.testing.assert_allclose(K, [[1e6]])
 
     def test_compliance_finite_difference_oracle(self, test_arm):
@@ -208,7 +208,7 @@ class TestCoupledStiffness:
 class TestTension:
     def test_zero_wrench_zero_offset(self):
         sys_, q1, q2, _ = make_twin_system()
-        offset = tension_offset(sys_, q1, q2, Wrench.zero())
+        offset = tension_offset(sys_, q1, q2, Wrench(np.zeros(3)))
         assert np.all(offset == 0.0)
 
     def test_soft_spring_dominates_compliance(self):
@@ -256,6 +256,8 @@ class TestTypes:
     def test_joint_stiffness_positive(self):
         with pytest.raises(Exception):
             JointStiffness(np.array([1.0, 1, 1, 0, 1, 1]))
+        with pytest.raises(InvalidInputError, match="joint stiffness must be 6 finite values"):
+            JointStiffness(np.array([1.0, 1, 1, np.nan, 1, 1]))
 
     def test_joint_stiffness_is_a_read_only_copy(self):
         diag = np.array([4e6, 4e6, 3e6, 1.5e6, 1.5e6, 1e6])
@@ -409,22 +411,6 @@ RANK_DEFICIENT = re.compile(r"Jacobian is rank deficient \(smallest singular val
                             r"deficient direction dominated by axis '(x|y|z|rx|ry|rz)'")
 
 
-class TestNonFiniteInput:
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_jacobian_must_be_finite(self, test_arm, value):
-        J = jacobian(test_arm, np.full(6, 0.3))
-        J[2, 4] = value
-        with pytest.raises(InvalidInputError, match="Jacobian contains non-finite values"):
-            stiffness_from_jacobian(J, KS.diag)
-
-    @pytest.mark.parametrize("value", [0.0, np.nan])
-    def test_joint_stiffness_must_be_positive_and_finite(self, test_arm, value):
-        k = KS.diag.copy()
-        k[3] = value
-        with pytest.raises(InvalidInputError, match="joint stiffness entries must be positive and finite"):
-            stiffness_from_jacobian(jacobian(test_arm, np.full(6, 0.3)), k)
-
-
 class TestRankScreen:
     """Rank deficiency is screened with one batched inverse, which is also
     the J^-1 of the Cartesian stiffness; the rows it cannot certify get
@@ -449,7 +435,7 @@ class TestRankScreen:
         J = jacobian(test_arm, stack)
         J[270, :, 2] = 0.0  # np.linalg.inv raises on the whole block
         with pytest.raises(SingularConfigurationError) as exc:
-            stiffness_from_jacobian(J, KS.diag)
+            _stiffness_from_jacobian(J, KS.diag)
         assert exc.value.index == 270
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
 
@@ -464,8 +450,8 @@ class TestRankScreen:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(odd)
         assert np.linalg.svd(odd, compute_uv=False)[-1] > 1e-8
-        K = stiffness_from_jacobian(np.concatenate([J, odd[None]]), KS.diag)
-        _assert_rows_equal(K[:4], stiffness_from_jacobian(J, KS.diag))
+        K = _stiffness_from_jacobian(np.concatenate([J, odd[None]]), KS.diag)
+        _assert_rows_equal(K[:4], _stiffness_from_jacobian(J, KS.diag))
         u, sv, vt = np.linalg.svd(odd)
         odd_inverse = (vt.T / sv) @ u.T
         np.testing.assert_allclose(K[4], odd_inverse.T @ np.diag(KS.diag) @ odd_inverse, rtol=1e-9)
