@@ -247,9 +247,10 @@ def main(argv=None):
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value with a leading minus (-20,1,2) as an option;
-    # attached by "=" it is the option's value.
+    # attached by "=" it is the option's value. Any prefix of the option
+    # names it, as argparse's own abbreviations do.
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--work-offset-mm":
+        if len(argv[i]) > 2 and "--work-offset-mm".startswith(argv[i]):
             argv[i : i + 2] = [f"--work-offset-mm={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)

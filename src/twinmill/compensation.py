@@ -56,12 +56,13 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
     that setpoint's configuration, so the deformation tracks any (small)
     configuration dependence along the path. The commanded arm-2 joints
     deviate from the attachment frame by the setpoint offset, so closure
-    is checked against the program's own flange targets instead, within
+    is checked against the program's own targets instead, within
     CLOSURE_TOL: FK1(q1) ∘ flange2_offset against the nominal arm-2
-    flange, FK2(q2) against the commanded one. The commanded flange may
-    lie at most MAX_OFFSET from the nominal one. Joints outside their
-    limits, or non-finite, raise InvalidInputError naming the setpoint
-    and the arm.
+    flange, FK2(q2) against the commanded one, FK1(q1) ∘ tool_offset
+    against the tool point and FK1(q1) against arm 1's flange. The
+    commanded flange may lie at most MAX_OFFSET from the nominal one.
+    Joints outside their limits, or non-finite, raise InvalidInputError
+    naming the setpoint and the arm.
     """
     sp = program.pairs
     nominal, commanded = sp.robot2_flange_nominal[:, :3], sp.robot2_flange_commanded[:, :3]
@@ -78,6 +79,10 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
                   "setpoint {index}: arm-2 attachment frame is {gap:.3e} m from its planned position")
     check_closure(flanges[1][:, :3, 3], commanded, CLOSURE_TOL,
                   "setpoint {index}: arm-2 flange is {gap:.3e} m from its planned position")
+    check_closure((flanges[0] @ sys.tool_offset.matrix())[:, :3, 3], sp.tool_pose[:, :3], CLOSURE_TOL,
+                  "setpoint {index}: arm-1 tool point is {gap:.3e} m from its planned position")
+    check_closure(flanges[0][:, :3, 3], sp.robot1_flange[:, :3], CLOSURE_TOL,
+                  "setpoint {index}: arm-1 flange is {gap:.3e} m from its planned position")
     try:
         K = coupled_stiffness(sys, sp.q1, sp.q2, closure_tol=np.inf)
     except SingularConfigurationError as exc:

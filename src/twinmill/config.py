@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsondoc, kinematics, pathplan
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .kinematics import ArmModel
 from .modal import AXES, ModalModel
 from .stiffness import CoupledSystem, JointStiffness, SpringModel
@@ -72,11 +72,11 @@ def _parse(doc) -> SystemConfig:
                                 "tool_offset", "flange2_offset", "workspace_box", "modal_models",
                                 "defaults", "ik_seed1_rad", "ik_seed2_rad"))
     if jsondoc.count(doc["schema_version"], "config.schema_version") != SCHEMA_VERSION:
-        raise jsondoc.SchemaError(f"config.schema_version: expected {SCHEMA_VERSION}, "
-                                  f"got {doc['schema_version']}", "config.schema_version")
+        raise InvalidInputError(f"config.schema_version: expected {SCHEMA_VERSION}, "
+                                f"got {doc['schema_version']}", path="config.schema_version")
     if doc["dh_convention"] != "standard":
-        raise jsondoc.SchemaError("config.dh_convention: only 'standard' Denavit-Hartenberg "
-                                  "is supported", "config.dh_convention")
+        raise InvalidInputError("config.dh_convention: only 'standard' Denavit-Hartenberg "
+                                "is supported", path="config.dh_convention")
     arm1, ks1 = _arm(doc["arm1"], "config.arm1")
     arm2, ks2 = _arm(doc["arm2"], "config.arm2")
     spring = jsondoc.build(SpringModel, "config.spring_matrix",
@@ -107,8 +107,8 @@ def parse_config(doc) -> SystemConfig:
     `config.arm1.dh_rows[0][2]`."""
     try:
         return _parse(doc)
-    except jsondoc.SchemaError as exc:
-        raise ConfigError(str(exc), path=exc.where) from exc
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc), path=exc.path) from exc
 
 
 def load_config(path) -> SystemConfig:

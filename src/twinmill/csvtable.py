@@ -7,8 +7,8 @@ named `index` holds integers; every other is written with 17 significant
 digits (`%.17g`), so every finite double reads back bit-exact; lines end in
 LF. Data rows are parsed by one `np.loadtxt` call; any row that is not a
 full row of finite numbers is rejected with an InvalidInputError naming its
-line, and a metadata value read as a number that is not finite with one
-naming its key.
+line (also as `line`), and a metadata value read as a number that is not
+finite with one naming its key.
 """
 
 from __future__ import annotations
@@ -94,15 +94,16 @@ def read_table(text, columns, what):
     else:
         raise InvalidInputError(f"{what}: no header line '{header}'")
     if line != header:
-        raise InvalidInputError(f"{what} line {n + 1}: expected header '{header}', found {line[:80]!r}")
+        raise InvalidInputError(f"{what} line {n + 1}: expected header '{header}', found {line[:80]!r}",
+                                line=n + 1)
     rows = lines[n + 1:]
     table = _parse(rows, len(columns))
     if table is None:
         k = _first_bad_line(rows, len(columns))
         raise InvalidInputError(f"{what} line {n + 2 + k}: expected {len(columns)} comma-separated "
-                                f"finite numbers, found {rows[k][:80]!r}")
+                                f"finite numbers, found {rows[k][:80]!r}", line=n + 2 + k)
     if not table.size:
-        raise InvalidInputError(f"{what}: no data rows after the header on line {n + 1}")
+        raise InvalidInputError(f"{what}: no data rows after the header on line {n + 1}", line=n + 1)
     return meta, table
 
 

@@ -2,12 +2,16 @@
 
 
 class TwinmillError(Exception):
-    """Base class for all toolkit errors. For stacked inputs, `index` is
-    the offending row where one is known."""
+    """Base class for all toolkit errors. Where a refusal is located, it
+    says so as data: `index` is the offending row of a stacked input,
+    `line` the 1-based line of a text file (G-code, CSV) and `path` the
+    schema path of a JSON element (`config.arm1.dh_rows[0][2]`)."""
 
-    def __init__(self, message, index=None):
+    def __init__(self, message, index=None, line=None, path=None):
         super().__init__(message)
         self.index = index
+        self.line = line
+        self.path = path
 
 
 class InvalidInputError(TwinmillError):
@@ -40,17 +44,9 @@ class ClosureError(TwinmillError):
 class MalformedArcError(TwinmillError):
     """Arc start and end radii disagree."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
-
 
 class UnsupportedGcodeError(TwinmillError):
     """A G-code word outside the supported subset."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
 
 
 class PlanError(TwinmillError):
@@ -79,7 +75,3 @@ class RankDeficiencyError(TwinmillError):
 
 class ConfigError(TwinmillError):
     """System configuration file is invalid; carries the schema path."""
-
-    def __init__(self, message, path=None):
-        super().__init__(message)
-        self.path = path

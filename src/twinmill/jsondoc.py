@@ -4,8 +4,8 @@ native path format.
 A value is read at its schema path `where` (`config.arm1.dh_rows[0][2]`,
 `segments[0].start`). Numbers are JSON numbers only (no string, bool, null,
 NaN or Infinity), objects refuse unknown and missing keys, and every
-refusal raises one SchemaError that carries `where`, which the document's
-reader turns into its own error.
+refusal raises InvalidInputError with `where` as its `path`, which the
+document's reader keeps when it turns the refusal into its own error.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ from .errors import InvalidInputError
 from .geometry import Pose
 
 
-class SchemaError(InvalidInputError):
-    """A JSON document breaks its schema at the element `where`."""
-
-    def __init__(self, message, where):
-        super().__init__(message)
-        self.where = where
-
-
 def _key(where, key):
     return f"{where}.{key}" if where else key
 
@@ -34,13 +26,13 @@ def obj(value, where, required, optional=()):
     """`value` as a JSON object holding every key of `required`, and no key
     outside `required` and `optional`."""
     if not isinstance(value, dict):
-        raise SchemaError(f"{where or 'document'}: expected an object", where)
+        raise InvalidInputError(f"{where or 'document'}: expected an object", path=where)
     for key in value:
         if key not in required and key not in optional:
-            raise SchemaError(f"{_key(where, key)}: unknown key", _key(where, key))
+            raise InvalidInputError(f"{_key(where, key)}: unknown key", path=_key(where, key))
     for key in required:
         if key not in value:
-            raise SchemaError(f"missing {_key(where, key)}", _key(where, key))
+            raise InvalidInputError(f"missing {_key(where, key)}", path=_key(where, key))
     return value
 
 
@@ -59,14 +51,14 @@ def _real(value):
 def number(value, where):
     x = _real(value)
     if x is None:
-        raise SchemaError(f"{where}: expected a finite number, got {value!r:.40}", where)
+        raise InvalidInputError(f"{where}: expected a finite number, got {value!r:.40}", path=where)
     return x
 
 
 def positive(value, where):
     x = _real(value)
     if x is None or x <= 0:
-        raise SchemaError(f"{where}: expected a positive finite number, got {value!r:.40}", where)
+        raise InvalidInputError(f"{where}: expected a positive finite number, got {value!r:.40}", path=where)
     return x
 
 
@@ -74,7 +66,7 @@ def count(value, where):
     """An integer >= 1; an integral float such as 50.0 counts."""
     x = _real(value)
     if x is None or x < 1 or not x.is_integer():
-        raise SchemaError(f"{where}: expected an integer >= 1, got {value!r:.40}", where)
+        raise InvalidInputError(f"{where}: expected an integer >= 1, got {value!r:.40}", path=where)
     return int(value)
 
 
@@ -85,7 +77,7 @@ def array(value, shape, where, leaf=number):
         return leaf(value, where)
     if not isinstance(value, list) or len(value) != shape[0]:
         kind = "numbers" if len(shape) == 1 else "lists"
-        raise SchemaError(f"{where}: expected a list of {shape[0]} {kind}", where)
+        raise InvalidInputError(f"{where}: expected a list of {shape[0]} {kind}", path=where)
     return np.array([array(v, shape[1:], f"{where}[{i}]", leaf) for i, v in enumerate(value)])
 
 
@@ -94,7 +86,7 @@ def build(cls, where, *args):
     try:
         return cls(*args)
     except InvalidInputError as exc:
-        raise SchemaError(f"{where}: {exc}", where) from exc
+        raise InvalidInputError(f"{where}: {exc}", path=where) from exc
 
 
 def pose(value, where) -> Pose:

@@ -336,7 +336,7 @@ _SEGMENT_KEYS = {"linear": ("type", "start", "end"),
 def _json_segment(s, where):
     kind = jsondoc.obj(s, where, ("type",), ("start", "end", "center_m", "normal", "sweep_rad"))["type"]
     if kind not in _SEGMENT_KEYS:
-        raise jsondoc.SchemaError(f"{where}.type: unknown segment type {kind!r:.40}", f"{where}.type")
+        raise InvalidInputError(f"{where}.type: unknown segment type {kind!r:.40}", path=f"{where}.type")
     jsondoc.obj(s, where, _SEGMENT_KEYS[kind])
     if kind == "linear":
         return jsondoc.build(LinearSegment, where, jsondoc.pose(s["start"], f"{where}.start"),
@@ -350,7 +350,7 @@ def _json_segment(s, where):
 
 def path_from_json(text) -> ToolPath:
     """Read the native JSON path format. Bad input raises
-    InvalidInputError naming its schema path, e.g. `segments[0].start`."""
+    InvalidInputError whose `path` names the element, e.g. `segments[0].start`."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -359,14 +359,14 @@ def path_from_json(text) -> ToolPath:
         jsondoc.obj(doc, "", ("segments",), ("feed_mm_min",))
         segs = doc["segments"]
         if not isinstance(segs, list):
-            raise jsondoc.SchemaError("segments: expected a list", "segments")
+            raise InvalidInputError("segments: expected a list", path="segments")
         feed = jsondoc.number(doc.get("feed_mm_min", 0.0), "feed_mm_min")
         if feed < 0:
-            raise jsondoc.SchemaError(f"feed_mm_min: expected a feed >= 0, got {feed:g}", "feed_mm_min")
+            raise InvalidInputError(f"feed_mm_min: expected a feed >= 0, got {feed:g}", path="feed_mm_min")
         return jsondoc.build(ToolPath, "segments",
                              tuple(_json_segment(s, f"segments[{k}]") for k, s in enumerate(segs)), feed)
-    except jsondoc.SchemaError as exc:
-        raise InvalidInputError(f"path JSON {exc}") from exc
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"path JSON {exc}", path=exc.path) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -263,17 +263,18 @@ class TestPlan:
     @pytest.mark.parametrize("value, code", [("-2105,-20,1100", 0), ("-20,1,2", 3)])
     def test_work_offset_with_a_leading_minus_in_either_spelling(self, tmp_path, config_file, capsys,
                                                                  value, code):
-        """`--work-offset-mm V` and `--work-offset-mm=V` plan alike when V
-        starts with a minus sign. The slot 4.21 m along x is planned at
-        -2105,-20,1100; at -20,1,2 it lies outside the workspace box."""
+        """`--work-offset-mm V`, `--work-offset-mm=V` and the abbreviation
+        `--work-offset V` plan alike when V starts with a minus sign. The
+        slot 4.21 m along x is planned at -2105,-20,1100; at -20,1,2 it
+        lies outside the workspace box."""
         path_file = tmp_path / "slot.json"
         path_file.write_text(path_to_json(translate_path(parse_gcode(SLOT_GCODE), [4.21, 0.0, 0.0])))
         results = []
-        for option in (["--work-offset-mm", value], [f"--work-offset-mm={value}"]):
+        for option in (["--work-offset-mm", value], [f"--work-offset-mm={value}"], ["--work-offset", value]):
             out = tmp_path / f"p{len(results)}.csv"
             assert cli.main(["--config", config_file, "plan", str(path_file), *option, "--out", str(out)]) == code
             results.append((capsys.readouterr().err, out.read_bytes() if out.exists() else None))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
         assert (results[0][1] is not None) == (code == 0)
 
     def test_tension_beyond_the_offset_bound_exits_3(self, tmp_path, config_file, gcode_file, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinmill.compensation import (
     PathTrace,
@@ -23,7 +25,18 @@ from twinmill.errors import (
 )
 from twinmill.geometry import Pose, pose_rows, quat_from_rotvec, quat_to_matrix
 from twinmill.kinematics import forward_kinematics, inverse_kinematics
-from twinmill.pathplan import _POSE_NAMES, Setpoints, apply_world_offset
+from twinmill.pathplan import (
+    _POSE_NAMES,
+    ArcSegment,
+    LinearSegment,
+    Setpoints,
+    ToolPath,
+    apply_world_offset,
+    parse_gcode,
+    plan_sync,
+    translate_path,
+)
+from twinmill.stiffness import SpringModel, Wrench
 
 from conftest import plan_slot
 
@@ -265,6 +278,21 @@ class TestDeformation:
         assert exc.value.index == k
         assert str(exc.value).startswith(f"setpoint {k}: ")
 
+    @pytest.mark.parametrize("name, what", [("tool_pose", "tool point"), ("robot1_flange", "flange")])
+    def test_arm_one_rows_checked_against_its_joints(self, cfg, demo_program, name, what):
+        """Tool or arm-1 flange rows moved 5 mm along x from setpoint 40
+        on, as a hand-edited program CSV can, no longer match q1: refused
+        naming the first moved setpoint."""
+        k = 40
+        sp = demo_program.pairs
+        rows = {n: getattr(sp, n).copy() for n in _POSE_NAMES}
+        rows[name][k:, 0] += 0.005
+        pairs = Setpoints(sp.index, *(rows[n] for n in _POSE_NAMES), sp.q1, sp.q2)
+        with pytest.raises(ClosureError) as exc:
+            simulate_deformation(cfg.system, dataclasses.replace(demo_program, pairs=pairs))
+        assert exc.value.index == k
+        assert str(exc.value) == f"setpoint {k}: arm-1 {what} is 5.000e-03 m from its planned position"
+
     def test_report_statistics(self):
         ref = PathTrace(np.zeros((4, 3)))
         meas = PathTrace(np.tile([0.0, 2.0e-3, 1.2e-3], (4, 1)))
@@ -277,6 +305,34 @@ class TestDeformation:
     def test_report_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             residual_report(PathTrace(np.zeros((3, 3))), PathTrace(np.zeros((4, 3))))
+
+
+# A spring that is anisotropic within each block and couples force to
+# moment, so a rotation of it in the wrong sense changes the deformation.
+_ANISOTROPIC_SPRING = np.diag([5e7, 2e7, 8e6, 5e5, 2e5, 9e4])
+_ANISOTROPIC_SPRING[0, 4] = _ANISOTROPIC_SPRING[4, 0] = 3e5
+_ANISOTROPIC_SPRING[1, 3] = _ANISOTROPIC_SPRING[3, 1] = -2e5
+
+# Its sample counts (7.4 and 45.8 before rounding up) are far from a power
+# of two, so roundoff from a rigid motion cannot change them.
+_RIGID_MOTION_PATH = translate_path(parse_gcode("G1 X37 F300\nG3 X37 Y34 J17\nG1 X3\n"),
+                                    [2.105, -0.020, 1.100])
+
+
+def _moved_path(path, G):
+    """`path` moved by the rigid motion G."""
+    R = G.rotation()
+    segments = [LinearSegment(G @ s.start, G @ s.end) if isinstance(s, LinearSegment)
+                else ArcSegment(G.position + R @ s.center, R @ s.normal, G @ s.start, s.sweep)
+                for s in path.segments]
+    return ToolPath(tuple(segments), feed_mm_min=path.feed_mm_min)
+
+
+def _moved_cell(system, G):
+    """`system` with both arm bases moved by the rigid motion G."""
+    return dataclasses.replace(
+        system, **{name: dataclasses.replace(arm, base_pose=G @ arm.base_pose)
+                   for name, arm in (("arm1", system.arm1), ("arm2", system.arm2))})
 
 
 class TestChainRelations:
@@ -301,6 +357,31 @@ class TestChainRelations:
         scaled = per_newton(plan_slot(cfg, tension), tension)
         assert np.max(np.abs(scaled - reference)) <= 1e-3 * np.max(np.abs(reference))
 
+    @settings(max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1000.0, -700.0, 2500.0]))
+    @example(0, 2500.0)
+    def test_whole_cell_rigid_motion(self, cfg, seed, tension):
+        """Both arm bases, the path and the tension wrench moved by one
+        rigid motion G (a random axis, so tilted off z, up to 1 rad and
+        0.5 m) give the same joints, and the deformation rotated by G."""
+        rng = np.random.default_rng(seed)
+        axis = rng.normal(size=3)
+        rotvec = rng.uniform(0.0, 1.0) * axis / np.linalg.norm(axis)
+        G = Pose(rng.uniform(-0.5, 0.5, 3) / math.sqrt(3), quat_from_rotvec(rotvec))
+        system = dataclasses.replace(cfg.system, spring=SpringModel(_ANISOTROPIC_SPRING))
+        force = np.array([tension, 0.0, 0.0])
+        runs = []
+        for sys_, path, wrench in ((system, _RIGID_MOTION_PATH, Wrench(force)),
+                                   (_moved_cell(system, G), _moved_path(_RIGID_MOTION_PATH, G),
+                                    Wrench(G.rotation() @ force))):
+            program = plan_sync(sys_, path, wrench, (cfg.ik_seed1, cfg.ik_seed2))
+            disp = simulate_deformation(sys_, program).points - program.pairs.tool_pose[:, :3]
+            runs.append((program.pairs, disp))
+        (sp, disp), (sp_moved, disp_moved) = runs
+        assert len(sp_moved) == len(sp)
+        np.testing.assert_allclose(sp_moved.q1, sp.q1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sp_moved.q2, sp.q2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(disp_moved, disp @ G.rotation().T, rtol=0, atol=1e-9)
 
 class TestCsv:
     def test_trace_round_trip_bitwise(self):

@@ -1,0 +1,78 @@
+"""Every reader's refusal says where the bad data is as data, not only in
+its message: `line` for G-code and CSV text, `path` for a JSON element;
+the other locations stay None."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
+from twinmill.config import parse_config
+from twinmill.errors import ConfigError, InvalidInputError, MalformedArcError, UnsupportedGcodeError
+from twinmill.modal import ModalModel, impact_record_from_csv, impact_record_to_csv, simulate_impact
+from twinmill.pathplan import parse_gcode, path_from_json, program_from_csv, program_to_csv
+
+from conftest import demo_config_dict
+
+
+def _short_row(text, lineno):
+    """`text` with line `lineno` one field short."""
+    lines = text.split("\n")
+    lines[lineno - 1] = lines[lineno - 1].rsplit(",", 1)[0]
+    return "\n".join(lines)
+
+
+def _program_without_rows(program):
+    """The program CSV cut after its header, line 5."""
+    return "\n".join(program_to_csv(program).split("\n")[:5]) + "\n"
+
+
+def _impact_text():
+    model = ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
+    return impact_record_to_csv(simulate_impact(model, 500.0, sample_rate=2048.0, duration=0.05))
+
+
+def _config_with_a_string_entry():
+    doc = demo_config_dict()
+    doc["arm1"]["dh_rows"][0][2] = "0.5"
+    return doc
+
+
+def _path_json_with_a_string_coordinate():
+    pose = {"position_m": [0, "0", 0], "quaternion_wxyz": [1, 0, 0, 0]}
+    return json.dumps({"segments": [{"type": "linear", "start": pose, "end": pose}]})
+
+
+# name: (reader call on the demo program, error class, line, path)
+LOCATED = {
+    "G-code word": (lambda p: parse_gcode("G1 X10\nG1 X20 Q5\n"), UnsupportedGcodeError, 2, None),
+    "G-code arc": (lambda p: parse_gcode("G1 X10 Y0\nG3 X0 Y0 I-3\n"), MalformedArcError, 2, None),
+    "program CSV row": (lambda p: program_from_csv(_short_row(program_to_csv(p), 20)),
+                        InvalidInputError, 20, None),
+    "program CSV header": (lambda p: program_from_csv(program_to_csv(p).replace("index,tool_x", "index,x")),
+                           InvalidInputError, 5, None),
+    "program CSV without rows": (lambda p: program_from_csv(_program_without_rows(p)),
+                                 InvalidInputError, 5, None),
+    "trace CSV row": (lambda p: trace_from_csv(_short_row(trace_to_csv(PathTrace(np.zeros((10, 3)))), 7)),
+                      InvalidInputError, 7, None),
+    "impact CSV row": (lambda p: impact_record_from_csv(_short_row(_impact_text(), 10)),
+                       InvalidInputError, 10, None),
+    "config": (lambda p: parse_config(_config_with_a_string_entry()),
+               ConfigError, None, "config.arm1.dh_rows[0][2]"),
+    "path JSON": (lambda p: path_from_json(_path_json_with_a_string_coordinate()),
+                  InvalidInputError, None, "segments[0].start.position_m[1]"),
+}
+
+
+@pytest.mark.parametrize("read, cls, line, path", LOCATED.values(), ids=LOCATED.keys())
+def test_refusal_carries_its_location(demo_program, read, cls, line, path):
+    with pytest.raises(cls) as exc:
+        read(demo_program)
+    assert (exc.value.index, exc.value.line, exc.value.path) == (None, line, path)
+    message = str(exc.value)
+    if line is not None:
+        assert int(re.search(r"line (\d+)", message).group(1)) == line
+    else:
+        assert path in message
