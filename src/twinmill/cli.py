@@ -17,6 +17,7 @@ import numpy as np
 
 from . import compensation, config as config_mod, modal, pathplan
 from .errors import ConfigError, TwinmillError
+from .geometry import Pose
 from .stiffness import Wrench
 
 EXIT_OK = 0
@@ -135,7 +136,7 @@ def _read_path(path_file, work_offset_mm=None):
     else:
         path = pathplan.parse_gcode(text)
     if work_offset_mm is not None:
-        path = pathplan.translate_path(path, np.array(work_offset_mm) * 1e-3)
+        path = pathplan.transform_path(path, Pose(np.array(work_offset_mm) * 1e-3))
     return path
 
 

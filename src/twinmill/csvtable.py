@@ -8,7 +8,8 @@ digits (`%.17g`), so every finite double reads back bit-exact; lines end in
 LF. Data rows are parsed by one `np.loadtxt` call; any row that is not a
 full row of finite numbers is rejected with an InvalidInputError naming its
 line (also as `line`), and a metadata value read as a number that is not
-finite with one naming its key.
+finite with one naming its key. A reader that refuses a row of a table
+`read_table` accepted names its line the same way, by `row_error`.
 """
 
 from __future__ import annotations
@@ -75,24 +76,28 @@ def _first_bad_line(lines, width):
     return bad - 1
 
 
+def _header_line(lines):
+    """Index of the header among `lines`: the first that is neither blank
+    nor a `#` line, None if there is none."""
+    return next((n for n, line in enumerate(lines)
+                 if line.strip() and not line.strip().startswith("#")), None)
+
+
 def read_table(text, columns, what):
     """Parse CSV text of the twinmill dialect with exactly the header
     `columns`; returns (meta dict of str, float array (rows, len(columns))).
     `what` names the file kind in error messages."""
     header = ",".join(columns)
     lines = text.split("\n")
+    n = _header_line(lines)
+    if n is None:
+        raise InvalidInputError(f"{what}: no header line '{header}'")
     meta = {}
-    for n, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        if not line.startswith("#"):
-            break
-        key, sep, value = line[1:].partition("=")
+    for line in lines[:n]:
+        key, sep, value = line.strip()[1:].partition("=")
         if sep:
             meta[key.strip()] = value.strip()
-    else:
-        raise InvalidInputError(f"{what}: no header line '{header}'")
+    line = lines[n].strip()
     if line != header:
         raise InvalidInputError(f"{what} line {n + 1}: expected header '{header}', found {line[:80]!r}",
                                 line=n + 1)
@@ -105,6 +110,16 @@ def read_table(text, columns, what):
     if not table.size:
         raise InvalidInputError(f"{what}: no data rows after the header on line {n + 1}", line=n + 1)
     return meta, table
+
+
+def row_error(text, k, what, message):
+    """An InvalidInputError refusing data row k of `text`, a table that
+    `read_table` accepted, that names the row's 1-based line in the message
+    and as `line`. Blank lines count towards the line but hold no row. The
+    line is found here, so a reader pays for it only when it refuses."""
+    lines = text.split("\n")
+    line = [n for n in range(_header_line(lines) + 1, len(lines)) if lines[n].strip()][k] + 1
+    return InvalidInputError(f"{what} line {line}: {message}", line=line)
 
 
 def meta_floats(meta, key, default, what):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsondoc
-from .csvtable import meta_float, meta_floats, read_table, write_table
+from .csvtable import meta_float, meta_floats, read_table, row_error, write_table
 from .errors import (
     ClosureError,
     ContinuityError,
@@ -259,30 +259,24 @@ def parse_gcode(text) -> ToolPath:
     return ToolPath(tuple(segments), feed_mm_min=feed)
 
 
+def transform_path(path: ToolPath, pose: Pose) -> ToolPath:
+    """The path moved by the rigid motion `pose` (p -> R p + t): every
+    segment pose composed with it, as `compose_rows(pose, ...)` moves pose
+    rows, and each arc's center and normal moved with it."""
+    R = pose.rotation()
+    Q = quat_multiply(pose.quaternion, np.eye(4))  # q @ Q is the product pose.quaternion * q
+
+    def move(p):
+        return Pose(pose.position + R @ p.position, p.quaternion @ Q)
+
+    return ToolPath(tuple(LinearSegment(move(s.start), move(s.end)) if isinstance(s, LinearSegment)
+                          else ArcSegment(pose.position + R @ s.center, R @ s.normal, move(s.start), s.sweep)
+                          for s in path.segments), feed_mm_min=path.feed_mm_min)
+
+
 def translate_path(path: ToolPath, delta) -> ToolPath:
     """Shift a whole path by a world-frame vector (work offset)."""
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (3,) or not np.all(np.isfinite(delta)):
-        raise InvalidInputError("path translation must be a finite 3-vector")
-    segments = []
-    for s in path.segments:
-        if isinstance(s, LinearSegment):
-            segments.append(
-                LinearSegment(
-                    Pose(s.start.position + delta, s.start.quaternion),
-                    Pose(s.end.position + delta, s.end.quaternion),
-                )
-            )
-        else:
-            segments.append(
-                ArcSegment(
-                    s.center + delta,
-                    s.normal,
-                    Pose(s.start.position + delta, s.start.quaternion),
-                    s.sweep,
-                )
-            )
-    return ToolPath(tuple(segments), feed_mm_min=path.feed_mm_min)
+    return transform_path(path, Pose(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +467,11 @@ class Setpoints:
         if index.ndim != 1 or not (index.size == 0 or np.issubdtype(index.dtype, np.integer)):
             raise InvalidInputError("setpoint indices must be a 1-D array of integers")
         index = index.astype(np.int64)
-        if np.any(np.diff(index) <= 0):
-            raise InvalidInputError("setpoint indices must be strictly increasing")
+        down = np.flatnonzero(np.diff(index) <= 0)
+        if down.size:
+            i = int(down[0]) + 1
+            raise InvalidInputError(f"setpoint indices must be strictly increasing (row {i}: "
+                                    f"{index[i]} after {index[i - 1]})", index=i)
         n = len(index)
         fields = {"index": index}
         for name, rows in zip(_POSE_NAMES, (tool_pose, robot1_flange, robot2_flange_nominal,
@@ -759,14 +756,29 @@ def program_to_csv(program: SyncProgram) -> str:
 
 
 def program_from_csv(text) -> SyncProgram:
+    """Read a program CSV. A bad setpoint index raises InvalidInputError
+    naming its line, in the message and as `line`."""
     meta, table = read_table(text, _COLUMNS, "program CSV")
     index = table[:, 0]
-    if not np.all((index == np.trunc(index)) & (np.abs(index) <= 2.0**53)):
-        raise InvalidInputError("program CSV setpoint indices must be integers within +-2**53")
+    bad = np.flatnonzero((index != np.trunc(index)) | (np.abs(index) > 2.0**53))
+    if bad.size:
+        k = int(bad[0])
+        raise row_error(text, k, "program CSV",
+                        f"setpoint indices must be integers within +-2**53, found {index[k]:g}")
+    wrench = meta_floats(meta, "tension_wrench", [0.0] * 6, "program CSV")
+    if len(wrench) != 6:
+        raise InvalidInputError(f"program CSV: metadata tension_wrench={meta['tension_wrench']!r} "
+                                "is not 6 numbers")
+    try:
+        pairs = Setpoints(index.astype(np.int64), *(table[:, 1 + 7 * k : 8 + 7 * k] for k in range(4)),
+                          table[:, 29:35], table[:, 35:41])
+    except InvalidInputError as exc:
+        if exc.index is None:
+            raise
+        raise row_error(text, exc.index, "program CSV", str(exc)) from exc
     return SyncProgram(
-        Setpoints(index.astype(np.int64), *(table[:, 1 + 7 * k : 8 + 7 * k] for k in range(4)),
-                  table[:, 29:35], table[:, 35:41]),
-        tension=Wrench.from_vector(meta_floats(meta, "tension_wrench", [0.0] * 6, "program CSV")),
+        pairs,
+        tension=Wrench.from_vector(wrench),
         feed_mm_min=meta_float(meta, "feed_mm_min", 0.0, "program CSV"),
         chord_tol=meta_float(meta, "chord_tol_m", 0.0, "program CSV"),
         max_step=meta_float(meta, "max_step_m", 0.0, "program CSV"),

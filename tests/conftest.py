@@ -69,11 +69,11 @@ def test_arm():
 def plan_slot(cfg, tension):
     """Slot path planned on the demo cell with an axial tension of
     `tension` N."""
-    from twinmill.pathplan import parse_gcode, plan_sync, translate_path
+    from twinmill.pathplan import parse_gcode, plan_sync, transform_path
     from twinmill.stiffness import Wrench
 
-    path = translate_path(parse_gcode("G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"),
-                          np.array([2.105, -0.020, 1.100]))
+    path = transform_path(parse_gcode("G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"),
+                          Pose(np.array([2.105, -0.020, 1.100])))
     return plan_sync(
         cfg.system, path, Wrench(np.array([tension, 0.0, 0.0])),
         (cfg.ik_seed1, cfg.ik_seed2),

@@ -21,7 +21,7 @@ from twinmill.compensation import (
 )
 from twinmill.config import load_config
 from twinmill.errors import ContinuityError
-from twinmill.geometry import matrix_pose_rows, pose_error
+from twinmill.geometry import Pose, matrix_pose_rows, pose_error
 from twinmill.kinematics import _flange, forward_kinematics, inverse_kinematics, jacobian
 from twinmill.modal import (
     ModalModel,
@@ -35,7 +35,7 @@ from twinmill.pathplan import (
     path_from_json,
     path_to_json,
     plan_sync,
-    translate_path,
+    transform_path,
 )
 from twinmill.stiffness import (
     CoupledSystem,
@@ -61,7 +61,7 @@ def _report(num, name, ok):
 
 
 def _plan_slot(cfg, tension=Wrench(np.zeros(3)), system=None, **kw):
-    path = translate_path(parse_gcode(SLOT_GCODE.read_text()), WORK_OFFSET)
+    path = transform_path(parse_gcode(SLOT_GCODE.read_text()), Pose(WORK_OFFSET))
     return plan_sync(
         system or cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2), **kw
     )
@@ -239,7 +239,7 @@ def test_acceptance_7_path_planning():
         )
     try:
         # a single 0.4 m hop: the joint-space jump guard must fire
-        path = translate_path(parse_gcode("G1 X400\n"), WORK_OFFSET)
+        path = transform_path(parse_gcode("G1 X400\n"), Pose(WORK_OFFSET))
         plan_sync(cfg.system, path, Wrench(np.zeros(3)), (cfg.ik_seed1, cfg.ik_seed2), max_step=1.0)
         ok = False
     except ContinuityError:

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from twinmill import cli, modal
-from twinmill.pathplan import Setpoints, parse_gcode, path_to_json, program_from_csv, program_to_csv, translate_path
+from twinmill.geometry import Pose
+from twinmill.pathplan import Setpoints, parse_gcode, path_to_json, program_from_csv, program_to_csv, transform_path
 
 from conftest import DEMO_CONFIG, demo_config_dict
 
@@ -268,7 +269,7 @@ class TestPlan:
         slot 4.21 m along x is planned at -2105,-20,1100; at -20,1,2 it
         lies outside the workspace box."""
         path_file = tmp_path / "slot.json"
-        path_file.write_text(path_to_json(translate_path(parse_gcode(SLOT_GCODE), [4.21, 0.0, 0.0])))
+        path_file.write_text(path_to_json(transform_path(parse_gcode(SLOT_GCODE), Pose([4.21, 0.0, 0.0]))))
         results = []
         for option in (["--work-offset-mm", value], [f"--work-offset-mm={value}"], ["--work-offset", value]):
             out = tmp_path / f"p{len(results)}.csv"

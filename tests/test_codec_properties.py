@@ -10,6 +10,7 @@ from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
 from twinmill.config import load_config
 from twinmill.csvtable import read_table, write_table
 from twinmill.errors import TwinmillError
+from twinmill.geometry import Pose
 from twinmill.modal import (
     FrfSeries,
     ImpactRecord,
@@ -25,7 +26,7 @@ from twinmill.pathplan import (
     plan_sync,
     program_from_csv,
     program_to_csv,
-    translate_path,
+    transform_path,
 )
 from twinmill.stiffness import Wrench
 
@@ -137,7 +138,7 @@ def test_program_round_trip(program):
 
 def _sample_files():
     cfg = load_config(DEMO_CONFIG)
-    path = translate_path(parse_gcode("G1 X2 F300\n"), np.array([2.105, -0.02, 1.1]))
+    path = transform_path(parse_gcode("G1 X2 F300\n"), Pose(np.array([2.105, -0.02, 1.1])))
     program = plan_sync(cfg.system, path, Wrench(np.array([800.0, 0.0, 0.0])),
                         (cfg.ik_seed1, cfg.ik_seed2))
     force = np.zeros(12)

@@ -27,14 +27,11 @@ from twinmill.geometry import Pose, pose_rows, quat_from_rotvec, quat_to_matrix
 from twinmill.kinematics import forward_kinematics, inverse_kinematics
 from twinmill.pathplan import (
     _POSE_NAMES,
-    ArcSegment,
-    LinearSegment,
     Setpoints,
-    ToolPath,
     apply_world_offset,
     parse_gcode,
     plan_sync,
-    translate_path,
+    transform_path,
 )
 from twinmill.stiffness import SpringModel, Wrench
 
@@ -315,17 +312,8 @@ _ANISOTROPIC_SPRING[1, 3] = _ANISOTROPIC_SPRING[3, 1] = -2e5
 
 # Its sample counts (7.4 and 45.8 before rounding up) are far from a power
 # of two, so roundoff from a rigid motion cannot change them.
-_RIGID_MOTION_PATH = translate_path(parse_gcode("G1 X37 F300\nG3 X37 Y34 J17\nG1 X3\n"),
-                                    [2.105, -0.020, 1.100])
-
-
-def _moved_path(path, G):
-    """`path` moved by the rigid motion G."""
-    R = G.rotation()
-    segments = [LinearSegment(G @ s.start, G @ s.end) if isinstance(s, LinearSegment)
-                else ArcSegment(G.position + R @ s.center, R @ s.normal, G @ s.start, s.sweep)
-                for s in path.segments]
-    return ToolPath(tuple(segments), feed_mm_min=path.feed_mm_min)
+_RIGID_MOTION_PATH = transform_path(parse_gcode("G1 X37 F300\nG3 X37 Y34 J17\nG1 X3\n"),
+                                    Pose(np.array([2.105, -0.020, 1.100])))
 
 
 def _moved_cell(system, G):
@@ -335,24 +323,48 @@ def _moved_cell(system, G):
                    for name, arm in (("arm1", system.arm1), ("arm2", system.arm2))})
 
 
+@pytest.fixture(scope="module")
+def zero_tension_program(cfg):
+    return plan_slot(cfg, 0.0)
+
+
 class TestChainRelations:
     """Relations between whole plan-and-deform runs that hold whatever the
     model's numbers are."""
 
-    def test_zero_tension_moves_nothing(self, cfg):
-        program = plan_slot(cfg, 0.0)
+    @settings(max_examples=20)
+    @given(st.floats(-4000.0, 4000.0))
+    @example(1000.0)
+    def test_zero_tension_moves_nothing(self, cfg, zero_tension_program, tension):
+        """At zero tension the commanded arm-2 flange is the nominal one and
+        nothing deforms. Planned at a tension T instead, only arm 2's
+        commanded pose and joints change, and that program deformed with
+        its tension set to zero does not move either."""
+        zero = zero_tension_program.pairs
+        np.testing.assert_array_equal(zero.robot2_flange_commanded, zero.robot2_flange_nominal)
+        np.testing.assert_array_equal(simulate_deformation(cfg.system, zero_tension_program).points,
+                                      zero.tool_pose[:, :3])
+        program = plan_slot(cfg, tension)
         sp = program.pairs
-        np.testing.assert_array_equal(sp.robot2_flange_commanded, sp.robot2_flange_nominal)
-        np.testing.assert_array_equal(simulate_deformation(cfg.system, program).points, sp.tool_pose[:, :3])
+        for name in ("index", "tool_pose", "robot1_flange", "robot2_flange_nominal", "q1"):
+            np.testing.assert_array_equal(getattr(sp, name), getattr(zero, name))
+        unloaded = dataclasses.replace(program, tension=Wrench(np.zeros(3)))
+        np.testing.assert_array_equal(simulate_deformation(cfg.system, unloaded).points, sp.tool_pose[:, :3])
 
-    @pytest.mark.parametrize("tension", [500.0, 2000.0, -1000.0])
-    def test_displacement_scales_with_tension(self, cfg, demo_program, tension):
+    @settings(max_examples=20)
+    @given(st.floats(1.0, 4000.0), st.sampled_from([1.0, -1.0]))
+    @example(500.0, 1.0)
+    @example(2000.0, 1.0)
+    @example(1000.0, -1.0)
+    def test_displacement_scales_with_tension(self, cfg, demo_program, magnitude, sign):
         """disp(T) / T matches disp(1000 N) / 1000 N within 1e-3 of its
-        largest component; not exactly, since K depends on the commanded
-        arm-2 joints."""
+        largest component, for |T| from 1 N to 4 kN either way; not
+        exactly, since K depends on the commanded arm-2 joints. Below 1 N
+        the displacement is lost in the roundoff of the tool positions."""
         def per_newton(program, newtons):
             return (simulate_deformation(cfg.system, program).points - program.pairs.tool_pose[:, :3]) / newtons
 
+        tension = sign * magnitude
         reference = per_newton(demo_program, 1000.0)
         scaled = per_newton(plan_slot(cfg, tension), tension)
         assert np.max(np.abs(scaled - reference)) <= 1e-3 * np.max(np.abs(reference))
@@ -372,7 +384,7 @@ class TestChainRelations:
         force = np.array([tension, 0.0, 0.0])
         runs = []
         for sys_, path, wrench in ((system, _RIGID_MOTION_PATH, Wrench(force)),
-                                   (_moved_cell(system, G), _moved_path(_RIGID_MOTION_PATH, G),
+                                   (_moved_cell(system, G), transform_path(_RIGID_MOTION_PATH, G),
                                     Wrench(G.rotation() @ force))):
             program = plan_sync(sys_, path, wrench, (cfg.ik_seed1, cfg.ik_seed2))
             disp = simulate_deformation(sys_, program).points - program.pairs.tool_pose[:, :3]

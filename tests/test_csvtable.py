@@ -7,6 +7,7 @@ from twinmill import cli
 from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
 from twinmill.csvtable import _BLOCK_ROWS, meta_float, meta_floats, read_table, write_table
 from twinmill.errors import InvalidInputError
+from twinmill.geometry import Pose
 from twinmill.modal import (
     FrfSeries,
     ImpactRecord,
@@ -18,7 +19,7 @@ from twinmill.modal import (
     impact_record_to_csv,
     simulate_impact,
 )
-from twinmill.pathplan import _POSE_NAMES, parse_gcode, plan_sync, program_to_csv, translate_path
+from twinmill.pathplan import _POSE_NAMES, parse_gcode, plan_sync, program_to_csv, transform_path
 from twinmill.stiffness import Wrench
 
 COLUMNS = ("a", "b", "c")
@@ -77,7 +78,7 @@ class TestWriteTable:
 
     def test_program_csv_matches_row_by_row_format(self, cfg):
         """The 12 quaternion columns of a 3-axis program are constant."""
-        path = translate_path(parse_gcode("G1 X4 F300\n"), np.array([2.105, -0.020, 1.100]))
+        path = transform_path(parse_gcode("G1 X4 F300\n"), Pose(np.array([2.105, -0.020, 1.100])))
         program = plan_sync(cfg.system, path, Wrench(np.array([1000.0, 0.0, 0.0])), (cfg.ik_seed1, cfg.ik_seed2))
         text = program_to_csv(program)
         sp = program.pairs

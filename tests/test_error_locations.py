@@ -24,6 +24,19 @@ def _short_row(text, lineno):
     return "\n".join(lines)
 
 
+def _with_index(text, lineno, index):
+    """`text` with the index field of line `lineno` set to `index`."""
+    lines = text.split("\n")
+    lines[lineno - 1] = index + lines[lineno - 1][lines[lineno - 1].index(","):]
+    return "\n".join(lines)
+
+
+def _blank_lines_after(text, lineno, count):
+    """`text` with `count` blank lines put in after line `lineno`."""
+    lines = text.split("\n")
+    return "\n".join(lines[:lineno] + [""] * count + lines[lineno:])
+
+
 def _program_without_rows(program):
     """The program CSV cut after its header, line 5."""
     return "\n".join(program_to_csv(program).split("\n")[:5]) + "\n"
@@ -55,6 +68,17 @@ LOCATED = {
                            InvalidInputError, 5, None),
     "program CSV without rows": (lambda p: program_from_csv(_program_without_rows(p)),
                                  InvalidInputError, 5, None),
+    # Line 20 holds setpoint 14: an index of 3 there follows 13.
+    "program CSV index order": (lambda p: program_from_csv(_with_index(program_to_csv(p), 20, "3")),
+                                InvalidInputError, 20, None),
+    "program CSV fractional index": (lambda p: program_from_csv(_with_index(program_to_csv(p), 20, "13.5")),
+                                     InvalidInputError, 20, None),
+    # Blank lines count towards the line but hold no row.
+    "program CSV index after blank lines": (
+        lambda p: program_from_csv(_blank_lines_after(_with_index(program_to_csv(p), 20, "3"), 10, 2)),
+        InvalidInputError, 22, None),
+    "trace CSV index": (lambda p: trace_from_csv(_with_index(trace_to_csv(PathTrace(np.zeros((10, 3)))), 7, "9")),
+                        InvalidInputError, 7, None),
     "trace CSV row": (lambda p: trace_from_csv(_short_row(trace_to_csv(PathTrace(np.zeros((10, 3)))), 7)),
                       InvalidInputError, 7, None),
     "impact CSV row": (lambda p: impact_record_from_csv(_short_row(_impact_text(), 10)),

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twinmill import kinematics, pathplan
 from twinmill.errors import (
@@ -51,11 +54,12 @@ from twinmill.pathplan import (
     plan_sync,
     program_from_csv,
     program_to_csv,
+    transform_path,
     translate_path,
 )
 from twinmill.stiffness import MAX_OFFSET, Wrench, predicted_tension
 
-from conftest import json_numbers, json_objects, json_replaced
+from conftest import DEMO_CONFIG, json_numbers, json_objects, json_replaced
 
 # two straight cuts joined by a semicircle, hand-checked lengths
 SLOT_GCODE = """\
@@ -78,7 +82,7 @@ RASTER_OFFSET = np.array([1.975, -0.110, 1.100])
 
 
 def demo_plan(cfg, gcode=SLOT_GCODE, tension=Wrench(np.zeros(3)), offset=WORK_OFFSET, **kw):
-    path = translate_path(parse_gcode(gcode), offset)
+    path = transform_path(parse_gcode(gcode), Pose(offset))
     return plan_sync(
         cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2), **kw
     )
@@ -256,7 +260,7 @@ class TestSegments:
 
 class TestJson:
     def test_round_trip_bitwise(self):
-        path = translate_path(parse_gcode(SLOT_GCODE), np.array([1.0 / 3.0, math.pi, -1e-7]))
+        path = transform_path(parse_gcode(SLOT_GCODE), Pose(np.array([1.0 / 3.0, math.pi, -1e-7])))
         text = path_to_json(path)
         back = path_from_json(text)
         assert path_to_json(back) == text
@@ -386,9 +390,9 @@ class TestDiscretizeRows:
     """discretize equals the per-Pose sampler it replaced, bit for bit."""
 
     @pytest.mark.parametrize("path", [
-        translate_path(parse_gcode(SLOT_GCODE), WORK_OFFSET),
-        translate_path(parse_gcode("G1 X300 F600\nG3 X300 Y20 J10\nG1 X0\nG2 X0 Y40 J10\nG1 X300\n"),
-                       np.array([1.975, -0.110, 1.100])),
+        transform_path(parse_gcode(SLOT_GCODE), Pose(WORK_OFFSET)),
+        transform_path(parse_gcode("G1 X300 F600\nG3 X300 Y20 J10\nG1 X0\nG2 X0 Y40 J10\nG1 X300\n"),
+                       Pose(np.array([1.975, -0.110, 1.100]))),
         _oriented(parse_gcode("G2 X0 Y0 I-50\nG3 X10 Y10 I5 J5\n"), TILTED),
         _lines_turning(),
         _zero_sweep_between_lines(),
@@ -402,6 +406,49 @@ class TestDiscretizeRows:
     def test_rows_are_pose_rows(self):
         rows = discretize(_oriented(parse_gcode(SLOT_GCODE), -TILTED), 1e-5, 0.005)
         np.testing.assert_array_equal(pose_rows(rows), rows)
+
+
+# Sample counts far from a power of two (7.4, 45.8, 0.6 before rounding
+# up), so roundoff from a rigid motion cannot change them.
+_ROUNDOFF_SAFE_PATH = _oriented(parse_gcode("G1 X37 F300\nG3 X37 Y34 J17\nG1 X3\n"), TILTED)
+# The work offset of the demo `plan` (`--work-offset-mm 2105,-20,1100`), as the CLI computes it.
+DEMO_WORK_OFFSET = np.array([2105.0, -20.0, 1100.0]) * 1e-3
+
+
+class TestTransformPath:
+    @settings(max_examples=40)
+    @given(arrays(np.float64, 3, elements=st.floats(-1.7, 1.7)),
+           arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+           st.sampled_from([_ROUNDOFF_SAFE_PATH, _lines_turning()]))
+    def test_discretized_rows_move_with_the_path(self, rotvec, position, path):
+        """Discretizing a path moved by P gives the path's rows moved by P:
+        the same row count, and every row within 1e-12."""
+        pose = Pose(position, quat_from_rotvec(rotvec))
+        rows = discretize(path, pathplan.DEFAULT_CHORD_TOL, pathplan.DEFAULT_MAX_STEP)
+        moved = discretize(transform_path(path, pose), pathplan.DEFAULT_CHORD_TOL, pathplan.DEFAULT_MAX_STEP)
+        assert moved.shape == rows.shape
+        np.testing.assert_allclose(moved, compose_rows(pose, rows), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("offset", [DEMO_WORK_OFFSET, np.array([1.0 / 3.0, math.pi, -1e-7])],
+                             ids=["demo", "awkward"])
+    def test_a_translation_adds_the_offset_exactly(self, offset):
+        """A translation moves every segment position and arc center by
+        exactly `+ offset` and leaves orientations, normals, sweeps and the
+        feed as they are, so a work-offset plan does not depend on how the
+        path is moved."""
+        path = parse_gcode((DEMO_CONFIG.parent / "slot.gcode").read_text())
+        moved = transform_path(path, Pose(offset))
+        assert moved.feed_mm_min == path.feed_mm_min
+        for a, b in zip(path.segments, moved.segments, strict=True):
+            assert type(b) is type(a)
+            poses = [(a.start, b.start)] + ([(a.end, b.end)] if isinstance(a, LinearSegment) else [])
+            for p, m in poses:
+                np.testing.assert_array_equal(m.position, p.position + offset)
+                np.testing.assert_array_equal(m.quaternion, p.quaternion)
+            if isinstance(a, ArcSegment):
+                np.testing.assert_array_equal(b.center, a.center + offset)
+                np.testing.assert_array_equal(b.normal, a.normal)
+                assert b.sweep == a.sweep
 
 
 class TestDiscretize:
@@ -560,7 +607,8 @@ class TestPlanSync:
 
         monkeypatch.setattr(pathplan, "inverse_kinematics", no_ik)
         with pytest.raises(InvalidInputError) as exc:
-            plan_sync(cfg.system, translate_path(parse_gcode(SLOT_GCODE), WORK_OFFSET), Wrench(np.zeros(3)), seeds)
+            plan_sync(cfg.system, transform_path(parse_gcode(SLOT_GCODE), Pose(WORK_OFFSET)), Wrench(np.zeros(3)),
+                      seeds)
         assert str(exc.value) == (f"ik_seeds[{k}] (arm {k + 1}): seed violates joint limits: "
                                   f"q1 = {value:g} rad outside [{lo:g}, {hi:g}] rad")
 
@@ -610,7 +658,7 @@ class TestPlanSync:
         """Along this line the arm-2 offset grows from row to row; with the
         bound between those of rows 8 and 9, the plan fails at setpoint 9."""
         w = Wrench(np.array([1000.0, 0.0, 0.0]))
-        path = translate_path(parse_gcode("G1 X-40\n"), WORK_OFFSET + [0.04, 0.0, 0.0])
+        path = transform_path(parse_gcode("G1 X-40\n"), Pose(WORK_OFFSET + [0.04, 0.0, 0.0]))
         sp = plan_sync(cfg.system, path, w, (cfg.ik_seed1, cfg.ik_seed2)).pairs
         gaps = np.linalg.norm(sp.robot2_flange_commanded[:, :3] - sp.robot2_flange_nominal[:, :3], axis=1)
         assert np.all(np.diff(gaps) > 0)
@@ -621,7 +669,7 @@ class TestPlanSync:
         assert exc.value.gap == gaps[9]
 
     def test_ik_failure_reports_index(self, cfg):
-        path = translate_path(parse_gcode("G1 X40\n"), np.array([20.0, 0.0, 0.0]))
+        path = transform_path(parse_gcode("G1 X40\n"), Pose(np.array([20.0, 0.0, 0.0])))
         with pytest.raises(PlanError) as exc:
             plan_sync(cfg.system, path, Wrench(np.zeros(3)), (cfg.ik_seed1, cfg.ik_seed2))
         assert exc.value.index == 0
@@ -747,7 +795,7 @@ class TestPassOneSeeding(SeedingCalls):
             cfg = dataclasses.replace(cfg, system=dataclasses.replace(cfg.system, arm1=arm1))
         tool = compose_rows(forward_kinematics(cfg.system.arm1, np.array([[-0.01, 0.47, 0.128, -1.8, 0.0, 1.8]])),
                             cfg.system.tool_offset)[0]
-        path = translate_path(_oriented(parse_gcode("G1 Z40\nG1 Z80\n"), tool[3:]), tool[:3] - [0.0, 0.0, 0.04])
+        path = transform_path(_oriented(parse_gcode("G1 Z40\nG1 Z80\n"), tool[3:]), Pose(tool[:3] - [0.0, 0.0, 0.04]))
         return cfg, path
 
     @pytest.mark.parametrize("wrist_limit", [None, np.pi + 1.0], ids=["demo", "wide-wrist"])
@@ -1059,8 +1107,9 @@ class TestSetpoints:
         sp = demo_program.pairs
         index = sp.index.copy()
         index[[1, 2]] = index[[2, 1]]
-        with pytest.raises(InvalidInputError, match="strictly increasing"):
+        with pytest.raises(InvalidInputError, match=r"strictly increasing \(row 2: 1 after 2\)") as exc:
             Setpoints(index, *(getattr(sp, name) for name in pathplan._POSE_NAMES), sp.q1, sp.q2)
+        assert exc.value.index == 2
 
     def test_pose_rows_check_and_sign_as_pose(self):
         q = np.array([-0.5, 0.5, -0.5, 0.5])
@@ -1086,6 +1135,13 @@ class TestProgramCsvRows:
         lines[4] = ",".join(f"col{i}" for i in range(41))
         with pytest.raises(InvalidInputError, match="program CSV line 5: expected header"):
             program_from_csv("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("wrench", ["1000 0 0 0 0", "1000 0 0 0 0 0 0"])
+    def test_tension_wrench_of_other_than_6_numbers_named(self, demo_program, wrench):
+        text = re.sub(r"(?m)^# tension_wrench=.*$", f"# tension_wrench={wrench}", program_to_csv(demo_program))
+        with pytest.raises(InvalidInputError) as exc:
+            program_from_csv(text)
+        assert str(exc.value) == f"program CSV: metadata tension_wrench='{wrench}' is not 6 numbers"
 
     def test_fractional_index_rejected(self, demo_program):
         lines = program_to_csv(demo_program).splitlines()
