@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-
-import math
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twinmill import cli
 from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
-from twinmill.csvtable import _BLOCK_ROWS, meta_float, meta_floats, read_table, write_table
+from twinmill.csvtable import _BLOCK_VALUES, meta_float, meta_floats, read_table, write_table
 from twinmill.errors import InvalidInputError
 from twinmill.geometry import Pose
 from twinmill.modal import (
@@ -23,6 +26,36 @@ from twinmill.pathplan import _POSE_NAMES, parse_gcode, plan_sync, program_to_cs
 from twinmill.stiffness import Wrench
 
 COLUMNS = ("a", "b", "c")
+BLOCK_ROWS = _BLOCK_VALUES // 3  # rows per kernel call of a table with 3 non-constant columns
+
+# Values at and around the edges of the formatting kernel's exact range
+# (2**-83 <= |x| < 1e17), subnormals, +-0 and the non-finite values Python's
+# `%` formats instead.
+LOW = 2.0 ** -83
+KERNEL_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, LOW, np.nextafter(LOW, 0), -LOW,
+                np.nextafter(1e17, 0), 1e17, -1e17, 1e16, 1e-14, 9.9999999999999995e-5, 1e-4, 1e-5,
+                1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def row_by_row(columns, data):
+    """The reference: each row formatted with Python's `%`, one value at a time."""
+    fmt = ",".join("%d" if name == "index" else "%.17g" for name in columns) + "\n"
+    return ",".join(columns) + "\n" + "".join(fmt % tuple(row) for row in np.asarray(data).tolist())
+
+
+def binade_sweep():
+    """Every binade from 2**-1074 to 2**1023 with 6 mantissas each, and
+    exact ties at the 17th significant digit: q / 2**(p + 1) with q odd and
+    5**p q / 2 in [1e16, 1e17), so that x * 10**p ends in .5 exactly."""
+    mantissas = np.array([0, 1, 2 ** 51, 2 ** 52 - 1, 1234567890123456, 3 ** 32])
+    normal = np.ldexp(1.0 + mantissas[:, None] / 2.0 ** 52, np.arange(-1022, 1024)).ravel()
+    subnormal = np.ldexp(np.array([1.0, 3.0, 2.0 ** 51 + 1, 2.0 ** 52 - 1])[:, None], np.arange(-1074, -1022)).ravel()
+    ties = []
+    for p in range(1, 24):
+        first = -(-2 * 10 ** 16 // 5 ** p) | 1
+        ties += [math.ldexp(q, -p - 1) for q in range(first, min(first + 40, 2 * 10 ** 17 // 5 ** p), 2)]
+    values = np.concatenate([normal, subnormal, ties])
+    return np.concatenate([values, -values])
 
 
 def impact_text():
@@ -50,7 +83,7 @@ def truncate(line):
 
 
 class TestWriteTable:
-    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
     def test_blocks_match_row_by_row_format(self, n):
         data = np.random.default_rng(n).normal(size=(n, 3)) * 10.0 ** np.arange(-3, 6, 3)
         reference = "# k=v\na,b,c\n" + "".join(",".join(format(x, ".17g") for x in row) + "\n"
@@ -64,7 +97,7 @@ class TestWriteTable:
         assert write_table({}, ("index", "x"), [[1e17, 0.5]]) == "index,x\n100000000000000000,0.5\n"
 
 
-    @pytest.mark.parametrize("n", [0, 1, 2, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK_ROWS + 1])
     def test_constant_columns_match_row_by_row_format(self, n):
         """Columns bit-identical in every row are written as literals: a
         1-row table has only such columns, and a column of -0.0 and 0.0
@@ -88,6 +121,35 @@ class TestWriteTable:
         body = text[text.index("\n", header_end) + 1:]
         fmt = "%d" + ",%.17g" * (table.shape[1] - 1) + "\n"
         assert body == "".join(fmt % tuple(row) for row in table.tolist())
+
+
+    def test_binade_sweep_matches_row_by_row_format(self):
+        values = binade_sweep()
+        data = values[: len(values) // 3 * 3].reshape(-1, 3)
+        assert write_table({}, COLUMNS, data) == row_by_row(COLUMNS, data)
+        assert "1000000000000000.2\n" in write_table({}, ("a",), [[1000000000000000.25], [0.0]])  # a tie, to even
+
+    @settings(max_examples=100)
+    @given(st.data())
+    @example(None)
+    def test_mixed_tables_match_row_by_row_format(self, data):
+        """Any mix of index and float columns, with values drawn from every
+        kind the writer meets: in and out of the kernel's exact range, at its
+        edges, +-0, subnormal, non-finite, and index values that are
+        negative, fractional or at least 1e16."""
+        if data is None:  # an explicit example: every edge in one column, every index kind in another
+            table = np.column_stack([KERNEL_EDGES, np.linspace(-1e20, 1e20, len(KERNEL_EDGES))])
+            columns = ("x", "index")
+        else:
+            columns = tuple(data.draw(st.lists(st.sampled_from(["index", "x"]), min_size=1, max_size=6)))
+            rows = data.draw(st.integers(1, 12))
+            floats = st.one_of(st.floats(), st.sampled_from(KERNEL_EDGES),
+                               st.floats(-1e18, 1e18), st.floats(-1e-20, 1e-20))
+            integers = st.one_of(st.floats(-1e19, 1e19), st.integers(-10 ** 18, 10 ** 18).map(float),
+                                 st.sampled_from([0.0, -0.0, -0.5, 1e16, -1e16, 1e17, 2.0 ** 63]))
+            table = np.column_stack([data.draw(arrays(np.float64, rows, elements=integers if name == "index"
+                                                      else floats)) for name in columns])
+        assert write_table({}, columns, table) == row_by_row(columns, table)
 
 
 class TestReadTable:
