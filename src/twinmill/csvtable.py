@@ -204,7 +204,19 @@ def write_table(meta, columns, data) -> str:
     A column whose value is bit-identical in every row (so -0.0 and 0.0
     differ) is formatted once and written as a literal. The other values
     are formatted by the kernel above, a block of rows at a time, and by
-    Python's `%` where they lie outside its exact range."""
+    Python's `%` where they lie outside its exact range.
+
+    Metadata that `read_table` could not give back as written is refused
+    with an InvalidInputError naming the key: a key or value that holds a
+    line break or has surrounding whitespace, and a key that is empty or
+    holds '='."""
+    for key, value in meta.items():
+        key, value = str(key), str(value)
+        for text in (key, value):
+            if "\n" in text or "\r" in text or text != text.strip():
+                raise InvalidInputError(f"metadata {key!r}: {text!r} holds a line break or surrounding whitespace")
+        if not key or "=" in key:
+            raise InvalidInputError(f"metadata {key!r}: a key must be non-empty and hold no '='")
     parts = [f"# {key}={value}\n" for key, value in meta.items()]
     parts.append(",".join(columns) + "\n")
     data = np.asarray(data, dtype=float)

@@ -178,7 +178,7 @@ def pose_rows(rows):
     """Stacked poses as rows[..., 7] of (x, y, z, qw, qx, qy, qz), checked
     as Pose checks one (finite position, unit quaternion) and with its
     sign convention qw >= 0; a Pose gives its (7,) row. Returns a new
-    array; a bad row raises InvalidInputError naming it."""
+    array; a bad row raises InvalidInputError naming it, also as `index`."""
     rows = np.array(_row(rows), dtype=float)
     if rows.shape[-1:] != (7,):
         raise InvalidInputError("stacked poses must have 7 values per row (x, y, z, qw, qx, qy, qz)")
@@ -187,7 +187,8 @@ def pose_rows(rows):
     bad = np.flatnonzero(~good)
     if bad.size:
         raise InvalidInputError(
-            f"pose row {int(bad[0])}: position must be finite and quaternion norm 1 within 1e-9"
+            f"pose row {int(bad[0])}: position must be finite and quaternion norm 1 within 1e-9",
+            index=int(bad[0]),
         )
     rows[..., 3:] = quat_canonical(rows[..., 3:])
     return rows

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtable import meta_float, read_table, write_table
+from .csvtable import meta_float, read_table, row_error, write_table
 from .errors import DegenerateSignalError, InvalidInputError, RankDeficiencyError
 from .geometry import frozen
 
@@ -375,7 +375,7 @@ def impact_record_from_csv(text) -> ImpactRecord:
         if not (dt[0] > 0 and np.max(np.abs(dt - dt[0])) <= 1e-9 * dt[0]):
             raise InvalidInputError("impact CSV time column is not uniformly sampled")
         rate = 1.0 / dt[0]
-    return ImpactRecord(
+    record = ImpactRecord(
         rate,
         data[:, 1],
         data[:, 2],
@@ -383,6 +383,13 @@ def impact_record_from_csv(text) -> ImpactRecord:
         position=meta.get("position", ""),
         tension=meta_float(meta, "tension_N", 0.0, "impact CSV"),
     )
+    # A time column that disagrees with the sample rate key would scale every frequency.
+    off = np.flatnonzero(np.abs(data[:, 0] - np.arange(len(data)) / rate) > 1e-9 / rate)
+    if off.size:
+        k = int(off[0])
+        raise row_error(text, k, "impact CSV", f"time {float(data[k, 0])!r} s does not match "
+                        f"sample_rate_hz={rate!r}: sample {k} is at {k / rate!r} s")
+    return record
 
 
 def impact_record_to_csv(record: ImpactRecord) -> str:

@@ -476,7 +476,10 @@ class Setpoints:
         fields = {"index": index}
         for name, rows in zip(_POSE_NAMES, (tool_pose, robot1_flange, robot2_flange_nominal,
                                             robot2_flange_commanded)):
-            rows = pose_rows(rows)
+            try:
+                rows = pose_rows(rows)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"{name}: {exc}", index=exc.index) from exc
             if rows.shape != (n, 7):
                 raise InvalidInputError(f"{name} must hold one 7-value pose per setpoint")
             fields[name] = rows

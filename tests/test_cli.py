@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -401,3 +404,57 @@ class TestDeform:
              "--out", str(tmp_path / "o")]
         )
         assert code == 64
+
+
+def _edited_program(text, edit):
+    """The program CSV `text` with `edit(fields)` applied to the fields of
+    each data row."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if line[:1].isdigit():
+            fields = line.split(",")
+            edit(fields)
+            lines[i] = ",".join(fields)
+    return "\n".join(lines)
+
+
+def _shift_tool_x(fields):
+    if int(fields[0]) >= 40:
+        fields[1] = "%.17g" % (float(fields[1]) + 0.005)
+
+
+def _index_38_at_40(fields):
+    if fields[0] == "40":
+        fields[0] = "38"
+
+
+class TestDeformRefusalsFromTheCommandLine:
+    """Refused program CSVs, run as `python -m twinmill.cli deform` in a
+    subprocess on the demo plan (`demo/slot.gcode`, 1000 N, offset
+    2105,-20,1100): exit code 3 and the location in the message."""
+
+    @pytest.fixture(scope="class")
+    def demo_plan(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("plan") / "p1.csv"
+        assert cli.main(["--config", str(DEMO_CONFIG), "plan", str(DEMO_CONFIG.parent / "slot.gcode"),
+                         "--tension", "1000", "--work-offset-mm", WORK_OFFSET, "--out", str(out)]) == 0
+        return out.read_text()
+
+    @pytest.mark.parametrize("edit, options, named", [
+        # Tool rows moved 5 mm in x from setpoint 40 on no longer match q1.
+        (lambda text: _edited_program(text, _shift_tool_x), ["--compensate"], "setpoint 40"),
+        (lambda text: "\n".join("# tension_wrench=1000 0 0 0 0" if line.startswith("# tension_wrench=") else line
+                                for line in text.split("\n")), [], "tension_wrench"),
+        # Setpoint 40 is on line 46; index 38 there is out of order.
+        (lambda text: _edited_program(text, _index_38_at_40), [], "line 46"),
+    ], ids=["tool rows shifted", "wrench of 5 numbers", "index out of order"])
+    def test_exits_3_naming_the_location(self, tmp_path, demo_plan, edit, options, named):
+        edited = tmp_path / "edited.csv"
+        edited.write_text(edit(demo_plan))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "twinmill.cli", "--config", str(DEMO_CONFIG), "deform",
+                              str(edited), *options, "--out", str(tmp_path / "d")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 3, run.stderr
+        assert named in run.stderr

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,16 @@ def truncate(line):
     return line.rsplit(",", 1)[0]
 
 
+def doubled_times(text):
+    """An impact CSV with the time of every sample doubled."""
+    lines = text.split("\n")
+    for n, line in enumerate(lines):
+        if line[:1].isdigit():
+            time, rest = line.split(",", 1)
+            lines[n] = f"{2 * float(time)!r},{rest}"
+    return "\n".join(lines)
+
+
 class TestWriteTable:
     @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
     def test_blocks_match_row_by_row_format(self, n):
@@ -129,7 +140,7 @@ class TestWriteTable:
         assert write_table({}, COLUMNS, data) == row_by_row(COLUMNS, data)
         assert "1000000000000000.2\n" in write_table({}, ("a",), [[1000000000000000.25], [0.0]])  # a tie, to even
 
-    @settings(max_examples=100)
+    @settings(max_examples=60)
     @given(st.data())
     @example(None)
     def test_mixed_tables_match_row_by_row_format(self, data):
@@ -150,6 +161,38 @@ class TestWriteTable:
             table = np.column_stack([data.draw(arrays(np.float64, rows, elements=integers if name == "index"
                                                       else floats)) for name in columns])
         assert write_table({}, columns, table) == row_by_row(columns, table)
+
+
+class TestMetadata:
+    @pytest.mark.parametrize("meta, key", [
+        ({"position": "p1\n9,9"}, "position"),
+        ({"k": " padded "}, "k"),
+        ({"k": "v\r"}, "k"),
+        ({"k": "a\rb"}, "k"),  # a file read as text turns it into a line break
+        ({" k": "v"}, " k"),
+        ({"k\n": "v"}, "k\n"),
+        ({"": "v"}, ""),
+        ({"a=b": "v"}, "a=b"),
+    ])
+    def test_what_the_reader_cannot_give_back_is_refused(self, meta, key):
+        with pytest.raises(InvalidInputError, match=f"^metadata {re.escape(repr(key))}: "):
+            write_table(meta, COLUMNS, [[1.0, 2.0, 3.0]])
+
+    def test_a_frf_position_with_a_line_break_is_refused_when_written(self):
+        frf = FrfSeries(np.arange(1.0, 4.0), np.ones(3), position="p1\n9,9")
+        with pytest.raises(InvalidInputError, match="^metadata 'position'"):
+            frf_to_csv(frf)
+
+    @settings(max_examples=50)
+    @given(st.dictionaries(st.text(st.sampled_from("ab=#, \t\n\r\x0b\x1c\x85\u2028") | st.characters(), max_size=5),
+                           st.text(st.sampled_from("ab=#, \t\n\r\x0b\x1c\x85\u2028") | st.characters(), max_size=5),
+                           max_size=4))
+    def test_accepted_metadata_reads_back_as_written(self, meta):
+        try:
+            text = write_table(meta, COLUMNS, [[1.0, 2.0, 3.0]])
+        except InvalidInputError:
+            return
+        assert read_table(text, COLUMNS, "T")[0] == meta
 
 
 class TestReadTable:
@@ -211,6 +254,10 @@ BAD_INPUTS = {
                                    "impact CSV: metadata tension_N='5OO'"),
     "FRF with only a header": (frf_from_csv, lambda: "# axis=x\nfreq_hz,re,im\n",
                                "FRF CSV: no data rows after the header on line 2"),
+    # Written at 2048 Hz; with every time doubled, sample 1 on line 7 is the first off.
+    "doubled impact times": (impact_record_from_csv, lambda: doubled_times(impact_text()),
+                             "impact CSV line 7: time 0.0009765625 s does not match sample_rate_hz=2048.0: "
+                             "sample 1 is at 0.00048828125 s"),
     "truncated FRF row": (frf_from_csv, lambda: edit_line(frf_text(), 9, truncate), "FRF CSV line 9: "),
     "infinite FRF tension": (frf_from_csv, lambda: edit_line(frf_text(), 3, lambda l: "# tension_N=inf"),
                              "FRF CSV: metadata tension_N='inf'"),

@@ -31,6 +31,15 @@ def _with_index(text, lineno, index):
     return "\n".join(lines)
 
 
+def _with_field(text, lineno, column, value):
+    """`text` with field `column` of line `lineno` set to `value`."""
+    lines = text.split("\n")
+    fields = lines[lineno - 1].split(",")
+    fields[column] = value
+    lines[lineno - 1] = ",".join(fields)
+    return "\n".join(lines)
+
+
 def _blank_lines_after(text, lineno, count):
     """`text` with `count` blank lines put in after line `lineno`."""
     lines = text.split("\n")
@@ -77,12 +86,18 @@ LOCATED = {
     "program CSV index after blank lines": (
         lambda p: program_from_csv(_blank_lines_after(_with_index(program_to_csv(p), 20, "3"), 10, 2)),
         InvalidInputError, 22, None),
+    # Line 21 holds setpoint 15; field 4 is its tool_qw.
+    "program CSV quaternion": (lambda p: program_from_csv(_with_field(program_to_csv(p), 21, 4, "0.5")),
+                               InvalidInputError, 21, None),
     "trace CSV index": (lambda p: trace_from_csv(_with_index(trace_to_csv(PathTrace(np.zeros((10, 3)))), 7, "9")),
                         InvalidInputError, 7, None),
     "trace CSV row": (lambda p: trace_from_csv(_short_row(trace_to_csv(PathTrace(np.zeros((10, 3)))), 7)),
                       InvalidInputError, 7, None),
     "impact CSV row": (lambda p: impact_record_from_csv(_short_row(_impact_text(), 10)),
                        InvalidInputError, 10, None),
+    # Line 10 holds sample 4, at 4 / 2048 s.
+    "impact CSV time": (lambda p: impact_record_from_csv(_with_field(_impact_text(), 10, 0, "0.5")),
+                        InvalidInputError, 10, None),
     "config": (lambda p: parse_config(_config_with_a_string_entry()),
                ConfigError, None, "config.arm1.dh_rows[0][2]"),
     "path JSON": (lambda p: path_from_json(_path_json_with_a_string_coordinate()),

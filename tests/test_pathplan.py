@@ -1111,6 +1111,14 @@ class TestSetpoints:
             Setpoints(index, *(getattr(sp, name) for name in pathplan._POSE_NAMES), sp.q1, sp.q2)
         assert exc.value.index == 2
 
+    def test_bad_pose_row_named_with_its_row(self, demo_program):
+        sp = demo_program.pairs
+        poses = [getattr(sp, name).copy() for name in pathplan._POSE_NAMES]
+        poses[1][3, 3:] *= 2.0
+        with pytest.raises(InvalidInputError, match=r"^robot1_flange: pose row 3: ") as exc:
+            Setpoints(sp.index, *poses, sp.q1, sp.q2)
+        assert exc.value.index == 3
+
     def test_pose_rows_check_and_sign_as_pose(self):
         q = np.array([-0.5, 0.5, -0.5, 0.5])
         rows = pose_rows([[0.1, 0.2, 0.3, *q], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
