@@ -18,7 +18,7 @@ import numpy as np
 from . import compensation, config as config_mod, modal, pathplan
 from .errors import ConfigError, TwinmillError
 from .geometry import Pose
-from .stiffness import Wrench
+from .stiffness import Wrench, cell_sha256
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -163,9 +163,21 @@ def cmd_plan(args):
     return EXIT_OK
 
 
+def _check_cell(program, system, path):
+    """Refuse a program planned on another cell than `system`, or on an
+    unknown one: its joints would mean other poses."""
+    cell = cell_sha256(system)
+    if program.cell_sha256 is None:
+        raise TwinmillError(f"program {path} has no cell_sha256; the config's cell is {cell}")
+    if program.cell_sha256 != cell:
+        raise TwinmillError(f"program {path} was planned on cell_sha256={program.cell_sha256}, "
+                            f"the config's cell is {cell}")
+
+
 def cmd_deform(args):
     cfg = _load_config(args.config)
     program = pathplan.program_from_csv(_read_input(args.program))
+    _check_cell(program, cfg.system, args.program)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reference = compensation.nominal_trace(program)

@@ -54,35 +54,24 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
 
     The compliance is the inverse of the coupled tool-point stiffness at
     that setpoint's configuration, so the deformation tracks any (small)
-    configuration dependence along the path. The commanded arm-2 joints
-    deviate from the attachment frame by the setpoint offset, so closure
-    is checked against the program's own targets instead, within
-    CLOSURE_TOL: FK1(q1) ∘ flange2_offset against the nominal arm-2
-    flange, FK2(q2) against the commanded one, FK1(q1) ∘ tool_offset
-    against the tool point and FK1(q1) against arm 1's flange. The
-    commanded flange may lie at most MAX_OFFSET from the nominal one.
-    Joints outside their limits, or non-finite, raise InvalidInputError
-    naming the setpoint and the arm.
+    configuration dependence along the path. The program's joints are
+    checked against its tool rows first: FK1(q1) ∘ tool_offset must lie
+    within CLOSURE_TOL of the tool point, and FK2(q2), the commanded arm-2
+    flange, within MAX_OFFSET of FK1(q1) ∘ flange2_offset, the nominal
+    one. Joints outside their limits, or non-finite, raise
+    InvalidInputError naming the setpoint and the arm.
     """
     sp = program.pairs
-    nominal, commanded = sp.robot2_flange_nominal[:, :3], sp.robot2_flange_commanded[:, :3]
     flanges = []
     for k, (arm, q) in enumerate(((sys.arm1, sp.q1), (sys.arm2, sp.q2)), start=1):
         try:
             flanges.append(flange_transform(arm, q))
         except InvalidInputError as exc:
             raise InvalidInputError(f"setpoint {exc.index}, arm {k}: {exc}", index=exc.index) from exc
-    attach = flanges[0] @ sys.flange2_offset.matrix()
-    check_closure(commanded, nominal, MAX_OFFSET,
+    check_closure(flanges[1][:, :3, 3], (flanges[0] @ sys.flange2_offset.matrix())[:, :3, 3], MAX_OFFSET,
                   "setpoint {index}: commanded arm-2 flange is {gap:.3e} m from the nominal one")
-    check_closure(attach[:, :3, 3], nominal, CLOSURE_TOL,
-                  "setpoint {index}: arm-2 attachment frame is {gap:.3e} m from its planned position")
-    check_closure(flanges[1][:, :3, 3], commanded, CLOSURE_TOL,
-                  "setpoint {index}: arm-2 flange is {gap:.3e} m from its planned position")
     check_closure((flanges[0] @ sys.tool_offset.matrix())[:, :3, 3], sp.tool_pose[:, :3], CLOSURE_TOL,
                   "setpoint {index}: arm-1 tool point is {gap:.3e} m from its planned position")
-    check_closure(flanges[0][:, :3, 3], sp.robot1_flange[:, :3], CLOSURE_TOL,
-                  "setpoint {index}: arm-1 flange is {gap:.3e} m from its planned position")
     try:
         K = coupled_stiffness(sys, sp.q1, sp.q2, closure_tol=np.inf)
     except SingularConfigurationError as exc:

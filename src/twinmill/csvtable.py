@@ -7,9 +7,10 @@ named `index` holds integers; every other is written with 17 significant
 digits (`%.17g`), so every finite double reads back bit-exact; lines end in
 LF. Data rows are parsed by one `np.loadtxt` call; any row that is not a
 full row of finite numbers is rejected with an InvalidInputError naming its
-line (also as `line`), and a metadata value read as a number that is not
-finite with one naming its key. A reader that refuses a row of a table
-`read_table` accepted names its line the same way, by `row_error`.
+line (also as `line`). A reader that refuses a row of a table
+`read_table` accepted names its line the same way, by `row_error`, and one
+that refuses a metadata value (`meta_float`, `meta_floats`) names its key
+and line, by `meta_error`.
 
 `write_table` formats numbers with a numpy kernel whose bytes equal those
 of `'%.17g' % x` (and `'%d' % x` in an `index` column) for every value. It
@@ -295,20 +296,30 @@ def _header_line(lines):
                  if line.strip() and not line.strip().startswith("#")), None)
 
 
+class Metadata(dict):
+    """The `# key=value` lines of a file as {key: value}, with the 1-based
+    line of each key (the last one, for a repeated key) in `lines`."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = {}
+
+
 def read_table(text, columns, what):
     """Parse CSV text of the twinmill dialect with exactly the header
-    `columns`; returns (meta dict of str, float array (rows, len(columns))).
+    `columns`; returns (Metadata of str, float array (rows, len(columns))).
     `what` names the file kind in error messages."""
     header = ",".join(columns)
     lines = text.split("\n")
     n = _header_line(lines)
     if n is None:
         raise InvalidInputError(f"{what}: no header line '{header}'")
-    meta = {}
-    for line in lines[:n]:
+    meta = Metadata()
+    for number, line in enumerate(lines[:n], start=1):
         key, sep, value = line.strip()[1:].partition("=")
         if sep:
             meta[key.strip()] = value.strip()
+            meta.lines[key.strip()] = number
     line = lines[n].strip()
     if line != header:
         raise InvalidInputError(f"{what} line {n + 1}: expected header '{header}', found {line[:80]!r}",
@@ -334,6 +345,14 @@ def row_error(text, k, what, message):
     return InvalidInputError(f"{what} line {line}: {message}", line=line)
 
 
+def meta_error(meta, key, what, message):
+    """An InvalidInputError refusing metadata `key` of the Metadata `meta`
+    that `read_table` returned, naming the key's line in the message and as
+    `line`."""
+    line = meta.lines[key]
+    return InvalidInputError(f"{what} line {line}: metadata {key}={meta[key]!r} {message}", line=line)
+
+
 def meta_floats(meta, key, default, what):
     """The space-separated finite numbers of metadata `key` as a list of
     floats, `default` when the key is absent."""
@@ -344,7 +363,7 @@ def meta_floats(meta, key, default, what):
     except ValueError:
         values = None
     if values is None or not all(map(math.isfinite, values)):
-        raise InvalidInputError(f"{what}: metadata {key}={meta[key]!r} is not a finite number")
+        raise meta_error(meta, key, what, "is not a finite number")
     return values
 
 
@@ -352,5 +371,5 @@ def meta_float(meta, key, default, what):
     """Metadata `key` as one float, `default` when the key is absent."""
     values = meta_floats(meta, key, [default], what)
     if len(values) != 1:
-        raise InvalidInputError(f"{what}: metadata {key}={meta[key]!r} is not one number")
+        raise meta_error(meta, key, what, "is not one number")
     return values[0]

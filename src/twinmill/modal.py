@@ -372,8 +372,14 @@ def impact_record_from_csv(text) -> ImpactRecord:
     rate = meta_float(meta, "sample_rate_hz", None, "impact CSV")
     if rate is None:
         dt = np.diff(data[:, 0])
-        if not (dt[0] > 0 and np.max(np.abs(dt - dt[0])) <= 1e-9 * dt[0]):
-            raise InvalidInputError("impact CSV time column is not uniformly sampled")
+        if not dt[0] > 0:
+            raise row_error(text, 1, "impact CSV", f"time {float(data[1, 0])!r} s does not follow "
+                            f"sample 0 at {float(data[0, 0])!r} s")
+        off = np.flatnonzero(~(np.abs(dt - dt[0]) <= 1e-9 * dt[0]))
+        if off.size:
+            k = int(off[0]) + 1
+            raise row_error(text, k, "impact CSV", f"time column is not uniformly sampled: sample {k} is "
+                            f"{float(dt[k - 1])!r} s after the one before, sample 1 {float(dt[0])!r} s")
         rate = 1.0 / dt[0]
     record = ImpactRecord(
         rate,

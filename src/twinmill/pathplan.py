@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsondoc
-from .csvtable import meta_float, meta_floats, read_table, row_error, write_table
+from .csvtable import meta_error, meta_float, meta_floats, read_table, row_error, write_table
 from .errors import (
     ClosureError,
     ContinuityError,
@@ -40,7 +40,7 @@ from .kinematics import (
     ik_branch,
     inverse_kinematics,
 )
-from .stiffness import MAX_OFFSET, CoupledSystem, Wrench, check_closure, tension_offset
+from .stiffness import MAX_OFFSET, CoupledSystem, Wrench, cell_sha256, check_closure, tension_offset
 
 _POSITION_TOL = 1e-9
 _ARC_RADIUS_TOL = 10e-6  # 10 um start/end radius mismatch
@@ -434,35 +434,30 @@ def discretize(path: ToolPath, chord_tol, max_step):
 
 @dataclass(frozen=True)
 class SetpointPair:
-    """One synchronized program index: tool pose, both flange targets and
-    the joint solutions realizing them."""
+    """One synchronized program index: the tool pose and the joint
+    solutions of both arms realizing it."""
 
     index: int
     tool_pose: Pose
-    robot1_flange: Pose
-    robot2_flange_nominal: Pose
-    robot2_flange_commanded: Pose
     q1: np.ndarray
     q2: np.ndarray
 
 
-_POSE_NAMES = ("tool_pose", "robot1_flange", "robot2_flange_nominal", "robot2_flange_commanded")
-
-
 class Setpoints:
     """The setpoint pairs of a program, held as stacked arrays under the
-    field names of SetpointPair: `index` (N,) ints; `tool_pose`,
-    `robot1_flange`, `robot2_flange_nominal` and `robot2_flange_commanded`
-    (N, 7) rows of (x, y, z, qw, qx, qy, qz); `q1` and `q2` (N, 6).
+    field names of SetpointPair: `index` (N,) ints; `tool_pose` (N, 7) rows
+    of (x, y, z, qw, qx, qy, qz); `q1` and `q2` (N, 6). The flange frames
+    are not held: arm 1's is `compose_rows(tool_pose,
+    tool_offset.inverse())` and arm 2's nominal one that composed with
+    `flange2_offset`, as `plan_sync` derives them, or FK of the joints.
 
     Indexing with an int builds that row's SetpointPair; no object per
     setpoint is kept. The arrays are read-only.
     """
 
-    __slots__ = ("index",) + _POSE_NAMES + ("q1", "q2")
+    __slots__ = ("index", "tool_pose", "q1", "q2")
 
-    def __init__(self, index, tool_pose, robot1_flange, robot2_flange_nominal,
-                 robot2_flange_commanded, q1, q2):
+    def __init__(self, index, tool_pose, q1, q2):
         index = np.array(index)
         if index.ndim != 1 or not (index.size == 0 or np.issubdtype(index.dtype, np.integer)):
             raise InvalidInputError("setpoint indices must be a 1-D array of integers")
@@ -473,16 +468,13 @@ class Setpoints:
             raise InvalidInputError(f"setpoint indices must be strictly increasing (row {i}: "
                                     f"{index[i]} after {index[i - 1]})", index=i)
         n = len(index)
-        fields = {"index": index}
-        for name, rows in zip(_POSE_NAMES, (tool_pose, robot1_flange, robot2_flange_nominal,
-                                            robot2_flange_commanded)):
-            try:
-                rows = pose_rows(rows)
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"{name}: {exc}", index=exc.index) from exc
-            if rows.shape != (n, 7):
-                raise InvalidInputError(f"{name} must hold one 7-value pose per setpoint")
-            fields[name] = rows
+        try:
+            tool_pose = pose_rows(tool_pose)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"tool_pose: {exc}", index=exc.index) from exc
+        if tool_pose.shape != (n, 7):
+            raise InvalidInputError("tool_pose must hold one 7-value pose per setpoint")
+        fields = {"index": index, "tool_pose": tool_pose}
         for name, q in (("q1", q1), ("q2", q2)):
             q = np.array(q, dtype=float)
             if q.shape != (n, 6) or not np.all(np.isfinite(q)):
@@ -497,23 +489,29 @@ class Setpoints:
 
     def __getitem__(self, key):
         i = operator.index(key)
-        poses = [Pose(rows[i, :3], rows[i, 3:]) for rows in (getattr(self, name) for name in _POSE_NAMES)]
-        return SetpointPair(int(self.index[i]), *poses, self.q1[i], self.q2[i])
+        return SetpointPair(int(self.index[i]), Pose(self.tool_pose[i, :3], self.tool_pose[i, 3:]),
+                            self.q1[i], self.q2[i])
 
     def __repr__(self):
         return f"Setpoints(<{len(self)} setpoints>)"
 
 
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+
+
 @dataclass(frozen=True)
 class SyncProgram:
     """A synchronized program: its setpoints, the tension they were
-    planned for and the feed and step sizes it was discretized with."""
+    planned for, the feed and step sizes it was discretized with and the
+    `stiffness.cell_sha256` of the cell it was planned on (None if not
+    known), without which its joints mean nothing."""
 
     pairs: Setpoints
     tension: Wrench
     feed_mm_min: float = 0.0
     chord_tol: float = 0.0
     max_step: float = 0.0
+    cell_sha256: str | None = None
 
     def __post_init__(self):
         if not isinstance(self.pairs, Setpoints):
@@ -522,6 +520,10 @@ class SyncProgram:
             raise InvalidInputError("sync program has no setpoints")
         if not 0.0 <= self.feed_mm_min < math.inf:
             raise InvalidInputError(f"sync program feed_mm_min must be finite and >= 0, got {self.feed_mm_min:g}")
+        if self.cell_sha256 is not None and not (isinstance(self.cell_sha256, str)
+                                                 and _SHA256.fullmatch(self.cell_sha256)):
+            raise InvalidInputError(f"sync program cell_sha256 must be 64 lowercase hex digits, "
+                                    f"got {self.cell_sha256!r:.80}")
 
 
 def apply_world_offset(rows, offsets):
@@ -729,38 +731,40 @@ def plan_sync(
     if failure is not None:
         raise failure
     return SyncProgram(
-        Setpoints(np.arange(n), tool, r1, r2_nominal, r2_commanded, q1, q2),
-        tension=tension, feed_mm_min=path.feed_mm_min, chord_tol=chord_tol, max_step=max_step,
+        Setpoints(np.arange(n), tool, q1, q2), tension=tension, feed_mm_min=path.feed_mm_min,
+        chord_tol=chord_tol, max_step=max_step, cell_sha256=cell_sha256(sys),
     )
 
 
 # ---------------------------------------------------------------------------
 # SyncProgram CSV interchange
 
-_POSE_FIELDS = ("x", "y", "z", "qw", "qx", "qy", "qz")
-_POSE_COLS = ("tool", "r1", "r2_nominal", "r2_commanded")
-
-
-_COLUMNS = ["index"] + [f"{name}_{f}" for name in _POSE_COLS for f in _POSE_FIELDS] + [
+_COLUMNS = ["index"] + [f"tool_{f}" for f in ("x", "y", "z", "qw", "qx", "qy", "qz")] + [
     f"q{arm}_{i}" for arm in (1, 2) for i in range(6)
 ]
 
 
 def program_to_csv(program: SyncProgram) -> str:
+    """The program as CSV: the tension, feed and step sizes and the cell's
+    sha256 as metadata, then per setpoint its index, tool pose, q1 and q2."""
     meta = {
         "feed_mm_min": _fmt(program.feed_mm_min),
         "tension_wrench": " ".join(_fmt(x) for x in program.tension.as_vector()),
         "chord_tol_m": _fmt(program.chord_tol),
         "max_step_m": _fmt(program.max_step),
     }
+    if program.cell_sha256 is not None:
+        meta["cell_sha256"] = program.cell_sha256
     sp = program.pairs
-    table = np.column_stack([sp.index] + [getattr(sp, name) for name in _POSE_NAMES] + [sp.q1, sp.q2])
-    return write_table(meta, _COLUMNS, table)
+    return write_table(meta, _COLUMNS, np.column_stack([sp.index, sp.tool_pose, sp.q1, sp.q2]))
 
 
 def program_from_csv(text) -> SyncProgram:
-    """Read a program CSV. A bad setpoint index raises InvalidInputError
-    naming its line, in the message and as `line`."""
+    """Read a program CSV. A bad setpoint row raises InvalidInputError
+    naming its line, and a bad metadata value naming its key and line, in
+    the message and as `line`. A program of any other columns, such as
+    the 41 of the form that also held the flange frames, is refused at its
+    header line."""
     meta, table = read_table(text, _COLUMNS, "program CSV")
     index = table[:, 0]
     bad = np.flatnonzero((index != np.trunc(index)) | (np.abs(index) > 2.0**53))
@@ -770,11 +774,12 @@ def program_from_csv(text) -> SyncProgram:
                         f"setpoint indices must be integers within +-2**53, found {index[k]:g}")
     wrench = meta_floats(meta, "tension_wrench", [0.0] * 6, "program CSV")
     if len(wrench) != 6:
-        raise InvalidInputError(f"program CSV: metadata tension_wrench={meta['tension_wrench']!r} "
-                                "is not 6 numbers")
+        raise meta_error(meta, "tension_wrench", "program CSV", "is not 6 numbers")
+    cell = meta.get("cell_sha256")
+    if cell is not None and not _SHA256.fullmatch(cell):
+        raise meta_error(meta, "cell_sha256", "program CSV", "is not 64 lowercase hex digits")
     try:
-        pairs = Setpoints(index.astype(np.int64), *(table[:, 1 + 7 * k : 8 + 7 * k] for k in range(4)),
-                          table[:, 29:35], table[:, 35:41])
+        pairs = Setpoints(index.astype(np.int64), table[:, 1:8], table[:, 8:14], table[:, 14:20])
     except InvalidInputError as exc:
         if exc.index is None:
             raise
@@ -785,4 +790,5 @@ def program_from_csv(text) -> SyncProgram:
         feed_mm_min=meta_float(meta, "feed_mm_min", 0.0, "program CSV"),
         chord_tol=meta_float(meta, "chord_tol_m", 0.0, "program CSV"),
         max_step=meta_float(meta, "max_step_m", 0.0, "program CSV"),
+        cell_sha256=cell,
     )

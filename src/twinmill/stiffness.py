@@ -29,6 +29,7 @@ substitution.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -135,6 +136,24 @@ class CoupledSystem:
             self.arm1.base_pose.quaternion, self.arm2.base_pose.quaternion
         ):
             raise InvalidInputError("the two arm base poses must be distinct")
+
+
+def cell_sha256(sys: CoupledSystem) -> str:
+    """The sha256 (hex) of the parsed cell in one canonical byte form,
+    float64 little-endian in this order: per arm, 1 then 2, the DH rows,
+    the joint limits, the base pose and the flange offset; the joint
+    stiffnesses of arm 1 and arm 2; the spring K; `tool_offset` and
+    `flange2_offset`. A pose is its position and its quaternion, qw >= 0.
+    The same cell written with other key order or layout hashes the same."""
+    parts = []
+    for arm in (sys.arm1, sys.arm2):
+        parts += [arm.dh_rows, arm.joint_limits, arm.base_pose.position, arm.base_pose.quaternion,
+                  arm.flange_offset.position, arm.flange_offset.quaternion]
+    parts += [sys.joint_stiffness1.diag, sys.joint_stiffness2.diag, sys.spring.K,
+              sys.tool_offset.position, sys.tool_offset.quaternion,
+              sys.flange2_offset.position, sys.flange2_offset.quaternion]
+    data = np.concatenate([np.ravel(a) for a in parts]).astype("<f8")
+    return hashlib.sha256(data.tobytes()).hexdigest()
 
 
 def _spd_inverse(M, what):

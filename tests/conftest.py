@@ -86,6 +86,36 @@ def demo_program(cfg):
     return plan_slot(cfg, 1000.0)
 
 
+def planned_flanges(system, program):
+    """Arm 1's flange rows and arm 2's nominal flange rows [N, 7] of a
+    program, derived from its tool rows bit for bit as `plan_sync` derives
+    them."""
+    from twinmill.geometry import compose_rows
+
+    r1 = compose_rows(program.pairs.tool_pose, system.tool_offset.inverse())
+    return r1, compose_rows(r1, system.flange2_offset)
+
+
+def forty_one_column_program(system, program):
+    """`program` as CSV in the 41-column form that also held arm 1's
+    flange and arm 2's nominal and commanded flanges, the last from FK of
+    q2, with no cell_sha256."""
+    from twinmill.csvtable import write_table
+    from twinmill.kinematics import forward_kinematics
+
+    sp = program.pairs
+    r1, nominal = planned_flanges(system, program)
+    frames = ("tool", "r1", "r2_nominal", "r2_commanded")
+    columns = ["index"] + [f"{name}_{f}" for name in frames for f in ("x", "y", "z", "qw", "qx", "qy", "qz")]
+    columns += [f"q{arm}_{i}" for arm in (1, 2) for i in range(6)]
+    meta = {"feed_mm_min": repr(program.feed_mm_min),
+            "tension_wrench": " ".join(repr(float(x)) for x in program.tension.as_vector()),
+            "chord_tol_m": repr(program.chord_tol), "max_step_m": repr(program.max_step)}
+    table = np.column_stack([sp.index, sp.tool_pose, r1, nominal, forward_kinematics(system.arm2, sp.q2),
+                             sp.q1, sp.q2])
+    return write_table(meta, columns, table)
+
+
 def random_nonsingular_q(arm, rng, min_sv=1e-3):
     from twinmill.kinematics import jacobian
 

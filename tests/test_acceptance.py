@@ -22,7 +22,14 @@ from twinmill.compensation import (
 from twinmill.config import load_config
 from twinmill.errors import ContinuityError
 from twinmill.geometry import Pose, matrix_pose_rows, pose_error
-from twinmill.kinematics import _flange, forward_kinematics, inverse_kinematics, jacobian
+from twinmill.kinematics import (
+    DEFAULT_TOL_POS,
+    DEFAULT_TOL_ROT,
+    _flange,
+    forward_kinematics,
+    inverse_kinematics,
+    jacobian,
+)
 from twinmill.modal import (
     ModalModel,
     fit_shift,
@@ -47,7 +54,7 @@ from twinmill.stiffness import (
     tension_offset,
 )
 
-from conftest import DEMO_CONFIG, random_nonsingular_q
+from conftest import DEMO_CONFIG, planned_flanges, random_nonsingular_q
 from test_stiffness import make_twin_system, tool_point_branch_stiffness
 
 DATA = Path(__file__).parent / "data"
@@ -228,15 +235,11 @@ def test_acceptance_7_path_planning():
     for pair in program.pairs:
         half = cfg.workspace_size / 2
         ok = ok and np.all(np.abs(pair.tool_pose.position - cfg.workspace_center) <= half)
-        ok = (
-            ok
-            and np.array_equal(
-                pair.robot2_flange_commanded.position, pair.robot2_flange_nominal.position
-            )
-            and np.array_equal(
-                pair.robot2_flange_commanded.quaternion, pair.robot2_flange_nominal.quaternion
-            )
-        )
+    # Untensioned, arm 2's joints reach its nominal flange within the IK tolerances.
+    _, nominal = planned_flanges(cfg.system, program)
+    err = pose_error(forward_kinematics(cfg.system.arm2, program.pairs.q2), nominal)
+    ok = ok and np.all(np.linalg.norm(err[:, :3], axis=1) <= DEFAULT_TOL_POS)
+    ok = ok and np.all(np.linalg.norm(err[:, 3:], axis=1) <= DEFAULT_TOL_ROT)
     try:
         # a single 0.4 m hop: the joint-space jump guard must fire
         path = transform_path(parse_gcode("G1 X400\n"), Pose(WORK_OFFSET))

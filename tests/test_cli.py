@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from twinmill import cli, modal
+from twinmill import cli, config, modal
 from twinmill.geometry import Pose
 from twinmill.pathplan import Setpoints, parse_gcode, path_to_json, program_from_csv, program_to_csv, transform_path
+from twinmill.stiffness import cell_sha256
 
-from conftest import DEMO_CONFIG, demo_config_dict
+from conftest import DEMO_CONFIG, demo_config_dict, forty_one_column_program
 
 SLOT_GCODE = "G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"
 WORK_OFFSET = "2105,-20,1100"
@@ -367,8 +368,7 @@ class TestDeform:
         sp = program.pairs
         q1 = sp.q1.copy()
         q1[7, 4] = 2.5
-        pairs = Setpoints(sp.index, sp.tool_pose, sp.robot1_flange, sp.robot2_flange_nominal,
-                          sp.robot2_flange_commanded, q1, sp.q2)
+        pairs = Setpoints(sp.index, sp.tool_pose, q1, sp.q2)
         edited = tmp_path / "edited.csv"
         edited.write_text(program_to_csv(dataclasses.replace(program, pairs=pairs)))
         out = tmp_path / "o"
@@ -428,6 +428,19 @@ def _index_38_at_40(fields):
         fields[0] = "38"
 
 
+def _run_cli(*args):
+    """`python -m twinmill.cli *args` in a subprocess, on the twinmill
+    source these tests import."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "twinmill.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def _without_cell(text):
+    return "\n".join(line for line in text.split("\n") if not line.startswith("# cell_sha256="))
+
+
 class TestDeformRefusalsFromTheCommandLine:
     """Refused program CSVs, run as `python -m twinmill.cli deform` in a
     subprocess on the demo plan (`demo/slot.gcode`, 1000 N, offset
@@ -445,16 +458,151 @@ class TestDeformRefusalsFromTheCommandLine:
         (lambda text: _edited_program(text, _shift_tool_x), ["--compensate"], "setpoint 40"),
         (lambda text: "\n".join("# tension_wrench=1000 0 0 0 0" if line.startswith("# tension_wrench=") else line
                                 for line in text.split("\n")), [], "tension_wrench"),
-        # Setpoint 40 is on line 46; index 38 there is out of order.
-        (lambda text: _edited_program(text, _index_38_at_40), [], "line 46"),
-    ], ids=["tool rows shifted", "wrench of 5 numbers", "index out of order"])
+        # Setpoint 40 is on line 47; index 38 there is out of order.
+        (lambda text: _edited_program(text, _index_38_at_40), [], "line 47"),
+        # The form that also held the flange frames has its header on line 5.
+        (lambda text: forty_one_column_program(config.load_config(DEMO_CONFIG).system, program_from_csv(text)),
+         [], "program CSV line 5: expected header"),
+        (_without_cell, [], "has no cell_sha256"),
+    ], ids=["tool rows shifted", "wrench of 5 numbers", "index out of order", "41 columns", "no cell_sha256"])
     def test_exits_3_naming_the_location(self, tmp_path, demo_plan, edit, options, named):
         edited = tmp_path / "edited.csv"
         edited.write_text(edit(demo_plan))
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        run = subprocess.run([sys.executable, "-m", "twinmill.cli", "--config", str(DEMO_CONFIG), "deform",
-                              str(edited), *options, "--out", str(tmp_path / "d")],
-                             capture_output=True, text=True, env=env, timeout=120)
+        run = _run_cli("--config", DEMO_CONFIG, "deform", edited, *options, "--out", tmp_path / "d")
         assert run.returncode == 3, run.stderr
         assert named in run.stderr
+        assert not (tmp_path / "d" / "deformed.csv").exists()
+
+
+def _null_seed_config(tmp_path):
+    doc = demo_config_dict()
+    doc["ik_seed2_rad"][3] = None
+    path = tmp_path / "null_seed.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _impact_file(tmp_path):
+    """A simulated 1 s x-axis impact at 0 N on the demo cell."""
+    model = config.load_config(DEMO_CONFIG).modal_models["x"]
+    path = tmp_path / "impact.csv"
+    path.write_text(modal.impact_record_to_csv(modal.simulate_impact(model, 0.0, duration=1.0)))
+    return path
+
+
+def _written(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+_SLOT = DEMO_CONFIG.parent / "slot.gcode"
+_HELIX = "G1 X10 Y0\nG3 X0 Y0 Z-0.3 I-5\n"
+_STRING_PATH_JSON = json.dumps({"segments": [{
+    "type": "linear", "start": {"position_m": ["0", 0, 0], "quaternion_wxyz": [1, 0, 0, 0]},
+    "end": {"position_m": [0.01, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}}]})
+
+# name: (arguments before --out given the test's tmp_path, exit code, what stderr names)
+REFUSED_INPUTS = {
+    "null IK seed": (lambda tmp: ["--config", _null_seed_config(tmp), "plan", _SLOT], 2,
+                     "config.ik_seed2_rad[3]"),
+    "nfft over the cap": (lambda tmp: ["frf", _impact_file(tmp), "--nfft", "1000000000"], 3, "nfft"),
+    "non-finite tension": (lambda tmp: ["--config", DEMO_CONFIG, "plan", _SLOT, "--tension", "nan"], 64,
+                           "--tension"),
+    "tension over the offset bound": (lambda tmp: ["--config", DEMO_CONFIG, "plan", _SLOT, "--tension", "40000",
+                                                   "--work-offset-mm", WORK_OFFSET], 3, "setpoint 0"),
+    "helix": (lambda tmp: ["--config", DEMO_CONFIG, "plan", _written(tmp, "helix.gcode", _HELIX),
+                           "--work-offset-mm", WORK_OFFSET], 3, "line 2"),
+    "string path JSON": (lambda tmp: ["--config", DEMO_CONFIG, "plan",
+                                      _written(tmp, "string.json", _STRING_PATH_JSON)],
+                         3, "segments[0].start.position_m[0]"),
+}
+
+
+class TestPlanAndFrfRefusalsFromTheCommandLine:
+    """Refused inputs of `plan` and `frf`, run as `python -m twinmill.cli`
+    in a subprocess: the exit code, the location in the message and no
+    output file."""
+
+    @pytest.mark.parametrize("args, code, named", REFUSED_INPUTS.values(), ids=REFUSED_INPUTS.keys())
+    def test_exit_code_and_location(self, tmp_path, args, code, named):
+        out = tmp_path / "out.csv"
+        run = _run_cli(*args(tmp_path), "--out", out)
+        assert run.returncode == code, run.stderr
+        assert named in run.stderr
+        assert not out.exists()
+
+
+def _scaled_config(keys, factor):
+    """The demo config document with the number at `keys` times `factor`."""
+    doc = demo_config_dict()
+    entry = doc
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] *= factor
+    return doc
+
+
+def _reordered(doc):
+    """The decoded JSON document with every object's keys in reverse order."""
+    if isinstance(doc, dict):
+        return {key: _reordered(doc[key]) for key in reversed(list(doc))}
+    if isinstance(doc, list):
+        return [_reordered(value) for value in doc]
+    return doc
+
+
+class TestCellFingerprint:
+    """`plan` writes the sha256 of the parsed cell; `deform` refuses a
+    program planned on another cell, naming both values."""
+
+    @pytest.fixture(scope="class")
+    def program_file(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("plan") / "p.csv"
+        assert cli.main(["--config", str(DEMO_CONFIG), "plan", str(DEMO_CONFIG.parent / "slot.gcode"),
+                         "--tension", "1000", "--work-offset-mm", WORK_OFFSET, "--out", str(out)]) == 0
+        return out
+
+    def test_demo_cell_matches_itself(self, tmp_path, program_file):
+        cell = cell_sha256(config.load_config(DEMO_CONFIG).system)
+        assert f"# cell_sha256={cell}\n" in program_file.read_text()
+        assert cli.main(["--config", str(DEMO_CONFIG), "deform", str(program_file), "--out", str(tmp_path)]) == 0
+
+    def test_reordered_and_reindented_config_hashes_the_same(self, tmp_path, program_file):
+        other = tmp_path / "system.json"
+        other.write_text(json.dumps(_reordered(demo_config_dict()), indent=7))
+        assert other.read_text() != DEMO_CONFIG.read_text()
+        assert cell_sha256(config.load_config(other).system) == cell_sha256(config.load_config(DEMO_CONFIG).system)
+        assert cli.main(["--config", str(other), "deform", str(program_file), "--out", str(tmp_path / "d")]) == 0
+
+    @pytest.mark.parametrize("keys", [
+        ("modal_models", "x", "f0_hz"), ("defaults", "tol_pos_m"), ("workspace_box", "size_m", 0),
+    ], ids=["modal model", "solver default", "workspace"])
+    def test_what_is_not_the_cell_does_not_change_the_hash(self, keys):
+        doc = _scaled_config(keys, 1.5)
+        assert cell_sha256(config.parse_config(doc).system) == cell_sha256(config.load_config(DEMO_CONFIG).system)
+
+    @pytest.mark.parametrize("keys", [
+        ("arm1", "joint_stiffness_nm_per_rad", 2), ("arm2", "joint_stiffness_nm_per_rad", 5),
+        ("spring_matrix", 4, 4), ("tool_offset", "position_m", 2),
+    ], ids=["arm 1 joint stiffness", "arm 2 joint stiffness", "spring entry", "tool offset"])
+    def test_another_cell_exits_3_naming_both_values(self, tmp_path, program_file, keys, capsys):
+        other = tmp_path / "system.json"
+        other.write_text(json.dumps(_scaled_config(keys, 1.01)))
+        planned, here = (cell_sha256(config.load_config(p).system) for p in (DEMO_CONFIG, other))
+        assert planned != here
+        out = tmp_path / "d"
+        assert cli.main(["--config", str(other), "deform", str(program_file), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"error: program {program_file} was planned on cell_sha256={planned}, "
+                                           f"the config's cell is {here}\n")
+        assert not out.exists()
+
+    def test_program_without_a_cell_exits_3(self, tmp_path, program_file, capsys):
+        edited = tmp_path / "edited.csv"
+        edited.write_text(_without_cell(program_file.read_text()))
+        out = tmp_path / "d"
+        assert cli.main(["--config", str(DEMO_CONFIG), "deform", str(edited), "--out", str(out)]) == 3
+        cell = cell_sha256(config.load_config(DEMO_CONFIG).system)
+        assert capsys.readouterr().err == (f"error: program {edited} has no cell_sha256; "
+                                           f"the config's cell is {cell}\n")
+        assert not out.exists()

@@ -105,21 +105,23 @@ def test_trace_round_trip(points, tension, noise, label):
 
 @st.composite
 def programs(draw):
-    """A SyncProgram of random finite doubles: unit quaternions, strictly
-    increasing indices within +-2**53, a feed >= 0."""
+    """A 20-column SyncProgram of random finite doubles: unit tool
+    quaternions, strictly increasing indices within +-2**53, a feed >= 0
+    and a cell_sha256 of 64 lowercase hex digits, or none."""
     n = draw(st.integers(1, 12))
     index = sorted(draw(st.sets(st.integers(-2**53, 2**53), min_size=n, max_size=n)))
-    poses = draw(arrays(np.float64, (4, n, 7), elements=FINITE))
-    quats = draw(arrays(np.float64, (4, n, 4), elements=st.floats(-1.0, 1.0)))
+    tool = draw(arrays(np.float64, (n, 7), elements=FINITE))
+    quats = draw(arrays(np.float64, (n, 4), elements=st.floats(-1.0, 1.0)))
     norms = np.linalg.norm(quats, axis=-1, keepdims=True)
     assume(np.all(norms > 0.1))
-    poses[..., 3:] = quats / norms
+    tool[:, 3:] = quats / norms
     q = draw(arrays(np.float64, (2, n, 6), elements=FINITE))
     tension = Wrench.from_vector(draw(arrays(np.float64, 6, elements=FINITE)))
     feed = draw(st.floats(min_value=-0.0, allow_infinity=False))  # a program's feed is >= 0
     chord_tol, max_step = draw(arrays(np.float64, 2, elements=FINITE))
-    return SyncProgram(Setpoints(index, *poses, *q), tension=tension, feed_mm_min=feed,
-                       chord_tol=chord_tol, max_step=max_step)
+    cell = draw(st.none() | st.text("0123456789abcdef", min_size=64, max_size=64))
+    return SyncProgram(Setpoints(index, tool, *q), tension=tension, feed_mm_min=feed,
+                       chord_tol=chord_tol, max_step=max_step, cell_sha256=cell)
 
 
 @settings(max_examples=30)
@@ -127,9 +129,10 @@ def programs(draw):
 def test_program_round_trip(program):
     text = program_to_csv(program)
     back = program_from_csv(text)
-    for name in ("index", "tool_pose", "robot1_flange", "robot2_flange_nominal", "robot2_flange_commanded",
-                 "q1", "q2"):
+    assert text.split("\n")[4 + (program.cell_sha256 is not None)].count(",") == 19
+    for name in ("index", "tool_pose", "q1", "q2"):
         assert_bits_equal(getattr(back.pairs, name), getattr(program.pairs, name))
+    assert back.cell_sha256 == program.cell_sha256
     assert_bits_equal(back.tension.as_vector(), program.tension.as_vector())
     assert_bits_equal([back.feed_mm_min, back.chord_tol, back.max_step],
                       [program.feed_mm_min, program.chord_tol, program.max_step])

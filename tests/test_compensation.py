@@ -23,10 +23,9 @@ from twinmill.errors import (
     InvalidInputError,
     SingularConfigurationError,
 )
-from twinmill.geometry import Pose, pose_rows, quat_from_rotvec, quat_to_matrix
-from twinmill.kinematics import forward_kinematics, inverse_kinematics
+from twinmill.geometry import Pose, compose_rows, pose_rows, quat_from_rotvec, quat_to_matrix
+from twinmill.kinematics import DEFAULT_TOL_POS, forward_kinematics, inverse_kinematics
 from twinmill.pathplan import (
-    _POSE_NAMES,
     Setpoints,
     apply_world_offset,
     parse_gcode,
@@ -169,9 +168,9 @@ class TestCompensate:
 def _with_pair(program, k, pair):
     """`program` with setpoint row k replaced by the SetpointPair `pair`."""
     fields = []
-    for name in ("index",) + _POSE_NAMES + ("q1", "q2"):
+    for name in ("index", "tool_pose", "q1", "q2"):
         rows = getattr(program.pairs, name).copy()
-        rows[k] = pose_rows(getattr(pair, name)) if name in _POSE_NAMES else getattr(pair, name)
+        rows[k] = pose_rows(pair.tool_pose) if name == "tool_pose" else getattr(pair, name)
         fields.append(rows)
     return dataclasses.replace(program, pairs=Setpoints(*fields))
 
@@ -193,35 +192,24 @@ class TestDeformation:
         assert before > 1e-4
         assert after < 0.05 * before
 
-    def test_open_chain_rejected(self, cfg, demo_program):
-        """Arm-2 joints 5 mm off the commanded flange pose are a different
-        program, not a tensioned one."""
-        k = 7
-        pair = demo_program.pairs[k]
-        row = apply_world_offset(pose_rows(pair.robot2_flange_commanded), [0.005, 0.0, 0.0, 0.0, 0.0, 0.0])
-        target = Pose(row[:3], row[3:])
-        q2 = inverse_kinematics(cfg.system.arm2, target, pair.q2)
-        program = _with_pair(demo_program, k, dataclasses.replace(pair, q2=q2))
-        with pytest.raises(ClosureError) as exc:
-            simulate_deformation(cfg.system, program)
-        assert exc.value.index == k
-        assert str(exc.value).startswith(f"setpoint {k}: ")
-        assert exc.value.gap == pytest.approx(0.005, rel=1e-3)
-
     def test_commanded_offset_bounded(self, cfg, demo_program):
-        """A commanded arm-2 flange 20 mm from the nominal one, with joints
-        that reach it, is not a tension offset of this cell."""
+        """Arm-2 joints that reach 20 mm from the nominal arm-2 flange,
+        FK1(q1) ∘ flange2_offset, are not a tension offset of this cell."""
         k = 11
         pair = demo_program.pairs[k]
-        row = apply_world_offset(pose_rows(pair.robot2_flange_nominal), [0.0, 0.02, 0.0, 0.0, 0.0, 0.0])
+        nominal = forward_kinematics(cfg.system.arm1, pair.q1) @ cfg.system.flange2_offset
+        row = apply_world_offset(pose_rows(nominal), [0.0, 0.02, 0.0, 0.0, 0.0, 0.0])
         target = Pose(row[:3], row[3:])
         q2 = inverse_kinematics(cfg.system.arm2, target, pair.q2)
-        moved = dataclasses.replace(pair, robot2_flange_commanded=target, q2=q2)
+        moved = dataclasses.replace(pair, q2=q2)
         with pytest.raises(ClosureError) as exc:
             simulate_deformation(cfg.system, _with_pair(demo_program, k, moved))
         assert exc.value.index == k
         assert str(exc.value).startswith(f"setpoint {k}: commanded arm-2 flange")
-        assert exc.value.gap == pytest.approx(0.02, rel=1e-9)
+        # The gap is that of the joints' flange, which IK put within its tolerance of the 20 mm target.
+        reached = forward_kinematics(cfg.system.arm2, q2)
+        assert exc.value.gap == pytest.approx(np.linalg.norm(reached.position - nominal.position), rel=1e-9)
+        assert exc.value.gap == pytest.approx(0.02, abs=DEFAULT_TOL_POS)
 
     @pytest.mark.parametrize("arm", [1, 2])
     def test_joint_outside_limits_named(self, cfg, demo_program, arm):
@@ -247,7 +235,7 @@ class TestDeformation:
         still names the setpoint, the arm and the joint."""
         k = 7
         sp = demo_program.pairs
-        pairs = Setpoints(sp.index, *(getattr(sp, name) for name in _POSE_NAMES), sp.q1, sp.q2)
+        pairs = Setpoints(sp.index, sp.tool_pose, sp.q1, sp.q2)
         q = getattr(pairs, f"q{arm}").copy()
         q[k, 4] = np.nan
         setattr(pairs, f"q{arm}", q)
@@ -266,29 +254,25 @@ class TestDeformation:
         r1 = forward_kinematics(sys_.arm1, q1)
         r2 = r1 @ sys_.flange2_offset
         q2 = inverse_kinematics(sys_.arm2, r2, pair.q2)
-        singular = dataclasses.replace(
-            pair, tool_pose=r1 @ sys_.tool_offset, robot1_flange=r1, robot2_flange_nominal=r2,
-            robot2_flange_commanded=r2, q1=q1, q2=q2,
-        )
+        singular = dataclasses.replace(pair, tool_pose=r1 @ sys_.tool_offset, q1=q1, q2=q2)
         with pytest.raises(SingularConfigurationError) as exc:
             simulate_deformation(sys_, _with_pair(demo_program, k, singular))
         assert exc.value.index == k
         assert str(exc.value).startswith(f"setpoint {k}: ")
 
-    @pytest.mark.parametrize("name, what", [("tool_pose", "tool point"), ("robot1_flange", "flange")])
-    def test_arm_one_rows_checked_against_its_joints(self, cfg, demo_program, name, what):
-        """Tool or arm-1 flange rows moved 5 mm along x from setpoint 40
-        on, as a hand-edited program CSV can, no longer match q1: refused
-        naming the first moved setpoint."""
+    def test_arm_one_rows_checked_against_its_joints(self, cfg, demo_program):
+        """Tool rows moved 5 mm along x from setpoint 40 on, as a
+        hand-edited program CSV can, no longer match q1: refused naming
+        the first moved setpoint."""
         k = 40
         sp = demo_program.pairs
-        rows = {n: getattr(sp, n).copy() for n in _POSE_NAMES}
-        rows[name][k:, 0] += 0.005
-        pairs = Setpoints(sp.index, *(rows[n] for n in _POSE_NAMES), sp.q1, sp.q2)
+        tool = sp.tool_pose.copy()
+        tool[k:, 0] += 0.005
+        pairs = Setpoints(sp.index, tool, sp.q1, sp.q2)
         with pytest.raises(ClosureError) as exc:
             simulate_deformation(cfg.system, dataclasses.replace(demo_program, pairs=pairs))
         assert exc.value.index == k
-        assert str(exc.value) == f"setpoint {k}: arm-1 {what} is 5.000e-03 m from its planned position"
+        assert str(exc.value) == f"setpoint {k}: arm-1 tool point is 5.000e-03 m from its planned position"
 
     def test_report_statistics(self):
         ref = PathTrace(np.zeros((4, 3)))
@@ -336,17 +320,21 @@ class TestChainRelations:
     @given(st.floats(-4000.0, 4000.0))
     @example(1000.0)
     def test_zero_tension_moves_nothing(self, cfg, zero_tension_program, tension):
-        """At zero tension the commanded arm-2 flange is the nominal one and
-        nothing deforms. Planned at a tension T instead, only arm 2's
-        commanded pose and joints change, and that program deformed with
-        its tension set to zero does not move either."""
+        """At zero tension arm 2's joints reach the nominal arm-2 flange,
+        derived from the tool rows, within the IK tolerance, and nothing
+        deforms. Planned at a tension T instead, only arm 2's joints
+        change, and that program deformed with its tension set to zero
+        does not move either."""
         zero = zero_tension_program.pairs
-        np.testing.assert_array_equal(zero.robot2_flange_commanded, zero.robot2_flange_nominal)
+        sys_ = cfg.system
+        nominal = compose_rows(compose_rows(zero.tool_pose, sys_.tool_offset.inverse()), sys_.flange2_offset)
+        gaps = np.linalg.norm(forward_kinematics(sys_.arm2, zero.q2)[:, :3] - nominal[:, :3], axis=1)
+        assert np.all(gaps <= DEFAULT_TOL_POS)
         np.testing.assert_array_equal(simulate_deformation(cfg.system, zero_tension_program).points,
                                       zero.tool_pose[:, :3])
         program = plan_slot(cfg, tension)
         sp = program.pairs
-        for name in ("index", "tool_pose", "robot1_flange", "robot2_flange_nominal", "q1"):
+        for name in ("index", "tool_pose", "q1"):
             np.testing.assert_array_equal(getattr(sp, name), getattr(zero, name))
         unloaded = dataclasses.replace(program, tension=Wrench(np.zeros(3)))
         np.testing.assert_array_equal(simulate_deformation(cfg.system, unloaded).points, sp.tool_pose[:, :3])

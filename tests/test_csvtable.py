@@ -23,7 +23,7 @@ from twinmill.modal import (
     impact_record_to_csv,
     simulate_impact,
 )
-from twinmill.pathplan import _POSE_NAMES, parse_gcode, plan_sync, program_to_csv, transform_path
+from twinmill.pathplan import parse_gcode, plan_sync, program_to_csv, transform_path
 from twinmill.stiffness import Wrench
 
 COLUMNS = ("a", "b", "c")
@@ -121,13 +121,13 @@ class TestWriteTable:
         assert write_table({"k": "v"}, ("index", *"abcde"), data) == reference
 
     def test_program_csv_matches_row_by_row_format(self, cfg):
-        """The 12 quaternion columns of a 3-axis program are constant."""
+        """The 4 tool quaternion columns of a 3-axis program are constant."""
         path = transform_path(parse_gcode("G1 X4 F300\n"), Pose(np.array([2.105, -0.020, 1.100])))
         program = plan_sync(cfg.system, path, Wrench(np.array([1000.0, 0.0, 0.0])), (cfg.ik_seed1, cfg.ik_seed2))
         text = program_to_csv(program)
         sp = program.pairs
-        table = np.column_stack([sp.index] + [getattr(sp, name) for name in _POSE_NAMES] + [sp.q1, sp.q2])
-        assert np.sum(np.all(table == table[0], axis=0)) >= 12
+        table = np.column_stack([sp.index, sp.tool_pose, sp.q1, sp.q2])
+        assert np.sum(np.all(table == table[0], axis=0)) >= 4
         header_end = text.index("\nindex,") + 1
         body = text[text.index("\n", header_end) + 1:]
         fmt = "%d" + ",%.17g" * (table.shape[1] - 1) + "\n"
@@ -221,21 +221,29 @@ class TestReadTable:
             read_table(text, COLUMNS, "T")
 
     def test_meta_helpers(self):
-        meta = {"x": "2.5", "v": "1 -0 3e300", "bad": "2,5", "two": "1 2", "empty": "", "inf": "inf",
-                "nan": "1 nan"}
+        """A refused metadata value is named with its key and its line, in
+        the message and as `line`."""
+        values = {"x": "2.5", "v": "1 -0 3e300", "bad": "2,5", "two": "1 2", "empty": "", "inf": "inf",
+                  "nan": "1 nan"}
+        meta, _ = read_table(write_table(values, COLUMNS, [[1.0, 2.0, 3.0]]), COLUMNS, "T")
+        assert meta == values
         assert meta_float(meta, "x", 0.0, "T") == 2.5
         assert meta_float(meta, "missing", 7.0, "T") == 7.0
         assert meta_floats(meta, "v", None, "T") == [1.0, -0.0, 3e300]
-        for key in ("bad", "inf", "nan"):
-            with pytest.raises(InvalidInputError, match=f"^T: metadata {key}='{meta[key]}' is not a finite number"):
-                meta_floats(meta, key, None, "T")
-        for key in ("two", "empty"):
-            with pytest.raises(InvalidInputError, match=f"metadata {key}="):
-                meta_float(meta, key, 0.0, "T")
+        for line, key in enumerate(values, start=1):
+            if key in ("bad", "inf", "nan"):
+                with pytest.raises(InvalidInputError, match=f"^T line {line}: metadata {key}='{values[key]}' "
+                                                            "is not a finite number") as exc:
+                    meta_floats(meta, key, None, "T")
+                assert exc.value.line == line
+            if key in ("two", "empty"):
+                with pytest.raises(InvalidInputError, match=f"^T line {line}: metadata {key}=") as exc:
+                    meta_float(meta, key, 0.0, "T")
+                assert exc.value.line == line
 
 
 # Inputs that leaked a raw ValueError or IndexError before the codecs shared
-# one reader; each must raise InvalidInputError naming the line or the key.
+# one reader; each must raise InvalidInputError naming the line, and the key of a metadata value.
 # The impact CSV has 4 metadata lines and its header on line 5; the FRF CSV
 # 3 and line 4; the trace CSV 3 and line 4.
 BAD_INPUTS = {
@@ -246,10 +254,10 @@ BAD_INPUTS = {
                             "impact CSV line 8: "),
     "non-numeric sample rate": (impact_record_from_csv,
                                 lambda: edit_line(impact_text(), 4, lambda l: "# sample_rate_hz=fast"),
-                                "impact CSV: metadata sample_rate_hz='fast'"),
+                                "impact CSV line 4: metadata sample_rate_hz='fast'"),
     "non-numeric impact tension": (impact_record_from_csv,
                                    lambda: edit_line(impact_text(), 3, lambda l: "# tension_N=5OO"),
-                                   "impact CSV: metadata tension_N='5OO'"),
+                                   "impact CSV line 3: metadata tension_N='5OO'"),
     "FRF with only a header": (frf_from_csv, lambda: "# axis=x\nfreq_hz,re,im\n",
                                "FRF CSV: no data rows after the header on line 2"),
     # Written at 2048 Hz; with every time doubled, sample 1 on line 7 is the first off.
@@ -258,12 +266,12 @@ BAD_INPUTS = {
                              "sample 1 is at 0.00048828125 s"),
     "truncated FRF row": (frf_from_csv, lambda: edit_line(frf_text(), 9, truncate), "FRF CSV line 9: "),
     "infinite FRF tension": (frf_from_csv, lambda: edit_line(frf_text(), 3, lambda l: "# tension_N=inf"),
-                             "FRF CSV: metadata tension_N='inf'"),
+                             "FRF CSV line 3: metadata tension_N='inf'"),
     "truncated trace row": (trace_from_csv, lambda: edit_line(trace_text(), 7, truncate),
                             "trace CSV line 7: "),
     "non-numeric trace tension": (trace_from_csv,
                                   lambda: edit_line(trace_text(), 2, lambda l: "# tension_N=big"),
-                                  "trace CSV: metadata tension_N='big'"),
+                                  "trace CSV line 2: metadata tension_N='big'"),
 }
 
 

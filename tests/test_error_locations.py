@@ -46,14 +46,24 @@ def _blank_lines_after(text, lineno, count):
     return "\n".join(lines[:lineno] + [""] * count + lines[lineno:])
 
 
+def _with_meta(text, key, value):
+    """`text` with the value of metadata `key` set to `value`."""
+    return re.sub(rf"(?m)^# {key}=.*$", f"# {key}={value}", text)
+
+
 def _program_without_rows(program):
-    """The program CSV cut after its header, line 5."""
-    return "\n".join(program_to_csv(program).split("\n")[:5]) + "\n"
+    """The program CSV cut after its header, line 6."""
+    return "\n".join(program_to_csv(program).split("\n")[:6]) + "\n"
 
 
 def _impact_text():
     model = ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
     return impact_record_to_csv(simulate_impact(model, 500.0, sample_rate=2048.0, duration=0.05))
+
+
+def _impact_text_without_rate():
+    """The impact record with no sample_rate_hz line (line 4): its header is on line 4."""
+    return "\n".join(line for line in _impact_text().split("\n") if not line.startswith("# sample_rate_hz="))
 
 
 def _config_with_a_string_entry():
@@ -74,10 +84,10 @@ LOCATED = {
     "program CSV row": (lambda p: program_from_csv(_short_row(program_to_csv(p), 20)),
                         InvalidInputError, 20, None),
     "program CSV header": (lambda p: program_from_csv(program_to_csv(p).replace("index,tool_x", "index,x")),
-                           InvalidInputError, 5, None),
+                           InvalidInputError, 6, None),
     "program CSV without rows": (lambda p: program_from_csv(_program_without_rows(p)),
-                                 InvalidInputError, 5, None),
-    # Line 20 holds setpoint 14: an index of 3 there follows 13.
+                                 InvalidInputError, 6, None),
+    # Line 20 holds setpoint 13: an index of 3 there follows 12.
     "program CSV index order": (lambda p: program_from_csv(_with_index(program_to_csv(p), 20, "3")),
                                 InvalidInputError, 20, None),
     "program CSV fractional index": (lambda p: program_from_csv(_with_index(program_to_csv(p), 20, "13.5")),
@@ -86,7 +96,7 @@ LOCATED = {
     "program CSV index after blank lines": (
         lambda p: program_from_csv(_blank_lines_after(_with_index(program_to_csv(p), 20, "3"), 10, 2)),
         InvalidInputError, 22, None),
-    # Line 21 holds setpoint 15; field 4 is its tool_qw.
+    # Line 21 holds setpoint 14; field 4 is its tool_qw.
     "program CSV quaternion": (lambda p: program_from_csv(_with_field(program_to_csv(p), 21, 4, "0.5")),
                                InvalidInputError, 21, None),
     "trace CSV index": (lambda p: trace_from_csv(_with_index(trace_to_csv(PathTrace(np.zeros((10, 3)))), 7, "9")),
@@ -98,6 +108,27 @@ LOCATED = {
     # Line 10 holds sample 4, at 4 / 2048 s.
     "impact CSV time": (lambda p: impact_record_from_csv(_with_field(_impact_text(), 10, 0, "0.5")),
                         InvalidInputError, 10, None),
+    # Metadata values: the program's tension_wrench is on line 2 and its
+    # cell_sha256 on line 5, the impact record's tension_N on line 3 and its
+    # sample_rate_hz on line 4, the trace's tension_N on line 2.
+    "program CSV tension_wrench": (lambda p: program_from_csv(_with_meta(program_to_csv(p), "tension_wrench",
+                                                                         "1000 0 0 0 0")),
+                                   InvalidInputError, 2, None),
+    "program CSV cell_sha256": (lambda p: program_from_csv(_with_meta(program_to_csv(p), "cell_sha256", "abc")),
+                                InvalidInputError, 5, None),
+    "impact CSV tension_N": (lambda p: impact_record_from_csv(_with_meta(_impact_text(), "tension_N", "big")),
+                             InvalidInputError, 3, None),
+    "impact CSV sample_rate_hz": (lambda p: impact_record_from_csv(_with_meta(_impact_text(), "sample_rate_hz",
+                                                                              "fast")),
+                                  InvalidInputError, 4, None),
+    "trace CSV tension_N": (lambda p: trace_from_csv(_with_meta(trace_to_csv(PathTrace(np.zeros((10, 3)))),
+                                                                "tension_N", "big")),
+                            InvalidInputError, 2, None),
+    # Without sample_rate_hz the time steps must be equal; line 9 holds
+    # sample 4, whose step from sample 3 departs.
+    "impact CSV time without a rate": (
+        lambda p: impact_record_from_csv(_with_field(_impact_text_without_rate(), 9, 0, "0.0025")),
+        InvalidInputError, 9, None),
     "config": (lambda p: parse_config(_config_with_a_string_entry()),
                ConfigError, None, "config.arm1.dh_rows[0][2]"),
     "path JSON": (lambda p: path_from_json(_path_json_with_a_string_coordinate()),

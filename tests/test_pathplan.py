@@ -57,9 +57,16 @@ from twinmill.pathplan import (
     transform_path,
     translate_path,
 )
-from twinmill.stiffness import MAX_OFFSET, Wrench, predicted_tension
+from twinmill.stiffness import MAX_OFFSET, Wrench, cell_sha256, predicted_tension
 
-from conftest import DEMO_CONFIG, json_numbers, json_objects, json_replaced
+from conftest import (
+    DEMO_CONFIG,
+    forty_one_column_program,
+    json_numbers,
+    json_objects,
+    json_replaced,
+    planned_flanges,
+)
 
 # two straight cuts joined by a semicircle, hand-checked lengths
 SLOT_GCODE = """\
@@ -545,46 +552,42 @@ class TestDiscretize:
 
 class TestPlanSync:
     def test_zero_tension_commanded_equals_nominal(self, cfg):
+        """At zero tension arm 2's joints reach its nominal flange, derived
+        from the tool rows, within the IK tolerances."""
         prog = demo_plan(cfg, gcode="G1 X40 F300\n")
-        for pair in prog.pairs:
-            np.testing.assert_array_equal(
-                pair.robot2_flange_commanded.position, pair.robot2_flange_nominal.position
-            )
-            np.testing.assert_array_equal(
-                pair.robot2_flange_commanded.quaternion, pair.robot2_flange_nominal.quaternion
-            )
+        _, nominal = planned_flanges(cfg.system, prog)
+        err = pose_error(forward_kinematics(cfg.system.arm2, prog.pairs.q2), nominal)
+        assert np.all(np.linalg.norm(err[:, :3], axis=1) <= DEFAULT_TOL_POS)
+        assert np.all(np.linalg.norm(err[:, 3:], axis=1) <= DEFAULT_TOL_ROT)
 
     def test_geometry_chain(self, cfg):
         prog = demo_plan(cfg, gcode="G1 X40\n")
         sys_ = cfg.system
+        flanges, nominal = planned_flanges(sys_, prog)
         for i in range(0, len(prog.pairs), max(1, len(prog.pairs) // 5)):
             pair = prog.pairs[i]
             r1 = pair.tool_pose @ sys_.tool_offset.inverse()
-            np.testing.assert_allclose(pair.robot1_flange.position, r1.position, atol=1e-12)
+            np.testing.assert_allclose(flanges[i, :3], r1.position, atol=1e-12)
             r2n = r1 @ sys_.flange2_offset
-            np.testing.assert_allclose(pair.robot2_flange_nominal.position, r2n.position, atol=1e-12)
+            np.testing.assert_allclose(nominal[i, :3], r2n.position, atol=1e-12)
             fk1 = forward_kinematics(sys_.arm1, pair.q1)
             assert np.linalg.norm(fk1.position - r1.position) < 1e-6
+            # At zero tension the commanded arm-2 flange is the nominal one.
             fk2 = forward_kinematics(sys_.arm2, pair.q2)
-            assert np.linalg.norm(fk2.position - pair.robot2_flange_commanded.position) < 1e-6
+            assert np.linalg.norm(fk2.position - r2n.position) < 1e-6
 
     def test_tension_offset_consistent(self, cfg):
         w = Wrench(np.array([1000.0, 0.0, 0.0]))
         prog = demo_plan(cfg, gcode="G1 X40\n", tension=w)
         sys_ = cfg.system
+        _, nominal_rows = planned_flanges(sys_, prog)
         for i in range(0, len(prog.pairs), max(1, len(prog.pairs) // 4)):
             pair = prog.pairs[i]
-            q2n = inverse_kinematics(sys_.arm2, pair.robot2_flange_nominal, pair.q2)
-            dq = quat_multiply(
-                pair.robot2_flange_commanded.quaternion,
-                quat_conjugate(pair.robot2_flange_nominal.quaternion),
-            )
-            offset = np.concatenate(
-                [
-                    pair.robot2_flange_commanded.position - pair.robot2_flange_nominal.position,
-                    rotvec_from_quat(dq),
-                ]
-            )
+            nominal = Pose(nominal_rows[i, :3], nominal_rows[i, 3:])
+            commanded = forward_kinematics(sys_.arm2, pair.q2)
+            q2n = inverse_kinematics(sys_.arm2, nominal, pair.q2)
+            dq = quat_multiply(commanded.quaternion, quat_conjugate(nominal.quaternion))
+            offset = np.concatenate([commanded.position - nominal.position, rotvec_from_quat(dq)])
             back = predicted_tension(sys_, pair.q1, q2n, offset)
             # IK converges to 1e-6 in pose; the stiff branch magnifies that
             np.testing.assert_allclose(back.as_vector(), w.as_vector(), rtol=1e-6, atol=1e-3)
@@ -656,11 +659,21 @@ class TestPlanSync:
 
     def test_offset_bound_reports_the_first_setpoint_over_it(self, cfg, monkeypatch):
         """Along this line the arm-2 offset grows from row to row; with the
-        bound between those of rows 8 and 9, the plan fails at setpoint 9."""
+        bound between those of rows 8 and 9, the plan fails at setpoint 9.
+        The gaps are those of the commanded and nominal arm-2 flange rows
+        that `plan_sync` hands to `check_closure`."""
         w = Wrench(np.array([1000.0, 0.0, 0.0]))
         path = transform_path(parse_gcode("G1 X-40\n"), Pose(WORK_OFFSET + [0.04, 0.0, 0.0]))
-        sp = plan_sync(cfg.system, path, w, (cfg.ik_seed1, cfg.ik_seed2)).pairs
-        gaps = np.linalg.norm(sp.robot2_flange_commanded[:, :3] - sp.robot2_flange_nominal[:, :3], axis=1)
+        checked = []
+        real = pathplan.check_closure
+
+        def check_closure(actual, planned, *args):
+            checked.append(np.linalg.norm(actual - planned, axis=-1))
+            return real(actual, planned, *args)
+
+        monkeypatch.setattr(pathplan, "check_closure", check_closure)
+        plan_sync(cfg.system, path, w, (cfg.ik_seed1, cfg.ik_seed2))
+        [gaps] = checked
         assert np.all(np.diff(gaps) > 0)
         monkeypatch.setattr(pathplan, "MAX_OFFSET", (gaps[8] + gaps[9]) / 2)
         with pytest.raises(ClosureError) as exc:
@@ -812,7 +825,7 @@ class TestPassOneSeeding(SeedingCalls):
         prog = plan_sync(cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2))
         q1 = prog.pairs.q1
         assert np.min(q1[:, 4]) < 0.0 < np.max(q1[:, 4])
-        flip = closed_form_ik(arm1, prog.pairs.robot1_flange[1:], ik_branch(arm1, q1[0]), near=q1[0])
+        flip = closed_form_ik(arm1, planned_flanges(cfg.system, prog)[0][1:], ik_branch(arm1, q1[0]), near=q1[0])
         within = np.all((flip >= arm1.joint_limits[:, 0]) & (flip <= arm1.joint_limits[:, 1]))
         assert within == (wrist_limit is not None)
         assert np.max(np.abs(np.diff(flip, axis=0))) > pathplan.DEFAULT_JOINT_JUMP_MAX
@@ -850,8 +863,9 @@ class TestPassOneSeeding(SeedingCalls):
         pass1 = self.solve_calls(calls, ARM2_NOMINAL)
         assert [shape for shape, _ in pass1] == [(1, 7), (n - 1, 7)]
         np.testing.assert_array_equal(pass1[0][1], cfg.ik_seed2)
-        q0 = inverse_kinematics(arm2, prog.pairs.robot2_flange_nominal[:1], cfg.ik_seed2)[0]
-        seeds = pathplan._branch_seeds(arm2, prog.pairs.robot2_flange_nominal[1:], q0,
+        _, nominal = planned_flanges(cfg.system, prog)
+        q0 = inverse_kinematics(arm2, nominal[:1], cfg.ik_seed2)[0]
+        seeds = pathplan._branch_seeds(arm2, nominal[1:], q0,
                                        pathplan.DEFAULT_JOINT_JUMP_MAX)
         assert seeds is not None
         np.testing.assert_array_equal(pass1[1][1], seeds)
@@ -1026,17 +1040,17 @@ class TestFallbackSeeding(SeedingCalls):
         assert len(arm1) == len(arm2) == len(prog.pairs) > 2
         assert all(shape == (1, 7) for shape, _ in arm1 + arm2)
         q1, q2 = prog.pairs.q1, prog.pairs.q2  # q2 is the nominal solution at zero tension
+        flanges, nominal = (
+            [Pose(row[:3], row[3:]) for row in rows] for rows in planned_flanges(cfg.system, prog))
         for i in range(1, len(prog.pairs)):
-            pair = prog.pairs[i]
             np.testing.assert_array_equal(arm1[i][1], q1[i - 1])
             np.testing.assert_array_equal(arm2[i][1], q2[i - 1])
-            np.testing.assert_array_equal(q1[i], inverse_kinematics(cfg.system.arm1, pair.robot1_flange, q1[i - 1]))
-            np.testing.assert_array_equal(q2[i], inverse_kinematics(cfg.system.arm2, pair.robot2_flange_nominal,
-                                                                    q2[i - 1]))
-        # Pass 3 seeds each commanded solve with its nominal solution.
-        pair = prog.pairs[2]
-        q2n = inverse_kinematics(cfg.system.arm2, pair.robot2_flange_nominal, q2[1])
-        np.testing.assert_array_equal(q2[2], inverse_kinematics(cfg.system.arm2, pair.robot2_flange_commanded, q2n))
+            np.testing.assert_array_equal(q1[i], inverse_kinematics(cfg.system.arm1, flanges[i], q1[i - 1]))
+            np.testing.assert_array_equal(q2[i], inverse_kinematics(cfg.system.arm2, nominal[i], q2[i - 1]))
+        # Pass 3 seeds each commanded solve with its nominal solution; at
+        # zero tension the commanded pose is the nominal one.
+        q2n = inverse_kinematics(cfg.system.arm2, nominal[2], q2[1])
+        np.testing.assert_array_equal(q2[2], inverse_kinematics(cfg.system.arm2, nominal[2], q2n))
 
 
 class TestProgramCsv:
@@ -1054,9 +1068,8 @@ class TestProgramCsv:
             np.testing.assert_array_equal(a.q1, b.q1)
             np.testing.assert_array_equal(a.q2, b.q2)
             np.testing.assert_array_equal(a.tool_pose.position, b.tool_pose.position)
-            np.testing.assert_array_equal(
-                a.robot2_flange_commanded.quaternion, b.robot2_flange_commanded.quaternion
-            )
+            np.testing.assert_array_equal(a.tool_pose.quaternion, b.tool_pose.quaternion)
+        assert back.cell_sha256 == prog.cell_sha256 == cell_sha256(cfg.system)
 
 
 class TestSetpoints:
@@ -1066,9 +1079,8 @@ class TestSetpoints:
         assert len(pairs) == len(sp)
         for i, pair in enumerate(pairs):
             assert pair.index == sp.index[i]
-            for name in pathplan._POSE_NAMES:
-                np.testing.assert_array_equal(getattr(pair, name).position, getattr(sp, name)[i, :3])
-                np.testing.assert_array_equal(getattr(pair, name).quaternion, getattr(sp, name)[i, 3:])
+            np.testing.assert_array_equal(pair.tool_pose.position, sp.tool_pose[i, :3])
+            np.testing.assert_array_equal(pair.tool_pose.quaternion, sp.tool_pose[i, 3:])
             np.testing.assert_array_equal(pair.q1, sp.q1[i])
             np.testing.assert_array_equal(pair.q2, sp.q2[i])
 
@@ -1093,8 +1105,7 @@ class TestSetpoints:
             SyncProgram(tuple(demo_program.pairs), tension=demo_program.tension)
         with pytest.raises(InvalidInputError, match="no setpoints"):
             sp = demo_program.pairs
-            empty = Setpoints(sp.index[:0], *(getattr(sp, name)[:0] for name in pathplan._POSE_NAMES),
-                              sp.q1[:0], sp.q2[:0])
+            empty = Setpoints(sp.index[:0], sp.tool_pose[:0], sp.q1[:0], sp.q2[:0])
             SyncProgram(empty, tension=demo_program.tension)
 
     @pytest.mark.parametrize("feed", [-100.0, -5e-324, np.nan, np.inf])
@@ -1108,15 +1119,15 @@ class TestSetpoints:
         index = sp.index.copy()
         index[[1, 2]] = index[[2, 1]]
         with pytest.raises(InvalidInputError, match=r"strictly increasing \(row 2: 1 after 2\)") as exc:
-            Setpoints(index, *(getattr(sp, name) for name in pathplan._POSE_NAMES), sp.q1, sp.q2)
+            Setpoints(index, sp.tool_pose, sp.q1, sp.q2)
         assert exc.value.index == 2
 
     def test_bad_pose_row_named_with_its_row(self, demo_program):
         sp = demo_program.pairs
-        poses = [getattr(sp, name).copy() for name in pathplan._POSE_NAMES]
-        poses[1][3, 3:] *= 2.0
-        with pytest.raises(InvalidInputError, match=r"^robot1_flange: pose row 3: ") as exc:
-            Setpoints(sp.index, *poses, sp.q1, sp.q2)
+        tool = sp.tool_pose.copy()
+        tool[3, 3:] *= 2.0
+        with pytest.raises(InvalidInputError, match=r"^tool_pose: pose row 3: ") as exc:
+            Setpoints(sp.index, tool, sp.q1, sp.q2)
         assert exc.value.index == 3
 
     def test_pose_rows_check_and_sign_as_pose(self):
@@ -1139,17 +1150,52 @@ class TestProgramCsvRows:
 
     def test_garbage_header_rejected(self, demo_program):
         lines = program_to_csv(demo_program).splitlines()
-        assert lines[4].startswith("index,tool_x,")
-        lines[4] = ",".join(f"col{i}" for i in range(41))
-        with pytest.raises(InvalidInputError, match="program CSV line 5: expected header"):
+        assert lines[5].startswith("index,tool_x,")
+        lines[5] = ",".join(f"col{i}" for i in range(20))
+        with pytest.raises(InvalidInputError, match="program CSV line 6: expected header"):
             program_from_csv("\n".join(lines) + "\n")
+
+    def test_forty_one_column_program_refused_at_its_header(self, cfg, demo_program):
+        """The form that also held the three flange frames has no reader:
+        its header, on line 5, is refused."""
+        with pytest.raises(InvalidInputError) as exc:
+            program_from_csv(forty_one_column_program(cfg.system, demo_program))
+        assert exc.value.line == 5
+        assert str(exc.value).startswith("program CSV line 5: expected header 'index,tool_x,tool_y,tool_z,"
+                                         "tool_qw,tool_qx,tool_qy,tool_qz,q1_0,")
+        assert "found 'index,tool_x,tool_y,tool_z,tool_qw,tool_qx,tool_qy,tool_qz,r1_x," in str(exc.value)
+
+    def test_twenty_columns_and_the_cell(self, cfg, demo_program):
+        lines = program_to_csv(demo_program).splitlines()
+        assert lines[4] == f"# cell_sha256={cell_sha256(cfg.system)}"
+        assert lines[5] == ",".join(pathplan._COLUMNS)
+        assert len(pathplan._COLUMNS) == 20
+        assert all(len(line.split(",")) == 20 for line in lines[6:])
+
+    def test_program_without_a_cell_round_trips_without_one(self, demo_program):
+        program = dataclasses.replace(demo_program, cell_sha256=None)
+        text = program_to_csv(program)
+        assert "cell_sha256" not in text
+        assert program_from_csv(text).cell_sha256 is None
+
+    @pytest.mark.parametrize("cell", ["", "abc", "B" * 64, "0" * 63 + "g", "0" * 65])
+    def test_bad_cell_sha256_named_with_its_line(self, demo_program, cell):
+        text = re.sub(r"(?m)^# cell_sha256=.*$", f"# cell_sha256={cell}", program_to_csv(demo_program))
+        with pytest.raises(InvalidInputError) as exc:
+            program_from_csv(text)
+        assert exc.value.line == 5
+        assert str(exc.value) == (f"program CSV line 5: metadata cell_sha256={cell!r} "
+                                  "is not 64 lowercase hex digits")
+        with pytest.raises(InvalidInputError, match="cell_sha256 must be 64 lowercase hex digits"):
+            dataclasses.replace(demo_program, cell_sha256=cell)
 
     @pytest.mark.parametrize("wrench", ["1000 0 0 0 0", "1000 0 0 0 0 0 0"])
     def test_tension_wrench_of_other_than_6_numbers_named(self, demo_program, wrench):
         text = re.sub(r"(?m)^# tension_wrench=.*$", f"# tension_wrench={wrench}", program_to_csv(demo_program))
         with pytest.raises(InvalidInputError) as exc:
             program_from_csv(text)
-        assert str(exc.value) == f"program CSV: metadata tension_wrench='{wrench}' is not 6 numbers"
+        assert str(exc.value) == f"program CSV line 2: metadata tension_wrench='{wrench}' is not 6 numbers"
+        assert exc.value.line == 2
 
     def test_fractional_index_rejected(self, demo_program):
         lines = program_to_csv(demo_program).splitlines()

@@ -22,7 +22,7 @@ from twinmill.stiffness import (
     tension_offset,
 )
 
-from conftest import make_one_link_arm, make_test_arm, random_nonsingular_q
+from conftest import make_one_link_arm, make_test_arm, planned_flanges, random_nonsingular_q
 
 DEFAULT_SPRING = np.diag([5e7, 5e7, 5e7, 5e5, 5e5, 5e5])
 KS = JointStiffness(np.array([4e6, 4e6, 3e6, 1.5e6, 1.5e6, 1e6]))
@@ -304,10 +304,11 @@ def demo_rows(cfg, demo_program):
     solved for each setpoint's nominal arm-2 flange pose."""
     from twinmill.kinematics import inverse_kinematics
 
+    _, nominal = planned_flanges(cfg.system, demo_program)
     q1 = np.array([p.q1 for p in demo_program.pairs])
     q2 = np.array([
-        inverse_kinematics(cfg.system.arm2, p.robot2_flange_nominal, p.q2)
-        for p in demo_program.pairs
+        inverse_kinematics(cfg.system.arm2, Pose(r[:3], r[3:]), p.q2)
+        for r, p in zip(nominal, demo_program.pairs)
     ])
     return q1, q2
 
