@@ -164,11 +164,9 @@ def cmd_plan(args):
 
 
 def _check_cell(program, system, path):
-    """Refuse a program planned on another cell than `system`, or on an
-    unknown one: its joints would mean other poses."""
+    """Refuse a program planned on another cell than `system`: its joints
+    would mean other poses."""
     cell = cell_sha256(system)
-    if program.cell_sha256 is None:
-        raise TwinmillError(f"program {path} has no cell_sha256; the config's cell is {cell}")
     if program.cell_sha256 != cell:
         raise TwinmillError(f"program {path} was planned on cell_sha256={program.cell_sha256}, "
                             f"the config's cell is {cell}")

@@ -298,11 +298,13 @@ def _header_line(lines):
 
 class Metadata(dict):
     """The `# key=value` lines of a file as {key: value}, with the 1-based
-    line of each key (the last one, for a repeated key) in `lines`."""
+    line of each key (the last one, for a repeated key) in `lines` and
+    that of the header in `header_line`."""
 
-    def __init__(self):
+    def __init__(self, header_line):
         super().__init__()
         self.lines = {}
+        self.header_line = header_line
 
 
 def read_table(text, columns, what):
@@ -314,7 +316,7 @@ def read_table(text, columns, what):
     n = _header_line(lines)
     if n is None:
         raise InvalidInputError(f"{what}: no header line '{header}'")
-    meta = Metadata()
+    meta = Metadata(n + 1)
     for number, line in enumerate(lines[:n], start=1):
         key, sep, value = line.strip()[1:].partition("=")
         if sep:

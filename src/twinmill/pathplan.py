@@ -502,16 +502,16 @@ _SHA256 = re.compile(r"[0-9a-f]{64}")
 @dataclass(frozen=True)
 class SyncProgram:
     """A synchronized program: its setpoints, the tension they were
-    planned for, the feed and step sizes it was discretized with and the
-    `stiffness.cell_sha256` of the cell it was planned on (None if not
-    known), without which its joints mean nothing."""
+    planned for, the `stiffness.cell_sha256` of the cell it was planned
+    on, without which its joints mean nothing, and the feed and step
+    sizes it was discretized with."""
 
     pairs: Setpoints
     tension: Wrench
+    cell_sha256: str
     feed_mm_min: float = 0.0
     chord_tol: float = 0.0
     max_step: float = 0.0
-    cell_sha256: str | None = None
 
     def __post_init__(self):
         if not isinstance(self.pairs, Setpoints):
@@ -520,8 +520,7 @@ class SyncProgram:
             raise InvalidInputError("sync program has no setpoints")
         if not 0.0 <= self.feed_mm_min < math.inf:
             raise InvalidInputError(f"sync program feed_mm_min must be finite and >= 0, got {self.feed_mm_min:g}")
-        if self.cell_sha256 is not None and not (isinstance(self.cell_sha256, str)
-                                                 and _SHA256.fullmatch(self.cell_sha256)):
+        if not (isinstance(self.cell_sha256, str) and _SHA256.fullmatch(self.cell_sha256)):
             raise InvalidInputError(f"sync program cell_sha256 must be 64 lowercase hex digits, "
                                     f"got {self.cell_sha256!r:.80}")
 
@@ -752,9 +751,8 @@ def program_to_csv(program: SyncProgram) -> str:
         "tension_wrench": " ".join(_fmt(x) for x in program.tension.as_vector()),
         "chord_tol_m": _fmt(program.chord_tol),
         "max_step_m": _fmt(program.max_step),
+        "cell_sha256": program.cell_sha256,
     }
-    if program.cell_sha256 is not None:
-        meta["cell_sha256"] = program.cell_sha256
     sp = program.pairs
     return write_table(meta, _COLUMNS, np.column_stack([sp.index, sp.tool_pose, sp.q1, sp.q2]))
 
@@ -762,9 +760,9 @@ def program_to_csv(program: SyncProgram) -> str:
 def program_from_csv(text) -> SyncProgram:
     """Read a program CSV. A bad setpoint row raises InvalidInputError
     naming its line, and a bad metadata value naming its key and line, in
-    the message and as `line`. A program of any other columns, such as
-    the 41 of the form that also held the flange frames, is refused at its
-    header line."""
+    the message and as `line`. A program without cell_sha256, or of any
+    other columns, such as the 41 of the form that also held the flange
+    frames, is refused at its header line."""
     meta, table = read_table(text, _COLUMNS, "program CSV")
     index = table[:, 0]
     bad = np.flatnonzero((index != np.trunc(index)) | (np.abs(index) > 2.0**53))
@@ -775,8 +773,11 @@ def program_from_csv(text) -> SyncProgram:
     wrench = meta_floats(meta, "tension_wrench", [0.0] * 6, "program CSV")
     if len(wrench) != 6:
         raise meta_error(meta, "tension_wrench", "program CSV", "is not 6 numbers")
-    cell = meta.get("cell_sha256")
-    if cell is not None and not _SHA256.fullmatch(cell):
+    if "cell_sha256" not in meta:
+        raise InvalidInputError(f"program CSV line {meta.header_line}: no cell_sha256 metadata before the header",
+                                line=meta.header_line)
+    cell = meta["cell_sha256"]
+    if not _SHA256.fullmatch(cell):
         raise meta_error(meta, "cell_sha256", "program CSV", "is not 64 lowercase hex digits")
     try:
         pairs = Setpoints(index.astype(np.int64), table[:, 1:8], table[:, 8:14], table[:, 14:20])

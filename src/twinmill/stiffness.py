@@ -143,16 +143,22 @@ def cell_sha256(sys: CoupledSystem) -> str:
     float64 little-endian in this order: per arm, 1 then 2, the DH rows,
     the joint limits, the base pose and the flange offset; the joint
     stiffnesses of arm 1 and arm 2; the spring K; `tool_offset` and
-    `flange2_offset`. A pose is its position and its quaternion, qw >= 0.
-    The same cell written with other key order or layout hashes the same."""
+    `flange2_offset`. A pose is its position and its quaternion, signed so
+    that its first nonzero component is positive (qw > 0 where qw != 0,
+    as `Pose` keeps it), and -0.0 is hashed as 0.0. The same cell written
+    with other key order, layout or signs of zero hashes the same."""
+
+    def quat(q):
+        return -q if q[np.flatnonzero(q)[0]] < 0.0 else q
+
     parts = []
     for arm in (sys.arm1, sys.arm2):
-        parts += [arm.dh_rows, arm.joint_limits, arm.base_pose.position, arm.base_pose.quaternion,
-                  arm.flange_offset.position, arm.flange_offset.quaternion]
+        parts += [arm.dh_rows, arm.joint_limits, arm.base_pose.position, quat(arm.base_pose.quaternion),
+                  arm.flange_offset.position, quat(arm.flange_offset.quaternion)]
     parts += [sys.joint_stiffness1.diag, sys.joint_stiffness2.diag, sys.spring.K,
-              sys.tool_offset.position, sys.tool_offset.quaternion,
-              sys.flange2_offset.position, sys.flange2_offset.quaternion]
-    data = np.concatenate([np.ravel(a) for a in parts]).astype("<f8")
+              sys.tool_offset.position, quat(sys.tool_offset.quaternion),
+              sys.flange2_offset.position, quat(sys.flange2_offset.quaternion)]
+    data = np.concatenate([np.ravel(a) for a in parts]).astype("<f8") + 0.0
     return hashlib.sha256(data.tobytes()).hexdigest()
 
 

@@ -96,6 +96,26 @@ def planned_flanges(system, program):
     return r1, compose_rows(r1, system.flange2_offset)
 
 
+def arm2_targets(plan):
+    """Call `plan()` and return its program with the arm-2 nominal and
+    commanded flange rows [N, 7] that `plan_sync` handed to arm 2's IK
+    (passes 1 and 3)."""
+    from twinmill import pathplan
+
+    targets = []
+    real = pathplan._solve
+
+    def solve(arm, rows, *args):
+        targets.append(np.array(rows))
+        return real(arm, rows, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pathplan, "_solve", solve)
+        program = plan()
+    _, nominal, commanded = targets
+    return program, nominal, commanded
+
+
 def forty_one_column_program(system, program):
     """`program` as CSV in the 41-column form that also held arm 1's
     flange and arm 2's nominal and commanded flanges, the last from FK of

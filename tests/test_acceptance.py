@@ -54,7 +54,7 @@ from twinmill.stiffness import (
     tension_offset,
 )
 
-from conftest import DEMO_CONFIG, planned_flanges, random_nonsingular_q
+from conftest import DEMO_CONFIG, arm2_targets, planned_flanges, random_nonsingular_q
 from test_stiffness import make_twin_system, tool_point_branch_stiffness
 
 DATA = Path(__file__).parent / "data"
@@ -231,12 +231,14 @@ def test_acceptance_7_path_planning():
     ok = path_to_json(parse_gcode(gcode)) == golden
     ok = ok and path_to_json(path_from_json(golden)) == golden
     cfg = load_config(DEMO_CONFIG)
-    program = _plan_slot(cfg, workspace_box=cfg.workspace_box)
+    program, planned_nominal, commanded = arm2_targets(lambda: _plan_slot(cfg, workspace_box=cfg.workspace_box))
     for pair in program.pairs:
         half = cfg.workspace_size / 2
         ok = ok and np.all(np.abs(pair.tool_pose.position - cfg.workspace_center) <= half)
-    # Untensioned, arm 2's joints reach its nominal flange within the IK tolerances.
+    # Untensioned, the commanded arm-2 flange is the nominal one derived
+    # from the tool rows, and arm 2's joints reach it within the IK tolerances.
     _, nominal = planned_flanges(cfg.system, program)
+    ok = ok and np.array_equal(commanded, planned_nominal) and np.array_equal(planned_nominal, nominal)
     err = pose_error(forward_kinematics(cfg.system.arm2, program.pairs.q2), nominal)
     ok = ok and np.all(np.linalg.norm(err[:, :3], axis=1) <= DEFAULT_TOL_POS)
     ok = ok and np.all(np.linalg.norm(err[:, 3:], axis=1) <= DEFAULT_TOL_ROT)

@@ -463,7 +463,8 @@ class TestDeformRefusalsFromTheCommandLine:
         # The form that also held the flange frames has its header on line 5.
         (lambda text: forty_one_column_program(config.load_config(DEMO_CONFIG).system, program_from_csv(text)),
          [], "program CSV line 5: expected header"),
-        (_without_cell, [], "has no cell_sha256"),
+        # Without its cell_sha256 line the header is on line 5.
+        (_without_cell, [], "program CSV line 5: no cell_sha256"),
     ], ids=["tool rows shifted", "wrench of 5 numbers", "index out of order", "41 columns", "no cell_sha256"])
     def test_exits_3_naming_the_location(self, tmp_path, demo_plan, edit, options, named):
         edited = tmp_path / "edited.csv"
@@ -575,6 +576,25 @@ class TestCellFingerprint:
         assert cell_sha256(config.load_config(other).system) == cell_sha256(config.load_config(DEMO_CONFIG).system)
         assert cli.main(["--config", str(other), "deform", str(program_file), "--out", str(tmp_path / "d")]) == 0
 
+    @pytest.mark.parametrize("keys, value", [
+        (("arm1", "dh_rows", 0, 3), -0.0),
+        (("arm2", "base_pose", "position_m", 1), -0.0),
+        (("arm2", "base_pose", "quaternion_wxyz"), [0.0, 0.0, 0.0, -1.0]),
+        (("flange2_offset", "quaternion_wxyz"), [-0.0, -0.7071067811865476, 0.0, -0.7071067811865476]),
+    ], ids=["-0.0 DH entry", "-0.0 base position", "qw=0 base quaternion negated", "qw=0 offset quaternion negated"])
+    def test_the_same_cell_with_other_signs_hashes_the_same(self, tmp_path, program_file, keys, value):
+        """-0.0 for 0.0, and -q for a quaternion q with qw = 0, which `Pose`
+        keeps as written, are the same cell."""
+        doc = demo_config_dict()
+        entry = doc
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+        other = tmp_path / "system.json"
+        other.write_text(json.dumps(doc))
+        assert cell_sha256(config.load_config(other).system) == cell_sha256(config.load_config(DEMO_CONFIG).system)
+        assert cli.main(["--config", str(other), "deform", str(program_file), "--out", str(tmp_path / "d")]) == 0
+
     @pytest.mark.parametrize("keys", [
         ("modal_models", "x", "f0_hz"), ("defaults", "tol_pos_m"), ("workspace_box", "size_m", 0),
     ], ids=["modal model", "solver default", "workspace"])
@@ -602,7 +622,5 @@ class TestCellFingerprint:
         edited.write_text(_without_cell(program_file.read_text()))
         out = tmp_path / "d"
         assert cli.main(["--config", str(DEMO_CONFIG), "deform", str(edited), "--out", str(out)]) == 3
-        cell = cell_sha256(config.load_config(DEMO_CONFIG).system)
-        assert capsys.readouterr().err == (f"error: program {edited} has no cell_sha256; "
-                                           f"the config's cell is {cell}\n")
+        assert capsys.readouterr().err == "error: program CSV line 5: no cell_sha256 metadata before the header\n"
         assert not out.exists()

@@ -107,7 +107,7 @@ def test_trace_round_trip(points, tension, noise, label):
 def programs(draw):
     """A 20-column SyncProgram of random finite doubles: unit tool
     quaternions, strictly increasing indices within +-2**53, a feed >= 0
-    and a cell_sha256 of 64 lowercase hex digits, or none."""
+    and a cell_sha256 of 64 lowercase hex digits."""
     n = draw(st.integers(1, 12))
     index = sorted(draw(st.sets(st.integers(-2**53, 2**53), min_size=n, max_size=n)))
     tool = draw(arrays(np.float64, (n, 7), elements=FINITE))
@@ -119,9 +119,9 @@ def programs(draw):
     tension = Wrench.from_vector(draw(arrays(np.float64, 6, elements=FINITE)))
     feed = draw(st.floats(min_value=-0.0, allow_infinity=False))  # a program's feed is >= 0
     chord_tol, max_step = draw(arrays(np.float64, 2, elements=FINITE))
-    cell = draw(st.none() | st.text("0123456789abcdef", min_size=64, max_size=64))
-    return SyncProgram(Setpoints(index, tool, *q), tension=tension, feed_mm_min=feed,
-                       chord_tol=chord_tol, max_step=max_step, cell_sha256=cell)
+    cell = draw(st.text("0123456789abcdef", min_size=64, max_size=64))
+    return SyncProgram(Setpoints(index, tool, *q), tension=tension, cell_sha256=cell, feed_mm_min=feed,
+                       chord_tol=chord_tol, max_step=max_step)
 
 
 @settings(max_examples=30)
@@ -129,7 +129,7 @@ def programs(draw):
 def test_program_round_trip(program):
     text = program_to_csv(program)
     back = program_from_csv(text)
-    assert text.split("\n")[4 + (program.cell_sha256 is not None)].count(",") == 19
+    assert text.split("\n")[5].count(",") == 19
     for name in ("index", "tool_pose", "q1", "q2"):
         assert_bits_equal(getattr(back.pairs, name), getattr(program.pairs, name))
     assert back.cell_sha256 == program.cell_sha256

@@ -34,7 +34,7 @@ from twinmill.pathplan import (
 )
 from twinmill.stiffness import SpringModel, Wrench
 
-from conftest import plan_slot
+from conftest import arm2_targets, plan_slot
 
 
 def cloud(rng, n=100, scale=0.05):
@@ -308,8 +308,10 @@ def _moved_cell(system, G):
 
 
 @pytest.fixture(scope="module")
-def zero_tension_program(cfg):
-    return plan_slot(cfg, 0.0)
+def zero_tension_plan(cfg):
+    """The demo slot planned at zero tension, with the arm-2 nominal and
+    commanded flange rows that `plan_sync` solved for."""
+    return arm2_targets(lambda: plan_slot(cfg, 0.0))
 
 
 class TestChainRelations:
@@ -319,15 +321,18 @@ class TestChainRelations:
     @settings(max_examples=20)
     @given(st.floats(-4000.0, 4000.0))
     @example(1000.0)
-    def test_zero_tension_moves_nothing(self, cfg, zero_tension_program, tension):
-        """At zero tension arm 2's joints reach the nominal arm-2 flange,
-        derived from the tool rows, within the IK tolerance, and nothing
-        deforms. Planned at a tension T instead, only arm 2's joints
-        change, and that program deformed with its tension set to zero
-        does not move either."""
+    def test_zero_tension_moves_nothing(self, cfg, zero_tension_plan, tension):
+        """At zero tension the commanded arm-2 flange is the nominal one,
+        derived from the tool rows, arm 2's joints reach it within the IK
+        tolerance, and nothing deforms. Planned at a tension T instead,
+        only arm 2's joints change, and that program deformed with its
+        tension set to zero does not move either."""
+        zero_tension_program, planned_nominal, commanded = zero_tension_plan
         zero = zero_tension_program.pairs
         sys_ = cfg.system
         nominal = compose_rows(compose_rows(zero.tool_pose, sys_.tool_offset.inverse()), sys_.flange2_offset)
+        np.testing.assert_array_equal(commanded, planned_nominal)
+        np.testing.assert_array_equal(planned_nominal, nominal)
         gaps = np.linalg.norm(forward_kinematics(sys_.arm2, zero.q2)[:, :3] - nominal[:, :3], axis=1)
         assert np.all(gaps <= DEFAULT_TOL_POS)
         np.testing.assert_array_equal(simulate_deformation(cfg.system, zero_tension_program).points,

@@ -116,6 +116,11 @@ LOCATED = {
                                    InvalidInputError, 2, None),
     "program CSV cell_sha256": (lambda p: program_from_csv(_with_meta(program_to_csv(p), "cell_sha256", "abc")),
                                 InvalidInputError, 5, None),
+    # Without its cell_sha256 line the program's header moves up to line 5.
+    "program CSV without cell_sha256": (
+        lambda p: program_from_csv("\n".join(line for line in program_to_csv(p).split("\n")
+                                             if not line.startswith("# cell_sha256="))),
+        InvalidInputError, 5, None),
     "impact CSV tension_N": (lambda p: impact_record_from_csv(_with_meta(_impact_text(), "tension_N", "big")),
                              InvalidInputError, 3, None),
     "impact CSV sample_rate_hz": (lambda p: impact_record_from_csv(_with_meta(_impact_text(), "sample_rate_hz",

@@ -44,7 +44,6 @@ from twinmill.pathplan import (
     ArcSegment,
     LinearSegment,
     Setpoints,
-    SyncProgram,
     ToolPath,
     _subdivisions,
     discretize,
@@ -61,6 +60,7 @@ from twinmill.stiffness import MAX_OFFSET, Wrench, cell_sha256, predicted_tensio
 
 from conftest import (
     DEMO_CONFIG,
+    arm2_targets,
     forty_one_column_program,
     json_numbers,
     json_objects,
@@ -552,10 +552,12 @@ class TestDiscretize:
 
 class TestPlanSync:
     def test_zero_tension_commanded_equals_nominal(self, cfg):
-        """At zero tension arm 2's joints reach its nominal flange, derived
-        from the tool rows, within the IK tolerances."""
-        prog = demo_plan(cfg, gcode="G1 X40 F300\n")
-        _, nominal = planned_flanges(cfg.system, prog)
+        """At zero tension the commanded arm-2 flange rows `plan_sync`
+        solves for are the nominal ones bit for bit, those derived from the
+        tool rows, and arm 2's joints reach them within the IK tolerances."""
+        prog, nominal, commanded = arm2_targets(lambda: demo_plan(cfg, gcode="G1 X40 F300\n"))
+        np.testing.assert_array_equal(commanded, nominal)
+        np.testing.assert_array_equal(nominal, planned_flanges(cfg.system, prog)[1])
         err = pose_error(forward_kinematics(cfg.system.arm2, prog.pairs.q2), nominal)
         assert np.all(np.linalg.norm(err[:, :3], axis=1) <= DEFAULT_TOL_POS)
         assert np.all(np.linalg.norm(err[:, 3:], axis=1) <= DEFAULT_TOL_ROT)
@@ -1102,17 +1104,17 @@ class TestSetpoints:
 
     def test_sync_program_refuses_a_tuple_of_pairs(self, demo_program):
         with pytest.raises(InvalidInputError, match="pairs must be Setpoints, got tuple"):
-            SyncProgram(tuple(demo_program.pairs), tension=demo_program.tension)
+            dataclasses.replace(demo_program, pairs=tuple(demo_program.pairs))
         with pytest.raises(InvalidInputError, match="no setpoints"):
             sp = demo_program.pairs
             empty = Setpoints(sp.index[:0], sp.tool_pose[:0], sp.q1[:0], sp.q2[:0])
-            SyncProgram(empty, tension=demo_program.tension)
+            dataclasses.replace(demo_program, pairs=empty)
 
     @pytest.mark.parametrize("feed", [-100.0, -5e-324, np.nan, np.inf])
     def test_sync_program_refuses_a_negative_or_non_finite_feed(self, demo_program, feed):
         with pytest.raises(InvalidInputError, match="^sync program feed_mm_min must be finite and >= 0"):
-            SyncProgram(demo_program.pairs, tension=demo_program.tension, feed_mm_min=feed)
-        assert SyncProgram(demo_program.pairs, tension=demo_program.tension, feed_mm_min=-0.0).feed_mm_min == 0.0
+            dataclasses.replace(demo_program, feed_mm_min=feed)
+        assert dataclasses.replace(demo_program, feed_mm_min=-0.0).feed_mm_min == 0.0
 
     def test_indices_strictly_increasing(self, demo_program):
         sp = demo_program.pairs
@@ -1172,11 +1174,15 @@ class TestProgramCsvRows:
         assert len(pathplan._COLUMNS) == 20
         assert all(len(line.split(",")) == 20 for line in lines[6:])
 
-    def test_program_without_a_cell_round_trips_without_one(self, demo_program):
-        program = dataclasses.replace(demo_program, cell_sha256=None)
-        text = program_to_csv(program)
-        assert "cell_sha256" not in text
-        assert program_from_csv(text).cell_sha256 is None
+    def test_program_without_a_cell_refused_at_its_header(self, demo_program):
+        """Its joints mean nothing without the cell they were planned on."""
+        text = re.sub(r"(?m)^# cell_sha256=.*\n", "", program_to_csv(demo_program))
+        with pytest.raises(InvalidInputError) as exc:
+            program_from_csv(text)
+        assert exc.value.line == 5
+        assert str(exc.value) == "program CSV line 5: no cell_sha256 metadata before the header"
+        with pytest.raises(InvalidInputError, match="cell_sha256 must be 64 lowercase hex digits, got None"):
+            dataclasses.replace(demo_program, cell_sha256=None)
 
     @pytest.mark.parametrize("cell", ["", "abc", "B" * 64, "0" * 63 + "g", "0" * 65])
     def test_bad_cell_sha256_named_with_its_line(self, demo_program, cell):
