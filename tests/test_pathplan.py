@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -1053,6 +1053,69 @@ class TestFallbackSeeding(SeedingCalls):
         # zero tension the commanded pose is the nominal one.
         q2n = inverse_kinematics(cfg.system.arm2, nominal[2], q2[1])
         np.testing.assert_array_equal(q2[2], inverse_kinematics(cfg.system.arm2, nominal[2], q2n))
+
+
+# The failure sources of plan_sync in pass order: the `_solve` calls, whose
+# targets a spy moves out of reach, and OFFSET_BOUND, planted at setpoint k
+# by setting MAX_OFFSET between the gaps of setpoints k - 1 and k; each
+# with the type and message prefix of the error it raises at setpoint k.
+OFFSET_BOUND = "offset bound"
+PASS_ORDER = [
+    (ARM1, PlanError, "IK failed at setpoint {k} (arm 1): target "),
+    (ARM2_NOMINAL, PlanError, "IK failed at setpoint {k} (arm 2 nominal): target "),
+    (OFFSET_BOUND, ClosureError, "setpoint {k}: commanded arm-2 flange is "),
+    (ARM2_COMMANDED, PlanError, "IK failed at setpoint {k} (arm 2 commanded): target "),
+]
+# Setpoints a failure is planted at, few so that sources often tie.
+PLANTED_SETPOINTS = (0, 1, 9, 16)
+
+
+class TestCrossPassPrecedence(SeedingCalls):
+    """Failures planted in several passes of one plan, along the line of
+    `test_offset_bound_reports_the_first_setpoint_over_it`, whose arm-2
+    offset gap grows from row to row."""
+
+    W = Wrench(np.array([1000.0, 0.0, 0.0]))
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        return transform_path(parse_gcode("G1 X-40\n"), Pose(WORK_OFFSET + [0.04, 0.0, 0.0]))
+
+    @pytest.fixture(scope="class")
+    def gaps(self, cfg, path):
+        """The arm-2 offset gap of each setpoint: the distance between its
+        commanded and nominal flange positions."""
+        program, nominal, commanded = arm2_targets(
+            lambda: plan_sync(cfg.system, path, self.W, (cfg.ik_seed1, cfg.ik_seed2)))
+        gaps = np.linalg.norm(commanded[:, :3] - nominal[:, :3], axis=1)
+        assert len(gaps) == len(program.pairs) == PLANTED_SETPOINTS[-1] + 1
+        assert np.all(np.diff(gaps) > 0)
+        return gaps
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.dictionaries(st.integers(0, len(PASS_ORDER) - 1), st.sampled_from(PLANTED_SETPOINTS), min_size=1))
+    @example({0: 9, 1: 9, 2: 9, 3: 9})
+    @example({1: 1, 2: 1, 3: 1})
+    @example({2: 16, 3: 16})
+    @example({0: 16, 3: 0})
+    @example({1: 9, 2: 1})
+    def test_first_failing_setpoint_wins_the_earlier_pass_on_a_tie(self, cfg, path, gaps, planted):
+        """`planted` maps a source (its position in PASS_ORDER) to the
+        setpoint it fails at. The error is the smallest setpoint's, the
+        earliest source's in pass order when several fail there."""
+        k, first = min((k, source) for source, k in planted.items())
+        _, error, prefix = PASS_ORDER[first]
+        plant = {PASS_ORDER[source][0]: [i] for source, i in planted.items()}
+        with pytest.MonkeyPatch.context() as mp:
+            if OFFSET_BOUND in plant:
+                [i] = plant.pop(OFFSET_BOUND)
+                mp.setattr(pathplan, "MAX_OFFSET", (gaps[i - 1] + gaps[i]) / 2 if i else gaps[0] / 2)
+            self.spy(mp, plant=plant)
+            with pytest.raises(error) as exc:
+                plan_sync(cfg.system, path, self.W, (cfg.ik_seed1, cfg.ik_seed2))
+        assert type(exc.value) is error
+        assert exc.value.index == k
+        assert str(exc.value).startswith(prefix.format(k=k))
 
 
 class TestProgramCsv:
