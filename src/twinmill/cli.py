@@ -173,16 +173,17 @@ def _check_cell(program, system, path):
 
 
 def cmd_deform(args):
+    if args.noise_sigma > 0 and args.seed is None:
+        raise _UsageError("--noise-sigma requires --seed for reproducibility")
     cfg = _load_config(args.config)
     program = pathplan.program_from_csv(_read_input(args.program))
     _check_cell(program, cfg.system, args.program)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     reference = compensation.nominal_trace(program)
     measured = compensation.simulate_deformation(cfg.system, program)
+    # The output directory is made only once the program is accepted.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.noise_sigma > 0:
-        if args.seed is None:
-            raise _UsageError("--noise-sigma requires --seed for reproducibility")
         rng = np.random.default_rng(args.seed)
         measured = compensation.PathTrace(
             measured.points + rng.normal(0.0, args.noise_sigma, measured.points.shape),

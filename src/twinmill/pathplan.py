@@ -533,13 +533,14 @@ def apply_world_offset(rows, offsets):
     return np.concatenate([rows[..., :3] + offsets[..., :3], q], axis=-1)
 
 
-def _solve(arm, targets, blocks, tol):
+def _solve(arm, targets, blocks, tol, what):
     """Stacked IK of one arm's targets (rows [N, 7]) by the blocks (start,
     stop, seeds) of `blocks(q)`, in order, `seeds` one (6,) for the block
     or one per row; when a block is asked for, q[:start] holds the
     solutions of the blocks before. Each IK call takes _BLOCK_ROWS rows at
     most. Returns the solutions of the targets before the first failing
-    one and that UnreachableTargetError, or (all of them, None)."""
+    one and a PlanError naming its setpoint and `what`, caused by the
+    UnreachableTargetError; or (all of them, None)."""
     q = np.empty((len(targets), 6))
     for start, stop, seeds in blocks(q):
         for first in range(start, stop, _BLOCK_ROWS):
@@ -551,7 +552,9 @@ def _solve(arm, targets, blocks, tol):
                 last = first + exc.index
                 seed = seed if np.ndim(seed) == 1 else seed[: exc.index]
                 q[first:last] = inverse_kinematics(arm, targets[first:last], seed, *tol)
-                return q[:last], exc
+                failure = PlanError(f"IK failed at setpoint {last} ({what}): {exc}", index=last)
+                failure.__cause__ = exc
+                return q[:last], failure
     return q, None
 
 
@@ -602,13 +605,6 @@ def _pass_one_blocks(arm, targets, positions, seed, joint_jump_max, q):
         yield start, stop, q[start - 1]
 
 
-def _ik_failure(i, exc, what):
-    """PlanError for the IK failure `exc` at setpoint i of the pose `what`."""
-    failure = PlanError(f"IK failed at setpoint {i} ({what}): {exc}", index=i)
-    failure.__cause__ = exc
-    return failure
-
-
 def plan_sync(
     sys: CoupledSystem,
     path: ToolPath,
@@ -644,10 +640,15 @@ def plan_sync(
     ClosureError, as `simulate_deformation` would on the program. Pass 3
     solves arm 2's commanded pose in blocks of _BLOCK_ROWS, seeded in
     closed form as pass 1 is or, where that gives no seeds, each row with
-    its nominal solution. A joint jump above
-    `joint_jump_max` between consecutive pairs aborts planning. Failures
-    are raised for the first setpoint at which they occur, naming the arm,
-    arm 1 when both arms fail there.
+    its nominal solution. A joint jump above `joint_jump_max` between
+    consecutive pairs aborts planning.
+
+    One rule picks the failure raised: each pass runs only over the
+    setpoints that every pass before it solved, and a failure cuts those
+    to the ones before its setpoint. So the error raised is that of the
+    first failing setpoint and, on a tie, of the earliest pass, in the
+    order arm 1, arm 2 nominal, the tension offsets, the MAX_OFFSET bound,
+    arm 2 commanded, the continuity guard.
 
     An `ik_seeds` entry outside its arm's joint limits, or NaN, raises
     InvalidInputError naming the entry, the arm and the joint before any
@@ -674,59 +675,54 @@ def plan_sync(
     tol = (tol_pos, tol_rot, max_iter)
     r1 = compose_rows(tool, sys.tool_offset.inverse())
     r2_nominal = compose_rows(r1, sys.flange2_offset)
-    n = len(tool)
 
-    # A failure found in one pass is raised only after the later passes have
-    # covered the setpoints before it, so the first failing setpoint is the
-    # one reported, whichever pass finds it.
-    failure = None
-    # Pass 1: IK of arm 1, then of arm 2's nominal pose over the setpoints
-    # arm 1 solved, so that arm 1 is named when both fail at one setpoint.
+    # Each pass runs over [:n], the setpoints every pass before it solved;
+    # `stop` keeps a failure and cuts n to its setpoint, which a later pass
+    # can only lower, so the failure kept last is the one to raise.
+    n, failure = len(tool), None
+
+    def stop(exc):
+        nonlocal n, failure
+        if exc is not None:
+            n, failure = exc.index, exc
+
+    # Pass 1: IK of arm 1, then of arm 2's nominal pose.
     q1, exc = _solve(sys.arm1, r1, lambda q: _pass_one_blocks(
-        sys.arm1, r1, tool[:, :3], seeds[0], joint_jump_max, q), tol)
-    if exc is not None:
-        failure = _ik_failure(len(q1), exc, "arm 1")
-    r2_solved, tool_solved = r2_nominal[: len(q1)], tool[: len(q1), :3]
-    q2_nominal, exc = _solve(sys.arm2, r2_solved, lambda q: _pass_one_blocks(
-        sys.arm2, r2_solved, tool_solved, seeds[1], joint_jump_max, q), tol)
-    if exc is not None:
-        failure = _ik_failure(len(q2_nominal), exc, "arm 2 nominal")
-        q1 = q1[: len(q2_nominal)]
+        sys.arm1, r1, tool[:, :3], seeds[0], joint_jump_max, q), tol, "arm 1")
+    stop(exc)
+    q2_nominal, exc = _solve(sys.arm2, r2_nominal[:n], lambda q: _pass_one_blocks(
+        sys.arm2, r2_nominal[:n], tool[:n, :3], seeds[1], joint_jump_max, q), tol, "arm 2 nominal")
+    stop(exc)
 
-    # Pass 2: every tension offset in one stacked evaluation.
+    # Pass 2: every tension offset in one stacked evaluation, then the bound
+    # on the commanded arm-2 flange's distance from its nominal one.
     try:
-        offsets = tension_offset(sys, q1, q2_nominal, tension)
+        offsets = tension_offset(sys, q1[:n], q2_nominal[:n], tension)
     except (SingularConfigurationError, ClosureError) as exc:
-        failure = exc
-        offsets = tension_offset(sys, q1[: exc.index], q2_nominal[: exc.index], tension)
+        stop(exc)
+        offsets = tension_offset(sys, q1[:n], q2_nominal[:n], tension)
+    r2_commanded = apply_world_offset(r2_nominal[:n], offsets)
+    try:
+        check_closure(r2_commanded[:, :3], r2_nominal[:n, :3], MAX_OFFSET,
+                      "setpoint {index}: commanded arm-2 flange is {gap:.3e} m from the nominal one")
+    except ClosureError as exc:
+        stop(exc)
 
     # Pass 3: IK of arm 2's commanded pose, each row seeded in closed form
     # on the branch of setpoint 0's nominal solution or, where
-    # `_branch_seeds` gives none, with its nominal solution; stops at the
-    # first failing row.
-    m = len(offsets)
-    r2_commanded = apply_world_offset(r2_nominal[:m], offsets)
-    try:
-        check_closure(r2_commanded[:, :3], r2_nominal[:m, :3], MAX_OFFSET,
-                      "setpoint {index}: commanded arm-2 flange is {gap:.3e} m from the nominal one")
-    except ClosureError as exc:
-        failure, m = exc, exc.index
-        r2_commanded = r2_commanded[:m]
-    seeds2 = _branch_seeds(sys.arm2, r2_commanded, q2_nominal[0], joint_jump_max) if m else None
-    seeds2 = q2_nominal[:m] if seeds2 is None else seeds2
-    q2, exc = _solve(sys.arm2, r2_commanded, lambda q: [(0, m, seeds2)], tol)
-    if exc is not None:
-        m = len(q2)
-        failure = _ik_failure(m, exc, "arm 2 commanded")
+    # `_branch_seeds` gives none, with its nominal solution.
+    seeds2 = _branch_seeds(sys.arm2, r2_commanded[:n], q2_nominal[0], joint_jump_max) if n else None
+    seeds2 = q2_nominal[:n] if seeds2 is None else seeds2
+    q2, exc = _solve(sys.arm2, r2_commanded[:n], lambda q: [(0, n, seeds2)], tol, "arm 2 commanded")
+    stop(exc)
 
-    # Continuity guard over the setpoints solved so far, before any failure.
-    jumps = np.max(np.abs(np.hstack([np.diff(q1[:m], axis=0), np.diff(q2[:m], axis=0)])), axis=1)
+    # Continuity guard between consecutive pairs.
+    jumps = np.max(np.abs(np.hstack([np.diff(q1[:n], axis=0), np.diff(q2[:n], axis=0)])), axis=1)
     over = np.flatnonzero(~(jumps <= joint_jump_max))
     if over.size:
         i = int(over[0]) + 1
-        raise ContinuityError(
-            f"joint jump {jumps[i - 1]:.3f} rad at setpoint {i} exceeds {joint_jump_max} rad", index=i
-        )
+        stop(ContinuityError(f"joint jump {jumps[i - 1]:.3f} rad at setpoint {i} exceeds {joint_jump_max} rad",
+                             index=i))
     if failure is not None:
         raise failure
     return SyncProgram(

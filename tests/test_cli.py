@@ -472,7 +472,15 @@ class TestDeformRefusalsFromTheCommandLine:
         run = _run_cli("--config", DEMO_CONFIG, "deform", edited, *options, "--out", tmp_path / "d")
         assert run.returncode == 3, run.stderr
         assert named in run.stderr
-        assert not (tmp_path / "d" / "deformed.csv").exists()
+        assert not (tmp_path / "d").exists()
+
+    def test_noise_without_a_seed_exits_64_before_any_output(self, tmp_path, demo_plan):
+        program = tmp_path / "p1.csv"
+        program.write_text(demo_plan)
+        run = _run_cli("--config", DEMO_CONFIG, "deform", program, "--noise-sigma", "1e-5", "--out", tmp_path / "d")
+        assert run.returncode == 64, run.stderr
+        assert "--noise-sigma requires --seed" in run.stderr
+        assert not (tmp_path / "d").exists()
 
 
 def _null_seed_config(tmp_path):
