@@ -48,7 +48,7 @@ DEFAULT_CHORD_TOL = 1e-5  # m
 DEFAULT_MAX_STEP = 5e-3  # m
 DEFAULT_JOINT_JUMP_MAX = 0.2  # rad, guards against IK branch flips
 _SEED_SPAN_M = 0.08  # m of path at most between a fallback pass-1 IK seed and its target
-_BLOCK_ROWS = 256  # rows per stacked IK call of passes 1 and 3
+_BLOCK_ROWS = 2048  # rows per IK call at most: bounds the state of the rows that iterate, about 1.5 KB each
 MAX_SAMPLES = 1 << 20  # pose rows at most from `discretize`, 56 MiB of them
 
 
@@ -97,7 +97,10 @@ class ArcSegment:
         [N, 3] at angles [N]."""
         angle = np.asarray(angle, dtype=float)[..., None]
         u = self.start.position - self.center
-        v = np.cross(self.normal, u)
+        # normal x u, each product and difference in np.cross's order, so the
+        # bits are its own, without its per-call overhead.
+        (n0, n1, n2), (u0, u1, u2) = self.normal.tolist(), u.tolist()
+        v = np.array([n1 * u2 - n2 * u1, n2 * u0 - n0 * u2, n0 * u1 - n1 * u0])
         return self.center + np.cos(angle) * u + np.sin(angle) * v
 
     @property
@@ -537,10 +540,12 @@ def _solve(arm, targets, blocks, tol, what):
     """Stacked IK of one arm's targets (rows [N, 7]) by the blocks (start,
     stop, seeds) of `blocks(q)`, in order, `seeds` one (6,) for the block
     or one per row; when a block is asked for, q[:start] holds the
-    solutions of the blocks before. Each IK call takes _BLOCK_ROWS rows at
-    most. Returns the solutions of the targets before the first failing
-    one and a PlanError naming its setpoint and `what`, caused by the
-    UnreachableTargetError; or (all of them, None)."""
+    solutions of the blocks before. Each block is one IK call, or one per
+    _BLOCK_ROWS rows of a longer block; IK solves its rows independently,
+    so q is bit-identical wherever a block is cut. Returns the solutions
+    of the targets before the first failing one and a PlanError naming
+    its setpoint and `what`, caused by the UnreachableTargetError; or
+    (all of them, None)."""
     q = np.empty((len(targets), 6))
     for start, stop, seeds in blocks(q):
         for first in range(start, stop, _BLOCK_ROWS):
@@ -625,23 +630,24 @@ def plan_sync(
     stacked IK per block of setpoints. Setpoint 0 comes first, seeded with
     that arm's `ik_seeds` entry. Where the arm has a closed-form IK, every
     later setpoint is seeded with its closed-form solution on the branch
-    of the arm's setpoint-0 solution, in blocks of _BLOCK_ROWS that need
-    no solutions of the blocks before; the damped least-squares IK
-    certifies each row's tolerance and joint limits. Otherwise, or where
-    a row has no solution within the limits on that branch, or
-    consecutive seeds jump by more than `joint_jump_max` (a wrist passing
-    through q5 = 0), every later block of that arm is seeded with the last
-    solution of the block before and holds the setpoints that lie at most
-    _SEED_SPAN_M of path after that seed setpoint (at least one), so the
-    joint trajectory stays on one branch (with max_step >= _SEED_SPAN_M
-    each block is one setpoint on straight moves). Pass 2 is one stacked
+    of the arm's setpoint-0 solution, in one block that needs no solution
+    but setpoint 0's, solved by one IK call per _BLOCK_ROWS rows; the
+    damped least-squares IK certifies each row's tolerance and joint
+    limits. Otherwise, or where a row has no solution within the limits
+    on that branch, or consecutive seeds jump by more than
+    `joint_jump_max` (a wrist passing through q5 = 0), every later block
+    of that arm is seeded with the last solution of the block before and
+    holds the setpoints that lie at most _SEED_SPAN_M of path after that
+    seed setpoint (at least one), so the joint trajectory stays on one
+    branch (with max_step >= _SEED_SPAN_M each block is one setpoint on
+    straight moves). Pass 2 is one stacked
     tension-offset evaluation from the local configurations; a commanded
     arm-2 flange more than MAX_OFFSET from its nominal one raises
     ClosureError, as `simulate_deformation` would on the program. Pass 3
-    solves arm 2's commanded pose in blocks of _BLOCK_ROWS, seeded in
-    closed form as pass 1 is or, where that gives no seeds, each row with
-    its nominal solution. A joint jump above `joint_jump_max` between
-    consecutive pairs aborts planning.
+    solves arm 2's commanded pose as one block, one IK call per
+    _BLOCK_ROWS rows, seeded in closed form as pass 1 is or, where that
+    gives no seeds, each row with its nominal solution. A joint jump above
+    `joint_jump_max` between consecutive pairs aborts planning.
 
     One rule picks the failure raised: each pass runs only over the
     setpoints that every pass before it solved, and a failure cuts those

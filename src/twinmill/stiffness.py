@@ -17,14 +17,17 @@ and one frame pass of arm 2 (`kinematics._frames`); arm 1's Jacobian is
 built only where its stiffness is (`cartesian_stiffness`).
 
 A Jacobian is rank deficient when its smallest singular value is at most
-_MIN_SINGULAR_VALUE. The check is certified by one batched inverse per
-block, since sigma_min(J) >= 1 / ||J^-1||_F; only the rows it cannot
-certify, or every row of a block on which the inverse fails, get an SVD,
-which decides and names the first deficient row. The screen's J^-1 is
-reused: the Cartesian stiffness of an arm is J^-T K_joint J^-1, with no
-compliance to invert. Symmetric positive definite matrices are inverted
-through their Cholesky factor L, whose inverse is taken by forward
-substitution.
+_MIN_SINGULAR_VALUE. A screen certifies most rows of a block full rank;
+only the rows it cannot certify get an SVD, which decides and names the
+first deficient row. The Cartesian stiffness of an arm (arm 1's, in the
+coupled chain) screens with one batched inverse, since sigma_min(J) >=
+1 / ||J^-1||_F, and reuses its J^-1: J^-T K_joint J^-1, with no
+compliance to invert; every row of a block on which that inverse fails
+gets the SVD. That is the only batched inverse of a Jacobian. The arm-2
+branch, a compliance J K_joint^-1 J^T, screens with one batched
+determinant, since sigma_min(J) >= |det J| / ||J||_F^(n-1). Symmetric
+positive definite matrices are inverted through their Cholesky factor L,
+whose inverse is taken by forward substitution.
 """
 
 from __future__ import annotations
@@ -187,7 +190,7 @@ def _spd_inverse(M, what):
     return np.swapaxes(Li, -1, -2) @ Li
 
 
-def _uncertified(J):
+def _uncertified_by_inverse(J):
     """The inverses of the finite square matrices J[m, n, n] (None where the
     inverse of the stack fails) and the indices of the matrices whose
     smallest singular value the screen cannot put above
@@ -204,17 +207,28 @@ def _uncertified(J):
     return Ji, np.flatnonzero(~(bound > 2 * _MIN_SINGULAR_VALUE))
 
 
-def _full_rank_inverse(J):
-    """J^-1 of stacked finite square Jacobians J[..., n, n], rejecting
-    rank-deficient ones. The inverse is the screen's (`_uncertified`);
-    only the rows it leaves get an SVD, which decides. A stack whose
-    inverse fails though every row has full rank is inverted through its
-    SVD."""
-    flat = J.reshape((-1,) + J.shape[-2:])
-    Ji, unsure = _uncertified(flat)
-    bad = unsure
-    if unsure.size:
-        bad = unsure[np.linalg.svd(flat[unsure], compute_uv=False)[:, -1] <= _MIN_SINGULAR_VALUE]
+def _uncertified_by_det(J):
+    """The indices of the finite square matrices J[m, n, n] whose smallest
+    singular value the screen cannot put above _MIN_SINGULAR_VALUE. |det
+    J| is the product of the singular values, and each of the n - 1 others
+    is at most ||J||_F, so sigma_min(J) >= |det J| / ||J||_F^(n-1); a
+    matrix whose bound exceeds 2 _MIN_SINGULAR_VALUE has full rank, the
+    factor 2 covering the rounding of the LU determinant. A NaN bound (0 /
+    0, inf / inf) is uncertified, and so is a zero one."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bound = np.abs(np.linalg.det(J)) / np.sum(J * J, axis=(-2, -1)) ** (0.5 * (J.shape[-1] - 1))
+    return np.flatnonzero(~(bound > 2 * _MIN_SINGULAR_VALUE))
+
+
+def _refuse_rank_deficient(flat, unsure):
+    """Raise SingularConfigurationError for the first of the finite square
+    matrices flat[unsure] whose smallest singular value is at most
+    _MIN_SINGULAR_VALUE, with its row of flat[m, n, n] as `index`;
+    `unsure` holds the ascending indices of the rows a screen could not
+    certify, and their SVD decides."""
+    if not unsure.size:
+        return
+    bad = unsure[np.linalg.svd(flat[unsure], compute_uv=False)[:, -1] <= _MIN_SINGULAR_VALUE]
     if bad.size:
         index = int(bad[0])
         u, svi, _ = np.linalg.svd(flat[index])
@@ -225,6 +239,17 @@ def _full_rank_inverse(J):
             f"deficient direction dominated by axis '{axis}'",
             index=index,
         )
+
+
+def _full_rank_inverse(J):
+    """J^-1 of stacked finite square Jacobians J[..., n, n], rejecting
+    rank-deficient ones. The inverse is the screen's
+    (`_uncertified_by_inverse`); only the rows it leaves get an SVD
+    (`_refuse_rank_deficient`). A stack whose inverse fails though every
+    row has full rank is inverted through its SVD."""
+    flat = J.reshape((-1,) + J.shape[-2:])
+    Ji, unsure = _uncertified_by_inverse(flat)
+    _refuse_rank_deficient(flat, unsure)
     if Ji is None:
         u, sv, vt = np.linalg.svd(flat)
         Ji = (np.swapaxes(vt, -1, -2) / sv[:, None, :]) @ np.swapaxes(u, -1, -2)
@@ -233,8 +258,11 @@ def _full_rank_inverse(J):
 
 def _compliance_from_jacobian(J, k_diag):
     """J K_joint^-1 J^T for stacked finite square Jacobians J[..., n, n],
-    rejecting rank-deficient ones (`_full_rank_inverse`)."""
-    _full_rank_inverse(J)
+    rejecting rank-deficient ones: the determinant screen
+    (`_uncertified_by_det`), then the SVD of the rows it leaves
+    (`_refuse_rank_deficient`). No inverse of J is taken."""
+    flat = J.reshape((-1,) + J.shape[-2:])
+    _refuse_rank_deficient(flat, _uncertified_by_det(flat))
     return (J * (1.0 / k_diag)) @ np.swapaxes(J, -1, -2)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -236,6 +236,32 @@ class TestSegments:
     def test_arc_nan_sweep_rejected(self):
         with pytest.raises(InvalidInputError, match="sweep must be finite"):
             ArcSegment(np.zeros(3), np.array([0.0, 0.0, 1.0]), Pose(np.array([0.01, 0.0, 0.0])), np.nan)
+
+    @settings(max_examples=60)
+    @given(
+        arrays(np.float64, 3, elements=st.floats(-10.0, 10.0)),
+        arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+        arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+        st.floats(-10.0, 10.0),
+        arrays(np.float64, st.integers(1, 5), elements=st.floats(-10.0, 10.0)),
+    )
+    def test_point_at_is_the_cross_product_formula_bit_for_bit(self, center, normal, radial, sweep, angles):
+        """`point_at` writes normal x u out term by term; its points are
+        those of np.cross, to the bit, at one angle and at a stack."""
+        length = np.linalg.norm(normal)
+        assume(length > 0.1)
+        normal = normal / length
+        assume(abs(np.linalg.norm(normal) - 1.0) <= 1e-9)
+        radial = radial - np.dot(radial, normal) * normal
+        assume(np.linalg.norm(radial) > 1e-6)
+        try:
+            arc = ArcSegment(center, normal, Pose(center + radial), sweep)
+        except InvalidInputError:
+            assume(False)
+        u = arc.start.position - arc.center
+        expected = arc.center + np.cos(angles[:, None]) * u + np.sin(angles[:, None]) * np.cross(arc.normal, u)
+        assert arc.point_at(angles).tobytes() == expected.tobytes()
+        assert arc.point_at(angles[0]).tobytes() == expected[0].tobytes()
 
     def test_path_continuity_enforced(self):
         a = LinearSegment(Pose(np.zeros(3)), Pose(np.array([0.01, 0.0, 0.0])))
@@ -761,7 +787,7 @@ class SeedingCalls:
 
 
 class TestPassOneSeeding(SeedingCalls):
-    def test_demo_raster_is_one_call_per_256_rows(self, cfg, monkeypatch):
+    def test_demo_raster_is_one_call_per_pass(self, cfg, monkeypatch):
         calls = self.spy(monkeypatch)
         prog = demo_plan(cfg, gcode=RASTER_GCODE, tension=Wrench(np.array([1000.0, 0.0, 0.0])),
                          offset=RASTER_OFFSET)
@@ -771,11 +797,12 @@ class TestPassOneSeeding(SeedingCalls):
         assert len(arm1) + len(arm2) + len(pass3) == len(calls)
         assert [arm for _, arm, _, _ in calls] == [cfg.system.arm1] * len(arm1) + [cfg.system.arm2] * (
             len(arm2) + len(pass3))
-        # Per arm, setpoint 0 from the caller's seed, then ceil(1344 / 256)
-        # = 6 calls, every row seeded in closed form: no call waits for the
-        # solutions of the one before.
+        # Per arm, setpoint 0 from the caller's seed, then one call for the
+        # other 1344, every row seeded in closed form: it waits for no
+        # solution but setpoint 0's.
+        assert pathplan._BLOCK_ROWS >= n
         for pass1, seed in ((arm1, cfg.ik_seed1), (arm2, cfg.ik_seed2)):
-            assert [shape for shape, _ in pass1] == [(1, 7)] + [(k, 7) for k in (256,) * 5 + (64,)]
+            assert [shape for shape, _ in pass1] == [(1, 7), (n - 1, 7)]
             np.testing.assert_array_equal(pass1[0][1], seed)
         seeds1, seeds2 = (np.concatenate([seed for _, seed in pass1[1:]]) for pass1 in (arm1, arm2))
         assert seeds1.shape == seeds2.shape == (n - 1, 6)
@@ -783,9 +810,9 @@ class TestPassOneSeeding(SeedingCalls):
         np.testing.assert_array_equal(seeds1, prog.pairs.q1[1:])
         # Arm 2's seeds are its nominal solutions, 0.2 mm from the commanded.
         np.testing.assert_allclose(seeds2, prog.pairs.q2[1:], rtol=0, atol=1e-3)
-        # Pass 3: arm 2's commanded pose in blocks of 256 rows, seeded in
-        # closed form too, so each seed is its solution.
-        assert [shape for shape, _ in pass3] == [(k, 7) for k in (256,) * 5 + (65,)]
+        # Pass 3: arm 2's commanded pose in one call, seeded in closed form
+        # too, so each seed is its solution.
+        assert [shape for shape, _ in pass3] == [(n, 7)]
         np.testing.assert_array_equal(np.concatenate([seed for _, seed in pass3]), prog.pairs.q2)
 
     def test_demo_raster_evaluates_jacobians_only_for_rows_that_iterate(self, cfg, monkeypatch):
@@ -962,8 +989,10 @@ class TestPassOneSeeding(SeedingCalls):
         assert str(exc.value).startswith(f"IK failed at setpoint {index} ({arm}): target ")
 
     def test_commanded_failure_in_a_later_block_reports_its_setpoint(self, cfg, monkeypatch):
-        """Pass 3 solves in blocks of _BLOCK_ROWS; a row that fails in the
-        second block is named by its setpoint, not its row in the block."""
+        """Pass 3 solves one IK call per _BLOCK_ROWS rows, here 64; a row
+        that fails in the second call is named by its setpoint, not its
+        row in the call."""
+        monkeypatch.setattr(pathplan, "_BLOCK_ROWS", 64)
         calls = self.spy(monkeypatch, plant={ARM2_COMMANDED: [pathplan._BLOCK_ROWS + 10]})
         with pytest.raises(PlanError) as exc:
             demo_plan(cfg, gcode="G1 X200\nG1 Y20\n", max_step=0.001,
@@ -974,6 +1003,49 @@ class TestPassOneSeeding(SeedingCalls):
         assert len(pass3) == 3 and pass3[0] == (pathplan._BLOCK_ROWS, 7) and pass3[2] == (10, 7)
         assert exc.value.index == pathplan._BLOCK_ROWS + 10
         assert str(exc.value).startswith(f"IK failed at setpoint {exc.value.index} (arm 2 commanded): target ")
+
+
+class TestSolveChunks:
+    """`_solve` cuts a block into IK calls of at most _BLOCK_ROWS rows."""
+
+    @staticmethod
+    def solve(arm, targets, seeds, chunk):
+        """`_solve` with IK calls of at most `chunk` rows over three blocks:
+        row 0 from seeds[0], rows 1-4 from row 0's solution and the rest
+        each from its own seed."""
+
+        def blocks(q):
+            yield 0, 1, seeds[0]
+            yield 1, 5, q[0]
+            yield 5, len(targets), seeds[5:]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pathplan, "_BLOCK_ROWS", chunk)
+            return pathplan._solve(arm, targets, blocks, (DEFAULT_TOL_POS, DEFAULT_TOL_ROT, 200), "arm 1")
+
+    @settings(max_examples=12)
+    @given(st.data())
+    def test_q_is_bit_identical_for_every_chunk_size(self, cfg, demo_program, data):
+        """IK solves its rows independently, so q, and a failure, are the
+        same for any chunk size from 1 to N: arm 1's flanges of the demo
+        slot, seeds 0.01 rad off the program's solutions so that every row
+        iterates, and perhaps one row moved out of reach."""
+        arm = cfg.system.arm1
+        targets, _ = planned_flanges(cfg.system, demo_program)
+        n = len(targets)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng seed"))
+        seeds = np.clip(demo_program.pairs.q1 + rng.normal(0.0, 0.01, (n, 6)), *arm.joint_limits.T)
+        unreachable = data.draw(st.none() | st.integers(0, n - 1), label="unreachable row")
+        if unreachable is not None:
+            targets = targets.copy()
+            targets[unreachable, :3] = [10.0, 0.0, 0.0]
+        chunk = data.draw(st.integers(1, n), label="chunk")
+        (q, failure), (q_chunked, failure_chunked) = (self.solve(arm, targets, seeds, k) for k in (n, chunk))
+        assert q.shape == q_chunked.shape and q.tobytes() == q_chunked.tobytes()
+        assert (failure is None) == (unreachable is None)
+        if failure is not None:
+            assert failure.index == failure_chunked.index == unreachable
+            assert str(failure) == str(failure_chunked)
 
 
 class TestFallbackSeeding(SeedingCalls):

@@ -6,17 +6,20 @@ import pytest
 from twinmill import kinematics
 from twinmill.compensation import simulate_deformation
 from twinmill.errors import ClosureError, InvalidInputError, SingularConfigurationError
-from twinmill.geometry import Pose, matrix_pose_rows, rotate6, transport_stiffness
-from twinmill.kinematics import forward_kinematics, jacobian
+from twinmill.geometry import Pose, compose_rows, matrix_pose_rows, rotate6, transport_stiffness
+from twinmill.kinematics import forward_kinematics, inverse_kinematics, jacobian
+from twinmill.pathplan import Setpoints, SyncProgram
 from twinmill.stiffness import (
     CoupledSystem,
     JointStiffness,
     SpringModel,
     Wrench,
+    _compliance_from_jacobian,
     _spd_inverse,
     _stacked,
     _stiffness_from_jacobian,
     cartesian_stiffness,
+    cell_sha256,
     coupled_stiffness,
     predicted_tension,
     tension_offset,
@@ -413,9 +416,10 @@ RANK_DEFICIENT = re.compile(r"Jacobian is rank deficient \(smallest singular val
 
 
 class TestRankScreen:
-    """Rank deficiency is screened with one batched inverse, which is also
-    the J^-1 of the Cartesian stiffness; the rows it cannot certify get
-    the SVD, which names the first deficient one."""
+    """The Cartesian stiffness screens rank deficiency with one batched
+    inverse, which is also its J^-1, and the arm-2 branch with one batched
+    determinant (`TestBranchRankScreen`); the rows a screen cannot certify
+    get the SVD, which names the first deficient one."""
 
     @pytest.fixture
     def stack(self, test_arm):
@@ -468,6 +472,97 @@ class TestRankScreen:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         np.testing.assert_array_equal(coupled_stiffness(cfg.system, q1, q2), expected)
         tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0])))
+
+
+class TestBranchRankScreen:
+    """The arm-2 branch screens its Jacobians by sigma_min >= |det J| /
+    ||J||_F^5 and takes no inverse of them; its refusals are those of the
+    SVD, as for the Cartesian stiffness."""
+
+    @pytest.fixture
+    def singular_pairs(self, cfg, demo_rows):
+        """300 closed pairs of demo rows whose row 270, in the second block,
+        has arm 2's wrist at q5 = 0 and arm 1 full rank."""
+        sys_ = cfg.system
+        idx = np.arange(300) % len(demo_rows[0])
+        q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
+        q2[270, 4] = 0.0
+        attach = forward_kinematics(sys_.arm2, q2[270]) @ sys_.flange2_offset.inverse()
+        q1[270] = inverse_kinematics(sys_.arm1, attach, q1[270])
+        assert np.linalg.svd(jacobian(sys_.arm1, q1[270]), compute_uv=False)[-1] > 0.1
+        assert np.linalg.svd(jacobian(sys_.arm2, q2[270]), compute_uv=False)[-1] < 1e-12
+        return q1, q2
+
+    def test_singular_arm_2_row_in_the_second_block_is_named(self, cfg, singular_pairs):
+        sys_, (q1, q2) = cfg.system, singular_pairs
+        w = Wrench(np.array([1000.0, 0.0, 0.0]))
+        with pytest.raises(SingularConfigurationError) as alone:
+            tension_offset(sys_, q1[270], q2[270], w)
+        message = str(alone.value)
+        assert RANK_DEFICIENT.fullmatch(message)
+        tool = compose_rows(forward_kinematics(sys_.arm1, q1), sys_.tool_offset)
+        program = SyncProgram(Setpoints(np.arange(300), tool, q1, q2), tension=w, cell_sha256=cell_sha256(sys_))
+        for call, prefix in ((lambda: tension_offset(sys_, q1, q2, w), ""),
+                             (lambda: coupled_stiffness(sys_, q1, q2), ""),
+                             (lambda: simulate_deformation(sys_, program), "setpoint 270: ")):
+            with pytest.raises(SingularConfigurationError) as exc:
+                call()
+            assert exc.value.index == 270
+            assert str(exc.value) == prefix + message
+
+    def test_zero_determinant_goes_to_the_svd(self, test_arm, monkeypatch):
+        rng = np.random.default_rng(43)
+        J = jacobian(test_arm, np.array([random_nonsingular_q(test_arm, rng) for _ in range(8)]))
+        J[5, :, 2] = 0.0
+        assert np.linalg.det(J[5]) == 0.0
+        stacks = []
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            stacks.append(np.array(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        with pytest.raises(SingularConfigurationError) as exc:
+            _compliance_from_jacobian(J, KS.diag)
+        assert exc.value.index == 5
+        assert RANK_DEFICIENT.fullmatch(str(exc.value))
+        # The SVD of the one uncertified row decides, then names it.
+        assert [a.shape for a in stacks] == [(1, 6, 6), (6, 6)]
+        np.testing.assert_array_equal(stacks[0][0], J[5])
+
+    def test_a_bound_within_the_rounding_margin_goes_to_the_svd(self, monkeypatch):
+        """|det J| / ||J||_F of diag(1, 1.5e-8) is 1.5e-8: above 1e-8 but
+        within the factor-2 margin, so the SVD decides, and keeps it."""
+        J = np.array([np.eye(2), np.diag([1.0, 1.5e-8])])
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        np.testing.assert_array_equal(_compliance_from_jacobian(J, np.ones(2)), J @ J)
+        assert shapes == [(1, 2, 2)]
+
+    def test_the_branch_takes_no_inverse(self, cfg, demo_rows, monkeypatch):
+        """`tension_offset` is the branch alone, and `coupled_stiffness`
+        inverts only arm 1's Jacobians, once per block."""
+        idx = np.arange(300) % len(demo_rows[0])
+        q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
+        inverted = []
+        real_inv = np.linalg.inv
+
+        def inv(a):
+            inverted.append(np.array(a))
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0])))
+        assert inverted == []
+        coupled_stiffness(cfg.system, q1, q2)
+        np.testing.assert_array_equal(np.concatenate(inverted), jacobian(cfg.system.arm1, q1))
 
 
 class TestSpdInverse:
