@@ -479,6 +479,18 @@ class TestBranchRankScreen:
     ||J||_F^5 and takes no inverse of them; its refusals are those of the
     SVD, as for the Cartesian stiffness."""
 
+    @staticmethod
+    def recorded(monkeypatch, name):
+        """The first arguments of every `np.linalg.<name>` call, as copies."""
+        calls, real = [], getattr(np.linalg, name)
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
     @pytest.fixture
     def singular_pairs(self, cfg, demo_rows):
         """300 closed pairs of demo rows whose row 270, in the second block,
@@ -515,14 +527,7 @@ class TestBranchRankScreen:
         J = jacobian(test_arm, np.array([random_nonsingular_q(test_arm, rng) for _ in range(8)]))
         J[5, :, 2] = 0.0
         assert np.linalg.det(J[5]) == 0.0
-        stacks = []
-        real_svd = np.linalg.svd
-
-        def svd(a, *args, **kwargs):
-            stacks.append(np.array(a))
-            return real_svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        stacks = self.recorded(monkeypatch, "svd")
         with pytest.raises(SingularConfigurationError) as exc:
             _compliance_from_jacobian(J, KS.diag)
         assert exc.value.index == 5
@@ -535,30 +540,16 @@ class TestBranchRankScreen:
         """|det J| / ||J||_F of diag(1, 1.5e-8) is 1.5e-8: above 1e-8 but
         within the factor-2 margin, so the SVD decides, and keeps it."""
         J = np.array([np.eye(2), np.diag([1.0, 1.5e-8])])
-        shapes = []
-        real_svd = np.linalg.svd
-
-        def svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return real_svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        stacks = self.recorded(monkeypatch, "svd")
         np.testing.assert_array_equal(_compliance_from_jacobian(J, np.ones(2)), J @ J)
-        assert shapes == [(1, 2, 2)]
+        assert [a.shape for a in stacks] == [(1, 2, 2)]
 
     def test_the_branch_takes_no_inverse(self, cfg, demo_rows, monkeypatch):
         """`tension_offset` is the branch alone, and `coupled_stiffness`
         inverts only arm 1's Jacobians, once per block."""
         idx = np.arange(300) % len(demo_rows[0])
         q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
-        inverted = []
-        real_inv = np.linalg.inv
-
-        def inv(a):
-            inverted.append(np.array(a))
-            return real_inv(a)
-
-        monkeypatch.setattr(np.linalg, "inv", inv)
+        inverted = self.recorded(monkeypatch, "inv")
         tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0])))
         assert inverted == []
         coupled_stiffness(cfg.system, q1, q2)
