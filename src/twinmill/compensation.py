@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvtable import meta_float, read_table, row_error, write_table
-from .errors import DegenerateGeometryError, InvalidInputError, SingularConfigurationError
+from .errors import ClosureError, DegenerateGeometryError, InvalidInputError, SingularConfigurationError
 from .geometry import Pose, frozen, quat_from_matrix
 from .pathplan import SyncProgram
 from .kinematics import flange_transform
-from .stiffness import CLOSURE_TOL, MAX_OFFSET, CoupledSystem, check_closure, coupled_stiffness
+from .stiffness import CLOSURE_TOL, CoupledSystem, check_closure, coupled_stiffness
 
 _COLLINEAR_REL_TOL = 1e-9
 
@@ -54,26 +54,26 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
 
     The compliance is the inverse of the coupled tool-point stiffness at
     that setpoint's configuration, so the deformation tracks any (small)
-    configuration dependence along the path. The program's joints are
-    checked against its tool rows first: FK1(q1) ∘ tool_offset must lie
-    within CLOSURE_TOL of the tool point, and FK2(q2), the commanded arm-2
-    flange, within MAX_OFFSET of FK1(q1) ∘ flange2_offset, the nominal
-    one. Joints outside their limits, or non-finite, raise
-    InvalidInputError naming the setpoint and the arm.
+    configuration dependence along the path. FK1(q1) ∘ tool_offset must
+    lie within CLOSURE_TOL of the tool point, and (in `coupled_stiffness`)
+    FK2(q2), the commanded arm-2 flange, within MAX_OFFSET of FK1(q1) ∘
+    flange2_offset, the nominal one. Joints outside their limits, or
+    non-finite, raise InvalidInputError naming the setpoint and the arm.
     """
     sp = program.pairs
-    flanges = []
-    for k, (arm, q) in enumerate(((sys.arm1, sp.q1), (sys.arm2, sp.q2)), start=1):
-        try:
-            flanges.append(flange_transform(arm, q))
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"setpoint {exc.index}, arm {k}: {exc}", index=exc.index) from exc
-    check_closure(flanges[1][:, :3, 3], (flanges[0] @ sys.flange2_offset.matrix())[:, :3, 3], MAX_OFFSET,
-                  "setpoint {index}: commanded arm-2 flange is {gap:.3e} m from the nominal one")
-    check_closure((flanges[0] @ sys.tool_offset.matrix())[:, :3, 3], sp.tool_pose[:, :3], CLOSURE_TOL,
+    try:
+        flange1 = flange_transform(sys.arm1, sp.q1)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"setpoint {exc.index}, arm 1: {exc}", index=exc.index) from exc
+    check_closure((flange1 @ sys.tool_offset.matrix())[:, :3, 3], sp.tool_pose[:, :3], CLOSURE_TOL,
                   "setpoint {index}: arm-1 tool point is {gap:.3e} m from its planned position")
     try:
-        K = coupled_stiffness(sys, sp.q1, sp.q2, closure_tol=np.inf)
+        K = coupled_stiffness(sys, sp.q1, sp.q2)
+    except ClosureError as exc:
+        raise ClosureError(f"setpoint {exc.index}: commanded arm-2 flange is {exc.gap:.3e} m from the nominal one",
+                           gap=exc.gap, index=exc.index) from exc
+    except InvalidInputError as exc:  # arm 1's joints passed above
+        raise InvalidInputError(f"setpoint {exc.index}, arm 2: {exc}", index=exc.index) from exc
     except SingularConfigurationError as exc:
         raise SingularConfigurationError(f"setpoint {exc.index}: {exc}", index=exc.index) from exc
     w = np.broadcast_to(program.tension.as_vector(), sp.q1.shape)

@@ -346,8 +346,8 @@ def _branch(sys: CoupledSystem, q1, q2, closure_tol=CLOSURE_TOL):
     return fk1, attach, C2 + R6 @ sys.spring.compliance @ np.swapaxes(R6, -1, -2)
 
 
-def _coupled_block(sys, q1, q2, closure_tol):
-    fk1, attach, C_branch2 = _branch(sys, q1, q2, closure_tol)
+def _coupled_block(sys, q1, q2):
+    fk1, attach, C_branch2 = _branch(sys, q1, q2, MAX_OFFSET)
     tool = _position(fk1 @ sys.tool_offset.matrix())
     K1 = cartesian_stiffness(sys.arm1, q1, sys.joint_stiffness1)
     K1_tool = transport_stiffness(K1, tool - _position(fk1))
@@ -355,14 +355,14 @@ def _coupled_block(sys, q1, q2, closure_tol):
     return _symmetric(K1_tool + _spd_inverse(C_branch2_tool, "arm-2 branch compliance"))
 
 
-def coupled_stiffness(sys: CoupledSystem, q1, q2, closure_tol=CLOSURE_TOL):
+def coupled_stiffness(sys: CoupledSystem, q1, q2):
     """6x6 stiffness of the closed chain at the tool point, world frame.
 
-    closure_tol may be widened when evaluating commanded (tensioned)
-    configurations, whose flange gap is the setpoint offset itself, by a
-    caller that checks closure against the planned poses instead.
+    The pairs may be commanded (tensioned) ones, whose arm-2 flange lies
+    the setpoint offset from its attachment frame; a gap above MAX_OFFSET
+    raises ClosureError.
     """
-    return _stacked(lambda a, b: _coupled_block(sys, a, b, closure_tol), (6, 6), q1, q2)
+    return _stacked(lambda a, b: _coupled_block(sys, a, b), (6, 6), q1, q2)
 
 
 def _matvec(M, v):

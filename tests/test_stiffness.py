@@ -7,7 +7,7 @@ from twinmill import kinematics
 from twinmill.compensation import simulate_deformation
 from twinmill.errors import ClosureError, InvalidInputError, SingularConfigurationError
 from twinmill.geometry import Pose, compose_rows, matrix_pose_rows, rotate6, transport_stiffness
-from twinmill.kinematics import forward_kinematics, inverse_kinematics, jacobian
+from twinmill.kinematics import DEFAULT_TOL_POS, forward_kinematics, inverse_kinematics, jacobian
 from twinmill.pathplan import Setpoints, SyncProgram
 from twinmill.stiffness import (
     CoupledSystem,
@@ -191,21 +191,41 @@ class TestCoupledStiffness:
             coupled_stiffness(sys_, q1, q2_bad)
         assert exc.value.gap > 1e-4
 
-    def test_commanded_pairs_need_a_widened_closure_tol(self, cfg, demo_program):
+    def test_commanded_pairs_give_simulate_deformations_delta(self, cfg, demo_program):
         """The commanded arm-2 joints of a tensioned program sit the setpoint
         offset (about 0.27 mm on the demo slot at 1000 N) from the
-        attachment frame: the default tolerance refuses them at setpoint 0,
-        and closure_tol=inf gives the stiffness simulate_deformation uses."""
+        attachment frame, within MAX_OFFSET: coupled_stiffness takes them,
+        and gives exactly the deformation simulate_deformation applies.
+        tension_offset, which takes nominal pairs, refuses them at
+        setpoint 0."""
         sp = demo_program.pairs
-        with pytest.raises(ClosureError) as exc:
-            coupled_stiffness(cfg.system, sp.q1, sp.q2)
-        assert exc.value.index == 0
-        assert exc.value.gap == pytest.approx(2.73e-4, rel=1e-2)
-        K = coupled_stiffness(cfg.system, sp.q1, sp.q2, closure_tol=np.inf)
+        K = coupled_stiffness(cfg.system, sp.q1, sp.q2)
         w = np.broadcast_to(demo_program.tension.as_vector(), sp.q1.shape)
         delta = np.linalg.solve(K, w[..., None])[..., 0]
         np.testing.assert_array_equal(simulate_deformation(cfg.system, demo_program).points,
                                       sp.tool_pose[:, :3] + delta[:, :3])
+        with pytest.raises(ClosureError) as exc:
+            tension_offset(cfg.system, sp.q1, sp.q2, demo_program.tension)
+        assert exc.value.index == 0
+        assert exc.value.gap == pytest.approx(2.73e-4, rel=1e-2)
+
+    def test_pair_past_max_offset_is_refused(self, cfg, demo_program):
+        """Arm-2 joints that reach 20 mm from the nominal arm-2 flange,
+        FK1(q1) ∘ flange2_offset, at row 270 of a 300-row stack (in its
+        second block) are refused with that row and their gap."""
+        sp = demo_program.pairs
+        idx = np.arange(300) % len(sp)
+        idx[270] = 11
+        q1, q2 = sp.q1[idx], sp.q2[idx].copy()
+        nominal = forward_kinematics(cfg.system.arm1, q1[270]) @ cfg.system.flange2_offset
+        q2[270] = inverse_kinematics(cfg.system.arm2, nominal @ Pose(np.array([0.0, 0.02, 0.0])), q2[270])
+        with pytest.raises(ClosureError) as exc:
+            coupled_stiffness(cfg.system, q1, q2)
+        assert exc.value.index == 270
+        gap = np.linalg.norm(forward_kinematics(cfg.system.arm2, q2[270]).position - nominal.position)
+        assert exc.value.gap == pytest.approx(gap, rel=1e-9)
+        assert exc.value.gap == pytest.approx(0.02, abs=DEFAULT_TOL_POS)
+        assert f"{exc.value.gap:.3e} m" in str(exc.value)
 
 
 class TestTension:
@@ -580,9 +600,10 @@ class TestFramePasses:
     flange-only kernel `_flange` builds no frame stack and no Jacobian,
     the full `_chain` both. `coupled_stiffness` takes (1, 2): arm 1's
     flange, then arm 1's Jacobian in `cartesian_stiffness` and arm 2's
-    flange and Jacobian in one pass. `tension_offset` takes (1, 1) and
-    `simulate_deformation` (3, 2): its two closure-check flanges, then
-    `coupled_stiffness`."""
+    flange and Jacobian in one pass, which also checks the commanded
+    arm-2 flange against MAX_OFFSET. `tension_offset` takes (1, 1) and
+    `simulate_deformation` (2, 2): arm 1's flange for its tool-row check,
+    then `coupled_stiffness`."""
 
     @pytest.fixture
     def chain_rows(self, monkeypatch):
@@ -617,4 +638,4 @@ class TestFramePasses:
     def test_simulate_deformation(self, cfg, demo_program, chain_rows):
         simulate_deformation(cfg.system, demo_program)
         n = len(demo_program.pairs)
-        assert chain_rows == {"_flange": 3 * n, "_chain": 2 * n}
+        assert chain_rows == {"_flange": 2 * n, "_chain": 2 * n}
