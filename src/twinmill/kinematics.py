@@ -401,14 +401,17 @@ def inverse_kinematics(
     does not depend on the other rows.
 
     A row that fails raises UnreachableTargetError for the first failing
-    row, with its best residual and that row as `index`.
+    row, with its best residual and that row as `index`. A tolerance that
+    is not finite and > 0, or a `max_iter` that is not an integer >= 1,
+    raises InvalidInputError naming it.
     """
     if not isinstance(arm, ArmModel):
         raise InvalidInputError("IK takes one ArmModel; solve each arm with its own call")
-    if tol_pos <= 0 or tol_rot <= 0:
-        raise InvalidInputError("tolerances must be positive")
-    if max_iter < 1:
-        raise InvalidInputError("max_iter must be at least 1")
+    for name, tol in (("tol_pos", tol_pos), ("tol_rot", tol_rot)):
+        if not 0 < tol < np.inf:
+            raise InvalidInputError(f"IK {name} must be finite and > 0, got {tol}")
+    if not (max_iter >= 1 and max_iter % 1 == 0):  # NaN and inf fail both
+        raise InvalidInputError(f"IK max_iter must be an integer >= 1, got {max_iter}")
     targets = pose_rows(target)
     seeds = _joint_array(arm, seed, allow_out_of_limits=True)
     if targets.ndim > 2 or seeds.ndim > 2 or (targets.ndim == seeds.ndim == 2 and len(targets) != len(seeds)):

@@ -322,6 +322,29 @@ class TestInverseKinematics:
         with pytest.raises(InvalidInputError):
             inverse_kinematics(test_arm, target, np.full(6, 5.0))
 
+    @pytest.mark.parametrize("name, value", [
+        ("tol_pos", float("nan")), ("tol_pos", float("inf")), ("tol_pos", -1e-6),
+        ("tol_rot", float("nan")), ("tol_rot", float("inf")), ("tol_rot", 0.0),
+        ("max_iter", 2.5), ("max_iter", float("nan")), ("max_iter", float("inf")), ("max_iter", 0),
+    ])
+    def test_refuses_arguments_outside_their_domain(self, cfg, name, value):
+        """A NaN tolerance used to fail a reachable target, a fractional or
+        NaN max_iter to lift the iteration cap and infinite tolerances to
+        return the seed; each is refused naming the argument and its value,
+        by IK and by plan_sync, which forwards it."""
+        from twinmill.pathplan import parse_gcode, plan_sync, transform_path
+        from twinmill.stiffness import Wrench
+
+        arm = cfg.system.arm1
+        target = forward_kinematics(arm, cfg.ik_seed1 + 0.5)
+        message = f"IK {name} must be "
+        with pytest.raises(InvalidInputError, match=message) as exc:
+            inverse_kinematics(arm, target, cfg.ik_seed1, **{name: value})
+        assert f"got {value}" in str(exc.value)
+        path = transform_path(parse_gcode("G1 X10\n"), Pose(np.array([2.105, -0.020, 1.100])))
+        with pytest.raises(InvalidInputError, match=message):
+            plan_sync(cfg.system, path, Wrench(np.zeros(3)), (cfg.ik_seed1, cfg.ik_seed2), **{name: value})
+
 
 class TestGeometryHelpers:
     def test_pose_rejects_a_nan_quaternion(self):
