@@ -1,15 +1,14 @@
 """System configuration: strict JSON schema tying together both arms, the
 coupling-module spring, cell geometry, modal models and solver defaults.
 
-The document is read by `jsondoc`: JSON numbers only, no unknown or
-missing key, and bad data is refused naming its exact schema path, so unit
-mistakes (e.g. a misspelled stiffness key silently falling back to a
-default) cannot slip through.
+The document is read by `jsondoc`: JSON numbers only, no repeated,
+unknown or missing key, and bad data is refused naming its exact schema
+path, so unit mistakes (e.g. a misspelled stiffness key silently falling
+back to a default) cannot slip through.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +113,7 @@ def parse_config(doc) -> SystemConfig:
 def load_config(path) -> SystemConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = jsondoc.loads(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

@@ -3,13 +3,15 @@ native path format.
 
 A value is read at its schema path `where` (`config.arm1.dh_rows[0][2]`,
 `segments[0].start`). Numbers are JSON numbers only (no string, bool, null,
-NaN or Infinity), objects refuse unknown and missing keys, and every
-refusal raises InvalidInputError with `where` as its `path`, which the
-document's reader keeps when it turns the refusal into its own error.
+NaN or Infinity), objects refuse repeated, unknown and missing keys, and
+every refusal raises InvalidInputError with `where` as its `path`, which
+the document's reader keeps when it turns the refusal into its own error.
+Both documents are decoded by `loads`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -22,11 +24,34 @@ def _key(where, key):
     return f"{where}.{key}" if where else key
 
 
+class _Object(dict):
+    """A decoded JSON object; `repeated` is its first key given twice."""
+
+    repeated = None
+
+
+def _object(pairs):
+    value = _Object(pairs)
+    if len(value) < len(pairs):
+        keys = [key for key, _ in pairs]
+        value.repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+    return value
+
+
+def loads(text):
+    """Decode a JSON document, keeping the first repeated key of each
+    object for `obj` to refuse (json.loads alone keeps its last value)."""
+    return json.loads(text, object_pairs_hook=_object)
+
+
 def obj(value, where, required, optional=()):
-    """`value` as a JSON object holding every key of `required`, and no key
-    outside `required` and `optional`."""
+    """`value` as a JSON object with no repeated key, holding every key of
+    `required`, and no key outside `required` and `optional`."""
     if not isinstance(value, dict):
         raise InvalidInputError(f"{where or 'document'}: expected an object", path=where)
+    key = getattr(value, "repeated", None)
+    if key is not None:
+        raise InvalidInputError(f"{_key(where, key)}: repeated key", path=_key(where, key))
     for key in value:
         if key not in required and key not in optional:
             raise InvalidInputError(f"{_key(where, key)}: unknown key", path=_key(where, key))

@@ -349,7 +349,7 @@ def path_from_json(text) -> ToolPath:
     """Read the native JSON path format. Bad input raises
     InvalidInputError whose `path` names the element, e.g. `segments[0].start`."""
     try:
-        doc = json.loads(text)
+        doc = jsondoc.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"path JSON is not valid JSON: {exc}") from exc
     try:
@@ -521,8 +521,9 @@ class SyncProgram:
             raise InvalidInputError(f"sync program pairs must be Setpoints, got {type(self.pairs).__name__}")
         if not len(self.pairs):
             raise InvalidInputError("sync program has no setpoints")
-        if not 0.0 <= self.feed_mm_min < math.inf:
-            raise InvalidInputError(f"sync program feed_mm_min must be finite and >= 0, got {self.feed_mm_min:g}")
+        for name in ("feed_mm_min", "chord_tol", "max_step"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidInputError(f"sync program {name} must be finite and >= 0, got {getattr(self, name):g}")
         if not (isinstance(self.cell_sha256, str) and _SHA256.fullmatch(self.cell_sha256)):
             raise InvalidInputError(f"sync program cell_sha256 must be 64 lowercase hex digits, "
                                     f"got {self.cell_sha256!r:.80}")
@@ -787,11 +788,8 @@ def program_from_csv(text) -> SyncProgram:
         if exc.index is None:
             raise
         raise row_error(text, exc.index, "program CSV", str(exc)) from exc
-    return SyncProgram(
-        pairs,
-        tension=Wrench.from_vector(wrench),
-        feed_mm_min=meta_float(meta, "feed_mm_min", 0.0, "program CSV"),
-        chord_tol=meta_float(meta, "chord_tol_m", 0.0, "program CSV"),
-        max_step=meta_float(meta, "max_step_m", 0.0, "program CSV"),
-        cell_sha256=cell,
-    )
+    steps = {key: meta_float(meta, key, 0.0, "program CSV") for key in ("feed_mm_min", "chord_tol_m", "max_step_m")}
+    for key, value in steps.items():
+        if value < 0:
+            raise meta_error(meta, key, "program CSV", "is negative")
+    return SyncProgram(pairs, Wrench.from_vector(wrench), cell, *steps.values())

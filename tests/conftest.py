@@ -181,3 +181,21 @@ def json_replaced(doc, keys, value):
         entry = entry[key]
     entry[keys[-1]] = value
     return doc
+
+
+def json_with_a_repeated_key(doc, keys, key, value):
+    """A decoded JSON document as JSON text in which the object at `keys`
+    opens with `key`: `value`, ahead of its own entries (json.loads keeps
+    the last of a repeated key's values)."""
+
+    def dump(element, at):
+        if isinstance(element, dict):
+            entries = [f"{json.dumps(k)}: {dump(v, at + (k,))}" for k, v in element.items()]
+            if at == keys:
+                entries.insert(0, f"{json.dumps(key)}: {json.dumps(value)}")
+            return "{" + ", ".join(entries) + "}"
+        if isinstance(element, list):
+            return "[" + ", ".join(dump(v, at + (i,)) for i, v in enumerate(element)) + "]"
+        return json.dumps(element)
+
+    return dump(doc, ())

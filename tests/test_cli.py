@@ -12,7 +12,7 @@ from twinmill.geometry import Pose
 from twinmill.pathplan import Setpoints, parse_gcode, path_to_json, program_from_csv, program_to_csv, transform_path
 from twinmill.stiffness import cell_sha256
 
-from conftest import DEMO_CONFIG, demo_config_dict, forty_one_column_program
+from conftest import DEMO_CONFIG, demo_config_dict, forty_one_column_program, json_with_a_repeated_key
 
 SLOT_GCODE = "G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"
 WORK_OFFSET = "2105,-20,1100"
@@ -120,6 +120,33 @@ class TestUnreadableInput:
         bad.write_bytes(NOT_UTF8)
         assert cli.main(["frf", str(bad), "--out", str(tmp_path / "frf.csv")]) == 3
         assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+
+
+class TestRepeatedJsonKeys:
+    """A key given twice in the config or in a path JSON, of which json.loads
+    alone would keep the last value, exits with its documented code naming
+    the key's schema path: 2 for the config, 3 for the path."""
+
+    def test_config_exits_2(self, tmp_path, gcode_file, capsys):
+        bad = tmp_path / "system.json"
+        bad.write_text(json_with_a_repeated_key(demo_config_dict(), (), "spring_matrix", [[1]]))
+        out = tmp_path / "p.csv"
+        code = cli.main(["--config", str(bad), "plan", gcode_file, "--tension", "1000",
+                         "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: config.spring_matrix: repeated key\n"
+        assert not out.exists()
+
+    def test_path_json_exits_3(self, tmp_path, config_file, capsys):
+        doc = json.loads(path_to_json(transform_path(parse_gcode(SLOT_GCODE), Pose([4.21, 0.0, 0.0]))))
+        path_file = tmp_path / "slot.json"
+        path_file.write_text(json_with_a_repeated_key(doc, ("segments", 0, "end"), "position_m", [0, 0, 0]))
+        out = tmp_path / "p.csv"
+        code = cli.main(["--config", config_file, "plan", str(path_file), "--work-offset-mm", "-2105,-20,1100",
+                         "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: path JSON segments[0].end.position_m: repeated key\n"
+        assert not out.exists()
 
 
 class TestModal:
@@ -386,7 +413,8 @@ class TestDeform:
         edited.write_text(text.replace("# feed_mm_min=300\n", f"# feed_mm_min={feed}\n"))
         out = tmp_path / "o"
         assert cli.main(["--config", config_file, "deform", str(edited), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("error: sync program feed_mm_min must be finite and >= 0")
+        assert capsys.readouterr().err == (f"error: program CSV line 1: metadata feed_mm_min={feed!r} "
+                                           "is negative\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])

@@ -106,8 +106,8 @@ def test_trace_round_trip(points, tension, noise, label):
 @st.composite
 def programs(draw):
     """A 20-column SyncProgram of random finite doubles: unit tool
-    quaternions, strictly increasing indices within +-2**53, a feed >= 0
-    and a cell_sha256 of 64 lowercase hex digits."""
+    quaternions, strictly increasing indices within +-2**53, a feed and
+    step sizes >= 0 and a cell_sha256 of 64 lowercase hex digits."""
     n = draw(st.integers(1, 12))
     index = sorted(draw(st.sets(st.integers(-2**53, 2**53), min_size=n, max_size=n)))
     tool = draw(arrays(np.float64, (n, 7), elements=FINITE))
@@ -117,8 +117,8 @@ def programs(draw):
     tool[:, 3:] = quats / norms
     q = draw(arrays(np.float64, (2, n, 6), elements=FINITE))
     tension = Wrench.from_vector(draw(arrays(np.float64, 6, elements=FINITE)))
-    feed = draw(st.floats(min_value=-0.0, allow_infinity=False))  # a program's feed is >= 0
-    chord_tol, max_step = draw(arrays(np.float64, 2, elements=FINITE))
+    # A program's feed and step sizes are >= 0.
+    feed, chord_tol, max_step = (draw(st.floats(min_value=-0.0, allow_infinity=False)) for _ in range(3))
     cell = draw(st.text("0123456789abcdef", min_size=64, max_size=64))
     return SyncProgram(Setpoints(index, tool, *q), tension=tension, cell_sha256=cell, feed_mm_min=feed,
                        chord_tol=chord_tol, max_step=max_step)

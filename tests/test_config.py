@@ -1,10 +1,20 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
 from twinmill.config import load_config, parse_config
 from twinmill.errors import ConfigError
 
-from conftest import DEMO_CONFIG, demo_config_dict, json_numbers, json_objects, json_replaced
+from conftest import (
+    DEMO_CONFIG,
+    demo_config_dict,
+    json_numbers,
+    json_objects,
+    json_replaced,
+    json_with_a_repeated_key,
+)
 
 
 class TestParse:
@@ -193,3 +203,18 @@ class TestLoad:
         p.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    def test_every_object_refuses_a_repeated_key(self, tmp_path):
+        """A key given twice in any object of the file is refused naming it,
+        in the message and as `path`; json.loads alone keeps the last value."""
+        doc = demo_config_dict()
+        objects = json_objects(doc, "config")
+        assert len(objects) == 15
+        p = tmp_path / "repeated.json"
+        for path, keys in objects:
+            key = next(iter(functools.reduce(operator.getitem, keys, doc)))
+            p.write_text(json_with_a_repeated_key(doc, keys, key, 1))
+            with pytest.raises(ConfigError, match="repeated key") as exc:
+                load_config(p)
+            assert exc.value.path == f"{path}.{key}"
+            assert exc.value.path in str(exc.value)

@@ -8,13 +8,14 @@ import re
 import numpy as np
 import pytest
 
+from twinmill import jsondoc
 from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
 from twinmill.config import parse_config
 from twinmill.errors import ConfigError, InvalidInputError, MalformedArcError, UnsupportedGcodeError
 from twinmill.modal import ModalModel, impact_record_from_csv, impact_record_to_csv, simulate_impact
 from twinmill.pathplan import parse_gcode, path_from_json, program_from_csv, program_to_csv
 
-from conftest import demo_config_dict
+from conftest import demo_config_dict, json_with_a_repeated_key
 
 
 def _short_row(text, lineno):
@@ -77,6 +78,19 @@ def _path_json_with_a_string_coordinate():
     return json.dumps({"segments": [{"type": "linear", "start": pose, "end": pose}]})
 
 
+def _config_with_a_repeated_key():
+    """The demo config text with `"spring_matrix": [[1]]` ahead of the real
+    matrix, which json.loads alone would keep."""
+    return json_with_a_repeated_key(demo_config_dict(), (), "spring_matrix", [[1]])
+
+
+def _path_json_with_a_repeated_key():
+    """A one-line path whose end pose gives position_m twice."""
+    pose = {"position_m": [0.01, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}
+    doc = {"segments": [{"type": "linear", "start": pose, "end": pose}]}
+    return json_with_a_repeated_key(doc, ("segments", 0, "end"), "position_m", [0, 0, 0])
+
+
 # name: (reader call on the demo program, error class, line, path)
 LOCATED = {
     "G-code word": (lambda p: parse_gcode("G1 X10\nG1 X20 Q5\n"), UnsupportedGcodeError, 2, None),
@@ -121,6 +135,13 @@ LOCATED = {
         lambda p: program_from_csv("\n".join(line for line in program_to_csv(p).split("\n")
                                              if not line.startswith("# cell_sha256="))),
         InvalidInputError, 5, None),
+    # A negative feed or step size, on lines 1, 3 and 4.
+    "program CSV feed_mm_min": (lambda p: program_from_csv(_with_meta(program_to_csv(p), "feed_mm_min", "-300")),
+                                InvalidInputError, 1, None),
+    "program CSV chord_tol_m": (lambda p: program_from_csv(_with_meta(program_to_csv(p), "chord_tol_m", "-1e-05")),
+                                InvalidInputError, 3, None),
+    "program CSV max_step_m": (lambda p: program_from_csv(_with_meta(program_to_csv(p), "max_step_m", "-0.005")),
+                               InvalidInputError, 4, None),
     "impact CSV tension_N": (lambda p: impact_record_from_csv(_with_meta(_impact_text(), "tension_N", "big")),
                              InvalidInputError, 3, None),
     "impact CSV sample_rate_hz": (lambda p: impact_record_from_csv(_with_meta(_impact_text(), "sample_rate_hz",
@@ -138,6 +159,10 @@ LOCATED = {
                ConfigError, None, "config.arm1.dh_rows[0][2]"),
     "path JSON": (lambda p: path_from_json(_path_json_with_a_string_coordinate()),
                   InvalidInputError, None, "segments[0].start.position_m[1]"),
+    "config repeated key": (lambda p: parse_config(jsondoc.loads(_config_with_a_repeated_key())),
+                            ConfigError, None, "config.spring_matrix"),
+    "path JSON repeated key": (lambda p: path_from_json(_path_json_with_a_repeated_key()),
+                               InvalidInputError, None, "segments[0].end.position_m"),
 }
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import math
+import operator
 import re
 import tracemalloc
 from pathlib import Path
@@ -65,6 +67,7 @@ from conftest import (
     json_numbers,
     json_objects,
     json_replaced,
+    json_with_a_repeated_key,
     planned_flanges,
 )
 
@@ -366,6 +369,17 @@ class TestJsonErrors:
             where = f"{path}.bogus" if path else "bogus"
             with pytest.raises(InvalidInputError, match=f"^path JSON {re.escape(where)}: unknown key"):
                 path_from_json(json.dumps(json_replaced(doc, keys + ("bogus",), 1)))
+
+    def test_every_object_refuses_a_repeated_key(self):
+        doc = json.loads(SLOT_JSON)
+        objects = json_objects(doc)
+        assert len(objects) == 9
+        for path, keys in objects:
+            key = next(iter(functools.reduce(operator.getitem, keys, doc)))
+            where = f"{path}.{key}" if path else key
+            with pytest.raises(InvalidInputError, match=f"^path JSON {re.escape(where)}: repeated key") as exc:
+                path_from_json(json_with_a_repeated_key(doc, keys, key, 1))
+            assert exc.value.path == where
 
 
 def per_pose_samples(path, chord_tol, max_step):
@@ -1250,6 +1264,12 @@ class TestSetpoints:
         with pytest.raises(InvalidInputError, match="^sync program feed_mm_min must be finite and >= 0"):
             dataclasses.replace(demo_program, feed_mm_min=feed)
         assert dataclasses.replace(demo_program, feed_mm_min=-0.0).feed_mm_min == 0.0
+
+    @pytest.mark.parametrize("field", ["chord_tol", "max_step"])
+    @pytest.mark.parametrize("value", [-1e-5, -5e-324, np.nan, np.inf])
+    def test_sync_program_refuses_a_negative_or_non_finite_step(self, demo_program, field, value):
+        with pytest.raises(InvalidInputError, match=f"^sync program {field} must be finite and >= 0"):
+            dataclasses.replace(demo_program, **{field: value})
 
     def test_indices_strictly_increasing(self, demo_program):
         sp = demo_program.pairs
