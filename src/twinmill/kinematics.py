@@ -410,7 +410,7 @@ def inverse_kinematics(
     for name, tol in (("tol_pos", tol_pos), ("tol_rot", tol_rot)):
         if not 0 < tol < np.inf:
             raise InvalidInputError(f"IK {name} must be finite and > 0, got {tol}")
-    if not (max_iter >= 1 and max_iter % 1 == 0):  # NaN and inf fail both
+    if not (max_iter >= 1 and max_iter % 1 == 0):  # NaN fails both, inf the second
         raise InvalidInputError(f"IK max_iter must be an integer >= 1, got {max_iter}")
     targets = pose_rows(target)
     seeds = _joint_array(arm, seed, allow_out_of_limits=True)

@@ -522,8 +522,9 @@ class SyncProgram:
         if not len(self.pairs):
             raise InvalidInputError("sync program has no setpoints")
         for name in ("feed_mm_min", "chord_tol", "max_step"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise InvalidInputError(f"sync program {name} must be finite and >= 0, got {getattr(self, name):g}")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise InvalidInputError(f"sync program {name} must be finite and >= 0, got {value:g}")
         if not (isinstance(self.cell_sha256, str) and _SHA256.fullmatch(self.cell_sha256)):
             raise InvalidInputError(f"sync program cell_sha256 must be 64 lowercase hex digits, "
                                     f"got {self.cell_sha256!r:.80}")
@@ -788,7 +789,8 @@ def program_from_csv(text) -> SyncProgram:
         if exc.index is None:
             raise
         raise row_error(text, exc.index, "program CSV", str(exc)) from exc
-    steps = {key: meta_float(meta, key, 0.0, "program CSV") for key in ("feed_mm_min", "chord_tol_m", "max_step_m")}
+    steps = {key: meta_float(meta, key, 0.0, "program CSV")
+             for key in ("feed_mm_min", "chord_tol_m", "max_step_m")}
     for key, value in steps.items():
         if value < 0:
             raise meta_error(meta, key, "program CSV", "is negative")

@@ -14,7 +14,11 @@ error raised for one row carries that row of the flattened stack as
 `index`. One block kernel, `_branch`, builds the arm-2 branch from arm
 1's flange, evaluated without a Jacobian (`kinematics.flange_transform`),
 and one frame pass of arm 2 (`kinematics._frames`); arm 1's Jacobian is
-built only where its stiffness is (`cartesian_stiffness`).
+built only where its stiffness is (`cartesian_stiffness`). It refuses a
+pair whose arm-2 flange lies more than MAX_OFFSET from its attachment
+frame in `coupled_stiffness`, which takes commanded (tensioned) pairs,
+and more than CLOSURE_TOL in `tension_offset` and `predicted_tension`,
+which take nominal ones.
 
 A Jacobian is rank deficient when its smallest singular value is at most
 _MIN_SINGULAR_VALUE. A screen certifies most rows of a block full rank;

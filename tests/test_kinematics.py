@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 from twinmill.errors import InvalidInputError, UnreachableTargetError
 from twinmill.geometry import Pose, matrix_pose_rows, pose_error, pose_rows, quat_from_rotvec, rotvec_from_quat
 from twinmill.kinematics import ArmModel, _chain, _flange, forward_kinematics, inverse_kinematics, jacobian
+from twinmill.pathplan import parse_gcode, plan_sync, transform_path
+from twinmill.stiffness import Wrench
 
 from conftest import DEMO_CONFIG, make_one_link_arm, make_test_arm
 
@@ -328,13 +330,10 @@ class TestInverseKinematics:
         ("max_iter", 2.5), ("max_iter", float("nan")), ("max_iter", float("inf")), ("max_iter", 0),
     ])
     def test_refuses_arguments_outside_their_domain(self, cfg, name, value):
-        """A NaN tolerance used to fail a reachable target, a fractional or
-        NaN max_iter to lift the iteration cap and infinite tolerances to
-        return the seed; each is refused naming the argument and its value,
-        by IK and by plan_sync, which forwards it."""
-        from twinmill.pathplan import parse_gcode, plan_sync, transform_path
-        from twinmill.stiffness import Wrench
-
+        """A NaN tolerance would fail a reachable target, a fractional or
+        NaN max_iter lift the iteration cap and infinite tolerances return
+        the seed; each is refused naming the argument and its value, by IK
+        and by plan_sync, which forwards it."""
         arm = cfg.system.arm1
         target = forward_kinematics(arm, cfg.ik_seed1 + 0.5)
         message = f"IK {name} must be "
