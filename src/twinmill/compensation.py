@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtable import meta_float, read_table, row_error, write_table
+from .csvtable import meta_float, read_table, write_table
 from .errors import ClosureError, DegenerateGeometryError, InvalidInputError, SingularConfigurationError
 from .geometry import Pose, frozen, quat_from_matrix
 from .pathplan import SyncProgram
@@ -161,11 +161,6 @@ def trace_to_csv(trace: PathTrace) -> str:
 
 def trace_from_csv(text) -> PathTrace:
     meta, table = read_table(text, _TRACE_COLUMNS, "trace CSV")
-    bad = np.flatnonzero(table[:, 0] != np.arange(len(table)))
-    if bad.size:
-        k = int(bad[0])
-        raise row_error(text, k, "trace CSV",
-                        f"indices must count 0, 1, 2, ... in order, found {table[k, 0]:g} where {k} is due")
     return PathTrace(
         table[:, 1:],
         label=meta.get("label", ""),

@@ -3,11 +3,12 @@
 A file is a leading block of `# key=value` metadata lines (blank lines and
 `#` lines without `=` are allowed there), then exactly one header line of
 comma-separated column names, then one row of numbers per line. A column
-named `index` holds integers; every other is written with 17 significant
-digits (`%.17g`), so every finite double reads back bit-exact; lines end in
-LF. Data rows are parsed by one `np.loadtxt` call; any row that is not a
-full row of finite numbers is rejected with an InvalidInputError naming its
-line (also as `line`). A reader that refuses a row of a table
+named `index` is first and counts the rows 0, 1, 2, ... in order; every
+other is written with 17 significant digits (`%.17g`), so every finite
+double reads back bit-exact; lines end in LF. Data rows are parsed by one
+`np.loadtxt` call; a row that is not a full row of finite numbers, or
+whose index is not its row, is rejected with an InvalidInputError naming
+its line (also as `line`). A reader that refuses a row of a table
 `read_table` accepted names its line the same way, by `row_error`, and one
 that refuses a metadata value (`meta_float`, `meta_floats`) names its key
 and line, by `meta_error`.
@@ -310,7 +311,9 @@ class Metadata(dict):
 def read_table(text, columns, what):
     """Parse CSV text of the twinmill dialect with exactly the header
     `columns`; returns (Metadata of str, float array (rows, len(columns))).
-    `what` names the file kind in error messages."""
+    `what` names the file kind in error messages. Where the first column
+    is `index`, the first row whose index is not its row number is
+    refused."""
     header = ",".join(columns)
     lines = text.split("\n")
     n = _header_line(lines)
@@ -334,6 +337,12 @@ def read_table(text, columns, what):
                                 f"finite numbers, found {rows[k][:80]!r}", line=n + 2 + k)
     if not table.size:
         raise InvalidInputError(f"{what}: no data rows after the header on line {n + 1}", line=n + 1)
+    if columns[0] == "index":
+        bad = np.flatnonzero(table[:, 0] != np.arange(len(table)))
+        if bad.size:
+            k = int(bad[0])
+            raise row_error(text, k, what, f"indices must count 0, 1, 2, ... in order, "
+                                           f"found {table[k, 0]:g} where {k} is due")
     return meta, table
 
 

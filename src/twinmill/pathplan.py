@@ -437,8 +437,8 @@ def discretize(path: ToolPath, chord_tol, max_step):
 
 @dataclass(frozen=True)
 class SetpointPair:
-    """One synchronized program index: the tool pose and the joint
-    solutions of both arms realizing it."""
+    """One setpoint of a program: its row `index`, the tool pose and the
+    joint solutions of both arms realizing it."""
 
     index: int
     tool_pose: Pose
@@ -448,36 +448,28 @@ class SetpointPair:
 
 class Setpoints:
     """The setpoint pairs of a program, held as stacked arrays under the
-    field names of SetpointPair: `index` (N,) ints; `tool_pose` (N, 7) rows
-    of (x, y, z, qw, qx, qy, qz); `q1` and `q2` (N, 6). The flange frames
-    are not held: arm 1's is `compose_rows(tool_pose,
+    field names of SetpointPair: `tool_pose` (N, 7) rows of (x, y, z, qw,
+    qx, qy, qz); `q1` and `q2` (N, 6). A setpoint's index is its row. The
+    flange frames are not held: arm 1's is `compose_rows(tool_pose,
     tool_offset.inverse())` and arm 2's nominal one that composed with
     `flange2_offset`, as `plan_sync` derives them, or FK of the joints.
 
-    Indexing with an int builds that row's SetpointPair; no object per
-    setpoint is kept. The arrays are read-only.
+    Indexing with an int builds that row's SetpointPair (a negative int
+    counts from the end); no object per setpoint is kept. The arrays are
+    read-only.
     """
 
-    __slots__ = ("index", "tool_pose", "q1", "q2")
+    __slots__ = ("tool_pose", "q1", "q2")
 
-    def __init__(self, index, tool_pose, q1, q2):
-        index = np.array(index)
-        if index.ndim != 1 or not (index.size == 0 or np.issubdtype(index.dtype, np.integer)):
-            raise InvalidInputError("setpoint indices must be a 1-D array of integers")
-        index = index.astype(np.int64)
-        down = np.flatnonzero(np.diff(index) <= 0)
-        if down.size:
-            i = int(down[0]) + 1
-            raise InvalidInputError(f"setpoint indices must be strictly increasing (row {i}: "
-                                    f"{index[i]} after {index[i - 1]})", index=i)
-        n = len(index)
+    def __init__(self, tool_pose, q1, q2):
         try:
             tool_pose = pose_rows(tool_pose)
         except InvalidInputError as exc:
             raise InvalidInputError(f"tool_pose: {exc}", index=exc.index) from exc
-        if tool_pose.shape != (n, 7):
+        if tool_pose.ndim != 2:
             raise InvalidInputError("tool_pose must hold one 7-value pose per setpoint")
-        fields = {"index": index, "tool_pose": tool_pose}
+        n = len(tool_pose)
+        fields = {"tool_pose": tool_pose}
         for name, q in (("q1", q1), ("q2", q2)):
             q = np.array(q, dtype=float)
             if q.shape != (n, 6) or not np.all(np.isfinite(q)):
@@ -488,12 +480,11 @@ class Setpoints:
             setattr(self, name, value)
 
     def __len__(self):
-        return len(self.index)
+        return len(self.tool_pose)
 
     def __getitem__(self, key):
-        i = operator.index(key)
-        return SetpointPair(int(self.index[i]), Pose(self.tool_pose[i, :3], self.tool_pose[i, 3:]),
-                            self.q1[i], self.q2[i])
+        i = range(len(self))[operator.index(key)]  # past the end raises IndexError, which ends iteration
+        return SetpointPair(i, Pose(self.tool_pose[i, :3], self.tool_pose[i, 3:]), self.q1[i], self.q2[i])
 
     def __repr__(self):
         return f"Setpoints(<{len(self)} setpoints>)"
@@ -734,7 +725,7 @@ def plan_sync(
     if failure is not None:
         raise failure
     return SyncProgram(
-        Setpoints(np.arange(n), tool, q1, q2), tension=tension, feed_mm_min=path.feed_mm_min,
+        Setpoints(tool, q1, q2), tension=tension, feed_mm_min=path.feed_mm_min,
         chord_tol=chord_tol, max_step=max_step, cell_sha256=cell_sha256(sys),
     )
 
@@ -758,22 +749,16 @@ def program_to_csv(program: SyncProgram) -> str:
         "cell_sha256": program.cell_sha256,
     }
     sp = program.pairs
-    return write_table(meta, _COLUMNS, np.column_stack([sp.index, sp.tool_pose, sp.q1, sp.q2]))
+    return write_table(meta, _COLUMNS, np.column_stack([np.arange(len(sp)), sp.tool_pose, sp.q1, sp.q2]))
 
 
 def program_from_csv(text) -> SyncProgram:
-    """Read a program CSV. A bad setpoint row raises InvalidInputError
-    naming its line, and a bad metadata value naming its key and line, in
-    the message and as `line`. A program without cell_sha256, or of any
-    other columns, such as the 41 of the form that also held the flange
-    frames, is refused at its header line."""
+    """Read a program CSV. A bad setpoint row, one whose index is not its
+    row too, raises InvalidInputError naming its line, and a bad metadata
+    value naming its key and line, in the message and as `line`. A program
+    without cell_sha256, or of any other columns, such as the 41 of the
+    form that also held the flange frames, is refused at its header line."""
     meta, table = read_table(text, _COLUMNS, "program CSV")
-    index = table[:, 0]
-    bad = np.flatnonzero((index != np.trunc(index)) | (np.abs(index) > 2.0**53))
-    if bad.size:
-        k = int(bad[0])
-        raise row_error(text, k, "program CSV",
-                        f"setpoint indices must be integers within +-2**53, found {index[k]:g}")
     wrench = meta_floats(meta, "tension_wrench", [0.0] * 6, "program CSV")
     if len(wrench) != 6:
         raise meta_error(meta, "tension_wrench", "program CSV", "is not 6 numbers")
@@ -784,7 +769,7 @@ def program_from_csv(text) -> SyncProgram:
     if not _SHA256.fullmatch(cell):
         raise meta_error(meta, "cell_sha256", "program CSV", "is not 64 lowercase hex digits")
     try:
-        pairs = Setpoints(index.astype(np.int64), table[:, 1:8], table[:, 8:14], table[:, 14:20])
+        pairs = Setpoints(table[:, 1:8], table[:, 8:14], table[:, 14:20])
     except InvalidInputError as exc:
         if exc.index is None:
             raise

@@ -395,9 +395,10 @@ class TestDeform:
         sp = program.pairs
         q1 = sp.q1.copy()
         q1[7, 4] = 2.5
-        pairs = Setpoints(sp.index, sp.tool_pose, q1, sp.q2)
+        pairs = Setpoints(sp.tool_pose, q1, sp.q2)
         edited = tmp_path / "edited.csv"
         edited.write_text(program_to_csv(dataclasses.replace(program, pairs=pairs)))
+        assert edited.read_text().split("\n")[13].startswith("7,")  # the index on setpoint 7's line
         out = tmp_path / "o"
         assert cli.main(["--config", config_file, "deform", str(edited), "--out", str(out)]) == 3
         assert capsys.readouterr().err == (

@@ -168,7 +168,7 @@ class TestCompensate:
 def _with_pair(program, k, pair):
     """`program` with setpoint row k replaced by the SetpointPair `pair`."""
     fields = []
-    for name in ("index", "tool_pose", "q1", "q2"):
+    for name in ("tool_pose", "q1", "q2"):
         rows = getattr(program.pairs, name).copy()
         rows[k] = pose_rows(pair.tool_pose) if name == "tool_pose" else getattr(pair, name)
         fields.append(rows)
@@ -235,7 +235,7 @@ class TestDeformation:
         still names the setpoint, the arm and the joint."""
         k = 7
         sp = demo_program.pairs
-        pairs = Setpoints(sp.index, sp.tool_pose, sp.q1, sp.q2)
+        pairs = Setpoints(sp.tool_pose, sp.q1, sp.q2)
         q = getattr(pairs, f"q{arm}").copy()
         q[k, 4] = np.nan
         setattr(pairs, f"q{arm}", q)
@@ -268,7 +268,7 @@ class TestDeformation:
         sp = demo_program.pairs
         tool = sp.tool_pose.copy()
         tool[k:, 0] += 0.005
-        pairs = Setpoints(sp.index, tool, sp.q1, sp.q2)
+        pairs = Setpoints(tool, sp.q1, sp.q2)
         with pytest.raises(ClosureError) as exc:
             simulate_deformation(cfg.system, dataclasses.replace(demo_program, pairs=pairs))
         assert exc.value.index == k
@@ -339,7 +339,7 @@ class TestChainRelations:
                                       zero.tool_pose[:, :3])
         program = plan_slot(cfg, tension)
         sp = program.pairs
-        for name in ("index", "tool_pose", "q1"):
+        for name in ("tool_pose", "q1"):
             np.testing.assert_array_equal(getattr(sp, name), getattr(zero, name))
         unloaded = dataclasses.replace(program, tension=Wrench(np.zeros(3)))
         np.testing.assert_array_equal(simulate_deformation(cfg.system, unloaded).points, sp.tool_pose[:, :3])

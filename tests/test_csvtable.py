@@ -126,7 +126,7 @@ class TestWriteTable:
         program = plan_sync(cfg.system, path, Wrench(np.array([1000.0, 0.0, 0.0])), (cfg.ik_seed1, cfg.ik_seed2))
         text = program_to_csv(program)
         sp = program.pairs
-        table = np.column_stack([sp.index, sp.tool_pose, sp.q1, sp.q2])
+        table = np.column_stack([np.arange(len(sp)), sp.tool_pose, sp.q1, sp.q2])
         assert np.sum(np.all(table == table[0], axis=0)) >= 4
         header_end = text.index("\nindex,") + 1
         body = text[text.index("\n", header_end) + 1:]

@@ -1229,7 +1229,7 @@ class TestSetpoints:
         pairs = list(sp)
         assert len(pairs) == len(sp)
         for i, pair in enumerate(pairs):
-            assert pair.index == sp.index[i]
+            assert pair.index == i
             np.testing.assert_array_equal(pair.tool_pose.position, sp.tool_pose[i, :3])
             np.testing.assert_array_equal(pair.tool_pose.quaternion, sp.tool_pose[i, 3:])
             np.testing.assert_array_equal(pair.q1, sp.q1[i])
@@ -1238,10 +1238,13 @@ class TestSetpoints:
     def test_indexing_and_slicing(self, demo_program):
         sp = demo_program.pairs
         n = len(sp)
-        assert sp[-1].index == sp[n - 1].index == int(sp.index[-1])
-        assert [sp[i].index for i in range(2, 9, 3)] == sp.index[2:9:3].tolist()
-        with pytest.raises(IndexError):
-            sp[n]
+        assert sp[-1].index == sp[n - 1].index == n - 1
+        assert sp[-n].index == 0
+        np.testing.assert_array_equal(sp[-1].q1, sp.q1[n - 1])
+        assert [sp[i].index for i in range(2, 9, 3)] == [2, 5, 8]
+        for key in (n, -n - 1):
+            with pytest.raises(IndexError):
+                sp[key]
         with pytest.raises(TypeError):
             sp[1:3]
 
@@ -1256,7 +1259,7 @@ class TestSetpoints:
             dataclasses.replace(demo_program, pairs=tuple(demo_program.pairs))
         with pytest.raises(InvalidInputError, match="no setpoints"):
             sp = demo_program.pairs
-            empty = Setpoints(sp.index[:0], sp.tool_pose[:0], sp.q1[:0], sp.q2[:0])
+            empty = Setpoints(sp.tool_pose[:0], sp.q1[:0], sp.q2[:0])
             dataclasses.replace(demo_program, pairs=empty)
 
     @pytest.mark.parametrize("feed", [-100.0, -5e-324, np.nan, np.inf])
@@ -1271,20 +1274,21 @@ class TestSetpoints:
         with pytest.raises(InvalidInputError, match=f"^sync program {field} must be finite and >= 0"):
             dataclasses.replace(demo_program, **{field: value})
 
-    def test_indices_strictly_increasing(self, demo_program):
+    def test_a_setpoint_index_is_its_row(self, demo_program):
+        """Setpoints hold three arrays and no index; a fourth array is refused."""
         sp = demo_program.pairs
-        index = sp.index.copy()
-        index[[1, 2]] = index[[2, 1]]
-        with pytest.raises(InvalidInputError, match=r"strictly increasing \(row 2: 1 after 2\)") as exc:
-            Setpoints(index, sp.tool_pose, sp.q1, sp.q2)
-        assert exc.value.index == 2
+        assert not hasattr(sp, "index")
+        with pytest.raises(TypeError):
+            Setpoints(np.arange(len(sp)), sp.tool_pose, sp.q1, sp.q2)
+        with pytest.raises(InvalidInputError, match="one 7-value pose per setpoint"):
+            Setpoints(sp.tool_pose[0], sp.q1[:1], sp.q2[:1])
 
     def test_bad_pose_row_named_with_its_row(self, demo_program):
         sp = demo_program.pairs
         tool = sp.tool_pose.copy()
         tool[3, 3:] *= 2.0
         with pytest.raises(InvalidInputError, match=r"^tool_pose: pose row 3: ") as exc:
-            Setpoints(sp.index, tool, sp.q1, sp.q2)
+            Setpoints(tool, sp.q1, sp.q2)
         assert exc.value.index == 3
 
     def test_pose_rows_check_and_sign_as_pose(self):
@@ -1358,11 +1362,40 @@ class TestProgramCsvRows:
         assert str(exc.value) == f"program CSV line 2: metadata tension_wrench='{wrench}' is not 6 numbers"
         assert exc.value.line == 2
 
-    def test_fractional_index_rejected(self, demo_program):
+    @pytest.mark.parametrize("index, found", [("2.5", "2.5"), ("1e300", "1e+300"), ("0", "0"), ("2", "2"),
+                                              ("-1", "-1")])
+    def test_index_other_than_its_row_rejected(self, demo_program, index, found):
+        """Line 8 holds setpoint 1."""
         lines = program_to_csv(demo_program).splitlines()
-        lines[7] = "2.5" + lines[7][lines[7].index(","):]
-        with pytest.raises(InvalidInputError, match="integers"):
+        lines[7] = index + lines[7][lines[7].index(","):]
+        with pytest.raises(InvalidInputError) as exc:
             program_from_csv("\n".join(lines) + "\n")
-        lines[7] = "1e300" + lines[7][lines[7].index(","):]
-        with pytest.raises(InvalidInputError, match="integers"):
-            program_from_csv("\n".join(lines) + "\n")
+        assert str(exc.value) == ("program CSV line 8: indices must count 0, 1, 2, ... in order, "
+                                  f"found {found} where 1 is due")
+        assert exc.value.line == 8
+
+    def test_shifted_indices_refused_at_the_first_row(self, demo_program):
+        """Indices 100, 101, ... read back byte for byte before; they are
+        now refused at line 7, setpoint 0's."""
+        lines = program_to_csv(demo_program).split("\n")
+        lines[6:-1] = [f"{k + 100}{line[line.index(','):]}" for k, line in enumerate(lines[6:-1])]
+        with pytest.raises(InvalidInputError) as exc:
+            program_from_csv("\n".join(lines))
+        assert str(exc.value) == ("program CSV line 7: indices must count 0, 1, 2, ... in order, "
+                                  "found 100 where 0 is due")
+        assert exc.value.line == 7
+
+    def test_index_checked_before_the_metadata(self, demo_program):
+        """An index out of order is refused ahead of a bad metadata value."""
+        text = re.sub(r"(?m)^# chord_tol_m=.*$", "# chord_tol_m=-1", program_to_csv(demo_program))
+        assert program_from_csv_error(text).line == 3
+        lines = text.splitlines()
+        lines[7] = "5" + lines[7][lines[7].index(","):]
+        assert program_from_csv_error("\n".join(lines) + "\n").line == 8
+
+
+def program_from_csv_error(text):
+    """The InvalidInputError that program_from_csv raises on `text`."""
+    with pytest.raises(InvalidInputError) as exc:
+        program_from_csv(text)
+    return exc.value

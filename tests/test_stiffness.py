@@ -533,7 +533,7 @@ class TestBranchRankScreen:
         message = str(alone.value)
         assert RANK_DEFICIENT.fullmatch(message)
         tool = compose_rows(forward_kinematics(sys_.arm1, q1), sys_.tool_offset)
-        program = SyncProgram(Setpoints(np.arange(300), tool, q1, q2), tension=w, cell_sha256=cell_sha256(sys_))
+        program = SyncProgram(Setpoints(tool, q1, q2), tension=w, cell_sha256=cell_sha256(sys_))
         for call, prefix in ((lambda: tension_offset(sys_, q1, q2, w), ""),
                              (lambda: coupled_stiffness(sys_, q1, q2), ""),
                              (lambda: simulate_deformation(sys_, program), "setpoint 270: ")):
