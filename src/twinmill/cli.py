@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compensation, config as config_mod, modal, pathplan
-from .errors import ConfigError, TwinmillError
+from .errors import ConfigError, InvalidInputError, TwinmillError
 from .geometry import Pose
 from .stiffness import Wrench, cell_sha256
 
@@ -123,7 +123,12 @@ def cmd_modal(args):
 
 def cmd_frf(args):
     records = [modal.impact_record_from_csv(_read_input(p)) for p in args.impacts]
-    frf = modal.h1_estimate(records, nfft=args.nfft)
+    try:
+        frf = modal.h1_estimate(records, nfft=args.nfft)
+    except InvalidInputError as exc:
+        if exc.index is None:
+            raise
+        raise InvalidInputError(f"{args.impacts[exc.index]}: {exc}", index=exc.index) from exc
     Path(args.out).write_text(modal.frf_to_csv(frf))
     print(f"wrote H1 FRF ({frf.frequencies.size} bins) to {args.out}")
     return EXIT_OK

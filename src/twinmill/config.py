@@ -100,10 +100,15 @@ def _parse(doc) -> SystemConfig:
     )
 
 
-def parse_config(doc) -> SystemConfig:
-    """The SystemConfig of a decoded config document; bad data raises
-    ConfigError whose `path` names the element, e.g.
+def parse_config(text) -> SystemConfig:
+    """The SystemConfig of a config document's JSON text, decoded by
+    `jsondoc.loads`, so a repeated key is refused as any other bad data:
+    by a ConfigError whose `path` names the element, e.g.
     `config.arm1.dh_rows[0][2]`."""
+    try:
+        doc = jsondoc.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
         return _parse(doc)
     except InvalidInputError as exc:
@@ -111,11 +116,17 @@ def parse_config(doc) -> SystemConfig:
 
 
 def load_config(path) -> SystemConfig:
+    """The SystemConfig of the config file at `path`, by `parse_config`. A
+    refusal without a schema path (a file that cannot be read or is not
+    JSON) names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = jsondoc.loads(fh.read())
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_config(doc)
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        if exc.path is not None:
+            raise
+        raise ConfigError(f"config file {path}: {exc}") from exc

@@ -1,17 +1,17 @@
 """The one CSV dialect of twinmill's interchange files.
 
-A file is a leading block of `# key=value` metadata lines (blank lines and
-`#` lines without `=` are allowed there), then exactly one header line of
-comma-separated column names, then one row of numbers per line. A column
-named `index` is first and counts the rows 0, 1, 2, ... in order; every
-other is written with 17 significant digits (`%.17g`), so every finite
-double reads back bit-exact; lines end in LF. Data rows are parsed by one
-`np.loadtxt` call; a row that is not a full row of finite numbers, or
-whose index is not its row, is rejected with an InvalidInputError naming
-its line (also as `line`). A reader that refuses a row of a table
-`read_table` accepted names its line the same way, by `row_error`, and one
-that refuses a metadata value (`meta_float`, `meta_floats`) names its key
-and line, by `meta_error`.
+A file is a leading block of `# key=value` metadata lines, each key given
+once (blank lines and `#` lines without `=` are allowed there), then
+exactly one header line of comma-separated column names, then one row of
+numbers per line. A column named `index` is first and counts the rows 0,
+1, 2, ... in order; every other is written with 17 significant digits
+(`%.17g`), so every finite double reads back bit-exact; lines end in LF.
+Data rows are parsed by one `np.loadtxt` call; a row that is not a full
+row of finite numbers, or whose index is not its row, is rejected with an
+InvalidInputError naming its line (also as `line`). A reader that refuses
+a row of a table `read_table` accepted names its line the same way, by
+`row_error`, and one that refuses a metadata value (`meta_float`,
+`meta_floats`) names its key and line, by `meta_error`.
 
 `write_table` formats numbers with a numpy kernel whose bytes equal those
 of `'%.17g' % x` (and `'%d' % x` in an `index` column) for every value. It
@@ -299,8 +299,7 @@ def _header_line(lines):
 
 class Metadata(dict):
     """The `# key=value` lines of a file as {key: value}, with the 1-based
-    line of each key (the last one, for a repeated key) in `lines` and
-    that of the header in `header_line`."""
+    line of each key in `lines` and that of the header in `header_line`."""
 
     def __init__(self, header_line):
         super().__init__()
@@ -311,8 +310,9 @@ class Metadata(dict):
 def read_table(text, columns, what):
     """Parse CSV text of the twinmill dialect with exactly the header
     `columns`; returns (Metadata of str, float array (rows, len(columns))).
-    `what` names the file kind in error messages. Where the first column
-    is `index`, the first row whose index is not its row number is
+    `what` names the file kind in error messages. A metadata key given
+    twice is refused at its second line, naming the first. Where the first
+    column is `index`, the first row whose index is not its row number is
     refused."""
     header = ",".join(columns)
     lines = text.split("\n")
@@ -322,9 +322,14 @@ def read_table(text, columns, what):
     meta = Metadata(n + 1)
     for number, line in enumerate(lines[:n], start=1):
         key, sep, value = line.strip()[1:].partition("=")
-        if sep:
-            meta[key.strip()] = value.strip()
-            meta.lines[key.strip()] = number
+        key = key.strip()
+        if not sep:
+            continue
+        if key in meta:
+            raise InvalidInputError(f"{what} line {number}: metadata {key} repeated, first given on line "
+                                    f"{meta.lines[key]}", line=number)
+        meta[key] = value.strip()
+        meta.lines[key] = number
     line = lines[n].strip()
     if line != header:
         raise InvalidInputError(f"{what} line {n + 1}: expected header '{header}', found {line[:80]!r}",

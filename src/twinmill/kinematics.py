@@ -402,15 +402,15 @@ def inverse_kinematics(
 
     A row that fails raises UnreachableTargetError for the first failing
     row, with its best residual and that row as `index`. A tolerance that
-    is not finite and > 0, or a `max_iter` that is not an integer >= 1,
-    raises InvalidInputError naming it.
+    is not one finite number > 0, or a `max_iter` that is not one integer
+    >= 1, raises InvalidInputError naming it.
     """
     if not isinstance(arm, ArmModel):
         raise InvalidInputError("IK takes one ArmModel; solve each arm with its own call")
     for name, tol in (("tol_pos", tol_pos), ("tol_rot", tol_rot)):
-        if not 0 < tol < np.inf:
+        if not (np.ndim(tol) == 0 and 0 < tol < np.inf):
             raise InvalidInputError(f"IK {name} must be finite and > 0, got {tol}")
-    if not (max_iter >= 1 and max_iter % 1 == 0):  # NaN fails both, inf the second
+    if not (np.ndim(max_iter) == 0 and max_iter >= 1 and max_iter % 1 == 0):  # NaN fails both, inf the second
         raise InvalidInputError(f"IK max_iter must be an integer >= 1, got {max_iter}")
     targets = pose_rows(target)
     seeds = _joint_array(arm, seed, allow_out_of_limits=True)

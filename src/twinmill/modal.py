@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtable import meta_float, read_table, row_error, write_table
+from .csvtable import meta_error, meta_float, read_table, row_error, write_table
 from .errors import DegenerateSignalError, InvalidInputError, RankDeficiencyError
 from .geometry import frozen
 
@@ -62,8 +62,11 @@ class FrfSeries:
         v = frozen(self.values, dtype=complex)
         if f.ndim != 1 or f.shape != v.shape:
             raise InvalidInputError("frequencies and values must be 1-D and the same length")
-        if f.size and np.any(np.diff(f) <= 0):
-            raise InvalidInputError("frequency grid must be strictly ascending")
+        down = np.flatnonzero(np.diff(f) <= 0)
+        if down.size:
+            k = int(down[0]) + 1
+            raise InvalidInputError(f"frequency grid must be strictly ascending, found {float(f[k])!r} Hz "
+                                    f"after {float(f[k - 1])!r} Hz", index=k)
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v)) and math.isfinite(self.tension)):
             raise InvalidInputError("FRF contains non-finite entries or tension")
         object.__setattr__(self, "frequencies", f)
@@ -163,19 +166,20 @@ def h1_estimate(records, nfft=None) -> FrfSeries:
     window over the impact, exponential decay window on the response) and
     converted to compliance by dividing by -w^2; the DC bin is dropped.
     nfft (default: the longest record) may not exceed both it and MAX_NFFT.
+    A record that differs from record 0 in sample rate, axis, position or
+    tension is refused naming the field, both values and, as `index`, the
+    record.
     """
     records = list(records)
     if not records:
         raise InvalidInputError("at least one impact record is required")
     first = records[0]
-    for r in records[1:]:
-        if (r.sample_rate, r.axis, r.position, r.tension) != (
-            first.sample_rate,
-            first.axis,
-            first.position,
-            first.tension,
-        ):
-            raise InvalidInputError("impact records differ in sample rate, axis, position or tension")
+    for k, r in enumerate(records[1:], start=1):
+        for name in ("sample_rate", "axis", "position", "tension"):
+            value, want = (v if isinstance(v, str) else float(v) for v in (getattr(r, name), getattr(first, name)))
+            if value != want:
+                raise InvalidInputError(f"impact record {k} differs from record 0 in {name}: {value!r}, "
+                                        f"not {want!r}", index=k)
     longest = max(len(r.force) for r in records)
     nfft = longest if nfft is None else nfft
     if isinstance(nfft, bool) or not (isinstance(nfft, numbers.Integral) and nfft >= 2):
@@ -347,13 +351,14 @@ def frf_from_csv(text) -> FrfSeries:
     meta, data = read_table(text, _FRF_COLUMNS, "FRF CSV")
     values = np.empty(len(data), dtype=complex)
     values.real, values.imag = data[:, 1], data[:, 2]  # re + 1j * im would turn re = -0.0 into +0.0
-    return FrfSeries(
-        data[:, 0],
-        values,
-        axis=meta.get("axis", "x"),
-        position=meta.get("position", ""),
-        tension=meta_float(meta, "tension_N", 0.0, "FRF CSV"),
-    )
+    tension = meta_float(meta, "tension_N", 0.0, "FRF CSV")
+    try:
+        return FrfSeries(data[:, 0], values, axis=meta.get("axis", "x"), position=meta.get("position", ""),
+                         tension=tension)
+    except InvalidInputError as exc:
+        if exc.index is None:
+            raise
+        raise row_error(text, exc.index, "FRF CSV", str(exc)) from exc
 
 
 def shift_fit_to_csv(points, fit: ShiftFit) -> str:
@@ -370,6 +375,8 @@ def impact_record_from_csv(text) -> ImpactRecord:
     if data.shape[0] < 2:
         raise InvalidInputError("impact CSV needs at least two samples")
     rate = meta_float(meta, "sample_rate_hz", None, "impact CSV")
+    if rate is not None and not rate > 0:
+        raise meta_error(meta, "sample_rate_hz", "impact CSV", "is not positive")
     if rate is None:
         dt = np.diff(data[:, 0])
         if not dt[0] > 0:

@@ -59,7 +59,8 @@ class LinearSegment:
 
     @property
     def length(self):
-        return float(np.linalg.norm(self.end.position - self.start.position))
+        with np.errstate(over="ignore"):  # inf past the float range, which `discretize` refuses
+            return float(np.linalg.norm(self.end.position - self.start.position))
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,7 @@ _SEGMENT_KEYS = {"linear": ("type", "start", "end"),
 
 def _json_segment(s, where):
     kind = jsondoc.obj(s, where, ("type",), ("start", "end", "center_m", "normal", "sweep_rad"))["type"]
-    if kind not in _SEGMENT_KEYS:
+    if not isinstance(kind, str) or kind not in _SEGMENT_KEYS:
         raise InvalidInputError(f"{where}.type: unknown segment type {kind!r:.40}", path=f"{where}.type")
     jsondoc.obj(s, where, _SEGMENT_KEYS[kind])
     if kind == "linear":
@@ -372,9 +373,12 @@ def path_from_json(text) -> ToolPath:
 
 def _subdivisions(x):
     """Smallest power of two >= x (>= 1), so that refinement by halving the
-    step exactly doubles the interval count."""
+    step exactly doubles the interval count; inf for an x past MAX_SAMPLES,
+    an infinite or NaN one too."""
     if x <= 1.0:
         return 1
+    if not x <= MAX_SAMPLES:
+        return math.inf
     return 1 << math.ceil(math.log2(x))
 
 
@@ -394,7 +398,8 @@ def _samples(seg, chord_tol, max_step):
         return 0
     r = seg.radius
     dtheta_chord = 2 * math.acos(1 - chord_tol / r) if chord_tol < r else math.pi
-    return _subdivisions(abs(seg.sweep) / min(dtheta_chord, max_step / r))
+    step = min(dtheta_chord, max_step / r)  # 0 on a radius too large for either to resolve
+    return _subdivisions(abs(seg.sweep) / step) if step else math.inf
 
 
 def discretize(path: ToolPath, chord_tol, max_step):
@@ -404,8 +409,9 @@ def discretize(path: ToolPath, chord_tol, max_step):
 
     A line's inner samples take its start orientation and its end sample
     its end pose; an arc's samples all take its start orientation. A path
-    of more than MAX_SAMPLES samples raises InvalidInputError naming the
-    segment that crosses the cap, before any row is allocated.
+    of more than MAX_SAMPLES samples, or with a segment too long to count
+    its samples, raises InvalidInputError naming the segment that crosses
+    the cap, before any row is allocated.
     """
     if not (chord_tol > 0 and max_step > 0):
         raise InvalidInputError("chord_tol and max_step must be positive")

@@ -48,6 +48,7 @@ from .kinematics import ArmModel, _frames, flange_transform, jacobian
 
 CLOSURE_TOL = 1e-4
 MAX_OFFSET = 0.01  # m, commanded arm-2 flange from its nominal position
+_MAX_SPRING_ENTRY = np.finfo(float).max / 2  # K + K.T and K - K.T stay finite
 _MIN_SINGULAR_VALUE = 1e-8
 _BLOCK_ROWS = 256
 
@@ -78,8 +79,9 @@ class SpringModel:
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=float)
-        if K.shape != (6, 6) or not np.all(np.isfinite(K)):
-            raise InvalidInputError("spring matrix must be a finite 6x6 array")
+        if K.shape != (6, 6) or not np.all(np.abs(K) <= _MAX_SPRING_ENTRY):  # NaN fails too
+            raise InvalidInputError(f"spring matrix must be a 6x6 array of finite entries, each of size "
+                                    f"<= {_MAX_SPRING_ENTRY:.4g}")
         scale = np.max(np.abs(K))
         if scale == 0 or np.max(np.abs(K - K.T)) > 1e-9 * scale:
             raise InvalidInputError("spring matrix must be symmetric (1e-9 relative)")

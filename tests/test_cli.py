@@ -637,7 +637,8 @@ class TestCellFingerprint:
     ], ids=["modal model", "solver default", "workspace"])
     def test_what_is_not_the_cell_does_not_change_the_hash(self, keys):
         doc = _scaled_config(keys, 1.5)
-        assert cell_sha256(config.parse_config(doc).system) == cell_sha256(config.load_config(DEMO_CONFIG).system)
+        parsed = config.parse_config(json.dumps(doc))
+        assert cell_sha256(parsed.system) == cell_sha256(config.load_config(DEMO_CONFIG).system)
 
     @pytest.mark.parametrize("keys", [
         ("arm1", "joint_stiffness_nm_per_rad", 2), ("arm2", "joint_stiffness_nm_per_rad", 5),
@@ -661,3 +662,79 @@ class TestCellFingerprint:
         assert cli.main(["--config", str(DEMO_CONFIG), "deform", str(edited), "--out", str(out)]) == 3
         assert capsys.readouterr().err == "error: program CSV line 5: no cell_sha256 metadata before the header\n"
         assert not out.exists()
+
+
+def _pose(x):
+    return {"position_m": [x, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}
+
+
+def _index_plus_100(fields):
+    fields[0] = str(int(fields[0]) + 100)
+
+
+def _impact(tension, rate=None):
+    text = modal.impact_record_to_csv(modal.simulate_impact(
+        config.load_config(DEMO_CONFIG).modal_models["x"], tension, sample_rate=2048.0, duration=0.05))
+    return text if rate is None else text.replace("# sample_rate_hz=2048.0", f"# sample_rate_hz={rate}")
+
+
+def _spring_diagonal(value):
+    doc = demo_config_dict()
+    doc["spring_matrix"][3][3] = value
+    return json.dumps(doc)
+
+
+# name: (files to write, by name, given the demo program; argv after the
+# file paths are filled in; exit code; text stderr must hold, a path
+# written in braces being the file's path)
+REFUSALS = {
+    "path JSON type []": (
+        lambda p: {"path.json": json.dumps({"segments": [{"type": [], "start": _pose(0), "end": _pose(0.01)}]})},
+        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3, "segments[0].type"),
+    "path JSON type {}": (
+        lambda p: {"path.json": json.dumps({"segments": [{"type": {}, "start": _pose(0), "end": _pose(0.01)}]})},
+        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3, "segments[0].type"),
+    "path JSON line past the float range": (
+        lambda p: {"path.json": json.dumps({"segments": [
+            {"type": "linear", "start": _pose(-1e308), "end": _pose(1e308)}]})},
+        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3, "segment 0 takes the path"),
+    "config repeated key": (
+        lambda p: {"system.json": json_with_a_repeated_key(demo_config_dict(), (), "spring_matrix", [[1]])},
+        ["--config", "{system.json}", "modal", "--tensions", "0", "--out", "{out}"], 2, "config.spring_matrix"),
+    "config spring entry 1e308": (
+        lambda p: {"system.json": _spring_diagonal(1e308)},
+        ["--config", "{system.json}", "modal", "--tensions", "0", "--out", "{out}"], 2, "config.spring_matrix"),
+    "impact sample rate 0": (
+        lambda p: {"a.csv": _impact(0.0, rate=0)},
+        ["frf", "{a.csv}", "--out", "{out.csv}"], 3, "impact CSV line 4: metadata sample_rate_hz='0'"),
+    "mixed impact records": (
+        lambda p: {"a.csv": _impact(0.0), "b.csv": _impact(500.0)},
+        ["frf", "{a.csv}", "{a.csv}", "{b.csv}", "--out", "{out.csv}"], 3,
+        "{b.csv}: impact record 2 differs from record 0 in tension"),
+    "program with shifted indices": (
+        lambda p: {"program.csv": _edited_program(program_to_csv(p), _index_plus_100)},
+        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3, "program CSV line 7: "),
+    "program with a repeated metadata key": (
+        lambda p: {"program.csv": program_to_csv(p).replace("# cell_sha256=", "# chord_tol_m=2e-05\n# cell_sha256=")},
+        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3, "program CSV line 5: "),
+}
+
+
+@pytest.mark.parametrize("files, argv, code, where", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_exits_2_or_3_naming_its_place(tmp_path, demo_program, capsys, files, argv, code, where):
+    """Each input exits with its code, never 1, and stderr names the line,
+    the schema path or the file of the bad data, with no traceback."""
+    paths = {name: str(tmp_path / name) for name in ("out", "out.csv")}
+    for name, text in files(demo_program).items():
+        paths[name] = str(tmp_path / name)
+        Path(paths[name]).write_text(text)
+
+    def fill(text):
+        for name, path in paths.items():
+            text = text.replace(f"{{{name}}}", path)
+        return text
+
+    assert cli.main([fill(arg) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert fill(where) in err
+    assert "Traceback" not in err

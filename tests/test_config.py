@@ -1,5 +1,7 @@
 import functools
+import json
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -45,54 +47,67 @@ class TestParse:
         doc = demo_config_dict()
         doc["extra"] = 1
         with pytest.raises(ConfigError) as exc:
-            parse_config(doc)
+            parse_config(json.dumps(doc))
         assert "config.extra" in str(exc.value)
 
     def test_missing_key_rejected(self):
         doc = demo_config_dict()
         del doc["spring_matrix"]
         with pytest.raises(ConfigError):
-            parse_config(doc)
+            parse_config(json.dumps(doc))
 
     def test_unknown_nested_key_reports_path(self):
         doc = demo_config_dict()
         doc["arm1"]["payload_kg"] = 100
         with pytest.raises(ConfigError) as exc:
-            parse_config(doc)
+            parse_config(json.dumps(doc))
         assert "config.arm1.payload_kg" in str(exc.value)
 
     def test_schema_version_checked(self):
         doc = demo_config_dict()
         doc["schema_version"] = 99
         with pytest.raises(ConfigError) as exc:
-            parse_config(doc)
+            parse_config(json.dumps(doc))
         assert exc.value.path == "config.schema_version"
 
     def test_dh_convention_checked(self):
         doc = demo_config_dict()
         doc["dh_convention"] = "modified"
         with pytest.raises(ConfigError):
-            parse_config(doc)
+            parse_config(json.dumps(doc))
 
     def test_bad_spring_matrix(self):
         doc = demo_config_dict()
         doc["spring_matrix"][0][1] = 1e3  # asymmetric
         with pytest.raises(ConfigError) as exc:
-            parse_config(doc)
+            parse_config(json.dumps(doc))
         assert exc.value.path == "config.spring_matrix"
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_spring_entry_whose_sum_with_its_transpose_overflows_refused(self, i):
+        """A 1e308 diagonal entry is finite, but K + K.T is not."""
+        doc = demo_config_dict()
+        doc["spring_matrix"][i][i] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as exc:
+                parse_config(json.dumps(doc))
+        assert exc.value.path == "config.spring_matrix"
+        assert str(exc.value) == ("config.spring_matrix: spring matrix must be a 6x6 array of finite entries, "
+                                  "each of size <= 8.988e+307")
 
     def test_bad_modal_parameter(self):
         doc = demo_config_dict()
         doc["modal_models"]["y"]["mass_kg"] = -1.0
         with pytest.raises(ConfigError) as exc:
-            parse_config(doc)
+            parse_config(json.dumps(doc))
         assert "modal_models.y" in str(exc.value)
 
     def test_bad_workspace(self):
         doc = demo_config_dict()
         doc["workspace_box"]["size_m"] = [1.0, 0.0, 1.0]
         with pytest.raises(ConfigError):
-            parse_config(doc)
+            parse_config(json.dumps(doc))
 
     @pytest.mark.parametrize("key, value", [
         ("center_m", float("nan")), ("center_m", float("inf")), ("center_m", float("-inf")),
@@ -102,7 +117,7 @@ class TestParse:
         doc = demo_config_dict()
         doc["workspace_box"][key][1] = value
         with pytest.raises(ConfigError) as exc:
-            parse_config(doc)
+            parse_config(json.dumps(doc))
         assert exc.value.path == f"config.workspace_box.{key}[1]"
 
     @pytest.mark.parametrize("keys, path", [
@@ -118,7 +133,7 @@ class TestParse:
             entry = entry[key]
         entry[keys[-1]] = "abc"
         with pytest.raises(ConfigError) as exc:
-            parse_config(doc)
+            parse_config(json.dumps(doc))
         assert exc.value.path == path
 
     @pytest.mark.parametrize("key", ["mass_kg", "f0_hz", "sensitivity_hz_per_n"])
@@ -127,7 +142,7 @@ class TestParse:
         doc = demo_config_dict()
         doc["modal_models"]["z"][key] = value
         with pytest.raises(ConfigError, match="finite") as exc:
-            parse_config(doc)
+            parse_config(json.dumps(doc))
         assert exc.value.path == f"config.modal_models.z.{key}"
 
     @pytest.mark.parametrize("key", ["tol_pos_m", "tol_rot_rad", "chord_tol_m", "max_step_m",
@@ -137,7 +152,7 @@ class TestParse:
         doc = demo_config_dict()
         doc["defaults"][key] = value
         with pytest.raises(ConfigError, match="positive finite number") as exc:
-            parse_config(doc)
+            parse_config(json.dumps(doc))
         assert exc.value.path == f"config.defaults.{key}"
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.7, 0, -3, True, "200"])
@@ -145,13 +160,13 @@ class TestParse:
         doc = demo_config_dict()
         doc["defaults"]["max_iter"] = value
         with pytest.raises(ConfigError, match="integer >= 1") as exc:
-            parse_config(doc)
+            parse_config(json.dumps(doc))
         assert exc.value.path == "config.defaults.max_iter"
 
     def test_integral_defaults_accepted(self):
         doc = demo_config_dict()
         doc["defaults"].update(max_iter=50.0, max_step_m=1)
-        defaults = parse_config(doc).defaults
+        defaults = parse_config(json.dumps(doc)).defaults
         assert defaults["max_iter"] == 50 and isinstance(defaults["max_iter"], int)
         assert defaults["max_step_m"] == 1.0 and isinstance(defaults["max_step_m"], float)
 
@@ -159,7 +174,7 @@ class TestParse:
         doc = demo_config_dict()
         doc["arm2"]["base_pose"] = doc["arm1"]["base_pose"]
         with pytest.raises(ConfigError):
-            parse_config(doc)
+            parse_config(json.dumps(doc))
 
     @pytest.mark.parametrize("bad", [True, "1", None, float("nan"), float("inf")])
     def test_every_number_refuses_a_non_number(self, bad):
@@ -170,7 +185,7 @@ class TestParse:
         assert len(numbers) == 199
         for path, keys in numbers:
             with pytest.raises(ConfigError) as exc:
-                parse_config(json_replaced(doc, keys, bad))
+                parse_config(json.dumps(json_replaced(doc, keys, bad)))
             assert exc.value.path == path
 
     def test_every_object_refuses_an_unknown_key(self):
@@ -179,14 +194,14 @@ class TestParse:
         assert len(objects) == 15
         for path, keys in objects:
             with pytest.raises(ConfigError, match="unknown key") as exc:
-                parse_config(json_replaced(doc, keys + ("bogus",), 1))
+                parse_config(json.dumps(json_replaced(doc, keys + ("bogus",), 1)))
             assert exc.value.path == f"{path}.bogus"
 
     def test_bad_seed_length(self):
         doc = demo_config_dict()
         doc["ik_seed1_rad"] = [0.0, 0.0]
         with pytest.raises(ConfigError):
-            parse_config(doc)
+            parse_config(json.dumps(doc))
 
 
 class TestLoad:
@@ -214,7 +229,8 @@ class TestLoad:
         for path, keys in objects:
             key = next(iter(functools.reduce(operator.getitem, keys, doc)))
             p.write_text(json_with_a_repeated_key(doc, keys, key, 1))
-            with pytest.raises(ConfigError, match="repeated key") as exc:
-                load_config(p)
-            assert exc.value.path == f"{path}.{key}"
-            assert exc.value.path in str(exc.value)
+            for read in (load_config, lambda p: parse_config(p.read_text())):
+                with pytest.raises(ConfigError, match="repeated key") as exc:
+                    read(p)
+                assert exc.value.path == f"{path}.{key}"
+                assert exc.value.path in str(exc.value)

@@ -197,6 +197,7 @@ class TestReadTable:
     def test_meta_block_and_rows(self):
         meta, table = read_table("\n# a = 1\n#note\n\n# b=x=y\na,b,c\n1,2,3\n\n4,5,6", COLUMNS, "T")
         assert meta == {"a": "1", "b": "x=y"}
+        assert meta.lines == {"a": 2, "b": 5}
         np.testing.assert_array_equal(table, [[1, 2, 3], [4, 5, 6]])
 
     def test_crlf_accepted(self):
@@ -215,10 +216,24 @@ class TestReadTable:
         ("a,b,c\n1,2,3\n# late=1\n4,5,6\n", "T line 3: "),
         ("a,b,c\n1,2,inf\n", "T line 2: "),
         ("a,b,c\n" + "1,2,3\n" * 1000 + "1,2\n" + "1,2,3\n" * 50, "T line 1002: "),
+        ("# a=1\n# b=2\n#  a = 3\na,b,c\n1,2,3\n", "T line 3: metadata a repeated, first given on line 1$"),
+        ("# a=1\n# a=1\na,b,c\n1,2,3\n", "T line 2: metadata a repeated, first given on line 1$"),
     ])
     def test_errors_name_the_line(self, text, match):
         with pytest.raises(InvalidInputError, match=f"^{match}"):
             read_table(text, COLUMNS, "T")
+
+    @pytest.mark.parametrize("text, match", [
+        ("index,x\n0,1\n1,2\n3,4\n", "T line 4: indices must count 0, 1, 2, ... in order, found 3 where 2 is due"),
+        ("index,x\n1,1\n", "T line 2: indices must count 0, 1, 2, ... in order, found 1 where 0 is due"),
+        ("index,x\n0,1\n\n0.5,2\n", "T line 4: indices must count 0, 1, 2, ... in order, found 0.5 where 1 is due"),
+    ])
+    def test_an_index_column_counts_the_rows(self, text, match):
+        with pytest.raises(InvalidInputError) as exc:
+            read_table(text, ("index", "x"), "T")
+        assert str(exc.value) == match
+        assert exc.value.line == int(match.split()[2][:-1])
+        read_table("x,index\n1,5\n", ("x", "index"), "T")  # only a first column is an index
 
     def test_meta_helpers(self):
         """A refused metadata value is named with its key and its line, in
@@ -255,6 +270,8 @@ BAD_INPUTS = {
     "non-numeric sample rate": (impact_record_from_csv,
                                 lambda: edit_line(impact_text(), 4, lambda l: "# sample_rate_hz=fast"),
                                 "impact CSV line 4: metadata sample_rate_hz='fast'"),
+    "zero sample rate": (impact_record_from_csv, lambda: edit_line(impact_text(), 4, lambda l: "# sample_rate_hz=0"),
+                         "impact CSV line 4: metadata sample_rate_hz='0' is not positive$"),
     "non-numeric impact tension": (impact_record_from_csv,
                                    lambda: edit_line(impact_text(), 3, lambda l: "# tension_N=5OO"),
                                    "impact CSV line 3: metadata tension_N='5OO'"),
@@ -265,6 +282,8 @@ BAD_INPUTS = {
                              "impact CSV line 7: time 0.0009765625 s does not match sample_rate_hz=2048.0: "
                              "sample 1 is at 0.00048828125 s"),
     "truncated FRF row": (frf_from_csv, lambda: edit_line(frf_text(), 9, truncate), "FRF CSV line 9: "),
+    "FRF frequencies out of order": (frf_from_csv, lambda: edit_line(frf_text(), 9, lambda l: "0.5" + l[l.index(","):]),
+                                     "FRF CSV line 9: frequency grid must be strictly ascending, found 0.5 Hz after "),
     "infinite FRF tension": (frf_from_csv, lambda: edit_line(frf_text(), 3, lambda l: "# tension_N=inf"),
                              "FRF CSV line 3: metadata tension_N='inf'"),
     "truncated trace row": (trace_from_csv, lambda: edit_line(trace_text(), 7, truncate),

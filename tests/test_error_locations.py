@@ -8,11 +8,18 @@ import re
 import numpy as np
 import pytest
 
-from twinmill import jsondoc
 from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
 from twinmill.config import parse_config
 from twinmill.errors import ConfigError, InvalidInputError, MalformedArcError, UnsupportedGcodeError
-from twinmill.modal import ModalModel, impact_record_from_csv, impact_record_to_csv, simulate_impact
+from twinmill.modal import (
+    FrfSeries,
+    ModalModel,
+    frf_from_csv,
+    frf_to_csv,
+    impact_record_from_csv,
+    impact_record_to_csv,
+    simulate_impact,
+)
 from twinmill.pathplan import parse_gcode, path_from_json, program_from_csv, program_to_csv
 
 from conftest import demo_config_dict, json_with_a_repeated_key
@@ -70,12 +77,23 @@ def _impact_text_without_rate():
 def _config_with_a_string_entry():
     doc = demo_config_dict()
     doc["arm1"]["dh_rows"][0][2] = "0.5"
-    return doc
+    return json.dumps(doc)
 
 
 def _path_json_with_a_string_coordinate():
     pose = {"position_m": [0, "0", 0], "quaternion_wxyz": [1, 0, 0, 0]}
     return json.dumps({"segments": [{"type": "linear", "start": pose, "end": pose}]})
+
+
+def _frf_text():
+    """An FRF at 1, 2, ..., 8 Hz: three metadata lines, the header on line 4."""
+    return frf_to_csv(FrfSeries(np.arange(1.0, 9.0), np.full(8, 1e-6 + 0j)))
+
+
+def _with_extra_meta(text, after, line):
+    """`text` with `line` put in after line `after`."""
+    lines = text.split("\n")
+    return "\n".join(lines[:after] + [line] + lines[after:])
 
 
 def _config_with_a_repeated_key():
@@ -115,6 +133,13 @@ LOCATED = {
                                InvalidInputError, 21, None),
     "trace CSV index": (lambda p: trace_from_csv(_with_index(trace_to_csv(PathTrace(np.zeros((10, 3)))), 7, "9")),
                         InvalidInputError, 7, None),
+    # The program's metadata are on lines 1-5: chord_tol_m, on line 3, given again on line 5.
+    "program CSV repeated metadata key": (
+        lambda p: program_from_csv(_with_extra_meta(program_to_csv(p), 4, "# chord_tol_m=2e-05")),
+        InvalidInputError, 5, None),
+    # Line 8 holds the FRF's row 3: 1.5 Hz there follows 3 Hz.
+    "FRF CSV frequency order": (lambda p: frf_from_csv(_with_field(_frf_text(), 8, 0, "1.5")),
+                                InvalidInputError, 8, None),
     "trace CSV row": (lambda p: trace_from_csv(_short_row(trace_to_csv(PathTrace(np.zeros((10, 3)))), 7)),
                       InvalidInputError, 7, None),
     "impact CSV row": (lambda p: impact_record_from_csv(_short_row(_impact_text(), 10)),
@@ -147,6 +172,9 @@ LOCATED = {
     "impact CSV sample_rate_hz": (lambda p: impact_record_from_csv(_with_meta(_impact_text(), "sample_rate_hz",
                                                                               "fast")),
                                   InvalidInputError, 4, None),
+    **{f"impact CSV sample_rate_hz={rate}": (
+        lambda p, rate=rate: impact_record_from_csv(_with_meta(_impact_text(), "sample_rate_hz", rate)),
+        InvalidInputError, 4, None) for rate in ("0", "-0", "-1")},
     "trace CSV tension_N": (lambda p: trace_from_csv(_with_meta(trace_to_csv(PathTrace(np.zeros((10, 3)))),
                                                                 "tension_N", "big")),
                             InvalidInputError, 2, None),
@@ -159,8 +187,10 @@ LOCATED = {
                ConfigError, None, "config.arm1.dh_rows[0][2]"),
     "path JSON": (lambda p: path_from_json(_path_json_with_a_string_coordinate()),
                   InvalidInputError, None, "segments[0].start.position_m[1]"),
-    "config repeated key": (lambda p: parse_config(jsondoc.loads(_config_with_a_repeated_key())),
+    "config repeated key": (lambda p: parse_config(_config_with_a_repeated_key()),
                             ConfigError, None, "config.spring_matrix"),
+    "path JSON segment type": (lambda p: path_from_json(json.dumps({"segments": [{"type": []}]})),
+                               InvalidInputError, None, "segments[0].type"),
     "path JSON repeated key": (lambda p: path_from_json(_path_json_with_a_repeated_key()),
                                InvalidInputError, None, "segments[0].end.position_m"),
 }

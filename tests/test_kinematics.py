@@ -328,12 +328,14 @@ class TestInverseKinematics:
         ("tol_pos", float("nan")), ("tol_pos", float("inf")), ("tol_pos", -1e-6),
         ("tol_rot", float("nan")), ("tol_rot", float("inf")), ("tol_rot", 0.0),
         ("max_iter", 2.5), ("max_iter", float("nan")), ("max_iter", float("inf")), ("max_iter", 0),
+        ("tol_pos", np.array([1e-6, 1e-6])), ("tol_rot", [1e-6]), ("max_iter", np.array([50, 50])),
     ])
     def test_refuses_arguments_outside_their_domain(self, cfg, name, value):
         """A NaN tolerance would fail a reachable target, a fractional or
-        NaN max_iter lift the iteration cap and infinite tolerances return
-        the seed; each is refused naming the argument and its value, by IK
-        and by plan_sync, which forwards it."""
+        NaN max_iter lift the iteration cap, infinite tolerances return
+        the seed and an array has no truth value; each is refused naming
+        the argument and its value, by IK and by plan_sync, which forwards
+        it."""
         arm = cfg.system.arm1
         target = forward_kinematics(arm, cfg.ik_seed1 + 0.5)
         message = f"IK {name} must be "

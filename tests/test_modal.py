@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -192,12 +193,20 @@ class TestH1:
         three = h1_estimate([rec, rec, rec])
         np.testing.assert_allclose(three.values, one.values, rtol=1e-12)
 
-    def test_mixed_metadata_rejected(self):
+    def test_mixed_metadata_rejected_naming_the_record_and_the_field(self):
         m = make_model()
         a = simulate_impact(m, 0.0, sample_rate=2048.0, duration=1.0)
         b = simulate_impact(m, 500.0, sample_rate=2048.0, duration=1.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             h1_estimate([a, b])
+        assert str(exc.value) == "impact record 1 differs from record 0 in tension: 500.0, not 0.0"
+        assert exc.value.index == 1
+        for field, value in (("sample_rate", 4096.0), ("axis", "y"), ("position", "p2")):
+            with pytest.raises(InvalidInputError) as exc:
+                h1_estimate([a, a, dataclasses.replace(a, **{field: value})])
+            assert str(exc.value) == (f"impact record 2 differs from record 0 in {field}: {value!r}, "
+                                      f"not {getattr(a, field)!r}")
+            assert exc.value.index == 2
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -336,6 +336,8 @@ class TestJsonErrors:
         (json.dumps(_slot_doc(segments=5)), "segments: expected a list"),
         (json.dumps(_slot_doc(segments=[7])), "segments[0]: expected an object"),
         (_first_segment(type="spline"), "segments[0].type: unknown segment type 'spline'"),
+        (_first_segment(type=[]), "segments[0].type: unknown segment type []"),
+        (_first_segment(type={}), "segments[0].type: unknown segment type {}"),
         (_first_segment(end={"position_m": [0, 0], "quaternion_wxyz": [1, 0, 0, 0]}),
          "segments[0].end.position_m: expected a list of 3 numbers"),
         (_first_segment(end={"position_m": [0, 0, None], "quaternion_wxyz": [1, 0, 0, 0]}),
@@ -568,7 +570,17 @@ class TestDiscretize:
         ]})), "segment 1 "),
         # About 1000 km of line at 5 mm steps asks for 2**28 samples.
         (lambda: parse_gcode("G1 X999999999\n"), "segment 0 "),
-    ], ids=["arc-sweep-1e9", "gcode-x999999999"])
+        # A line to x = 1e308 m is infinitely long.
+        (lambda: path_from_json(json.dumps({"segments": [
+            {"type": "linear", "start": {"position_m": [-1e308, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]},
+             "end": {"position_m": [1e308, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}},
+        ]})), "segment 0 "),
+        # On a 1e20 m radius neither tolerance resolves an angle step.
+        (lambda: path_from_json(json.dumps({"segments": [
+            {"type": "arc", "center_m": [-1e20, 0, 0], "normal": [0, 0, 1],
+             "start": {"position_m": [0, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}, "sweep_rad": 0.1},
+        ]})), "segment 0 "),
+    ], ids=["arc-sweep-1e9", "gcode-x999999999", "line-past-the-float-range", "arc-radius-1e20"])
     def test_sample_cap_names_the_segment_before_allocating(self, path, where):
         path = path()
         tracemalloc.start()
