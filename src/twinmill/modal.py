@@ -176,7 +176,7 @@ def h1_estimate(records, nfft=None) -> FrfSeries:
     first = records[0]
     for k, r in enumerate(records[1:], start=1):
         for name in ("sample_rate", "axis", "position", "tension"):
-            value, want = (v if isinstance(v, str) else float(v) for v in (getattr(r, name), getattr(first, name)))
+            value, want = getattr(r, name), getattr(first, name)
             if value != want:
                 raise InvalidInputError(f"impact record {k} differs from record 0 in {name}: {value!r}, "
                                         f"not {want!r}", index=k)
@@ -387,7 +387,7 @@ def impact_record_from_csv(text) -> ImpactRecord:
             k = int(off[0]) + 1
             raise row_error(text, k, "impact CSV", f"time column is not uniformly sampled: sample {k} is "
                             f"{float(dt[k - 1])!r} s after the one before, sample 1 {float(dt[0])!r} s")
-        rate = 1.0 / dt[0]
+        rate = 1.0 / float(dt[0])
     record = ImpactRecord(
         rate,
         data[:, 1],
