@@ -90,12 +90,6 @@ def _frf_text():
     return frf_to_csv(FrfSeries(np.arange(1.0, 9.0), np.full(8, 1e-6 + 0j)))
 
 
-def _with_extra_meta(text, after, line):
-    """`text` with `line` put in after line `after`."""
-    lines = text.split("\n")
-    return "\n".join(lines[:after] + [line] + lines[after:])
-
-
 def _config_with_a_repeated_key():
     """The demo config text with `"spring_matrix": [[1]]` ahead of the real
     matrix, which json.loads alone would keep."""
@@ -135,7 +129,7 @@ LOCATED = {
                         InvalidInputError, 7, None),
     # The program's metadata are on lines 1-5: chord_tol_m, on line 3, given again on line 5.
     "program CSV repeated metadata key": (
-        lambda p: program_from_csv(_with_extra_meta(program_to_csv(p), 4, "# chord_tol_m=2e-05")),
+        lambda p: program_from_csv(program_to_csv(p).replace("# cell_sha256=", "# chord_tol_m=2e-05\n# cell_sha256=")),
         InvalidInputError, 5, None),
     # Line 8 holds the FRF's row 3: 1.5 Hz there follows 3 Hz.
     "FRF CSV frequency order": (lambda p: frf_from_csv(_with_field(_frf_text(), 8, 0, "1.5")),

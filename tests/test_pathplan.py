@@ -1400,14 +1400,9 @@ class TestProgramCsvRows:
     def test_index_checked_before_the_metadata(self, demo_program):
         """An index out of order is refused ahead of a bad metadata value."""
         text = re.sub(r"(?m)^# chord_tol_m=.*$", "# chord_tol_m=-1", program_to_csv(demo_program))
-        assert program_from_csv_error(text).line == 3
         lines = text.splitlines()
         lines[7] = "5" + lines[7][lines[7].index(","):]
-        assert program_from_csv_error("\n".join(lines) + "\n").line == 8
-
-
-def program_from_csv_error(text):
-    """The InvalidInputError that program_from_csv raises on `text`."""
-    with pytest.raises(InvalidInputError) as exc:
-        program_from_csv(text)
-    return exc.value
+        for text, line in ((text, 3), ("\n".join(lines) + "\n", 8)):
+            with pytest.raises(InvalidInputError) as exc:
+                program_from_csv(text)
+            assert exc.value.line == line
