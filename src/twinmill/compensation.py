@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtable import meta_float, read_table, write_table
+from .csvtable import read_table, write_table
 from .errors import ClosureError, DegenerateGeometryError, InvalidInputError, SingularConfigurationError
 from .geometry import Pose, frozen, quat_from_matrix
 from .pathplan import SyncProgram
@@ -164,8 +164,8 @@ def trace_from_csv(text) -> PathTrace:
     return PathTrace(
         table[:, 1:],
         label=meta.get("label", ""),
-        tension=meta_float(meta, "tension_N", 0.0, "trace CSV"),
-        noise_sigma=meta_float(meta, "noise_sigma_m", 0.0, "trace CSV"),
+        tension=meta.number("tension_N", 0.0),
+        noise_sigma=meta.number("noise_sigma_m", 0.0),
     )
 
 

@@ -6,12 +6,18 @@ exactly one header line of comma-separated column names, then one row of
 numbers per line. A column named `index` is first and counts the rows 0,
 1, 2, ... in order; every other is written with 17 significant digits
 (`%.17g`), so every finite double reads back bit-exact; lines end in LF.
-Data rows are parsed by one `np.loadtxt` call; a row that is not a full
-row of finite numbers, or whose index is not its row, is rejected with an
-InvalidInputError naming its line (also as `line`). A reader that refuses
-a row of a table `read_table` accepted names its line the same way, by
-`row_error`, and one that refuses a metadata value (`meta_float`,
-`meta_floats`) names its key and line, by `meta_error`.
+Data rows are parsed by one `np.loadtxt` call.
+
+Every refusal is an InvalidInputError naming the file kind, and its line
+where it has one, in the message and as `line`. `read_table` returns the
+metadata as a `Metadata`, which knows the file kind and holds the
+caller's text, and a refusal at a line goes through it: `read_table`'s
+own (a repeated key, the header, a row that is not a full row of finite
+numbers, an index that is not its row), and each reader's, of a metadata
+value at its key's line (`error`, `number`, `numbers`), of a row at its
+line (`row_error`), and of a value object's row `index` at that row's
+line (`build`, as `jsondoc.build` refuses at a schema path). A row's line
+is found only when it is refused.
 
 `write_table` formats numbers with a numpy kernel whose bytes equal those
 of `'%.17g' % x` (and `'%d' % x` in an `index` column) for every value. It
@@ -299,12 +305,63 @@ def _header_line(lines):
 
 class Metadata(dict):
     """The `# key=value` lines of a file as {key: value}, with the 1-based
-    line of each key in `lines` and that of the header in `header_line`."""
+    line of each key in `lines` and that of the header in `header_line`.
+    It refuses on its reader's behalf: every refusal is an InvalidInputError
+    that names the file kind `what` and a line, in the message and as
+    `line`. `text` is the file's text, split again only to find a refused
+    row's line."""
 
-    def __init__(self, header_line):
+    def __init__(self, what, text, header_line):
         super().__init__()
+        self.what = what
+        self.text = text
         self.lines = {}
         self.header_line = header_line
+
+    def line_error(self, line, message):
+        """A refusal at 1-based `line`."""
+        return InvalidInputError(f"{self.what} line {line}: {message}", line=line)
+
+    def row_error(self, k, message):
+        """A refusal of data row k. Blank lines count towards the line but
+        hold no row."""
+        lines = self.text.split("\n")
+        return self.line_error([n for n in range(self.header_line, len(lines)) if lines[n].strip()][k] + 1,
+                               message)
+
+    def error(self, key, message):
+        """A refusal of metadata `key` at its line."""
+        return self.line_error(self.lines[key], f"metadata {key}={self[key]!r} {message}")
+
+    def build(self, cls, *args):
+        """cls(*args), an InvalidInputError of it that names a row as
+        `index` refused at that row's line."""
+        try:
+            return cls(*args)
+        except InvalidInputError as exc:
+            if exc.index is None:
+                raise
+            raise self.row_error(exc.index, str(exc)) from exc
+
+    def numbers(self, key, default):
+        """The space-separated finite numbers of metadata `key` as a list
+        of floats, `default` when the key is absent."""
+        if key not in self:
+            return default
+        try:
+            values = [float(x) for x in self[key].split()]
+        except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            raise self.error(key, "is not a finite number")
+        return values
+
+    def number(self, key, default):
+        """Metadata `key` as one float, `default` when the key is absent."""
+        values = self.numbers(key, [default])
+        if len(values) != 1:
+            raise self.error(key, "is not one number")
+        return values[0]
 
 
 def read_table(text, columns, what):
@@ -319,73 +376,30 @@ def read_table(text, columns, what):
     n = _header_line(lines)
     if n is None:
         raise InvalidInputError(f"{what}: no header line '{header}'")
-    meta = Metadata(n + 1)
+    meta = Metadata(what, text, n + 1)
     for number, line in enumerate(lines[:n], start=1):
         key, sep, value = line.strip()[1:].partition("=")
         key = key.strip()
         if not sep:
             continue
         if key in meta:
-            raise InvalidInputError(f"{what} line {number}: metadata {key} repeated, first given on line "
-                                    f"{meta.lines[key]}", line=number)
+            raise meta.line_error(number, f"metadata {key} repeated, first given on line {meta.lines[key]}")
         meta[key] = value.strip()
         meta.lines[key] = number
     line = lines[n].strip()
     if line != header:
-        raise InvalidInputError(f"{what} line {n + 1}: expected header '{header}', found {line[:80]!r}",
-                                line=n + 1)
+        raise meta.line_error(n + 1, f"expected header '{header}', found {line[:80]!r}")
     rows = lines[n + 1:]
     table = _parse(rows, len(columns))
     if table is None:
         k = _first_bad_line(rows, len(columns))
-        raise InvalidInputError(f"{what} line {n + 2 + k}: expected {len(columns)} comma-separated "
-                                f"finite numbers, found {rows[k][:80]!r}", line=n + 2 + k)
+        raise meta.line_error(n + 2 + k, f"expected {len(columns)} comma-separated finite numbers, "
+                                         f"found {rows[k][:80]!r}")
     if not table.size:
         raise InvalidInputError(f"{what}: no data rows after the header on line {n + 1}", line=n + 1)
     if columns[0] == "index":
         bad = np.flatnonzero(table[:, 0] != np.arange(len(table)))
         if bad.size:
             k = int(bad[0])
-            raise row_error(text, k, what, f"indices must count 0, 1, 2, ... in order, "
-                                           f"found {table[k, 0]:g} where {k} is due")
+            raise meta.row_error(k, f"indices must count 0, 1, 2, ... in order, found {table[k, 0]:g} where {k} is due")
     return meta, table
-
-
-def row_error(text, k, what, message):
-    """An InvalidInputError refusing data row k of `text`, a table that
-    `read_table` accepted, that names the row's 1-based line in the message
-    and as `line`. Blank lines count towards the line but hold no row. The
-    line is found here, so a reader pays for it only when it refuses."""
-    lines = text.split("\n")
-    line = [n for n in range(_header_line(lines) + 1, len(lines)) if lines[n].strip()][k] + 1
-    return InvalidInputError(f"{what} line {line}: {message}", line=line)
-
-
-def meta_error(meta, key, what, message):
-    """An InvalidInputError refusing metadata `key` of the Metadata `meta`
-    that `read_table` returned, naming the key's line in the message and as
-    `line`."""
-    line = meta.lines[key]
-    return InvalidInputError(f"{what} line {line}: metadata {key}={meta[key]!r} {message}", line=line)
-
-
-def meta_floats(meta, key, default, what):
-    """The space-separated finite numbers of metadata `key` as a list of
-    floats, `default` when the key is absent."""
-    if key not in meta:
-        return default
-    try:
-        values = [float(x) for x in meta[key].split()]
-    except ValueError:
-        values = None
-    if values is None or not all(map(math.isfinite, values)):
-        raise meta_error(meta, key, what, "is not a finite number")
-    return values
-
-
-def meta_float(meta, key, default, what):
-    """Metadata `key` as one float, `default` when the key is absent."""
-    values = meta_floats(meta, key, [default], what)
-    if len(values) != 1:
-        raise meta_error(meta, key, what, "is not one number")
-    return values[0]

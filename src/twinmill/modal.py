@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtable import meta_error, meta_float, read_table, row_error, write_table
+from .csvtable import read_table, write_table
 from .errors import DegenerateSignalError, InvalidInputError, RankDeficiencyError
 from .geometry import frozen
 
@@ -351,14 +351,8 @@ def frf_from_csv(text) -> FrfSeries:
     meta, data = read_table(text, _FRF_COLUMNS, "FRF CSV")
     values = np.empty(len(data), dtype=complex)
     values.real, values.imag = data[:, 1], data[:, 2]  # re + 1j * im would turn re = -0.0 into +0.0
-    tension = meta_float(meta, "tension_N", 0.0, "FRF CSV")
-    try:
-        return FrfSeries(data[:, 0], values, axis=meta.get("axis", "x"), position=meta.get("position", ""),
-                         tension=tension)
-    except InvalidInputError as exc:
-        if exc.index is None:
-            raise
-        raise row_error(text, exc.index, "FRF CSV", str(exc)) from exc
+    tension = meta.number("tension_N", 0.0)
+    return meta.build(FrfSeries, data[:, 0], values, meta.get("axis", "x"), meta.get("position", ""), tension)
 
 
 def shift_fit_to_csv(points, fit: ShiftFit) -> str:
@@ -374,19 +368,18 @@ def impact_record_from_csv(text) -> ImpactRecord:
     meta, data = read_table(text, _IMPACT_COLUMNS, "impact CSV")
     if data.shape[0] < 2:
         raise InvalidInputError("impact CSV needs at least two samples")
-    rate = meta_float(meta, "sample_rate_hz", None, "impact CSV")
+    rate = meta.number("sample_rate_hz", None)
     if rate is not None and not rate > 0:
-        raise meta_error(meta, "sample_rate_hz", "impact CSV", "is not positive")
+        raise meta.error("sample_rate_hz", "is not positive")
     if rate is None:
         dt = np.diff(data[:, 0])
         if not dt[0] > 0:
-            raise row_error(text, 1, "impact CSV", f"time {float(data[1, 0])!r} s does not follow "
-                            f"sample 0 at {float(data[0, 0])!r} s")
+            raise meta.row_error(1, f"time {float(data[1, 0])!r} s does not follow sample 0 at {float(data[0, 0])!r} s")
         off = np.flatnonzero(~(np.abs(dt - dt[0]) <= 1e-9 * dt[0]))
         if off.size:
             k = int(off[0]) + 1
-            raise row_error(text, k, "impact CSV", f"time column is not uniformly sampled: sample {k} is "
-                            f"{float(dt[k - 1])!r} s after the one before, sample 1 {float(dt[0])!r} s")
+            raise meta.row_error(k, f"time column is not uniformly sampled: sample {k} is {float(dt[k - 1])!r} s "
+                                    f"after the one before, sample 1 {float(dt[0])!r} s")
         rate = 1.0 / float(dt[0])
     record = ImpactRecord(
         rate,
@@ -394,14 +387,14 @@ def impact_record_from_csv(text) -> ImpactRecord:
         data[:, 2],
         axis=meta.get("axis", "x"),
         position=meta.get("position", ""),
-        tension=meta_float(meta, "tension_N", 0.0, "impact CSV"),
+        tension=meta.number("tension_N", 0.0),
     )
     # A time column that disagrees with the sample rate key would scale every frequency.
     off = np.flatnonzero(np.abs(data[:, 0] - np.arange(len(data)) / rate) > 1e-9 / rate)
     if off.size:
         k = int(off[0])
-        raise row_error(text, k, "impact CSV", f"time {float(data[k, 0])!r} s does not match "
-                        f"sample_rate_hz={rate!r}: sample {k} is at {k / rate!r} s")
+        raise meta.row_error(k, f"time {float(data[k, 0])!r} s does not match sample_rate_hz={rate!r}: "
+                                f"sample {k} is at {k / rate!r} s")
     return record
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsondoc
-from .csvtable import meta_error, meta_float, meta_floats, read_table, row_error, write_table
+from .csvtable import read_table, write_table
 from .errors import (
     ClosureError,
     ContinuityError,
@@ -164,6 +164,10 @@ def parse_gcode(text) -> ToolPath:
     motion = None
     feed = 0.0
     segments = []
+
+    def refusal(cls, message):
+        return cls(f"line {lineno}: {message}", line=lineno)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comments(raw).strip()
         if not line:
@@ -172,33 +176,27 @@ def parse_gcode(text) -> ToolPath:
         consumed = 0
         for m in _WORD_RE.finditer(line):
             if line[consumed : m.start()].strip():
-                raise UnsupportedGcodeError(
-                    f"line {lineno}: unparseable text {line[consumed:m.start()]!r}", line=lineno
-                )
+                raise refusal(UnsupportedGcodeError, f"unparseable text {line[consumed:m.start()]!r}")
             value = float(m.group(2))
             if not abs(value) <= _MAX_WORD_VALUE:
-                raise UnsupportedGcodeError(
-                    f"line {lineno}: {m.group(1)} value out of range (|value| > {_MAX_WORD_VALUE:g})",
-                    line=lineno,
-                )
+                raise refusal(UnsupportedGcodeError,
+                              f"{m.group(1)} value out of range (|value| > {_MAX_WORD_VALUE:g})")
             words.append((m.group(1).upper(), value))
             consumed = m.end()
         if line[consumed:].strip():
-            raise UnsupportedGcodeError(
-                f"line {lineno}: unparseable text {line[consumed:]!r}", line=lineno
-            )
+            raise refusal(UnsupportedGcodeError, f"unparseable text {line[consumed:]!r}")
         coords = {}
         center_offset = {}
         for letter, value in words:
             if letter not in _SUPPORTED_LETTERS:
-                raise UnsupportedGcodeError(f"line {lineno}: unsupported word {letter}{value:g}", line=lineno)
+                raise refusal(UnsupportedGcodeError, f"unsupported word {letter}{value:g}")
             if letter == "G":
                 if value not in (0.0, 1.0, 2.0, 3.0):
-                    raise UnsupportedGcodeError(f"line {lineno}: unsupported G{value:g}", line=lineno)
+                    raise refusal(UnsupportedGcodeError, f"unsupported G{value:g}")
                 motion = int(value)
             elif letter == "F":
                 if value < 0:
-                    raise UnsupportedGcodeError(f"line {lineno}: negative feed F{value:g}", line=lineno)
+                    raise refusal(UnsupportedGcodeError, f"negative feed F{value:g}")
                 feed = value
             elif letter in "XYZ":
                 coords["XYZ".index(letter)] = value * _MM
@@ -207,38 +205,31 @@ def parse_gcode(text) -> ToolPath:
         if not coords and not center_offset:
             continue
         if motion is None:
-            raise UnsupportedGcodeError(
-                f"line {lineno}: coordinates before any motion word", line=lineno
-            )
+            raise refusal(UnsupportedGcodeError, "coordinates before any motion word")
         target = pos.copy()
         for axis, value in coords.items():
             target[axis] = value
         if motion in (0, 1):
             if center_offset:
-                raise UnsupportedGcodeError(
-                    f"line {lineno}: I/J/K only valid with G2/G3", line=lineno
-                )
+                raise refusal(UnsupportedGcodeError, "I/J/K only valid with G2/G3")
             if np.linalg.norm(target - pos) > 0:
                 segments.append(LinearSegment(Pose(pos), Pose(target)))
         else:
             if not center_offset:
-                raise UnsupportedGcodeError(f"line {lineno}: arc without I/J/K center", line=lineno)
+                raise refusal(UnsupportedGcodeError, "arc without I/J/K center")
             if target[2] != pos[2]:
-                raise UnsupportedGcodeError(f"line {lineno}: helical arcs are not supported (Z moves from "
-                                            f"{pos[2] / _MM:g} mm to {target[2] / _MM:g} mm)", line=lineno)
+                raise refusal(UnsupportedGcodeError, f"helical arcs are not supported (Z moves from "
+                                                     f"{pos[2] / _MM:g} mm to {target[2] / _MM:g} mm)")
             center = pos.copy()
             for axis, value in center_offset.items():
                 center[axis] += value
             r_start = np.linalg.norm((pos - center)[:2])
             r_end = np.linalg.norm((target - center)[:2])
             if not abs(r_start - r_end) <= _ARC_RADIUS_TOL:
-                raise MalformedArcError(
-                    f"line {lineno}: arc radii differ by {abs(r_start - r_end) * 1e6:.1f} um "
-                    f"(start {r_start * 1e3:.3f} mm, end {r_end * 1e3:.3f} mm)",
-                    line=lineno,
-                )
+                raise refusal(MalformedArcError, f"arc radii differ by {abs(r_start - r_end) * 1e6:.1f} um "
+                                                 f"(start {r_start * 1e3:.3f} mm, end {r_end * 1e3:.3f} mm)")
             if r_start == 0:
-                raise MalformedArcError(f"line {lineno}: arc has zero radius", line=lineno)
+                raise refusal(MalformedArcError, "arc has zero radius")
             theta_s = math.atan2(pos[1] - center[1], pos[0] - center[0])
             theta_e = math.atan2(target[1] - center[1], target[0] - center[0])
             if motion == 3:  # counter-clockwise about +Z
@@ -255,7 +246,7 @@ def parse_gcode(text) -> ToolPath:
                 # the chain stays continuous to machine precision.
                 target = arc.end.position
             except InvalidInputError as exc:
-                raise MalformedArcError(f"line {lineno}: {exc}", line=lineno) from exc
+                raise refusal(MalformedArcError, exc) from exc
             segments.append(arc)
         pos = target
     if not segments:
@@ -762,27 +753,20 @@ def program_from_csv(text) -> SyncProgram:
     """Read a program CSV. A bad setpoint row, one whose index is not its
     row too, raises InvalidInputError naming its line, and a bad metadata
     value naming its key and line, in the message and as `line`. A program
-    without cell_sha256, or of any other columns, such as the 41 of the
-    form that also held the flange frames, is refused at its header line."""
+    without cell_sha256, or of any other columns, is refused at its header
+    line."""
     meta, table = read_table(text, _COLUMNS, "program CSV")
-    wrench = meta_floats(meta, "tension_wrench", [0.0] * 6, "program CSV")
+    wrench = meta.numbers("tension_wrench", [0.0] * 6)
     if len(wrench) != 6:
-        raise meta_error(meta, "tension_wrench", "program CSV", "is not 6 numbers")
+        raise meta.error("tension_wrench", "is not 6 numbers")
     if "cell_sha256" not in meta:
-        raise InvalidInputError(f"program CSV line {meta.header_line}: no cell_sha256 metadata before the header",
-                                line=meta.header_line)
+        raise meta.line_error(meta.header_line, "no cell_sha256 metadata before the header")
     cell = meta["cell_sha256"]
     if not _SHA256.fullmatch(cell):
-        raise meta_error(meta, "cell_sha256", "program CSV", "is not 64 lowercase hex digits")
-    try:
-        pairs = Setpoints(table[:, 1:8], table[:, 8:14], table[:, 14:20])
-    except InvalidInputError as exc:
-        if exc.index is None:
-            raise
-        raise row_error(text, exc.index, "program CSV", str(exc)) from exc
-    steps = {key: meta_float(meta, key, 0.0, "program CSV")
-             for key in ("feed_mm_min", "chord_tol_m", "max_step_m")}
+        raise meta.error("cell_sha256", "is not 64 lowercase hex digits")
+    pairs = meta.build(Setpoints, table[:, 1:8], table[:, 8:14], table[:, 14:20])
+    steps = {key: meta.number(key, 0.0) for key in ("feed_mm_min", "chord_tol_m", "max_step_m")}
     for key, value in steps.items():
         if value < 0:
-            raise meta_error(meta, key, "program CSV", "is negative")
+            raise meta.error(key, "is negative")
     return SyncProgram(pairs, Wrench.from_vector(wrench), cell, *steps.values())

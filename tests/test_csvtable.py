@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from twinmill import cli
 from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
-from twinmill.csvtable import _BLOCK_VALUES, meta_float, meta_floats, read_table, write_table
+from twinmill.csvtable import _BLOCK_VALUES, read_table, write_table
 from twinmill.errors import InvalidInputError
 from twinmill.geometry import Pose
 from twinmill.modal import (
@@ -242,18 +242,18 @@ class TestReadTable:
                   "nan": "1 nan"}
         meta, _ = read_table(write_table(values, COLUMNS, [[1.0, 2.0, 3.0]]), COLUMNS, "T")
         assert meta == values
-        assert meta_float(meta, "x", 0.0, "T") == 2.5
-        assert meta_float(meta, "missing", 7.0, "T") == 7.0
-        assert meta_floats(meta, "v", None, "T") == [1.0, -0.0, 3e300]
+        assert meta.number("x", 0.0) == 2.5
+        assert meta.number("missing", 7.0) == 7.0
+        assert meta.numbers("v", None) == [1.0, -0.0, 3e300]
         for line, key in enumerate(values, start=1):
             if key in ("bad", "inf", "nan"):
                 with pytest.raises(InvalidInputError, match=f"^T line {line}: metadata {key}='{values[key]}' "
                                                             "is not a finite number") as exc:
-                    meta_floats(meta, key, None, "T")
+                    meta.numbers(key, None)
                 assert exc.value.line == line
             if key in ("two", "empty"):
                 with pytest.raises(InvalidInputError, match=f"^T line {line}: metadata {key}=") as exc:
-                    meta_float(meta, key, 0.0, "T")
+                    meta.number(key, 0.0)
                 assert exc.value.line == line
 
 
