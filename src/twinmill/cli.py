@@ -36,14 +36,20 @@ class _UsageError(Exception):
     pass
 
 
-def _read_input(path):
-    """The text of a CLI input file other than the config (which
-    `config.load_config` reads); a file that cannot be read or is not UTF-8
-    raises a TwinmillError (exit 3) naming it."""
+def _parse_input(path, parse):
+    """parse(text) of a CLI input file other than the config (which
+    `config.load_config` reads). A file that cannot be read or is not UTF-8
+    raises a TwinmillError (exit 3) naming it; a TwinmillError of `parse`
+    gets the file as a prefix and keeps its type and location."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise TwinmillError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except TwinmillError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _load_config(path_arg):
@@ -122,7 +128,7 @@ def cmd_modal(args):
 
 
 def cmd_frf(args):
-    records = [modal.impact_record_from_csv(_read_input(p)) for p in args.impacts]
+    records = [_parse_input(p, modal.impact_record_from_csv) for p in args.impacts]
     try:
         frf = modal.h1_estimate(records, nfft=args.nfft)
     except InvalidInputError as exc:
@@ -135,11 +141,7 @@ def cmd_frf(args):
 
 
 def _read_path(path_file, work_offset_mm=None):
-    text = _read_input(path_file)
-    if path_file.endswith(".json"):
-        path = pathplan.path_from_json(text)
-    else:
-        path = pathplan.parse_gcode(text)
+    path = _parse_input(path_file, pathplan.path_from_json if path_file.endswith(".json") else pathplan.parse_gcode)
     if work_offset_mm is not None:
         path = pathplan.transform_path(path, Pose(np.array(work_offset_mm) * 1e-3))
     return path
@@ -181,7 +183,7 @@ def cmd_deform(args):
     if args.noise_sigma > 0 and args.seed is None:
         raise _UsageError("--noise-sigma requires --seed for reproducibility")
     cfg = _load_config(args.config)
-    program = pathplan.program_from_csv(_read_input(args.program))
+    program = _parse_input(args.program, pathplan.program_from_csv)
     _check_cell(program, cfg.system, args.program)
     reference = compensation.nominal_trace(program)
     measured = compensation.simulate_deformation(cfg.system, program)

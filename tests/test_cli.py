@@ -8,8 +8,17 @@ from pathlib import Path
 import pytest
 
 from twinmill import cli, config, modal
+from twinmill.errors import InvalidInputError, UnsupportedGcodeError
 from twinmill.geometry import Pose
-from twinmill.pathplan import Setpoints, parse_gcode, path_to_json, program_from_csv, program_to_csv, transform_path
+from twinmill.pathplan import (
+    Setpoints,
+    parse_gcode,
+    path_from_json,
+    path_to_json,
+    program_from_csv,
+    program_to_csv,
+    transform_path,
+)
 from twinmill.stiffness import cell_sha256
 
 from conftest import DEMO_CONFIG, demo_config_dict, forty_one_column_program, json_with_a_repeated_key
@@ -145,7 +154,7 @@ class TestRepeatedJsonKeys:
         code = cli.main(["--config", config_file, "plan", str(path_file), "--work-offset-mm", "-2105,-20,1100",
                          "--out", str(out)])
         assert code == 3
-        assert capsys.readouterr().err == "error: path JSON segments[0].end.position_m: repeated key\n"
+        assert capsys.readouterr().err == f"error: {path_file}: path JSON segments[0].end.position_m: repeated key\n"
         assert not out.exists()
 
 
@@ -331,7 +340,7 @@ class TestPlan:
         path_file.write_text(text)
         code = cli.main(["--config", config_file, "plan", str(path_file), "--out", str(tmp_path / "p.csv")])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: path JSON")
+        assert capsys.readouterr().err.startswith(f"error: {path_file}: path JSON")
 
     @pytest.mark.parametrize("key, value", [
         ("max_iter", float("nan")), ("max_iter", 2.7), ("tol_pos_m", float("nan")),
@@ -414,7 +423,7 @@ class TestDeform:
         edited.write_text(text.replace("# feed_mm_min=300\n", f"# feed_mm_min={feed}\n"))
         out = tmp_path / "o"
         assert cli.main(["--config", config_file, "deform", str(edited), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (f"error: program CSV line 1: metadata feed_mm_min={feed!r} "
+        assert capsys.readouterr().err == (f"error: {edited}: program CSV line 1: metadata feed_mm_min={feed!r} "
                                            "is negative\n")
         assert not out.exists()
 
@@ -660,7 +669,8 @@ class TestCellFingerprint:
         edited.write_text(_without_cell(program_file.read_text()))
         out = tmp_path / "d"
         assert cli.main(["--config", str(DEMO_CONFIG), "deform", str(edited), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "error: program CSV line 5: no cell_sha256 metadata before the header\n"
+        assert capsys.readouterr().err == (f"error: {edited}: program CSV line 5: no cell_sha256 metadata "
+                                           "before the header\n")
         assert not out.exists()
 
 
@@ -670,6 +680,11 @@ def _pose(x):
 
 def _index_plus_100(fields):
     fields[0] = str(int(fields[0]) + 100)
+
+
+def _half_qw_at_setpoint_14(fields):
+    if fields[0] == "14":
+        fields[4] = "0.5"
 
 
 def _impact(tension, rate=None):
@@ -691,11 +706,11 @@ REFUSALS = {
     "path JSON type []": (
         lambda p: {"path.json": json.dumps({"segments": [{"type": [], "start": _pose(0), "end": _pose(0.01)}]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
-        "error: path JSON segments[0].type: unknown segment type []\n"),
+        "error: {path.json}: path JSON segments[0].type: unknown segment type []\n"),
     "path JSON type {}": (
         lambda p: {"path.json": json.dumps({"segments": [{"type": {}, "start": _pose(0), "end": _pose(0.01)}]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
-        "error: path JSON segments[0].type: unknown segment type {}\n"),
+        "error: {path.json}: path JSON segments[0].type: unknown segment type {}\n"),
     "path JSON line past the float range": (
         lambda p: {"path.json": json.dumps({"segments": [
             {"type": "linear", "start": _pose(-1e308), "end": _pose(1e308)}]})},
@@ -713,7 +728,11 @@ REFUSALS = {
     "impact sample rate 0": (
         lambda p: {"a.csv": _impact(0.0, rate=0)},
         ["frf", "{a.csv}", "--out", "{out.csv}"], 3,
-        "error: impact CSV line 4: metadata sample_rate_hz='0' is not positive\n"),
+        "error: {a.csv}: impact CSV line 4: metadata sample_rate_hz='0' is not positive\n"),
+    "impact sample rate 0 in the second file": (
+        lambda p: {"a.csv": _impact(0.0), "b.csv": _impact(0.0, rate=0)},
+        ["frf", "{a.csv}", "{b.csv}", "{a.csv}", "--out", "{out.csv}"], 3,
+        "error: {b.csv}: impact CSV line 4: metadata sample_rate_hz='0' is not positive\n"),
     "mixed impact records": (
         lambda p: {"a.csv": _impact(0.0), "b.csv": _impact(500.0)},
         ["frf", "{a.csv}", "{a.csv}", "{b.csv}", "--out", "{out.csv}"], 3,
@@ -721,12 +740,37 @@ REFUSALS = {
     "program with shifted indices": (
         lambda p: {"program.csv": _edited_program(program_to_csv(p), _index_plus_100)},
         ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
-        "error: program CSV line 7: indices must count 0, 1, 2, ... in order, found 100 where 0 is due\n"),
+        "error: {program.csv}: program CSV line 7: indices must count 0, 1, 2, ... in order, "
+        "found 100 where 0 is due\n"),
+    # Line 21 holds setpoint 14; field 4 is its tool_qw.
+    "program with a bad tool quaternion": (
+        lambda p: {"program.csv": _edited_program(program_to_csv(p), _half_qw_at_setpoint_14)},
+        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
+        "error: {program.csv}: program CSV line 21: tool_pose: pose row 14: position must be finite and "
+        "quaternion norm 1 within 1e-9\n"),
+    "G-code word": (
+        lambda p: {"slot.gcode": "G1 X10\nG1 X20 Q5\n"},
+        ["--config", str(DEMO_CONFIG), "plan", "{slot.gcode}", "--out", "{out.csv}"], 3,
+        "error: {slot.gcode}: line 2: unsupported word Q5\n"),
     "program with a repeated metadata key": (
         lambda p: {"program.csv": program_to_csv(p).replace("# cell_sha256=", "# chord_tol_m=2e-05\n# cell_sha256=")},
         ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
-        "error: program CSV line 5: metadata chord_tol_m repeated, first given on line 3\n"),
+        "error: {program.csv}: program CSV line 5: metadata chord_tol_m repeated, first given on line 3\n"),
 }
+
+
+@pytest.mark.parametrize("name, text, parse, cls, message, line, path", [
+    ("slot.gcode", "G1 X10\nG1 X20 Q5\n", parse_gcode, UnsupportedGcodeError, "line 2: unsupported word Q5", 2, None),
+    ("path.json", '{"segments": [{"type": []}]}', path_from_json, InvalidInputError,
+     "path JSON segments[0].type: unknown segment type []", None, "segments[0].type"),
+])
+def test_a_reader_refusal_names_its_file_and_keeps_its_type_and_place(tmp_path, name, text, parse, cls, message,
+                                                                       line, path):
+    file = tmp_path / name
+    file.write_text(text)
+    with pytest.raises(cls) as exc:
+        cli._parse_input(str(file), parse)
+    assert (str(exc.value), exc.value.line, exc.value.path) == (f"{file}: {message}", line, path)
 
 
 @pytest.mark.parametrize("files, argv, code, stderr", REFUSALS.values(), ids=REFUSALS.keys())
