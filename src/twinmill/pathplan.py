@@ -83,15 +83,20 @@ class ArcSegment:
             raise InvalidInputError("arc normal must be unit length (1e-9)")
         if not math.isfinite(self.sweep):
             raise InvalidInputError("arc sweep must be finite")
-        r = self.start.position - c
-        if not abs(float(np.dot(r, n))) <= _POSITION_TOL + 1e-12 * np.linalg.norm(r):
+        # A radius past the float range is inf, which `discretize` refuses; a
+        # start-to-center vector past it is inf and out of the plane (nan).
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = self.start.position - c
+            in_plane = abs(float(np.dot(r, n))) <= _POSITION_TOL + 1e-12 * np.linalg.norm(r)
+        if not in_plane:
             raise InvalidInputError("arc start does not lie in the plane through the center")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "normal", n)
 
     @property
     def radius(self):
-        return float(np.linalg.norm(self.start.position - self.center))
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.start.position - self.center))
 
     def point_at(self, angle):
         """The point `angle` rad along the arc from its start, or the points
@@ -125,7 +130,8 @@ class ToolPath:
         if not 0.0 <= self.feed_mm_min < math.inf:
             raise InvalidInputError(f"toolpath feed_mm_min must be finite and >= 0, got {self.feed_mm_min:g}")
         for prev, cur in zip(segs, segs[1:]):
-            gap = np.linalg.norm(cur.start.position - prev.end.position)
+            with np.errstate(over="ignore"):  # inf past the float range, refused as a gap
+                gap = np.linalg.norm(cur.start.position - prev.end.position)
             if not gap <= _POSITION_TOL:
                 raise InvalidInputError(f"toolpath is not C0-continuous (gap {gap:.3e} m)")
         object.__setattr__(self, "segments", segs)

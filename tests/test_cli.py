@@ -682,6 +682,10 @@ def _index_plus_100(fields):
     fields[0] = str(int(fields[0]) + 100)
 
 
+def _arc(center, start_x):
+    return {"type": "arc", "center_m": center, "normal": [0, 0, 1], "start": _pose(start_x), "sweep_rad": 1.0}
+
+
 def _half_qw_at_setpoint_14(fields):
     if fields[0] == "14":
         fields[4] = "0.5"
@@ -716,6 +720,22 @@ REFUSALS = {
             {"type": "linear", "start": _pose(-1e308), "end": _pose(1e308)}]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
         "error: segment 0 takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
+    # Coordinates near the float range are refused with no numpy warning,
+    # which the tests' filterwarnings = error would raise instead.
+    "path JSON arc center at -1e200": (
+        lambda p: {"path.json": json.dumps({"segments": [_arc([-1e200, 0, 0], 0)]})},
+        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
+        "error: segment 0 takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
+    "path JSON arc start at 1e200": (
+        lambda p: {"path.json": json.dumps({"segments": [_arc([0, 0, 0], 1e200)]})},
+        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
+        "error: segment 0 takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
+    "path JSON lines meeting at +-1e200": (
+        lambda p: {"path.json": json.dumps({"segments": [
+            {"type": "linear", "start": _pose(0), "end": _pose(1e200)},
+            {"type": "linear", "start": _pose(-1e200), "end": _pose(0)}]})},
+        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
+        "error: {path.json}: path JSON segments: toolpath is not C0-continuous (gap inf m)\n"),
     "config repeated key": (
         lambda p: {"system.json": json_with_a_repeated_key(demo_config_dict(), (), "spring_matrix", [[1]])},
         ["--config", "{system.json}", "modal", "--tensions", "0", "--out", "{out}"], 2,
