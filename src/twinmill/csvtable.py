@@ -8,16 +8,15 @@ numbers per line. A column named `index` is first and counts the rows 0,
 (`%.17g`), so every finite double reads back bit-exact; lines end in LF.
 Data rows are parsed by one `np.loadtxt` call.
 
-Every refusal is an InvalidInputError naming the file kind, and its line
-where it has one, in the message and as `line`. `read_table` returns the
-metadata as a `Metadata`, which knows the file kind and holds the
-caller's text, and a refusal at a line goes through it: `read_table`'s
-own (a repeated key, the header, a row that is not a full row of finite
-numbers, an index that is not its row), and each reader's, of a metadata
-value at its key's line (`error`, `number`, `numbers`), of a row at its
-line (`row_error`), and of a value object's row `index` at that row's
-line (`build`, as `jsondoc.build` refuses at a schema path). A row's line
-is found only when it is refused.
+Every refusal is an InvalidInputError naming the file kind and, where it
+has one, its line, in the message and as `line`. A refusal at a line is
+made in one place, the `Metadata` that `read_table` returns, which knows
+the file kind and holds the caller's text. `read_table` refuses a
+repeated key, the header, a bad row and a bad index through it, and a
+reader refuses a metadata value (`error`, `number`, `numbers`), a row
+(`row_error`) and a value object's row `index` (`build`, as
+`jsondoc.build` does at a schema path) through it too. A row's line is
+found only when it is refused.
 
 `write_table` formats numbers with a numpy kernel whose bytes equal those
 of `'%.17g' % x` (and `'%d' % x` in an `index` column) for every value. It
@@ -306,10 +305,8 @@ def _header_line(lines):
 class Metadata(dict):
     """The `# key=value` lines of a file as {key: value}, with the 1-based
     line of each key in `lines` and that of the header in `header_line`.
-    It refuses on its reader's behalf: every refusal is an InvalidInputError
-    that names the file kind `what` and a line, in the message and as
-    `line`. `text` is the file's text, split again only to find a refused
-    row's line."""
+    It refuses on its reader's behalf, naming the file kind `what`; `text`
+    is split again only to find a refused row's line."""
 
     def __init__(self, what, text, header_line):
         super().__init__()

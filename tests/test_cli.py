@@ -783,7 +783,7 @@ REFUSALS = {
     ("slot.gcode", "G1 X10\nG1 X20 Q5\n", parse_gcode, UnsupportedGcodeError, "line 2: unsupported word Q5", 2, None),
     ("path.json", '{"segments": [{"type": []}]}', path_from_json, InvalidInputError,
      "path JSON segments[0].type: unknown segment type []", None, "segments[0].type"),
-])
+], ids=["G-code", "path JSON"])
 def test_a_reader_refusal_names_its_file_and_keeps_its_type_and_place(tmp_path, name, text, parse, cls, message,
                                                                        line, path):
     file = tmp_path / name
