@@ -730,7 +730,7 @@ REFUSALS = {
         lambda p: {"path.json": json.dumps({"segments": [_arc([0, 0, 0], 1e200)]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
         "error: segment 0 takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
-    "path JSON lines meeting at +-1e200": (
+    "path JSON lines ending at 1e200 and starting at -1e200": (
         lambda p: {"path.json": json.dumps({"segments": [
             {"type": "linear", "start": _pose(0), "end": _pose(1e200)},
             {"type": "linear", "start": _pose(-1e200), "end": _pose(0)}]})},
