@@ -192,6 +192,90 @@ class TestParser:
         assert str(exc.value) == "line 3: arc start does not lie in the plane through the center"
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _line(start, end):
+    return LinearSegment(Pose(np.array(start)), Pose(np.array(end)))
+
+
+def _arc(start, center, sweep):
+    return ArcSegment(np.array(center), np.array([0.0, 0.0, 1.0]), Pose(np.array(start)), sweep)
+
+
+class TestParserPins:
+    """How `parse_gcode` reads a line, pinned: each refusal's message and
+    line, and each accepted line's segments bit for bit (signed zeros too)."""
+
+    @pytest.mark.parametrize("text, cls, line, message", [
+        ("G1 X10\nfoo G1 X20\n", UnsupportedGcodeError, 2, "line 2: unparseable text 'foo '"),
+        ("G1 X10 ?? Y5\n", UnsupportedGcodeError, 1, "line 1: unparseable text ' ?? '"),
+        ("G1 X10 Y5 junk\n", UnsupportedGcodeError, 1, "line 1: unparseable text ' junk'"),
+        ("G1 X10 Q\n", UnsupportedGcodeError, 1, "line 1: unparseable text ' Q'"),
+        ("G1 X1.2.3\n", UnsupportedGcodeError, 1, "line 1: unparseable text '.3'"),
+        ("G1 X1 (c) Z\n", UnsupportedGcodeError, 1, "line 1: unparseable text '   Z'"),
+        # The text before a word, then its range, then the text after the last word.
+        ("G1 X9999999999 junk\n", UnsupportedGcodeError, 1, "line 1: X value out of range (|value| > 1e+09)"),
+        ("G1 X10 Y9999999999 junk\n", UnsupportedGcodeError, 1, "line 1: Y value out of range (|value| > 1e+09)"),
+        ("junk G1 X9999999999\n", UnsupportedGcodeError, 1, "line 1: unparseable text 'junk '"),
+        # A range refusal keeps the word's case; an unsupported word is upper case.
+        ("g1 x9999999999\n", UnsupportedGcodeError, 1, "line 1: x value out of range (|value| > 1e+09)"),
+        ("g1 x10\nm3 s2000\n", UnsupportedGcodeError, 2, "line 2: unsupported word M3"),
+        ("G1 Y1\n\nG3 X2 Y1 I1 J0 K5\n", MalformedArcError, 3,
+         "line 3: arc start does not lie in the plane through the center"),
+    ])
+    def test_refusal(self, text, cls, line, message):
+        with pytest.raises(cls) as exc:
+            parse_gcode(text)
+        assert (str(exc.value), exc.value.line) == (message, line)
+
+    @pytest.mark.parametrize("text, segments", [
+        # The last word of a letter wins.
+        ("G1 X10 X20\n", [_line([0, 0, 0], [0.02, 0, 0])]),
+        ("G1 X10 Y5 X20 Y6 X30\n", [_line([0, 0, 0], [0.03, 0.006, 0])]),
+        ("G1 X10\nG3 X0 Y0 I-3 I-5\n", [_line([0, 0, 0], [0.01, 0, 0]),
+                                         _arc([0.01, 0, 0], [0.005, 0, 0], 3.141592653589793)]),
+        # Full circles.
+        ("G2 X0 Y0 I-50\n", [_arc([0, 0, 0], [-0.05, 0, 0], -6.283185307179586)]),
+        ("G3 X0 Y0 I-50\n", [_arc([0, 0, 0], [-0.05, 0, 0], 6.283185307179586)]),
+        # Start and end angles about the center on both sides of +-pi.
+        ("G1 Y1\nG3 X0 Y-1 I10 J-1\n", [_line([0, 0, 0], [0, 0.001, 0]),
+                                         _arc([0, 0.001, 0], [0.01, 0, 0], 0.19933730498232372)]),
+        ("G1 Y1\nG2 X0 Y-1 I10 J-1\n", [_line([0, 0, 0], [0, 0.001, 0]),
+                                         _arc([0, 0.001, 0], [0.01, 0, 0], -6.0838480021972625)]),
+        ("G1 Y-1\nG3 X0 Y1 I10 J1\n", [_line([0, 0, 0], [0, -0.001, 0]),
+                                        _arc([0, -0.001, 0], [0.01, 0, 0], 6.0838480021972625)]),
+        ("G1 Y-1\nG2 X0 Y1 I10 J1\n", [_line([0, 0, 0], [0, -0.001, 0]),
+                                        _arc([0, -0.001, 0], [0.01, 0, 0], -0.19933730498232372)]),
+        ("G3 X4 Y-8 I10\n", [_arc([0, 0, 0], [0.01, 0, 0], 0.9272952180016123)]),
+        ("G2 X4 Y-8 I10\n", [_arc([0, 0, 0], [0.01, 0, 0], -5.355890089177974)]),
+        ("G2 X4 Y8 I10\n", [_arc([0, 0, 0], [0.01, 0, 0], -0.9272952180016123)]),
+        ("G3 X4 Y8 I10\n", [_arc([0, 0, 0], [0.01, 0, 0], 5.355890089177974)]),
+        # A start on the -0.0 side of the center's y: a J0 word gives the
+        # center y +0.0, no J word keeps the start's -0.0.
+        ("G1 X10 Y-0\nG3 X14 Y-8 I10 J0\n", [_line([0, 0, 0], [0.01, -0.0, 0]),
+                                              _arc([0.01, -0.0, 0], [0.02, 0, 0], 0.9272952180016123)]),
+        ("G1 X10 Y-0\nG3 X14 Y-8 I10\n", [_line([0, 0, 0], [0.01, -0.0, 0]),
+                                           _arc([0.01, -0.0, 0], [0.02, -0.0, 0], 0.9272952180016123)]),
+        ("G1 X10 Y-0\nG2 X14 Y-8 I10 J0\n", [_line([0, 0, 0], [0.01, -0.0, 0]),
+                                              _arc([0.01, -0.0, 0], [0.02, 0, 0], -5.355890089177974)]),
+        ("G1 X10 Y-0\nG2 X14 Y-8 I10\n", [_line([0, 0, 0], [0.01, -0.0, 0]),
+                                           _arc([0.01, -0.0, 0], [0.02, -0.0, 0], -5.355890089177974)]),
+        # A K offset inside the plane tolerance moves the center off z = 0.
+        ("G1 Y1\nG3 X2 Y1 I1 J0 K0.0000005\n", [_line([0, 0, 0], [0, 0.001, 0]),
+                                                 _arc([0, 0.001, 0], [0.001, 0.001, 5e-10], 3.141592653589793)]),
+    ])
+    def test_segments(self, text, segments):
+        path = parse_gcode(text)
+        assert [type(s) for s in path.segments] == [type(s) for s in segments]
+        for got, want in zip(path.segments, segments):
+            assert _bits(got.start.position) == _bits(want.start.position)
+            assert _bits(got.end.position) == _bits(want.end.position)
+            if isinstance(want, ArcSegment):
+                assert _bits([*got.center, got.sweep]) == _bits([*want.center, want.sweep])
+
+
 class TestSegments:
     def test_arc_end_and_length(self):
         arc = ArcSegment(
