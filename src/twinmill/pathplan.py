@@ -178,22 +178,18 @@ def parse_gcode(text) -> ToolPath:
         line = _strip_comments(raw).strip()
         if not line:
             continue
-        words = []
-        consumed = 0
-        for m in _WORD_RE.finditer(line):
-            if line[consumed : m.start()].strip():
-                raise refusal(UnsupportedGcodeError, f"unparseable text {line[consumed:m.start()]!r}")
-            value = float(m.group(2))
+        pieces = _WORD_RE.split(line)  # text, letter, number, text, ..., letter, number, text
+        words = [(letter, float(number)) for letter, number in zip(pieces[1::3], pieces[2::3])]
+        # The text before each word, then its range; the last text has no word.
+        for text_piece, (letter, value) in zip(pieces[::3], words + [("", 0.0)]):
+            if text_piece.strip():
+                raise refusal(UnsupportedGcodeError, f"unparseable text {text_piece!r}")
             if not abs(value) <= _MAX_WORD_VALUE:
-                raise refusal(UnsupportedGcodeError,
-                              f"{m.group(1)} value out of range (|value| > {_MAX_WORD_VALUE:g})")
-            words.append((m.group(1).upper(), value))
-            consumed = m.end()
-        if line[consumed:].strip():
-            raise refusal(UnsupportedGcodeError, f"unparseable text {line[consumed:]!r}")
-        coords = {}
-        center_offset = {}
+                raise refusal(UnsupportedGcodeError, f"{letter} value out of range (|value| > {_MAX_WORD_VALUE:g})")
+        target, center = pos.copy(), pos.copy()
+        has_target = has_center = False
         for letter, value in words:
+            letter = letter.upper()
             if letter not in _SUPPORTED_LETTERS:
                 raise refusal(UnsupportedGcodeError, f"unsupported word {letter}{value:g}")
             if letter == "G":
@@ -205,30 +201,27 @@ def parse_gcode(text) -> ToolPath:
                     raise refusal(UnsupportedGcodeError, f"negative feed F{value:g}")
                 feed = value
             elif letter in "XYZ":
-                coords["XYZ".index(letter)] = value * _MM
+                target["XYZ".index(letter)] = value * _MM
+                has_target = True
             else:
-                center_offset["IJK".index(letter)] = value * _MM
-        if not coords and not center_offset:
+                axis = "IJK".index(letter)
+                center[axis] = pos[axis] + value * _MM
+                has_center = True
+        if not has_target and not has_center:
             continue
         if motion is None:
             raise refusal(UnsupportedGcodeError, "coordinates before any motion word")
-        target = pos.copy()
-        for axis, value in coords.items():
-            target[axis] = value
         if motion in (0, 1):
-            if center_offset:
+            if has_center:
                 raise refusal(UnsupportedGcodeError, "I/J/K only valid with G2/G3")
             if np.linalg.norm(target - pos) > 0:
                 segments.append(LinearSegment(Pose(pos), Pose(target)))
         else:
-            if not center_offset:
+            if not has_center:
                 raise refusal(UnsupportedGcodeError, "arc without I/J/K center")
             if target[2] != pos[2]:
                 raise refusal(UnsupportedGcodeError, f"helical arcs are not supported (Z moves from "
                                                      f"{pos[2] / _MM:g} mm to {target[2] / _MM:g} mm)")
-            center = pos.copy()
-            for axis, value in center_offset.items():
-                center[axis] += value
             r_start = np.linalg.norm((pos - center)[:2])
             r_end = np.linalg.norm((target - center)[:2])
             if not abs(r_start - r_end) <= _ARC_RADIUS_TOL:
@@ -238,14 +231,9 @@ def parse_gcode(text) -> ToolPath:
                 raise refusal(MalformedArcError, "arc has zero radius")
             theta_s = math.atan2(pos[1] - center[1], pos[0] - center[0])
             theta_e = math.atan2(target[1] - center[1], target[0] - center[0])
-            if motion == 3:  # counter-clockwise about +Z
-                sweep = (theta_e - theta_s) % (2 * math.pi)
-                if sweep == 0.0:
-                    sweep = 2 * math.pi
-            else:  # clockwise
-                sweep = -((theta_s - theta_e) % (2 * math.pi))
-                if sweep == 0.0:
-                    sweep = -2 * math.pi
+            # G3 turns counter-clockwise about +Z, G2 clockwise; a zero turn is a full circle.
+            sign = 1.0 if motion == 3 else -1.0
+            sweep = sign * ((sign * (theta_e - theta_s)) % (2 * math.pi) or 2 * math.pi)
             try:
                 arc = ArcSegment(center, np.array([0.0, 0.0, 1.0]), Pose(pos), sweep)
                 # Snap the running position to the arc's computed endpoint so
@@ -293,10 +281,6 @@ def _dump_json(obj):
         return "{" + ", ".join(f"{json.dumps(k)}: {_dump_json(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dump_json(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int,)):
-        return str(obj)
     if isinstance(obj, float):
         return _fmt(obj)
     return json.dumps(obj)
