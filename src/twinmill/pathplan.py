@@ -621,8 +621,9 @@ def plan_sync(
     seed setpoint (at least one), so the joint trajectory stays on one
     branch (with max_step >= _SEED_SPAN_M each block is one setpoint on
     straight moves). Pass 2 is one stacked
-    tension-offset evaluation from the local configurations; a commanded
-    arm-2 flange more than MAX_OFFSET from its nominal one raises
+    tension-offset evaluation from the local configurations, whose
+    refusal (a rank-deficient Jacobian, a closure gap) gets its setpoint
+    as a prefix, as in `simulate_deformation`; a commanded arm-2 flange more than MAX_OFFSET from its nominal one raises
     ClosureError, as `simulate_deformation` would on the program. Pass 3
     solves arm 2's commanded pose as one block, one IK call per
     _BLOCK_ROWS rows, seeded in closed form as pass 1 is or, where that
@@ -685,6 +686,7 @@ def plan_sync(
     try:
         offsets = tension_offset(sys, q1[:n], q2_nominal[:n], tension)
     except (SingularConfigurationError, ClosureError) as exc:
+        exc.args = (f"setpoint {exc.index}: {exc}",)
         stop(exc)
         offsets = tension_offset(sys, q1[:n], q2_nominal[:n], tension)
     r2_commanded = apply_world_offset(r2_nominal[:n], offsets)

@@ -13,13 +13,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twinmill import kinematics, pathplan
+from twinmill import kinematics, pathplan, stiffness
 from twinmill.errors import (
     ClosureError,
     ContinuityError,
     InvalidInputError,
     MalformedArcError,
     PlanError,
+    SingularConfigurationError,
     UnreachableTargetError,
     UnsupportedGcodeError,
     WorkspaceError,
@@ -819,6 +820,18 @@ class TestPlanSync:
         assert exc.value.index == 9
         assert exc.value.gap == gaps[9]
 
+    def test_a_tension_offset_refusal_names_its_setpoint(self, cfg, monkeypatch):
+        """A Jacobian refused as rank deficient in pass 2 names its
+        setpoint, as `simulate_deformation` does, and keeps its type and
+        `index`."""
+        monkeypatch.setattr(stiffness, "_MIN_SINGULAR_VALUE", 1e9)
+        with pytest.raises(SingularConfigurationError) as exc:
+            demo_plan(cfg, tension=Wrench(np.array([1000.0, 0.0, 0.0])))
+        assert type(exc.value) is SingularConfigurationError
+        assert exc.value.index == 0
+        assert str(exc.value) == ("setpoint 0: Jacobian is rank deficient (smallest singular value 5.410e-01); "
+                                  "deficient direction dominated by axis 'x'")
+
     def test_ik_failure_reports_index(self, cfg):
         path = transform_path(parse_gcode("G1 X40\n"), Pose(np.array([20.0, 0.0, 0.0])))
         with pytest.raises(PlanError) as exc:
@@ -1238,13 +1251,17 @@ class TestFallbackSeeding(SeedingCalls):
 
 
 # The failure sources of plan_sync in pass order: the `_solve` calls, whose
-# targets a spy moves out of reach, and OFFSET_BOUND, planted at setpoint k
-# by setting MAX_OFFSET between the gaps of setpoints k - 1 and k; each
-# with the type and message prefix of the error it raises at setpoint k.
+# targets a spy moves out of reach; TENSION_OFFSETS, planted at setpoint k
+# by a `tension_offset` that refuses row k as rank deficient; and
+# OFFSET_BOUND, planted at setpoint k by setting MAX_OFFSET between the gaps
+# of setpoints k - 1 and k; each with the type and message prefix of the
+# error it raises at setpoint k.
+TENSION_OFFSETS = "tension offsets"
 OFFSET_BOUND = "offset bound"
 PASS_ORDER = [
     (ARM1, PlanError, "IK failed at setpoint {k} (arm 1): target "),
     (ARM2_NOMINAL, PlanError, "IK failed at setpoint {k} (arm 2 nominal): target "),
+    (TENSION_OFFSETS, SingularConfigurationError, "setpoint {k}: planted rank deficiency"),
     (OFFSET_BOUND, ClosureError, "setpoint {k}: commanded arm-2 flange is "),
     (ARM2_COMMANDED, PlanError, "IK failed at setpoint {k} (arm 2 commanded): target "),
 ]
@@ -1258,6 +1275,13 @@ class TestCrossPassPrecedence(SeedingCalls):
     offset gap grows from row to row."""
 
     W = Wrench(np.array([1000.0, 0.0, 0.0]))
+
+    @staticmethod
+    def refusing_row(i, sys, q1, q2, desired):
+        """`tension_offset`, refusing row i of the stack as rank deficient."""
+        if i < len(q1):
+            raise SingularConfigurationError("planted rank deficiency", index=i)
+        return stiffness.tension_offset(sys, q1, q2, desired)
 
     @pytest.fixture(scope="class")
     def path(self):
@@ -1276,11 +1300,14 @@ class TestCrossPassPrecedence(SeedingCalls):
 
     @settings(max_examples=25, deadline=None)
     @given(st.dictionaries(st.integers(0, len(PASS_ORDER) - 1), st.sampled_from(PLANTED_SETPOINTS), min_size=1))
-    @example({0: 9, 1: 9, 2: 9, 3: 9})
-    @example({1: 1, 2: 1, 3: 1})
-    @example({2: 16, 3: 16})
-    @example({0: 16, 3: 0})
-    @example({1: 9, 2: 1})
+    @example({0: 9, 1: 9, 2: 9, 3: 9, 4: 9})
+    @example({1: 1, 3: 1, 4: 1})
+    @example({3: 16, 4: 16})
+    @example({0: 16, 4: 0})
+    @example({1: 9, 3: 1})
+    @example({2: 9, 3: 9, 4: 9})
+    @example({1: 9, 2: 9})
+    @example({0: 9, 2: 1})
     def test_first_failing_setpoint_wins_the_earlier_pass_on_a_tie(self, cfg, path, gaps, planted):
         """`planted` maps a source (its position in PASS_ORDER) to the
         setpoint it fails at. The error is the smallest setpoint's, the
@@ -1292,6 +1319,9 @@ class TestCrossPassPrecedence(SeedingCalls):
             if OFFSET_BOUND in plant:
                 [i] = plant.pop(OFFSET_BOUND)
                 mp.setattr(pathplan, "MAX_OFFSET", (gaps[i - 1] + gaps[i]) / 2 if i else gaps[0] / 2)
+            if TENSION_OFFSETS in plant:
+                [i] = plant.pop(TENSION_OFFSETS)
+                mp.setattr(pathplan, "tension_offset", functools.partial(self.refusing_row, i))
             self.spy(mp, plant=plant)
             with pytest.raises(error) as exc:
                 plan_sync(cfg.system, path, self.W, (cfg.ik_seed1, cfg.ik_seed2))
