@@ -83,10 +83,11 @@ class ArcSegment:
             raise InvalidInputError("arc normal must be unit length (1e-9)")
         if not math.isfinite(self.sweep):
             raise InvalidInputError("arc sweep must be finite")
-        # A radius past the float range is inf, which `discretize` refuses; a
-        # start-to-center vector past it is inf and out of the plane (nan).
-        with np.errstate(over="ignore", invalid="ignore"):
+        # A radius past the float range is inf, which `discretize` refuses.
+        with np.errstate(over="ignore"):
             r = self.start.position - c
+            if not np.all(np.isfinite(r)):
+                raise InvalidInputError("arc start-to-center vector overflows the float range")
             in_plane = abs(float(np.dot(r, n))) <= _POSITION_TOL + 1e-12 * np.linalg.norm(r)
         if not in_plane:
             raise InvalidInputError("arc start does not lie in the plane through the center")

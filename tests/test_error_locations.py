@@ -103,6 +103,13 @@ def _path_json_with_a_repeated_key():
     return json_with_a_repeated_key(doc, ("segments", 0, "end"), "position_m", [0, 0, 0])
 
 
+def _path_json_with_an_overflowing_arc():
+    """An arc whose center and start, each finite, lie 3e308 m apart."""
+    arc = {"type": "arc", "center_m": [-1.5e308, 0, 0], "normal": [0, 0, 1], "sweep_rad": 1.0,
+           "start": {"position_m": [1.5e308, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}}
+    return json.dumps({"segments": [arc]})
+
+
 # name: (reader call on the demo program, error class, line, path, message)
 LOCATED = {
     "G-code word": (lambda p: parse_gcode("G1 X10\nG1 X20 Q5\n"), UnsupportedGcodeError, 2, None,
@@ -228,6 +235,10 @@ LOCATED = {
     "path JSON repeated key": (lambda p: path_from_json(_path_json_with_a_repeated_key()),
                                InvalidInputError, None, "segments[0].end.position_m",
                                "path JSON segments[0].end.position_m: repeated key"),
+    "path JSON arc start-to-center overflow": (lambda p: path_from_json(_path_json_with_an_overflowing_arc()),
+                                               InvalidInputError, None, "segments[0]",
+                                               "path JSON segments[0]: arc start-to-center vector overflows the "
+                                               "float range"),
 }
 
 
