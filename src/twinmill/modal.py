@@ -364,10 +364,12 @@ def shift_fit_to_csv(points, fit: ShiftFit) -> str:
 
 def impact_record_from_csv(text) -> ImpactRecord:
     """Parse an impact record CSV: columns time_s, force_N, accel_ms2 with
-    metadata in '# key=value' header comments."""
+    metadata in '# key=value' header comments, at least two samples. With
+    sample_rate_hz the time column must be index / rate; without it, it
+    steps evenly from any start and the first step gives the rate."""
     meta, data = read_table(text, _IMPACT_COLUMNS, "impact CSV")
     if data.shape[0] < 2:
-        raise InvalidInputError("impact CSV needs at least two samples")
+        raise meta.row_error(0, "needs at least two samples, found one")
     rate = meta.number("sample_rate_hz", None)
     if rate is not None and not rate > 0:
         raise meta.error("sample_rate_hz", "is not positive")
@@ -389,12 +391,13 @@ def impact_record_from_csv(text) -> ImpactRecord:
         position=meta.get("position", ""),
         tension=meta.number("tension_N", 0.0),
     )
-    # A time column that disagrees with the sample rate key would scale every frequency.
-    off = np.flatnonzero(np.abs(data[:, 0] - np.arange(len(data)) / rate) > 1e-9 / rate)
-    if off.size:
-        k = int(off[0])
-        raise meta.row_error(k, f"time {float(data[k, 0])!r} s does not match sample_rate_hz={rate!r}: "
-                                f"sample {k} is at {k / rate!r} s")
+    if "sample_rate_hz" in meta:
+        # A time column that disagrees with the sample rate key would scale every frequency.
+        off = np.flatnonzero(np.abs(data[:, 0] - np.arange(len(data)) / rate) > 1e-9 / rate)
+        if off.size:
+            k = int(off[0])
+            raise meta.row_error(k, f"time {float(data[k, 0])!r} s does not match sample_rate_hz={rate!r}: "
+                                    f"sample {k} is at {k / rate!r} s")
     return record
 
 

@@ -209,6 +209,10 @@ LOCATED = {
         lambda p, rate=rate: impact_record_from_csv(_with_meta(_impact_text(), "sample_rate_hz", rate)),
         InvalidInputError, 4, None,
         f"impact CSV line 4: metadata sample_rate_hz='{rate}' is not positive") for rate in ("0", "-0", "-1")},
+    "impact CSV with one sample": (
+        lambda p: impact_record_from_csv("# sample_rate_hz=100\ntime_s,force_N,accel_ms2\n0,1,0\n"),
+        InvalidInputError, 3, None,
+        "impact CSV line 3: needs at least two samples, found one"),
     "trace CSV tension_N": (lambda p: trace_from_csv(_with_meta(trace_to_csv(PathTrace(np.zeros((10, 3)))),
                                                                 "tension_N", "big")),
                             InvalidInputError, 2, None,
