@@ -159,20 +159,22 @@ class TestRepeatedJsonKeys:
 
 
 class TestModal:
-    def test_writes_frfs_and_fit(self, tmp_path, config_file, capsys):
+    @pytest.mark.parametrize("axis_args, axis", [([], "x"), (["--axis", "y"], "y"), (["--axis", "z"], "z")],
+                             ids=["x", "y", "z"])
+    def test_writes_frfs_and_fit(self, tmp_path, config_file, capsys, axis_args, axis):
         out = tmp_path / "modal_out"
         code = cli.main(
-            ["--config", config_file, "modal", "--tensions", "0,500,1400,2000",
+            ["--config", config_file, "modal", "--tensions", "0,500,1400,2000", *axis_args,
              "--out", str(out)]
         )
         assert code == 0
         for T in ("0", "500", "1400", "2000"):
-            assert (out / f"frf_x_{T}N.csv").exists()
-        text = (out / "shift_fit_x.csv").read_text()
+            assert (out / f"frf_{axis}_{T}N.csv").exists()
+        text = (out / f"shift_fit_{axis}.csv").read_text()
         slope = float(
             [l for l in text.splitlines() if l.startswith("# slope")][0].split("=")[1]
         )
-        assert slope == pytest.approx(0.0226, rel=0.02)
+        assert slope == pytest.approx(config.load_config(config_file).modal_models[axis].sensitivity, rel=0.02)
         assert "slope=" in capsys.readouterr().out
 
     def test_single_tension_exits_3(self, tmp_path, config_file):
@@ -260,16 +262,20 @@ class TestFrf:
 
 
 class TestPlan:
-    def test_plan_gcode(self, tmp_path, config_file, gcode_file):
+    @pytest.mark.parametrize("axis_args, axis", [([], "x"), (["--tension-axis", "y"], "y"),
+                                                 (["--tension-axis", "z"], "z")], ids=["x", "y", "z"])
+    def test_plan_gcode(self, tmp_path, config_file, gcode_file, axis_args, axis):
+        """The tension lies on its axis, and `deform` takes the program."""
         out = tmp_path / "program.csv"
         code = cli.main(
-            ["--config", config_file, "plan", gcode_file, "--tension", "1000",
+            ["--config", config_file, "plan", gcode_file, "--tension", "1000", *axis_args,
              "--work-offset-mm", WORK_OFFSET, "--out", str(out)]
         )
         assert code == 0
         program = program_from_csv(out.read_text())
         assert len(program.pairs) > 10
-        assert program.tension.force[0] == 1000.0
+        assert program.tension.as_vector().tolist() == [1000.0 * (k == "xyz".index(axis)) for k in range(6)]
+        assert cli.main(["--config", config_file, "deform", str(out), "--out", str(tmp_path / "d")]) == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_tension_exits_64(self, tmp_path, config_file, gcode_file, capsys, value):
