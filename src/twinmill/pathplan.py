@@ -2,8 +2,9 @@
 chord-tolerance discretization and synchronized dual-robot setpoint
 generation with tension offsets.
 
-G-code is parsed in mm / mm/min; everything internal is m / rad. The tool
-orientation is held fixed along the path (3-axis milling).
+G-code is parsed in mm / mm/min; everything internal is m / rad. A G-code
+path holds the tool orientation fixed (3-axis milling); a JSON path takes
+each segment pose's orientation, as `discretize` describes.
 """
 
 from __future__ import annotations
