@@ -223,8 +223,6 @@ class TestParserPins:
         # A range refusal keeps the word's case; an unsupported word is upper case.
         ("g1 x9999999999\n", UnsupportedGcodeError, 1, "line 1: x value out of range (|value| > 1e+09)"),
         ("g1 x10\nm3 s2000\n", UnsupportedGcodeError, 2, "line 2: unsupported word M3"),
-        ("G1 Y1\n\nG3 X2 Y1 I1 J0 K5\n", MalformedArcError, 3,
-         "line 3: arc start does not lie in the plane through the center"),
     ])
     def test_refusal(self, text, cls, line, message):
         with pytest.raises(cls) as exc:
