@@ -33,9 +33,9 @@ BLOCK_ROWS = _BLOCK_VALUES // 3  # rows per kernel call of a table with 3 non-co
 # (2**-83 <= |x| < 1e17), subnormals, +-0 and the non-finite values Python's
 # `%` formats instead.
 LOW = 2.0 ** -83
-KERNEL_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, LOW, np.nextafter(LOW, 0), -LOW,
+KERNEL_EDGES = [0.0, -0.0, 5e-324, -5e-324, -2.2250738585072014e-308, LOW, np.nextafter(LOW, 0), -LOW,
                 np.nextafter(1e17, 0), 1e17, -1e17, 1e16, 1e-14, 9.9999999999999995e-5, 1e-4, 1e-5,
-                1.7976931348623157e308, math.inf, -math.inf, math.nan]
+                1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
 
 
 def row_by_row(columns, data):
@@ -94,9 +94,20 @@ def doubled_times(text):
 
 
 class TestWriteTable:
-    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
-    def test_blocks_match_row_by_row_format(self, n):
-        data = np.random.default_rng(n).normal(size=(n, 3)) * 10.0 ** np.arange(-3, 6, 3)
+    @pytest.mark.parametrize("n, outside", [
+        *(pytest.param(n, False, id=str(n)) for n in [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                                        3 * BLOCK_ROWS + 7]),
+        pytest.param(2 * BLOCK_ROWS + 5, True, id="outside-the-kernel-range"),
+    ])
+    def test_blocks_match_row_by_row_format(self, n, outside):
+        """With `outside`, every column also holds values that Python's `%`
+        formats (the 24-byte widest among them), spread over three blocks."""
+        rng = np.random.default_rng(n)
+        data = rng.normal(size=(n, 3)) * 10.0 ** np.arange(-3, 6, 3)
+        if outside:
+            data *= 10.0 ** rng.choice([-320, -300, -30, 0, 30, 300], size=data.shape)
+            edges = data.reshape(-1)[::7]  # a view
+            edges[:] = np.resize(KERNEL_EDGES, edges.size)
         reference = "# k=v\na,b,c\n" + "".join(",".join(format(x, ".17g") for x in row) + "\n"
                                               for row in data.tolist())
         assert write_table({"k": "v"}, COLUMNS, data) == reference
