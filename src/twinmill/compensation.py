@@ -150,19 +150,15 @@ _TRACE_COLUMNS = ("index", "x_m", "y_m", "z_m")
 _REPORT_COLUMNS = ("index", "dx_m", "dy_m", "dz_m")
 
 
-def _indexed(points):
-    return np.column_stack([np.arange(len(points)), points])
-
-
 def trace_to_csv(trace: PathTrace) -> str:
     meta = {"label": trace.label, "tension_N": repr(trace.tension), "noise_sigma_m": repr(trace.noise_sigma)}
-    return write_table(meta, _TRACE_COLUMNS, _indexed(trace.points))
+    return write_table(meta, _TRACE_COLUMNS, trace.points)
 
 
 def trace_from_csv(text) -> PathTrace:
     meta, table = read_table(text, _TRACE_COLUMNS, "trace CSV")
     return PathTrace(
-        table[:, 1:],
+        table,
         label=meta.get("label", ""),
         tension=meta.number("tension_N", 0.0),
         noise_sigma=meta.number("noise_sigma_m", 0.0),
@@ -177,4 +173,4 @@ def report_to_csv(report: ResidualReport) -> str:
         ("max_abs", report.axis_max_abs),
     ):
         meta[f"{name}_xyz_m"] = " ".join(repr(float(v)) for v in vec)
-    return write_table(meta, _REPORT_COLUMNS, _indexed(report.deviations))
+    return write_table(meta, _REPORT_COLUMNS, report.deviations)

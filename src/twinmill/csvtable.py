@@ -3,10 +3,13 @@
 A file is a leading block of `# key=value` metadata lines, each key given
 once (blank lines and `#` lines without `=` are allowed there), then
 exactly one header line of comma-separated column names, then one row of
-numbers per line. A column named `index` is first and counts the rows 0,
-1, 2, ... in order; every other is written with 17 significant digits
+numbers per line. Every number is written with 17 significant digits
 (`%.17g`), so every finite double reads back bit-exact; lines end in LF.
-Data rows are parsed by one `np.loadtxt` call.
+Data rows are parsed by one `np.loadtxt` call. A first column named
+`index` is the codec's own on both sides: `write_table` writes the row
+numbers 0, 1, 2, ... into it, and `read_table` checks that it counts them
+and returns the table without it. An `index` column anywhere else is an
+ordinary column.
 
 Every refusal is an InvalidInputError naming the file kind and, where it
 has one, its line, in the message and as `line`. A refusal at a line is
@@ -19,11 +22,11 @@ reader refuses a metadata value (`error`, `number`, `numbers`), a row
 found only when it is refused.
 
 `write_table` formats numbers with a numpy kernel whose bytes equal those
-of `'%.17g' % x` (and `'%d' % x` in an `index` column) for every value. It
-computes the 17 significant digits exactly, with integer arithmetic on
-32-bit limbs, for 2**-83 (about 1.03e-25) <= |x| < 1e17 and for +-0, then
-lays each text out from a table of `%g` templates. Python's `%` formats
-the other values one at a time: |x| >= 1e17, 0 < |x| < 2**-83, nan and inf.
+of `'%.17g' % x` for every value. It computes the 17 significant digits
+exactly, with integer arithmetic on 32-bit limbs, for 2**-83 (about
+1.03e-25) <= |x| < 1e17 and for +-0, then lays each text out from a table
+of `%g` templates. Python's `%` formats the other values one at a time
+(|x| >= 1e17, 0 < |x| < 2**-83, nan and inf) into the same text rows.
 """
 
 from __future__ import annotations
@@ -88,13 +91,15 @@ _EXP_DIGITS = np.ascontiguousarray(
 # A value's text is copied out of its source row of _SOURCE_WIDTH bytes:
 # digits d1..d16 of n, the two digits of -E (_X), d0, then constant bytes.
 # A template row lists, per byte of the text, the source byte it copies;
-# texts are _WIDTH bytes, NUL-padded. Template rows: 374 per sign (22 exponent
-# classes x 17 significant-digit counts), then 0, -0 and the fallback mark.
+# texts are _WIDTH bytes, NUL-padded, wide enough for every `%.17g` text
+# (-4.9406564584124654e-324 and -1.7976931348623157e+308 are the widest).
+# Template rows: 374 per sign (22 exponent classes x 17 significant-digit
+# counts), then 0 and -0.
 _WIDTH, _SOURCE_WIDTH = 24, 28
-_X, _D0, _DOT, _ZERO, _MINUS, _E, _NUL, _MARK = 16, 18, 19, 20, 21, 22, 23, 24
-_CONSTANTS = np.frombuffer(b".0-e\0\x01\0\0\0", dtype=np.uint8)  # source bytes 19..27
+_X, _D0, _DOT, _ZERO, _MINUS, _E, _NUL = 16, 18, 19, 20, 21, 22, 23
+_CONSTANTS = np.frombuffer(b".0-e\0\0\0\0\0", dtype=np.uint8)  # source bytes 19..27
 _CLASSES = 22  # E = -4..16 in fixed notation, then d.ddde-XX
-_ZERO_KEY, _MARK_KEY = 2 * _CLASSES * 17, 2 * _CLASSES * 17 + 2
+_ZERO_KEY = 2 * _CLASSES * 17
 
 
 def _templates():
@@ -123,8 +128,7 @@ def _templates():
                         (j == end + 3, _X + 1), (j == 1, _DOT), (j < end, digit(j - 1)))
     unsigned = np.concatenate([small, fixed, scientific[None]]).reshape(-1, _WIDTH)
     signed = np.column_stack([np.full(len(unsigned), _MINUS), unsigned[:, :-1]])
-    special = [[_ZERO], [_MINUS, _ZERO], [_MARK]]
-    special = [row + [_NUL] * (_WIDTH - len(row)) for row in special]
+    special = [row + [_NUL] * (_WIDTH - len(row)) for row in ([_ZERO], [_MINUS, _ZERO])]
     return np.vstack([unsigned, signed, special]).astype(np.intp)
 
 
@@ -171,8 +175,7 @@ def _decimal(a):
 
 def _texts(x):
     """The `%.17g` text of each value of the float vector `x` as a
-    (len(x), _WIDTH) uint8 array, NUL-padded, and the mask of the values
-    outside the exact range, whose text is the one byte \\x01."""
+    (len(x), _WIDTH) uint8 array, NUL-padded."""
     a = np.abs(x)
     exact = (a >= _LOW) & (a < _HIGH)
     n, E = _decimal(np.where(exact, a, 1.0))
@@ -194,29 +197,32 @@ def _texts(x):
         sig = np.where(groups[i], width + np.take(_SIG4, groups[i]), sig)
     sign = np.signbit(x)
     key = np.where(E < -4, _CLASSES - 1, E + 4) * 17 + (sig - 1) + sign * (_CLASSES * 17)
-    key = np.where(exact, key, np.where(a == 0, _ZERO_KEY + sign, _MARK_KEY))
+    key = np.where(exact, key, _ZERO_KEY + sign)  # the texts outside the range are overwritten below
     texts = np.empty((len(x), _WIDTH), dtype=np.uint8)
     for start in range(0, len(x), _GATHER_ROWS):  # the (rows, _WIDTH) intp index is the largest temporary
         index = np.take(_TEMPLATES, key[start:start + _GATHER_ROWS], axis=0)
         index += (np.arange(start, start + len(index)) * _SOURCE_WIDTH)[:, None]
         np.take(source.ravel(), index, out=texts[start:start + _GATHER_ROWS])
-    return texts, ~exact & (a != 0)
+    outside = np.flatnonzero(~exact & (a != 0))
+    if outside.size:
+        fallback = b"".join((b"%.17g" % v).ljust(_WIDTH, b"\0") for v in x[outside].tolist())
+        texts[outside] = np.frombuffer(fallback, dtype=np.uint8).reshape(-1, _WIDTH)
+    return texts
 
 
 def write_table(meta, columns, data) -> str:
-    """The metadata, the header and the rows of `data` (rows, len(columns))
-    as CSV text. A column named `index` is written as integers (`%d`), every
-    other column with `%.17g`; each value's text is that of its Python float.
+    """The metadata, the header and the rows of `data` as CSV text, every
+    value as `'%.17g' % x`. `data` holds one column per name of `columns`,
+    except a first `index`: `write_table` writes the row numbers there.
 
     A column whose value is bit-identical in every row (so -0.0 and 0.0
     differ) is formatted once and written as a literal. The other values
-    are formatted by the kernel above, a block of rows at a time, and by
-    Python's `%` where they lie outside its exact range.
+    are formatted by the kernel above, a block of rows at a time.
 
     Metadata that `read_table` could not give back as written is refused
     with an InvalidInputError naming the key: a key or value that holds a
     line break or has surrounding whitespace, and a key that is empty or
-    holds '='."""
+    holds '='. So is data whose width does not match `columns`."""
     for key, value in meta.items():
         key, value = str(key), str(value)
         for text in (key, value):
@@ -229,41 +235,34 @@ def write_table(meta, columns, data) -> str:
     data = np.asarray(data, dtype=float)
     if not len(data):
         return "".join(parts)
-    fields = ["%d" if name == "index" else "%.17g" for name in columns]
+    width = len(columns) - (columns[0] == "index")
+    if data.ndim != 2 or data.shape[1] != width:
+        raise InvalidInputError(f"header {','.join(columns)!r} takes {width} data columns, got shape {data.shape}")
+    if width < len(columns):
+        data = np.column_stack([np.arange(len(data)), data])
     bits = data.view(np.int64)
     constant = np.all(bits == bits[0], axis=0)
     literals = [""]  # the text before, between and after the other fields of a row
-    for i, field in enumerate(fields):
+    for i, fixed in enumerate(constant):
         literals[-1] += "," if i else ""
-        if constant[i]:
-            literals[-1] += field % float(data[0, i])
+        if fixed:
+            literals[-1] += "%.17g" % data[0, i]
         else:
             literals.append("")
     literals[-1] += "\n"
     if constant.all():
         parts.append(literals[0] * len(data))
         return "".join(parts)
-    fields = [field for field, fixed in zip(fields, constant) if not fixed]
     data = data[:, ~constant]
-    integers = [field == "%d" for field in fields]
-    data[:, integers] = np.trunc(data[:, integers]) + 0.0  # %d and %.17g agree on integers below 1e17
-    rows = max(1, _BLOCK_VALUES // len(fields))
+    rows = max(1, _BLOCK_VALUES // data.shape[1])
     literals = [np.broadcast_to(np.frombuffer(text.encode(), dtype=np.uint8), (rows, len(text)))
                 for text in literals]
     for start in range(0, len(data), rows):
-        block = data[start:start + rows].ravel()
-        texts, outside = _texts(block)
-        texts = texts.reshape(-1, len(fields), _WIDTH)
+        texts = _texts(data[start:start + rows].ravel()).reshape(-1, data.shape[1], _WIDTH)
         pieces = [literals[0][:len(texts)]]
         for i, literal in enumerate(literals[1:]):
             pieces += [texts[:, i], literal[:len(texts)]]
-        text = np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode("ascii")
-        if outside.any():
-            pieces = text.split("\x01")
-            where = np.flatnonzero(outside)
-            fallback = [fields[i % len(fields)] % x for i, x in zip(where.tolist(), block[where].tolist())]
-            text = "".join(piece for pair in zip(pieces, fallback + [""]) for piece in pair)
-        parts.append(text)
+        parts.append(np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 
 
@@ -363,11 +362,11 @@ class Metadata(dict):
 
 def read_table(text, columns, what):
     """Parse CSV text of the twinmill dialect with exactly the header
-    `columns`; returns (Metadata of str, float array (rows, len(columns))).
+    `columns`; returns (Metadata of str, float array (rows, columns)).
     `what` names the file kind in error messages. A metadata key given
     twice is refused at its second line, naming the first. Where the first
     column is `index`, the first row whose index is not its row number is
-    refused."""
+    refused, and the table is returned without that column."""
     header = ",".join(columns)
     lines = text.split("\n")
     n = _header_line(lines)
@@ -399,4 +398,5 @@ def read_table(text, columns, what):
         if bad.size:
             k = int(bad[0])
             raise meta.row_error(k, f"indices must count 0, 1, 2, ... in order, found {table[k, 0]:g} where {k} is due")
+        table = table[:, 1:]
     return meta, table

@@ -740,7 +740,7 @@ def program_to_csv(program: SyncProgram) -> str:
         "cell_sha256": program.cell_sha256,
     }
     sp = program.pairs
-    return write_table(meta, _COLUMNS, np.column_stack([np.arange(len(sp)), sp.tool_pose, sp.q1, sp.q2]))
+    return write_table(meta, _COLUMNS, np.column_stack([sp.tool_pose, sp.q1, sp.q2]))
 
 
 def program_from_csv(text) -> SyncProgram:
@@ -758,7 +758,7 @@ def program_from_csv(text) -> SyncProgram:
     cell = meta["cell_sha256"]
     if not _SHA256.fullmatch(cell):
         raise meta.error("cell_sha256", "is not 64 lowercase hex digits")
-    pairs = meta.build(Setpoints, table[:, 1:8], table[:, 8:14], table[:, 14:20])
+    pairs = meta.build(Setpoints, table[:, :7], table[:, 7:13], table[:, 13:])
     steps = {key: meta.number(key, 0.0) for key in ("feed_mm_min", "chord_tol_m", "max_step_m")}
     for key, value in steps.items():
         if value < 0:

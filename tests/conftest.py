@@ -131,7 +131,7 @@ def forty_one_column_program(system, program):
     meta = {"feed_mm_min": repr(program.feed_mm_min),
             "tension_wrench": " ".join(repr(float(x)) for x in program.tension.as_vector()),
             "chord_tol_m": repr(program.chord_tol), "max_step_m": repr(program.max_step)}
-    table = np.column_stack([np.arange(len(sp)), sp.tool_pose, r1, nominal, forward_kinematics(system.arm2, sp.q2),
+    table = np.column_stack([sp.tool_pose, r1, nominal, forward_kinematics(system.arm2, sp.q2),
                              sp.q1, sp.q2])
     return write_table(meta, columns, table)
 

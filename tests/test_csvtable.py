@@ -39,9 +39,11 @@ KERNEL_EDGES = [0.0, -0.0, 5e-324, -5e-324, -2.2250738585072014e-308, LOW, np.ne
 
 
 def row_by_row(columns, data):
-    """The reference: each row formatted with Python's `%`, one value at a time."""
-    fmt = ",".join("%d" if name == "index" else "%.17g" for name in columns) + "\n"
-    return ",".join(columns) + "\n" + "".join(fmt % tuple(row) for row in np.asarray(data).tolist())
+    """The reference: each row formatted with Python's `%`, one value at a
+    time, after its row number where the first column is `index`."""
+    counted = columns[0] == "index"
+    return ",".join(columns) + "\n" + "".join(",".join([f"{k}"] * counted + ["%.17g" % x for x in row]) + "\n"
+                                              for k, row in enumerate(np.asarray(data).tolist()))
 
 
 def binade_sweep():
@@ -113,10 +115,30 @@ class TestWriteTable:
         assert write_table({"k": "v"}, COLUMNS, data) == reference
 
     def test_index_column(self):
-        text = write_table({}, ("index", "x"), np.column_stack([[0, 1, 2, 1e17], [0.5, -0.0, 1e300, 7.0]]))
-        assert text == "index,x\n0,0.5\n1,-0\n2,1.0000000000000001e+300\n100000000000000000,7\n"
-        # A one-row table has only constant columns, written as literals in the same formats.
-        assert write_table({}, ("index", "x"), [[1e17, 0.5]]) == "index,x\n100000000000000000,0.5\n"
+        """A first `index` column is the writer's: the caller passes the
+        other columns, the file counts the rows, and the reader gives back
+        the table without it."""
+        text = write_table({}, ("index", "x"), [[0.5], [-0.0], [1e300], [7.0]])
+        assert text == "index,x\n0,0.5\n1,-0\n2,1.0000000000000001e+300\n3,7\n"
+        np.testing.assert_array_equal(read_table(text, ("index", "x"), "T")[1], [[0.5], [-0.0], [1e300], [7.0]])
+        # A one-row table has only constant columns, written as literals.
+        assert write_table({}, ("index", "x"), [[0.5]]) == "index,x\n0,0.5\n"
+        assert write_table({}, ("index",), np.zeros((3, 0))) == "index\n0\n1\n2\n"
+
+    def test_an_index_column_elsewhere_is_an_ordinary_column(self):
+        text = write_table({}, ("x", "index"), [[1, 2.5], [3, -0.0]])
+        assert text == "x,index\n1,2.5\n3,-0\n"
+        back = read_table(text, ("x", "index"), "T")[1]
+        assert back.tobytes() == np.array([[1, 2.5], [3, -0.0]]).tobytes()
+
+    @pytest.mark.parametrize("columns, data, match", [
+        (("index", "x"), [[0, 1], [7, 2]], r"^header 'index,x' takes 1 data columns, got shape \(2, 2\)$"),
+        (("a", "b"), [[1.0], [2.0]], r"^header 'a,b' takes 2 data columns, got shape \(2, 1\)$"),
+        (("a",), [1.0, 2.0], r"^header 'a' takes 1 data columns, got shape \(2,\)$"),
+    ])
+    def test_data_of_another_width_is_refused(self, columns, data, match):
+        with pytest.raises(InvalidInputError, match=match):
+            write_table({}, columns, data)
 
 
     @pytest.mark.parametrize("n", [0, 1, 2, BLOCK_ROWS + 1])
@@ -125,11 +147,10 @@ class TestWriteTable:
         1-row table has only such columns, and a column of -0.0 and 0.0
         is not one."""
         rng = np.random.default_rng(n)
-        fmt = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-        data = np.column_stack([np.arange(n), np.full(n, 0.1), rng.normal(size=n), np.full(n, -0.0),
+        data = np.column_stack([np.full(n, 0.1), rng.normal(size=n), np.full(n, -0.0),
                                 np.where(np.arange(n) % 2, 0.0, -0.0), np.full(n, 1e300)])
-        reference = "# k=v\nindex,a,b,c,d,e\n" + "".join(fmt % tuple(row) for row in data.tolist())
-        assert write_table({"k": "v"}, ("index", *"abcde"), data) == reference
+        columns = ("index", *"abcde")
+        assert write_table({"k": "v"}, columns, data) == "# k=v\n" + row_by_row(columns, data)
 
     def test_program_csv_matches_row_by_row_format(self, cfg):
         """The 4 tool quaternion columns of a 3-axis program are constant."""
@@ -158,17 +179,16 @@ class TestWriteTable:
     @settings(max_examples=60)
     @given(st.data())
     def test_mixed_tables_match_row_by_row_format(self, data):
-        """Any mix of index and float columns, with values drawn from every
-        kind the writer meets: in and out of the kernel's exact range, at its
-        edges, +-0, subnormal, non-finite, and index values that are
-        negative, fractional or at least 1e16."""
+        """Any mix of index and other columns (an index after the first
+        column is an ordinary one), with values drawn from every kind the
+        writer meets: in and out of the kernel's exact range, at its edges,
+        +-0, subnormal and non-finite."""
         columns = tuple(data.draw(st.lists(st.sampled_from(["index", "x"]), min_size=1, max_size=6)))
         rows = data.draw(st.integers(1, 12))
-        floats = st.one_of(st.floats(), st.sampled_from(KERNEL_EDGES), st.floats(-1e18, 1e18), st.floats(-1e-20, 1e-20))
-        integers = st.one_of(st.floats(-1e19, 1e19), st.integers(-10 ** 18, 10 ** 18).map(float),
-                             st.sampled_from([0.0, -0.0, -0.5, 1e16, -1e16, 1e17, 2.0 ** 63]))
-        table = np.column_stack([data.draw(arrays(np.float64, rows, elements=integers if name == "index" else floats))
-                                 for name in columns])
+        floats = st.one_of(st.floats(), st.sampled_from(KERNEL_EDGES), st.floats(-1e18, 1e18), st.floats(-1e-20, 1e-20),
+                           st.integers(-10 ** 18, 10 ** 18).map(float))
+        width = len(columns) - (columns[0] == "index")
+        table = data.draw(arrays(np.float64, (rows, width), elements=floats))
         assert write_table({}, columns, table) == row_by_row(columns, table)
 
 
@@ -244,7 +264,9 @@ class TestReadTable:
             read_table(text, ("index", "x"), "T")
         assert str(exc.value) == match
         assert exc.value.line == int(match.split()[2][:-1])
-        read_table("x,index\n1,5\n", ("x", "index"), "T")  # only a first column is an index
+        # The counted column is not returned; only a first column is an index.
+        np.testing.assert_array_equal(read_table("index,x\n0,1\n1,2\n", ("index", "x"), "T")[1], [[1], [2]])
+        np.testing.assert_array_equal(read_table("x,index\n1,5\n", ("x", "index"), "T")[1], [[1, 5]])
 
     def test_meta_helpers(self):
         """A refused metadata value is named with its key and its line, in
