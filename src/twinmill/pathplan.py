@@ -89,7 +89,7 @@ class ArcSegment:
             r = self.start.position - c
             if not np.all(np.isfinite(r)):
                 raise InvalidInputError("arc start-to-center vector overflows the float range")
-            in_plane = abs(float(np.dot(r, n))) <= _POSITION_TOL + 1e-12 * np.linalg.norm(r)
+            in_plane = abs(float(np.dot(r, n))) <= _POSITION_TOL + math.hypot(*1e-12 * r)  # scaled first: finite
         if not in_plane:
             raise InvalidInputError("arc start does not lie in the plane through the center")
         object.__setattr__(self, "center", c)

@@ -103,10 +103,10 @@ def _path_json_with_a_repeated_key():
     return json_with_a_repeated_key(doc, ("segments", 0, "end"), "position_m", [0, 0, 0])
 
 
-def _path_json_with_an_overflowing_arc():
-    """An arc whose center and start, each finite, lie 3e308 m apart."""
-    arc = {"type": "arc", "center_m": [-1.5e308, 0, 0], "normal": [0, 0, 1], "sweep_rad": 1.0,
-           "start": {"position_m": [1.5e308, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}}
+def _path_json_with_an_arc(center, start):
+    """A path of one arc about `center` from `start`, normal +z."""
+    arc = {"type": "arc", "center_m": center, "normal": [0, 0, 1], "sweep_rad": 1.0,
+           "start": {"position_m": start, "quaternion_wxyz": [1, 0, 0, 0]}}
     return json.dumps({"segments": [arc]})
 
 
@@ -239,10 +239,19 @@ LOCATED = {
     "path JSON repeated key": (lambda p: path_from_json(_path_json_with_a_repeated_key()),
                                InvalidInputError, None, "segments[0].end.position_m",
                                "path JSON segments[0].end.position_m: repeated key"),
-    "path JSON arc start-to-center overflow": (lambda p: path_from_json(_path_json_with_an_overflowing_arc()),
+    # The center and the start, each finite, lie 3e308 m apart.
+    "path JSON arc start-to-center overflow": (lambda p: path_from_json(_path_json_with_an_arc([-1.5e308, 0, 0],
+                                                                                               [1.5e308, 0, 0])),
                                                InvalidInputError, None, "segments[0]",
                                                "path JSON segments[0]: arc start-to-center vector overflows the "
                                                "float range"),
+    # The start lies 1e199 m off the plane, 2e200 m from the center: the
+    # norm of that vector is finite, though its sum of squares is not.
+    "path JSON arc start off a far plane": (lambda p: path_from_json(_path_json_with_an_arc([-1e200, 0, 0],
+                                                                                            [1e200, 0, 1e199])),
+                                            InvalidInputError, None, "segments[0]",
+                                            "path JSON segments[0]: arc start does not lie in the plane through the "
+                                            "center"),
 }
 
 
