@@ -33,8 +33,8 @@ class PathTrace:
 
     def __post_init__(self):
         pts = frozen(self.points)
-        if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
-            raise InvalidInputError("trace points must be a finite Nx3 array")
+        if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts) or not np.all(np.isfinite(pts)):
+            raise InvalidInputError("trace points must be a finite Nx3 array, N >= 1")
         if not (np.isfinite(self.tension) and np.isfinite(self.noise_sigma)):
             raise InvalidInputError("trace tension and noise sigma must be finite")
         object.__setattr__(self, "points", pts)

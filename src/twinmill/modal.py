@@ -60,8 +60,8 @@ class FrfSeries:
     def __post_init__(self):
         f = frozen(self.frequencies)
         v = frozen(self.values, dtype=complex)
-        if f.ndim != 1 or f.shape != v.shape:
-            raise InvalidInputError("frequencies and values must be 1-D and the same length")
+        if f.ndim != 1 or f.shape != v.shape or not f.size:
+            raise InvalidInputError("frequencies and values must be 1-D, non-empty and the same length")
         down = np.flatnonzero(np.diff(f) <= 0)
         if down.size:
             k = int(down[0]) + 1

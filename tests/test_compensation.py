@@ -131,6 +131,12 @@ class TestPathTrace:
         pts[0, 0] = 1.0  # the caller's array stays writeable and is not the trace's
         np.testing.assert_array_equal(trace.points, np.zeros((3, 3)))
 
+    def test_an_empty_trace_is_refused(self):
+        """As an empty program is: its CSV would hold no data rows, and two
+        empty traces would have no residual statistics."""
+        with pytest.raises(InvalidInputError, match=r"^trace points must be a finite Nx3 array, N >= 1$"):
+            PathTrace(np.zeros((0, 3)))
+
 
 class TestCompensate:
     def test_inverts_a_given_transform_exactly(self):

@@ -128,6 +128,11 @@ class TestSynthesize:
         np.testing.assert_array_equal(frf.frequencies, [1.0, 2.0])
         np.testing.assert_array_equal(frf.values, [1 + 1j, 2 - 1j])
 
+    def test_an_empty_frf_is_refused(self):
+        """As an empty impact record is: its CSV would hold no data rows."""
+        with pytest.raises(InvalidInputError, match="^frequencies and values must be 1-D, non-empty and the same length$"):
+            FrfSeries(np.zeros(0), np.zeros(0))
+
 
 class TestImpactRecord:
     def test_zero_force_rejected(self):
