@@ -95,9 +95,9 @@ _EXP_DIGITS = np.ascontiguousarray(
 # (-4.9406564584124654e-324 and -1.7976931348623157e+308 are the widest).
 # Template rows: 374 per sign (22 exponent classes x 17 significant-digit
 # counts), then 0 and -0.
-_WIDTH, _SOURCE_WIDTH = 24, 28
+_WIDTH, _SOURCE_WIDTH = 24, 24
 _X, _D0, _DOT, _ZERO, _MINUS, _E, _NUL = 16, 18, 19, 20, 21, 22, 23
-_CONSTANTS = np.frombuffer(b".0-e\0\0\0\0\0", dtype=np.uint8)  # source bytes 19..27
+_CONSTANTS = np.frombuffer(b".0-e\0", dtype=np.uint8)  # source bytes 19..23
 _CLASSES = 22  # E = -4..16 in fixed notation, then d.ddde-XX
 _ZERO_KEY = 2 * _CLASSES * 17
 

@@ -89,7 +89,8 @@ class ArcSegment:
             r = self.start.position - c
             if not np.all(np.isfinite(r)):
                 raise InvalidInputError("arc start-to-center vector overflows the float range")
-            in_plane = abs(float(np.dot(r, n))) <= _POSITION_TOL + math.hypot(*1e-12 * r)  # scaled first: finite
+            # Scaled before its norm, which is then finite for every finite r.
+            in_plane = abs(float(np.dot(r, n))) <= _POSITION_TOL + math.hypot(*1e-12 * r)
         if not in_plane:
             raise InvalidInputError("arc start does not lie in the plane through the center")
         object.__setattr__(self, "center", c)

@@ -135,7 +135,7 @@ class TestWriteTable:
         (("index", "x"), [[0, 1], [7, 2]], r"^header 'index,x' takes 1 data columns, got shape \(2, 2\)$"),
         (("a", "b"), [[1.0], [2.0]], r"^header 'a,b' takes 2 data columns, got shape \(2, 1\)$"),
         (("a",), [1.0, 2.0], r"^header 'a' takes 1 data columns, got shape \(2,\)$"),
-    ])
+    ], ids=["an index passed by the caller", "a column short", "one-dimensional"])
     def test_data_of_another_width_is_refused(self, columns, data, match):
         with pytest.raises(InvalidInputError, match=match):
             write_table({}, columns, data)
