@@ -61,21 +61,17 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
     non-finite, raise InvalidInputError naming the setpoint and the arm.
     """
     sp = program.pairs
+    arm = 1
     try:
         flange1 = flange_transform(sys.arm1, sp.q1)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"setpoint {exc.index}, arm 1: {exc}", index=exc.index) from exc
-    check_closure((flange1 @ sys.tool_offset.matrix())[:, :3, 3], sp.tool_pose[:, :3], CLOSURE_TOL,
-                  "setpoint {index}: arm-1 tool point is {gap:.3e} m from its planned position")
-    try:
+        check_closure((flange1 @ sys.tool_offset.matrix())[:, :3, 3], sp.tool_pose[:, :3], CLOSURE_TOL,
+                      "arm-1 tool point is {gap:.3e} m from its planned position")
+        arm = 2  # arm 1's joints passed
         K = coupled_stiffness(sys, sp.q1, sp.q2)
-    except ClosureError as exc:
-        raise ClosureError(f"setpoint {exc.index}: commanded arm-2 flange is {exc.gap:.3e} m from the nominal one",
-                           gap=exc.gap, index=exc.index) from exc
-    except InvalidInputError as exc:  # arm 1's joints passed above
-        raise InvalidInputError(f"setpoint {exc.index}, arm 2: {exc}", index=exc.index) from exc
-    except SingularConfigurationError as exc:
-        raise SingularConfigurationError(f"setpoint {exc.index}: {exc}", index=exc.index) from exc
+    except (InvalidInputError, ClosureError, SingularConfigurationError) as exc:
+        joint = f", arm {arm}" if isinstance(exc, InvalidInputError) else ""
+        exc.args = (f"setpoint {exc.index}{joint}: {exc}",)
+        raise
     w = np.broadcast_to(program.tension.as_vector(), sp.q1.shape)
     delta = np.linalg.solve(K, w[..., None])[..., 0]
     pts = sp.tool_pose[:, :3] + delta[:, :3]

@@ -19,13 +19,14 @@ class InvalidInputError(TwinmillError):
 
 
 class UnreachableTargetError(TwinmillError):
-    """IK of one arm failed to converge; carries the best residual seen
-    and, for stacked targets, the failing row as `index`."""
+    """IK of one arm failed to converge; carries the best residual seen,
+    the failing row as `index` and the rows before it solved as `solved`."""
 
-    def __init__(self, message, pos_residual=None, rot_residual=None, index=None):
+    def __init__(self, message, pos_residual=None, rot_residual=None, index=None, solved=None):
         super().__init__(message, index)
         self.pos_residual = pos_residual
         self.rot_residual = rot_residual
+        self.solved = solved
 
 
 class SingularConfigurationError(TwinmillError):

@@ -401,7 +401,8 @@ def inverse_kinematics(
     does not depend on the other rows.
 
     A row that fails raises UnreachableTargetError for the first failing
-    row, with its best residual and that row as `index`. A tolerance that
+    row, with its best residual, that row as `index` and, as `solved`,
+    the solutions of the rows before it. A tolerance that
     is not one finite number > 0, or a `max_iter` that is not one integer
     >= 1, raises InvalidInputError naming it.
     """
@@ -498,5 +499,5 @@ def inverse_kinematics(
             )
     row, message, pos_residual, rot_residual = failure
     if message is not None:
-        raise UnreachableTargetError(message, pos_residual=pos_residual, rot_residual=rot_residual, index=row)
+        raise UnreachableTargetError(message, pos_residual, rot_residual, index=row, solved=q[:row])
     return q.reshape(lead + (6,))

@@ -41,7 +41,7 @@ from .kinematics import (
     ik_branch,
     inverse_kinematics,
 )
-from .stiffness import MAX_OFFSET, CoupledSystem, Wrench, cell_sha256, check_closure, tension_offset
+from .stiffness import COMMANDED_GAP, MAX_OFFSET, CoupledSystem, Wrench, cell_sha256, check_closure, tension_offset
 
 _POSITION_TOL = 1e-9
 _ARC_RADIUS_TOL = 10e-6  # 10 um start/end radius mismatch
@@ -525,10 +525,11 @@ def _solve(arm, targets, blocks, tol, what):
     or one per row; when a block is asked for, q[:start] holds the
     solutions of the blocks before. Each block is one IK call, or one per
     _BLOCK_ROWS rows of a longer block; IK solves its rows independently,
-    so q is bit-identical wherever a block is cut. Returns the solutions
-    of the targets before the first failing one and a PlanError naming
-    its setpoint and `what`, caused by the UnreachableTargetError; or
-    (all of them, None)."""
+    so q is bit-identical wherever a block is cut, and a failing call
+    hands back the rows before its failing one as `solved`. Returns the
+    solutions of the targets before the first failing one and a PlanError
+    naming its setpoint and `what`, caused by the UnreachableTargetError;
+    or (all of them, None)."""
     q = np.empty((len(targets), 6))
     for start, stop, seeds in blocks(q):
         for first in range(start, stop, _BLOCK_ROWS):
@@ -538,8 +539,7 @@ def _solve(arm, targets, blocks, tol, what):
                 q[first:last] = inverse_kinematics(arm, targets[first:last], seed, *tol)
             except UnreachableTargetError as exc:
                 last = first + exc.index
-                seed = seed if np.ndim(seed) == 1 else seed[: exc.index]
-                q[first:last] = inverse_kinematics(arm, targets[first:last], seed, *tol)
+                q[first:last] = exc.solved
                 failure = PlanError(f"IK failed at setpoint {last} ({what}): {exc}", index=last)
                 failure.__cause__ = exc
                 return q[:last], failure
@@ -623,11 +623,11 @@ def plan_sync(
     holds the setpoints that lie at most _SEED_SPAN_M of path after that
     seed setpoint (at least one), so the joint trajectory stays on one
     branch (with max_step >= _SEED_SPAN_M each block is one setpoint on
-    straight moves). Pass 2 is one stacked
-    tension-offset evaluation from the local configurations, whose
-    refusal (a rank-deficient Jacobian, a closure gap) gets its setpoint
-    as a prefix, as in `simulate_deformation`; a commanded arm-2 flange more than MAX_OFFSET from its nominal one raises
-    ClosureError, as `simulate_deformation` would on the program. Pass 3
+    straight moves). Pass 2 is one stacked tension-offset evaluation from
+    the local configurations, then the MAX_OFFSET bound on the commanded
+    arm-2 flange, as `simulate_deformation` checks the program; a refusal
+    (a rank-deficient Jacobian, a closure gap) gets its setpoint as a
+    prefix, and the pass runs again over the setpoints before it. Pass 3
     solves arm 2's commanded pose as one block, one IK call per
     _BLOCK_ROWS rows, seeded in closed form as pass 1 is or, where that
     gives no seeds, each row with its nominal solution. A joint jump above
@@ -685,19 +685,17 @@ def plan_sync(
     stop(exc)
 
     # Pass 2: every tension offset in one stacked evaluation, then the bound
-    # on the commanded arm-2 flange's distance from its nominal one.
-    try:
-        offsets = tension_offset(sys, q1[:n], q2_nominal[:n], tension)
-    except (SingularConfigurationError, ClosureError) as exc:
-        exc.args = (f"setpoint {exc.index}: {exc}",)
-        stop(exc)
-        offsets = tension_offset(sys, q1[:n], q2_nominal[:n], tension)
-    r2_commanded = apply_world_offset(r2_nominal[:n], offsets)
-    try:
-        check_closure(r2_commanded[:, :3], r2_nominal[:n, :3], MAX_OFFSET,
-                      "setpoint {index}: commanded arm-2 flange is {gap:.3e} m from the nominal one")
-    except ClosureError as exc:
-        stop(exc)
+    # on the commanded arm-2 flange's distance from its nominal one; a
+    # refusal cuts n, and the pass runs again over the setpoints before it.
+    while True:
+        try:
+            offsets = tension_offset(sys, q1[:n], q2_nominal[:n], tension)
+            r2_commanded = apply_world_offset(r2_nominal[:n], offsets)
+            check_closure(r2_commanded[:, :3], r2_nominal[:n, :3], MAX_OFFSET, COMMANDED_GAP)
+            break
+        except (SingularConfigurationError, ClosureError) as exc:
+            exc.args = (f"setpoint {exc.index}: {exc}",)
+            stop(exc)
 
     # Pass 3: IK of arm 2's commanded pose, each row seeded in closed form
     # on the branch of setpoint 0's nominal solution or, where

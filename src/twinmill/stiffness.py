@@ -48,6 +48,8 @@ from .kinematics import ArmModel, _frames, flange_transform, jacobian
 
 CLOSURE_TOL = 1e-4
 MAX_OFFSET = 0.01  # m, commanded arm-2 flange from its nominal position
+COMMANDED_GAP = "commanded arm-2 flange is {gap:.3e} m from the nominal one"
+_NOMINAL_GAP = (CLOSURE_TOL, "kinematic closure violated: arm-2 flange is {gap:.3e} m from its attachment frame")
 _MAX_SPRING_ENTRY = np.finfo(float).max / 2  # K + K.T and K - K.T stay finite
 _MIN_SINGULAR_VALUE = 1e-8
 _BLOCK_ROWS = 256
@@ -335,17 +337,17 @@ def check_closure(actual, planned, tol, message):
         raise ClosureError(message.format(index=i, gap=gaps[i]), gap=float(gaps[i]), index=i)
 
 
-def _branch(sys: CoupledSystem, q1, q2, closure_tol=CLOSURE_TOL):
+def _branch(sys: CoupledSystem, q1, q2, closure=_NOMINAL_GAP):
     """The arm-2 branch of a block of configuration pairs: arm 1's flange
     transforms, the attachment frames of arm 2 on them and the series
     compliance of arm 2 and the spring at the attachment point, not yet
-    symmetrized. Checks closure first. Arm 1's flange comes from the
-    flange-only kernel, arm 2's flange and Jacobian from one frame pass."""
+    symmetrized. Checks closure first, to the (tol, message) `closure`.
+    Arm 1's flange comes from the flange-only kernel, arm 2's flange and
+    Jacobian from one frame pass."""
     fk1 = flange_transform(sys.arm1, q1)
     fk2, J2 = _frames(sys.arm2, q2)
     attach = fk1 @ sys.flange2_offset.matrix()
-    check_closure(_position(fk2), _position(attach), closure_tol,
-                  "kinematic closure violated: arm-2 flange is {gap:.3e} m from its attachment frame")
+    check_closure(_position(fk2), _position(attach), *closure)
     C2 = _compliance_from_jacobian(J2, sys.joint_stiffness2.diag)
     C2 = transport_compliance(C2, _position(attach) - _position(fk2))
     R6 = rotate6(attach[:, :3, :3])
@@ -353,7 +355,7 @@ def _branch(sys: CoupledSystem, q1, q2, closure_tol=CLOSURE_TOL):
 
 
 def _coupled_block(sys, q1, q2):
-    fk1, attach, C_branch2 = _branch(sys, q1, q2, MAX_OFFSET)
+    fk1, attach, C_branch2 = _branch(sys, q1, q2, (MAX_OFFSET, COMMANDED_GAP))
     tool = _position(fk1 @ sys.tool_offset.matrix())
     K1 = cartesian_stiffness(sys.arm1, q1, sys.joint_stiffness1)
     K1_tool = transport_stiffness(K1, tool - _position(fk1))
@@ -366,7 +368,7 @@ def coupled_stiffness(sys: CoupledSystem, q1, q2):
 
     The pairs may be commanded (tensioned) ones, whose arm-2 flange lies
     the setpoint offset from its attachment frame; a gap above MAX_OFFSET
-    raises ClosureError.
+    raises ClosureError with the text COMMANDED_GAP.
     """
     return _stacked(lambda a, b: _coupled_block(sys, a, b), (6, 6), q1, q2)
 

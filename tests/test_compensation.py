@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinmill import compensation, stiffness
 from twinmill.compensation import (
     PathTrace,
     compensate,
@@ -22,6 +23,7 @@ from twinmill.errors import (
     DegenerateGeometryError,
     InvalidInputError,
     SingularConfigurationError,
+    TwinmillError,
 )
 from twinmill.geometry import Pose, compose_rows, pose_rows, quat_from_rotvec, quat_to_matrix
 from twinmill.kinematics import DEFAULT_TOL_POS, forward_kinematics, inverse_kinematics
@@ -32,7 +34,7 @@ from twinmill.pathplan import (
     plan_sync,
     transform_path,
 )
-from twinmill.stiffness import SpringModel, Wrench
+from twinmill.stiffness import SpringModel, Wrench, coupled_stiffness
 
 from conftest import arm2_targets, plan_slot
 
@@ -216,6 +218,41 @@ class TestDeformation:
         reached = forward_kinematics(cfg.system.arm2, q2)
         assert exc.value.gap == pytest.approx(np.linalg.norm(reached.position - nominal.position), rel=1e-9)
         assert exc.value.gap == pytest.approx(0.02, abs=DEFAULT_TOL_POS)
+
+    @pytest.mark.parametrize("refusal", ["commanded gap", "arm-2 joint", "rank deficiency"])
+    def test_a_coupled_stiffness_refusal_is_re_raised_in_place(self, cfg, demo_program, monkeypatch, refusal):
+        """`simulate_deformation` puts the setpoint in front of the refusal
+        `coupled_stiffness` raised and raises that same object, with its
+        type, `index` and `gap`."""
+        k = 11
+        pair = demo_program.pairs[k]
+        q2 = pair.q2.copy()
+        if refusal == "commanded gap":
+            q2[1] += 0.02  # the shoulder moves the flange about 20 mm
+        elif refusal == "arm-2 joint":
+            q2[4] = 2.5
+        else:
+            monkeypatch.setattr(stiffness, "_MIN_SINGULAR_VALUE", 1e9)
+        program = _with_pair(demo_program, k, dataclasses.replace(pair, q2=q2))
+        raised = []
+
+        def recording(*args):
+            try:
+                return coupled_stiffness(*args)
+            except TwinmillError as exc:
+                raised.append((exc, type(exc), exc.index, getattr(exc, "gap", None), str(exc)))
+                raise
+
+        monkeypatch.setattr(compensation, "coupled_stiffness", recording)
+        with pytest.raises(TwinmillError) as exc:
+            simulate_deformation(cfg.system, program)
+        [(original, cls, index, gap, message)] = raised
+        assert exc.value is original
+        assert cls is {"commanded gap": ClosureError, "arm-2 joint": InvalidInputError,
+                       "rank deficiency": SingularConfigurationError}[refusal]
+        assert (type(exc.value), exc.value.index, getattr(exc.value, "gap", None)) == (cls, index, gap)
+        where = f"setpoint {index}, arm 2" if refusal == "arm-2 joint" else f"setpoint {index}"
+        assert str(exc.value) == f"{where}: {message}"
 
     @pytest.mark.parametrize("arm", [1, 2])
     def test_joint_outside_limits_named(self, cfg, demo_program, arm):

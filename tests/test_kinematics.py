@@ -519,6 +519,24 @@ class TestStackedInverseKinematics:
             inverse_kinematics(arm, bad, seeds[:8])
         assert exc.value.index == 5
 
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-seed", "seed-per-row"])
+    def test_a_failure_hands_back_the_rows_it_solved(self, stack, shared):
+        """`solved` holds the rows before the failing one, bit for bit as a
+        call on them alone solves them."""
+        arm, targets, seeds, _ = stack
+        if shared:
+            seed = seeds[0]
+            bad = forward_kinematics(arm, seed + np.linspace(-0.04, 0.04, 12)[:, None])
+        else:
+            seed, bad = seeds[:12], targets[:12].copy()
+        bad[9, :3] = [10.0, 0.0, 0.0]
+        with pytest.raises(UnreachableTargetError) as exc:
+            inverse_kinematics(arm, bad, seed)
+        assert exc.value.index == 9
+        fresh = inverse_kinematics(arm, bad[:9], seed if shared else seed[:9])
+        assert not np.array_equal(fresh, np.broadcast_to(seed, (12, 6))[:9])  # the rows iterated
+        np.testing.assert_array_equal(exc.value.solved, fresh)
+
     def test_rows_after_a_failing_row_are_not_solved(self, stack):
         """A later row that would fail too cannot displace the first one."""
         arm, targets, seeds, single = stack

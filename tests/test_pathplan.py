@@ -830,6 +830,33 @@ class TestPlanSync:
         assert str(exc.value) == ("setpoint 0: Jacobian is rank deficient (smallest singular value 5.410e-01); "
                                   "deficient direction dominated by axis 'x'")
 
+    def test_two_pass_2_refusals_in_one_block_name_the_first_setpoint(self, cfg, monkeypatch):
+        """A nominal closure gap planted at setpoint 30 and a rank-deficient
+        arm-2 Jacobian at setpoint 20 of one 256-row block: `_branch`
+        checks closure first, so the gap is found first. The pass runs
+        again over setpoints 0-29, and the rank deficiency found then is
+        raised with its setpoint too."""
+        real_closure, real_compliance = stiffness.check_closure, stiffness._compliance_from_jacobian
+
+        def gap_at_30(actual, planned, tol, message):
+            actual = np.array(actual)
+            if len(actual) > 30:
+                actual[30] += [1e-3, 0.0, 0.0]
+            return real_closure(actual, planned, tol, message)
+
+        def deficient_at_20(J, k_diag):
+            if len(J) > 20:
+                raise SingularConfigurationError("planted rank deficiency", index=20)
+            return real_compliance(J, k_diag)
+
+        monkeypatch.setattr(stiffness, "check_closure", gap_at_30)
+        monkeypatch.setattr(stiffness, "_compliance_from_jacobian", deficient_at_20)
+        with pytest.raises(SingularConfigurationError) as exc:
+            demo_plan(cfg, gcode="G1 X200\n", tension=Wrench(np.array([1000.0, 0.0, 0.0])))
+        assert type(exc.value) is SingularConfigurationError
+        assert exc.value.index == 20
+        assert str(exc.value) == "setpoint 20: planted rank deficiency"
+
     def test_ik_failure_reports_index(self, cfg):
         path = transform_path(parse_gcode("G1 X40\n"), Pose(np.array([20.0, 0.0, 0.0])))
         with pytest.raises(PlanError) as exc:
@@ -1112,16 +1139,17 @@ class TestPassOneSeeding(SeedingCalls):
     def test_commanded_failure_in_a_later_block_reports_its_setpoint(self, cfg, monkeypatch):
         """Pass 3 solves one IK call per _BLOCK_ROWS rows, here 64; a row
         that fails in the second call is named by its setpoint, not its
-        row in the call."""
+        row in the call, and that call is not made again for the rows
+        before its failing one."""
         monkeypatch.setattr(pathplan, "_BLOCK_ROWS", 64)
         calls = self.spy(monkeypatch, plant={ARM2_COMMANDED: [pathplan._BLOCK_ROWS + 10]})
         with pytest.raises(PlanError) as exc:
             demo_plan(cfg, gcode="G1 X200\nG1 Y20\n", max_step=0.001,
                       tension=Wrench(np.array([1000.0, 0.0, 0.0])))
         assert type(exc.value) is PlanError
-        # Two blocks, then the second one's rows before its failing one.
+        # Two blocks, one IK call each.
         pass3 = [shape for shape, _ in self.solve_calls(calls, ARM2_COMMANDED)]
-        assert len(pass3) == 3 and pass3[0] == (pathplan._BLOCK_ROWS, 7) and pass3[2] == (10, 7)
+        assert pass3 == [(pathplan._BLOCK_ROWS, 7)] * 2
         assert exc.value.index == pathplan._BLOCK_ROWS + 10
         assert str(exc.value).startswith(f"IK failed at setpoint {exc.value.index} (arm 2 commanded): target ")
 
