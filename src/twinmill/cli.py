@@ -101,7 +101,11 @@ def _frequency_grid(fmax, df):
 def _tension_wrench(magnitude, axis):
     force = np.zeros(3)
     force["xyz".index(axis)] = magnitude
-    return Wrench(force)
+    try:
+        return Wrench(force)
+    except InvalidInputError as exc:
+        exc.args = (f"--tension {magnitude:g}: {exc}",)
+        raise
 
 
 def cmd_modal(args):

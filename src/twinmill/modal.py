@@ -210,8 +210,8 @@ def peak_pick(frf: FrfSeries, min_freq, max_freq, prominence_factor=3.0):
     Prominence threshold is prominence_factor times the median magnitude
     inside the band.
     """
-    if not (prominence_factor > 0):
-        raise InvalidInputError("prominence factor must be positive")
+    if not (0 < prominence_factor < math.inf):
+        raise InvalidInputError("prominence factor must be positive and finite")
     sel = (frf.frequencies >= min_freq) & (frf.frequencies <= max_freq)
     if min_freq >= max_freq or not np.any(sel):
         raise InvalidInputError("requested band contains no grid points")

@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,8 +55,12 @@ MAX_SAMPLES = 1 << 20  # pose rows at most from `discretize`, 56 MiB of them
 
 @dataclass(frozen=True)
 class LinearSegment:
+    """A line from `start` to `end`. `source` is where it was read: its
+    G-code line (int) or path JSON element (str); None if built in code."""
+
     start: Pose
     end: Pose
+    source: int | str | None = field(default=None, compare=False)
 
     @property
     def length(self):
@@ -68,12 +72,13 @@ class LinearSegment:
 class ArcSegment:
     """Circular arc about `center` in the plane normal to `normal`,
     starting at `start` and sweeping `sweep` rad (sign by right-hand rule
-    about the normal)."""
+    about the normal). `source` is where it was read, as for a line."""
 
     center: np.ndarray
     normal: np.ndarray
     start: Pose
     sweep: float
+    source: int | str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         c = frozen(self.center)
@@ -218,7 +223,7 @@ def parse_gcode(text) -> ToolPath:
             if has_center:
                 raise refusal(UnsupportedGcodeError, "I/J/K only valid with G2/G3")
             if np.linalg.norm(target - pos) > 0:
-                segments.append(LinearSegment(Pose(pos), Pose(target)))
+                segments.append(LinearSegment(Pose(pos), Pose(target), lineno))
         else:
             if not has_center:
                 raise refusal(UnsupportedGcodeError, "arc without I/J/K center")
@@ -238,7 +243,7 @@ def parse_gcode(text) -> ToolPath:
             sign = 1.0 if motion == 3 else -1.0
             sweep = sign * ((sign * (theta_e - theta_s)) % (2 * math.pi) or 2 * math.pi)
             try:
-                arc = ArcSegment(center, np.array([0.0, 0.0, 1.0]), Pose(pos), sweep)
+                arc = ArcSegment(center, np.array([0.0, 0.0, 1.0]), Pose(pos), sweep, lineno)
                 # Snap the running position to the arc's computed endpoint so
                 # the chain stays continuous to machine precision.
                 target = arc.end.position
@@ -254,15 +259,17 @@ def parse_gcode(text) -> ToolPath:
 def transform_path(path: ToolPath, pose: Pose) -> ToolPath:
     """The path moved by the rigid motion `pose` (p -> R p + t): every
     segment pose composed with it, as `compose_rows(pose, ...)` moves pose
-    rows, and each arc's center and normal moved with it."""
+    rows, and each arc's center and normal moved with it. Each segment
+    keeps its `source`."""
     R = pose.rotation()
     Q = quat_multiply(pose.quaternion, np.eye(4))  # q @ Q is the product pose.quaternion * q
 
     def move(p):
         return Pose(pose.position + R @ p.position, p.quaternion @ Q)
 
-    return ToolPath(tuple(LinearSegment(move(s.start), move(s.end)) if isinstance(s, LinearSegment)
-                          else ArcSegment(pose.position + R @ s.center, R @ s.normal, move(s.start), s.sweep)
+    return ToolPath(tuple(replace(s, start=move(s.start), end=move(s.end)) if isinstance(s, LinearSegment)
+                          else replace(s, center=pose.position + R @ s.center, normal=R @ s.normal,
+                                       start=move(s.start))
                           for s in path.segments), feed_mm_min=path.feed_mm_min)
 
 
@@ -322,12 +329,12 @@ def _json_segment(s, where):
     jsondoc.obj(s, where, _SEGMENT_KEYS[kind])
     if kind == "linear":
         return jsondoc.build(LinearSegment, where, jsondoc.pose(s["start"], f"{where}.start"),
-                             jsondoc.pose(s["end"], f"{where}.end"))
+                             jsondoc.pose(s["end"], f"{where}.end"), where)
     return jsondoc.build(ArcSegment, where,
                          jsondoc.array(s["center_m"], (3,), f"{where}.center_m"),
                          jsondoc.array(s["normal"], (3,), f"{where}.normal"),
                          jsondoc.pose(s["start"], f"{where}.start"),
-                         jsondoc.number(s["sweep_rad"], f"{where}.sweep_rad"))
+                         jsondoc.number(s["sweep_rad"], f"{where}.sweep_rad"), where)
 
 
 def path_from_json(text) -> ToolPath:
@@ -395,7 +402,8 @@ def discretize(path: ToolPath, chord_tol, max_step):
     its end pose; an arc's samples all take its start orientation. A path
     of more than MAX_SAMPLES samples, or with a segment too long to count
     its samples, raises InvalidInputError naming the segment that crosses
-    the cap, before any row is allocated.
+    the cap, before any row is allocated: by its G-code line (as `line`)
+    or path JSON element (as `path`), or else as `segment k`.
     """
     if not (chord_tol > 0 and max_step > 0):
         raise InvalidInputError("chord_tol and max_step must be positive")
@@ -404,8 +412,13 @@ def discretize(path: ToolPath, chord_tol, max_step):
         counts.append(_samples(seg, chord_tol, max_step))
         total += counts[-1]
         if total > MAX_SAMPLES:
-            raise InvalidInputError(f"segment {k} takes the path past {MAX_SAMPLES} samples "
-                                    f"(chord_tol {chord_tol:g} m, max_step {max_step:g} m)")
+            where, place = f"segment {k}", {}
+            if isinstance(seg.source, int):
+                where, place = f"line {seg.source}: the segment", {"line": seg.source}
+            elif isinstance(seg.source, str):
+                where, place = f"{seg.source}: the segment", {"path": seg.source}
+            raise InvalidInputError(f"{where} takes the path past {MAX_SAMPLES} samples "
+                                    f"(chord_tol {chord_tol:g} m, max_step {max_step:g} m)", **place)
     start = path.segments[0].start
     parts = [_rows(start.position[None], start.quaternion)]
     for seg, n in zip(path.segments, counts):
@@ -752,6 +765,10 @@ def program_from_csv(text) -> SyncProgram:
     wrench = meta.numbers("tension_wrench", [0.0] * 6)
     if len(wrench) != 6:
         raise meta.error("tension_wrench", "is not 6 numbers")
+    try:
+        tension = Wrench.from_vector(wrench)
+    except InvalidInputError as exc:
+        raise meta.error("tension_wrench", f"is refused: {exc}") from exc
     if "cell_sha256" not in meta:
         raise meta.line_error(meta.header_line, "no cell_sha256 metadata before the header")
     cell = meta["cell_sha256"]
@@ -762,4 +779,4 @@ def program_from_csv(text) -> SyncProgram:
     for key, value in steps.items():
         if value < 0:
             raise meta.error(key, "is negative")
-    return SyncProgram(pairs, Wrench.from_vector(wrench), cell, *steps.values())
+    return SyncProgram(pairs, tension, cell, *steps.values())

@@ -51,6 +51,7 @@ MAX_OFFSET = 0.01  # m, commanded arm-2 flange from its nominal position
 COMMANDED_GAP = "commanded arm-2 flange is {gap:.3e} m from the nominal one"
 _NOMINAL_GAP = (CLOSURE_TOL, "kinematic closure violated: arm-2 flange is {gap:.3e} m from its attachment frame")
 _MAX_SPRING_ENTRY = np.finfo(float).max / 2  # K + K.T and K - K.T stay finite
+_MAX_WRENCH_NORM = np.sqrt(np.finfo(float).max)  # its square overflows above it
 _MIN_SINGULAR_VALUE = 1e-8
 _BLOCK_ROWS = 256
 
@@ -103,7 +104,8 @@ class SpringModel:
 @dataclass(frozen=True)
 class Wrench:
     """Force (N) and torque (N·m) in the world frame; stacked wrenches hold
-    force[..., 3] and torque[..., 3]."""
+    force[..., 3] and torque[..., 3]. Each must have a finite squared
+    norm, so a norm below about _MAX_WRENCH_NORM."""
 
     force: np.ndarray
     torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -111,10 +113,12 @@ class Wrench:
     def __post_init__(self):
         f = frozen(self.force)
         t = frozen(self.torque)
-        if f.shape[-1:] != (3,) or t.shape[-1:] != (3,) or not (
-            np.all(np.isfinite(f)) and np.all(np.isfinite(t))
-        ):
+        if f.shape[-1:] != (3,) or t.shape[-1:] != (3,):
             raise InvalidInputError("wrench force/torque must be finite 3-vectors")
+        with np.errstate(over="ignore"):  # NaN and inf fail too
+            if not (np.all(np.isfinite(np.sum(f * f, axis=-1))) and np.all(np.isfinite(np.sum(t * t, axis=-1)))):
+                raise InvalidInputError(f"wrench force/torque must be finite 3-vectors of norm below about "
+                                        f"{_MAX_WRENCH_NORM:.4g}")
         f, t = np.broadcast_arrays(f, t)
         object.__setattr__(self, "force", f)
         object.__setattr__(self, "torque", t)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -697,6 +698,12 @@ def _half_qw_at_setpoint_14(fields):
         fields[4] = "0.5"
 
 
+def _tension_wrench_1e200(text):
+    """The program CSV `text` with a tension of 1e200 N along x, whose
+    square overflows."""
+    return re.sub(r"(?m)^# tension_wrench=.*$", "# tension_wrench=1e200 0 0 0 0 0", text)
+
+
 def _impact(tension, rate=None):
     text = modal.impact_record_to_csv(modal.simulate_impact(
         config.load_config(DEMO_CONFIG).modal_models["x"], tension, sample_rate=2048.0, duration=0.05))
@@ -725,17 +732,17 @@ REFUSALS = {
         lambda p: {"path.json": json.dumps({"segments": [
             {"type": "linear", "start": _pose(-1e308), "end": _pose(1e308)}]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
-        "error: segment 0 takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
+        "error: segments[0]: the segment takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
     # Coordinates near the float range are refused with no numpy warning,
     # which the tests' filterwarnings = error would raise instead.
     "path JSON arc center at -1e200": (
         lambda p: {"path.json": json.dumps({"segments": [_arc([-1e200, 0, 0], 0)]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
-        "error: segment 0 takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
+        "error: segments[0]: the segment takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
     "path JSON arc start at 1e200": (
         lambda p: {"path.json": json.dumps({"segments": [_arc([0, 0, 0], 1e200)]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
-        "error: segment 0 takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
+        "error: segments[0]: the segment takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
     "path JSON arc start 3e308 from its center": (
         lambda p: {"path.json": json.dumps({"segments": [_arc([-1.5e308, 0, 0], 1.5e308)]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
@@ -782,6 +789,18 @@ REFUSALS = {
         lambda p: {"slot.gcode": "G1 X10\nG1 X20 Q5\n"},
         ["--config", str(DEMO_CONFIG), "plan", "{slot.gcode}", "--out", "{out.csv}"], 3,
         "error: {slot.gcode}: line 2: unsupported word Q5\n"),
+    # A tension whose square overflows is refused where it enters, before
+    # any IK and with no numpy warning.
+    "plan tension 1e200": (
+        lambda p: {"slot.gcode": SLOT_GCODE},
+        ["--config", str(DEMO_CONFIG), "plan", "{slot.gcode}", "--tension", "1e200",
+         "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"], 3,
+        "error: --tension 1e+200: wrench force/torque must be finite 3-vectors of norm below about 1.341e+154\n"),
+    "program tension 1e200": (
+        lambda p: {"program.csv": _tension_wrench_1e200(program_to_csv(p))},
+        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
+        "error: {program.csv}: program CSV line 2: metadata tension_wrench='1e200 0 0 0 0 0' is refused: "
+        "wrench force/torque must be finite 3-vectors of norm below about 1.341e+154\n"),
     "program with a repeated metadata key": (
         lambda p: {"program.csv": program_to_csv(p).replace("# cell_sha256=", "# chord_tol_m=2e-05\n# cell_sha256=")},
         ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,

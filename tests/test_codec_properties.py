@@ -106,8 +106,8 @@ def test_trace_round_trip(points, tension, noise, label):
 @st.composite
 def programs(draw):
     """A 20-column SyncProgram of random finite doubles: unit tool
-    quaternions, a feed and step sizes >= 0 and a cell_sha256 of 64
-    lowercase hex digits."""
+    quaternions, a wrench within its norm bound, a feed and step sizes >=
+    0 and a cell_sha256 of 64 lowercase hex digits."""
     n = draw(st.integers(1, 12))
     tool = draw(arrays(np.float64, (n, 7), elements=FINITE))
     quats = draw(arrays(np.float64, (n, 4), elements=st.floats(-1.0, 1.0)))
@@ -115,7 +115,8 @@ def programs(draw):
     assume(np.all(norms > 0.1))
     tool[:, 3:] = quats / norms
     q = draw(arrays(np.float64, (2, n, 6), elements=FINITE))
-    tension = Wrench.from_vector(draw(arrays(np.float64, 6, elements=FINITE)))
+    # A wrench's force and torque each have a finite squared norm.
+    tension = Wrench.from_vector(draw(arrays(np.float64, 6, elements=st.floats(-7e153, 7e153))))
     # A program's feed and step sizes are >= 0.
     feed, chord_tol, max_step = (draw(st.floats(min_value=-0.0, allow_infinity=False)) for _ in range(3))
     cell = draw(st.text("0123456789abcdef", min_size=64, max_size=64))

@@ -239,6 +239,12 @@ LOCATED = {
     "path JSON repeated key": (lambda p: path_from_json(_path_json_with_a_repeated_key()),
                                InvalidInputError, None, "segments[0].end.position_m",
                                "path JSON segments[0].end.position_m: repeated key"),
+    # The square of a 1e200 N force overflows.
+    "program CSV tension past the float range": (
+        lambda p: program_from_csv(_with_meta(program_to_csv(p), "tension_wrench", "1e200 0 0 0 0 0")),
+        InvalidInputError, 2, None,
+        "program CSV line 2: metadata tension_wrench='1e200 0 0 0 0 0' is refused: wrench force/torque must be "
+        "finite 3-vectors of norm below about 1.341e+154"),
     # The center and the start, each finite, lie 3e308 m apart.
     "path JSON arc start-to-center overflow": (lambda p: path_from_json(_path_json_with_an_arc([-1.5e308, 0, 0],
                                                                                                [1.5e308, 0, 0])),

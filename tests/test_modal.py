@@ -298,7 +298,7 @@ class TestPeakPick:
         frf = frf_synthesize(m, 0.0, grid)
         with pytest.raises(InvalidInputError):
             peak_pick(frf, 300.0, 100.0)
-        for factor in (-1.0, math.nan):
+        for factor in (-1.0, math.nan, math.inf):
             with pytest.raises(InvalidInputError, match="prominence"):
                 peak_pick(frf, 0.0, 200.0, prominence_factor=factor)
 

@@ -643,6 +643,7 @@ class TestDiscretize:
         with pytest.raises(InvalidInputError):
             discretize(path, 1e-5, 0.0)
 
+    # (path, the refusal's location: its message prefix, `line`, `path`)
     @pytest.mark.parametrize("path, where", [
         # A 10 mm arc swept 1e9 rad asks for 2**34 samples.
         (lambda: path_from_json(json.dumps({"segments": [
@@ -650,30 +651,47 @@ class TestDiscretize:
              "end": {"position_m": [0.01, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}},
             {"type": "arc", "center_m": [0, 0, 0], "normal": [0, 0, 1],
              "start": {"position_m": [0.01, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}, "sweep_rad": 1e9},
-        ]})), "segment 1 "),
+        ]})), ("segments[1]: the segment ", None, "segments[1]")),
         # About 1000 km of line at 5 mm steps asks for 2**28 samples.
-        (lambda: parse_gcode("G1 X999999999\n"), "segment 0 "),
+        (lambda: parse_gcode("G1 X999999999\n"), ("line 1: the segment ", 1, None)),
         # A line to x = 1e308 m is infinitely long.
         (lambda: path_from_json(json.dumps({"segments": [
             {"type": "linear", "start": {"position_m": [-1e308, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]},
              "end": {"position_m": [1e308, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}},
-        ]})), "segment 0 "),
+        ]})), ("segments[0]: the segment ", None, "segments[0]")),
         # On a 1e20 m radius neither tolerance resolves an angle step.
         (lambda: path_from_json(json.dumps({"segments": [
             {"type": "arc", "center_m": [-1e20, 0, 0], "normal": [0, 0, 1],
              "start": {"position_m": [0, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}, "sweep_rad": 0.1},
-        ]})), "segment 0 "),
+        ]})), ("segments[0]: the segment ", None, "segments[0]")),
     ], ids=["arc-sweep-1e9", "gcode-x999999999", "line-past-the-float-range", "arc-radius-1e20"])
     def test_sample_cap_names_the_segment_before_allocating(self, path, where):
+        prefix, line, at = where
         path = path()
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidInputError, match=f"^{where}takes the path past {pathplan.MAX_SAMPLES} "):
+            with pytest.raises(InvalidInputError) as exc:
                 discretize(path, 1e-5, 5e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        assert str(exc.value).startswith(f"{prefix}takes the path past {pathplan.MAX_SAMPLES} ")
+        assert (exc.value.index, exc.value.line, exc.value.path) == (None, line, at)
+
+    def test_sample_cap_names_a_segment_built_in_code_by_its_number(self):
+        """A segment that was not read has no line or element to name."""
+        start = Pose(np.zeros(3))
+        path = ToolPath((LinearSegment(start, Pose(np.array([0.01, 0.0, 0.0]))),
+                         LinearSegment(Pose(np.array([0.01, 0.0, 0.0])), Pose(np.array([1e6, 0.0, 0.0])))))
+        with pytest.raises(InvalidInputError, match=rf"^segment 1 takes the path past {pathplan.MAX_SAMPLES} "):
+            discretize(path, 1e-5, 5e-3)
+
+    def test_a_moved_path_keeps_the_sources_of_its_segments(self):
+        gcode = transform_path(parse_gcode("G1 X40\n\nG3 X40 Y40 J20\n"), Pose(np.array([2.0, 0.0, 1.0])))
+        assert [s.source for s in gcode.segments] == [1, 3]
+        moved = translate_path(path_from_json(SLOT_JSON), [0.0, 1.0, 0.0])
+        assert [s.source for s in moved.segments] == [f"segments[{k}]" for k in range(len(moved.segments))]
 
     def test_sample_cap_counts_every_row(self, monkeypatch):
         # Two 40 mm lines at 5 mm steps: 1 + 8 + 8 rows.
@@ -681,8 +699,9 @@ class TestDiscretize:
         monkeypatch.setattr(pathplan, "MAX_SAMPLES", 17)
         assert len(discretize(path, 1e-5, 5e-3)) == 17
         monkeypatch.setattr(pathplan, "MAX_SAMPLES", 16)
-        with pytest.raises(InvalidInputError, match="^segment 1 "):
+        with pytest.raises(InvalidInputError, match="^line 2: the segment takes ") as exc:
             discretize(path, 1e-5, 5e-3)
+        assert exc.value.line == 2
 
 
 class TestPlanSync:

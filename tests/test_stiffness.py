@@ -208,6 +208,9 @@ class TestCoupledStiffness:
             tension_offset(cfg.system, sp.q1, sp.q2, demo_program.tension)
         assert exc.value.index == 0
         assert exc.value.gap == pytest.approx(2.73e-4, rel=1e-2)
+        # A nominal pair's gap is a closure violation, not a commanded offset.
+        assert str(exc.value) == (f"kinematic closure violated: arm-2 flange is {exc.value.gap:.3e} m from its "
+                                  "attachment frame")
 
     def test_pair_past_max_offset_is_refused(self, cfg, demo_program):
         """Arm-2 joints that reach 20 mm from the nominal arm-2 flange,
@@ -225,7 +228,7 @@ class TestCoupledStiffness:
         gap = np.linalg.norm(forward_kinematics(cfg.system.arm2, q2[270]).position - nominal.position)
         assert exc.value.gap == pytest.approx(gap, rel=1e-9)
         assert exc.value.gap == pytest.approx(0.02, abs=DEFAULT_TOL_POS)
-        assert f"{exc.value.gap:.3e} m" in str(exc.value)
+        assert str(exc.value) == f"commanded arm-2 flange is {exc.value.gap:.3e} m from the nominal one"
 
 
 class TestTension:
@@ -304,6 +307,19 @@ class TestTypes:
             stacked.force[2, 0] = 7.0
         with pytest.raises(ValueError):
             stacked.torque[2, 0] = 7.0
+
+    def test_a_wrench_whose_square_overflows_is_refused(self):
+        """A force or torque is refused once its squared norm overflows,
+        per row of a stack, with no numpy warning."""
+        edge = 1.3e154  # its square, 1.69e308, and its sum with two zeros are finite
+        assert Wrench(np.array([edge, 0.0, 0.0]), np.array([0.0, 0.0, -edge])).force[0] == edge
+        stacked = np.zeros((3, 3))
+        stacked[:, 0] = edge
+        Wrench(stacked)
+        for force, torque in (([edge, edge, 0.0], [0.0, 0.0, 0.0]), ([0.0, 0.0, 0.0], [1e200, 0.0, 0.0]),
+                              ([np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]), ([0.0, 0.0, 0.0], [0.0, -np.inf, 0.0])):
+            with pytest.raises(InvalidInputError, match="of norm below about 1.341e"):
+                Wrench(np.array(force), np.array(torque))
 
     def test_spring_is_read_only(self):
         K = DEFAULT_SPRING.copy()
