@@ -851,7 +851,7 @@ class TestPlanSync:
 
     def test_two_pass_2_refusals_in_one_block_name_the_first_setpoint(self, cfg, monkeypatch):
         """A nominal closure gap planted at setpoint 30 and a rank-deficient
-        arm-2 Jacobian at setpoint 20 of one 256-row block: `_branch`
+        arm-2 Jacobian at setpoint 20 of one stiffness block: `_branch`
         checks closure first, so the gap is found first. The pass runs
         again over setpoints 0-29, and the rank deficiency found then is
         raised with its setpoint too."""

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from twinmill import kinematics
+from twinmill import kinematics, stiffness
 from twinmill.compensation import simulate_deformation
 from twinmill.errors import ClosureError, InvalidInputError, SingularConfigurationError
 from twinmill.geometry import Pose, compose_rows, matrix_pose_rows, rotate6, transport_stiffness
@@ -14,6 +14,7 @@ from twinmill.stiffness import (
     JointStiffness,
     SpringModel,
     Wrench,
+    _BLOCK_ROWS,
     _compliance_from_jacobian,
     _spd_inverse,
     _stacked,
@@ -28,6 +29,10 @@ from twinmill.stiffness import (
 from conftest import make_one_link_arm, make_test_arm, planned_flanges, random_nonsingular_q
 
 DEFAULT_SPRING = np.diag([5e7, 5e7, 5e7, 5e5, 5e5, 5e5])
+# A stack that reaches into the second block of the stacked evaluation, and
+# two of its rows in that block.
+STACK = _BLOCK_ROWS + 44
+ROW, LATER_ROW = _BLOCK_ROWS + 14, _BLOCK_ROWS + 24
 KS = JointStiffness(np.array([4e6, 4e6, 3e6, 1.5e6, 1.5e6, 1e6]))
 
 
@@ -214,18 +219,18 @@ class TestCoupledStiffness:
 
     def test_pair_past_max_offset_is_refused(self, cfg, demo_program):
         """Arm-2 joints that reach 20 mm from the nominal arm-2 flange,
-        FK1(q1) ∘ flange2_offset, at row 270 of a 300-row stack (in its
+        FK1(q1) ∘ flange2_offset, at row ROW of a STACK-row stack (in its
         second block) are refused with that row and their gap."""
         sp = demo_program.pairs
-        idx = np.arange(300) % len(sp)
-        idx[270] = 11
+        idx = np.arange(STACK) % len(sp)
+        idx[ROW] = 11
         q1, q2 = sp.q1[idx], sp.q2[idx].copy()
-        nominal = forward_kinematics(cfg.system.arm1, q1[270]) @ cfg.system.flange2_offset
-        q2[270] = inverse_kinematics(cfg.system.arm2, nominal @ Pose(np.array([0.0, 0.02, 0.0])), q2[270])
+        nominal = forward_kinematics(cfg.system.arm1, q1[ROW]) @ cfg.system.flange2_offset
+        q2[ROW] = inverse_kinematics(cfg.system.arm2, nominal @ Pose(np.array([0.0, 0.02, 0.0])), q2[ROW])
         with pytest.raises(ClosureError) as exc:
             coupled_stiffness(cfg.system, q1, q2)
-        assert exc.value.index == 270
-        gap = np.linalg.norm(forward_kinematics(cfg.system.arm2, q2[270]).position - nominal.position)
+        assert exc.value.index == ROW
+        gap = np.linalg.norm(forward_kinematics(cfg.system.arm2, q2[ROW]).position - nominal.position)
         assert exc.value.gap == pytest.approx(gap, rel=1e-9)
         assert exc.value.gap == pytest.approx(0.02, abs=DEFAULT_TOL_POS)
         assert str(exc.value) == f"commanded arm-2 flange is {exc.value.gap:.3e} m from the nominal one"
@@ -363,7 +368,7 @@ class TestStacked:
     """Stacked q[..., 6] gives the per-row scalar results, also across the
     block boundary of the stacked evaluation."""
 
-    @pytest.mark.parametrize("n", [1, 255, 256, 257])
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_matches_per_row_scalar_calls(self, cfg, demo_rows, n):
         sys_ = cfg.system
         m = len(demo_rows[0])
@@ -412,39 +417,69 @@ class TestStacked:
         _assert_rows_equal(K.reshape(6, 6, 6), flat)
 
     def test_error_names_the_stack_row(self, cfg, demo_rows):
-        idx = np.arange(300) % len(demo_rows[0])
+        idx = np.arange(STACK) % len(demo_rows[0])
         q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
-        q2[270, 0] += 0.01  # opens the chain in the second block
+        q2[ROW, 0] += 0.01  # opens the chain in the second block
         with pytest.raises(ClosureError) as exc:
             coupled_stiffness(cfg.system, q1, q2)
-        assert exc.value.index == 270
+        assert exc.value.index == ROW
 
     def test_limit_error_names_the_joint_and_the_stack_row(self, cfg, demo_rows):
-        idx = np.arange(300) % len(demo_rows[0])
+        idx = np.arange(STACK) % len(demo_rows[0])
         q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
-        q1[270, 4] = 2.5  # beyond arm 1's q5 limit, in the second block
+        q1[ROW, 4] = 2.5  # beyond arm 1's q5 limit, in the second block
         lo, hi = cfg.system.arm1.joint_limits[4]
         for call in (lambda: coupled_stiffness(cfg.system, q1, q2),
                      lambda: tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0]))),
                      lambda: cartesian_stiffness(cfg.system.arm1, q1, cfg.system.joint_stiffness1)):
             with pytest.raises(InvalidInputError) as exc:
                 call()
-            assert exc.value.index == 270
+            assert exc.value.index == ROW
             assert str(exc.value) == ("joint configuration violates joint limits: "
                                       f"q5 = 2.5 rad outside [{lo:g}, {hi:g}] rad")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_error_names_the_joint_and_the_stack_row(self, cfg, demo_rows, value):
-        idx = np.arange(300) % len(demo_rows[0])
+        idx = np.arange(STACK) % len(demo_rows[0])
         q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
-        q1[280, 2] = value  # in the second block
+        q1[LATER_ROW, 2] = value  # in the second block
         for call in (lambda: coupled_stiffness(cfg.system, q1, q2),
                      lambda: tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0]))),
                      lambda: cartesian_stiffness(cfg.system.arm1, q1, cfg.system.joint_stiffness1)):
             with pytest.raises(InvalidInputError) as exc:
                 call()
-            assert exc.value.index == 280
+            assert exc.value.index == LATER_ROW
             assert str(exc.value) == f"joint configuration contains non-finite values: q3 = {value}"
+
+
+class TestBlockRows:
+    """Stacked rows are computed independently, so every stacked result
+    is the same, bit for bit, whatever the block size: here against one
+    block of all N rows."""
+
+    N = 600
+
+    @pytest.mark.parametrize("rows", [1, 7, 256, 512, N])
+    def test_results_are_bit_identical_for_every_block_size(self, cfg, demo_program, demo_rows, monkeypatch, rows):
+        sys_, sp = cfg.system, demo_program.pairs
+        idx = np.arange(self.N) % len(sp)
+        q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
+        program = SyncProgram(Setpoints(sp.tool_pose[idx], sp.q1[idx], sp.q2[idx]), tension=demo_program.tension,
+                              cell_sha256=demo_program.cell_sha256)
+        w = Wrench(np.array([1000.0, -200.0, 50.0]), np.array([3.0, -1.0, 2.0]))
+        offsets = np.random.default_rng(5).normal(0.0, 1e-4, (self.N, 6))
+
+        def results():
+            return [coupled_stiffness(sys_, q1, q2), tension_offset(sys_, q1, q2, w),
+                    predicted_tension(sys_, q1, q2, offsets).as_vector(),
+                    cartesian_stiffness(sys_.arm1, q1, sys_.joint_stiffness1),
+                    simulate_deformation(sys_, program).points]
+
+        monkeypatch.setattr(stiffness, "_BLOCK_ROWS", self.N)
+        expected = results()
+        monkeypatch.setattr(stiffness, "_BLOCK_ROWS", rows)
+        for got, want in zip(results(), expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 RANK_DEFICIENT = re.compile(r"Jacobian is rank deficient \(smallest singular value \S+\); "
@@ -460,24 +495,24 @@ class TestRankScreen:
     @pytest.fixture
     def stack(self, test_arm):
         rng = np.random.default_rng(41)
-        return np.array([random_nonsingular_q(test_arm, rng) for _ in range(300)])
+        return np.array([random_nonsingular_q(test_arm, rng) for _ in range(STACK)])
 
     def test_singular_row_in_the_second_block_is_named(self, test_arm, stack):
-        stack[270, 4] = 0.0  # q5 = 0 aligns joints 4 and 6
+        stack[ROW, 4] = 0.0  # q5 = 0 aligns joints 4 and 6
         with pytest.raises(SingularConfigurationError) as exc:
             cartesian_stiffness(test_arm, stack, KS)
-        assert exc.value.index == 270
+        assert exc.value.index == ROW
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
         with pytest.raises(SingularConfigurationError) as alone:
-            cartesian_stiffness(test_arm, stack[270], KS)
+            cartesian_stiffness(test_arm, stack[ROW], KS)
         assert str(alone.value) == str(exc.value)
 
     def test_exactly_singular_matrix_sends_its_block_to_the_svd(self, test_arm, stack):
         J = jacobian(test_arm, stack)
-        J[270, :, 2] = 0.0  # np.linalg.inv raises on the whole block
+        J[ROW, :, 2] = 0.0  # np.linalg.inv raises on the whole block
         with pytest.raises(SingularConfigurationError) as exc:
             _stiffness_from_jacobian(J, KS.diag)
-        assert exc.value.index == 270
+        assert exc.value.index == ROW
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
 
     def test_full_rank_block_whose_inverse_fails_is_inverted_by_its_svd(self, test_arm, stack):
@@ -498,7 +533,7 @@ class TestRankScreen:
         np.testing.assert_allclose(K[4], odd_inverse.T @ np.diag(KS.diag) @ odd_inverse, rtol=1e-9)
 
     def test_demo_rows_are_certified_without_an_svd(self, cfg, demo_rows, monkeypatch):
-        idx = np.arange(300) % len(demo_rows[0])
+        idx = np.arange(STACK) % len(demo_rows[0])
         q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
         expected = coupled_stiffness(cfg.system, q1, q2)
 
@@ -529,33 +564,33 @@ class TestBranchRankScreen:
 
     @pytest.fixture
     def singular_pairs(self, cfg, demo_rows):
-        """300 closed pairs of demo rows whose row 270, in the second block,
-        has arm 2's wrist at q5 = 0 and arm 1 full rank."""
+        """STACK closed pairs of demo rows whose row ROW, in the second
+        block, has arm 2's wrist at q5 = 0 and arm 1 full rank."""
         sys_ = cfg.system
-        idx = np.arange(300) % len(demo_rows[0])
+        idx = np.arange(STACK) % len(demo_rows[0])
         q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
-        q2[270, 4] = 0.0
-        attach = forward_kinematics(sys_.arm2, q2[270]) @ sys_.flange2_offset.inverse()
-        q1[270] = inverse_kinematics(sys_.arm1, attach, q1[270])
-        assert np.linalg.svd(jacobian(sys_.arm1, q1[270]), compute_uv=False)[-1] > 0.1
-        assert np.linalg.svd(jacobian(sys_.arm2, q2[270]), compute_uv=False)[-1] < 1e-12
+        q2[ROW, 4] = 0.0
+        attach = forward_kinematics(sys_.arm2, q2[ROW]) @ sys_.flange2_offset.inverse()
+        q1[ROW] = inverse_kinematics(sys_.arm1, attach, q1[ROW])
+        assert np.linalg.svd(jacobian(sys_.arm1, q1[ROW]), compute_uv=False)[-1] > 0.1
+        assert np.linalg.svd(jacobian(sys_.arm2, q2[ROW]), compute_uv=False)[-1] < 1e-12
         return q1, q2
 
     def test_singular_arm_2_row_in_the_second_block_is_named(self, cfg, singular_pairs):
         sys_, (q1, q2) = cfg.system, singular_pairs
         w = Wrench(np.array([1000.0, 0.0, 0.0]))
         with pytest.raises(SingularConfigurationError) as alone:
-            tension_offset(sys_, q1[270], q2[270], w)
+            tension_offset(sys_, q1[ROW], q2[ROW], w)
         message = str(alone.value)
         assert RANK_DEFICIENT.fullmatch(message)
         tool = compose_rows(forward_kinematics(sys_.arm1, q1), sys_.tool_offset)
         program = SyncProgram(Setpoints(tool, q1, q2), tension=w, cell_sha256=cell_sha256(sys_))
         for call, prefix in ((lambda: tension_offset(sys_, q1, q2, w), ""),
                              (lambda: coupled_stiffness(sys_, q1, q2), ""),
-                             (lambda: simulate_deformation(sys_, program), "setpoint 270: ")):
+                             (lambda: simulate_deformation(sys_, program), f"setpoint {ROW}: ")):
             with pytest.raises(SingularConfigurationError) as exc:
                 call()
-            assert exc.value.index == 270
+            assert exc.value.index == ROW
             assert str(exc.value) == prefix + message
 
     def test_zero_determinant_goes_to_the_svd(self, test_arm, monkeypatch):
@@ -583,7 +618,7 @@ class TestBranchRankScreen:
     def test_the_branch_takes_no_inverse(self, cfg, demo_rows, monkeypatch):
         """`tension_offset` is the branch alone, and `coupled_stiffness`
         inverts only arm 1's Jacobians, once per block."""
-        idx = np.arange(300) % len(demo_rows[0])
+        idx = np.arange(STACK) % len(demo_rows[0])
         q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
         inverted = self.recorded(monkeypatch, "inv")
         tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0])))
@@ -597,7 +632,7 @@ class TestSpdInverse:
 
     @pytest.fixture
     def spd_stack(self):
-        A = np.random.default_rng(42).normal(size=(300, 6, 6))
+        A = np.random.default_rng(42).normal(size=(STACK, 6, 6))
         return A @ np.swapaxes(A, -1, -2) + 0.5 * np.eye(6)
 
     def test_single_matrix(self, spd_stack):
@@ -605,10 +640,10 @@ class TestSpdInverse:
                                    rtol=0, atol=1e-12 * np.max(np.abs(np.linalg.inv(spd_stack[0]))))
 
     def test_non_positive_definite_row_in_the_second_block_is_named(self, spd_stack):
-        spd_stack[270, 3, 3] = -1.0
+        spd_stack[ROW, 3, 3] = -1.0
         with pytest.raises(SingularConfigurationError, match="^M is not positive definite") as exc:
-            _stacked(lambda m: _spd_inverse(m.reshape(-1, 6, 6), "M"), (6, 6), spd_stack.reshape(300, 36))
-        assert exc.value.index == 270
+            _stacked(lambda m: _spd_inverse(m.reshape(-1, 6, 6), "M"), (6, 6), spd_stack.reshape(STACK, 36))
+        assert exc.value.index == ROW
 
 
 class TestFramePasses:
@@ -640,16 +675,16 @@ class TestFramePasses:
 
     @pytest.fixture
     def pairs(self, demo_rows):
-        idx = np.arange(300) % len(demo_rows[0])
+        idx = np.arange(STACK) % len(demo_rows[0])
         return demo_rows[0][idx], demo_rows[1][idx]
 
     def test_coupled_stiffness(self, cfg, pairs, chain_rows):
         coupled_stiffness(cfg.system, *pairs)
-        assert chain_rows == {"_flange": 300, "_chain": 2 * 300}
+        assert chain_rows == {"_flange": STACK, "_chain": 2 * STACK}
 
     def test_tension_offset(self, cfg, pairs, chain_rows):
         tension_offset(cfg.system, *pairs, Wrench(np.array([1000.0, 0.0, 0.0])))
-        assert chain_rows == {"_flange": 300, "_chain": 300}
+        assert chain_rows == {"_flange": STACK, "_chain": STACK}
 
     def test_simulate_deformation(self, cfg, demo_program, chain_rows):
         simulate_deformation(cfg.system, demo_program)
