@@ -7,8 +7,9 @@ numbers per line. Every number is written with 17 significant digits
 (`%.17g`), so every finite double reads back bit-exact; lines end in LF.
 Data rows are parsed by one `np.loadtxt` call. A first column named
 `index` is the codec's own on both sides: `write_table` writes the row
-numbers 0, 1, 2, ... into it, and `read_table` checks that it counts them
-and returns the table without it. An `index` column anywhere else is an
+numbers 0, 1, 2, ... into it, from their integer digits rather than by
+the float kernel below, and `read_table` checks that it counts them and
+returns the table without it. An `index` column anywhere else is an
 ordinary column.
 
 Every refusal is an InvalidInputError naming the file kind and, where it
@@ -210,6 +211,19 @@ def _texts(x):
     return texts
 
 
+def _row_numbers(start, count, digits):
+    """The decimal texts of the row numbers start, ..., start + count - 1
+    as a (count, digits) uint8 array, right-aligned after NULs, which
+    `write_table` strips; `'%.17g' % k` is that text for every k < 1e17."""
+    k = np.arange(start, start + count)
+    texts = np.zeros((count, digits), dtype=np.uint8)
+    for j in range(digits):
+        place = 10 ** (digits - 1 - j)
+        first = max(place - start, 0) if place > 1 else 0  # the rows before are below `place`: a leading zero
+        texts[first:, j] = 48 + k[first:] // place % 10
+    return texts
+
+
 def write_table(meta, columns, data) -> str:
     """The metadata, the header and the rows of `data` as CSV text, every
     value as `'%.17g' % x`. `data` holds one column per name of `columns`,
@@ -235,31 +249,33 @@ def write_table(meta, columns, data) -> str:
     data = np.asarray(data, dtype=float)
     if not len(data):
         return "".join(parts)
-    width = len(columns) - (columns[0] == "index")
+    indexed = columns[0] == "index"
+    width = len(columns) - indexed
     if data.ndim != 2 or data.shape[1] != width:
         raise InvalidInputError(f"header {','.join(columns)!r} takes {width} data columns, got shape {data.shape}")
-    if width < len(columns):
-        data = np.column_stack([np.arange(len(data)), data])
     bits = data.view(np.int64)
     constant = np.all(bits == bits[0], axis=0)
-    literals = [""]  # the text before, between and after the other fields of a row
+    literals = [""]  # the text before, between and after the other fields of a row, after its index
     for i, fixed in enumerate(constant):
-        literals[-1] += "," if i else ""
+        literals[-1] += "," if i or indexed else ""
         if fixed:
             literals[-1] += "%.17g" % data[0, i]
         else:
             literals.append("")
     literals[-1] += "\n"
-    if constant.all():
+    if constant.all() and not indexed:
         parts.append(literals[0] * len(data))
         return "".join(parts)
+    digits = len(str(len(data) - 1))
     data = data[:, ~constant]
-    rows = max(1, _BLOCK_VALUES // data.shape[1])
+    rows = max(1, _BLOCK_VALUES // (data.shape[1] or 1))  # the index is not formatted by the kernel
     literals = [np.broadcast_to(np.frombuffer(text.encode(), dtype=np.uint8), (rows, len(text)))
                 for text in literals]
     for start in range(0, len(data), rows):
-        texts = _texts(data[start:start + rows].ravel()).reshape(-1, data.shape[1], _WIDTH)
-        pieces = [literals[0][:len(texts)]]
+        block = data[start:start + rows]
+        texts = _texts(block.ravel()).reshape(block.shape + (_WIDTH,))
+        pieces = [_row_numbers(start, len(block), digits)] if indexed else []
+        pieces.append(literals[0][:len(block)])
         for i, literal in enumerate(literals[1:]):
             pieces += [texts[:, i], literal[:len(texts)]]
         parts.append(np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode("ascii"))

@@ -53,7 +53,7 @@ _NOMINAL_GAP = (CLOSURE_TOL, "kinematic closure violated: arm-2 flange is {gap:.
 _MAX_SPRING_ENTRY = np.finfo(float).max / 2  # K + K.T and K - K.T stay finite
 _MAX_WRENCH_NORM = np.sqrt(np.finfo(float).max)  # its square overflows above it
 _MIN_SINGULAR_VALUE = 1e-8
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 512
 
 _AXES = ("x", "y", "z", "rx", "ry", "rz")
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twinmill import cli
+from twinmill import cli, csvtable
 from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
 from twinmill.csvtable import _BLOCK_VALUES, read_table, write_table
 from twinmill.errors import InvalidInputError
@@ -124,6 +124,27 @@ class TestWriteTable:
         # A one-row table has only constant columns, written as literals.
         assert write_table({}, ("index", "x"), [[0.5]]) == "index,x\n0,0.5\n"
         assert write_table({}, ("index",), np.zeros((3, 0))) == "index\n0\n1\n2\n"
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000, 10_001])
+    def test_index_digits_match_row_by_row_format(self, n, monkeypatch):
+        """The index column is written from integer digits, right-aligned
+        with no leading zeros, at every decade edge. The index is not a
+        kernel value, so with three non-constant columns a block is
+        BLOCK_ROWS rows: blocks start mid-decade, one at row 4095, and the
+        one at 9555 holds both 9999 and 10000."""
+        starts, real = [], csvtable._row_numbers
+
+        def spy(start, count, digits):
+            starts.append(start)
+            return real(start, count, digits)
+
+        monkeypatch.setattr(csvtable, "_row_numbers", spy)
+        rng = np.random.default_rng(n)
+        data = np.column_stack([rng.normal(size=n), np.full(n, 0.5), rng.normal(size=(n, 2))])
+        columns = ("index", "a", "b", "c", "d")
+        # Lists of lines, so that a failure names its first wrong line quickly.
+        assert write_table({}, columns, data).split("\n") == row_by_row(columns, data).split("\n")
+        assert (4095 in starts) == (n > 4095)
 
     def test_an_index_column_elsewhere_is_an_ordinary_column(self):
         text = write_table({}, ("x", "index"), [[1, 2.5], [3, -0.0]])
