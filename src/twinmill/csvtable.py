@@ -263,9 +263,6 @@ def write_table(meta, columns, data) -> str:
         else:
             literals.append("")
     literals[-1] += "\n"
-    if constant.all() and not indexed:
-        parts.append(literals[0] * len(data))
-        return "".join(parts)
     digits = len(str(len(data) - 1))
     data = data[:, ~constant]
     rows = max(1, _BLOCK_VALUES // (data.shape[1] or 1))  # the index is not formatted by the kernel

@@ -172,6 +172,8 @@ class TestWriteTable:
                                 np.where(np.arange(n) % 2, 0.0, -0.0), np.full(n, 1e300)])
         columns = ("index", *"abcde")
         assert write_table({"k": "v"}, columns, data) == "# k=v\n" + row_by_row(columns, data)
+        constant = data[:, [0, 2, 4]]  # no index, and every column constant
+        assert write_table({}, tuple("ace"), constant) == row_by_row(tuple("ace"), constant)
 
     def test_program_csv_matches_row_by_row_format(self, cfg):
         """The 4 tool quaternion columns of a 3-axis program are constant."""
