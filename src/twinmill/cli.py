@@ -40,16 +40,15 @@ def _parse_input(path, parse):
     """parse(text) of a CLI input file other than the config (which
     `config.load_config` reads). A file that cannot be read or is not UTF-8
     raises a TwinmillError (exit 3) naming it; a TwinmillError of `parse`
-    gets the file as a prefix and keeps its type and location."""
+    gets the file as a prefix and as `file`, and keeps its type and location."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise TwinmillError(f"cannot read {path}: {exc}") from exc
+        raise TwinmillError(f"cannot read {path}: {exc}", file=path) from exc
     try:
         return parse(text)
     except TwinmillError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+        raise exc.within(f"{path}: ", file=path)
 
 
 def _load_config(path_arg):
@@ -104,8 +103,7 @@ def _tension_wrench(magnitude, axis):
     try:
         return Wrench(force)
     except InvalidInputError as exc:
-        exc.args = (f"--tension {magnitude:g}: {exc}",)
-        raise
+        raise exc.within(f"--tension {magnitude:g}: ")
 
 
 def cmd_modal(args):
@@ -136,9 +134,7 @@ def cmd_frf(args):
     try:
         frf = modal.h1_estimate(records, nfft=args.nfft)
     except InvalidInputError as exc:
-        if exc.index is None:
-            raise
-        raise InvalidInputError(f"{args.impacts[exc.index]}: {exc}", index=exc.index) from exc
+        raise exc if exc.index is None else exc.within(f"{args.impacts[exc.index]}: ", file=args.impacts[exc.index])
     Path(args.out).write_text(modal.frf_to_csv(frf))
     print(f"wrote H1 FRF ({frf.frequencies.size} bins) to {args.out}")
     return EXIT_OK
@@ -156,19 +152,15 @@ def cmd_plan(args):
     path = _read_path(args.path_file, args.work_offset_mm)
     tension = _tension_wrench(args.tension, args.tension_axis)
     d = cfg.defaults
-    program = pathplan.plan_sync(
-        cfg.system,
-        path,
-        tension,
-        (cfg.ik_seed1, cfg.ik_seed2),
-        chord_tol=d["chord_tol_m"],
-        max_step=d["max_step_m"],
-        workspace_box=cfg.workspace_box,
-        joint_jump_max=d["joint_jump_max_rad"],
-        tol_pos=d["tol_pos_m"],
-        tol_rot=d["tol_rot_rad"],
-        max_iter=d["max_iter"],
-    )
+    try:
+        program = pathplan.plan_sync(
+            cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2), chord_tol=d["chord_tol_m"],
+            max_step=d["max_step_m"], workspace_box=cfg.workspace_box, joint_jump_max=d["joint_jump_max_rad"],
+            tol_pos=d["tol_pos_m"], tol_rot=d["tol_rot_rad"], max_iter=d["max_iter"])
+    except TwinmillError as exc:
+        # Only the path file's segments carry a line or a schema path.
+        named = exc.line is not None or exc.path is not None
+        raise exc.within(f"{args.path_file}: ", file=args.path_file) if named else exc
     Path(args.out).write_text(pathplan.program_to_csv(program))
     print(f"planned {len(program.pairs)} synchronized setpoints to {args.out}")
     return EXIT_OK
@@ -180,7 +172,7 @@ def _check_cell(program, system, path):
     cell = cell_sha256(system)
     if program.cell_sha256 != cell:
         raise TwinmillError(f"program {path} was planned on cell_sha256={program.cell_sha256}, "
-                            f"the config's cell is {cell}")
+                            f"the config's cell is {cell}", file=path)
 
 
 def cmd_deform(args):

@@ -69,9 +69,9 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
         arm = 2  # arm 1's joints passed
         K = coupled_stiffness(sys, sp.q1, sp.q2)
     except (InvalidInputError, ClosureError, SingularConfigurationError) as exc:
-        joint = f", arm {arm}" if isinstance(exc, InvalidInputError) else ""
-        exc.args = (f"setpoint {exc.index}{joint}: {exc}",)
-        raise
+        if isinstance(exc, InvalidInputError):
+            raise exc.within(f"setpoint {exc.index}, arm {arm}: ", arm=arm)
+        raise exc.within(f"setpoint {exc.index}: ")
     w = np.broadcast_to(program.tension.as_vector(), sp.q1.shape)
     delta = np.linalg.solve(K, w[..., None])[..., 0]
     pts = sp.tool_pose[:, :3] + delta[:, :3]

@@ -118,15 +118,13 @@ def parse_config(text) -> SystemConfig:
 def load_config(path) -> SystemConfig:
     """The SystemConfig of the config file at `path`, by `parse_config`. A
     refusal without a schema path (a file that cannot be read or is not
-    JSON) names the file."""
+    JSON) names the file; each refusal carries the file as `file`."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path}: {exc}", file=path) from exc
     try:
         return parse_config(text)
     except ConfigError as exc:
-        if exc.path is not None:
-            raise
-        raise ConfigError(f"config file {path}: {exc}") from exc
+        raise exc.within("" if exc.path is not None else f"config file {path}: ", file=path)

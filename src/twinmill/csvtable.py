@@ -328,12 +328,13 @@ class Metadata(dict):
         self.header_line = header_line
 
     def line_error(self, line, message):
-        """A refusal at 1-based `line`."""
-        return InvalidInputError(f"{self.what} line {line}: {message}", line=line)
+        """A refusal at 1-based `line` alone: of `message`, or the InvalidInputError given."""
+        exc = InvalidInputError(message) if isinstance(message, str) else message
+        return exc.within(f"{self.what} line {line}: ", index=None, line=line)
 
     def row_error(self, k, message):
-        """A refusal of data row k. Blank lines count towards the line but
-        hold no row."""
+        """A refusal of data row k, as `line_error` makes it. Blank lines
+        count towards the line but hold no row."""
         lines = self.text.split("\n")
         return self.line_error([n for n in range(self.header_line, len(lines)) if lines[n].strip()][k] + 1,
                                message)
@@ -344,13 +345,11 @@ class Metadata(dict):
 
     def build(self, cls, *args):
         """cls(*args), an InvalidInputError of it that names a row as
-        `index` refused at that row's line."""
+        `index` placed at that row's line instead."""
         try:
             return cls(*args)
         except InvalidInputError as exc:
-            if exc.index is None:
-                raise
-            raise self.row_error(exc.index, str(exc)) from exc
+            raise exc if exc.index is None else self.row_error(exc.index, exc)
 
     def numbers(self, key, default):
         """The space-separated finite numbers of metadata `key` as a list

@@ -1,17 +1,30 @@
-"""Exception hierarchy shared by all twinmill modules."""
+"""Exception hierarchy shared by all twinmill modules. A refusal's place is
+data on the error (`index`, `line`, `path`, `arm`, `file`) as well as text in
+its message, added by `raise exc.within(prefix, **place)`, which keeps the type."""
 
 
 class TwinmillError(Exception):
     """Base class for all toolkit errors. Where a refusal is located, it
     says so as data: `index` is the offending row of a stacked input,
-    `line` the 1-based line of a text file (G-code, CSV) and `path` the
-    schema path of a JSON element (`config.arm1.dh_rows[0][2]`)."""
+    `line` the 1-based line of a text file (G-code, CSV), `path` the
+    schema path of a JSON element (`config.arm1.dh_rows[0][2]`), `arm`
+    the arm (1 or 2) and `file` the input file; each is None if unknown."""
 
-    def __init__(self, message, index=None, line=None, path=None):
+    def __init__(self, message, index=None, line=None, path=None, arm=None, file=None):
         super().__init__(message)
         self.index = index
         self.line = line
         self.path = path
+        self.arm = arm
+        self.file = file
+
+    def within(self, prefix="", **place):
+        """This error with `prefix` put in front of its message as given and
+        the place fields of `place` set, its type, other fields and cause
+        kept: a site that adds a place does `raise exc.within(...)`."""
+        Exception.__init__(self, f"{prefix}{self}")
+        vars(self).update(place)
+        return self
 
 
 class InvalidInputError(TwinmillError):

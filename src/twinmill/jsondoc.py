@@ -107,11 +107,11 @@ def array(value, shape, where, leaf=number):
 
 
 def build(cls, where, *args):
-    """cls(*args), its InvalidInputError prefixed with and carrying `where`."""
+    """cls(*args), its InvalidInputError placed at `where` alone unless it names a path."""
     try:
         return cls(*args)
     except InvalidInputError as exc:
-        raise InvalidInputError(f"{where}: {exc}", path=where) from exc
+        raise exc if exc.path is not None else exc.within(f"{where}: ", path=where, index=None)
 
 
 def pose(value, where) -> Pose:

@@ -126,6 +126,14 @@ class ArcSegment:
         return self.radius * abs(self.sweep)
 
 
+def _at_source(seg, exc):
+    """`exc` placed where `seg` was read: at its G-code line (as `line`) or
+    path JSON element (as `path`); a segment built in code has neither."""
+    if isinstance(seg.source, int):
+        return exc.within(f"line {seg.source}: ", line=seg.source)
+    return exc if seg.source is None else exc.within(f"{seg.source}: ", path=seg.source)
+
+
 @dataclass(frozen=True)
 class ToolPath:
     segments: tuple
@@ -141,7 +149,7 @@ class ToolPath:
             with np.errstate(over="ignore"):  # inf past the float range, refused as a gap
                 gap = np.linalg.norm(cur.start.position - prev.end.position)
             if not gap <= _POSITION_TOL:
-                raise InvalidInputError(f"toolpath is not C0-continuous (gap {gap:.3e} m)")
+                raise _at_source(cur, InvalidInputError(f"toolpath is not C0-continuous (gap {gap:.3e} m)"))
         object.__setattr__(self, "segments", segs)
 
     @property
@@ -355,7 +363,7 @@ def path_from_json(text) -> ToolPath:
         return jsondoc.build(ToolPath, "segments",
                              tuple(_json_segment(s, f"segments[{k}]") for k, s in enumerate(segs)), feed)
     except InvalidInputError as exc:
-        raise InvalidInputError(f"path JSON {exc}", path=exc.path) from exc
+        raise exc.within("path JSON ")
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +420,9 @@ def discretize(path: ToolPath, chord_tol, max_step):
         counts.append(_samples(seg, chord_tol, max_step))
         total += counts[-1]
         if total > MAX_SAMPLES:
-            where, place = f"segment {k}", {}
-            if isinstance(seg.source, int):
-                where, place = f"line {seg.source}: the segment", {"line": seg.source}
-            elif isinstance(seg.source, str):
-                where, place = f"{seg.source}: the segment", {"path": seg.source}
-            raise InvalidInputError(f"{where} takes the path past {MAX_SAMPLES} samples "
-                                    f"(chord_tol {chord_tol:g} m, max_step {max_step:g} m)", **place)
+            what = f"segment {k}" if seg.source is None else "the segment"
+            raise _at_source(seg, InvalidInputError(f"{what} takes the path past {MAX_SAMPLES} samples "
+                                                    f"(chord_tol {chord_tol:g} m, max_step {max_step:g} m)"))
     start = path.segments[0].start
     parts = [_rows(start.position[None], start.quaternion)]
     for seg, n in zip(path.segments, counts):
@@ -468,7 +472,7 @@ class Setpoints:
         try:
             tool_pose = pose_rows(tool_pose)
         except InvalidInputError as exc:
-            raise InvalidInputError(f"tool_pose: {exc}", index=exc.index) from exc
+            raise exc.within("tool_pose: ")
         if tool_pose.ndim != 2:
             raise InvalidInputError("tool_pose must hold one 7-value pose per setpoint")
         n = len(tool_pose)
@@ -532,7 +536,7 @@ def apply_world_offset(rows, offsets):
     return np.concatenate([rows[..., :3] + offsets[..., :3], q], axis=-1)
 
 
-def _solve(arm, targets, blocks, tol, what):
+def _solve(arm, targets, blocks, tol, k, stage=""):
     """Stacked IK of one arm's targets (rows [N, 7]) by the blocks (start,
     stop, seeds) of `blocks(q)`, in order, `seeds` one (6,) for the block
     or one per row; when a block is asked for, q[:start] holds the
@@ -541,8 +545,8 @@ def _solve(arm, targets, blocks, tol, what):
     so q is bit-identical wherever a block is cut, and a failing call
     hands back the rows before its failing one as `solved`. Returns the
     solutions of the targets before the first failing one and a PlanError
-    naming its setpoint and `what`, caused by the UnreachableTargetError;
-    or (all of them, None)."""
+    naming its setpoint and arm `k` (as `index` and `arm`) and `stage`,
+    caused by the UnreachableTargetError; or (all of them, None)."""
     q = np.empty((len(targets), 6))
     for start, stop, seeds in blocks(q):
         for first in range(start, stop, _BLOCK_ROWS):
@@ -553,7 +557,8 @@ def _solve(arm, targets, blocks, tol, what):
             except UnreachableTargetError as exc:
                 last = first + exc.index
                 q[first:last] = exc.solved
-                failure = PlanError(f"IK failed at setpoint {last} ({what}): {exc}", index=last)
+                what = f"arm {k} {stage}".rstrip()
+                failure = PlanError(f"IK failed at setpoint {last} ({what}): {exc}", index=last, arm=k)
                 failure.__cause__ = exc
                 return q[:last], failure
     return q, None
@@ -666,7 +671,7 @@ def plan_sync(
     for k, (arm, seed) in enumerate(zip((sys.arm1, sys.arm2), seeds)):
         _, violation = _limit_violation(arm, seed, "seed")
         if violation:
-            raise InvalidInputError(f"ik_seeds[{k}] (arm {k + 1}): {violation}")
+            raise InvalidInputError(f"ik_seeds[{k}] (arm {k + 1}): {violation}", arm=k + 1)
     seeds = np.stack(seeds)
     tool = discretize(path, chord_tol, max_step)
     if workspace_box is not None:
@@ -691,10 +696,10 @@ def plan_sync(
 
     # Pass 1: IK of arm 1, then of arm 2's nominal pose.
     q1, exc = _solve(sys.arm1, r1, lambda q: _pass_one_blocks(
-        sys.arm1, r1, tool[:, :3], seeds[0], joint_jump_max, q), tol, "arm 1")
+        sys.arm1, r1, tool[:, :3], seeds[0], joint_jump_max, q), tol, 1)
     stop(exc)
     q2_nominal, exc = _solve(sys.arm2, r2_nominal[:n], lambda q: _pass_one_blocks(
-        sys.arm2, r2_nominal[:n], tool[:n, :3], seeds[1], joint_jump_max, q), tol, "arm 2 nominal")
+        sys.arm2, r2_nominal[:n], tool[:n, :3], seeds[1], joint_jump_max, q), tol, 2, "nominal")
     stop(exc)
 
     # Pass 2: every tension offset in one stacked evaluation, then the bound
@@ -707,15 +712,14 @@ def plan_sync(
             check_closure(r2_commanded[:, :3], r2_nominal[:n, :3], MAX_OFFSET, COMMANDED_GAP)
             break
         except (SingularConfigurationError, ClosureError) as exc:
-            exc.args = (f"setpoint {exc.index}: {exc}",)
-            stop(exc)
+            stop(exc.within(f"setpoint {exc.index}: "))
 
     # Pass 3: IK of arm 2's commanded pose, each row seeded in closed form
     # on the branch of setpoint 0's nominal solution or, where
     # `_branch_seeds` gives none, with its nominal solution.
     seeds2 = _branch_seeds(sys.arm2, r2_commanded[:n], q2_nominal[0], joint_jump_max) if n else None
     seeds2 = q2_nominal[:n] if seeds2 is None else seeds2
-    q2, exc = _solve(sys.arm2, r2_commanded[:n], lambda q: [(0, n, seeds2)], tol, "arm 2 commanded")
+    q2, exc = _solve(sys.arm2, r2_commanded[:n], lambda q: [(0, n, seeds2)], tol, 2, "commanded")
     stop(exc)
 
     # Continuity guard between consecutive pairs.

@@ -310,9 +310,7 @@ def _stacked(fn, out_shape, *stacks):
         try:
             out[block] = fn(*(r[block] for r in rows))
         except TwinmillError as exc:
-            if exc.index is not None:
-                exc.index += start
-            raise
+            raise exc if exc.index is None else exc.within(index=exc.index + start)
     return out.reshape(lead + out_shape)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from twinmill import cli, config, modal
-from twinmill.errors import InvalidInputError, UnsupportedGcodeError
+from twinmill.errors import InvalidInputError, TwinmillError, UnsupportedGcodeError
 from twinmill.geometry import Pose
 from twinmill.pathplan import (
     Setpoints,
@@ -698,6 +698,18 @@ def _half_qw_at_setpoint_14(fields):
         fields[4] = "0.5"
 
 
+def _q1_5_at_setpoint_7(fields):
+    """Setpoint 7's q1 joint 5 (field 12) at 2.5 rad, beyond its 2.2 rad limit."""
+    if fields[0] == "7":
+        fields[12] = "2.5"
+
+
+def _ik_seed1_q5(value):
+    doc = demo_config_dict()
+    doc["ik_seed1_rad"][4] = value
+    return json.dumps(doc)
+
+
 def _tension_wrench_1e200(text):
     """The program CSV `text` with a tension of 1e200 N along x, whose
     square overflows."""
@@ -732,17 +744,20 @@ REFUSALS = {
         lambda p: {"path.json": json.dumps({"segments": [
             {"type": "linear", "start": _pose(-1e308), "end": _pose(1e308)}]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
-        "error: segments[0]: the segment takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
+        "error: {path.json}: segments[0]: the segment takes the path past 1048576 samples "
+        "(chord_tol 1e-05 m, max_step 0.005 m)\n"),
     # Coordinates near the float range are refused with no numpy warning,
     # which the tests' filterwarnings = error would raise instead.
     "path JSON arc center at -1e200": (
         lambda p: {"path.json": json.dumps({"segments": [_arc([-1e200, 0, 0], 0)]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
-        "error: segments[0]: the segment takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
+        "error: {path.json}: segments[0]: the segment takes the path past 1048576 samples "
+        "(chord_tol 1e-05 m, max_step 0.005 m)\n"),
     "path JSON arc start at 1e200": (
         lambda p: {"path.json": json.dumps({"segments": [_arc([0, 0, 0], 1e200)]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
-        "error: segments[0]: the segment takes the path past 1048576 samples (chord_tol 1e-05 m, max_step 0.005 m)\n"),
+        "error: {path.json}: segments[0]: the segment takes the path past 1048576 samples "
+        "(chord_tol 1e-05 m, max_step 0.005 m)\n"),
     "path JSON arc start 3e308 from its center": (
         lambda p: {"path.json": json.dumps({"segments": [_arc([-1.5e308, 0, 0], 1.5e308)]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
@@ -752,7 +767,7 @@ REFUSALS = {
             {"type": "linear", "start": _pose(0), "end": _pose(1e200)},
             {"type": "linear", "start": _pose(-1e200), "end": _pose(0)}]})},
         ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
-        "error: {path.json}: path JSON segments: toolpath is not C0-continuous (gap inf m)\n"),
+        "error: {path.json}: path JSON segments[1]: toolpath is not C0-continuous (gap inf m)\n"),
     "config repeated key": (
         lambda p: {"system.json": json_with_a_repeated_key(demo_config_dict(), (), "spring_matrix", [[1]])},
         ["--config", "{system.json}", "modal", "--tensions", "0", "--out", "{out}"], 2,
@@ -805,7 +820,33 @@ REFUSALS = {
         lambda p: {"program.csv": program_to_csv(p).replace("# cell_sha256=", "# chord_tol_m=2e-05\n# cell_sha256=")},
         ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
         "error: {program.csv}: program CSV line 5: metadata chord_tol_m repeated, first given on line 3\n"),
+    "program with arm 1 outside its joint limits": (
+        lambda p: {"program.csv": _edited_program(program_to_csv(p), _q1_5_at_setpoint_7)},
+        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
+        "error: setpoint 7, arm 1: joint configuration violates joint limits: q5 = 2.5 rad outside [-2.2, 2.2] rad\n"),
+    "config IK seed outside its joint limits": (
+        lambda p: {"system.json": _ik_seed1_q5(3.0), "slot.gcode": SLOT_GCODE},
+        ["--config", "{system.json}", "plan", "{slot.gcode}", "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"],
+        3, "error: ik_seeds[0] (arm 1): seed violates joint limits: q5 = 3 rad outside [-2.2, 2.2] rad\n"),
 }
+
+
+def _refusal_files(tmp_path, demo_program, files, argv, stderr):
+    """Write a REFUSALS case's files under tmp_path. Returns its argv and
+    stderr, each path written in braces filled in, and the paths of the
+    files written."""
+    texts = files(demo_program)
+    written = {name: str(tmp_path / name) for name in texts}
+    for name, text in texts.items():
+        Path(written[name]).write_text(text)
+    paths = {"out": str(tmp_path / "out"), "out.csv": str(tmp_path / "out.csv"), **written}
+
+    def fill(text):
+        for name, path in paths.items():
+            text = text.replace(f"{{{name}}}", path)
+        return text
+
+    return [fill(arg) for arg in argv], fill(stderr), list(written.values())
 
 
 @pytest.mark.parametrize("name, text, parse, cls, message, line, path", [
@@ -826,15 +867,25 @@ def test_a_reader_refusal_names_its_file_and_keeps_its_type_and_place(tmp_path, 
 def test_refusal_exits_2_or_3_naming_its_place(tmp_path, demo_program, capsys, files, argv, code, stderr):
     """Each input exits with its code, never 1, and stderr is one line
     naming the line, the schema path or the file of the bad data."""
-    paths = {name: str(tmp_path / name) for name in ("out", "out.csv")}
-    for name, text in files(demo_program).items():
-        paths[name] = str(tmp_path / name)
-        Path(paths[name]).write_text(text)
+    argv, stderr, _ = _refusal_files(tmp_path, demo_program, files, argv, stderr)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == stderr
 
-    def fill(text):
-        for name, path in paths.items():
-            text = text.replace(f"{{{name}}}", path)
-        return text
 
-    assert cli.main([fill(arg) for arg in argv]) == code
-    assert capsys.readouterr().err == fill(stderr)
+@pytest.mark.parametrize("files, argv, code, stderr", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refusal_carries_as_data_each_place_its_stderr_names(tmp_path, demo_program, files, argv, code, stderr):
+    """The error itself, caught in-process from the command, is the one
+    `main` prints, and carries each place that line names: an input file
+    as `file`, `setpoint k` as `index` and `arm n` as `arm`."""
+    argv, stderr, written = _refusal_files(tmp_path, demo_program, files, argv, stderr)
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(TwinmillError) as exc:
+        args.func(args)
+    assert stderr == f"{'config error' if code == 2 else 'error'}: {exc.value}\n"
+    named = [path for path in written if path in stderr]
+    if named:
+        assert [exc.value.file] == named
+    if setpoint := re.search(r"\bsetpoint (\d+)", stderr):
+        assert exc.value.index == int(setpoint[1])
+    if arm := re.search(r"\barm (\d)", stderr):
+        assert exc.value.arm == int(arm[1])

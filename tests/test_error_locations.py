@@ -1,16 +1,25 @@
 """Every reader's refusal says where the bad data is as data, not only in
 its message: `line` for G-code and CSV text, `path` for a JSON element;
-the other locations stay None. Each message is pinned in full."""
+the other places (`index`, `arm`, `file`) stay None. Each message is pinned in full."""
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
 from twinmill.config import parse_config
-from twinmill.errors import ConfigError, InvalidInputError, MalformedArcError, UnsupportedGcodeError
+from twinmill.errors import (
+    ClosureError,
+    ConfigError,
+    InvalidInputError,
+    MalformedArcError,
+    TwinmillError,
+    UnreachableTargetError,
+    UnsupportedGcodeError,
+)
 from twinmill.modal import (
     FrfSeries,
     ModalModel,
@@ -108,6 +117,17 @@ def _path_json_with_an_arc(center, start):
     arc = {"type": "arc", "center_m": center, "normal": [0, 0, 1], "sweep_rad": 1.0,
            "start": {"position_m": start, "quaternion_wxyz": [1, 0, 0, 0]}}
     return json.dumps({"segments": [arc]})
+
+
+def _path_json_with_a_gap():
+    """Two lines, the second starting 10 mm past the end of the first."""
+    doc = {"segments": [{"type": "linear", "start": _pose(0), "end": _pose(0.01)},
+                        {"type": "linear", "start": _pose(0.02), "end": _pose(0.03)}]}
+    return json.dumps(doc)
+
+
+def _pose(x):
+    return {"position_m": [x, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}
 
 
 # name: (reader call on the demo program, error class, line, path, message)
@@ -258,6 +278,10 @@ LOCATED = {
                                             InvalidInputError, None, "segments[0]",
                                             "path JSON segments[0]: arc start does not lie in the plane through the "
                                             "center"),
+    # A gap is refused at the segment after it.
+    "path JSON gap": (lambda p: path_from_json(_path_json_with_a_gap()),
+                      InvalidInputError, None, "segments[1]",
+                      "path JSON segments[1]: toolpath is not C0-continuous (gap 1.000e-02 m)"),
 }
 
 
@@ -265,5 +289,41 @@ LOCATED = {
 def test_refusal_carries_its_location(demo_program, read, cls, line, path, message):
     with pytest.raises(cls) as exc:
         read(demo_program)
-    assert (exc.value.index, exc.value.line, exc.value.path) == (None, line, path)
+    assert (exc.value.index, exc.value.line, exc.value.path, exc.value.arm, exc.value.file) == (None, line, path,
+                                                                                                None, None)
     assert str(exc.value) == message
+
+
+class TestWithin:
+    """`TwinmillError.within` puts a prefix in front of the message as given
+    and sets the place fields it is given, on the error itself."""
+
+    def test_keeps_the_type_the_other_fields_and_the_cause(self):
+        cause = ValueError("inner")
+        exc = UnreachableTargetError("target out of reach", pos_residual=0.5, index=3, solved="rows")
+        exc.__cause__ = cause
+        assert exc.within("path JSON ", file="p.json", arm=2) is exc
+        assert type(exc) is UnreachableTargetError and exc.__cause__ is cause
+        assert str(exc) == "path JSON target out of reach"
+        assert (exc.index, exc.line, exc.path, exc.arm, exc.file) == (3, None, None, 2, "p.json")
+        assert (exc.pos_residual, exc.rot_residual, exc.solved) == (0.5, None, "rows")
+
+    def test_sets_only_the_fields_given(self):
+        exc = ClosureError("gap", gap=1.0, index=4).within(line=7)
+        assert str(exc) == "gap"
+        assert (exc.index, exc.line, exc.path, exc.arm, exc.file, exc.gap) == (4, 7, None, None, None, 1.0)
+        assert exc.within("setpoint 4: ", index=None).index is None
+
+    def test_each_call_prefixes_the_message_once(self):
+        exc = TwinmillError("bad").within("b: ").within("a: ")
+        assert (str(exc), exc.args) == ("a: b: bad", ("a: b: bad",))
+
+
+def test_no_source_rewrites_an_error_message_in_place():
+    """A place is added by `TwinmillError.within`, never by assigning an
+    error's `args`."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    found = [f"{path.relative_to(src)}:{n}" for path in sorted(src.rglob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+             if re.search(r"\.args\s*=(?!=)", line)]
+    assert found == []

@@ -355,6 +355,20 @@ class TestSegments:
         with pytest.raises(InvalidInputError):
             ToolPath((a, b))
 
+    # (the later segment's source, the refusal's message prefix, `line`, `path`)
+    @pytest.mark.parametrize("source, prefix, line, at", [
+        (None, "", None, None),
+        (3, "line 3: ", 3, None),
+        ("segments[1]", "segments[1]: ", None, "segments[1]"),
+    ], ids=["built in code", "G-code line", "path JSON element"])
+    def test_a_gap_is_refused_at_the_later_segment(self, source, prefix, line, at):
+        a = LinearSegment(Pose(np.zeros(3)), Pose(np.array([0.01, 0.0, 0.0])), source=1)
+        b = LinearSegment(Pose(np.array([0.02, 0.0, 0.0])), Pose(np.array([0.03, 0.0, 0.0])), source=source)
+        with pytest.raises(InvalidInputError) as exc:
+            ToolPath((a, b))
+        assert str(exc.value) == f"{prefix}toolpath is not C0-continuous (gap 1.000e-02 m)"
+        assert (exc.value.index, exc.value.line, exc.value.path) == (None, line, at)
+
     @pytest.mark.parametrize("feed", [-100.0, -5e-324, np.nan, np.inf, -np.inf])
     def test_path_refuses_a_negative_or_non_finite_feed(self, feed):
         line = LinearSegment(Pose(np.zeros(3)), Pose(np.array([0.01, 0.0, 0.0])))
@@ -1189,7 +1203,7 @@ class TestSolveChunks:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pathplan, "_BLOCK_ROWS", chunk)
-            return pathplan._solve(arm, targets, blocks, (DEFAULT_TOL_POS, DEFAULT_TOL_ROT, 200), "arm 1")
+            return pathplan._solve(arm, targets, blocks, (DEFAULT_TOL_POS, DEFAULT_TOL_ROT, 200), 1)
 
     @settings(max_examples=12)
     @given(st.data())
