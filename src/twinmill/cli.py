@@ -1,8 +1,9 @@
 """Command-line frontend: modal, frf, plan and deform subcommands.
 
 Exit codes: 0 success, 2 config error, 3 computation error, 64 usage
-error. All outputs are deterministic for fixed inputs; the only RNG use
-is the deform --noise-sigma option, which requires --seed.
+error. A refused command writes nothing: every refusal comes before the
+first output file. All outputs are deterministic for fixed inputs; the
+only RNG use is the deform --noise-sigma option, which requires --seed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ CONFIG_ENV_VAR = "TWINMILL_CONFIG"
 # The modal frequency grid is refused above this many points, before it is
 # allocated.
 MAX_GRID_POINTS = 2**20
+MAX_NOISE_SIGMA = 1e6  # m; a tracker noise beyond 1000 km is a typo, and one near the float range overflows
 
 
 class _UsageError(Exception):
@@ -58,19 +60,31 @@ def _load_config(path_arg):
     return config_mod.load_config(path)
 
 
-def _number(low=-math.inf, strict=False):
-    """argparse type of a finite float >= low (> low if strict); argparse
-    reports a refusal as a usage error naming the option."""
+def _number(low=-math.inf, strict=False, high=math.inf):
+    """argparse type of a finite float >= low (> low if strict) and <=
+    high; argparse reports a refusal as a usage error naming the option."""
     def parse(text):
         try:
             x = float(text)
         except ValueError:
             x = math.nan
-        if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        if not (math.isfinite(x) and (x > low if strict else x >= low) and x <= high):
             bound = f" {'>' if strict else '>='} {low:g}" if math.isfinite(low) else ""
+            bound += f" and <= {high:g}" if math.isfinite(high) else ""
             raise argparse.ArgumentTypeError(f"expected a finite number{bound}, got {text!r}")
         return x
     return parse
+
+
+def _seed(text):
+    """argparse type of a non-negative integer, as np.random.default_rng takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _tension_list(text):
@@ -89,8 +103,9 @@ def _work_offset(text):
 
 def _frequency_grid(fmax, df):
     """np.arange(1.0, fmax, df), refused before it is allocated when it
-    would hold more than MAX_GRID_POINTS points."""
-    n = math.ceil((fmax - 1.0) / df)
+    would hold more than MAX_GRID_POINTS points (an infinite count too)."""
+    n = (fmax - 1.0) / df
+    n = math.ceil(n) if math.isfinite(n) else n
     if n > MAX_GRID_POINTS:
         raise _UsageError(f"--tensions and --df give a frequency grid of {n:.4g} points up to "
                           f"{fmax:g} Hz, more than {MAX_GRID_POINTS}")
@@ -112,17 +127,20 @@ def cmd_modal(args):
     model = cfg.modal_models[args.axis]
     fmax = model.f0 + abs(model.sensitivity) * max(tensions) + 200.0
     grid = _frequency_grid(fmax, args.df)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    points = []
+    frfs, points = [], []
     for T in tensions:
         frf = modal.frf_synthesize(model, T, grid)
-        (out / f"frf_{args.axis}_{T:g}N.csv").write_text(modal.frf_to_csv(frf))
         peaks = modal.peak_pick(frf, grid[0], grid[-1], prominence_factor=3.0)
         if not peaks:
             raise TwinmillError(f"no compliance peak found at tension {T:g} N")
+        frfs.append(frf)
         points.append((T, peaks[0][0]))
     fit = modal.fit_shift(points, scope="global")
+    # Each FRF is formatted as it is written, so one CSV text is held at a time.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for T, frf in zip(tensions, frfs):
+        (out / f"frf_{args.axis}_{T:g}N.csv").write_text(modal.frf_to_csv(frf))
     (out / f"shift_fit_{args.axis}.csv").write_text(modal.shift_fit_to_csv(points, fit))
     print(f"wrote {len(tensions)} FRF file(s) and shift fit to {out}")
     print(f"slope={fit.slope:.6g} Hz/N intercept={fit.intercept:.6g} Hz")
@@ -183,9 +201,6 @@ def cmd_deform(args):
     _check_cell(program, cfg.system, args.program)
     reference = compensation.nominal_trace(program)
     measured = compensation.simulate_deformation(cfg.system, program)
-    # The output directory is made only once the program is accepted.
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.noise_sigma > 0:
         rng = np.random.default_rng(args.seed)
         measured = compensation.PathTrace(
@@ -194,18 +209,23 @@ def cmd_deform(args):
             tension=measured.tension,
             noise_sigma=args.noise_sigma,
         )
-    (out / "reference.csv").write_text(compensation.trace_to_csv(reference))
-    (out / "deformed.csv").write_text(compensation.trace_to_csv(measured))
     before = compensation.residual_report(reference, measured)
-    (out / "residual_before.csv").write_text(compensation.report_to_csv(before))
-    print(f"deformation RMS {before.rms * 1e3:.4f} mm (max {before.max_norm * 1e3:.4f} mm)")
+    files = {"reference.csv": compensation.trace_to_csv(reference),
+             "deformed.csv": compensation.trace_to_csv(measured),
+             "residual_before.csv": compensation.report_to_csv(before)}
+    lines = [f"deformation RMS {before.rms * 1e3:.4f} mm (max {before.max_norm * 1e3:.4f} mm)"]
     if args.compensate:
         transform = compensation.fit_rigid(reference, measured)
         comped = compensation.compensate(measured, transform)
         after = compensation.residual_report(reference, comped)
-        (out / "compensated.csv").write_text(compensation.trace_to_csv(comped))
-        (out / "residual_after.csv").write_text(compensation.report_to_csv(after))
-        print(f"residual RMS after compensation {after.rms * 1e3:.4f} mm")
+        files["compensated.csv"] = compensation.trace_to_csv(comped)
+        files["residual_after.csv"] = compensation.report_to_csv(after)
+        lines.append(f"residual RMS after compensation {after.rms * 1e3:.4f} mm")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -250,9 +270,9 @@ def build_parser():
     p = sub.add_parser("deform", help="simulate tension deformation of a planned program")
     p.add_argument("program", help="SyncProgram CSV from 'plan'")
     p.add_argument("--compensate", action="store_true", help="also fit and remove a rigid transform")
-    p.add_argument("--noise-sigma", type=_number(0.0), default=0.0,
-                   help="tracker noise sigma in m, >= 0")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed for --noise-sigma")
+    p.add_argument("--noise-sigma", type=_number(0.0, high=MAX_NOISE_SIGMA), default=0.0,
+                   help=f"tracker noise sigma in m, >= 0 and <= {MAX_NOISE_SIGMA:g}")
+    p.add_argument("--seed", type=_seed, default=None, help="RNG seed for --noise-sigma, a non-negative integer")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_deform)
     return parser

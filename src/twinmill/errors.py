@@ -3,6 +3,9 @@ data on the error (`index`, `line`, `path`, `arm`, `file`) as well as text in
 its message, added by `raise exc.within(prefix, **place)`, which keeps the type."""
 
 
+_PLACES = ("index", "line", "path", "arm", "file")
+
+
 class TwinmillError(Exception):
     """Base class for all toolkit errors. Where a refusal is located, it
     says so as data: `index` is the offending row of a stacked input,
@@ -21,7 +24,11 @@ class TwinmillError(Exception):
     def within(self, prefix="", **place):
         """This error with `prefix` put in front of its message as given and
         the place fields of `place` set, its type, other fields and cause
-        kept: a site that adds a place does `raise exc.within(...)`."""
+        kept: a site that adds a place does `raise exc.within(...)`. A name
+        in `place` other than the five place fields raises TypeError."""
+        unknown = place.keys() - _PLACES
+        if unknown:
+            raise TypeError(f"within() takes only the places {', '.join(_PLACES)}, not {', '.join(sorted(unknown))}")
         Exception.__init__(self, f"{prefix}{self}")
         vars(self).update(place)
         return self

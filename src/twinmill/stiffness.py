@@ -21,17 +21,22 @@ and more than CLOSURE_TOL in `tension_offset` and `predicted_tension`,
 which take nominal ones.
 
 A Jacobian is rank deficient when its smallest singular value is at most
-_MIN_SINGULAR_VALUE. A screen certifies most rows of a block full rank;
-only the rows it cannot certify get an SVD, which decides and names the
-first deficient row. The Cartesian stiffness of an arm (arm 1's, in the
-coupled chain) screens with one batched inverse, since sigma_min(J) >=
-1 / ||J^-1||_F, and reuses its J^-1: J^-T K_joint J^-1, with no
-compliance to invert; every row of a block on which that inverse fails
-gets the SVD. That is the only batched inverse of a Jacobian. The arm-2
-branch, a compliance J K_joint^-1 J^T, screens with one batched
-determinant, since sigma_min(J) >= |det J| / ||J||_F^(n-1). Symmetric
+_MIN_SINGULAR_VALUE. One rule decides (`_refuse_rank_deficient`): a row
+whose computed lower bound on that value exceeds twice it has full rank,
+and an SVD decides every other row and names the first deficient one.
+The Cartesian stiffness of an arm (arm 1's, in the coupled chain) takes
+the bound 1 / ||J^-1||_F from the one batched inverse it also uses:
+J^-T K_joint J^-1, with no compliance to invert. That is the only batched
+inverse of a Jacobian. The arm-2 branch, a compliance J K_joint^-1 J^T,
+takes |det J| / ||J||_F^(n-1) from one batched determinant. Symmetric
 positive definite matrices are inverted through their Cholesky factor L,
 whose inverse is taken by forward substitution.
+
+A batched LAPACK call that raises is redone one matrix at a time, NaN
+where a matrix fails (`_per_matrix`), so a row's result never depends on
+the other rows of its block. A matrix without a Cholesky factor is
+refused; a Jacobian whose inverse fails has a NaN bound, so the SVD
+decides it, and if it has full rank it is inverted through its own SVD.
 """
 
 from __future__ import annotations
@@ -177,22 +182,33 @@ def cell_sha256(sys: CoupledSystem) -> str:
     return hashlib.sha256(data.tobytes()).hexdigest()
 
 
+def _per_matrix(fn, M):
+    """fn(M) of stacked matrices M[..., n, n], one batched LAPACK call, and
+    None. If that call raises LinAlgError, fn of each matrix alone, NaN
+    where it raises too, and the batched call's error: a failing matrix
+    changes no other matrix's result."""
+    try:
+        return fn(M), None
+    except np.linalg.LinAlgError as exc:
+        flat = M.reshape((-1,) + M.shape[-2:])
+        out = np.full(flat.shape, np.nan)
+        for index, m in enumerate(flat):
+            try:
+                out[index] = fn(m)
+            except np.linalg.LinAlgError:
+                pass
+        return out.reshape(M.shape), exc
+
+
 def _spd_inverse(M, what):
     """Inverses of stacked symmetric positive definite matrices M[..., n, n]:
     M^-1 = L^-T L^-1 of the Cholesky factor L, with L^-1 by forward
-    substitution, one row of every matrix per step."""
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        # Find the failing row to report it.
-        for index, m in enumerate(M.reshape((-1,) + M.shape[-2:])):
-            try:
-                np.linalg.cholesky(m)
-            except np.linalg.LinAlgError as exc:
-                raise SingularConfigurationError(
-                    f"{what} is not positive definite: {exc}", index=index
-                ) from exc
-        raise
+    substitution, one row of every matrix per step. The first matrix
+    without a Cholesky factor is refused."""
+    L, exc = _per_matrix(np.linalg.cholesky, M)
+    if exc is not None:
+        index = int(np.flatnonzero(np.isnan(L[..., 0, 0]))[0])
+        raise SingularConfigurationError(f"{what} is not positive definite: {exc}", index=index) from exc
     d = 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
     Li = np.zeros_like(L)
     Li[..., 0, 0] = d[..., 0]
@@ -202,42 +218,14 @@ def _spd_inverse(M, what):
     return np.swapaxes(Li, -1, -2) @ Li
 
 
-def _uncertified_by_inverse(J):
-    """The inverses of the finite square matrices J[m, n, n] (None where the
-    inverse of the stack fails) and the indices of the matrices whose
-    smallest singular value the screen cannot put above
-    _MIN_SINGULAR_VALUE. sigma_min(J) >= 1 / ||J^-1||_F, so a matrix with
-    1 / ||J^-1||_F > 2 _MIN_SINGULAR_VALUE has full rank; the factor 2
-    covers the rounding of the computed inverse. A NaN bound, and every
-    matrix of a stack on which the inverse fails, is uncertified."""
-    try:
-        Ji = np.linalg.inv(J)
-    except np.linalg.LinAlgError:
-        return None, np.arange(len(J))
-    with np.errstate(over="ignore"):
-        bound = 1.0 / np.sqrt(np.sum(Ji * Ji, axis=(-2, -1)))
-    return Ji, np.flatnonzero(~(bound > 2 * _MIN_SINGULAR_VALUE))
-
-
-def _uncertified_by_det(J):
-    """The indices of the finite square matrices J[m, n, n] whose smallest
-    singular value the screen cannot put above _MIN_SINGULAR_VALUE. |det
-    J| is the product of the singular values, and each of the n - 1 others
-    is at most ||J||_F, so sigma_min(J) >= |det J| / ||J||_F^(n-1); a
-    matrix whose bound exceeds 2 _MIN_SINGULAR_VALUE has full rank, the
-    factor 2 covering the rounding of the LU determinant. A NaN bound (0 /
-    0, inf / inf) is uncertified, and so is a zero one."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bound = np.abs(np.linalg.det(J)) / np.sum(J * J, axis=(-2, -1)) ** (0.5 * (J.shape[-1] - 1))
-    return np.flatnonzero(~(bound > 2 * _MIN_SINGULAR_VALUE))
-
-
-def _refuse_rank_deficient(flat, unsure):
-    """Raise SingularConfigurationError for the first of the finite square
-    matrices flat[unsure] whose smallest singular value is at most
-    _MIN_SINGULAR_VALUE, with its row of flat[m, n, n] as `index`;
-    `unsure` holds the ascending indices of the rows a screen could not
-    certify, and their SVD decides."""
+def _refuse_rank_deficient(flat, bound):
+    """Raise SingularConfigurationError for the first of the square
+    matrices flat[m, n, n] whose smallest singular value is at most
+    _MIN_SINGULAR_VALUE, with its row as `index`. bound[m] is a computed
+    lower bound on each smallest singular value: a row whose bound exceeds
+    2 _MIN_SINGULAR_VALUE has full rank, the factor 2 covering the bound's
+    rounding, and the SVD decides every other row, NaN bounds included."""
+    unsure = np.flatnonzero(~(bound > 2 * _MIN_SINGULAR_VALUE))
     if not unsure.size:
         return
     bad = unsure[np.linalg.svd(flat[unsure], compute_uv=False)[:, -1] <= _MIN_SINGULAR_VALUE]
@@ -253,28 +241,15 @@ def _refuse_rank_deficient(flat, unsure):
         )
 
 
-def _full_rank_inverse(J):
-    """J^-1 of stacked finite square Jacobians J[..., n, n], rejecting
-    rank-deficient ones. The inverse is the screen's
-    (`_uncertified_by_inverse`); only the rows it leaves get an SVD
-    (`_refuse_rank_deficient`). A stack whose inverse fails though every
-    row has full rank is inverted through its SVD."""
-    flat = J.reshape((-1,) + J.shape[-2:])
-    Ji, unsure = _uncertified_by_inverse(flat)
-    _refuse_rank_deficient(flat, unsure)
-    if Ji is None:
-        u, sv, vt = np.linalg.svd(flat)
-        Ji = (np.swapaxes(vt, -1, -2) / sv[:, None, :]) @ np.swapaxes(u, -1, -2)
-    return Ji.reshape(J.shape)
-
-
 def _compliance_from_jacobian(J, k_diag):
     """J K_joint^-1 J^T for stacked finite square Jacobians J[..., n, n],
-    rejecting rank-deficient ones: the determinant screen
-    (`_uncertified_by_det`), then the SVD of the rows it leaves
-    (`_refuse_rank_deficient`). No inverse of J is taken."""
+    rejecting rank-deficient ones by the bound sigma_min(J) >= |det J| /
+    ||J||_F^(n-1): |det J| is the product of the singular values, each of
+    the n - 1 others at most ||J||_F. No inverse of J is taken."""
     flat = J.reshape((-1,) + J.shape[-2:])
-    _refuse_rank_deficient(flat, _uncertified_by_det(flat))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bound = np.abs(np.linalg.det(flat)) / np.sum(flat * flat, axis=(-2, -1)) ** (0.5 * (J.shape[-1] - 1))
+    _refuse_rank_deficient(flat, bound)
     return (J * (1.0 / k_diag)) @ np.swapaxes(J, -1, -2)
 
 
@@ -285,9 +260,19 @@ def _symmetric(M):
 def _stiffness_from_jacobian(J, k_diag):
     """Cartesian stiffness J^-T K_joint J^-1 = (J K_joint^-1 J^T)^-1 for
     stacked finite square Jacobians J[..., n, n] and positive joint
-    stiffnesses k_diag[n], from the rank screen's J^-1
-    (`_full_rank_inverse`)."""
-    Ji = _full_rank_inverse(J)
+    stiffnesses k_diag[n], rejecting rank-deficient ones by the bound
+    sigma_min(J) >= 1 / ||J^-1||_F of the J^-1 it uses. A full-rank matrix
+    whose LU inverse fails is inverted through its own SVD."""
+    flat = J.reshape((-1,) + J.shape[-2:])
+    Ji, exc = _per_matrix(np.linalg.inv, flat)
+    with np.errstate(over="ignore"):
+        bound = 1.0 / np.sqrt(np.sum(Ji * Ji, axis=(-2, -1)))
+    _refuse_rank_deficient(flat, bound)
+    if exc is not None:
+        for index in np.flatnonzero(np.isnan(bound)):
+            u, sv, vt = np.linalg.svd(flat[index])
+            Ji[index] = (vt.T / sv) @ u.T
+    Ji = Ji.reshape(J.shape)
     return _symmetric((np.swapaxes(Ji, -1, -2) * k_diag) @ Ji)
 
 

@@ -183,6 +183,7 @@ class TestModal:
             ["--config", config_file, "modal", "--tensions", "1000", "--out", str(tmp_path / "o")]
         )
         assert code == 3
+        assert not (tmp_path / "o").exists()
 
     def test_empty_tensions_exits_64(self, tmp_path, config_file):
         code = cli.main(
@@ -193,7 +194,7 @@ class TestModal:
     @pytest.mark.parametrize("option, value", [
         ("--df", "0"), ("--df", "nan"), ("--df", "-0.25"), ("--df", "inf"),
         ("--tensions", "0,inf"), ("--tensions", "0,nan"), ("--tensions", "0,1e300"),
-        ("--tensions", "0,-500"),
+        ("--tensions", "0,-500"), ("--df", "5e-324"),
     ])
     def test_bad_numeric_option_exits_64(self, tmp_path, config_file, capsys, option, value):
         options = {"--tensions": "0,500", "--df": "0.25", option: value}
@@ -202,6 +203,14 @@ class TestModal:
                          "--out", str(out)])
         assert code == 64
         assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_grid_of_infinitely_many_points_is_over_the_cap(self, tmp_path, config_file, capsys):
+        out = tmp_path / "o"
+        code = cli.main(["--config", config_file, "modal", "--tensions", "0,1000", "--df", "5e-324", "--out", str(out)])
+        assert code == 64
+        assert capsys.readouterr().err == ("usage error: --tensions and --df give a frequency grid of inf points "
+                                           "up to 381.6 Hz, more than 1048576\n")
         assert not out.exists()
 
     def test_grid_over_the_cap_refused_before_allocating(self, monkeypatch):
@@ -442,6 +451,24 @@ class TestDeform:
         assert code == 64
         assert "argument --noise-sigma: expected" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("noise, seed, message", [
+        ("1e-5", "-1", "argument --seed: expected a non-negative integer, got '-1'"),
+        ("1e-5", "7.5", "argument --seed: expected a non-negative integer, got '7.5'"),
+        ("1e308", "1", "argument --noise-sigma: expected a finite number >= 0 and <= 1e+06, got '1e308'"),
+    ], ids=["seed -1", "seed 7.5", "noise 1e308"])
+    def test_bad_seed_or_noise_is_refused_before_the_config_is_read(self, tmp_path, capsys, noise, seed, message):
+        """A config that does not exist would exit 2: argparse refuses first."""
+        out = tmp_path / "o"
+        code = cli.main(["--config", str(tmp_path / "none.json"), "deform", str(tmp_path / "none.csv"),
+                         "--noise-sigma", noise, "--seed", seed, "--out", str(out)])
+        assert code == 64
+        assert capsys.readouterr().err.split("\n")[-2] == f"twinmill deform: error: {message}"
+        assert not out.exists()
+
+    def test_noise_at_its_bound_is_accepted(self, tmp_path, config_file, program_file):
+        assert cli.main(["--config", config_file, "deform", program_file, "--compensate", "--noise-sigma",
+                         f"{cli.MAX_NOISE_SIGMA:g}", "--seed", "0", "--out", str(tmp_path / "o")]) == 0
 
     def test_noise_without_seed_exits_64(self, tmp_path, config_file, program_file):
         code = cli.main(
@@ -722,6 +749,19 @@ def _impact(tension, rate=None):
     return text if rate is None else text.replace("# sample_rate_hz=2048.0", f"# sample_rate_hz={rate}")
 
 
+def _modal_x_damping(value):
+    doc = demo_config_dict()
+    doc["modal_models"]["x"]["damping_ratio"] = value
+    return json.dumps(doc)
+
+
+def _first_line_of(program):
+    """The demo program cut to its first 17 setpoints, the ones of `G1 X40`:
+    a straight line."""
+    sp = program.pairs
+    return program_to_csv(dataclasses.replace(program, pairs=Setpoints(sp.tool_pose[:17], sp.q1[:17], sp.q2[:17])))
+
+
 def _spring_diagonal(value):
     doc = demo_config_dict()
     doc["spring_matrix"][3][3] = value
@@ -824,6 +864,19 @@ REFUSALS = {
         lambda p: {"program.csv": _edited_program(program_to_csv(p), _q1_5_at_setpoint_7)},
         ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
         "error: setpoint 7, arm 1: joint configuration violates joint limits: q5 = 2.5 rad outside [-2.2, 2.2] rad\n"),
+    # A refusal after the first result is computed still writes nothing.
+    "modal with one tension": (
+        lambda p: {},
+        ["--config", str(DEMO_CONFIG), "modal", "--tensions", "500", "--out", "{out}"], 3,
+        "error: at least two (tension, frequency) points are required\n"),
+    "modal x damping ratio 0.9": (
+        lambda p: {"system.json": _modal_x_damping(0.9)},
+        ["--config", "{system.json}", "modal", "--tensions", "0,1000", "--out", "{out}"], 3,
+        "error: no compliance peak found at tension 0 N\n"),
+    "deform --compensate on one line": (
+        lambda p: {"program.csv": _first_line_of(p)},
+        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--compensate", "--out", "{out}"], 3,
+        "error: reference points are collinear; the rotation is not unique\n"),
     "config IK seed outside its joint limits": (
         lambda p: {"system.json": _ik_seed1_q5(3.0), "slot.gcode": SLOT_GCODE},
         ["--config", "{system.json}", "plan", "{slot.gcode}", "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"],
@@ -866,10 +919,20 @@ def test_a_reader_refusal_names_its_file_and_keeps_its_type_and_place(tmp_path, 
 @pytest.mark.parametrize("files, argv, code, stderr", REFUSALS.values(), ids=REFUSALS.keys())
 def test_refusal_exits_2_or_3_naming_its_place(tmp_path, demo_program, capsys, files, argv, code, stderr):
     """Each input exits with its code, never 1, and stderr is one line
-    naming the line, the schema path or the file of the bad data."""
+    naming the line, the schema path or the file of the bad data. Nothing
+    is written."""
     argv, stderr, _ = _refusal_files(tmp_path, demo_program, files, argv, stderr)
     assert cli.main(argv) == code
-    assert capsys.readouterr().err == stderr
+    assert capsys.readouterr() == ("", stderr)
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
+
+
+def test_an_output_that_cannot_be_written_exits_3(tmp_path, capsys):
+    out = tmp_path / "nodir" / "p.csv"
+    code = cli.main(["--config", str(DEMO_CONFIG), "plan", str(_SLOT), "--work-offset-mm", WORK_OFFSET,
+                     "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 @pytest.mark.parametrize("files, argv, code, stderr", REFUSALS.values(), ids=REFUSALS.keys())

@@ -19,6 +19,16 @@ from conftest import (
 )
 
 
+def _empty_joint_range(arm):
+    arm["joint_limits_rad"][3] = [1.0, 1.0]
+
+
+def _zero_reach(arm):
+    """Every |a| and |d| zero; the demo's arm-2 flange offset is zero too."""
+    for row in arm["dh_rows"]:
+        row[0] = row[2] = 0.0
+
+
 class TestParse:
     def test_demo_config_parses(self, cfg):
         assert cfg.system.arm1.dh_rows.shape == (6, 4)
@@ -169,6 +179,17 @@ class TestParse:
         defaults = parse_config(json.dumps(doc)).defaults
         assert defaults["max_iter"] == 50 and isinstance(defaults["max_iter"], int)
         assert defaults["max_step_m"] == 1.0 and isinstance(defaults["max_step_m"], float)
+
+    @pytest.mark.parametrize("edit, message", [
+        (_empty_joint_range, "each joint limit must satisfy lo < hi"),
+        (_zero_reach, "arm reach (sum of |a| + |d|) must be positive and finite"),
+    ], ids=["empty joint range", "zero reach"])
+    def test_arm_model_refusal_names_the_arm(self, edit, message):
+        doc = demo_config_dict()
+        edit(doc["arm2"])
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert (exc.value.path, str(exc.value)) == ("config.arm2", f"config.arm2: {message}")
 
     def test_identical_bases_rejected(self):
         doc = demo_config_dict()

@@ -134,6 +134,8 @@ def _pose(x):
 LOCATED = {
     "G-code word": (lambda p: parse_gcode("G1 X10\nG1 X20 Q5\n"), UnsupportedGcodeError, 2, None,
                     "line 2: unsupported word Q5"),
+    "G-code I/J/K with G1": (lambda p: parse_gcode("G1 X10\nG1 X20 I5\n"), UnsupportedGcodeError, 2, None,
+                             "line 2: I/J/K only valid with G2/G3"),
     "G-code arc": (lambda p: parse_gcode("G1 X10 Y0\nG3 X0 Y0 I-3\n"), MalformedArcError, 2, None,
                    "line 2: arc radii differ by 4000.0 um (start 3.000 mm, end 7.000 mm)"),
     "program CSV row": (lambda p: program_from_csv(_short_row(program_to_csv(p), 20)),
@@ -244,6 +246,11 @@ LOCATED = {
         InvalidInputError, 9, None,
         "impact CSV line 9: time column is not uniformly sampled: sample 4 is 0.00103515625 s after the one before, "
         "sample 1 0.00048828125 s"),
+    # Line 6 holds sample 1, whose time must follow sample 0's.
+    "impact CSV time without a rate, not after sample 0": (
+        lambda p: impact_record_from_csv(_with_field(_impact_text_without_rate(), 6, 0, "0")),
+        InvalidInputError, 6, None,
+        "impact CSV line 6: time 0.0 s does not follow sample 0 at 0.0 s"),
     "config": (lambda p: parse_config(_config_with_a_string_entry()),
                ConfigError, None, "config.arm1.dh_rows[0][2]",
                "config.arm1.dh_rows[0][2]: expected a finite number, got '0.5'"),
@@ -313,6 +320,13 @@ class TestWithin:
         assert str(exc) == "gap"
         assert (exc.index, exc.line, exc.path, exc.arm, exc.file, exc.gap) == (4, 7, None, None, None, 1.0)
         assert exc.within("setpoint 4: ", index=None).index is None
+
+    def test_refuses_a_name_that_is_no_place(self):
+        exc = TwinmillError("x")
+        with pytest.raises(TypeError, match=r"^within\(\) takes only the places index, line, path, arm, file, "
+                                            r"not lines$"):
+            exc.within("a: ", lines=3)
+        assert (str(exc), exc.line, "lines" in vars(exc)) == ("x", None, False)
 
     def test_each_call_prefixes_the_message_once(self):
         exc = TwinmillError("bad").within("b: ").within("a: ")

@@ -487,10 +487,11 @@ RANK_DEFICIENT = re.compile(r"Jacobian is rank deficient \(smallest singular val
 
 
 class TestRankScreen:
-    """The Cartesian stiffness screens rank deficiency with one batched
-    inverse, which is also its J^-1, and the arm-2 branch with one batched
-    determinant (`TestBranchRankScreen`); the rows a screen cannot certify
-    get the SVD, which names the first deficient one."""
+    """The Cartesian stiffness bounds each row's smallest singular value
+    by 1 / ||J^-1||_F of one batched inverse, which is also its J^-1, and
+    the arm-2 branch by |det J| / ||J||_F^5 (`TestBranchRankScreen`); the
+    rows a bound cannot certify get the SVD, which names the first
+    deficient one."""
 
     @pytest.fixture
     def stack(self, test_arm):
@@ -507,18 +508,23 @@ class TestRankScreen:
             cartesian_stiffness(test_arm, stack[ROW], KS)
         assert str(alone.value) == str(exc.value)
 
-    def test_exactly_singular_matrix_sends_its_block_to_the_svd(self, test_arm, stack):
+    def test_exactly_singular_matrix_alone_goes_to_the_svd(self, test_arm, stack, monkeypatch):
         J = jacobian(test_arm, stack)
         J[ROW, :, 2] = 0.0  # np.linalg.inv raises on the whole block
+        stacks = TestBranchRankScreen.recorded(monkeypatch, "svd")
         with pytest.raises(SingularConfigurationError) as exc:
             _stiffness_from_jacobian(J, KS.diag)
         assert exc.value.index == ROW
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
+        # The other rows are inverted one at a time and certified by their own bound.
+        assert [a.shape for a in stacks] == [(1, 6, 6), (6, 6)]
+        np.testing.assert_array_equal(stacks[0][0], J[ROW])
 
     def test_full_rank_block_whose_inverse_fails_is_inverted_by_its_svd(self, test_arm, stack):
         """LU meets an exact zero pivot in [[3, 1], [1, 1/3]] * 1e9, whose
-        smallest singular value is still about 5e-8: its block gets K from
-        the SVD's inverse, and the other rows keep their own stiffness."""
+        smallest singular value is still about 5e-8: that row gets K from
+        its SVD's inverse, and the other rows keep their own stiffness, bit
+        for bit."""
         J = jacobian(test_arm, stack[:4])
         odd = np.eye(6)
         odd[:2, :2] = [[3.0, 1.0], [1.0, 1.0 / 3.0]]
@@ -527,7 +533,7 @@ class TestRankScreen:
             np.linalg.inv(odd)
         assert np.linalg.svd(odd, compute_uv=False)[-1] > 1e-8
         K = _stiffness_from_jacobian(np.concatenate([J, odd[None]]), KS.diag)
-        _assert_rows_equal(K[:4], _stiffness_from_jacobian(J, KS.diag))
+        np.testing.assert_array_equal(K[:4], _stiffness_from_jacobian(J, KS.diag))
         u, sv, vt = np.linalg.svd(odd)
         odd_inverse = (vt.T / sv) @ u.T
         np.testing.assert_allclose(K[4], odd_inverse.T @ np.diag(KS.diag) @ odd_inverse, rtol=1e-9)
@@ -644,6 +650,14 @@ class TestSpdInverse:
         with pytest.raises(SingularConfigurationError, match="^M is not positive definite") as exc:
             _stacked(lambda m: _spd_inverse(m.reshape(-1, 6, 6), "M"), (6, 6), spd_stack.reshape(STACK, 36))
         assert exc.value.index == ROW
+
+    def test_the_first_of_two_non_positive_definite_rows_is_named(self, spd_stack):
+        spd_stack[[ROW, LATER_ROW], 3, 3] = -1.0
+        with pytest.raises(SingularConfigurationError) as exc:
+            _spd_inverse(spd_stack, "M")
+        assert exc.value.index == ROW
+        assert str(exc.value) == "M is not positive definite: Matrix is not positive definite"
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestFramePasses:
