@@ -76,21 +76,37 @@ def _number(low=-math.inf, strict=False, high=math.inf):
     return parse
 
 
-def _seed(text):
-    """argparse type of a non-negative integer, as np.random.default_rng takes."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _integer(low, what):
+    """argparse type of an integer >= low, described as `what` when refused."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+def _frf_name(axis, tension):
+    return f"frf_{axis}_{tension:g}N.csv"
 
 
 def _tension_list(text):
-    values = [_number(0.0)(x) for x in text.split(",") if x.strip()]
+    """argparse type of a comma-separated list of finite tensions >= 0 in
+    N, no two of which give `modal` the same FRF file name."""
+    fields = [x for x in text.split(",") if x.strip()]
+    values = [_number(0.0)(x) for x in fields]
     if not values:
         raise argparse.ArgumentTypeError("tension list is empty")
+    given = {}
+    for field, T in zip(fields, values):
+        name = _frf_name("<axis>", T)
+        if name in given:
+            raise argparse.ArgumentTypeError(f"tensions {given[name]!r} and {field.strip()!r} would both be "
+                                             f"written to {name}")
+        given[name] = field.strip()
     return values
 
 
@@ -140,7 +156,7 @@ def cmd_modal(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for T, frf in zip(tensions, frfs):
-        (out / f"frf_{args.axis}_{T:g}N.csv").write_text(modal.frf_to_csv(frf))
+        (out / _frf_name(args.axis, T)).write_text(modal.frf_to_csv(frf))
     (out / f"shift_fit_{args.axis}.csv").write_text(modal.shift_fit_to_csv(points, fit))
     print(f"wrote {len(tensions)} FRF file(s) and shift fit to {out}")
     print(f"slope={fit.slope:.6g} Hz/N intercept={fit.intercept:.6g} Hz")
@@ -252,7 +268,7 @@ def build_parser():
 
     p = sub.add_parser("frf", help="H1 FRF estimate from impact-test CSV files")
     p.add_argument("impacts", nargs="+", help="impact record CSV files")
-    p.add_argument("--nfft", type=int, default=None,
+    p.add_argument("--nfft", type=_integer(2, "an integer >= 2"), default=None,
                    help=f"FFT length, 2 to max({modal.MAX_NFFT}, longest record); default the longest record")
     p.add_argument("--out", required=True, help="output FRF CSV file")
     p.set_defaults(func=cmd_frf)
@@ -272,7 +288,8 @@ def build_parser():
     p.add_argument("--compensate", action="store_true", help="also fit and remove a rigid transform")
     p.add_argument("--noise-sigma", type=_number(0.0, high=MAX_NOISE_SIGMA), default=0.0,
                    help=f"tracker noise sigma in m, >= 0 and <= {MAX_NOISE_SIGMA:g}")
-    p.add_argument("--seed", type=_seed, default=None, help="RNG seed for --noise-sigma, a non-negative integer")
+    p.add_argument("--seed", type=_integer(0, "a non-negative integer"), default=None,
+                   help="RNG seed for --noise-sigma, a non-negative integer")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_deform)
     return parser

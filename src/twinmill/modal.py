@@ -338,7 +338,7 @@ def simulate_impact(model: ModalModel, tension, sample_rate=4096.0, duration=4.0
 
 _FRF_COLUMNS = ("freq_hz", "re", "im")
 _SHIFT_COLUMNS = ("tension_N", "freq_hz", "fit_hz", "residual_hz")
-_IMPACT_COLUMNS = ("time_s", "force_N", "accel_ms2")
+_IMPACT_COLUMNS = ("force_N", "accel_ms2")
 
 
 def frf_to_csv(frf: FrfSeries) -> str:
@@ -363,52 +363,27 @@ def shift_fit_to_csv(points, fit: ShiftFit) -> str:
 
 
 def impact_record_from_csv(text) -> ImpactRecord:
-    """Parse an impact record CSV: columns time_s, force_N, accel_ms2 with
-    metadata in '# key=value' header comments, at least two samples. With
-    sample_rate_hz the time column must be index / rate; without it, it
-    steps evenly from any start and the first step gives the rate."""
+    """Parse an impact record CSV: columns force_N, accel_ms2 with
+    metadata in '# key=value' header comments, at least two samples.
+    sample_rate_hz is the record's one time base and is required: sample k
+    is at k / sample_rate_hz. A file without it is refused at its header
+    line, and so is the three-column layout of earlier versions, which also
+    held a time_s column."""
     meta, data = read_table(text, _IMPACT_COLUMNS, "impact CSV")
     if data.shape[0] < 2:
         raise meta.row_error(0, "needs at least two samples, found one")
+    if "sample_rate_hz" not in meta:
+        raise meta.line_error(meta.header_line, "no sample_rate_hz metadata before the header")
     rate = meta.number("sample_rate_hz", None)
-    if rate is not None and not rate > 0:
+    if not rate > 0:
         raise meta.error("sample_rate_hz", "is not positive")
-    if rate is None:
-        dt = np.diff(data[:, 0])
-        if not dt[0] > 0:
-            raise meta.row_error(1, f"time {float(data[1, 0])!r} s does not follow sample 0 at {float(data[0, 0])!r} s")
-        off = np.flatnonzero(~(np.abs(dt - dt[0]) <= 1e-9 * dt[0]))
-        if off.size:
-            k = int(off[0]) + 1
-            raise meta.row_error(k, f"time column is not uniformly sampled: sample {k} is {float(dt[k - 1])!r} s "
-                                    f"after the one before, sample 1 {float(dt[0])!r} s")
-        rate = 1.0 / float(dt[0])
-    record = ImpactRecord(
-        rate,
-        data[:, 1],
-        data[:, 2],
-        axis=meta.get("axis", "x"),
-        position=meta.get("position", ""),
-        tension=meta.number("tension_N", 0.0),
-    )
-    if "sample_rate_hz" in meta:
-        # A time column that disagrees with the sample rate key would scale every frequency.
-        off = np.flatnonzero(np.abs(data[:, 0] - np.arange(len(data)) / rate) > 1e-9 / rate)
-        if off.size:
-            k = int(off[0])
-            raise meta.row_error(k, f"time {float(data[k, 0])!r} s does not match sample_rate_hz={rate!r}: "
-                                    f"sample {k} is at {k / rate!r} s")
-    return record
+    return ImpactRecord(rate, data[:, 0], data[:, 1], axis=meta.get("axis", "x"), position=meta.get("position", ""),
+                        tension=meta.number("tension_N", 0.0))
 
 
 def impact_record_to_csv(record: ImpactRecord) -> str:
-    meta = {
-        "axis": record.axis,
-        "position": record.position,
-        "tension_N": repr(record.tension),
-        "sample_rate_hz": repr(record.sample_rate),
-    }
-    t = np.arange(record.force.size) / record.sample_rate
-    table = np.column_stack([t, record.force, record.acceleration])
-    return write_table(meta, _IMPACT_COLUMNS, table)
-
+    """The record as an impact CSV: columns force_N, accel_ms2, and its
+    time base once, as sample_rate_hz."""
+    meta = {"axis": record.axis, "position": record.position, "tension_N": repr(record.tension),
+            "sample_rate_hz": repr(record.sample_rate)}
+    return write_table(meta, _IMPACT_COLUMNS, np.column_stack([record.force, record.acceleration]))

@@ -136,6 +136,19 @@ def forty_one_column_program(system, program):
     return write_table(meta, columns, table)
 
 
+def three_column_impact(record):
+    """`record` as an impact CSV in the layout of earlier versions, which
+    held a time_s column of k / sample rate ahead of force_N and
+    accel_ms2."""
+    from twinmill.csvtable import write_table
+
+    meta = {"axis": record.axis, "position": record.position, "tension_N": repr(record.tension),
+            "sample_rate_hz": repr(record.sample_rate)}
+    t = np.arange(record.force.size) / record.sample_rate
+    return write_table(meta, ("time_s", "force_N", "accel_ms2"),
+                       np.column_stack([t, record.force, record.acceleration]))
+
+
 def random_nonsingular_q(arm, rng, min_sv=1e-3):
     from twinmill.kinematics import jacobian
 

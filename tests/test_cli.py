@@ -22,7 +22,8 @@ from twinmill.pathplan import (
 )
 from twinmill.stiffness import cell_sha256
 
-from conftest import DEMO_CONFIG, demo_config_dict, forty_one_column_program, json_with_a_repeated_key
+from conftest import (DEMO_CONFIG, demo_config_dict, forty_one_column_program, json_with_a_repeated_key,
+                      three_column_impact)
 
 SLOT_GCODE = "G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"
 WORK_OFFSET = "2105,-20,1100"
@@ -205,6 +206,23 @@ class TestModal:
         assert option in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tensions, stderr", [
+        ("0,500,500", "tensions '500' and '500' would both be written to frf_<axis>_500N.csv"),
+        ("500,500.0000001", "tensions '500' and '500.0000001' would both be written to frf_<axis>_500N.csv"),
+    ], ids=["repeated", "equal as %g"])
+    def test_tensions_that_share_an_frf_file_name_exit_64(self, tmp_path, config_file, capsys, monkeypatch,
+                                                          tensions, stderr):
+        """Each FRF file is named by its tension as `%g`: two tensions that
+        give one name are refused before anything is written."""
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
+        out = tmp_path / "o"
+        code = cli.main(["--config", config_file, "modal", "--tensions", tensions, "--out", str(out)])
+        assert code == 64
+        assert capsys.readouterr().err == ("usage: twinmill modal [-h] --tensions TENSIONS [--axis {x,y,z}] [--df DF]\n"
+                                           "                      --out OUT\n"
+                                           f"twinmill modal: error: argument --tensions: {stderr}\n")
+        assert not out.exists()
+
     def test_a_grid_of_infinitely_many_points_is_over_the_cap(self, tmp_path, config_file, capsys):
         out = tmp_path / "o"
         code = cli.main(["--config", config_file, "modal", "--tensions", "0,1000", "--df", "5e-324", "--out", str(out)])
@@ -249,15 +267,20 @@ class TestFrf:
             files.append(str(p))
         assert cli.main(["frf", *files, "--out", str(tmp_path / "frf.csv")]) == 3
 
-    @pytest.mark.parametrize("nfft", ["0", "-4", "1"])
-    def test_bad_nfft_exits_3(self, tmp_path, capsys, nfft):
+    @pytest.mark.parametrize("nfft", ["0", "-3", "1", "1.5"])
+    def test_nfft_below_2_exits_64(self, tmp_path, capsys, monkeypatch, nfft):
+        """As every other bad option value does; the upper bound, which
+        needs the records, is h1_estimate's (exit 3)."""
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
         model = modal.ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
         p = tmp_path / "impact.csv"
         p.write_text(modal.impact_record_to_csv(modal.simulate_impact(model, 0.0, sample_rate=2048.0,
                                                                       duration=0.25)))
         out = tmp_path / "frf.csv"
-        assert cli.main(["frf", str(p), "--nfft", nfft, "--out", str(out)]) == 3
-        assert "nfft must be an integer >= 2" in capsys.readouterr().err
+        assert cli.main(["frf", str(p), "--nfft", nfft, "--out", str(out)]) == 64
+        assert capsys.readouterr().err == ("usage: twinmill frf [-h] [--nfft NFFT] --out OUT impacts [impacts ...]\n"
+                                           f"twinmill frf: error: argument --nfft: expected an integer >= 2, "
+                                           f"got '{nfft}'\n")
         assert not out.exists()
 
     def test_nfft_over_the_cap_exits_3(self, tmp_path, capsys):
@@ -825,6 +848,10 @@ REFUSALS = {
         lambda p: {"a.csv": _impact(0.0), "b.csv": _impact(0.0, rate=0)},
         ["frf", "{a.csv}", "{b.csv}", "{a.csv}", "--out", "{out.csv}"], 3,
         "error: {b.csv}: impact CSV line 4: metadata sample_rate_hz='0' is not positive\n"),
+    "impact record with a time column": (
+        lambda p: {"a.csv": three_column_impact(modal.impact_record_from_csv(_impact(0.0)))},
+        ["frf", "{a.csv}", "--out", "{out.csv}"], 3,
+        "error: {a.csv}: impact CSV line 5: expected header 'force_N,accel_ms2', found 'time_s,force_N,accel_ms2'\n"),
     "mixed impact records": (
         lambda p: {"a.csv": _impact(0.0), "b.csv": _impact(500.0)},
         ["frf", "{a.csv}", "{a.csv}", "{b.csv}", "--out", "{out.csv}"], 3,

@@ -31,7 +31,7 @@ from twinmill.modal import (
 )
 from twinmill.pathplan import parse_gcode, path_from_json, program_from_csv, program_to_csv
 
-from conftest import demo_config_dict, json_with_a_repeated_key
+from conftest import demo_config_dict, json_with_a_repeated_key, three_column_impact
 
 
 def _short_row(text, lineno):
@@ -73,9 +73,13 @@ def _program_without_rows(program):
     return "\n".join(program_to_csv(program).split("\n")[:6]) + "\n"
 
 
-def _impact_text():
+def _impact_record():
     model = ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
-    return impact_record_to_csv(simulate_impact(model, 500.0, sample_rate=2048.0, duration=0.05))
+    return simulate_impact(model, 500.0, sample_rate=2048.0, duration=0.05)
+
+
+def _impact_text():
+    return impact_record_to_csv(_impact_record())
 
 
 def _impact_text_without_rate():
@@ -187,13 +191,17 @@ LOCATED = {
                       "trace CSV line 7: expected 4 comma-separated finite numbers, found '2,0,0'"),
     "impact CSV row": (lambda p: impact_record_from_csv(_short_row(_impact_text(), 10)),
                        InvalidInputError, 10, None,
-                       "impact CSV line 10: expected 3 comma-separated finite numbers, found "
-                       "'0.001953125,7.3564563599667734'"),
-    # Line 10 holds sample 4, at 4 / 2048 s.
-    "impact CSV time": (lambda p: impact_record_from_csv(_with_field(_impact_text(), 10, 0, "0.5")),
-                        InvalidInputError, 10, None,
-                        "impact CSV line 10: time 0.5 s does not match sample_rate_hz=2048.0: sample 4 is at "
-                        "0.001953125 s"),
+                       "impact CSV line 10: expected 2 comma-separated finite numbers, found '7.3564563599667734'"),
+    # The layout of earlier versions, with a time_s column, and a file
+    # without sample_rate_hz are refused at the header, line 5 and line 4.
+    "impact CSV with a time column": (
+        lambda p: impact_record_from_csv(three_column_impact(_impact_record())),
+        InvalidInputError, 5, None,
+        "impact CSV line 5: expected header 'force_N,accel_ms2', found 'time_s,force_N,accel_ms2'"),
+    "impact CSV without sample_rate_hz": (
+        lambda p: impact_record_from_csv(_impact_text_without_rate()),
+        InvalidInputError, 4, None,
+        "impact CSV line 4: no sample_rate_hz metadata before the header"),
     # Metadata values: the program's tension_wrench is on line 2 and its
     # cell_sha256 on line 5, the impact record's tension_N on line 3 and its
     # sample_rate_hz on line 4, the trace's tension_N on line 2.
@@ -232,25 +240,13 @@ LOCATED = {
         InvalidInputError, 4, None,
         f"impact CSV line 4: metadata sample_rate_hz='{rate}' is not positive") for rate in ("0", "-0", "-1")},
     "impact CSV with one sample": (
-        lambda p: impact_record_from_csv("# sample_rate_hz=100\ntime_s,force_N,accel_ms2\n0,1,0\n"),
+        lambda p: impact_record_from_csv("# sample_rate_hz=100\nforce_N,accel_ms2\n1,0\n"),
         InvalidInputError, 3, None,
         "impact CSV line 3: needs at least two samples, found one"),
     "trace CSV tension_N": (lambda p: trace_from_csv(_with_meta(trace_to_csv(PathTrace(np.zeros((10, 3)))),
                                                                 "tension_N", "big")),
                             InvalidInputError, 2, None,
                             "trace CSV line 2: metadata tension_N='big' is not a finite number"),
-    # Without sample_rate_hz the time steps must be equal; line 9 holds
-    # sample 4, whose step from sample 3 departs.
-    "impact CSV time without a rate": (
-        lambda p: impact_record_from_csv(_with_field(_impact_text_without_rate(), 9, 0, "0.0025")),
-        InvalidInputError, 9, None,
-        "impact CSV line 9: time column is not uniformly sampled: sample 4 is 0.00103515625 s after the one before, "
-        "sample 1 0.00048828125 s"),
-    # Line 6 holds sample 1, whose time must follow sample 0's.
-    "impact CSV time without a rate, not after sample 0": (
-        lambda p: impact_record_from_csv(_with_field(_impact_text_without_rate(), 6, 0, "0")),
-        InvalidInputError, 6, None,
-        "impact CSV line 6: time 0.0 s does not follow sample 0 at 0.0 s"),
     "config": (lambda p: parse_config(_config_with_a_string_entry()),
                ConfigError, None, "config.arm1.dh_rows[0][2]",
                "config.arm1.dh_rows[0][2]: expected a finite number, got '0.5'"),
