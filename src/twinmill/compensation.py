@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvtable import read_table, write_table
-from .errors import ClosureError, DegenerateGeometryError, InvalidInputError, SingularConfigurationError
+from .errors import ClosureError, InvalidInputError, SingularConfigurationError
 from .geometry import Pose, frozen, quat_from_matrix
 from .pathplan import SyncProgram
 from .kinematics import flange_transform
@@ -91,7 +91,7 @@ def fit_rigid(reference: PathTrace, measured: PathTrace) -> Pose:
     Ac = A - ca
     sv = np.linalg.svd(Ac, compute_uv=False)
     if sv[1] <= _COLLINEAR_REL_TOL * sv[0]:
-        raise DegenerateGeometryError("reference points are collinear; the rotation is not unique")
+        raise InvalidInputError("reference points are collinear; the rotation is not unique")
     H = Ac.T @ (B - cb)
     U, _, Vt = np.linalg.svd(H)
     V = Vt.T

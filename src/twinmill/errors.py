@@ -1,6 +1,9 @@
-"""Exception hierarchy shared by all twinmill modules. A refusal's place is
-data on the error (`index`, `line`, `path`, `arm`, `file`) as well as text in
-its message, added by `raise exc.within(prefix, **place)`, which keeps the type."""
+"""Exception hierarchy shared by all twinmill modules. Bad input or a broken
+precondition is an `InvalidInputError`, and a bad config is a `ConfigError`; a
+subclass exists only where a caller catches it or where it carries data. A
+refusal's place is data on the error (`index`, `line`, `path`, `arm`, `file`)
+as well as text in its message, added by `raise exc.within(prefix, **place)`,
+which keeps the type."""
 
 
 _PLACES = ("index", "line", "path", "arm", "file")
@@ -62,14 +65,6 @@ class ClosureError(TwinmillError):
         self.gap = gap
 
 
-class MalformedArcError(TwinmillError):
-    """Arc start and end radii disagree."""
-
-
-class UnsupportedGcodeError(TwinmillError):
-    """A G-code word outside the supported subset."""
-
-
 class PlanError(TwinmillError):
     """Setpoint generation failed at the pose `index`."""
 
@@ -80,18 +75,6 @@ class WorkspaceError(PlanError):
 
 class ContinuityError(PlanError):
     """Joint-space jump between consecutive setpoints exceeds the guard."""
-
-
-class DegenerateGeometryError(TwinmillError):
-    """Point set is collinear or otherwise unusable for a rigid fit."""
-
-
-class DegenerateSignalError(TwinmillError):
-    """A measured signal carries no usable information (e.g. zero force)."""
-
-
-class RankDeficiencyError(TwinmillError):
-    """A least-squares fit has no unique solution."""
 
 
 class ConfigError(TwinmillError):

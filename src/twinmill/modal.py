@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvtable import read_table, write_table
-from .errors import DegenerateSignalError, InvalidInputError, RankDeficiencyError
+from .errors import InvalidInputError
 from .geometry import frozen
 
 AXES = ("x", "y", "z")
@@ -95,7 +95,7 @@ class ImpactRecord:
             raise InvalidInputError("impact record contains non-finite samples or tension")
         peak = np.max(np.abs(f))
         if peak == 0:
-            raise DegenerateSignalError("force signal is identically zero")
+            raise InvalidInputError("force signal is identically zero")
         med = np.median(np.abs(f))
         if med > 0 and peak <= 10 * med:
             raise InvalidInputError("force signal lacks a dominant transient")
@@ -194,7 +194,7 @@ def h1_estimate(records, nfft=None) -> FrfSeries:
         s_ff += (np.conj(F) * F).real
         s_fa += np.conj(F) * A
     if np.all(s_ff == 0):
-        raise DegenerateSignalError("force auto-spectrum is identically zero")
+        raise InvalidInputError("force auto-spectrum is identically zero")
     freqs = np.fft.rfftfreq(nfft, 1.0 / first.sample_rate)
     accelerance = s_fa / s_ff
     w = 2 * math.pi * freqs[1:]
@@ -262,7 +262,7 @@ def fit_shift(points, scope="global") -> ShiftFit:
         raise InvalidInputError("(tension, frequency) points must be finite")
     T, f = pts[:, 0], pts[:, 1]
     if np.ptp(T) == 0:
-        raise RankDeficiencyError("all tensions identical: the line fit is rank deficient")
+        raise InvalidInputError("all tensions identical: the line fit is rank deficient")
     A = np.column_stack([T, np.ones_like(T)])
     (slope, intercept), *_ = np.linalg.lstsq(A, f, rcond=None)
     residuals = f - (slope * T + intercept)

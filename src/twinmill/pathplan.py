@@ -24,11 +24,9 @@ from .errors import (
     ClosureError,
     ContinuityError,
     InvalidInputError,
-    MalformedArcError,
     PlanError,
     SingularConfigurationError,
     UnreachableTargetError,
-    UnsupportedGcodeError,
     WorkspaceError,
 )
 from .geometry import Pose, compose_rows, frozen, pose_rows, quat_canonical, quat_from_rotvec, quat_multiply
@@ -178,7 +176,7 @@ def parse_gcode(text) -> ToolPath:
     Supported words: G0/G1 (linear), G2/G3 (cw/ccw arc in the XY plane
     with I/J/K center offsets), X/Y/Z coordinates in mm, F feed in mm/min.
     Motion words are modal. Anything else, a helical arc (G2/G3 with a
-    Z move) too, raises with the offending line number.
+    Z move) too, raises InvalidInputError with the offending line number.
     """
     if not text or not text.strip():
         raise InvalidInputError("G-code text is empty")
@@ -187,8 +185,8 @@ def parse_gcode(text) -> ToolPath:
     feed = 0.0
     segments = []
 
-    def refusal(cls, message):
-        return cls(f"line {lineno}: {message}", line=lineno)
+    def refusal(message):
+        return InvalidInputError(f"line {lineno}: {message}", line=lineno)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comments(raw).strip()
@@ -199,22 +197,22 @@ def parse_gcode(text) -> ToolPath:
         # The text before each word, then its range; the last text has no word.
         for text_piece, (letter, value) in zip(pieces[::3], words + [("", 0.0)]):
             if text_piece.strip():
-                raise refusal(UnsupportedGcodeError, f"unparseable text {text_piece!r}")
+                raise refusal(f"unparseable text {text_piece!r}")
             if not abs(value) <= _MAX_WORD_VALUE:
-                raise refusal(UnsupportedGcodeError, f"{letter} value out of range (|value| > {_MAX_WORD_VALUE:g})")
+                raise refusal(f"{letter} value out of range (|value| > {_MAX_WORD_VALUE:g})")
         target, center = pos.copy(), pos.copy()
         has_target = has_center = False
         for letter, value in words:
             letter = letter.upper()
             if letter not in _SUPPORTED_LETTERS:
-                raise refusal(UnsupportedGcodeError, f"unsupported word {letter}{value:g}")
+                raise refusal(f"unsupported word {letter}{value:g}")
             if letter == "G":
                 if value not in (0.0, 1.0, 2.0, 3.0):
-                    raise refusal(UnsupportedGcodeError, f"unsupported G{value:g}")
+                    raise refusal(f"unsupported G{value:g}")
                 motion = int(value)
             elif letter == "F":
                 if value < 0:
-                    raise refusal(UnsupportedGcodeError, f"negative feed F{value:g}")
+                    raise refusal(f"negative feed F{value:g}")
                 feed = value
             elif letter in "XYZ":
                 target["XYZ".index(letter)] = value * _MM
@@ -226,25 +224,25 @@ def parse_gcode(text) -> ToolPath:
         if not has_target and not has_center:
             continue
         if motion is None:
-            raise refusal(UnsupportedGcodeError, "coordinates before any motion word")
+            raise refusal("coordinates before any motion word")
         if motion in (0, 1):
             if has_center:
-                raise refusal(UnsupportedGcodeError, "I/J/K only valid with G2/G3")
+                raise refusal("I/J/K only valid with G2/G3")
             if np.linalg.norm(target - pos) > 0:
                 segments.append(LinearSegment(Pose(pos), Pose(target), lineno))
         else:
             if not has_center:
-                raise refusal(UnsupportedGcodeError, "arc without I/J/K center")
+                raise refusal("arc without I/J/K center")
             if target[2] != pos[2]:
-                raise refusal(UnsupportedGcodeError, f"helical arcs are not supported (Z moves from "
-                                                     f"{pos[2] / _MM:g} mm to {target[2] / _MM:g} mm)")
+                raise refusal(f"helical arcs are not supported (Z moves from "
+                              f"{pos[2] / _MM:g} mm to {target[2] / _MM:g} mm)")
             r_start = np.linalg.norm((pos - center)[:2])
             r_end = np.linalg.norm((target - center)[:2])
             if not abs(r_start - r_end) <= _ARC_RADIUS_TOL:
-                raise refusal(MalformedArcError, f"arc radii differ by {abs(r_start - r_end) * 1e6:.1f} um "
-                                                 f"(start {r_start * 1e3:.3f} mm, end {r_end * 1e3:.3f} mm)")
+                raise refusal(f"arc radii differ by {abs(r_start - r_end) * 1e6:.1f} um "
+                              f"(start {r_start * 1e3:.3f} mm, end {r_end * 1e3:.3f} mm)")
             if r_start == 0:
-                raise refusal(MalformedArcError, "arc has zero radius")
+                raise refusal("arc has zero radius")
             theta_s = math.atan2(pos[1] - center[1], pos[0] - center[0])
             theta_e = math.atan2(target[1] - center[1], target[0] - center[0])
             # G3 turns counter-clockwise about +Z, G2 clockwise; a zero turn is a full circle.
@@ -256,7 +254,7 @@ def parse_gcode(text) -> ToolPath:
                 # the chain stays continuous to machine precision.
                 target = arc.end.position
             except InvalidInputError as exc:
-                raise refusal(MalformedArcError, exc) from exc
+                raise exc.within(f"line {lineno}: ", line=lineno)
             segments.append(arc)
         pos = target
     if not segments:

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twinmill import cli, config, modal
-from twinmill.errors import InvalidInputError, TwinmillError, UnsupportedGcodeError
+from twinmill.errors import InvalidInputError, TwinmillError
 from twinmill.geometry import Pose
 from twinmill.pathplan import (
     Setpoints,
@@ -772,6 +773,15 @@ def _impact(tension, rate=None):
     return text if rate is None else text.replace("# sample_rate_hz=2048.0", f"# sample_rate_hz={rate}")
 
 
+def _impact_struck_after_100_samples():
+    """An impact CSV whose force and acceleration are zero for their first
+    100 samples: a 64-point FFT of it sees no force at all."""
+    record = modal.impact_record_from_csv(_impact(0.0))
+    late = dataclasses.replace(record, force=np.r_[np.zeros(100), record.force],
+                               acceleration=np.r_[np.zeros(100), record.acceleration])
+    return modal.impact_record_to_csv(late)
+
+
 def _modal_x_damping(value):
     doc = demo_config_dict()
     doc["modal_models"]["x"]["damping_ratio"] = value
@@ -852,6 +862,10 @@ REFUSALS = {
         lambda p: {"a.csv": three_column_impact(modal.impact_record_from_csv(_impact(0.0)))},
         ["frf", "{a.csv}", "--out", "{out.csv}"], 3,
         "error: {a.csv}: impact CSV line 5: expected header 'force_N,accel_ms2', found 'time_s,force_N,accel_ms2'\n"),
+    "impact record with no force in its first nfft samples": (
+        lambda p: {"a.csv": _impact_struck_after_100_samples()},
+        ["frf", "{a.csv}", "--nfft", "64", "--out", "{out.csv}"], 3,
+        "error: force auto-spectrum is identically zero\n"),
     "mixed impact records": (
         lambda p: {"a.csv": _impact(0.0), "b.csv": _impact(500.0)},
         ["frf", "{a.csv}", "{a.csv}", "{b.csv}", "--out", "{out.csv}"], 3,
@@ -930,7 +944,7 @@ def _refusal_files(tmp_path, demo_program, files, argv, stderr):
 
 
 @pytest.mark.parametrize("name, text, parse, cls, message, line, path", [
-    ("slot.gcode", "G1 X10\nG1 X20 Q5\n", parse_gcode, UnsupportedGcodeError, "line 2: unsupported word Q5", 2, None),
+    ("slot.gcode", "G1 X10\nG1 X20 Q5\n", parse_gcode, InvalidInputError, "line 2: unsupported word Q5", 2, None),
     ("path.json", '{"segments": [{"type": []}]}', path_from_json, InvalidInputError,
      "path JSON segments[0].type: unknown segment type []", None, "segments[0].type"),
 ], ids=["G-code", "path JSON"])

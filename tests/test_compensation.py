@@ -20,7 +20,6 @@ from twinmill.compensation import (
 )
 from twinmill.errors import (
     ClosureError,
-    DegenerateGeometryError,
     InvalidInputError,
     SingularConfigurationError,
     TwinmillError,
@@ -102,8 +101,9 @@ class TestFitRigid:
 
     def test_collinear_rejected(self):
         pts = np.outer(np.linspace(0, 1, 10), np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(InvalidInputError) as exc:
             fit_rigid(PathTrace(pts), PathTrace(pts))
+        assert str(exc.value) == "reference points are collinear; the rotation is not unique"
 
     def test_too_few_points(self):
         pts = np.eye(2, 3)

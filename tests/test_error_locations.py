@@ -15,10 +15,8 @@ from twinmill.errors import (
     ClosureError,
     ConfigError,
     InvalidInputError,
-    MalformedArcError,
     TwinmillError,
     UnreachableTargetError,
-    UnsupportedGcodeError,
 )
 from twinmill.modal import (
     FrfSeries,
@@ -136,11 +134,11 @@ def _pose(x):
 
 # name: (reader call on the demo program, error class, line, path, message)
 LOCATED = {
-    "G-code word": (lambda p: parse_gcode("G1 X10\nG1 X20 Q5\n"), UnsupportedGcodeError, 2, None,
+    "G-code word": (lambda p: parse_gcode("G1 X10\nG1 X20 Q5\n"), InvalidInputError, 2, None,
                     "line 2: unsupported word Q5"),
-    "G-code I/J/K with G1": (lambda p: parse_gcode("G1 X10\nG1 X20 I5\n"), UnsupportedGcodeError, 2, None,
+    "G-code I/J/K with G1": (lambda p: parse_gcode("G1 X10\nG1 X20 I5\n"), InvalidInputError, 2, None,
                              "line 2: I/J/K only valid with G2/G3"),
-    "G-code arc": (lambda p: parse_gcode("G1 X10 Y0\nG3 X0 Y0 I-3\n"), MalformedArcError, 2, None,
+    "G-code arc": (lambda p: parse_gcode("G1 X10 Y0\nG3 X0 Y0 I-3\n"), InvalidInputError, 2, None,
                    "line 2: arc radii differ by 4000.0 um (start 3.000 mm, end 7.000 mm)"),
     "program CSV row": (lambda p: program_from_csv(_short_row(program_to_csv(p), 20)),
                         InvalidInputError, 20, None,

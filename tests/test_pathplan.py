@@ -18,11 +18,9 @@ from twinmill.errors import (
     ClosureError,
     ContinuityError,
     InvalidInputError,
-    MalformedArcError,
     PlanError,
     SingularConfigurationError,
     UnreachableTargetError,
-    UnsupportedGcodeError,
     WorkspaceError,
 )
 from twinmill.geometry import (
@@ -137,26 +135,31 @@ class TestParser:
         assert len(path.segments) == 1
 
     def test_unsupported_word_reports_line(self):
-        with pytest.raises(UnsupportedGcodeError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             parse_gcode("G1 X10\nM3 S2000\n")
         assert exc.value.line == 2
+        assert str(exc.value) == "line 2: unsupported word M3"
 
     def test_unsupported_g_number(self):
-        with pytest.raises(UnsupportedGcodeError):
+        with pytest.raises(InvalidInputError) as exc:
             parse_gcode("G17 X10\n")
+        assert str(exc.value) == "line 1: unsupported G17"
 
     def test_coordinates_before_motion(self):
-        with pytest.raises(UnsupportedGcodeError):
+        with pytest.raises(InvalidInputError) as exc:
             parse_gcode("X10\n")
+        assert str(exc.value) == "line 1: coordinates before any motion word"
 
     def test_arc_radius_mismatch(self):
-        with pytest.raises(MalformedArcError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             parse_gcode("G2 X10 Y0 I-50\n")
         assert exc.value.line == 1
+        assert str(exc.value) == "line 1: arc radii differ by 10000.0 um (start 50.000 mm, end 60.000 mm)"
 
     def test_arc_without_center(self):
-        with pytest.raises(UnsupportedGcodeError):
+        with pytest.raises(InvalidInputError) as exc:
             parse_gcode("G2 X10 Y0\n")
+        assert str(exc.value) == "line 1: arc without I/J/K center"
 
     def test_empty_input(self):
         with pytest.raises(InvalidInputError):
@@ -165,13 +168,13 @@ class TestParser:
             parse_gcode("G1 X0\n")  # zero-length move only
 
     def test_overlong_number_reports_line(self):
-        with pytest.raises(UnsupportedGcodeError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             parse_gcode("G1 X10\nG1 X" + "9" * 400 + "\n")
         assert exc.value.line == 2
         assert str(exc.value).startswith("line 2: X value out of range")
 
     def test_negative_feed_reports_line(self):
-        with pytest.raises(UnsupportedGcodeError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             parse_gcode("G1 X10 F100\nG1 X20 F-100\n")
         assert exc.value.line == 2
         assert str(exc.value) == "line 2: negative feed F-100"
@@ -181,13 +184,13 @@ class TestParser:
     def test_helical_arc_reports_line(self, z):
         """An arc with a Z move is refused, not planned flat (Z-0.3) or
         reported as an arc of mismatched radii (Z-5)."""
-        with pytest.raises(UnsupportedGcodeError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             parse_gcode(f"G1 X10 Y0\nG3 X0 Y0 Z{z} I-5\n")
         assert exc.value.line == 2
         assert str(exc.value) == f"line 2: helical arcs are not supported (Z moves from 0 mm to {z} mm)"
 
     def test_arc_center_off_plane_reports_line(self):
-        with pytest.raises(MalformedArcError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             parse_gcode("G1 Y1\n\nG3 X2 Y1 I1 J0 K5\n")
         assert exc.value.line == 3
         assert str(exc.value) == "line 3: arc start does not lie in the plane through the center"
@@ -210,19 +213,19 @@ class TestParserPins:
     line, and each accepted line's segments bit for bit (signed zeros too)."""
 
     @pytest.mark.parametrize("text, cls, line, message", [
-        ("G1 X10\nfoo G1 X20\n", UnsupportedGcodeError, 2, "line 2: unparseable text 'foo '"),
-        ("G1 X10 ?? Y5\n", UnsupportedGcodeError, 1, "line 1: unparseable text ' ?? '"),
-        ("G1 X10 Y5 junk\n", UnsupportedGcodeError, 1, "line 1: unparseable text ' junk'"),
-        ("G1 X10 Q\n", UnsupportedGcodeError, 1, "line 1: unparseable text ' Q'"),
-        ("G1 X1.2.3\n", UnsupportedGcodeError, 1, "line 1: unparseable text '.3'"),
-        ("G1 X1 (c) Z\n", UnsupportedGcodeError, 1, "line 1: unparseable text '   Z'"),
+        ("G1 X10\nfoo G1 X20\n", InvalidInputError, 2, "line 2: unparseable text 'foo '"),
+        ("G1 X10 ?? Y5\n", InvalidInputError, 1, "line 1: unparseable text ' ?? '"),
+        ("G1 X10 Y5 junk\n", InvalidInputError, 1, "line 1: unparseable text ' junk'"),
+        ("G1 X10 Q\n", InvalidInputError, 1, "line 1: unparseable text ' Q'"),
+        ("G1 X1.2.3\n", InvalidInputError, 1, "line 1: unparseable text '.3'"),
+        ("G1 X1 (c) Z\n", InvalidInputError, 1, "line 1: unparseable text '   Z'"),
         # The text before a word, then its range, then the text after the last word.
-        ("G1 X9999999999 junk\n", UnsupportedGcodeError, 1, "line 1: X value out of range (|value| > 1e+09)"),
-        ("G1 X10 Y9999999999 junk\n", UnsupportedGcodeError, 1, "line 1: Y value out of range (|value| > 1e+09)"),
-        ("junk G1 X9999999999\n", UnsupportedGcodeError, 1, "line 1: unparseable text 'junk '"),
+        ("G1 X9999999999 junk\n", InvalidInputError, 1, "line 1: X value out of range (|value| > 1e+09)"),
+        ("G1 X10 Y9999999999 junk\n", InvalidInputError, 1, "line 1: Y value out of range (|value| > 1e+09)"),
+        ("junk G1 X9999999999\n", InvalidInputError, 1, "line 1: unparseable text 'junk '"),
         # A range refusal keeps the word's case; an unsupported word is upper case.
-        ("g1 x9999999999\n", UnsupportedGcodeError, 1, "line 1: x value out of range (|value| > 1e+09)"),
-        ("g1 x10\nm3 s2000\n", UnsupportedGcodeError, 2, "line 2: unsupported word M3"),
+        ("g1 x9999999999\n", InvalidInputError, 1, "line 1: x value out of range (|value| > 1e+09)"),
+        ("g1 x10\nm3 s2000\n", InvalidInputError, 2, "line 2: unsupported word M3"),
     ])
     def test_refusal(self, text, cls, line, message):
         with pytest.raises(cls) as exc:
