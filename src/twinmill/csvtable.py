@@ -224,14 +224,44 @@ def _row_numbers(start, count, digits):
     return texts
 
 
+def _constant(data):
+    """Which columns of `data` hold one value, bit for bit (so -0.0 and 0.0
+    differ), in every row."""
+    bits = data.view(np.int64)
+    constant = bits[-1] == bits[0]  # only these columns can be constant
+    if constant.any():
+        constant[constant] = np.all(bits[:, constant] == bits[0, constant], axis=0)
+    return constant
+
+
+def _literals(row, constant, indexed, rows):
+    """The text before, between and after the kernel fields of a row, after
+    its index, where the `constant` columns hold `row`'s values: one uint8
+    array per text, broadcast to `rows` rows."""
+    literals = [""]
+    for i, fixed in enumerate(constant):
+        literals[-1] += "," if i or indexed else ""
+        if fixed:
+            literals[-1] += "%.17g" % row[i]
+        else:
+            literals.append("")
+    literals[-1] += "\n"
+    return [np.broadcast_to(np.frombuffer(text.encode(), dtype=np.uint8), (rows, len(text)))
+            for text in literals]
+
+
 def write_table(meta, columns, data) -> str:
     """The metadata, the header and the rows of `data` as CSV text, every
     value as `'%.17g' % x`. `data` holds one column per name of `columns`,
     except a first `index`: `write_table` writes the row numbers there.
 
-    A column whose value is bit-identical in every row (so -0.0 and 0.0
-    differ) is formatted once and written as a literal. The other values
-    are formatted by the kernel above, a block of rows at a time.
+    The rows are written a block at a time, each block about
+    _BLOCK_VALUES values of the columns that vary over the whole table. A
+    column whose value is bit-identical in every row of a block (so -0.0
+    and 0.0 differ) is formatted once for that block and written as a
+    literal, as is a simulated impact's force past its pulse, all exact
+    zeros. The other values of the block are formatted by the kernel
+    above.
 
     Metadata that `read_table` could not give back as written is refused
     with an InvalidInputError naming the key: a key or value that holds a
@@ -253,28 +283,24 @@ def write_table(meta, columns, data) -> str:
     width = len(columns) - indexed
     if data.ndim != 2 or data.shape[1] != width:
         raise InvalidInputError(f"header {','.join(columns)!r} takes {width} data columns, got shape {data.shape}")
-    bits = data.view(np.int64)
-    constant = np.all(bits == bits[0], axis=0)
-    literals = [""]  # the text before, between and after the other fields of a row, after its index
-    for i, fixed in enumerate(constant):
-        literals[-1] += "," if i or indexed else ""
-        if fixed:
-            literals[-1] += "%.17g" % data[0, i]
-        else:
-            literals.append("")
-    literals[-1] += "\n"
+    constant = _constant(data)
     digits = len(str(len(data) - 1))
-    data = data[:, ~constant]
-    rows = max(1, _BLOCK_VALUES // (data.shape[1] or 1))  # the index is not formatted by the kernel
-    literals = [np.broadcast_to(np.frombuffer(text.encode(), dtype=np.uint8), (rows, len(text)))
-                for text in literals]
+    rows = max(1, _BLOCK_VALUES // (np.count_nonzero(~constant) or 1))  # the index is not formatted by the kernel
+    table_literals, kernel = _literals(data[0], constant, indexed, rows), data[:, ~constant]
     for start in range(0, len(data), rows):
-        block = data[start:start + rows]
-        texts = _texts(block.ravel()).reshape(block.shape + (_WIDTH,))
-        pieces = [_row_numbers(start, len(block), digits)] if indexed else []
-        pieces.append(literals[0][:len(block)])
-        for i, literal in enumerate(literals[1:]):
-            pieces += [texts[:, i], literal[:len(texts)]]
+        values = kernel[start:start + rows]
+        fixed = _constant(values)  # the table's constant columns are constant in every block
+        literals = table_literals
+        if fixed.any():
+            block_constant = constant.copy()
+            block_constant[~constant] = fixed
+            literals, values = _literals(data[start], block_constant, indexed, rows), values[:, ~fixed]
+        pieces = [_row_numbers(start, len(values), digits)] if indexed else []
+        pieces.append(literals[0][:len(values)])
+        if len(literals) > 1:
+            texts = _texts(values.ravel()).reshape(values.shape + (_WIDTH,))
+            for i, literal in enumerate(literals[1:]):
+                pieces += [texts[:, i], literal[:len(values)]]
         parts.append(np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 

@@ -149,6 +149,15 @@ def three_column_impact(record):
                        np.column_stack([t, record.force, record.acceleration]))
 
 
+def row_by_row(columns, data):
+    """The text `csvtable.write_table` must give for a table without
+    metadata: each row formatted with Python's `%`, one value at a time,
+    after its row number where the first column is `index`."""
+    counted = columns[0] == "index"
+    return ",".join(columns) + "\n" + "".join(",".join([f"{k}"] * counted + ["%.17g" % x for x in row]) + "\n"
+                                              for k, row in enumerate(np.asarray(data).tolist()))
+
+
 def random_nonsingular_q(arm, rng, min_sv=1e-3):
     from twinmill.kinematics import jacobian
 

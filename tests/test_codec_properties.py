@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
 from twinmill.config import load_config
-from twinmill.csvtable import read_table, write_table
+from twinmill.csvtable import _BLOCK_VALUES, read_table, write_table
 from twinmill.errors import TwinmillError
 from twinmill.geometry import Pose
 from twinmill.modal import (
@@ -30,7 +30,7 @@ from twinmill.pathplan import (
 )
 from twinmill.stiffness import Wrench
 
-from conftest import DEMO_CONFIG
+from conftest import DEMO_CONFIG, row_by_row
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EDGES = np.array([5e-324, -2.2250738585072014e-308, 0.0, -0.0, 1e300, -1e-300, 1.7976931348623157e308])
@@ -54,6 +54,45 @@ def test_table_round_trip(data):
     meta, back = read_table(text, ("a", "b", "c"), "T")
     assert meta == {"k": "v"}
     assert_bits_equal(back, data)
+
+
+# The first rows of the writer's blocks in tables of 1-4 columns that vary.
+BLOCK_EDGES = sorted({k * (_BLOCK_VALUES // width) for width in range(1, 5) for k in range(1, 3)})
+
+
+@st.composite
+def piecewise_constant_tables(draw):
+    """A table of 1-4 columns, each a few runs of one value, whose run
+    boundaries fall anywhere or at and next to a block's first row."""
+    n = draw(st.integers(2, BLOCK_EDGES[-1] + 2))
+    width = draw(st.integers(1, 4))
+    near_edges = st.sampled_from(BLOCK_EDGES).flatmap(lambda edge: st.integers(edge - 1, edge + 1))
+    columns = []
+    for _ in range(width):
+        cuts = draw(st.lists(st.one_of(st.integers(1, n - 1), near_edges.filter(lambda k: k < n)), max_size=3))
+        values = draw(st.lists(st.one_of(st.floats(), st.sampled_from(EDGES)), min_size=len(cuts) + 1,
+                               max_size=len(cuts) + 1))
+        columns.append(np.repeat(values, np.diff([0, *sorted(cuts), n])))
+    return np.column_stack(columns)
+
+
+def pulse_then_zeros():
+    """A simulated impact's force, a pulse and then exact zeros, beside a
+    column that varies in every row: the force is constant in every block
+    but the first."""
+    n = 3 * (_BLOCK_VALUES // 2) + 1
+    force = np.zeros(n)
+    force[:2] = 100.0, 61.5
+    return np.column_stack([force, np.linspace(-1.0, 1.0, n)])
+
+
+@settings(max_examples=25)
+@given(piecewise_constant_tables())
+@example(pulse_then_zeros())
+def test_piecewise_constant_tables_match_row_by_row_format(data):
+    columns = tuple("abcd"[:data.shape[1]])
+    # Lists of lines, so that a failure names its first wrong line quickly.
+    assert write_table({}, columns, data).split("\n") == row_by_row(columns, data).split("\n")
 
 
 @settings(max_examples=30)

@@ -26,6 +26,8 @@ from twinmill.modal import (
 from twinmill.pathplan import parse_gcode, plan_sync, program_to_csv, transform_path
 from twinmill.stiffness import Wrench
 
+from conftest import row_by_row
+
 COLUMNS = ("a", "b", "c")
 BLOCK_ROWS = _BLOCK_VALUES // 3  # rows per kernel call of a table with 3 non-constant columns
 
@@ -36,14 +38,6 @@ LOW = 2.0 ** -83
 KERNEL_EDGES = [0.0, -0.0, 5e-324, -5e-324, -2.2250738585072014e-308, LOW, np.nextafter(LOW, 0), -LOW,
                 np.nextafter(1e17, 0), 1e17, -1e17, 1e16, 1e-14, 9.9999999999999995e-5, 1e-4, 1e-5,
                 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
-
-
-def row_by_row(columns, data):
-    """The reference: each row formatted with Python's `%`, one value at a
-    time, after its row number where the first column is `index`."""
-    counted = columns[0] == "index"
-    return ",".join(columns) + "\n" + "".join(",".join([f"{k}"] * counted + ["%.17g" % x for x in row]) + "\n"
-                                              for k, row in enumerate(np.asarray(data).tolist()))
 
 
 def binade_sweep():
@@ -165,6 +159,55 @@ class TestWriteTable:
         assert write_table({"k": "v"}, columns, data).split("\n") == ("# k=v\n" + row_by_row(columns, data)).split("\n")
         constant = data[:, [0, 2, 4]]  # no index, and every column constant
         assert write_table({}, tuple("ace"), constant).split("\n") == row_by_row(tuple("ace"), constant).split("\n")
+
+    @pytest.mark.parametrize("case", ["step", "pulse", "signed zeros", "non-finite"])
+    def test_columns_constant_per_block_match_row_by_row_format(self, case):
+        """A column constant within a block but not over the table is written
+        as that block's literal. Beside a column that varies in every row, a
+        block is 2048 rows: three blocks and a one-row last one, which has
+        no kernel column."""
+        rows = _BLOCK_VALUES // 2
+        n = 3 * rows + 1
+        block = np.arange(n) // rows
+        if case == "step":  # 1.0 in the first block, 2.0 in the next, ...
+            column = 1.0 + block
+        elif case == "pulse":
+            column = np.zeros(n)
+            column[:2] = 100.0, 61.5
+        elif case == "signed zeros":  # mixed in the first block, then -0.0, 0.0, -0.0
+            column = np.where(block == 0, np.where(np.arange(n) % 2, 0.0, -0.0), np.where(block % 2, -0.0, 0.0))
+        else:  # -inf then nan in the first block, then nan, inf, -inf
+            column = np.array([math.nan, math.nan, math.inf, -math.inf])[block]
+            column[:rows // 2] = -math.inf
+        data = np.column_stack([np.random.default_rng(n).normal(size=n), column])
+        columns = ("index", "a", "b")
+        text = write_table({}, columns, data)
+        assert text.split("\n") == row_by_row(columns, data).split("\n")
+        if case == "non-finite":  # the reader takes finite numbers only
+            with pytest.raises(InvalidInputError, match="^T line 2: expected 3 comma-separated finite numbers"):
+                read_table(text, columns, "T")
+        else:
+            assert read_table(text, columns, "T")[1].tobytes() == data.tobytes()
+
+    def test_a_simulated_impact_formats_its_force_in_the_pulse_block_only(self, monkeypatch):
+        """A 4 s record at 4096 Hz with a 0.5 ms hammer pulse is 8 blocks of
+        2048 rows, and its force is exact zeros past the pulse, so the
+        kernel formats 18 432 values, not 32 768. The bytes are the same
+        either way: only this count tells constancy per block from
+        constancy over the table."""
+        sizes, real = [], csvtable._texts
+
+        def spy(x):
+            sizes.append(len(x))
+            return real(x)
+
+        monkeypatch.setattr(csvtable, "_texts", spy)
+        record = simulate_impact(ModalModel("x", 60.0, 0.015, 159.0, 0.0226), 500.0, sample_rate=4096.0,
+                                 duration=4.0, impact_width=0.5e-3)
+        text = impact_record_to_csv(record)
+        assert sizes == [4096] + [2048] * 7
+        assert sum(sizes) == 18_432
+        assert text.endswith(row_by_row(("force_N", "accel_ms2"), np.column_stack([record.force, record.acceleration])))
 
     def test_program_csv_matches_row_by_row_format(self, cfg):
         """The 4 tool quaternion columns of a 3-axis program are constant."""
