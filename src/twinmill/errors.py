@@ -65,17 +65,5 @@ class ClosureError(TwinmillError):
         self.gap = gap
 
 
-class PlanError(TwinmillError):
-    """Setpoint generation failed at the pose `index`."""
-
-
-class WorkspaceError(PlanError):
-    """A tool pose falls outside the declared workspace box."""
-
-
-class ContinuityError(PlanError):
-    """Joint-space jump between consecutive setpoints exceeds the guard."""
-
-
 class ConfigError(TwinmillError):
     """System configuration file is invalid; carries the schema path."""

@@ -448,14 +448,13 @@ def inverse_kinematics(
     err = pose_error(forward_kinematics(arm, seeds), targets)
     res = _residuals(err)
     # Per row still iterating (`rows` holds their indices, ascending): its
-    # q, error, Jacobian, residuals, best residual, target, damping,
-    # rejected trials in a row and accepted steps.
+    # q, error, Jacobian, best residual, target, damping, rejected trials
+    # in a row and accepted steps.
     rows = np.flatnonzero((res[:, 0] > tol_pos) | (res[:, 1] > tol_rot))
     rows = rows[rows < failure[0]]
-    q_a, err_a, res_a, tgt_a = (x[rows] for x in (q, err, res, targets))
+    q_a, err_a, best_a, tgt_a = (x[rows] for x in (q, err, res, targets))
     if len(rows):
         J_a = np.broadcast_to(jacobian(arm, seeds if len(seeds) == 1 else seeds[rows]), (len(rows), 6, N_JOINTS))
-    best_a = res_a.copy()
     lam_a = np.full(len(rows), _LAMBDA0)
     retries_a = np.zeros(len(rows), dtype=int)
     steps_a = np.zeros(len(rows), dtype=int)
@@ -471,7 +470,6 @@ def inverse_kinematics(
         q_a = np.where(ok[:, None], q_new, q_a)
         err_a = np.where(ok[:, None], err_new, err_a)
         J_a = np.where(ok[:, None, None], J_new, J_a)
-        res_a = np.where(ok[:, None], res_new, res_a)
         # Best residual: the lexicographic minimum of (position, rotation).
         better = ok & ((res_new[:, 0] < best_a[:, 0])
                        | ((res_new[:, 0] == best_a[:, 0]) & (res_new[:, 1] < best_a[:, 1])))
@@ -480,7 +478,7 @@ def inverse_kinematics(
         lam_a = np.where(ok, _LAMBDA0, 10.0 * lam_a)
         retries_a = np.where(ok, 0, retries_a + 1)
         steps_a = steps_a + ok
-        done = ok & (res_a[:, 0] <= tol_pos) & (res_a[:, 1] <= tol_rot)
+        done = ok & (res_new[:, 0] <= tol_pos) & (res_new[:, 1] <= tol_rot)
         q[rows[done]] = q_a[done]
         # No damping reduces the residual: q is a local minimum of it.
         stalled = retries_a == _MAX_RETRIES
@@ -494,8 +492,8 @@ def inverse_kinematics(
             ) + f" (best residual {best_a[k, 0]:.3e} m, {best_a[k, 1]:.3e} rad)", *best_a[k])
         keep = ~(done | stalled | spent) & (rows < failure[0])
         if not np.all(keep):
-            rows, q_a, err_a, J_a, res_a, tgt_a, best_a, lam_a, retries_a, steps_a = (
-                x[keep] for x in (rows, q_a, err_a, J_a, res_a, tgt_a, best_a, lam_a, retries_a, steps_a)
+            rows, q_a, err_a, J_a, tgt_a, best_a, lam_a, retries_a, steps_a = (
+                x[keep] for x in (rows, q_a, err_a, J_a, tgt_a, best_a, lam_a, retries_a, steps_a)
             )
     row, message, pos_residual, rot_residual = failure
     if message is not None:

@@ -22,12 +22,9 @@ from . import jsondoc
 from .csvtable import read_table, write_table
 from .errors import (
     ClosureError,
-    ContinuityError,
     InvalidInputError,
-    PlanError,
     SingularConfigurationError,
     UnreachableTargetError,
-    WorkspaceError,
 )
 from .geometry import Pose, compose_rows, frozen, pose_rows, quat_canonical, quat_from_rotvec, quat_multiply
 from .kinematics import (
@@ -542,9 +539,10 @@ def _solve(arm, targets, blocks, tol, k, stage=""):
     _BLOCK_ROWS rows of a longer block; IK solves its rows independently,
     so q is bit-identical wherever a block is cut, and a failing call
     hands back the rows before its failing one as `solved`. Returns the
-    solutions of the targets before the first failing one and a PlanError
-    naming its setpoint and arm `k` (as `index` and `arm`) and `stage`,
-    caused by the UnreachableTargetError; or (all of them, None)."""
+    solutions of the targets before the first failing one and an
+    InvalidInputError naming its setpoint and arm `k` (as `index` and
+    `arm`) and `stage`, caused by the UnreachableTargetError; or (all of
+    them, None)."""
     q = np.empty((len(targets), 6))
     for start, stop, seeds in blocks(q):
         for first in range(start, stop, _BLOCK_ROWS):
@@ -556,7 +554,7 @@ def _solve(arm, targets, blocks, tol, k, stage=""):
                 last = first + exc.index
                 q[first:last] = exc.solved
                 what = f"arm {k} {stage}".rstrip()
-                failure = PlanError(f"IK failed at setpoint {last} ({what}): {exc}", index=last, arm=k)
+                failure = InvalidInputError(f"IK failed at setpoint {last} ({what}): {exc}", index=last, arm=k)
                 failure.__cause__ = exc
                 return q[:last], failure
     return q, None
@@ -677,7 +675,7 @@ def plan_sync(
         outside = np.flatnonzero(~np.all(np.abs(tool[:, :3] - center) <= size / 2 + 1e-12, axis=1))
         if outside.size:
             i = int(outside[0])
-            raise WorkspaceError(f"tool pose {i} at {tool[i, :3]} lies outside the workspace box", index=i)
+            raise InvalidInputError(f"tool pose {i} at {tool[i, :3]} lies outside the workspace box", index=i)
     tol = (tol_pos, tol_rot, max_iter)
     r1 = compose_rows(tool, sys.tool_offset.inverse())
     r2_nominal = compose_rows(r1, sys.flange2_offset)
@@ -725,8 +723,8 @@ def plan_sync(
     over = np.flatnonzero(~(jumps <= joint_jump_max))
     if over.size:
         i = int(over[0]) + 1
-        stop(ContinuityError(f"joint jump {jumps[i - 1]:.3f} rad at setpoint {i} exceeds {joint_jump_max} rad",
-                             index=i))
+        stop(InvalidInputError(f"joint jump {jumps[i - 1]:.3f} rad at setpoint {i} exceeds {joint_jump_max} rad",
+                               index=i))
     if failure is not None:
         raise failure
     return SyncProgram(

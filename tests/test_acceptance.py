@@ -20,7 +20,7 @@ from twinmill.compensation import (
     simulate_deformation,
 )
 from twinmill.config import load_config
-from twinmill.errors import ContinuityError
+from twinmill.errors import InvalidInputError
 from twinmill.geometry import Pose, matrix_pose_rows, pose_error
 from twinmill.kinematics import (
     DEFAULT_TOL_POS,
@@ -247,7 +247,7 @@ def test_acceptance_7_path_planning():
         path = transform_path(parse_gcode("G1 X400\n"), Pose(WORK_OFFSET))
         plan_sync(cfg.system, path, Wrench(np.zeros(3)), (cfg.ik_seed1, cfg.ik_seed2), max_step=1.0)
         ok = False
-    except ContinuityError:
-        pass
+    except InvalidInputError as exc:
+        ok = ok and exc.index == 1 and str(exc) == "joint jump 0.457 rad at setpoint 1 exceeds 0.2 rad"
     ok = ok and time.perf_counter() - t0 < 30.0
     _report(7, "G-code parsing and synchronized planning", ok)

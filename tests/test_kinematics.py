@@ -317,6 +317,30 @@ class TestInverseKinematics:
         assert exc.value.pos_residual == pytest.approx(np.linalg.norm(seed_err[:3]), rel=1e-15)
         assert exc.value.rot_residual == pytest.approx(np.linalg.norm(seed_err[3:]), rel=1e-15)
 
+    def test_a_rejected_trial_inside_both_tolerances_does_not_finish_the_row(self, test_arm, monkeypatch):
+        """Every trial lands 0.9e-6 m and 0.9e-6 rad from the target: inside
+        both tolerances, but with a larger error norm than the seed's, which
+        is 1.05e-6 m off in position only. Each trial is rejected, so the
+        row stalls instead of returning its out-of-tolerance seed."""
+        from twinmill import kinematics
+
+        seed = np.array([0.2, -0.4, 0.6, 0.1, -0.5, 0.3])
+        reached = forward_kinematics(test_arm, seed)
+        target = Pose(reached.position + [1.05e-6, 0.0, 0.0], reached.quaternion)
+        trial = (target @ Pose(np.array([0.0, 0.9e-6, 0.0]), quat_from_rotvec(np.array([0.0, 0.0, 0.9e-6])))).matrix()
+        real_chain = kinematics._chain
+
+        def off_target(consts, q):
+            T, J = real_chain(consts, q)
+            return np.broadcast_to(trial, T.shape), J
+
+        monkeypatch.setattr(kinematics, "_chain", off_target)
+        with pytest.raises(UnreachableTargetError) as exc:
+            inverse_kinematics(test_arm, target, seed)
+        assert str(exc.value).startswith("IK stalled: ")
+        assert exc.value.pos_residual == pytest.approx(1.05e-6, rel=1e-6)
+        assert exc.value.rot_residual < 1e-12
+
     def test_rejects_bad_arguments(self, test_arm):
         target = forward_kinematics(test_arm, np.zeros(6))
         with pytest.raises(InvalidInputError):

@@ -16,12 +16,9 @@ from hypothesis.extra.numpy import arrays
 from twinmill import kinematics, pathplan, stiffness
 from twinmill.errors import (
     ClosureError,
-    ContinuityError,
     InvalidInputError,
-    PlanError,
     SingularConfigurationError,
     UnreachableTargetError,
-    WorkspaceError,
 )
 from twinmill.geometry import (
     Pose,
@@ -789,15 +786,20 @@ class TestPlanSync:
                                   f"q1 = {value:g} rad outside [{lo:g}, {hi:g}] rad")
 
     def test_nan_guards_reject(self, cfg):
-        with pytest.raises(WorkspaceError):
+        with pytest.raises(InvalidInputError) as exc:
             demo_plan(cfg, workspace_box=(np.full(3, np.nan), np.ones(3)))
-        with pytest.raises(ContinuityError):
+        assert str(exc.value) == "tool pose 0 at [ 2.105 -0.02   1.1  ] lies outside the workspace box"
+        assert (exc.value.index, exc.value.arm) == (0, None)
+        with pytest.raises(InvalidInputError) as exc:
             demo_plan(cfg, gcode="G1 X4\n", joint_jump_max=np.nan)
+        assert str(exc.value) == "joint jump 0.005 rad at setpoint 1 exceeds nan rad"
+        assert (exc.value.index, exc.value.arm) == (1, None)
 
     def test_workspace_guard(self, cfg):
-        with pytest.raises(WorkspaceError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             demo_plan(cfg, workspace_box=(np.array([0.0, 0.0, 0.0]), np.array([0.1, 0.1, 0.1])))
-        assert exc.value.index == 0
+        assert str(exc.value) == "tool pose 0 at [ 2.105 -0.02   1.1  ] lies outside the workspace box"
+        assert (exc.value.index, exc.value.arm) == (0, None)
 
     def test_inside_demo_workspace(self, cfg):
         prog = demo_plan(cfg, workspace_box=cfg.workspace_box)
@@ -805,21 +807,26 @@ class TestPlanSync:
 
     def test_continuity_guard(self, cfg):
         # a single 0.4 m hop moves several joints well past the jump limit
-        with pytest.raises(ContinuityError):
+        with pytest.raises(InvalidInputError) as exc:
             demo_plan(cfg, gcode="G1 X400\n", max_step=1.0)
+        assert str(exc.value) == "joint jump 0.457 rad at setpoint 1 exceeds 0.2 rad"
+        assert (exc.value.index, exc.value.arm) == (1, None)
 
     def test_ik_failure_mid_path_reports_its_setpoint(self, cfg):
         # The second move leaves the arms' reach at setpoint 135.
-        with pytest.raises(PlanError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             demo_plan(cfg, gcode="G1 X20\nG1 X-2500\n", tension=Wrench(np.array([1000.0, 0.0, 0.0])))
-        assert type(exc.value) is PlanError
-        assert exc.value.index == 135
+        cause = exc.value.__cause__
+        assert isinstance(cause, UnreachableTargetError)
+        assert str(exc.value) == f"IK failed at setpoint 135 (arm 2 nominal): {NOT_CONVERGED.format(cause)}"
+        assert (exc.value.index, exc.value.arm) == (135, 2)
 
     def test_continuity_jump_mid_path_reports_its_setpoint(self, cfg):
-        with pytest.raises(ContinuityError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             demo_plan(cfg, gcode="G1 X20\nG1 X40\nG1 X60\nG1 X80\nG0 X480\n", max_step=1.0,
                       tension=Wrench(np.array([1000.0, 0.0, 0.0])))
-        assert exc.value.index == 5
+        assert str(exc.value) == "joint jump 0.484 rad at setpoint 5 exceeds 0.2 rad"
+        assert (exc.value.index, exc.value.arm) == (5, None)
 
     def test_offset_beyond_the_bound_reports_setpoint_0(self, cfg):
         """40 kN asks for about 11 mm of arm-2 offset on the demo slot,
@@ -895,14 +902,21 @@ class TestPlanSync:
 
     def test_ik_failure_reports_index(self, cfg):
         path = transform_path(parse_gcode("G1 X40\n"), Pose(np.array([20.0, 0.0, 0.0])))
-        with pytest.raises(PlanError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             plan_sync(cfg.system, path, Wrench(np.zeros(3)), (cfg.ik_seed1, cfg.ik_seed2))
-        assert exc.value.index == 0
+        assert str(exc.value) == ("IK failed at setpoint 0 (arm 1): target 19.902 m from base exceeds the arm's "
+                                  "extent 4.090 m (reach + |flange offset|)")
+        assert (exc.value.index, exc.value.arm) == (0, 1)
 
 
 # The `_solve` calls of plan_sync, in order: pass 1 of arm 1 and of arm 2's
 # nominal pose, pass 3 of arm 2's commanded pose.
 ARM1, ARM2_NOMINAL, ARM2_COMMANDED = range(3)
+# IK's refusal, by arm, of a target the spy below moves to (10, 0, 0) m.
+OUT_OF_REACH = {arm: f"target {dist} m from base exceeds the arm's extent 4.090 m (reach + |flange offset|)"
+                for arm, dist in ((1, "10.000"), (2, "5.750"))}
+# IK's refusal of a row that ran out of iterations, from its cause.
+NOT_CONVERGED = "IK did not converge in 200 iterations (best residual {0.pos_residual:.3e} m, {0.rot_residual:.3e} rad)"
 
 
 class SeedingCalls:
@@ -1086,15 +1100,16 @@ class TestPassOneSeeding(SeedingCalls):
         np.testing.assert_array_equal(prog.pairs.q2[1:], seeds)
 
     @pytest.mark.parametrize("plant, gcode, index, cause", [
-        ("unreachable", "G1 X200\n", 40, "target "),
-        ("joint-limit", "G1 Y200\n", 35, "IK did not converge"),
+        ("unreachable", "G1 X200\n", 40,
+         "target 9.905 m from base exceeds the arm's extent 4.090 m (reach + |flange offset|)"),
+        ("joint-limit", "G1 Y200\n", 35, NOT_CONVERGED),
     ])
     def test_a_row_without_a_branch_fails_as_the_fallback_does(self, cfg, monkeypatch, plant, gcode, index, cause):
         """A row with no closed-form solution within the joint limits:
         tool row 40 moved out of both arms' reach, or arm 1's q1 capped at
         0.05 rad on a move that turns it further. Arm 1's pass 1 runs the
-        `_seed_blocks` chain and raises its PlanError, for the first row
-        that has none."""
+        `_seed_blocks` chain and raises its refusal, for the first row that
+        has none."""
         if plant == "unreachable":
             real_discretize = pathplan.discretize
 
@@ -1114,21 +1129,23 @@ class TestPassOneSeeding(SeedingCalls):
             if not closed_form:
                 monkeypatch.setattr(pathplan, "_branch_seeds", lambda *args: None)
             calls = self.spy(monkeypatch)
-            with pytest.raises(PlanError) as exc:
+            with pytest.raises(InvalidInputError) as exc:
                 demo_plan(cfg, gcode=gcode)
             spans.append([shape[0] for shape, _ in self.solve_calls(calls, ARM1)])
-            errors.append((type(exc.value), exc.value.index, str(exc.value), exc.value.__cause__.index))
+            errors.append((exc.value.index, exc.value.arm, str(exc.value), exc.value.__cause__.index))
         assert spans[0] == spans[1] and spans[0][:2] == [1, 25]
         assert errors[0] == errors[1]
-        assert errors[0][1] == index and errors[0][2].startswith(f"IK failed at setpoint {index} (arm 1): {cause}")
+        message = f"IK failed at setpoint {index} (arm 1): {cause.format(exc.value.__cause__)}"
+        assert errors[0][:3] == (index, 1, message)
 
     def test_arm_2_pass_one_stops_at_the_first_failing_setpoint_of_arm_1(self, cfg, monkeypatch):
         """Arm 2's nominal pose is solved only for the setpoints before arm
         1's first failure, so a later failure of arm 2 cannot be named."""
         calls = self.spy(monkeypatch, plant={ARM1: [40], ARM2_NOMINAL: [45]})
-        with pytest.raises(PlanError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             demo_plan(cfg, gcode="G1 X200\n")
-        assert str(exc.value).startswith("IK failed at setpoint 40 (arm 1): target ")
+        assert str(exc.value) == f"IK failed at setpoint 40 (arm 1): {OUT_OF_REACH[1]}"
+        assert (exc.value.index, exc.value.arm) == (40, 1)
         for solve in (ARM2_NOMINAL, ARM2_COMMANDED):
             # Each solve re-solves the rows before its failing one, if any.
             shapes = [shape for shape, _ in self.solve_calls(calls, solve)]
@@ -1143,34 +1160,34 @@ class TestPassOneSeeding(SeedingCalls):
         blocks = list(pathplan._seed_blocks(np.column_stack([x, np.zeros((6, 2))])))
         assert blocks == [(0, 1), (1, 3), (3, 4), (4, 5), (5, 6)]
 
-    @pytest.mark.parametrize("gcode, index, arm", [
-        ("G1 X20\nG1 X2500\n", 192, "arm 1"),
-        ("G1 X20\nG1 X-2500\n", 135, "arm 2 nominal"),
+    @pytest.mark.parametrize("gcode, index, arm, stage", [
+        ("G1 X20\nG1 X2500\n", 192, 1, ""),
+        ("G1 X20\nG1 X-2500\n", 135, 2, " nominal"),
     ])
-    def test_failure_names_the_setpoint_and_the_arm(self, cfg, gcode, index, arm):
-        with pytest.raises(PlanError) as exc:
+    def test_failure_names_the_setpoint_and_the_arm(self, cfg, gcode, index, arm, stage):
+        with pytest.raises(InvalidInputError) as exc:
             demo_plan(cfg, gcode=gcode, tension=Wrench(np.array([1000.0, 0.0, 0.0])))
-        assert type(exc.value) is PlanError
-        assert exc.value.index == index
-        assert str(exc.value).startswith(f"IK failed at setpoint {index} ({arm}): ")
-        assert isinstance(exc.value.__cause__, UnreachableTargetError)
+        cause = exc.value.__cause__
+        assert isinstance(cause, UnreachableTargetError)
+        assert str(exc.value) == f"IK failed at setpoint {index} (arm {arm}{stage}): {NOT_CONVERGED.format(cause)}"
+        assert (exc.value.index, exc.value.arm) == (index, arm)
 
-    @pytest.mark.parametrize("bad, index, arm", [
-        ({ARM1: 40}, 40, "arm 1"),
-        ({ARM2_NOMINAL: 40}, 40, "arm 2 nominal"),
-        ({ARM1: 40, ARM2_NOMINAL: 40}, 40, "arm 1"),
-        ({ARM1: 41, ARM2_NOMINAL: 40}, 40, "arm 2 nominal"),
-        ({ARM1: 40, ARM2_NOMINAL: 41}, 40, "arm 1"),
+    @pytest.mark.parametrize("bad, index, arm, stage", [
+        ({ARM1: 40}, 40, 1, ""),
+        ({ARM2_NOMINAL: 40}, 40, 2, " nominal"),
+        ({ARM1: 40, ARM2_NOMINAL: 40}, 40, 1, ""),
+        ({ARM1: 41, ARM2_NOMINAL: 40}, 40, 2, " nominal"),
+        ({ARM1: 40, ARM2_NOMINAL: 41}, 40, 1, ""),
     ])
-    def test_first_failing_setpoint_wins_arm_1_on_a_tie(self, cfg, monkeypatch, bad, index, arm):
+    def test_first_failing_setpoint_wins_arm_1_on_a_tie(self, cfg, monkeypatch, bad, index, arm, stage):
         """Setpoints are moved out of reach per pass-1 solve (solve:
         setpoint); the earliest setpoint is named, arm 1 before arm 2 when
         both fail there."""
         self.spy(monkeypatch, plant={solve: [i] for solve, i in bad.items()})
-        with pytest.raises(PlanError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             demo_plan(cfg, gcode="G1 X200\n")
-        assert exc.value.index == index
-        assert str(exc.value).startswith(f"IK failed at setpoint {index} ({arm}): target ")
+        assert str(exc.value) == f"IK failed at setpoint {index} (arm {arm}{stage}): {OUT_OF_REACH[arm]}"
+        assert (exc.value.index, exc.value.arm) == (index, arm)
 
     def test_commanded_failure_in_a_later_block_reports_its_setpoint(self, cfg, monkeypatch):
         """Pass 3 solves one IK call per _BLOCK_ROWS rows, here 64; a row
@@ -1179,15 +1196,14 @@ class TestPassOneSeeding(SeedingCalls):
         before its failing one."""
         monkeypatch.setattr(pathplan, "_BLOCK_ROWS", 64)
         calls = self.spy(monkeypatch, plant={ARM2_COMMANDED: [pathplan._BLOCK_ROWS + 10]})
-        with pytest.raises(PlanError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             demo_plan(cfg, gcode="G1 X200\nG1 Y20\n", max_step=0.001,
                       tension=Wrench(np.array([1000.0, 0.0, 0.0])))
-        assert type(exc.value) is PlanError
         # Two blocks, one IK call each.
         pass3 = [shape for shape, _ in self.solve_calls(calls, ARM2_COMMANDED)]
         assert pass3 == [(pathplan._BLOCK_ROWS, 7)] * 2
-        assert exc.value.index == pathplan._BLOCK_ROWS + 10
-        assert str(exc.value).startswith(f"IK failed at setpoint {exc.value.index} (arm 2 commanded): target ")
+        assert (exc.value.index, exc.value.arm) == (pathplan._BLOCK_ROWS + 10, 2)
+        assert str(exc.value) == f"IK failed at setpoint {exc.value.index} (arm 2 commanded): {OUT_OF_REACH[2]}"
 
 
 class TestSolveChunks:
@@ -1316,16 +1332,16 @@ class TestFallbackSeeding(SeedingCalls):
 # targets a spy moves out of reach; TENSION_OFFSETS, planted at setpoint k
 # by a `tension_offset` that refuses row k as rank deficient; and
 # OFFSET_BOUND, planted at setpoint k by setting MAX_OFFSET between the gaps
-# of setpoints k - 1 and k; each with the type and message prefix of the
-# error it raises at setpoint k.
+# of setpoints k - 1 and k; each with the type, `arm` and message of the
+# error it raises at setpoint k, whose arm-2 offset gap is `gap`.
 TENSION_OFFSETS = "tension offsets"
 OFFSET_BOUND = "offset bound"
 PASS_ORDER = [
-    (ARM1, PlanError, "IK failed at setpoint {k} (arm 1): target "),
-    (ARM2_NOMINAL, PlanError, "IK failed at setpoint {k} (arm 2 nominal): target "),
-    (TENSION_OFFSETS, SingularConfigurationError, "setpoint {k}: planted rank deficiency"),
-    (OFFSET_BOUND, ClosureError, "setpoint {k}: commanded arm-2 flange is "),
-    (ARM2_COMMANDED, PlanError, "IK failed at setpoint {k} (arm 2 commanded): target "),
+    (ARM1, InvalidInputError, 1, "IK failed at setpoint {k} (arm 1): " + OUT_OF_REACH[1]),
+    (ARM2_NOMINAL, InvalidInputError, 2, "IK failed at setpoint {k} (arm 2 nominal): " + OUT_OF_REACH[2]),
+    (TENSION_OFFSETS, SingularConfigurationError, None, "setpoint {k}: planted rank deficiency"),
+    (OFFSET_BOUND, ClosureError, None, "setpoint {k}: commanded arm-2 flange is {gap:.3e} m from the nominal one"),
+    (ARM2_COMMANDED, InvalidInputError, 2, "IK failed at setpoint {k} (arm 2 commanded): " + OUT_OF_REACH[2]),
 ]
 # Setpoints a failure is planted at, few so that sources often tie.
 PLANTED_SETPOINTS = (0, 1, 9, 16)
@@ -1375,7 +1391,7 @@ class TestCrossPassPrecedence(SeedingCalls):
         setpoint it fails at. The error is the smallest setpoint's, the
         earliest source's in pass order when several fail there."""
         k, first = min((k, source) for source, k in planted.items())
-        _, error, prefix = PASS_ORDER[first]
+        _, error, arm, message = PASS_ORDER[first]
         plant = {PASS_ORDER[source][0]: [i] for source, i in planted.items()}
         with pytest.MonkeyPatch.context() as mp:
             if OFFSET_BOUND in plant:
@@ -1388,8 +1404,8 @@ class TestCrossPassPrecedence(SeedingCalls):
             with pytest.raises(error) as exc:
                 plan_sync(cfg.system, path, self.W, (cfg.ik_seed1, cfg.ik_seed2))
         assert type(exc.value) is error
-        assert exc.value.index == k
-        assert str(exc.value).startswith(prefix.format(k=k))
+        assert (exc.value.index, exc.value.arm) == (k, arm)
+        assert str(exc.value) == message.format(k=k, gap=gaps[k])
 
 
 class TestProgramCsv:
