@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvtable import read_table, write_table
-from .errors import ClosureError, InvalidInputError, SingularConfigurationError
+from .errors import DomainError, InvalidInputError
 from .geometry import Pose, frozen, quat_from_matrix
 from .pathplan import SyncProgram
 from .kinematics import flange_transform
@@ -68,7 +68,7 @@ def simulate_deformation(sys: CoupledSystem, program: SyncProgram) -> PathTrace:
                       "arm-1 tool point is {gap:.3e} m from its planned position")
         arm = 2  # arm 1's joints passed
         K = coupled_stiffness(sys, sp.q1, sp.q2)
-    except (InvalidInputError, ClosureError, SingularConfigurationError) as exc:
+    except (InvalidInputError, DomainError) as exc:
         if isinstance(exc, InvalidInputError):
             raise exc.within(f"setpoint {exc.index}, arm {arm}: ", arm=arm)
         raise exc.within(f"setpoint {exc.index}: ")

@@ -1,9 +1,11 @@
 """Exception hierarchy shared by all twinmill modules. Bad input or a broken
-precondition is an `InvalidInputError`, and a bad config is a `ConfigError`; a
-subclass exists only where a caller catches it or where it carries data. A
-refusal's place is data on the error (`index`, `line`, `path`, `arm`, `file`)
-as well as text in its message, added by `raise exc.within(prefix, **place)`,
-which keeps the type."""
+precondition is an `InvalidInputError`, a bad config is a `ConfigError`, and a
+joint configuration pair the coupled model cannot evaluate is a `DomainError`.
+A subclass exists only where an `except` clause of twinmill names it or where
+it defines its own `__init__`, and no two classes are named by exactly the same
+`except` clauses. A refusal's place is data on the error (`index`, `line`,
+`path`, `arm`, `file`) as well as text in its message, added by
+`raise exc.within(prefix, **place)`, which keeps the type."""
 
 
 _PLACES = ("index", "line", "path", "arm", "file")
@@ -52,13 +54,11 @@ class UnreachableTargetError(TwinmillError):
         self.solved = solved
 
 
-class SingularConfigurationError(TwinmillError):
-    """A Jacobian or stiffness matrix is rank deficient."""
-
-
-class ClosureError(TwinmillError):
-    """The two flange poses are inconsistent with the coupling geometry;
-    carries the gap (m)."""
+class DomainError(TwinmillError):
+    """A joint configuration pair the coupled model cannot evaluate: a
+    rank-deficient Jacobian or a compliance that is not positive definite
+    (`gap` None), or flange poses further apart than the coupling geometry
+    allows (`gap`, m)."""
 
     def __init__(self, message, gap=None, index=None):
         super().__init__(message, index)

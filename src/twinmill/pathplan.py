@@ -20,12 +20,7 @@ import numpy as np
 
 from . import jsondoc
 from .csvtable import read_table, write_table
-from .errors import (
-    ClosureError,
-    InvalidInputError,
-    SingularConfigurationError,
-    UnreachableTargetError,
-)
+from .errors import DomainError, InvalidInputError, UnreachableTargetError
 from .geometry import Pose, compose_rows, frozen, pose_rows, quat_canonical, quat_from_rotvec, quat_multiply
 from .kinematics import (
     DEFAULT_MAX_ITER,
@@ -707,7 +702,7 @@ def plan_sync(
             r2_commanded = apply_world_offset(r2_nominal[:n], offsets)
             check_closure(r2_commanded[:, :3], r2_nominal[:n, :3], MAX_OFFSET, COMMANDED_GAP)
             break
-        except (SingularConfigurationError, ClosureError) as exc:
+        except DomainError as exc:
             stop(exc.within(f"setpoint {exc.index}: "))
 
     # Pass 3: IK of arm 2's commanded pose, each row seeded in closed form

@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClosureError, InvalidInputError, SingularConfigurationError, TwinmillError
+from .errors import DomainError, InvalidInputError, TwinmillError
 from .geometry import Pose, frozen, rotate6, transport_compliance, transport_stiffness
 from .kinematics import ArmModel, _frames, flange_transform, jacobian
 
@@ -208,7 +208,7 @@ def _spd_inverse(M, what):
     L, exc = _per_matrix(np.linalg.cholesky, M)
     if exc is not None:
         index = int(np.flatnonzero(np.isnan(L[..., 0, 0]))[0])
-        raise SingularConfigurationError(f"{what} is not positive definite: {exc}", index=index) from exc
+        raise DomainError(f"{what} is not positive definite: {exc}", index=index) from exc
     d = 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
     Li = np.zeros_like(L)
     Li[..., 0, 0] = d[..., 0]
@@ -219,12 +219,12 @@ def _spd_inverse(M, what):
 
 
 def _refuse_rank_deficient(flat, bound):
-    """Raise SingularConfigurationError for the first of the square
-    matrices flat[m, n, n] whose smallest singular value is at most
-    _MIN_SINGULAR_VALUE, with its row as `index`. bound[m] is a computed
-    lower bound on each smallest singular value: a row whose bound exceeds
-    2 _MIN_SINGULAR_VALUE has full rank, the factor 2 covering the bound's
-    rounding, and the SVD decides every other row, NaN bounds included."""
+    """Raise DomainError for the first of the square matrices flat[m, n, n]
+    whose smallest singular value is at most _MIN_SINGULAR_VALUE, with its
+    row as `index`. bound[m] is a computed lower bound on each smallest
+    singular value: a row whose bound exceeds 2 _MIN_SINGULAR_VALUE has
+    full rank, the factor 2 covering the bound's rounding, and the SVD
+    decides every other row, NaN bounds included."""
     unsure = np.flatnonzero(~(bound > 2 * _MIN_SINGULAR_VALUE))
     if not unsure.size:
         return
@@ -234,7 +234,7 @@ def _refuse_rank_deficient(flat, bound):
         u, svi, _ = np.linalg.svd(flat[index])
         dir6 = u[:, -1]
         axis = _AXES[int(np.argmax(np.abs(dir6[: len(_AXES)])))] if len(dir6) >= 6 else "n/a"
-        raise SingularConfigurationError(
+        raise DomainError(
             f"Jacobian is rank deficient (smallest singular value {svi[-1]:.3e}); "
             f"deficient direction dominated by axis '{axis}'",
             index=index,
@@ -313,15 +313,15 @@ def _position(T):
 
 
 def check_closure(actual, planned, tol, message):
-    """Raise ClosureError for the first row of stacked positions [..., 3]
-    at which `actual` lies more than `tol` m (or a NaN distance) from
-    `planned`. `message` is formatted with that row's `index` and `gap`
-    (m)."""
+    """Raise DomainError, with that row's `index` and `gap` (m), for the
+    first row of stacked positions [..., 3] at which `actual` lies more
+    than `tol` m (or a NaN distance) from `planned`. `message` is
+    formatted with the same `index` and `gap`."""
     gaps = np.linalg.norm(np.asarray(actual) - planned, axis=-1).reshape(-1)
     bad = np.flatnonzero(~(gaps <= tol))
     if bad.size:
         i = int(bad[0])
-        raise ClosureError(message.format(index=i, gap=gaps[i]), gap=float(gaps[i]), index=i)
+        raise DomainError(message.format(index=i, gap=gaps[i]), gap=float(gaps[i]), index=i)
 
 
 def _branch(sys: CoupledSystem, q1, q2, closure=_NOMINAL_GAP):
@@ -355,7 +355,7 @@ def coupled_stiffness(sys: CoupledSystem, q1, q2):
 
     The pairs may be commanded (tensioned) ones, whose arm-2 flange lies
     the setpoint offset from its attachment frame; a gap above MAX_OFFSET
-    raises ClosureError with the text COMMANDED_GAP.
+    raises DomainError with its `gap` and the text COMMANDED_GAP.
     """
     return _stacked(lambda a, b: _coupled_block(sys, a, b), (6, 6), q1, q2)
 

@@ -19,9 +19,8 @@ from twinmill.compensation import (
     trace_to_csv,
 )
 from twinmill.errors import (
-    ClosureError,
+    DomainError,
     InvalidInputError,
-    SingularConfigurationError,
     TwinmillError,
 )
 from twinmill.geometry import Pose, compose_rows, pose_rows, quat_from_rotvec, quat_to_matrix
@@ -210,7 +209,7 @@ class TestDeformation:
         target = Pose(row[:3], row[3:])
         q2 = inverse_kinematics(cfg.system.arm2, target, pair.q2)
         moved = dataclasses.replace(pair, q2=q2)
-        with pytest.raises(ClosureError) as exc:
+        with pytest.raises(DomainError) as exc:
             simulate_deformation(cfg.system, _with_pair(demo_program, k, moved))
         assert exc.value.index == k
         assert str(exc.value).startswith(f"setpoint {k}: commanded arm-2 flange")
@@ -223,7 +222,9 @@ class TestDeformation:
     def test_a_coupled_stiffness_refusal_is_re_raised_in_place(self, cfg, demo_program, monkeypatch, refusal):
         """`simulate_deformation` puts the setpoint in front of the refusal
         `coupled_stiffness` raised and raises that same object, with its
-        type, `index` and `gap`."""
+        type, `index` and `gap`. Each refusal is told apart by its whole
+        message, `index` and `gap`: a rank deficiency has no gap, and with
+        every singular value below the bound it is found at setpoint 0."""
         k = 11
         pair = demo_program.pairs[k]
         q2 = pair.q2.copy()
@@ -248,9 +249,21 @@ class TestDeformation:
             simulate_deformation(cfg.system, program)
         [(original, cls, index, gap, message)] = raised
         assert exc.value is original
-        assert cls is {"commanded gap": ClosureError, "arm-2 joint": InvalidInputError,
-                       "rank deficiency": SingularConfigurationError}[refusal]
         assert (type(exc.value), exc.value.index, getattr(exc.value, "gap", None)) == (cls, index, gap)
+        if refusal == "commanded gap":
+            nominal = forward_kinematics(cfg.system.arm1, pair.q1) @ cfg.system.flange2_offset
+            reached = forward_kinematics(cfg.system.arm2, q2)
+            assert gap == pytest.approx(np.linalg.norm(reached.position - nominal.position), rel=1e-9)
+            assert (cls, index, message) == (DomainError, k, f"commanded arm-2 flange is {gap:.3e} m from the "
+                                                             "nominal one")
+        elif refusal == "arm-2 joint":
+            lo, hi = cfg.system.arm2.joint_limits[4]
+            assert (cls, index, gap, message) == (InvalidInputError, k, None, "joint configuration violates joint "
+                                                  f"limits: q5 = 2.5 rad outside [{lo:g}, {hi:g}] rad")
+        else:
+            assert (cls, index, gap, message) == (DomainError, 0, None, "Jacobian is rank deficient (smallest "
+                                                  "singular value 5.410e-01); deficient direction dominated by "
+                                                  "axis 'x'")
         where = f"setpoint {index}, arm 2" if refusal == "arm-2 joint" else f"setpoint {index}"
         assert str(exc.value) == f"{where}: {message}"
 
@@ -298,10 +311,10 @@ class TestDeformation:
         r2 = r1 @ sys_.flange2_offset
         q2 = inverse_kinematics(sys_.arm2, r2, pair.q2)
         singular = dataclasses.replace(pair, tool_pose=r1 @ sys_.tool_offset, q1=q1, q2=q2)
-        with pytest.raises(SingularConfigurationError) as exc:
+        with pytest.raises(DomainError) as exc:
             simulate_deformation(sys_, _with_pair(demo_program, k, singular))
-        assert exc.value.index == k
-        assert str(exc.value).startswith(f"setpoint {k}: ")
+        assert (exc.value.index, exc.value.gap) == (k, None)
+        assert str(exc.value).startswith(f"setpoint {k}: Jacobian is rank deficient")
 
     def test_arm_one_rows_checked_against_its_joints(self, cfg, demo_program):
         """Tool rows moved 5 mm along x from setpoint 40 on, as a
@@ -312,7 +325,7 @@ class TestDeformation:
         tool = sp.tool_pose.copy()
         tool[k:, 0] += 0.005
         pairs = Setpoints(tool, sp.q1, sp.q2)
-        with pytest.raises(ClosureError) as exc:
+        with pytest.raises(DomainError) as exc:
             simulate_deformation(cfg.system, dataclasses.replace(demo_program, pairs=pairs))
         assert exc.value.index == k
         assert str(exc.value) == f"setpoint {k}: arm-1 tool point is 5.000e-03 m from its planned position"

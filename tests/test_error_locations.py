@@ -12,8 +12,8 @@ import pytest
 from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
 from twinmill.config import parse_config
 from twinmill.errors import (
-    ClosureError,
     ConfigError,
+    DomainError,
     InvalidInputError,
     TwinmillError,
     UnreachableTargetError,
@@ -310,7 +310,7 @@ class TestWithin:
         assert (exc.pos_residual, exc.rot_residual, exc.solved) == (0.5, None, "rows")
 
     def test_sets_only_the_fields_given(self):
-        exc = ClosureError("gap", gap=1.0, index=4).within(line=7)
+        exc = DomainError("gap", gap=1.0, index=4).within(line=7)
         assert str(exc) == "gap"
         assert (exc.index, exc.line, exc.path, exc.arm, exc.file, exc.gap) == (4, 7, None, None, None, 1.0)
         assert exc.within("setpoint 4: ", index=None).index is None

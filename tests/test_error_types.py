@@ -1,13 +1,17 @@
 """errors.py keeps its own rule: a subclass of TwinmillError exists only
-where a caller catches it or where it carries data.
+where a caller catches it or where it carries data, and no two classes are
+caught at exactly the same places.
 
 Each class errors.py defines, other than TwinmillError, is named by an
 `except` clause somewhere in src/twinmill (alone or in a tuple), or defines
-its own `__init__`. Checked on the source with `ast`, so a class that
-neither code nor data tells apart from its base fails here by name.
+its own `__init__`. No two caught classes are named by the same set of
+`except` clauses, each clause being its (file, line). Checked on the source
+with `ast`, so a class that neither code nor data tells apart from its base,
+or one that every handler treats as another, fails here by name.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twinmill"
@@ -17,15 +21,17 @@ def parse(path):
     return ast.parse(path.read_text(), str(path))
 
 
-def caught_names():
-    """The names every `except` clause in the package's modules catches."""
-    names = set()
+def catching_clauses():
+    """Each name an `except` clause in the package's modules catches, with
+    the set of (file, line) of the clauses that catch it."""
+    clauses = defaultdict(set)
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(parse(path)):
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-                names.update(c.attr if isinstance(c, ast.Attribute) else c.id for c in caught)
-    return names
+                for c in caught:
+                    clauses[c.attr if isinstance(c, ast.Attribute) else c.id].add((path.name, node.lineno))
+    return clauses
 
 
 def error_classes():
@@ -37,15 +43,24 @@ def error_classes():
 
 
 def test_every_error_subclass_is_caught_or_carries_data():
-    caught = caught_names()
+    caught = catching_clauses()
     idle = [name for name, own_init in error_classes()
             if name != "TwinmillError" and not own_init and name not in caught]
     assert idle == [], f"neither caught in src/twinmill nor carrying data: {', '.join(idle)}"
 
 
+def test_no_two_error_classes_are_caught_at_the_same_places():
+    clauses = catching_clauses()
+    by_places = defaultdict(list)
+    for name, _ in error_classes():
+        if name in clauses:
+            by_places[frozenset(clauses[name])].append(name)
+    twins = [names for names in by_places.values() if len(names) > 1]
+    assert twins == [], f"caught by exactly the same except clauses: {'; '.join(map(', '.join, twins))}"
+
+
 def test_the_check_sees_every_class():
-    """The rule is checked on all six classes, TwinmillError included."""
+    """The rules are checked on all five classes, TwinmillError included."""
     assert [name for name, _ in error_classes()] == [
-        "TwinmillError", "InvalidInputError", "UnreachableTargetError",
-        "SingularConfigurationError", "ClosureError", "ConfigError",
+        "TwinmillError", "InvalidInputError", "UnreachableTargetError", "DomainError", "ConfigError",
     ]

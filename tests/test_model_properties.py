@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from twinmill.compensation import PathTrace, fit_rigid
 from twinmill.config import load_config
-from twinmill.errors import SingularConfigurationError
+from twinmill.errors import DomainError
 from twinmill.geometry import Pose
 from twinmill.kinematics import jacobian
 from twinmill.stiffness import (
@@ -128,9 +128,10 @@ def test_rank_check_rejects_what_the_svd_rejects(seed, min_share, others, positi
     stack[position] = J
     k = np.exp(rng.uniform(np.log(5e5), np.log(5e6), 6))
     if np.linalg.svd(J, compute_uv=False)[-1] <= 1e-8:
-        with pytest.raises(SingularConfigurationError) as exc:
+        with pytest.raises(DomainError) as exc:
             _compliance_from_jacobian(stack, k)
         assert exc.value.index == position
+        assert exc.value.gap is None and str(exc.value).startswith("Jacobian is rank deficient")
     else:
         C = _compliance_from_jacobian(stack, k)
         np.testing.assert_array_equal(C, (stack * (1.0 / k)) @ np.swapaxes(stack, -1, -2))

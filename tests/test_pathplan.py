@@ -15,9 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 from twinmill import kinematics, pathplan, stiffness
 from twinmill.errors import (
-    ClosureError,
+    DomainError,
     InvalidInputError,
-    SingularConfigurationError,
     UnreachableTargetError,
 )
 from twinmill.geometry import (
@@ -831,7 +830,7 @@ class TestPlanSync:
     def test_offset_beyond_the_bound_reports_setpoint_0(self, cfg):
         """40 kN asks for about 11 mm of arm-2 offset on the demo slot,
         more than `simulate_deformation` accepts."""
-        with pytest.raises(ClosureError) as exc:
+        with pytest.raises(DomainError) as exc:
             demo_plan(cfg, tension=Wrench(np.array([40000.0, 0.0, 0.0])))
         assert exc.value.index == 0
         assert exc.value.gap > MAX_OFFSET
@@ -856,7 +855,7 @@ class TestPlanSync:
         [gaps] = checked
         assert np.all(np.diff(gaps) > 0)
         monkeypatch.setattr(pathplan, "MAX_OFFSET", (gaps[8] + gaps[9]) / 2)
-        with pytest.raises(ClosureError) as exc:
+        with pytest.raises(DomainError) as exc:
             plan_sync(cfg.system, path, w, (cfg.ik_seed1, cfg.ik_seed2))
         assert exc.value.index == 9
         assert exc.value.gap == gaps[9]
@@ -866,10 +865,10 @@ class TestPlanSync:
         setpoint, as `simulate_deformation` does, and keeps its type and
         `index`."""
         monkeypatch.setattr(stiffness, "_MIN_SINGULAR_VALUE", 1e9)
-        with pytest.raises(SingularConfigurationError) as exc:
+        with pytest.raises(DomainError) as exc:
             demo_plan(cfg, tension=Wrench(np.array([1000.0, 0.0, 0.0])))
-        assert type(exc.value) is SingularConfigurationError
-        assert exc.value.index == 0
+        assert type(exc.value) is DomainError
+        assert (exc.value.index, exc.value.gap) == (0, None)
         assert str(exc.value) == ("setpoint 0: Jacobian is rank deficient (smallest singular value 5.410e-01); "
                                   "deficient direction dominated by axis 'x'")
 
@@ -889,15 +888,15 @@ class TestPlanSync:
 
         def deficient_at_20(J, k_diag):
             if len(J) > 20:
-                raise SingularConfigurationError("planted rank deficiency", index=20)
+                raise DomainError("planted rank deficiency", index=20)
             return real_compliance(J, k_diag)
 
         monkeypatch.setattr(stiffness, "check_closure", gap_at_30)
         monkeypatch.setattr(stiffness, "_compliance_from_jacobian", deficient_at_20)
-        with pytest.raises(SingularConfigurationError) as exc:
+        with pytest.raises(DomainError) as exc:
             demo_plan(cfg, gcode="G1 X200\n", tension=Wrench(np.array([1000.0, 0.0, 0.0])))
-        assert type(exc.value) is SingularConfigurationError
-        assert exc.value.index == 20
+        assert type(exc.value) is DomainError
+        assert (exc.value.index, exc.value.gap) == (20, None)
         assert str(exc.value) == "setpoint 20: planted rank deficiency"
 
     def test_ik_failure_reports_index(self, cfg):
@@ -1333,14 +1332,16 @@ class TestFallbackSeeding(SeedingCalls):
 # by a `tension_offset` that refuses row k as rank deficient; and
 # OFFSET_BOUND, planted at setpoint k by setting MAX_OFFSET between the gaps
 # of setpoints k - 1 and k; each with the type, `arm` and message of the
-# error it raises at setpoint k, whose arm-2 offset gap is `gap`.
+# error it raises at setpoint k, whose arm-2 offset gap is `gap`. The two
+# DomainError sources differ in message and `gap`, which only OFFSET_BOUND's
+# carries.
 TENSION_OFFSETS = "tension offsets"
 OFFSET_BOUND = "offset bound"
 PASS_ORDER = [
     (ARM1, InvalidInputError, 1, "IK failed at setpoint {k} (arm 1): " + OUT_OF_REACH[1]),
     (ARM2_NOMINAL, InvalidInputError, 2, "IK failed at setpoint {k} (arm 2 nominal): " + OUT_OF_REACH[2]),
-    (TENSION_OFFSETS, SingularConfigurationError, None, "setpoint {k}: planted rank deficiency"),
-    (OFFSET_BOUND, ClosureError, None, "setpoint {k}: commanded arm-2 flange is {gap:.3e} m from the nominal one"),
+    (TENSION_OFFSETS, DomainError, None, "setpoint {k}: planted rank deficiency"),
+    (OFFSET_BOUND, DomainError, None, "setpoint {k}: commanded arm-2 flange is {gap:.3e} m from the nominal one"),
     (ARM2_COMMANDED, InvalidInputError, 2, "IK failed at setpoint {k} (arm 2 commanded): " + OUT_OF_REACH[2]),
 ]
 # Setpoints a failure is planted at, few so that sources often tie.
@@ -1358,7 +1359,7 @@ class TestCrossPassPrecedence(SeedingCalls):
     def refusing_row(i, sys, q1, q2, desired):
         """`tension_offset`, refusing row i of the stack as rank deficient."""
         if i < len(q1):
-            raise SingularConfigurationError("planted rank deficiency", index=i)
+            raise DomainError("planted rank deficiency", index=i)
         return stiffness.tension_offset(sys, q1, q2, desired)
 
     @pytest.fixture(scope="class")
@@ -1405,6 +1406,7 @@ class TestCrossPassPrecedence(SeedingCalls):
                 plan_sync(cfg.system, path, self.W, (cfg.ik_seed1, cfg.ik_seed2))
         assert type(exc.value) is error
         assert (exc.value.index, exc.value.arm) == (k, arm)
+        assert getattr(exc.value, "gap", None) == (gaps[k] if PASS_ORDER[first][0] == OFFSET_BOUND else None)
         assert str(exc.value) == message.format(k=k, gap=gaps[k])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from twinmill import kinematics, stiffness
 from twinmill.compensation import simulate_deformation
-from twinmill.errors import ClosureError, InvalidInputError, SingularConfigurationError
+from twinmill.errors import DomainError, InvalidInputError
 from twinmill.geometry import Pose, compose_rows, matrix_pose_rows, rotate6, transport_stiffness
 from twinmill.kinematics import DEFAULT_TOL_POS, forward_kinematics, inverse_kinematics, jacobian
 from twinmill.pathplan import Setpoints, SyncProgram
@@ -110,8 +110,10 @@ class TestCartesianStiffness:
 
     def test_singular_posture_raises(self):
         arm = make_one_link_arm()
-        with pytest.raises(SingularConfigurationError):
+        with pytest.raises(DomainError) as exc:
             cartesian_stiffness(arm, np.zeros(6), KS)
+        assert RANK_DEFICIENT.fullmatch(str(exc.value))
+        assert (exc.value.index, exc.value.gap) == (0, None)
 
     def test_monotone_in_joint_stiffness(self, test_arm):
         rng = np.random.default_rng(24)
@@ -192,7 +194,7 @@ class TestCoupledStiffness:
         rng = np.random.default_rng(29)
         sys_, q1, q2, _ = make_twin_system(rng)
         q2_bad = q2 + 0.05
-        with pytest.raises(ClosureError) as exc:
+        with pytest.raises(DomainError) as exc:
             coupled_stiffness(sys_, q1, q2_bad)
         assert exc.value.gap > 1e-4
 
@@ -209,7 +211,7 @@ class TestCoupledStiffness:
         delta = np.linalg.solve(K, w[..., None])[..., 0]
         np.testing.assert_array_equal(simulate_deformation(cfg.system, demo_program).points,
                                       sp.tool_pose[:, :3] + delta[:, :3])
-        with pytest.raises(ClosureError) as exc:
+        with pytest.raises(DomainError) as exc:
             tension_offset(cfg.system, sp.q1, sp.q2, demo_program.tension)
         assert exc.value.index == 0
         assert exc.value.gap == pytest.approx(2.73e-4, rel=1e-2)
@@ -227,7 +229,7 @@ class TestCoupledStiffness:
         q1, q2 = sp.q1[idx], sp.q2[idx].copy()
         nominal = forward_kinematics(cfg.system.arm1, q1[ROW]) @ cfg.system.flange2_offset
         q2[ROW] = inverse_kinematics(cfg.system.arm2, nominal @ Pose(np.array([0.0, 0.02, 0.0])), q2[ROW])
-        with pytest.raises(ClosureError) as exc:
+        with pytest.raises(DomainError) as exc:
             coupled_stiffness(cfg.system, q1, q2)
         assert exc.value.index == ROW
         gap = np.linalg.norm(forward_kinematics(cfg.system.arm2, q2[ROW]).position - nominal.position)
@@ -420,9 +422,11 @@ class TestStacked:
         idx = np.arange(STACK) % len(demo_rows[0])
         q1, q2 = demo_rows[0][idx], demo_rows[1][idx]
         q2[ROW, 0] += 0.01  # opens the chain in the second block
-        with pytest.raises(ClosureError) as exc:
+        with pytest.raises(DomainError) as exc:
             coupled_stiffness(cfg.system, q1, q2)
         assert exc.value.index == ROW
+        assert exc.value.gap > stiffness.MAX_OFFSET
+        assert str(exc.value) == stiffness.COMMANDED_GAP.format(gap=exc.value.gap)
 
     def test_limit_error_names_the_joint_and_the_stack_row(self, cfg, demo_rows):
         idx = np.arange(STACK) % len(demo_rows[0])
@@ -500,11 +504,11 @@ class TestRankScreen:
 
     def test_singular_row_in_the_second_block_is_named(self, test_arm, stack):
         stack[ROW, 4] = 0.0  # q5 = 0 aligns joints 4 and 6
-        with pytest.raises(SingularConfigurationError) as exc:
+        with pytest.raises(DomainError) as exc:
             cartesian_stiffness(test_arm, stack, KS)
         assert exc.value.index == ROW
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
-        with pytest.raises(SingularConfigurationError) as alone:
+        with pytest.raises(DomainError) as alone:
             cartesian_stiffness(test_arm, stack[ROW], KS)
         assert str(alone.value) == str(exc.value)
 
@@ -512,7 +516,7 @@ class TestRankScreen:
         J = jacobian(test_arm, stack)
         J[ROW, :, 2] = 0.0  # np.linalg.inv raises on the whole block
         stacks = TestBranchRankScreen.recorded(monkeypatch, "svd")
-        with pytest.raises(SingularConfigurationError) as exc:
+        with pytest.raises(DomainError) as exc:
             _stiffness_from_jacobian(J, KS.diag)
         assert exc.value.index == ROW
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
@@ -585,7 +589,7 @@ class TestBranchRankScreen:
     def test_singular_arm_2_row_in_the_second_block_is_named(self, cfg, singular_pairs):
         sys_, (q1, q2) = cfg.system, singular_pairs
         w = Wrench(np.array([1000.0, 0.0, 0.0]))
-        with pytest.raises(SingularConfigurationError) as alone:
+        with pytest.raises(DomainError) as alone:
             tension_offset(sys_, q1[ROW], q2[ROW], w)
         message = str(alone.value)
         assert RANK_DEFICIENT.fullmatch(message)
@@ -594,7 +598,7 @@ class TestBranchRankScreen:
         for call, prefix in ((lambda: tension_offset(sys_, q1, q2, w), ""),
                              (lambda: coupled_stiffness(sys_, q1, q2), ""),
                              (lambda: simulate_deformation(sys_, program), f"setpoint {ROW}: ")):
-            with pytest.raises(SingularConfigurationError) as exc:
+            with pytest.raises(DomainError) as exc:
                 call()
             assert exc.value.index == ROW
             assert str(exc.value) == prefix + message
@@ -605,7 +609,7 @@ class TestBranchRankScreen:
         J[5, :, 2] = 0.0
         assert np.linalg.det(J[5]) == 0.0
         stacks = self.recorded(monkeypatch, "svd")
-        with pytest.raises(SingularConfigurationError) as exc:
+        with pytest.raises(DomainError) as exc:
             _compliance_from_jacobian(J, KS.diag)
         assert exc.value.index == 5
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
@@ -647,13 +651,13 @@ class TestSpdInverse:
 
     def test_non_positive_definite_row_in_the_second_block_is_named(self, spd_stack):
         spd_stack[ROW, 3, 3] = -1.0
-        with pytest.raises(SingularConfigurationError, match="^M is not positive definite") as exc:
+        with pytest.raises(DomainError, match="^M is not positive definite") as exc:
             _stacked(lambda m: _spd_inverse(m.reshape(-1, 6, 6), "M"), (6, 6), spd_stack.reshape(STACK, 36))
         assert exc.value.index == ROW
 
     def test_the_first_of_two_non_positive_definite_rows_is_named(self, spd_stack):
         spd_stack[[ROW, LATER_ROW], 3, 3] = -1.0
-        with pytest.raises(SingularConfigurationError) as exc:
+        with pytest.raises(DomainError) as exc:
             _spd_inverse(spd_stack, "M")
         assert exc.value.index == ROW
         assert str(exc.value) == "M is not positive definite: Matrix is not positive definite"
