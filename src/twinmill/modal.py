@@ -130,7 +130,9 @@ def natural_frequency(model: ModalModel, tension):
 
 
 def frf_synthesize(model: ModalModel, tension, grid) -> FrfSeries:
-    """Compliance H(f) = 1 / (k_eff - m w^2 + i c w) on the given grid."""
+    """Compliance H(f) = 1 / (k_eff - m w^2 + i c w) on the given grid. A
+    grid frequency where the denominator is 0, the natural frequency of an
+    undamped model, is refused."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise InvalidInputError("frequency grid is empty")
@@ -139,8 +141,12 @@ def frf_synthesize(model: ModalModel, tension, grid) -> FrfSeries:
     k = effective_stiffness(model, tension)
     c = 2.0 * model.damping_ratio * math.sqrt(k * model.mass)
     w = 2 * math.pi * grid
-    H = 1.0 / (k - model.mass * w**2 + 1j * c * w)
-    return FrfSeries(grid, H, axis=model.axis, tension=float(tension))
+    denominator = k - model.mass * w**2 + 1j * c * w
+    zero = np.flatnonzero(denominator == 0)
+    if zero.size:
+        raise InvalidInputError(f"compliance is unbounded at {float(grid[zero[0]])!r} Hz at tension {tension:g} N: "
+                                "k - m w^2 + i c w is 0 there")
+    return FrfSeries(grid, 1.0 / denominator, axis=model.axis, tension=float(tension))
 
 
 def _force_window(force):
@@ -164,7 +170,8 @@ def h1_estimate(records, nfft=None) -> FrfSeries:
 
     Accelerance S_fa/S_ff is formed from windowed FFTs (rectangular force
     window over the impact, exponential decay window on the response) and
-    converted to compliance by dividing by -w^2; the DC bin is dropped.
+    converted to compliance by dividing by -w^2; the DC bin is dropped,
+    and a kept bin where the averaged force auto-spectrum is 0 is refused.
     nfft (default: the longest record) may not exceed both it and MAX_NFFT.
     A record that differs from record 0 in sample rate, axis, position or
     tension is refused naming the field, both values and, as `index`, the
@@ -195,11 +202,13 @@ def h1_estimate(records, nfft=None) -> FrfSeries:
         s_fa += np.conj(F) * A
     if np.all(s_ff == 0):
         raise InvalidInputError("force auto-spectrum is identically zero")
-    freqs = np.fft.rfftfreq(nfft, 1.0 / first.sample_rate)
-    accelerance = s_fa / s_ff
-    w = 2 * math.pi * freqs[1:]
-    compliance = accelerance[1:] / (-(w**2))
-    return FrfSeries(freqs[1:], compliance, axis=first.axis, position=first.position,
+    freqs = np.fft.rfftfreq(nfft, 1.0 / first.sample_rate)[1:]
+    zero = np.flatnonzero(s_ff[1:] == 0)
+    if zero.size:
+        raise InvalidInputError(f"force auto-spectrum is zero at {float(freqs[zero[0]])!r} Hz")
+    w = 2 * math.pi * freqs
+    compliance = s_fa[1:] / s_ff[1:] / (-(w**2))
+    return FrfSeries(freqs, compliance, axis=first.axis, position=first.position,
                      tension=first.tension)
 
 

@@ -782,6 +782,14 @@ def _impact_struck_after_100_samples():
     return modal.impact_record_to_csv(late)
 
 
+def _impact_of_two_equal_force_samples():
+    """A 64-sample impact CSV at 1 kHz whose force is 100 N at samples 3
+    and 4 alone: its force spectrum is exactly 0 at 500 Hz."""
+    force = np.zeros(64)
+    force[3:5] = 100.0
+    return modal.impact_record_to_csv(modal.ImpactRecord(1000.0, force, np.sin(np.arange(64.0))))
+
+
 def _modal_x_damping(value):
     doc = demo_config_dict()
     doc["modal_models"]["x"]["damping_ratio"] = value
@@ -866,6 +874,10 @@ REFUSALS = {
         lambda p: {"a.csv": _impact_struck_after_100_samples()},
         ["frf", "{a.csv}", "--nfft", "64", "--out", "{out.csv}"], 3,
         "error: force auto-spectrum is identically zero\n"),
+    "impact record with no force at 500 Hz": (
+        lambda p: {"a.csv": _impact_of_two_equal_force_samples()},
+        ["frf", "{a.csv}", "--out", "{out.csv}"], 3,
+        "error: force auto-spectrum is zero at 500.0 Hz\n"),
     "mixed impact records": (
         lambda p: {"a.csv": _impact(0.0), "b.csv": _impact(500.0)},
         ["frf", "{a.csv}", "{a.csv}", "{b.csv}", "--out", "{out.csv}"], 3,
@@ -914,6 +926,11 @@ REFUSALS = {
         lambda p: {"system.json": _modal_x_damping(0.9)},
         ["--config", "{system.json}", "modal", "--tensions", "0,1000", "--out", "{out}"], 3,
         "error: no compliance peak found at tension 0 N\n"),
+    # 159 Hz, x's natural frequency at 0 N, lies on the 0.25 Hz grid.
+    "modal x damping ratio 0": (
+        lambda p: {"system.json": _modal_x_damping(0.0)},
+        ["--config", "{system.json}", "modal", "--tensions", "0,500", "--out", "{out}"], 3,
+        "error: compliance is unbounded at 159.0 Hz at tension 0 N: k - m w^2 + i c w is 0 there\n"),
     "deform --compensate on one line": (
         lambda p: {"program.csv": _first_line_of(p)},
         ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--compensate", "--out", "{out}"], 3,

@@ -109,6 +109,18 @@ class TestSynthesize:
         f_hi = grid[np.argmax(np.abs(frf_synthesize(m, 2000.0, grid).values))]
         assert f_hi - f_lo == pytest.approx(0.0226 * 2000.0, abs=0.1)
 
+    def test_an_undamped_model_is_refused_at_its_natural_frequency_on_the_grid(self):
+        """zeta = 0 is a valid model. At 159 Hz, on the 0.25 Hz grid,
+        k - m w^2 + i c w is exactly 0, so the compliance is refused there,
+        naming the frequency and the tension; off the grid it is finite."""
+        m = make_model(zeta=0.0)
+        grid = np.arange(1.0, 400.0, 0.25)
+        with pytest.raises(InvalidInputError) as exc:
+            frf_synthesize(m, 0.0, grid)
+        assert str(exc.value) == "compliance is unbounded at 159.0 Hz at tension 0 N: k - m w^2 + i c w is 0 there"
+        assert exc.value.index is None
+        assert np.all(np.isfinite(frf_synthesize(m, 0.0, grid + 0.125).values))
+
     def test_bad_grid(self):
         m = make_model()
         with pytest.raises(InvalidInputError):
@@ -217,6 +229,20 @@ class TestH1:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             h1_estimate([])
+
+    def test_a_kept_bin_without_force_is_refused_naming_its_frequency(self):
+        """A force of two equal samples is a valid record, and its windowed
+        spectrum is exactly 0 at half the sample rate, where H1 has no
+        value. The DC bin is dropped, so only a kept bin is refused."""
+        force = np.zeros(64)
+        force[3:5] = 100.0
+        rec = ImpactRecord(1000.0, force, np.sin(np.arange(64.0)))
+        with pytest.raises(InvalidInputError) as exc:
+            h1_estimate([rec])
+        assert str(exc.value) == "force auto-spectrum is zero at 500.0 Hz"
+        assert exc.value.index is None
+        # An odd FFT length has no bin at 500 Hz, and gives a finite estimate.
+        assert h1_estimate([rec], nfft=63).frequencies.size == 31
 
     @pytest.mark.parametrize("nfft", [0, -8, 1, 2.5, 256.0, True])
     def test_nfft_not_an_integer_of_at_least_2_rejected(self, nfft):
