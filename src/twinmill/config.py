@@ -106,11 +106,7 @@ def parse_config(text) -> SystemConfig:
     by a ConfigError whose `path` names the element, e.g.
     `config.arm1.dh_rows[0][2]`."""
     try:
-        doc = jsondoc.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        return _parse(doc)
+        return _parse(jsondoc.loads(text, "config"))
     except InvalidInputError as exc:
         raise ConfigError(str(exc), path=exc.path) from exc
 

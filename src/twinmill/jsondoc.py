@@ -38,10 +38,14 @@ def _object(pairs):
     return value
 
 
-def loads(text):
+def loads(text, what):
     """Decode a JSON document, keeping the first repeated key of each
-    object for `obj` to refuse (json.loads alone keeps its last value)."""
-    return json.loads(text, object_pairs_hook=_object)
+    object for `obj` to refuse (json.loads alone keeps its last value).
+    Text that is not JSON is refused naming the document as `what`."""
+    try:
+        return json.loads(text, object_pairs_hook=_object)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidInputError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def obj(value, where, required, optional=()):

@@ -338,10 +338,7 @@ def _json_segment(s, where):
 def path_from_json(text) -> ToolPath:
     """Read the native JSON path format. Bad input raises
     InvalidInputError whose `path` names the element, e.g. `segments[0].start`."""
-    try:
-        doc = jsondoc.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InvalidInputError(f"path JSON is not valid JSON: {exc}") from exc
+    doc = jsondoc.loads(text, "path JSON")
     try:
         jsondoc.obj(doc, "", ("segments",), ("feed_mm_min",))
         segs = doc["segments"]
