@@ -6,7 +6,8 @@ A value is read at its schema path `where` (`config.arm1.dh_rows[0][2]`,
 NaN or Infinity), objects refuse repeated, unknown and missing keys, and
 every refusal raises InvalidInputError with `where` as its `path`, which
 the document's reader keeps when it turns the refusal into its own error.
-Both documents are decoded by `loads`.
+Both documents are decoded by `loads`, which refuses text that is not JSON
+with no `path`.
 """
 
 from __future__ import annotations
