@@ -49,7 +49,6 @@ from .pathplan import (
 )
 from .stiffness import (
     CoupledSystem,
-    JointStiffness,
     SpringModel,
     Wrench,
     cartesian_stiffness,

@@ -17,7 +17,7 @@ from . import jsondoc, kinematics, pathplan
 from .errors import ConfigError, InvalidInputError
 from .kinematics import ArmModel
 from .modal import AXES, ModalModel
-from .stiffness import CoupledSystem, JointStiffness, SpringModel
+from .stiffness import CoupledSystem, SpringModel
 
 SCHEMA_VERSION = 1
 
@@ -49,14 +49,13 @@ class SystemConfig:
 def _arm(d, where):
     jsondoc.obj(d, where, ("dh_rows", "joint_limits_rad", "base_pose", "flange_offset",
                            "joint_stiffness_nm_per_rad"))
-    arm = jsondoc.build(ArmModel, where,
-                        jsondoc.array(d["dh_rows"], (6, 4), f"{where}.dh_rows"),
-                        jsondoc.array(d["joint_limits_rad"], (6, 2), f"{where}.joint_limits_rad"),
-                        jsondoc.pose(d["base_pose"], f"{where}.base_pose"),
-                        jsondoc.pose(d["flange_offset"], f"{where}.flange_offset"))
-    ks = jsondoc.build(JointStiffness, where, jsondoc.array(
-        d["joint_stiffness_nm_per_rad"], (6,), f"{where}.joint_stiffness_nm_per_rad"))
-    return arm, ks
+    return jsondoc.build(ArmModel, where,
+                         jsondoc.array(d["dh_rows"], (6, 4), f"{where}.dh_rows"),
+                         jsondoc.array(d["joint_limits_rad"], (6, 2), f"{where}.joint_limits_rad"),
+                         jsondoc.pose(d["base_pose"], f"{where}.base_pose"),
+                         jsondoc.pose(d["flange_offset"], f"{where}.flange_offset"),
+                         joint_stiffness=jsondoc.array(d["joint_stiffness_nm_per_rad"], (6,),
+                                                       f"{where}.joint_stiffness_nm_per_rad"))
 
 
 def _modal_model(d, axis):
@@ -76,11 +75,11 @@ def _parse(doc) -> SystemConfig:
     if doc["dh_convention"] != "standard":
         raise InvalidInputError("config.dh_convention: only 'standard' Denavit-Hartenberg "
                                 "is supported", path="config.dh_convention")
-    arm1, ks1 = _arm(doc["arm1"], "config.arm1")
-    arm2, ks2 = _arm(doc["arm2"], "config.arm2")
+    arm1 = _arm(doc["arm1"], "config.arm1")
+    arm2 = _arm(doc["arm2"], "config.arm2")
     spring = jsondoc.build(SpringModel, "config.spring_matrix",
                            jsondoc.array(doc["spring_matrix"], (6, 6), "config.spring_matrix"))
-    system = jsondoc.build(CoupledSystem, "config", arm1, arm2, ks1, ks2, spring,
+    system = jsondoc.build(CoupledSystem, "config", arm1, arm2, spring,
                            jsondoc.pose(doc["tool_offset"], "config.tool_offset"),
                            jsondoc.pose(doc["flange2_offset"], "config.flange2_offset"))
     box = jsondoc.obj(doc["workspace_box"], "config.workspace_box", ("center_m", "size_m"))

@@ -139,10 +139,8 @@ class Pose:
         n = math.sqrt(q @ q)
         if not abs(n - 1.0) <= _QUAT_NORM_TOL:
             raise InvalidInputError(f"quaternion norm {n} deviates from 1 by more than 1e-9")
-        if q[0] < 0.0:  # quat_canonical of one quaternion
-            q = -q
         object.__setattr__(self, "position", p)
-        object.__setattr__(self, "quaternion", frozen(q))
+        object.__setattr__(self, "quaternion", frozen(quat_canonical(q)))
 
     @staticmethod
     def identity():

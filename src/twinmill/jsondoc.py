@@ -111,10 +111,10 @@ def array(value, shape, where, leaf=number):
     return np.array([array(v, shape[1:], f"{where}[{i}]", leaf) for i, v in enumerate(value)])
 
 
-def build(cls, where, *args):
-    """cls(*args), its InvalidInputError placed at `where` alone unless it names a path."""
+def build(cls, where, *args, **kwargs):
+    """cls(*args, **kwargs), its InvalidInputError placed at `where` alone unless it names a path."""
     try:
-        return cls(*args)
+        return cls(*args, **kwargs)
     except InvalidInputError as exc:
         raise exc if exc.path is not None else exc.within(f"{where}: ", path=where, index=None)
 

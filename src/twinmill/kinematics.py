@@ -1,5 +1,7 @@
 """Serial 6-DOF arm: standard DH forward kinematics, geometric Jacobian
-and damped least-squares inverse kinematics.
+and damped least-squares inverse kinematics. An arm also carries its
+joint springs (`ArmModel.joint_stiffness`), which the stiffness model
+reads.
 
 DH convention is standard Denavit-Hartenberg (RotZ(theta) TransZ(d)
 TransX(a) RotX(alpha)); all joints revolute. One kernel evaluates the
@@ -37,15 +39,18 @@ _EYE6 = np.eye(6)
 
 @dataclass(frozen=True)
 class ArmModel:
-    """Standard-DH description of one serial arm.
+    """Standard-DH description of one serial arm and its joint springs.
 
-    dh_rows: 6 rows of (a [m], alpha [rad], d [m], theta_offset [rad]).
+    dh_rows: 6 rows of (a [m], alpha [rad], d [m], theta_offset [rad]);
+    joint_stiffness: the diagonal joint stiffness, 6 positive values in
+    N·m/rad, which `stiffness` reads wherever it takes the arm.
     """
 
     dh_rows: np.ndarray
     joint_limits: np.ndarray
     base_pose: Pose = field(default_factory=Pose.identity)
     flange_offset: Pose = field(default_factory=Pose.identity)
+    joint_stiffness: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
         # Read-only copies: the chain constants below are cached from them.
@@ -63,8 +68,14 @@ class ArmModel:
         extent = reach + np.linalg.norm(self.flange_offset.position)
         if not (extent > 0 and np.isfinite(extent)):
             raise InvalidInputError("arm reach (sum of |a| + |d|) must be positive and finite")
+        springs = frozen(self.joint_stiffness)
+        if springs.shape != (N_JOINTS,) or not np.all(np.isfinite(springs)):
+            raise InvalidInputError("joint stiffness must be 6 finite values")
+        if np.any(springs <= 0):
+            raise InvalidInputError("joint stiffness entries must be positive")
         object.__setattr__(self, "dh_rows", rows)
         object.__setattr__(self, "joint_limits", lims)
+        object.__setattr__(self, "joint_stiffness", springs)
         # Link i is RotZ(theta) @ L_i with the constant L_i = TransZ(d) TransX(a)
         # RotX(alpha). Flattened to 16 entries it is (cos(theta), sin(theta), 1)
         # @ parts[i], whose rows are the cos, sin and fixed parts [6, 3, 16]:

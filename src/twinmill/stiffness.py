@@ -1,10 +1,10 @@
 """Static stiffness of one arm and of the coupled two-arm system.
 
 The arms are treated as rigid links with linear torsional springs in the
-joints; the coupling module between the flanges is a six-dimensional
-linear spring. The tool sits rigidly on the arm-1 side of the module, so
-the tool-point stiffness is arm 1 in parallel with the series combination
-of the spring and arm 2.
+joints, each arm's own (`ArmModel.joint_stiffness`); the coupling module
+between the flanges is a six-dimensional linear spring. The tool sits
+rigidly on the arm-1 side of the module, so the tool-point stiffness is
+arm 1 in parallel with the series combination of the spring and arm 2.
 
 Every function of joint configurations refuses joints outside their
 limits, and also takes stacks q[..., 6] (the leading axes of q1 and q2
@@ -61,21 +61,6 @@ _MIN_SINGULAR_VALUE = 1e-8
 _BLOCK_ROWS = 512
 
 _AXES = ("x", "y", "z", "rx", "ry", "rz")
-
-
-@dataclass(frozen=True)
-class JointStiffness:
-    """Diagonal joint stiffness, N·m/rad per joint."""
-
-    diag: np.ndarray
-
-    def __post_init__(self):
-        d = frozen(self.diag)
-        if d.shape != (6,) or not np.all(np.isfinite(d)):
-            raise InvalidInputError("joint stiffness must be 6 finite values")
-        if np.any(d <= 0):
-            raise InvalidInputError("joint stiffness entries must be positive")
-        object.__setattr__(self, "diag", d)
 
 
 @dataclass(frozen=True)
@@ -139,14 +124,12 @@ class Wrench:
 
 @dataclass(frozen=True)
 class CoupledSystem:
-    """Both arms, their joint springs, the coupling-module spring and the
-    module geometry (tool point and arm-2 attachment, both relative to the
-    arm-1 flange)."""
+    """Both arms (each with its joint springs), the coupling-module spring
+    and the module geometry (tool point and arm-2 attachment, both relative
+    to the arm-1 flange)."""
 
     arm1: ArmModel
     arm2: ArmModel
-    joint_stiffness1: JointStiffness
-    joint_stiffness2: JointStiffness
     spring: SpringModel
     tool_offset: Pose = field(default_factory=Pose.identity)
     flange2_offset: Pose = field(default_factory=Pose.identity)
@@ -175,7 +158,7 @@ def cell_sha256(sys: CoupledSystem) -> str:
     for arm in (sys.arm1, sys.arm2):
         parts += [arm.dh_rows, arm.joint_limits, arm.base_pose.position, quat(arm.base_pose.quaternion),
                   arm.flange_offset.position, quat(arm.flange_offset.quaternion)]
-    parts += [sys.joint_stiffness1.diag, sys.joint_stiffness2.diag, sys.spring.K,
+    parts += [sys.arm1.joint_stiffness, sys.arm2.joint_stiffness, sys.spring.K,
               sys.tool_offset.position, quat(sys.tool_offset.quaternion),
               sys.flange2_offset.position, quat(sys.flange2_offset.quaternion)]
     data = np.concatenate([np.ravel(a) for a in parts]).astype("<f8") + 0.0
@@ -299,11 +282,11 @@ def _stacked(fn, out_shape, *stacks):
     return out.reshape(lead + out_shape)
 
 
-def cartesian_stiffness(arm: ArmModel, q, k_joint: JointStiffness):
+def cartesian_stiffness(arm: ArmModel, q):
     """Configuration-dependent 6x6 Cartesian stiffness at the flange,
-    world frame."""
+    world frame, from the arm's own joint springs."""
     return _stacked(
-        lambda qb: _stiffness_from_jacobian(jacobian(arm, qb), k_joint.diag),
+        lambda qb: _stiffness_from_jacobian(jacobian(arm, qb), arm.joint_stiffness),
         (6, 6), q,
     )
 
@@ -335,7 +318,7 @@ def _branch(sys: CoupledSystem, q1, q2, closure=_NOMINAL_GAP):
     fk2, J2 = _frames(sys.arm2, q2)
     attach = fk1 @ sys.flange2_offset.matrix()
     check_closure(_position(fk2), _position(attach), *closure)
-    C2 = _compliance_from_jacobian(J2, sys.joint_stiffness2.diag)
+    C2 = _compliance_from_jacobian(J2, sys.arm2.joint_stiffness)
     C2 = transport_compliance(C2, _position(attach) - _position(fk2))
     R6 = rotate6(attach[:, :3, :3])
     return fk1, attach, C2 + R6 @ sys.spring.compliance @ np.swapaxes(R6, -1, -2)
@@ -344,7 +327,7 @@ def _branch(sys: CoupledSystem, q1, q2, closure=_NOMINAL_GAP):
 def _coupled_block(sys, q1, q2):
     fk1, attach, C_branch2 = _branch(sys, q1, q2, (MAX_OFFSET, COMMANDED_GAP))
     tool = _position(fk1 @ sys.tool_offset.matrix())
-    K1 = cartesian_stiffness(sys.arm1, q1, sys.joint_stiffness1)
+    K1 = cartesian_stiffness(sys.arm1, q1)
     K1_tool = transport_stiffness(K1, tool - _position(fk1))
     C_branch2_tool = transport_compliance(C_branch2, tool - _position(attach))
     return _symmetric(K1_tool + _spd_inverse(C_branch2_tool, "arm-2 branch compliance"))

@@ -10,6 +10,9 @@ from twinmill.config import load_config
 from twinmill.geometry import Pose
 from twinmill.kinematics import ArmModel
 
+# Joint springs of the test arms, N·m/rad.
+JOINT_STIFFNESS = np.array([4e6, 4e6, 3e6, 1.5e6, 1.5e6, 1e6])
+
 # The illustrative two-robot cell, the one copy the CLI demo, the
 # benchmark and the tests all read.
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "system.json"
@@ -36,7 +39,7 @@ def make_one_link_arm(a1=1.0):
     rows = np.zeros((6, 4))
     rows[0, 0] = a1
     limits = np.tile([-np.pi, np.pi], (6, 1))
-    return ArmModel(rows, limits)
+    return ArmModel(rows, limits, joint_stiffness=JOINT_STIFFNESS)
 
 
 def make_test_arm(base=None, flange=None):
@@ -58,6 +61,7 @@ def make_test_arm(base=None, flange=None):
         limits,
         base_pose=base if base is not None else Pose.identity(),
         flange_offset=flange if flange is not None else Pose.identity(),
+        joint_stiffness=JOINT_STIFFNESS,
     )
 
 

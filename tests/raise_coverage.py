@@ -2,8 +2,11 @@
 
 Runs the tier-1 suite in this process under a line tracer limited to the
 frames of src/twinmill, then names each `raise` statement none of whose
-lines ran. Exits 0 if every one ran, 1 if one did not, pytest's exit code if
-the suite fails, and 2 if twinmill was not imported from src/twinmill.
+lines ran. A test that switches the tracer off (a deep recursion can make
+the tracer's own call raise) is named on stderr, and the tracer is put
+back before the next test. Exits 0 if every one ran, 1 if one did not,
+pytest's exit code if the suite fails, and 2 if twinmill was not imported
+from src/twinmill.
 
     PYTHONPATH=src python tests/raise_coverage.py
 
@@ -44,11 +47,24 @@ def main():
             inside[name] = os.path.realpath(name).startswith(prefix)
         return trace_lines if inside[name] else None
 
+    class Retrace:
+        """Puts the tracer back after a test that switched it off (Python does
+        so when a call of the tracer itself raises), naming that test."""
+
+        lost = []
+
+        def pytest_runtest_teardown(self, item):
+            if sys.gettrace() is not trace_calls:
+                self.lost.append(item.nodeid)
+                sys.settrace(trace_calls)
+
     sys.settrace(trace_calls)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[Retrace()])
     finally:
         sys.settrace(None)
+    for nodeid in Retrace.lost:
+        print(f"the line tracer was switched off during {nodeid:.120}", file=sys.stderr)
     if code != 0:
         return int(code)
     imported = getattr(sys.modules.get("twinmill"), "__file__", None)

@@ -5,6 +5,7 @@ tolerances. Runtime budgets are asserted as well.
 """
 
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -46,7 +47,6 @@ from twinmill.pathplan import (
 )
 from twinmill.stiffness import (
     CoupledSystem,
-    JointStiffness,
     SpringModel,
     Wrench,
     coupled_stiffness,
@@ -163,10 +163,8 @@ def test_acceptance_5_compensation_residual():
     w0 = Ct.T @ np.linalg.solve(Ct @ Ct.T, target)
     alpha = np.linalg.norm(w0[:3]) / 1000.0
     system = CoupledSystem(
-        arm1=cfg.system.arm1,
-        arm2=cfg.system.arm2,
-        joint_stiffness1=JointStiffness(cfg.system.joint_stiffness1.diag / alpha),
-        joint_stiffness2=JointStiffness(cfg.system.joint_stiffness2.diag / alpha),
+        arm1=dataclasses.replace(cfg.system.arm1, joint_stiffness=cfg.system.arm1.joint_stiffness / alpha),
+        arm2=dataclasses.replace(cfg.system.arm2, joint_stiffness=cfg.system.arm2.joint_stiffness / alpha),
         spring=SpringModel(cfg.system.spring.K / alpha),
         tool_offset=cfg.system.tool_offset,
         flange2_offset=cfg.system.flange2_offset,

@@ -10,13 +10,12 @@ from twinmill.geometry import Pose, pose_rows
 from twinmill.kinematics import ArmModel
 from twinmill.modal import ImpactRecord
 from twinmill.pathplan import Setpoints
-from twinmill.stiffness import JointStiffness, Wrench, cartesian_stiffness, coupled_stiffness, predicted_tension
+from twinmill.stiffness import Wrench, cartesian_stiffness, coupled_stiffness, predicted_tension
 
-from conftest import make_test_arm
+from conftest import JOINT_STIFFNESS, make_test_arm
 
 LIMITS = np.tile([-3.0, 3.0], (6, 1))
 DH = make_test_arm().dh_rows
-KS = JointStiffness(np.full(6, 1e6))
 Q = np.zeros((2, 6))
 ROWS = np.tile([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], (2, 1))
 
@@ -32,12 +31,13 @@ def _numpy_broadcast_message(*shapes):
 
 # name: (call given the demo system, message)
 REFUSED_CALLS = {
-    "ArmModel dh_rows 5x4": (lambda sys: ArmModel(DH[:5], LIMITS),
+    "ArmModel dh_rows 5x4": (lambda sys: ArmModel(DH[:5], LIMITS, joint_stiffness=JOINT_STIFFNESS),
                              "dh_rows must be a finite 6x4 array (a, alpha, d, theta_offset)"),
-    "ArmModel joint limit nan": (lambda sys: ArmModel(DH, np.vstack([LIMITS[:5], [np.nan, 3.0]])),
+    "ArmModel joint limit nan": (lambda sys: ArmModel(DH, np.vstack([LIMITS[:5], [np.nan, 3.0]]),
+                                                      joint_stiffness=JOINT_STIFFNESS),
                                  "joint_limits must be a finite 6x2 array"),
     "Wrench force of 2": (lambda sys: Wrench(np.zeros(2)), "wrench force/torque must be finite 3-vectors"),
-    "stack of a scalar": (lambda sys: cartesian_stiffness(sys.arm1, 0.0, KS),
+    "stack of a scalar": (lambda sys: cartesian_stiffness(sys.arm1, 0.0),
                           "stacked arguments do not broadcast: a scalar is not a stack of vectors"),
     "stacks of 3 and 2 rows": (lambda sys: coupled_stiffness(sys, np.zeros((3, 6)), Q),
                                f"stacked arguments do not broadcast: {_numpy_broadcast_message((3,), (2,))}"),

@@ -22,7 +22,7 @@ from twinmill.kinematics import (
     jacobian,
 )
 
-from conftest import DEMO_CONFIG, make_one_link_arm, make_test_arm
+from conftest import DEMO_CONFIG, JOINT_STIFFNESS, make_one_link_arm, make_test_arm
 
 BASE = Pose(np.array([0.3, -0.2, 0.1]), np.array([0.8, 0.2, -0.3, 0.4]) / np.linalg.norm([0.8, 0.2, -0.3, 0.4]))
 FLANGE = Pose(np.array([0.01, 0.02, 0.1]), np.array([0.9, 0.1, 0.3, -0.3]) / np.linalg.norm([0.9, 0.1, 0.3, -0.3]))
@@ -34,11 +34,11 @@ def mirrored_test_arm():
     rows = make_test_arm().dh_rows.copy()
     rows[:, 1] *= -1
     rows[5, :2] = [0.05, 0.3]
-    return ArmModel(rows, make_test_arm().joint_limits, BASE, FLANGE)
+    return ArmModel(rows, make_test_arm().joint_limits, BASE, FLANGE, joint_stiffness=JOINT_STIFFNESS)
 
 
 ARMS = {
-    "demo": ArmModel(DEMO.dh_rows, DEMO.joint_limits, BASE, FLANGE),
+    "demo": ArmModel(DEMO.dh_rows, DEMO.joint_limits, BASE, FLANGE, joint_stiffness=DEMO.joint_stiffness),
     "test-arm": make_test_arm(base=BASE, flange=FLANGE),
     "mirrored": mirrored_test_arm(),
 }
@@ -114,7 +114,7 @@ class TestUnwrapping:
     def arm(self):
         limits = make_test_arm().joint_limits.copy()
         limits[[3, 5]] = [-2 * np.pi - 1.0, 2 * np.pi + 1.0]
-        return ArmModel(make_test_arm().dh_rows, limits, BASE, FLANGE)
+        return ArmModel(make_test_arm().dh_rows, limits, BASE, FLANGE, joint_stiffness=JOINT_STIFFNESS)
 
     @pytest.fixture(scope="class")
     def path(self):
@@ -152,7 +152,7 @@ def demo_with(**entries):
     rows = DEMO.dh_rows.copy()
     for name, value in entries.items():
         rows[int(name[-1]) - 1, ("a", "alpha", "d").index(name[:-1])] = value
-    return ArmModel(rows, DEMO.joint_limits)
+    return ArmModel(rows, DEMO.joint_limits, joint_stiffness=DEMO.joint_stiffness)
 
 
 @pytest.mark.parametrize("arm", [

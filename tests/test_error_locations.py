@@ -91,6 +91,13 @@ def _config_with_a_string_entry():
     return json.dumps(doc)
 
 
+def _config_with_a_zero_joint_spring():
+    """The demo config with arm 2's fourth joint spring set to 0."""
+    doc = demo_config_dict()
+    doc["arm2"]["joint_stiffness_nm_per_rad"][3] = 0
+    return json.dumps(doc)
+
+
 def _path_json_with_a_string_coordinate():
     pose = {"position_m": [0, "0", 0], "quaternion_wxyz": [1, 0, 0, 0]}
     return json.dumps({"segments": [{"type": "linear", "start": pose, "end": pose}]})
@@ -248,6 +255,10 @@ LOCATED = {
     "config": (lambda p: parse_config(_config_with_a_string_entry()),
                ConfigError, None, "config.arm1.dh_rows[0][2]",
                "config.arm1.dh_rows[0][2]: expected a finite number, got '0.5'"),
+    # The springs are checked by the arm they belong to, so the refusal names the arm.
+    "config joint spring": (lambda p: parse_config(_config_with_a_zero_joint_spring()),
+                            ConfigError, None, "config.arm2",
+                            "config.arm2: joint stiffness entries must be positive"),
     "path JSON": (lambda p: path_from_json(_path_json_with_a_string_coordinate()),
                   InvalidInputError, None, "segments[0].start.position_m[1]",
                   "path JSON segments[0].start.position_m[1]: expected a finite number, got '0'"),

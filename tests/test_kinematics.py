@@ -12,7 +12,7 @@ from twinmill.kinematics import ArmModel, _chain, _flange, forward_kinematics, i
 from twinmill.pathplan import parse_gcode, plan_sync, transform_path
 from twinmill.stiffness import Wrench
 
-from conftest import DEMO_CONFIG, make_one_link_arm, make_test_arm
+from conftest import DEMO_CONFIG, JOINT_STIFFNESS, make_one_link_arm, make_test_arm
 
 
 def dh_frames(arm, q):
@@ -47,7 +47,8 @@ class TestForwardKinematics:
         base = Pose(np.array([0.3, -0.2, 1.0]), quat_from_rotvec([0.1, 0.2, 0.3]))
         flange = Pose(np.array([0.0, 0.0, 0.25]), quat_from_rotvec([0.0, 0.4, 0.0]))
         rows = np.zeros((6, 4))
-        arm = ArmModel(rows, np.tile([-np.pi, np.pi], (6, 1)), base_pose=base, flange_offset=flange)
+        arm = ArmModel(rows, np.tile([-np.pi, np.pi], (6, 1)), base_pose=base, flange_offset=flange,
+                       joint_stiffness=JOINT_STIFFNESS)
         pose = forward_kinematics(arm, np.zeros(6))
         expected = base @ flange
         np.testing.assert_allclose(pose.position, expected.position, atol=1e-15)
@@ -691,17 +692,42 @@ class TestStackedInverseKinematics:
 class TestArmModel:
     def test_arrays_are_read_only_copies(self):
         rows, limits = np.array(make_test_arm().dh_rows), np.tile([-2.9, 2.9], (6, 1))
-        arm = ArmModel(rows, limits, base_pose=Pose(np.array([0.5, 0.0, 0.0])))
+        springs = JOINT_STIFFNESS.copy()
+        arm = ArmModel(rows, limits, base_pose=Pose(np.array([0.5, 0.0, 0.0])), joint_stiffness=springs)
         with pytest.raises(ValueError):
             arm.dh_rows[1, 0] += 0.1
         with pytest.raises(ValueError):
             arm.joint_limits[0, 0] = 0.0
         with pytest.raises(ValueError):
             arm.base_pose.position[0] += 1.0
+        with pytest.raises(ValueError):
+            arm.joint_stiffness[0] *= 2
         rows[1, 0] += 0.1  # the caller's arrays stay writeable and are not the arm's
         limits[0, 0] = 0.0
+        springs[0] = 1.0
         np.testing.assert_array_equal(arm.dh_rows, make_test_arm().dh_rows)
         assert arm.joint_limits[0, 0] == -2.9
+        assert arm.joint_stiffness[0] == 4e6
+
+    @pytest.mark.parametrize("springs, message", [
+        ([1.0, 1, 1, 0, 1, 1], "joint stiffness entries must be positive"),
+        ([1.0, 1, 1, -0.0, 1, 1], "joint stiffness entries must be positive"),
+        ([1.0, 1, 1, -2, 1, 1], "joint stiffness entries must be positive"),
+        ([1.0, 1, 1, np.nan, 1, 1], "joint stiffness must be 6 finite values"),
+        ([1.0, 1, 1, np.inf, 1, 1], "joint stiffness must be 6 finite values"),
+        ([1.0] * 5, "joint stiffness must be 6 finite values"),
+    ])
+    def test_joint_stiffness_must_be_6_positive_finite_values(self, springs, message):
+        with pytest.raises(InvalidInputError) as exc:
+            dataclasses.replace(make_test_arm(), joint_stiffness=np.array(springs))
+        assert str(exc.value) == message
+
+    def test_an_arm_needs_its_joint_stiffness_by_keyword(self):
+        arm = make_test_arm()
+        with pytest.raises(TypeError):
+            ArmModel(arm.dh_rows, arm.joint_limits)
+        with pytest.raises(TypeError):
+            ArmModel(arm.dh_rows, arm.joint_limits, arm.base_pose, arm.flange_offset, JOINT_STIFFNESS)
 
 
 class TestReachCheck:
@@ -720,7 +746,8 @@ class TestReachCheck:
         # to 2 m from the base.
         rows = np.zeros((6, 4))
         rows[0, 0] = 1.0
-        arm = ArmModel(rows, np.tile([-np.pi, np.pi], (6, 1)), flange_offset=Pose(np.array([1.0, 0.0, 0.0])))
+        arm = ArmModel(rows, np.tile([-np.pi, np.pi], (6, 1)), flange_offset=Pose(np.array([1.0, 0.0, 0.0])),
+                       joint_stiffness=JOINT_STIFFNESS)
         q_star = np.array([0.3, 0.0, 0.0, 0.0, 0.0, 0.0])
         target = forward_kinematics(arm, q_star)
         assert np.linalg.norm(target.position) > arm.reach

@@ -4,6 +4,8 @@ the rank check of the stiffness layer against a plain SVD, the Cartesian
 stiffness and the SPD inverse against plain inverses, and the rigid fit
 recovering random proper rigid motions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +19,6 @@ from twinmill.geometry import Pose
 from twinmill.kinematics import jacobian
 from twinmill.stiffness import (
     CoupledSystem,
-    JointStiffness,
     SpringModel,
     Wrench,
     _compliance_from_jacobian,
@@ -36,10 +37,10 @@ LO, HI = ARM.joint_limits[:, 0], ARM.joint_limits[:, 1]
 def twin_system(k_joint):
     """Arm 2 is arm 1 with its base moved 1 um, attached at arm 1's flange:
     every configuration q closes the chain with q1 = q2 = q."""
-    ks = JointStiffness(k_joint)
+    arm1, arm2 = (dataclasses.replace(arm, joint_stiffness=k_joint)
+                  for arm in (ARM, make_test_arm(base=Pose(np.array([1e-6, 0.0, 0.0])))))
     return CoupledSystem(
-        arm1=ARM, arm2=make_test_arm(base=Pose(np.array([1e-6, 0.0, 0.0]))),
-        joint_stiffness1=ks, joint_stiffness2=ks,
+        arm1=arm1, arm2=arm2,
         spring=SpringModel(np.diag([5e7, 5e7, 5e7, 5e5, 5e5, 5e5])),
         tool_offset=Pose(np.array([0.0, 0.0, 0.15])),
     )
@@ -83,7 +84,7 @@ def test_cartesian_stiffness_inverts_the_compliance(seed, name, n):
     arm, rng = STIFFNESS_ARMS[name], np.random.default_rng(seed)
     q = np.array([random_nonsingular_q(arm, rng) for _ in range(n)])
     k = np.exp(rng.uniform(np.log(5e5), np.log(5e6), 6))
-    K = cartesian_stiffness(arm, q, JointStiffness(k))
+    K = cartesian_stiffness(dataclasses.replace(arm, joint_stiffness=k), q)
     J = jacobian(arm, q)
     expected = np.linalg.inv((J * (1.0 / k)) @ np.swapaxes(J, -1, -2))
     scale = np.max(np.abs(expected), axis=(-2, -1), keepdims=True)

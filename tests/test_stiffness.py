@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -11,7 +12,6 @@ from twinmill.kinematics import DEFAULT_TOL_POS, forward_kinematics, inverse_kin
 from twinmill.pathplan import Setpoints, SyncProgram
 from twinmill.stiffness import (
     CoupledSystem,
-    JointStiffness,
     SpringModel,
     Wrench,
     _BLOCK_ROWS,
@@ -26,14 +26,13 @@ from twinmill.stiffness import (
     tension_offset,
 )
 
-from conftest import make_one_link_arm, make_test_arm, planned_flanges, random_nonsingular_q
+from conftest import JOINT_STIFFNESS, make_one_link_arm, make_test_arm, planned_flanges, random_nonsingular_q
 
 DEFAULT_SPRING = np.diag([5e7, 5e7, 5e7, 5e5, 5e5, 5e5])
 # A stack that reaches into the second block of the stacked evaluation, and
 # two of its rows in that block.
 STACK = _BLOCK_ROWS + 44
 ROW, LATER_ROW = _BLOCK_ROWS + 14, _BLOCK_ROWS + 24
-KS = JointStiffness(np.array([4e6, 4e6, 3e6, 1.5e6, 1.5e6, 1e6]))
 
 
 def make_twin_system(rng=None, spring_scale=1.0, base_shift=None):
@@ -46,16 +45,14 @@ def make_twin_system(rng=None, spring_scale=1.0, base_shift=None):
     arm1 = make_test_arm()
     arm2 = make_test_arm(base=Pose(np.asarray(base_shift)))
     q = random_nonsingular_q(arm1, rng)
-    ks = JointStiffness(np.exp(rng.uniform(np.log(5e5), np.log(5e6), 6)))
+    ks = np.exp(rng.uniform(np.log(5e5), np.log(5e6), 6))
     fk1 = forward_kinematics(arm1, q)
     # flange2_offset expressed in the arm-1 flange frame.
     flange2_offset = Pose(fk1.rotation().T @ np.asarray(base_shift))
     tool_offset = Pose(rng.uniform(-0.2, 0.2, 3))
     sys_ = CoupledSystem(
-        arm1=arm1,
-        arm2=arm2,
-        joint_stiffness1=ks,
-        joint_stiffness2=ks,
+        arm1=dataclasses.replace(arm1, joint_stiffness=ks),
+        arm2=dataclasses.replace(arm2, joint_stiffness=ks),
         spring=SpringModel(DEFAULT_SPRING * spring_scale),
         tool_offset=tool_offset,
         flange2_offset=flange2_offset,
@@ -66,7 +63,7 @@ def make_twin_system(rng=None, spring_scale=1.0, base_shift=None):
 def tool_point_branch_stiffness(sys_, q):
     fk1 = forward_kinematics(sys_.arm1, q)
     tool = fk1 @ sys_.tool_offset
-    K = cartesian_stiffness(sys_.arm1, q, sys_.joint_stiffness1)
+    K = cartesian_stiffness(sys_.arm1, q)
     return transport_stiffness(K, tool.position - fk1.position)
 
 
@@ -81,7 +78,7 @@ class TestCartesianStiffness:
         rng = np.random.default_rng(21)
         for _ in range(5):
             q = random_nonsingular_q(test_arm, rng)
-            K = cartesian_stiffness(test_arm, q, KS)
+            K = cartesian_stiffness(test_arm, q)
             J = jacobian(test_arm, q)
             C = np.linalg.inv(K)
             f0 = forward_kinematics(test_arm, q)
@@ -89,7 +86,7 @@ class TestCartesianStiffness:
                 w = np.zeros(6)
                 w[k] = 1.0
                 scale = 1e-4 / np.linalg.norm(C[:, k])  # keep deflection ~1e-4
-                dq = (1.0 / KS.diag) * (J.T @ (scale * w))
+                dq = (1.0 / JOINT_STIFFNESS) * (J.T @ (scale * w))
                 f1 = matrix_pose_rows(kinematics._flange(test_arm._chain_consts, q + dq))
                 dx = f1[:3] - f0.position
                 # linearization error is second order in the deflection
@@ -99,19 +96,19 @@ class TestCartesianStiffness:
         rng = np.random.default_rng(22)
         for _ in range(100):
             q = random_nonsingular_q(test_arm, rng)
-            eig = np.linalg.eigvalsh(cartesian_stiffness(test_arm, q, KS))
+            eig = np.linalg.eigvalsh(cartesian_stiffness(test_arm, q))
             assert np.all(eig > 0)
 
     def test_symmetric(self, test_arm):
         rng = np.random.default_rng(23)
         q = random_nonsingular_q(test_arm, rng)
-        K = cartesian_stiffness(test_arm, q, KS)
+        K = cartesian_stiffness(test_arm, q)
         assert np.max(np.abs(K - K.T)) <= 1e-9 * np.max(np.abs(K))
 
     def test_singular_posture_raises(self):
         arm = make_one_link_arm()
         with pytest.raises(DomainError) as exc:
-            cartesian_stiffness(arm, np.zeros(6), KS)
+            cartesian_stiffness(arm, np.zeros(6))
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
         assert (exc.value.index, exc.value.gap) == (0, None)
 
@@ -120,11 +117,11 @@ class TestCartesianStiffness:
         for _ in range(20):
             q = random_nonsingular_q(test_arm, rng)
             base = np.exp(rng.uniform(np.log(5e5), np.log(5e6), 6))
-            K0 = cartesian_stiffness(test_arm, q, JointStiffness(base))
+            K0 = cartesian_stiffness(dataclasses.replace(test_arm, joint_stiffness=base), q)
             bumped = base.copy()
             i = rng.integers(6)
             bumped[i] *= rng.uniform(1.1, 3.0)
-            K1 = cartesian_stiffness(test_arm, q, JointStiffness(bumped))
+            K1 = cartesian_stiffness(dataclasses.replace(test_arm, joint_stiffness=bumped), q)
             e0 = np.linalg.eigvalsh(K0)
             e1 = np.linalg.eigvalsh(K1)
             assert np.all(e1 >= e0 * (1 - 1e-9))
@@ -150,9 +147,12 @@ class TestCoupledStiffness:
     def test_energy_network_oracle(self):
         # Assemble the quadratic spring network independently (explicit
         # lever-arm adjoints) and extract the tool stiffness by a Schur
-        # complement over the internal flange node.
+        # complement over the internal flange node. Arm 2 gets springs of its
+        # own, so each branch must read its own arm's.
         rng = np.random.default_rng(27)
         sys_, q1, q2, _ = make_twin_system(rng)
+        k2 = np.exp(rng.uniform(np.log(5e5), np.log(5e6), 6))
+        sys_ = dataclasses.replace(sys_, arm2=dataclasses.replace(sys_.arm2, joint_stiffness=k2))
         K = coupled_stiffness(sys_, q1, q2)
 
         def lever(r):
@@ -166,8 +166,8 @@ class TestCoupledStiffness:
         fk2 = forward_kinematics(sys_.arm2, q2)
         attach = fk1 @ sys_.flange2_offset
         tool = fk1 @ sys_.tool_offset
-        K1 = cartesian_stiffness(sys_.arm1, q1, sys_.joint_stiffness1)
-        K2 = cartesian_stiffness(sys_.arm2, q2, sys_.joint_stiffness2)
+        K1 = cartesian_stiffness(sys_.arm1, q1)
+        K2 = cartesian_stiffness(sys_.arm2, q2)
         R6 = rotate6(attach.rotation())
         Ks = R6 @ sys_.spring.K @ R6.T
         # Ground springs at their own points, tool node at the tool point,
@@ -286,20 +286,6 @@ class TestTypes:
         with pytest.raises(Exception):
             SpringModel(bad)
 
-    def test_joint_stiffness_positive(self):
-        with pytest.raises(Exception):
-            JointStiffness(np.array([1.0, 1, 1, 0, 1, 1]))
-        with pytest.raises(InvalidInputError, match="joint stiffness must be 6 finite values"):
-            JointStiffness(np.array([1.0, 1, 1, np.nan, 1, 1]))
-
-    def test_joint_stiffness_is_a_read_only_copy(self):
-        diag = np.array([4e6, 4e6, 3e6, 1.5e6, 1.5e6, 1e6])
-        ks = JointStiffness(diag)
-        with pytest.raises(ValueError):
-            ks.diag[0] *= 2
-        diag[0] = 1.0  # the caller's array stays writeable and is not the model's
-        assert ks.diag[0] == 4e6
-
     def test_wrench_arrays_are_read_only_copies(self):
         f, t = np.array([1000.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0])
         w = Wrench(f, t)
@@ -341,7 +327,27 @@ class TestTypes:
     def test_distinct_bases_required(self):
         arm = make_test_arm()
         with pytest.raises(Exception):
-            CoupledSystem(arm, arm, KS, KS, SpringModel(DEFAULT_SPRING))
+            CoupledSystem(arm, arm, SpringModel(DEFAULT_SPRING))
+
+
+class TestCellSha256:
+    """The cell hash is pinned as hex on every platform: its bytes are parsed
+    floats, not computed ones. Both demo arms have the same springs, so a
+    cell whose arm 2 is twice as compliant pins the order of the springs."""
+
+    def test_the_demo_cell_hash_is_pinned(self, cfg):
+        assert cell_sha256(cfg.system) == "b89aca6772a23a388c1819ec4159b00c47a108e9f17d4de14884af7df296af3d"
+
+    def test_swapping_the_two_arms_springs_changes_the_hash(self, cfg):
+        sys_ = cfg.system
+        stiff, soft = sys_.arm1.joint_stiffness, sys_.arm2.joint_stiffness / 2
+
+        def with_springs(k1, k2):
+            return cell_sha256(dataclasses.replace(sys_, arm1=dataclasses.replace(sys_.arm1, joint_stiffness=k1),
+                                                   arm2=dataclasses.replace(sys_.arm2, joint_stiffness=k2)))
+
+        assert with_springs(stiff, soft) == "8e9329d11538a9e807816574722bcbdf139d17e4939b938762f3b1ce95f72ad9"
+        assert with_springs(soft, stiff) == "02039ca186a84c532cef0471bc1cc4999a833ac61feaae09ed6b96f489218810"
 
 
 @pytest.fixture(scope="module")
@@ -386,8 +392,8 @@ class TestStacked:
 
         cases = [
             (jacobian(sys_.arm1, q1), lambda a, b: jacobian(sys_.arm1, a)),
-            (cartesian_stiffness(sys_.arm2, q2, sys_.joint_stiffness2),
-             lambda a, b: cartesian_stiffness(sys_.arm2, b, sys_.joint_stiffness2)),
+            (cartesian_stiffness(sys_.arm2, q2),
+             lambda a, b: cartesian_stiffness(sys_.arm2, b)),
             (coupled_stiffness(sys_, q1, q2), lambda a, b: coupled_stiffness(sys_, a, b)),
             (tension_offset(sys_, q1, q2, w), lambda a, b: tension_offset(sys_, a, b, w)),
         ]
@@ -403,7 +409,7 @@ class TestStacked:
         sys_ = cfg.system
         q1, q2 = demo_rows[0][0], demo_rows[1][0]
         assert jacobian(sys_.arm1, q1).shape == (6, 6)
-        assert cartesian_stiffness(sys_.arm1, q1, sys_.joint_stiffness1).shape == (6, 6)
+        assert cartesian_stiffness(sys_.arm1, q1).shape == (6, 6)
         assert coupled_stiffness(sys_, q1, q2).shape == (6, 6)
         assert tension_offset(sys_, q1, q2, Wrench(np.array([1.0, 0.0, 0.0]))).shape == (6,)
         back = predicted_tension(sys_, q1, q2, np.zeros(6))
@@ -435,7 +441,7 @@ class TestStacked:
         lo, hi = cfg.system.arm1.joint_limits[4]
         for call in (lambda: coupled_stiffness(cfg.system, q1, q2),
                      lambda: tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0]))),
-                     lambda: cartesian_stiffness(cfg.system.arm1, q1, cfg.system.joint_stiffness1)):
+                     lambda: cartesian_stiffness(cfg.system.arm1, q1)):
             with pytest.raises(InvalidInputError) as exc:
                 call()
             assert exc.value.index == ROW
@@ -449,7 +455,7 @@ class TestStacked:
         q1[LATER_ROW, 2] = value  # in the second block
         for call in (lambda: coupled_stiffness(cfg.system, q1, q2),
                      lambda: tension_offset(cfg.system, q1, q2, Wrench(np.array([1000.0, 0.0, 0.0]))),
-                     lambda: cartesian_stiffness(cfg.system.arm1, q1, cfg.system.joint_stiffness1)):
+                     lambda: cartesian_stiffness(cfg.system.arm1, q1)):
             with pytest.raises(InvalidInputError) as exc:
                 call()
             assert exc.value.index == LATER_ROW
@@ -476,7 +482,7 @@ class TestBlockRows:
         def results():
             return [coupled_stiffness(sys_, q1, q2), tension_offset(sys_, q1, q2, w),
                     predicted_tension(sys_, q1, q2, offsets).as_vector(),
-                    cartesian_stiffness(sys_.arm1, q1, sys_.joint_stiffness1),
+                    cartesian_stiffness(sys_.arm1, q1),
                     simulate_deformation(sys_, program).points]
 
         monkeypatch.setattr(stiffness, "_BLOCK_ROWS", self.N)
@@ -505,11 +511,11 @@ class TestRankScreen:
     def test_singular_row_in_the_second_block_is_named(self, test_arm, stack):
         stack[ROW, 4] = 0.0  # q5 = 0 aligns joints 4 and 6
         with pytest.raises(DomainError) as exc:
-            cartesian_stiffness(test_arm, stack, KS)
+            cartesian_stiffness(test_arm, stack)
         assert exc.value.index == ROW
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
         with pytest.raises(DomainError) as alone:
-            cartesian_stiffness(test_arm, stack[ROW], KS)
+            cartesian_stiffness(test_arm, stack[ROW])
         assert str(alone.value) == str(exc.value)
 
     def test_exactly_singular_matrix_alone_goes_to_the_svd(self, test_arm, stack, monkeypatch):
@@ -517,7 +523,7 @@ class TestRankScreen:
         J[ROW, :, 2] = 0.0  # np.linalg.inv raises on the whole block
         stacks = TestBranchRankScreen.recorded(monkeypatch, "svd")
         with pytest.raises(DomainError) as exc:
-            _stiffness_from_jacobian(J, KS.diag)
+            _stiffness_from_jacobian(J, JOINT_STIFFNESS)
         assert exc.value.index == ROW
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
         # The other rows are inverted one at a time and certified by their own bound.
@@ -536,11 +542,11 @@ class TestRankScreen:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(odd)
         assert np.linalg.svd(odd, compute_uv=False)[-1] > 1e-8
-        K = _stiffness_from_jacobian(np.concatenate([J, odd[None]]), KS.diag)
-        np.testing.assert_array_equal(K[:4], _stiffness_from_jacobian(J, KS.diag))
+        K = _stiffness_from_jacobian(np.concatenate([J, odd[None]]), JOINT_STIFFNESS)
+        np.testing.assert_array_equal(K[:4], _stiffness_from_jacobian(J, JOINT_STIFFNESS))
         u, sv, vt = np.linalg.svd(odd)
         odd_inverse = (vt.T / sv) @ u.T
-        np.testing.assert_allclose(K[4], odd_inverse.T @ np.diag(KS.diag) @ odd_inverse, rtol=1e-9)
+        np.testing.assert_allclose(K[4], odd_inverse.T @ np.diag(JOINT_STIFFNESS) @ odd_inverse, rtol=1e-9)
 
     def test_demo_rows_are_certified_without_an_svd(self, cfg, demo_rows, monkeypatch):
         idx = np.arange(STACK) % len(demo_rows[0])
@@ -610,7 +616,7 @@ class TestBranchRankScreen:
         assert np.linalg.det(J[5]) == 0.0
         stacks = self.recorded(monkeypatch, "svd")
         with pytest.raises(DomainError) as exc:
-            _compliance_from_jacobian(J, KS.diag)
+            _compliance_from_jacobian(J, JOINT_STIFFNESS)
         assert exc.value.index == 5
         assert RANK_DEFICIENT.fullmatch(str(exc.value))
         # The SVD of the one uncertified row decides, then names it.
