@@ -34,16 +34,11 @@ _DEFAULTS = {
 @dataclass(frozen=True)
 class SystemConfig:
     system: CoupledSystem
-    workspace_center: np.ndarray
-    workspace_size: np.ndarray
+    workspace_box: tuple  # (center, size) arrays in m
     modal_models: dict
     defaults: dict
     ik_seed1: np.ndarray
     ik_seed2: np.ndarray
-
-    @property
-    def workspace_box(self):
-        return (self.workspace_center, self.workspace_size)
 
 
 def _arm(d, where):
@@ -87,9 +82,8 @@ def _parse(doc) -> SystemConfig:
     defaults = jsondoc.obj(doc["defaults"], "config.defaults", tuple(_DEFAULTS))
     return SystemConfig(
         system=system,
-        workspace_center=jsondoc.array(box["center_m"], (3,), "config.workspace_box.center_m"),
-        workspace_size=jsondoc.array(box["size_m"], (3,), "config.workspace_box.size_m",
-                                     jsondoc.positive),
+        workspace_box=(jsondoc.array(box["center_m"], (3,), "config.workspace_box.center_m"),
+                       jsondoc.array(box["size_m"], (3,), "config.workspace_box.size_m", jsondoc.positive)),
         modal_models={axis: _modal_model(models[axis], axis) for axis in AXES},
         # max_iter an integer >= 1, every tolerance and step a positive finite number.
         defaults={k: (jsondoc.count if isinstance(v, int) else jsondoc.positive)(

@@ -10,21 +10,14 @@ import numpy as np
 import pytest
 
 from twinmill import cli, config, modal
-from twinmill.errors import InvalidInputError, TwinmillError
+from twinmill.errors import TwinmillError
 from twinmill.geometry import Pose
-from twinmill.pathplan import (
-    Setpoints,
-    parse_gcode,
-    path_from_json,
-    path_to_json,
-    program_from_csv,
-    program_to_csv,
-    transform_path,
-)
+from twinmill.pathplan import Setpoints, parse_gcode, path_to_json, program_from_csv, program_to_csv, transform_path
 from twinmill.stiffness import cell_sha256
 
-from conftest import (DEMO_CONFIG, demo_config_dict, forty_one_column_program, json_with_a_repeated_key,
-                      three_column_impact)
+from conftest import (DEMO_CONFIG, demo_config_dict, forty_one_column_program, json_replaced,
+                      json_with_a_repeated_key, three_column_impact)
+from test_csvtable import edit_line, impact_text, truncate
 
 SLOT_GCODE = "G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"
 WORK_OFFSET = "2105,-20,1100"
@@ -49,20 +42,16 @@ def read_rms(path):
     raise AssertionError("no rms in report")
 
 
-class TestUsage:
-    def test_no_arguments(self):
-        assert cli.main([]) == 64
+def test_help_exits_zero():
+    assert cli.main(["--help"]) == 0
 
-    def test_unknown_command(self):
-        assert cli.main(["mill"]) == 64
 
-    def test_help_exits_zero(self):
-        assert cli.main(["--help"]) == 0
-
-    def test_missing_config(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
-        code = cli.main(["modal", "--tensions", "0,500", "--out", str(tmp_path / "o")])
-        assert code == 64
+def test_unknown_command_exits_64(capsys):
+    """Not a USAGE row: the text is argparse's own, which lists the choices
+    as each Python version formats them."""
+    assert cli.main(["mill"]) == 64
+    last = capsys.readouterr().err.split("\n")[-2]
+    assert last.startswith("twinmill: error: argument command: invalid choice: 'mill'")
 
 
 class TestConfigHandling:
@@ -80,14 +69,6 @@ class TestConfigHandling:
             ["--config", config_file, "modal", "--tensions", "0,2000", "--out", str(out)]
         )
         assert code == 0
-
-    def test_bad_config_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema_version": 1}')
-        code = cli.main(
-            ["--config", str(bad), "modal", "--tensions", "0,500", "--out", str(tmp_path / "o")]
-        )
-        assert code == 2
 
     def test_missing_config_file_exits_2(self, tmp_path):
         code = cli.main(
@@ -134,33 +115,6 @@ class TestUnreadableInput:
         assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
 
 
-class TestRepeatedJsonKeys:
-    """A key given twice in the config or in a path JSON, of which json.loads
-    alone would keep the last value, exits with its documented code naming
-    the key's schema path: 2 for the config, 3 for the path."""
-
-    def test_config_exits_2(self, tmp_path, gcode_file, capsys):
-        bad = tmp_path / "system.json"
-        bad.write_text(json_with_a_repeated_key(demo_config_dict(), (), "spring_matrix", [[1]]))
-        out = tmp_path / "p.csv"
-        code = cli.main(["--config", str(bad), "plan", gcode_file, "--tension", "1000",
-                         "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == "config error: config.spring_matrix: repeated key\n"
-        assert not out.exists()
-
-    def test_path_json_exits_3(self, tmp_path, config_file, capsys):
-        doc = json.loads(path_to_json(transform_path(parse_gcode(SLOT_GCODE), Pose([4.21, 0.0, 0.0]))))
-        path_file = tmp_path / "slot.json"
-        path_file.write_text(json_with_a_repeated_key(doc, ("segments", 0, "end"), "position_m", [0, 0, 0]))
-        out = tmp_path / "p.csv"
-        code = cli.main(["--config", config_file, "plan", str(path_file), "--work-offset-mm", "-2105,-20,1100",
-                         "--out", str(out)])
-        assert code == 3
-        assert capsys.readouterr().err == f"error: {path_file}: path JSON segments[0].end.position_m: repeated key\n"
-        assert not out.exists()
-
-
 class TestModal:
     @pytest.mark.parametrize("axis_args, axis", [([], "x"), (["--axis", "y"], "y"), (["--axis", "z"], "z")],
                              ids=["x", "y", "z"])
@@ -179,58 +133,6 @@ class TestModal:
         )
         assert slope == pytest.approx(config.load_config(config_file).modal_models[axis].sensitivity, rel=0.02)
         assert "slope=" in capsys.readouterr().out
-
-    def test_single_tension_exits_3(self, tmp_path, config_file):
-        code = cli.main(
-            ["--config", config_file, "modal", "--tensions", "1000", "--out", str(tmp_path / "o")]
-        )
-        assert code == 3
-        assert not (tmp_path / "o").exists()
-
-    def test_empty_tensions_exits_64(self, tmp_path, config_file):
-        code = cli.main(
-            ["--config", config_file, "modal", "--tensions", ",", "--out", str(tmp_path / "o")]
-        )
-        assert code == 64
-
-    @pytest.mark.parametrize("option, value", [
-        ("--df", "0"), ("--df", "nan"), ("--df", "-0.25"), ("--df", "inf"),
-        ("--tensions", "0,inf"), ("--tensions", "0,nan"), ("--tensions", "0,1e300"),
-        ("--tensions", "0,-500"), ("--df", "5e-324"),
-    ])
-    def test_bad_numeric_option_exits_64(self, tmp_path, config_file, capsys, option, value):
-        options = {"--tensions": "0,500", "--df": "0.25", option: value}
-        out = tmp_path / "o"
-        code = cli.main(["--config", config_file, "modal", *(x for kv in options.items() for x in kv),
-                         "--out", str(out)])
-        assert code == 64
-        assert option in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("tensions, stderr", [
-        ("0,500,500", "tensions '500' and '500' would both be written to frf_<axis>_500N.csv"),
-        ("500,500.0000001", "tensions '500' and '500.0000001' would both be written to frf_<axis>_500N.csv"),
-    ], ids=["repeated", "equal as %g"])
-    def test_tensions_that_share_an_frf_file_name_exit_64(self, tmp_path, config_file, capsys, monkeypatch,
-                                                          tensions, stderr):
-        """Each FRF file is named by its tension as `%g`: two tensions that
-        give one name are refused before anything is written."""
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
-        out = tmp_path / "o"
-        code = cli.main(["--config", config_file, "modal", "--tensions", tensions, "--out", str(out)])
-        assert code == 64
-        assert capsys.readouterr().err == ("usage: twinmill modal [-h] --tensions TENSIONS [--axis {x,y,z}] [--df DF]\n"
-                                           "                      --out OUT\n"
-                                           f"twinmill modal: error: argument --tensions: {stderr}\n")
-        assert not out.exists()
-
-    def test_a_grid_of_infinitely_many_points_is_over_the_cap(self, tmp_path, config_file, capsys):
-        out = tmp_path / "o"
-        code = cli.main(["--config", config_file, "modal", "--tensions", "0,1000", "--df", "5e-324", "--out", str(out)])
-        assert code == 64
-        assert capsys.readouterr().err == ("usage error: --tensions and --df give a frequency grid of inf points "
-                                           "up to 381.6 Hz, more than 1048576\n")
-        assert not out.exists()
 
     def test_grid_over_the_cap_refused_before_allocating(self, monkeypatch):
         with pytest.raises(cli._UsageError, match=r"grid of 1\.049e\+06 points"):
@@ -258,42 +160,6 @@ class TestFrf:
         assert len(peaks) == 1
         assert peaks[0][0] == pytest.approx(159.0 + 0.0226 * 500.0, abs=0.5)
 
-    def test_mismatched_records_exit_3(self, tmp_path):
-        model = modal.ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
-        files = []
-        for i, T in enumerate((0.0, 500.0)):
-            rec = modal.simulate_impact(model, T, sample_rate=2048.0, duration=1.0)
-            p = tmp_path / f"impact{i}.csv"
-            p.write_text(modal.impact_record_to_csv(rec))
-            files.append(str(p))
-        assert cli.main(["frf", *files, "--out", str(tmp_path / "frf.csv")]) == 3
-
-    @pytest.mark.parametrize("nfft", ["0", "-3", "1", "1.5"])
-    def test_nfft_below_2_exits_64(self, tmp_path, capsys, monkeypatch, nfft):
-        """As every other bad option value does; the upper bound, which
-        needs the records, is h1_estimate's (exit 3)."""
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
-        model = modal.ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
-        p = tmp_path / "impact.csv"
-        p.write_text(modal.impact_record_to_csv(modal.simulate_impact(model, 0.0, sample_rate=2048.0,
-                                                                      duration=0.25)))
-        out = tmp_path / "frf.csv"
-        assert cli.main(["frf", str(p), "--nfft", nfft, "--out", str(out)]) == 64
-        assert capsys.readouterr().err == ("usage: twinmill frf [-h] [--nfft NFFT] --out OUT impacts [impacts ...]\n"
-                                           f"twinmill frf: error: argument --nfft: expected an integer >= 2, "
-                                           f"got '{nfft}'\n")
-        assert not out.exists()
-
-    def test_nfft_over_the_cap_exits_3(self, tmp_path, capsys):
-        model = modal.ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
-        p = tmp_path / "impact.csv"
-        p.write_text(modal.impact_record_to_csv(modal.simulate_impact(model, 0.0, sample_rate=2048.0,
-                                                                      duration=0.25)))
-        out = tmp_path / "frf.csv"
-        assert cli.main(["frf", str(p), "--nfft", "1000000000", "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("error: nfft 1000000000 exceeds both 4194304 ")
-        assert not out.exists()
-
 
 class TestPlan:
     @pytest.mark.parametrize("axis_args, axis", [([], "x"), (["--tension-axis", "y"], "y"),
@@ -311,35 +177,11 @@ class TestPlan:
         assert program.tension.as_vector().tolist() == [1000.0 * (k == "xyz".index(axis)) for k in range(6)]
         assert cli.main(["--config", config_file, "deform", str(out), "--out", str(tmp_path / "d")]) == 0
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
-    def test_non_finite_tension_exits_64(self, tmp_path, config_file, gcode_file, capsys, value):
-        out = tmp_path / "p.csv"
-        code = cli.main(["--config", config_file, "plan", gcode_file, f"--tension={value}",
-                         "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
-        assert code == 64
-        assert "argument --tension: expected a finite number" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_negative_tension_is_planned(self, tmp_path, config_file, gcode_file):
         out = tmp_path / "p.csv"
         assert cli.main(["--config", config_file, "plan", gcode_file, "--tension", "-1000",
                          "--work-offset-mm", WORK_OFFSET, "--out", str(out)]) == 0
         assert program_from_csv(out.read_text()).tension.force[0] == -1000.0
-
-    def test_plan_outside_workspace_exits_3(self, tmp_path, config_file, gcode_file):
-        code = cli.main(
-            ["--config", config_file, "plan", gcode_file, "--out", str(tmp_path / "p.csv")]
-        )
-        assert code == 3
-
-    @pytest.mark.parametrize("value", ["1,2", "2105,-20,nan", "2105,-20,1e400", "a,b,c"])
-    def test_bad_work_offset_exits_64(self, tmp_path, config_file, gcode_file, capsys, value):
-        out = tmp_path / "p.csv"
-        code = cli.main(["--config", config_file, "plan", gcode_file, "--work-offset-mm", value,
-                         "--out", str(out)])
-        assert code == 64
-        assert "argument --work-offset-mm: expected " in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("value, code", [("-2105,-20,1100", 0), ("-20,1,2", 3)])
     def test_work_offset_with_a_leading_minus_in_either_spelling(self, tmp_path, config_file, capsys,
@@ -358,55 +200,13 @@ class TestPlan:
         assert results[0] == results[1] == results[2]
         assert (results[0][1] is not None) == (code == 0)
 
-    def test_tension_beyond_the_offset_bound_exits_3(self, tmp_path, config_file, gcode_file, capsys):
-        """40 kN asks for about 11 mm of arm-2 offset, more than `deform`
-        accepts: plan refuses it, naming the first setpoint."""
-        out = tmp_path / "p.csv"
-        code = cli.main(["--config", config_file, "plan", gcode_file, "--tension", "40000",
-                         "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
-        assert code == 3
-        assert capsys.readouterr().err.startswith("error: setpoint 0: commanded arm-2 flange is 1.09")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("text", [
-        "{}",
-        '{"segments": [{"type": "linear", "end": {"position_m": [0, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}}]}',
-        "not json",
-        "[]",
-        '{"feed_mm_min": "fast", "segments": []}',
-    ])
-    def test_bad_path_json_exits_3(self, tmp_path, config_file, text, capsys):
+    def test_path_json_that_is_not_json_exits_3(self, tmp_path, config_file, capsys):
+        """The text after the place is the json module's own."""
         path_file = tmp_path / "path.json"
-        path_file.write_text(text)
+        path_file.write_text("not json")
         code = cli.main(["--config", config_file, "plan", str(path_file), "--out", str(tmp_path / "p.csv")])
         assert code == 3
         assert capsys.readouterr().err.startswith(f"error: {path_file}: path JSON")
-
-    @pytest.mark.parametrize("key, value", [
-        ("max_iter", float("nan")), ("max_iter", 2.7), ("tol_pos_m", float("nan")),
-        ("max_step_m", float("inf")),
-    ])
-    def test_bad_config_default_exits_2(self, tmp_path, gcode_file, key, value, capsys):
-        doc = demo_config_dict()
-        doc["defaults"][key] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        out = tmp_path / "p.csv"
-        code = cli.main(["--config", str(bad), "plan", gcode_file, "--tension", "1000",
-                         "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
-        assert code == 2
-        assert f"config.defaults.{key}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_null_seed_exits_2(self, tmp_path, gcode_file, capsys):
-        doc = demo_config_dict()
-        doc["ik_seed2_rad"][3] = None
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        out = tmp_path / "p.csv"
-        assert cli.main(["--config", str(bad), "plan", gcode_file, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error: config.ik_seed2_rad[3]: expected a finite number")
-        assert not out.exists()
 
     def test_missing_path_file_exits_3(self, tmp_path, config_file):
         code = cli.main(
@@ -438,204 +238,9 @@ class TestDeform:
         assert before > 1e-4
         assert after < 5e-5
 
-    def test_joint_outside_limits_exits_3(self, tmp_path, config_file, program_file, capsys):
-        """Setpoint 7's q1 joint 5 edited to 2.5 rad, beyond its 2.2 rad limit."""
-        program = program_from_csv(Path(program_file).read_text())
-        sp = program.pairs
-        q1 = sp.q1.copy()
-        q1[7, 4] = 2.5
-        pairs = Setpoints(sp.tool_pose, q1, sp.q2)
-        edited = tmp_path / "edited.csv"
-        edited.write_text(program_to_csv(dataclasses.replace(program, pairs=pairs)))
-        assert edited.read_text().split("\n")[13].startswith("7,")  # the index on setpoint 7's line
-        out = tmp_path / "o"
-        assert cli.main(["--config", config_file, "deform", str(edited), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "error: setpoint 7, arm 1: joint configuration violates joint limits: "
-            "q5 = 2.5 rad outside [-2.2, 2.2] rad\n")
-        assert not (out / "deformed.csv").exists()
-
-    @pytest.mark.parametrize("feed", ["-100", "-1e-300"])
-    def test_negative_feed_in_the_program_exits_3(self, tmp_path, config_file, program_file, capsys, feed):
-        text = Path(program_file).read_text()
-        assert "# feed_mm_min=300\n" in text
-        edited = tmp_path / "edited.csv"
-        edited.write_text(text.replace("# feed_mm_min=300\n", f"# feed_mm_min={feed}\n"))
-        out = tmp_path / "o"
-        assert cli.main(["--config", config_file, "deform", str(edited), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (f"error: {edited}: program CSV line 1: metadata feed_mm_min={feed!r} "
-                                           "is negative\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
-    def test_bad_noise_sigma_exits_64(self, tmp_path, config_file, program_file, capsys, value):
-        out = tmp_path / "o"
-        code = cli.main(["--config", config_file, "deform", program_file, "--noise-sigma", value,
-                         "--seed", "7", "--out", str(out)])
-        assert code == 64
-        assert "argument --noise-sigma: expected" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("noise, seed, message", [
-        ("1e-5", "-1", "argument --seed: expected a non-negative integer, got '-1'"),
-        ("1e-5", "7.5", "argument --seed: expected a non-negative integer, got '7.5'"),
-        ("1e308", "1", "argument --noise-sigma: expected a finite number >= 0 and <= 1e+06, got '1e308'"),
-    ], ids=["seed -1", "seed 7.5", "noise 1e308"])
-    def test_bad_seed_or_noise_is_refused_before_the_config_is_read(self, tmp_path, capsys, noise, seed, message):
-        """A config that does not exist would exit 2: argparse refuses first."""
-        out = tmp_path / "o"
-        code = cli.main(["--config", str(tmp_path / "none.json"), "deform", str(tmp_path / "none.csv"),
-                         "--noise-sigma", noise, "--seed", seed, "--out", str(out)])
-        assert code == 64
-        assert capsys.readouterr().err.split("\n")[-2] == f"twinmill deform: error: {message}"
-        assert not out.exists()
-
     def test_noise_at_its_bound_is_accepted(self, tmp_path, config_file, program_file):
         assert cli.main(["--config", config_file, "deform", program_file, "--compensate", "--noise-sigma",
                          f"{cli.MAX_NOISE_SIGMA:g}", "--seed", "0", "--out", str(tmp_path / "o")]) == 0
-
-    def test_noise_without_seed_exits_64(self, tmp_path, config_file, program_file):
-        code = cli.main(
-            ["--config", config_file, "deform", program_file, "--noise-sigma", "1e-5",
-             "--out", str(tmp_path / "o")]
-        )
-        assert code == 64
-
-
-def _edited_program(text, edit):
-    """The program CSV `text` with `edit(fields)` applied to the fields of
-    each data row."""
-    lines = text.split("\n")
-    for i, line in enumerate(lines):
-        if line[:1].isdigit():
-            fields = line.split(",")
-            edit(fields)
-            lines[i] = ",".join(fields)
-    return "\n".join(lines)
-
-
-def _shift_tool_x(fields):
-    if int(fields[0]) >= 40:
-        fields[1] = "%.17g" % (float(fields[1]) + 0.005)
-
-
-def _index_38_at_40(fields):
-    if fields[0] == "40":
-        fields[0] = "38"
-
-
-def _run_cli(*args):
-    """`python -m twinmill.cli *args` in a subprocess, on the twinmill
-    source these tests import."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "twinmill.cli", *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=120)
-
-
-def _without_cell(text):
-    return "\n".join(line for line in text.split("\n") if not line.startswith("# cell_sha256="))
-
-
-class TestDeformRefusalsFromTheCommandLine:
-    """Refused program CSVs, run as `python -m twinmill.cli deform` in a
-    subprocess on the demo plan (`demo/slot.gcode`, 1000 N, offset
-    2105,-20,1100): exit code 3 and the location in the message."""
-
-    @pytest.fixture(scope="class")
-    def demo_plan(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("plan") / "p1.csv"
-        assert cli.main(["--config", str(DEMO_CONFIG), "plan", str(DEMO_CONFIG.parent / "slot.gcode"),
-                         "--tension", "1000", "--work-offset-mm", WORK_OFFSET, "--out", str(out)]) == 0
-        return out.read_text()
-
-    @pytest.mark.parametrize("edit, options, named", [
-        # Tool rows moved 5 mm in x from setpoint 40 on no longer match q1.
-        (lambda text: _edited_program(text, _shift_tool_x), ["--compensate"], "setpoint 40"),
-        (lambda text: "\n".join("# tension_wrench=1000 0 0 0 0" if line.startswith("# tension_wrench=") else line
-                                for line in text.split("\n")), [], "tension_wrench"),
-        # Setpoint 40 is on line 47; index 38 there is out of order.
-        (lambda text: _edited_program(text, _index_38_at_40), [], "line 47"),
-        # The form that also held the flange frames has its header on line 5.
-        (lambda text: forty_one_column_program(config.load_config(DEMO_CONFIG).system, program_from_csv(text)),
-         [], "program CSV line 5: expected header"),
-        # Without its cell_sha256 line the header is on line 5.
-        (_without_cell, [], "program CSV line 5: no cell_sha256"),
-    ], ids=["tool rows shifted", "wrench of 5 numbers", "index out of order", "41 columns", "no cell_sha256"])
-    def test_exits_3_naming_the_location(self, tmp_path, demo_plan, edit, options, named):
-        edited = tmp_path / "edited.csv"
-        edited.write_text(edit(demo_plan))
-        run = _run_cli("--config", DEMO_CONFIG, "deform", edited, *options, "--out", tmp_path / "d")
-        assert run.returncode == 3, run.stderr
-        assert named in run.stderr
-        assert not (tmp_path / "d").exists()
-
-    def test_noise_without_a_seed_exits_64_before_any_output(self, tmp_path, demo_plan):
-        program = tmp_path / "p1.csv"
-        program.write_text(demo_plan)
-        run = _run_cli("--config", DEMO_CONFIG, "deform", program, "--noise-sigma", "1e-5", "--out", tmp_path / "d")
-        assert run.returncode == 64, run.stderr
-        assert "--noise-sigma requires --seed" in run.stderr
-        assert not (tmp_path / "d").exists()
-
-
-def _null_seed_config(tmp_path):
-    doc = demo_config_dict()
-    doc["ik_seed2_rad"][3] = None
-    path = tmp_path / "null_seed.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
-def _impact_file(tmp_path):
-    """A simulated 1 s x-axis impact at 0 N on the demo cell."""
-    model = config.load_config(DEMO_CONFIG).modal_models["x"]
-    path = tmp_path / "impact.csv"
-    path.write_text(modal.impact_record_to_csv(modal.simulate_impact(model, 0.0, duration=1.0)))
-    return path
-
-
-def _written(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text)
-    return path
-
-
-_SLOT = DEMO_CONFIG.parent / "slot.gcode"
-_HELIX = "G1 X10 Y0\nG3 X0 Y0 Z-0.3 I-5\n"
-_STRING_PATH_JSON = json.dumps({"segments": [{
-    "type": "linear", "start": {"position_m": ["0", 0, 0], "quaternion_wxyz": [1, 0, 0, 0]},
-    "end": {"position_m": [0.01, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}}]})
-
-# name: (arguments before --out given the test's tmp_path, exit code, what stderr names)
-REFUSED_INPUTS = {
-    "null IK seed": (lambda tmp: ["--config", _null_seed_config(tmp), "plan", _SLOT], 2,
-                     "config.ik_seed2_rad[3]"),
-    "nfft over the cap": (lambda tmp: ["frf", _impact_file(tmp), "--nfft", "1000000000"], 3, "nfft"),
-    "non-finite tension": (lambda tmp: ["--config", DEMO_CONFIG, "plan", _SLOT, "--tension", "nan"], 64,
-                           "--tension"),
-    "tension over the offset bound": (lambda tmp: ["--config", DEMO_CONFIG, "plan", _SLOT, "--tension", "40000",
-                                                   "--work-offset-mm", WORK_OFFSET], 3, "setpoint 0"),
-    "helix": (lambda tmp: ["--config", DEMO_CONFIG, "plan", _written(tmp, "helix.gcode", _HELIX),
-                           "--work-offset-mm", WORK_OFFSET], 3, "line 2"),
-    "string path JSON": (lambda tmp: ["--config", DEMO_CONFIG, "plan",
-                                      _written(tmp, "string.json", _STRING_PATH_JSON)],
-                         3, "segments[0].start.position_m[0]"),
-}
-
-
-class TestPlanAndFrfRefusalsFromTheCommandLine:
-    """Refused inputs of `plan` and `frf`, run as `python -m twinmill.cli`
-    in a subprocess: the exit code, the location in the message and no
-    output file."""
-
-    @pytest.mark.parametrize("args, code, named", REFUSED_INPUTS.values(), ids=REFUSED_INPUTS.keys())
-    def test_exit_code_and_location(self, tmp_path, args, code, named):
-        out = tmp_path / "out.csv"
-        run = _run_cli(*args(tmp_path), "--out", out)
-        assert run.returncode == code, run.stderr
-        assert named in run.stderr
-        assert not out.exists()
 
 
 def _scaled_config(keys, factor):
@@ -689,13 +294,8 @@ class TestCellFingerprint:
     def test_the_same_cell_with_other_signs_hashes_the_same(self, tmp_path, program_file, keys, value):
         """-0.0 for 0.0, and -q for a quaternion q with qw = 0, which `Pose`
         keeps as written, are the same cell."""
-        doc = demo_config_dict()
-        entry = doc
-        for key in keys[:-1]:
-            entry = entry[key]
-        entry[keys[-1]] = value
         other = tmp_path / "system.json"
-        other.write_text(json.dumps(doc))
+        other.write_text(json.dumps(json_replaced(demo_config_dict(), keys, value)))
         assert cell_sha256(config.load_config(other).system) == cell_sha256(config.load_config(DEMO_CONFIG).system)
         assert cli.main(["--config", str(other), "deform", str(program_file), "--out", str(tmp_path / "d")]) == 0
 
@@ -722,26 +322,62 @@ class TestCellFingerprint:
                                            f"the config's cell is {here}\n")
         assert not out.exists()
 
-    def test_program_without_a_cell_exits_3(self, tmp_path, program_file, capsys):
-        edited = tmp_path / "edited.csv"
-        edited.write_text(_without_cell(program_file.read_text()))
-        out = tmp_path / "d"
-        assert cli.main(["--config", str(DEMO_CONFIG), "deform", str(edited), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (f"error: {edited}: program CSV line 5: no cell_sha256 metadata "
-                                           "before the header\n")
-        assert not out.exists()
+
+def test_an_output_that_cannot_be_written_exits_3(tmp_path, capsys):
+    out = tmp_path / "nodir" / "p.csv"
+    code = cli.main(["--config", str(DEMO_CONFIG), "plan", str(DEMO_CONFIG.parent / "slot.gcode"),
+                     "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+DEMO = str(DEMO_CONFIG)
+SLOT = str(DEMO_CONFIG.parent / "slot.gcode")
+PLAN_PATH_JSON = ["--config", DEMO, "plan", "{path.json}", "--out", "{out.csv}"]
+DEFORM_PROGRAM = ["--config", DEMO, "deform", "{program.csv}", "--out", "{out}"]
+
+
+def _no_files(program):
+    return {}
+
+
+def _config(keys, value):
+    """The demo config's JSON text with the element at `keys` set to `value`."""
+    return json.dumps(json_replaced(demo_config_dict(), keys, value))
 
 
 def _pose(x):
     return {"position_m": [x, 0, 0], "quaternion_wxyz": [1, 0, 0, 0]}
 
 
+def _arc(center, start_x):
+    return {"type": "arc", "center_m": center, "normal": [0, 0, 1], "start": _pose(start_x), "sweep_rad": 1.0}
+
+
+def _edited_program(program, edit):
+    """The program's CSV with `edit(fields)` applied to the fields of each
+    data row."""
+    lines = program_to_csv(program).split("\n")
+    for i, line in enumerate(lines):
+        if line[:1].isdigit():
+            fields = line.split(",")
+            edit(fields)
+            lines[i] = ",".join(fields)
+    return "\n".join(lines)
+
+
 def _index_plus_100(fields):
     fields[0] = str(int(fields[0]) + 100)
 
 
-def _arc(center, start_x):
-    return {"type": "arc", "center_m": center, "normal": [0, 0, 1], "start": _pose(start_x), "sweep_rad": 1.0}
+def _index_38_at_40(fields):
+    if fields[0] == "40":
+        fields[0] = "38"
+
+
+def _tool_x_plus_5_mm_from_40(fields):
+    if int(fields[0]) >= 40:
+        fields[1] = "%.17g" % (float(fields[1]) + 0.005)
 
 
 def _half_qw_at_setpoint_14(fields):
@@ -755,16 +391,9 @@ def _q1_5_at_setpoint_7(fields):
         fields[12] = "2.5"
 
 
-def _ik_seed1_q5(value):
-    doc = demo_config_dict()
-    doc["ik_seed1_rad"][4] = value
-    return json.dumps(doc)
-
-
-def _tension_wrench_1e200(text):
-    """The program CSV `text` with a tension of 1e200 N along x, whose
-    square overflows."""
-    return re.sub(r"(?m)^# tension_wrench=.*$", "# tension_wrench=1e200 0 0 0 0 0", text)
+def _metadata(program, key, value):
+    """The program's CSV with its `key` metadata line holding `value`."""
+    return re.sub(rf"(?m)^# {key}=.*$", f"# {key}={value}", program_to_csv(program))
 
 
 def _impact(tension, rate=None):
@@ -790,12 +419,6 @@ def _impact_of_two_equal_force_samples():
     return modal.impact_record_to_csv(modal.ImpactRecord(1000.0, force, np.sin(np.arange(64.0))))
 
 
-def _modal_x_damping(value):
-    doc = demo_config_dict()
-    doc["modal_models"]["x"]["damping_ratio"] = value
-    return json.dumps(doc)
-
-
 def _first_line_of(program):
     """The demo program cut to its first 17 setpoints, the ones of `G1 X40`:
     a straight line."""
@@ -803,61 +426,127 @@ def _first_line_of(program):
     return program_to_csv(dataclasses.replace(program, pairs=Setpoints(sp.tool_pose[:17], sp.q1[:17], sp.q2[:17])))
 
 
-def _spring_diagonal(value):
-    doc = demo_config_dict()
-    doc["spring_matrix"][3][3] = value
-    return json.dumps(doc)
+def _without_cell(program):
+    return "\n".join(line for line in program_to_csv(program).split("\n") if not line.startswith("# cell_sha256="))
 
 
-# name: (files to write, by name, given the demo program; argv after the
-# file paths are filled in; exit code; stderr, a path written in braces
-# being the file's path)
+# name: (files to write, by name, given the demo program; argv; exit code;
+# stderr). In argv and stderr, a name in braces is that file's path under the
+# test's directory, written or not.
 REFUSALS = {
     "path JSON type []": (
         lambda p: {"path.json": json.dumps({"segments": [{"type": [], "start": _pose(0), "end": _pose(0.01)}]})},
-        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
+        PLAN_PATH_JSON, 3,
         "error: {path.json}: path JSON segments[0].type: unknown segment type []\n"),
     "path JSON type {}": (
         lambda p: {"path.json": json.dumps({"segments": [{"type": {}, "start": _pose(0), "end": _pose(0.01)}]})},
-        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
+        PLAN_PATH_JSON, 3,
         "error: {path.json}: path JSON segments[0].type: unknown segment type {}\n"),
+    "path JSON {}": (
+        lambda p: {"path.json": "{}"},
+        PLAN_PATH_JSON, 3,
+        "error: {path.json}: path JSON missing segments\n"),
+    "path JSON []": (
+        lambda p: {"path.json": "[]"},
+        PLAN_PATH_JSON, 3,
+        "error: {path.json}: path JSON document: expected an object\n"),
+    "path JSON segment without a start": (
+        lambda p: {"path.json": json.dumps({"segments": [{"type": "linear", "end": _pose(0)}]})},
+        PLAN_PATH_JSON, 3,
+        "error: {path.json}: path JSON missing segments[0].start\n"),
+    "path JSON feed of a string": (
+        lambda p: {"path.json": '{"feed_mm_min": "fast", "segments": []}'},
+        PLAN_PATH_JSON, 3,
+        "error: {path.json}: path JSON feed_mm_min: expected a finite number, got 'fast'\n"),
+    "path JSON position of a string": (
+        lambda p: {"path.json": json.dumps({"segments": [
+            {"type": "linear", "start": _pose("0"), "end": _pose(0.01)}]})},
+        PLAN_PATH_JSON, 3,
+        "error: {path.json}: path JSON segments[0].start.position_m[0]: expected a finite number, got '0'\n"),
+    "path JSON repeated key": (
+        lambda p: {"path.json": json_with_a_repeated_key(json.loads(path_to_json(parse_gcode(SLOT_GCODE))),
+                                                         ("segments", 0, "end"), "position_m", [0, 0, 0])},
+        PLAN_PATH_JSON, 3,
+        "error: {path.json}: path JSON segments[0].end.position_m: repeated key\n"),
     "path JSON line past the float range": (
         lambda p: {"path.json": json.dumps({"segments": [
             {"type": "linear", "start": _pose(-1e308), "end": _pose(1e308)}]})},
-        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
+        PLAN_PATH_JSON, 3,
         "error: {path.json}: segments[0]: the segment takes the path past 1048576 samples "
         "(chord_tol 1e-05 m, max_step 0.005 m)\n"),
     # Coordinates near the float range are refused with no numpy warning,
     # which the tests' filterwarnings = error would raise instead.
     "path JSON arc center at -1e200": (
         lambda p: {"path.json": json.dumps({"segments": [_arc([-1e200, 0, 0], 0)]})},
-        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
+        PLAN_PATH_JSON, 3,
         "error: {path.json}: segments[0]: the segment takes the path past 1048576 samples "
         "(chord_tol 1e-05 m, max_step 0.005 m)\n"),
     "path JSON arc start at 1e200": (
         lambda p: {"path.json": json.dumps({"segments": [_arc([0, 0, 0], 1e200)]})},
-        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
+        PLAN_PATH_JSON, 3,
         "error: {path.json}: segments[0]: the segment takes the path past 1048576 samples "
         "(chord_tol 1e-05 m, max_step 0.005 m)\n"),
     "path JSON arc start 3e308 from its center": (
         lambda p: {"path.json": json.dumps({"segments": [_arc([-1.5e308, 0, 0], 1.5e308)]})},
-        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
+        PLAN_PATH_JSON, 3,
         "error: {path.json}: path JSON segments[0]: arc start-to-center vector overflows the float range\n"),
     "path JSON lines ending at 1e200 and starting at -1e200": (
         lambda p: {"path.json": json.dumps({"segments": [
             {"type": "linear", "start": _pose(0), "end": _pose(1e200)},
             {"type": "linear", "start": _pose(-1e200), "end": _pose(0)}]})},
-        ["--config", str(DEMO_CONFIG), "plan", "{path.json}", "--out", "{out.csv}"], 3,
+        PLAN_PATH_JSON, 3,
         "error: {path.json}: path JSON segments[1]: toolpath is not C0-continuous (gap inf m)\n"),
+    "G-code word": (
+        lambda p: {"slot.gcode": "G1 X10\nG1 X20 Q5\n"},
+        ["--config", DEMO, "plan", "{slot.gcode}", "--out", "{out.csv}"], 3,
+        "error: {slot.gcode}: line 2: unsupported word Q5\n"),
+    "G-code helix": (
+        lambda p: {"helix.gcode": "G1 X10 Y0\nG3 X0 Y0 Z-0.3 I-5\n"},
+        ["--config", DEMO, "plan", "{helix.gcode}", "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"], 3,
+        "error: {helix.gcode}: line 2: helical arcs are not supported (Z moves from 0 mm to -0.3 mm)\n"),
+    "plan outside the workspace": (
+        _no_files, ["--config", DEMO, "plan", SLOT, "--out", "{out.csv}"], 3,
+        "error: tool pose 0 at [0. 0. 0.] lies outside the workspace box\n"),
+    # A tension whose square overflows is refused where it enters, before
+    # any IK and with no numpy warning.
+    "plan tension 1e200": (
+        _no_files,
+        ["--config", DEMO, "plan", SLOT, "--tension", "1e200", "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"],
+        3, "error: --tension 1e+200: wrench force/torque must be finite 3-vectors of norm below about 1.341e+154\n"),
+    # 40 kN asks for about 11 mm of arm-2 offset, more than `deform` accepts.
+    "plan tension over the offset bound": (
+        _no_files,
+        ["--config", DEMO, "plan", SLOT, "--tension", "40000", "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"],
+        3, "error: setpoint 0: commanded arm-2 flange is 1.092e-02 m from the nominal one\n"),
+    "config of a schema version alone": (
+        lambda p: {"system.json": '{"schema_version": 1}'},
+        ["--config", "{system.json}", "modal", "--tensions", "0,500", "--out", "{out}"], 2,
+        "config error: missing config.dh_convention\n"),
     "config repeated key": (
         lambda p: {"system.json": json_with_a_repeated_key(demo_config_dict(), (), "spring_matrix", [[1]])},
         ["--config", "{system.json}", "modal", "--tensions", "0", "--out", "{out}"], 2,
         "config error: config.spring_matrix: repeated key\n"),
     "config spring entry 1e308": (
-        lambda p: {"system.json": _spring_diagonal(1e308)},
+        lambda p: {"system.json": _config(("spring_matrix", 3, 3), 1e308)},
         ["--config", "{system.json}", "modal", "--tensions", "0", "--out", "{out}"], 2,
         "config error: config.spring_matrix: spring matrix must be a 6x6 array of finite entries, "
         "each of size <= 8.988e+307\n"),
+    **{f"config default {key} {value}": (
+        lambda p, key=key, value=value: {"system.json": _config(("defaults", key), value)},
+        ["--config", "{system.json}", "plan", SLOT, "--tension", "1000", "--work-offset-mm", WORK_OFFSET,
+         "--out", "{out.csv}"], 2,
+        f"config error: config.defaults.{key}: expected {expected}, got {value}\n")
+       for key, value, expected in [("max_iter", float("nan"), "an integer >= 1"), ("max_iter", 2.7, "an integer >= 1"),
+                                    ("tol_pos_m", float("nan"), "a positive finite number"),
+                                    ("max_step_m", float("inf"), "a positive finite number")]},
+    "config null IK seed": (
+        lambda p: {"system.json": _config(("ik_seed2_rad", 3), None)},
+        ["--config", "{system.json}", "plan", SLOT, "--out", "{out.csv}"], 2,
+        "config error: config.ik_seed2_rad[3]: expected a finite number, got None\n"),
+    "config IK seed outside its joint limits": (
+        lambda p: {"system.json": _config(("ik_seed1_rad", 4), 3.0)},
+        ["--config", "{system.json}", "plan", SLOT, "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"], 3,
+        "error: ik_seeds[0] (arm 1): seed violates joint limits: q5 = 3 rad outside [-2.2, 2.2] rad\n"),
     "impact sample rate 0": (
         lambda p: {"a.csv": _impact(0.0, rate=0)},
         ["frf", "{a.csv}", "--out", "{out.csv}"], 3,
@@ -870,6 +559,11 @@ REFUSALS = {
         lambda p: {"a.csv": three_column_impact(modal.impact_record_from_csv(_impact(0.0)))},
         ["frf", "{a.csv}", "--out", "{out.csv}"], 3,
         "error: {a.csv}: impact CSV line 5: expected header 'force_N,accel_ms2', found 'time_s,force_N,accel_ms2'\n"),
+    "impact record with a truncated row": (
+        lambda p: {"a.csv": edit_line(impact_text(), 10, truncate)},
+        ["frf", "{a.csv}", "--out", "{out.csv}"], 3,
+        ("error: {a.csv}: impact CSV line 10: expected 2 comma-separated finite numbers, "
+         "found '7.3564563599667734'\n")),
     "impact record with no force in its first nfft samples": (
         lambda p: {"a.csv": _impact_struck_after_100_samples()},
         ["frf", "{a.csv}", "--nfft", "64", "--out", "{out.csv}"], 3,
@@ -882,96 +576,164 @@ REFUSALS = {
         lambda p: {"a.csv": _impact(0.0), "b.csv": _impact(500.0)},
         ["frf", "{a.csv}", "{a.csv}", "{b.csv}", "--out", "{out.csv}"], 3,
         "error: {b.csv}: impact record 2 differs from record 0 in tension: 500.0, not 0.0\n"),
+    "frf nfft over the cap": (
+        lambda p: {"a.csv": _impact(0.0)},
+        ["frf", "{a.csv}", "--nfft", "1000000000", "--out", "{out.csv}"], 3,
+        "error: nfft 1000000000 exceeds both 4194304 and the longest record (102)\n"),
     "program with shifted indices": (
-        lambda p: {"program.csv": _edited_program(program_to_csv(p), _index_plus_100)},
-        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
+        lambda p: {"program.csv": _edited_program(p, _index_plus_100)},
+        DEFORM_PROGRAM, 3,
         "error: {program.csv}: program CSV line 7: indices must count 0, 1, 2, ... in order, "
         "found 100 where 0 is due\n"),
+    # Setpoint 40 is on line 47; index 38 there is out of order.
+    "program with index 38 at setpoint 40": (
+        lambda p: {"program.csv": _edited_program(p, _index_38_at_40)},
+        DEFORM_PROGRAM, 3,
+        ("error: {program.csv}: program CSV line 47: indices must count 0, 1, 2, ... in order, "
+         "found 38 where 40 is due\n")),
     # Line 21 holds setpoint 14; field 4 is its tool_qw.
     "program with a bad tool quaternion": (
-        lambda p: {"program.csv": _edited_program(program_to_csv(p), _half_qw_at_setpoint_14)},
-        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
+        lambda p: {"program.csv": _edited_program(p, _half_qw_at_setpoint_14)},
+        DEFORM_PROGRAM, 3,
         "error: {program.csv}: program CSV line 21: tool_pose: pose row 14: position must be finite and "
         "quaternion norm 1 within 1e-9\n"),
-    "G-code word": (
-        lambda p: {"slot.gcode": "G1 X10\nG1 X20 Q5\n"},
-        ["--config", str(DEMO_CONFIG), "plan", "{slot.gcode}", "--out", "{out.csv}"], 3,
-        "error: {slot.gcode}: line 2: unsupported word Q5\n"),
-    # A tension whose square overflows is refused where it enters, before
-    # any IK and with no numpy warning.
-    "plan tension 1e200": (
-        lambda p: {"slot.gcode": SLOT_GCODE},
-        ["--config", str(DEMO_CONFIG), "plan", "{slot.gcode}", "--tension", "1e200",
-         "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"], 3,
-        "error: --tension 1e+200: wrench force/torque must be finite 3-vectors of norm below about 1.341e+154\n"),
-    "program tension 1e200": (
-        lambda p: {"program.csv": _tension_wrench_1e200(program_to_csv(p))},
-        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
-        "error: {program.csv}: program CSV line 2: metadata tension_wrench='1e200 0 0 0 0 0' is refused: "
-        "wrench force/torque must be finite 3-vectors of norm below about 1.341e+154\n"),
+    # Tool rows moved 5 mm in x from setpoint 40 on no longer match q1.
+    "program with its tool rows shifted": (
+        lambda p: {"program.csv": _edited_program(p, _tool_x_plus_5_mm_from_40)},
+        ["--config", DEMO, "deform", "{program.csv}", "--compensate", "--out", "{out}"], 3,
+        "error: setpoint 40: arm-1 tool point is 5.000e-03 m from its planned position\n"),
+    "program with arm 1 outside its joint limits": (
+        lambda p: {"program.csv": _edited_program(p, _q1_5_at_setpoint_7)},
+        DEFORM_PROGRAM, 3,
+        "error: setpoint 7, arm 1: joint configuration violates joint limits: q5 = 2.5 rad outside [-2.2, 2.2] rad\n"),
+    # The form that also held the flange frames has its header on line 5.
+    "program of 41 columns": (
+        lambda p: {"program.csv": forty_one_column_program(config.load_config(DEMO_CONFIG).system, p)},
+        DEFORM_PROGRAM, 3,
+        ("error: {program.csv}: program CSV line 5: expected header 'index,tool_x,tool_y,tool_z,tool_qw,tool_qx,"
+         "tool_qy,tool_qz,q1_0,q1_1,q1_2,q1_3,q1_4,q1_5,q2_0,q2_1,q2_2,q2_3,q2_4,q2_5', found 'index,tool_x,tool_y,"
+         "tool_z,tool_qw,tool_qx,tool_qy,tool_qz,r1_x,r1_y,r1_z,r1_qw,'\n")),
+    # Without its cell_sha256 line the header is on line 5.
+    "program without a cell_sha256": (
+        lambda p: {"program.csv": _without_cell(p)},
+        DEFORM_PROGRAM, 3,
+        "error: {program.csv}: program CSV line 5: no cell_sha256 metadata before the header\n"),
     "program with a repeated metadata key": (
         lambda p: {"program.csv": program_to_csv(p).replace("# cell_sha256=", "# chord_tol_m=2e-05\n# cell_sha256=")},
-        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
+        DEFORM_PROGRAM, 3,
         "error: {program.csv}: program CSV line 5: metadata chord_tol_m repeated, first given on line 3\n"),
-    "program with arm 1 outside its joint limits": (
-        lambda p: {"program.csv": _edited_program(program_to_csv(p), _q1_5_at_setpoint_7)},
-        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--out", "{out}"], 3,
-        "error: setpoint 7, arm 1: joint configuration violates joint limits: q5 = 2.5 rad outside [-2.2, 2.2] rad\n"),
+    **{f"program feed {feed}": (
+        lambda p, feed=feed: {"program.csv": _metadata(p, "feed_mm_min", feed)},
+        DEFORM_PROGRAM, 3,
+        f"error: {{program.csv}}: program CSV line 1: metadata feed_mm_min={feed!r} is negative\n")
+       for feed in ["-100", "-1e-300"]},
+    "program wrench of 5 numbers": (
+        lambda p: {"program.csv": _metadata(p, "tension_wrench", "1000 0 0 0 0")},
+        DEFORM_PROGRAM, 3,
+        "error: {program.csv}: program CSV line 2: metadata tension_wrench='1000 0 0 0 0' is not 6 numbers\n"),
+    # A wrench whose square overflows.
+    "program tension 1e200": (
+        lambda p: {"program.csv": _metadata(p, "tension_wrench", "1e200 0 0 0 0 0")},
+        DEFORM_PROGRAM, 3,
+        "error: {program.csv}: program CSV line 2: metadata tension_wrench='1e200 0 0 0 0 0' is refused: "
+        "wrench force/torque must be finite 3-vectors of norm below about 1.341e+154\n"),
     # A refusal after the first result is computed still writes nothing.
     "modal with one tension": (
-        lambda p: {},
-        ["--config", str(DEMO_CONFIG), "modal", "--tensions", "500", "--out", "{out}"], 3,
+        _no_files, ["--config", DEMO, "modal", "--tensions", "500", "--out", "{out}"], 3,
         "error: at least two (tension, frequency) points are required\n"),
     "modal x damping ratio 0.9": (
-        lambda p: {"system.json": _modal_x_damping(0.9)},
+        lambda p: {"system.json": _config(("modal_models", "x", "damping_ratio"), 0.9)},
         ["--config", "{system.json}", "modal", "--tensions", "0,1000", "--out", "{out}"], 3,
         "error: no compliance peak found at tension 0 N\n"),
     # 159 Hz, x's natural frequency at 0 N, lies on the 0.25 Hz grid.
     "modal x damping ratio 0": (
-        lambda p: {"system.json": _modal_x_damping(0.0)},
+        lambda p: {"system.json": _config(("modal_models", "x", "damping_ratio"), 0.0)},
         ["--config", "{system.json}", "modal", "--tensions", "0,500", "--out", "{out}"], 3,
         "error: compliance is unbounded at 159.0 Hz at tension 0 N: k - m w^2 + i c w is 0 there\n"),
     "deform --compensate on one line": (
         lambda p: {"program.csv": _first_line_of(p)},
-        ["--config", str(DEMO_CONFIG), "deform", "{program.csv}", "--compensate", "--out", "{out}"], 3,
+        ["--config", DEMO, "deform", "{program.csv}", "--compensate", "--out", "{out}"], 3,
         "error: reference points are collinear; the rotation is not unique\n"),
-    "config IK seed outside its joint limits": (
-        lambda p: {"system.json": _ik_seed1_q5(3.0), "slot.gcode": SLOT_GCODE},
-        ["--config", "{system.json}", "plan", "{slot.gcode}", "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"],
-        3, "error: ik_seeds[0] (arm 1): seed violates joint limits: q5 = 3 rad outside [-2.2, 2.2] rad\n"),
+}
+
+_NOISE = "expected a finite number >= 0 and <= 1e+06"
+
+# name: (files to write, as in REFUSALS; argv; the last line of stderr)
+USAGE = {
+    "no arguments": (_no_files, [], "twinmill: error: the following arguments are required: command"),
+    "no config": (_no_files, ["modal", "--tensions", "0,500", "--out", "{out}"],
+                  "usage error: no config given (use --config or $TWINMILL_CONFIG)"),
+    # Each FRF file is named by its tension as `%g`: two tensions that give
+    # one name are refused too.
+    **{f"modal {option} {value}": (
+        _no_files, ["--config", DEMO, "modal", "--tensions", "0,500", option, value, "--out", "{out}"],
+        f"twinmill modal: error: argument {option}: {message}")
+       for option, value, message in [
+           ("--df", "0", "expected a finite number > 0, got '0'"),
+           ("--df", "nan", "expected a finite number > 0, got 'nan'"),
+           ("--df", "-0.25", "expected a finite number > 0, got '-0.25'"),
+           ("--df", "inf", "expected a finite number > 0, got 'inf'"),
+           ("--tensions", ",", "tension list is empty"),
+           ("--tensions", "0,inf", "expected a finite number >= 0, got 'inf'"),
+           ("--tensions", "0,nan", "expected a finite number >= 0, got 'nan'"),
+           ("--tensions", "0,-500", "expected a finite number >= 0, got '-500'"),
+           ("--tensions", "0,500,500", "tensions '500' and '500' would both be written to frf_<axis>_500N.csv"),
+           ("--tensions", "500,500.0000001",
+            "tensions '500' and '500.0000001' would both be written to frf_<axis>_500N.csv")]},
+    "modal --tensions 0,1e300": (
+        _no_files, ["--config", DEMO, "modal", "--tensions", "0,1e300", "--out", "{out}"],
+        "usage error: --tensions and --df give a frequency grid of 9.04e+298 points up to 2.26e+298 Hz, "
+        "more than 1048576"),
+    "modal --df 5e-324": (
+        _no_files, ["--config", DEMO, "modal", "--tensions", "0,1000", "--df", "5e-324", "--out", "{out}"],
+        "usage error: --tensions and --df give a frequency grid of inf points up to 381.6 Hz, more than 1048576"),
+    # The upper bound, which needs the records, is h1_estimate's (exit 3).
+    **{f"frf --nfft {nfft}": (
+        lambda p: {"a.csv": _impact(0.0)}, ["frf", "{a.csv}", "--nfft", nfft, "--out", "{out.csv}"],
+        f"twinmill frf: error: argument --nfft: expected an integer >= 2, got '{nfft}'")
+       for nfft in ["0", "-3", "1", "1.5"]},
+    **{f"plan --tension={value}": (
+        _no_files, ["--config", DEMO, "plan", SLOT, f"--tension={value}", "--work-offset-mm", WORK_OFFSET,
+                    "--out", "{out.csv}"],
+        f"twinmill plan: error: argument --tension: expected a finite number, got '{value}'")
+       for value in ["nan", "inf", "-inf", "1e400"]},
+    **{f"plan --work-offset-mm {value}": (
+        _no_files, ["--config", DEMO, "plan", SLOT, "--work-offset-mm", value, "--out", "{out.csv}"],
+        f"twinmill plan: error: argument --work-offset-mm: expected {message}")
+       for value, message in [("1,2", "three comma-separated values x,y,z, got '1,2'"),
+                              ("2105,-20,nan", "a finite number, got 'nan'"),
+                              ("2105,-20,1e400", "a finite number, got '1e400'"),
+                              ("a,b,c", "a finite number, got 'a'")]},
+    # The config and the program do not exist, which would exit 2 and 3:
+    # argparse refuses first.
+    **{f"deform --noise-sigma {noise} --seed {seed}": (
+        _no_files, ["--config", "{none.json}", "deform", "{none.csv}", "--noise-sigma", noise, "--seed", seed,
+                    "--out", "{out}"],
+        f"twinmill deform: error: argument {message}")
+       for noise, seed, message in [
+           ("nan", "7", f"--noise-sigma: {_NOISE}, got 'nan'"),
+           ("-1", "7", f"--noise-sigma: {_NOISE}, got '-1'"),
+           ("inf", "7", f"--noise-sigma: {_NOISE}, got 'inf'"),
+           ("1e308", "1", f"--noise-sigma: {_NOISE}, got '1e308'"),
+           ("1e-5", "-1", "--seed: expected a non-negative integer, got '-1'"),
+           ("1e-5", "7.5", "--seed: expected a non-negative integer, got '7.5'")]},
+    "deform --noise-sigma without --seed": (
+        _no_files, ["--config", DEMO, "deform", "{program.csv}", "--noise-sigma", "1e-5", "--out", "{out}"],
+        "usage error: --noise-sigma requires --seed for reproducibility"),
 }
 
 
-def _refusal_files(tmp_path, demo_program, files, argv, stderr):
-    """Write a REFUSALS case's files under tmp_path. Returns its argv and
-    stderr, each path written in braces filled in, and the paths of the
-    files written."""
-    texts = files(demo_program)
-    written = {name: str(tmp_path / name) for name in texts}
-    for name, text in texts.items():
-        Path(written[name]).write_text(text)
-    paths = {"out": str(tmp_path / "out"), "out.csv": str(tmp_path / "out.csv"), **written}
+def _row_files(tmp_path, demo_program, files, argv, text):
+    """Write a row's files under tmp_path. Returns its argv and `text`,
+    each name in braces filled in with its path, and the names written."""
+    written = files(demo_program)
+    for name, content in written.items():
+        (tmp_path / name).write_text(content)
 
-    def fill(text):
-        for name, path in paths.items():
-            text = text.replace(f"{{{name}}}", path)
-        return text
+    def fill(s):
+        return re.sub(r"\{([\w.]+)\}", lambda m: str(tmp_path / m[1]), s)
 
-    return [fill(arg) for arg in argv], fill(stderr), list(written.values())
-
-
-@pytest.mark.parametrize("name, text, parse, cls, message, line, path", [
-    ("slot.gcode", "G1 X10\nG1 X20 Q5\n", parse_gcode, InvalidInputError, "line 2: unsupported word Q5", 2, None),
-    ("path.json", '{"segments": [{"type": []}]}', path_from_json, InvalidInputError,
-     "path JSON segments[0].type: unknown segment type []", None, "segments[0].type"),
-], ids=["G-code", "path JSON"])
-def test_a_reader_refusal_names_its_file_and_keeps_its_type_and_place(tmp_path, name, text, parse, cls, message,
-                                                                       line, path):
-    file = tmp_path / name
-    file.write_text(text)
-    with pytest.raises(cls) as exc:
-        cli._parse_input(str(file), parse)
-    assert (str(exc.value), exc.value.line, exc.value.path) == (f"{file}: {message}", line, path)
+    return [fill(arg) for arg in argv], fill(text), sorted(written)
 
 
 @pytest.mark.parametrize("files, argv, code, stderr", REFUSALS.values(), ids=REFUSALS.keys())
@@ -979,34 +741,73 @@ def test_refusal_exits_2_or_3_naming_its_place(tmp_path, demo_program, capsys, f
     """Each input exits with its code, never 1, and stderr is one line
     naming the line, the schema path or the file of the bad data. Nothing
     is written."""
-    argv, stderr, _ = _refusal_files(tmp_path, demo_program, files, argv, stderr)
+    argv, stderr, written = _row_files(tmp_path, demo_program, files, argv, stderr)
     assert cli.main(argv) == code
     assert capsys.readouterr() == ("", stderr)
-    assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
-
-
-def test_an_output_that_cannot_be_written_exits_3(tmp_path, capsys):
-    out = tmp_path / "nodir" / "p.csv"
-    code = cli.main(["--config", str(DEMO_CONFIG), "plan", str(_SLOT), "--work-offset-mm", WORK_OFFSET,
-                     "--out", str(out)])
-    assert code == 3
-    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert sorted(os.listdir(tmp_path)) == written
 
 
 @pytest.mark.parametrize("files, argv, code, stderr", REFUSALS.values(), ids=REFUSALS.keys())
 def test_a_refusal_carries_as_data_each_place_its_stderr_names(tmp_path, demo_program, files, argv, code, stderr):
     """The error itself, caught in-process from the command, is the one
     `main` prints, and carries each place that line names: an input file
-    as `file`, `setpoint k` as `index` and `arm n` as `arm`."""
-    argv, stderr, written = _refusal_files(tmp_path, demo_program, files, argv, stderr)
+    as `file`, `line N` as `line`, a schema path as `path`, `setpoint k`
+    as `index` and `arm n` as `arm`."""
+    argv, stderr, written = _row_files(tmp_path, demo_program, files, argv, stderr)
     args = cli.build_parser().parse_args(argv)
     with pytest.raises(TwinmillError) as exc:
         args.func(args)
     assert stderr == f"{'config error' if code == 2 else 'error'}: {exc.value}\n"
-    named = [path for path in written if path in stderr]
+    named = [str(tmp_path / name) for name in written if str(tmp_path / name) in stderr]
     if named:
         assert [exc.value.file] == named
+    if line := re.search(r"\bline (\d+)", stderr):
+        assert exc.value.line == int(line[1])
+    if path := re.search(r"\b((?:config\.|segments\[)\S*): ", stderr):
+        assert exc.value.path == path[1]
     if setpoint := re.search(r"\bsetpoint (\d+)", stderr):
         assert exc.value.index == int(setpoint[1])
     if arm := re.search(r"\barm (\d)", stderr):
         assert exc.value.arm == int(arm[1])
+
+
+@pytest.mark.parametrize("files, argv, line", USAGE.values(), ids=USAGE.keys())
+def test_usage_error_exits_64_naming_the_option(tmp_path, demo_program, capsys, monkeypatch, files, argv, line):
+    """Each command line exits 64. Its last stderr line is argparse's
+    `twinmill <command>: error: ...`, after that command's usage, or the
+    CLI's own `usage error: ...` alone. Nothing is written."""
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    argv, line, written = _row_files(tmp_path, demo_program, files, argv, line)
+    assert cli.main(argv) == 64
+    out, err = capsys.readouterr()
+    usage = err.removesuffix(f"{line}\n")
+    prog = line.split(": error: ")[0]
+    assert (out, err) == ("", f"{usage}{line}\n")
+    assert usage.startswith(f"usage: {prog} ") if prog != line else usage == ""
+    assert sorted(os.listdir(tmp_path)) == written
+
+
+def _run_cli(*args):
+    """`python -m twinmill.cli *args` in a subprocess, on the twinmill
+    source these tests import."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "twinmill.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("code, files, argv", [
+    (0, _no_files, ["--config", DEMO, "modal", "--tensions", "0,500", "--out", "{out}"]),
+    (2, *REFUSALS["config null IK seed"][:2]),
+    (3, *REFUSALS["program with arm 1 outside its joint limits"][:2]),
+    (64, *USAGE["plan --tension=nan"][:2]),
+], ids=["0", "2", "3", "64"])
+def test_the_command_line_exits_with_the_code_main_returns(tmp_path, demo_program, capsys, monkeypatch, code,
+                                                           files, argv):
+    """`python -m twinmill.cli`, run once per documented exit code, exits
+    with the code `cli.main` returns and writes its stdout and stderr."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
+    argv, _, _ = _row_files(tmp_path, demo_program, files, argv, "")
+    assert cli.main(argv) == code
+    run = _run_cli(*argv)
+    assert (run.returncode, run.stdout, run.stderr) == (code, *capsys.readouterr())

@@ -33,8 +33,8 @@ class TestParse:
     def test_demo_config_parses(self, cfg):
         assert cfg.system.arm1.dh_rows.shape == (6, 4)
         assert set(cfg.modal_models) == {"x", "y", "z"}
-        np.testing.assert_allclose(cfg.workspace_center, [2.125, 0.0, 1.10])
         center, size = cfg.workspace_box
+        np.testing.assert_allclose(center, [2.125, 0.0, 1.10])
         assert size.shape == (3,)
         assert isinstance(cfg.defaults["max_iter"], int)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twinmill import cli, csvtable
+from twinmill import csvtable
 from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
 from twinmill.csvtable import _BLOCK_VALUES, read_table, write_table
 from twinmill.errors import InvalidInputError
@@ -398,10 +398,3 @@ def test_records_refuse_metadata_their_csv_cannot_hold(make):
         with pytest.raises(InvalidInputError, match="finite"):
             make(value)
 
-
-def test_cli_frf_truncated_row_exits_3(tmp_path, capsys):
-    p = tmp_path / "impact.csv"
-    p.write_text(edit_line(impact_text(), 10, truncate))
-    assert cli.main(["frf", str(p), "--out", str(tmp_path / "frf.csv")]) == cli.EXIT_COMPUTE
-    assert "impact CSV line 10" in capsys.readouterr().err
-    assert not (tmp_path / "frf.csv").exists()
