@@ -17,6 +17,16 @@ JOINT_STIFFNESS = np.array([4e6, 4e6, 3e6, 1.5e6, 1.5e6, 1e6])
 # benchmark and the tests all read.
 DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "system.json"
 
+# The slot of the demo: two straight cuts joined by a semicircle, and the
+# work offset of the demo `plan` (`--work-offset-mm 2105,-20,1100`).
+SLOT_GCODE = """\
+(slot with a semicircular end)
+G1 X40 F300
+G3 X40 Y40 J20
+G1 X0 ; back along the far side
+"""
+WORK_OFFSET = np.array([2.105, -0.020, 1.100])
+
 # Property tests run a fixed example order with no example database or
 # deadline, so tier-1 is deterministic; each test sets its own
 # max_examples, a small budget that keeps tier-1 fast.
@@ -90,6 +100,49 @@ def demo_program(cfg):
     return plan_slot(cfg, 1000.0)
 
 
+_NOMINAL_ROWS = {}  # id(program) -> (program, (q1, q2))
+
+
+def nominal_rows(cfg, program):
+    """Closed (q1, q2_nominal) pairs along `program`, q2_nominal solved for
+    each setpoint's nominal arm-2 flange pose; solved once per program."""
+    from twinmill.kinematics import inverse_kinematics
+
+    if id(program) not in _NOMINAL_ROWS:
+        _, nominal = planned_flanges(cfg.system, program)
+        q1 = program.pairs.q1.copy()
+        q2 = np.array([inverse_kinematics(cfg.system.arm2, Pose(r[:3], r[3:]), q)
+                       for r, q in zip(nominal, program.pairs.q2)])
+        _NOMINAL_ROWS[id(program)] = program, (q1, q2)
+    return _NOMINAL_ROWS[id(program)][1]
+
+
+def with_pair(program, k, pair):
+    """`program` with setpoint row k replaced by the SetpointPair `pair`."""
+    import dataclasses
+
+    from twinmill.geometry import pose_rows
+    from twinmill.pathplan import Setpoints
+
+    fields = []
+    for name in ("tool_pose", "q1", "q2"):
+        rows = getattr(program.pairs, name).copy()
+        rows[k] = pose_rows(pair.tool_pose) if name == "tool_pose" else getattr(pair, name)
+        fields.append(rows)
+    return dataclasses.replace(program, pairs=Setpoints(*fields))
+
+
+def reachable_stack(arm, n, spread=0.05, seed=21):
+    """Pose rows of n random in-limits configurations of `arm` and seeds near them."""
+    from twinmill.kinematics import forward_kinematics
+
+    rng = np.random.default_rng(seed)
+    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
+    q_star = rng.uniform(lo * 0.8, hi * 0.8, (n, 6))
+    seeds = np.clip(q_star + rng.uniform(-spread, spread, (n, 6)), lo, hi)
+    return forward_kinematics(arm, q_star), seeds
+
+
 def planned_flanges(system, program):
     """Arm 1's flange rows and arm 2's nominal flange rows [N, 7] of a
     program, derived from its tool rows bit for bit as `plan_sync` derives
@@ -151,6 +204,41 @@ def three_column_impact(record):
     t = np.arange(record.force.size) / record.sample_rate
     return write_table(meta, ("time_s", "force_N", "accel_ms2"),
                        np.column_stack([t, record.force, record.acceleration]))
+
+
+def impact_text():
+    """A simulated 0.05 s impact at 500 N as CSV: four metadata lines, the header on line 5."""
+    from twinmill.modal import ModalModel, impact_record_to_csv, simulate_impact
+
+    model = ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
+    return impact_record_to_csv(simulate_impact(model, 500.0, sample_rate=2048.0, duration=0.05))
+
+
+def frf_text():
+    """A synthesized FRF at 500 N, 100-109.5 Hz, as CSV: three metadata lines, the header on line 4."""
+    from twinmill.modal import ModalModel, frf_synthesize, frf_to_csv
+
+    return frf_to_csv(frf_synthesize(ModalModel("x", 60.0, 0.015, 159.0, 0.0226), 500.0,
+                                     np.arange(100.0, 110.0, 0.5)))
+
+
+def trace_text():
+    """A labelled trace of 10 points at 500 N as CSV: three metadata lines, the header on line 4."""
+    from twinmill.compensation import PathTrace, trace_to_csv
+
+    return trace_to_csv(PathTrace(np.arange(30.0).reshape(10, 3), label="t", tension=500.0))
+
+
+def edit_line(text, lineno, edit):
+    """`text` with line `lineno` replaced by `edit` of it."""
+    lines = text.split("\n")
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    return "\n".join(lines)
+
+
+def truncate(line):
+    """`line` without its last field."""
+    return line.rsplit(",", 1)[0]
 
 
 def row_by_row(columns, data):

@@ -15,9 +15,8 @@ from twinmill.geometry import Pose
 from twinmill.pathplan import Setpoints, parse_gcode, path_to_json, program_from_csv, program_to_csv, transform_path
 from twinmill.stiffness import cell_sha256
 
-from conftest import (DEMO_CONFIG, demo_config_dict, forty_one_column_program, json_replaced,
-                      json_with_a_repeated_key, three_column_impact)
-from test_csvtable import edit_line, impact_text, truncate
+from conftest import (DEMO_CONFIG, demo_config_dict, edit_line, forty_one_column_program, impact_text, json_replaced,
+                      json_with_a_repeated_key, three_column_impact, truncate)
 
 SLOT_GCODE = "G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"
 WORK_OFFSET = "2105,-20,1100"

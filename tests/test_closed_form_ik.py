@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twinmill.config import load_config
-from twinmill.errors import InvalidInputError
 from twinmill.geometry import Pose, matrix_pose_rows, pose_error
 from twinmill.kinematics import (
     N_BRANCHES,
@@ -22,7 +21,7 @@ from twinmill.kinematics import (
     jacobian,
 )
 
-from conftest import DEMO_CONFIG, JOINT_STIFFNESS, make_one_link_arm, make_test_arm
+from conftest import DEMO_CONFIG, JOINT_STIFFNESS, make_test_arm
 
 BASE = Pose(np.array([0.3, -0.2, 0.1]), np.array([0.8, 0.2, -0.3, 0.4]) / np.linalg.norm([0.8, 0.2, -0.3, 0.4]))
 FLANGE = Pose(np.array([0.01, 0.02, 0.1]), np.array([0.9, 0.1, 0.3, -0.3]) / np.linalg.norm([0.9, 0.1, 0.3, -0.3]))
@@ -145,41 +144,3 @@ class TestUnwrapping:
         q = np.array([[2.8, 0.2, -0.4, -2.8, 0.9, 2.85]])
         np.testing.assert_allclose(closed_form_ik(arm, forward_kinematics(arm, q), ik_branch(arm, q), near=-q[0]),
                                    q, rtol=0, atol=1e-9)
-
-
-def demo_with(**entries):
-    """The demo arm with some DH entries changed, e.g. d5=1e-3."""
-    rows = DEMO.dh_rows.copy()
-    for name, value in entries.items():
-        rows[int(name[-1]) - 1, ("a", "alpha", "d").index(name[:-1])] = value
-    return ArmModel(rows, DEMO.joint_limits, joint_stiffness=DEMO.joint_stiffness)
-
-
-@pytest.mark.parametrize("arm", [
-    make_one_link_arm(),
-    demo_with(d5=1e-3),
-    demo_with(a4=1e-3),
-    demo_with(d2=0.1),
-    demo_with(alpha2=0.1),
-    demo_with(alpha4=1.0),
-    demo_with(a2=-1.25),
-], ids=["one-link", "d5", "a4", "d2", "alpha2", "alpha4", "a2-negative"])
-def test_other_arms_are_not_eligible(arm):
-    assert not arm.has_closed_form_ik
-    with pytest.raises(InvalidInputError, match="closed-form IK needs"):
-        closed_form_ik(arm, forward_kinematics(arm, np.zeros((1, 6))), 0)
-    with pytest.raises(InvalidInputError, match="closed-form IK needs"):
-        ik_branch(arm, np.zeros(6))
-
-
-@pytest.mark.parametrize("branch", [-1, N_BRANCHES, 1.0, [0, 9]])
-def test_branch_must_be_an_index(branch):
-    arm = ARMS["demo"]
-    with pytest.raises(InvalidInputError, match="IK branch"):
-        closed_form_ik(arm, forward_kinematics(arm, np.zeros((2, 6))), branch)
-
-
-def test_targets_must_be_pose_rows():
-    arm = ARMS["demo"]
-    with pytest.raises(InvalidInputError, match=r"pose rows \[N, 7\]"):
-        closed_form_ik(arm, forward_kinematics(arm, np.zeros(6)), 0)

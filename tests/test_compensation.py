@@ -34,7 +34,7 @@ from twinmill.pathplan import (
 )
 from twinmill.stiffness import SpringModel, Wrench, coupled_stiffness
 
-from conftest import arm2_targets, plan_slot
+from conftest import arm2_targets, plan_slot, with_pair
 
 
 def cloud(rng, n=100, scale=0.05):
@@ -98,17 +98,6 @@ class TestFitRigid:
         T = fit_rigid(ref, meas)
         assert np.linalg.det(T.rotation()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_collinear_rejected(self):
-        pts = np.outer(np.linspace(0, 1, 10), np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(InvalidInputError) as exc:
-            fit_rigid(PathTrace(pts), PathTrace(pts))
-        assert str(exc.value) == "reference points are collinear; the rotation is not unique"
-
-    def test_too_few_points(self):
-        pts = np.eye(2, 3)
-        with pytest.raises(InvalidInputError):
-            fit_rigid(PathTrace(pts), PathTrace(pts))
-
     def test_invariant_under_common_rigid_motion(self):
         # moving both traces by the same motion must not change the residual
         rng = np.random.default_rng(46)
@@ -131,12 +120,6 @@ class TestPathTrace:
             trace.points[0, 0] = 1.0
         pts[0, 0] = 1.0  # the caller's array stays writeable and is not the trace's
         np.testing.assert_array_equal(trace.points, np.zeros((3, 3)))
-
-    def test_an_empty_trace_is_refused(self):
-        """As an empty program is: its CSV would hold no data rows, and two
-        empty traces would have no residual statistics."""
-        with pytest.raises(InvalidInputError, match=r"^trace points must be a finite Nx3 array, N >= 1$"):
-            PathTrace(np.zeros((0, 3)))
 
 
 class TestCompensate:
@@ -172,16 +155,6 @@ class TestCompensate:
             assert after <= before + 1e-15
 
 
-def _with_pair(program, k, pair):
-    """`program` with setpoint row k replaced by the SetpointPair `pair`."""
-    fields = []
-    for name in ("tool_pose", "q1", "q2"):
-        rows = getattr(program.pairs, name).copy()
-        rows[k] = pose_rows(pair.tool_pose) if name == "tool_pose" else getattr(pair, name)
-        fields.append(rows)
-    return dataclasses.replace(program, pairs=Setpoints(*fields))
-
-
 class TestDeformation:
     def test_constant_offset_along_demo_path(self, cfg, demo_program):
         trace = simulate_deformation(cfg.system, demo_program)
@@ -210,7 +183,7 @@ class TestDeformation:
         q2 = inverse_kinematics(cfg.system.arm2, target, pair.q2)
         moved = dataclasses.replace(pair, q2=q2)
         with pytest.raises(DomainError) as exc:
-            simulate_deformation(cfg.system, _with_pair(demo_program, k, moved))
+            simulate_deformation(cfg.system, with_pair(demo_program, k, moved))
         assert exc.value.index == k
         assert str(exc.value).startswith(f"setpoint {k}: commanded arm-2 flange")
         # The gap is that of the joints' flange, which IK put within its tolerance of the 20 mm target.
@@ -234,7 +207,7 @@ class TestDeformation:
             q2[4] = 2.5
         else:
             monkeypatch.setattr(stiffness, "_MIN_SINGULAR_VALUE", 1e9)
-        program = _with_pair(demo_program, k, dataclasses.replace(pair, q2=q2))
+        program = with_pair(demo_program, k, dataclasses.replace(pair, q2=q2))
         raised = []
 
         def recording(*args):
@@ -268,23 +241,6 @@ class TestDeformation:
         assert str(exc.value) == f"{where}: {message}"
 
     @pytest.mark.parametrize("arm", [1, 2])
-    def test_joint_outside_limits_named(self, cfg, demo_program, arm):
-        """A program whose joints leave an arm's limits, as a hand-edited
-        program CSV can, is refused naming the setpoint, the arm and the
-        joint with its value and limits."""
-        k = 7
-        pair = demo_program.pairs[k]
-        q = (pair.q1 if arm == 1 else pair.q2).copy()
-        q[4] = 2.5
-        lo, hi = (cfg.system.arm1, cfg.system.arm2)[arm - 1].joint_limits[4]
-        program = _with_pair(demo_program, k, dataclasses.replace(pair, **{f"q{arm}": q}))
-        with pytest.raises(InvalidInputError) as exc:
-            simulate_deformation(cfg.system, program)
-        assert exc.value.index == k
-        assert str(exc.value) == (f"setpoint {k}, arm {arm}: joint configuration violates joint limits: "
-                                  f"q5 = 2.5 rad outside [{lo:g}, {hi:g}] rad")
-
-    @pytest.mark.parametrize("arm", [1, 2])
     def test_non_finite_joint_named(self, cfg, demo_program, arm):
         """Setpoints refuse non-finite joints, so the NaN is put in after
         construction, as a caller editing the arrays could; the error
@@ -312,23 +268,9 @@ class TestDeformation:
         q2 = inverse_kinematics(sys_.arm2, r2, pair.q2)
         singular = dataclasses.replace(pair, tool_pose=r1 @ sys_.tool_offset, q1=q1, q2=q2)
         with pytest.raises(DomainError) as exc:
-            simulate_deformation(sys_, _with_pair(demo_program, k, singular))
+            simulate_deformation(sys_, with_pair(demo_program, k, singular))
         assert (exc.value.index, exc.value.gap) == (k, None)
         assert str(exc.value).startswith(f"setpoint {k}: Jacobian is rank deficient")
-
-    def test_arm_one_rows_checked_against_its_joints(self, cfg, demo_program):
-        """Tool rows moved 5 mm along x from setpoint 40 on, as a
-        hand-edited program CSV can, no longer match q1: refused naming
-        the first moved setpoint."""
-        k = 40
-        sp = demo_program.pairs
-        tool = sp.tool_pose.copy()
-        tool[k:, 0] += 0.005
-        pairs = Setpoints(tool, sp.q1, sp.q2)
-        with pytest.raises(DomainError) as exc:
-            simulate_deformation(cfg.system, dataclasses.replace(demo_program, pairs=pairs))
-        assert exc.value.index == k
-        assert str(exc.value) == f"setpoint {k}: arm-1 tool point is 5.000e-03 m from its planned position"
 
     def test_report_statistics(self):
         ref = PathTrace(np.zeros((4, 3)))
@@ -338,10 +280,6 @@ class TestDeformation:
         np.testing.assert_allclose(rep.axis_mean, [0.0, 2.0e-3, 1.2e-3])
         np.testing.assert_allclose(rep.axis_std, 0.0, atol=1e-15)
         np.testing.assert_allclose(rep.axis_max_abs, [0.0, 2.0e-3, 1.2e-3])
-
-    def test_report_shape_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            residual_report(PathTrace(np.zeros((3, 3))), PathTrace(np.zeros((4, 3))))
 
 
 # A spring that is anisotropic within each block and couples force to
@@ -454,17 +392,6 @@ class TestCsv:
         np.testing.assert_array_equal(back.points, trace.points)
         assert (back.label, back.tension, back.noise_sigma) == ("demo", 1000.0, 15e-6)
         assert trace_to_csv(back) == text
-
-    def test_trace_bad_header(self):
-        with pytest.raises(InvalidInputError):
-            trace_from_csv("x,y,z\n1,2,3\n")
-
-    def test_trace_indices_must_count_rows(self):
-        assert len(trace_from_csv("index,x_m,y_m,z_m\n0,1,2,3\n1,4,5,6\n")) == 2
-        for indices in ((5, 5), (0, 2), (1, 0), (0, 0.5)):
-            text = "index,x_m,y_m,z_m\n" + "".join(f"{i},1,2,3\n" for i in indices)
-            with pytest.raises(InvalidInputError, match="indices"):
-                trace_from_csv(text)
 
     def test_report_csv_contains_summary(self):
         ref = PathTrace(np.zeros((3, 3)))

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -8,21 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twinmill import csvtable
-from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
 from twinmill.csvtable import _BLOCK_VALUES, read_table, write_table
 from twinmill.errors import InvalidInputError
 from twinmill.geometry import Pose
-from twinmill.modal import (
-    FrfSeries,
-    ImpactRecord,
-    ModalModel,
-    frf_from_csv,
-    frf_synthesize,
-    frf_to_csv,
-    impact_record_from_csv,
-    impact_record_to_csv,
-    simulate_impact,
-)
+from twinmill.modal import ModalModel, impact_record_to_csv, simulate_impact
 from twinmill.pathplan import parse_gcode, plan_sync, program_to_csv, transform_path
 from twinmill.stiffness import Wrench
 
@@ -53,30 +41,6 @@ def binade_sweep():
         ties += [math.ldexp(q, -p - 1) for q in range(first, min(first + 40, 2 * 10 ** 17 // 5 ** p), 2)]
     values = np.concatenate([normal, subnormal, ties])
     return np.concatenate([values, -values])
-
-
-def impact_text():
-    model = ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
-    return impact_record_to_csv(simulate_impact(model, 500.0, sample_rate=2048.0, duration=0.05))
-
-
-def frf_text():
-    return frf_to_csv(frf_synthesize(ModalModel("x", 60.0, 0.015, 159.0, 0.0226), 500.0,
-                                     np.arange(100.0, 110.0, 0.5)))
-
-
-def trace_text():
-    return trace_to_csv(PathTrace(np.arange(30.0).reshape(10, 3), label="t", tension=500.0))
-
-
-def edit_line(text, lineno, edit):
-    lines = text.split("\n")
-    lines[lineno - 1] = edit(lines[lineno - 1])
-    return "\n".join(lines)
-
-
-def truncate(line):
-    return line.rsplit(",", 1)[0]
 
 
 class TestWriteTable:
@@ -135,15 +99,6 @@ class TestWriteTable:
         assert text == "x,index\n1,2.5\n3,-0\n"
         back = read_table(text, ("x", "index"), "T")[1]
         assert back.tobytes() == np.array([[1, 2.5], [3, -0.0]]).tobytes()
-
-    @pytest.mark.parametrize("columns, data, match", [
-        (("index", "x"), [[0, 1], [7, 2]], r"^header 'index,x' takes 1 data columns, got shape \(2, 2\)$"),
-        (("a", "b"), [[1.0], [2.0]], r"^header 'a,b' takes 2 data columns, got shape \(2, 1\)$"),
-        (("a",), [1.0, 2.0], r"^header 'a' takes 1 data columns, got shape \(2,\)$"),
-    ], ids=["an index passed by the caller", "a column short", "one-dimensional"])
-    def test_data_of_another_width_is_refused(self, columns, data, match):
-        with pytest.raises(InvalidInputError, match=match):
-            write_table({}, columns, data)
 
 
     @pytest.mark.parametrize("n", [0, 1, 2, BLOCK_ROWS + 1])
@@ -250,24 +205,6 @@ class TestWriteTable:
 
 
 class TestMetadata:
-    @pytest.mark.parametrize("meta, key", [
-        ({"position": "p1\n9,9"}, "position"),
-        ({"k": " padded "}, "k"),
-        ({"k": "v\r"}, "k"),
-        ({"k": "a\rb"}, "k"),  # a file read as text turns it into a line break
-        ({" k": "v"}, " k"),
-        ({"k\n": "v"}, "k\n"),
-        ({"": "v"}, ""),
-        ({"a=b": "v"}, "a=b"),
-    ])
-    def test_what_the_reader_cannot_give_back_is_refused(self, meta, key):
-        with pytest.raises(InvalidInputError, match=f"^metadata {re.escape(repr(key))}: "):
-            write_table(meta, COLUMNS, [[1.0, 2.0, 3.0]])
-
-    def test_a_frf_position_with_a_line_break_is_refused_when_written(self):
-        frf = FrfSeries(np.arange(1.0, 4.0), np.ones(3), position="p1\n9,9")
-        with pytest.raises(InvalidInputError, match="^metadata 'position'"):
-            frf_to_csv(frf)
 
     @settings(max_examples=50)
     @given(st.dictionaries(st.text(st.sampled_from("ab=#, \t\n\r\x0b\x1c\x85\u2028") | st.characters(), max_size=5),
@@ -293,41 +230,14 @@ class TestReadTable:
         assert meta == {"a": "1"}
         np.testing.assert_array_equal(table, [[1, 2, 3]])
 
-    @pytest.mark.parametrize("text, match", [
-        ("# a=1\n", "T: no header line 'a,b,c'"),
-        ("# a=1\n\na,b\n1,2\n", "T line 3: expected header 'a,b,c', found 'a,b'"),
-        ("a,b,c\n", "T: no data rows after the header on line 1"),
-        ("a,b,c\n1,2,3\n\n\n4,5\n", "T line 5: expected 3 comma-separated finite numbers, found '4,5'"),
-        ("a,b,c\n1,2,3\n1,2,3,4\n", "T line 3: "),
-        ("a,b,c\n1,2,3,4\n1,2,3,4\n", "T line 2: "),
-        ("a,b,c\n1,2,3\n4,abc,6\n", "T line 3: .*'4,abc,6'"),
-        ("a,b,c\n1,2,3\n# late=1\n4,5,6\n", "T line 3: "),
-        ("a,b,c\n1,2,inf\n", "T line 2: "),
-        ("a,b,c\n" + "1,2,3\n" * 1000 + "1,2\n" + "1,2,3\n" * 50, "T line 1002: "),
-        ("# a=1\n# b=2\n#  a = 3\na,b,c\n1,2,3\n", "T line 3: metadata a repeated, first given on line 1$"),
-        ("# a=1\n# a=1\na,b,c\n1,2,3\n", "T line 2: metadata a repeated, first given on line 1$"),
-    ])
-    def test_errors_name_the_line(self, text, match):
-        with pytest.raises(InvalidInputError, match=f"^{match}"):
-            read_table(text, COLUMNS, "T")
-
-    @pytest.mark.parametrize("text, match", [
-        ("index,x\n0,1\n1,2\n3,4\n", "T line 4: indices must count 0, 1, 2, ... in order, found 3 where 2 is due"),
-        ("index,x\n1,1\n", "T line 2: indices must count 0, 1, 2, ... in order, found 1 where 0 is due"),
-        ("index,x\n0,1\n\n0.5,2\n", "T line 4: indices must count 0, 1, 2, ... in order, found 0.5 where 1 is due"),
-    ])
-    def test_an_index_column_counts_the_rows(self, text, match):
-        with pytest.raises(InvalidInputError) as exc:
-            read_table(text, ("index", "x"), "T")
-        assert str(exc.value) == match
-        assert exc.value.line == int(match.split()[2][:-1])
-        # The counted column is not returned; only a first column is an index.
+    def test_a_counted_index_column_is_not_returned(self):
+        """Only a first column named index is counted against the rows."""
         np.testing.assert_array_equal(read_table("index,x\n0,1\n1,2\n", ("index", "x"), "T")[1], [[1], [2]])
         np.testing.assert_array_equal(read_table("x,index\n1,5\n", ("x", "index"), "T")[1], [[1, 5]])
 
     def test_meta_helpers(self):
-        """A refused metadata value is named with its key and its line, in
-        the message and as `line`."""
+        """Metadata read back as written, and as one number or a list; the
+        refusals of its bad values are rows of tests/test_refusals.py."""
         values = {"x": "2.5", "v": "1 -0 3e300", "bad": "2,5", "two": "1 2", "empty": "", "inf": "inf",
                   "nan": "1 nan"}
         meta, _ = read_table(write_table(values, COLUMNS, [[1.0, 2.0, 3.0]]), COLUMNS, "T")
@@ -335,66 +245,3 @@ class TestReadTable:
         assert meta.number("x", 0.0) == 2.5
         assert meta.number("missing", 7.0) == 7.0
         assert meta.numbers("v", None) == [1.0, -0.0, 3e300]
-        for line, key in enumerate(values, start=1):
-            if key in ("bad", "inf", "nan"):
-                with pytest.raises(InvalidInputError, match=f"^T line {line}: metadata {key}='{values[key]}' "
-                                                            "is not a finite number") as exc:
-                    meta.numbers(key, None)
-                assert exc.value.line == line
-            if key in ("two", "empty"):
-                with pytest.raises(InvalidInputError, match=f"^T line {line}: metadata {key}=") as exc:
-                    meta.number(key, 0.0)
-                assert exc.value.line == line
-
-
-# Inputs that leaked a raw ValueError or IndexError before the codecs shared
-# one reader; each must raise InvalidInputError naming the line, and the key of a metadata value.
-# The impact CSV has 4 metadata lines and its header on line 5; the FRF CSV
-# 3 and line 4; the trace CSV 3 and line 4.
-BAD_INPUTS = {
-    "truncated impact row": (impact_record_from_csv, lambda: edit_line(impact_text(), 10, truncate),
-                             "impact CSV line 10: "),
-    "abc in a force cell": (impact_record_from_csv,
-                            lambda: edit_line(impact_text(), 8, lambda l: "abc," + l.split(",")[1]),
-                            "impact CSV line 8: "),
-    "non-numeric sample rate": (impact_record_from_csv,
-                                lambda: edit_line(impact_text(), 4, lambda l: "# sample_rate_hz=fast"),
-                                "impact CSV line 4: metadata sample_rate_hz='fast'"),
-    "zero sample rate": (impact_record_from_csv, lambda: edit_line(impact_text(), 4, lambda l: "# sample_rate_hz=0"),
-                         "impact CSV line 4: metadata sample_rate_hz='0' is not positive$"),
-    "non-numeric impact tension": (impact_record_from_csv,
-                                   lambda: edit_line(impact_text(), 3, lambda l: "# tension_N=5OO"),
-                                   "impact CSV line 3: metadata tension_N='5OO'"),
-    "FRF with only a header": (frf_from_csv, lambda: "# axis=x\nfreq_hz,re,im\n",
-                               "FRF CSV: no data rows after the header on line 2"),
-    "truncated FRF row": (frf_from_csv, lambda: edit_line(frf_text(), 9, truncate), "FRF CSV line 9: "),
-    "FRF frequencies out of order": (frf_from_csv, lambda: edit_line(frf_text(), 9, lambda l: "0.5" + l[l.index(","):]),
-                                     "FRF CSV line 9: frequency grid must be strictly ascending, found 0.5 Hz after "),
-    "infinite FRF tension": (frf_from_csv, lambda: edit_line(frf_text(), 3, lambda l: "# tension_N=inf"),
-                             "FRF CSV line 3: metadata tension_N='inf'"),
-    "truncated trace row": (trace_from_csv, lambda: edit_line(trace_text(), 7, truncate),
-                            "trace CSV line 7: "),
-    "non-numeric trace tension": (trace_from_csv,
-                                  lambda: edit_line(trace_text(), 2, lambda l: "# tension_N=big"),
-                                  "trace CSV line 2: metadata tension_N='big'"),
-}
-
-
-@pytest.mark.parametrize("reader, make_text, match", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_raises_invalid_input(reader, make_text, match):
-    with pytest.raises(InvalidInputError, match=f"^{match}"):
-        reader(make_text())
-
-
-@pytest.mark.parametrize("make", [
-    lambda x: FrfSeries(np.arange(1.0, 4.0), np.ones(3), tension=x),
-    lambda x: ImpactRecord(100.0, np.array([0.0, 1.0, 0.0]), np.zeros(3), tension=x),
-    lambda x: PathTrace(np.zeros((3, 3)), tension=x),
-    lambda x: PathTrace(np.zeros((3, 3)), noise_sigma=x),
-], ids=["FrfSeries", "ImpactRecord", "PathTrace tension", "PathTrace noise"])
-def test_records_refuse_metadata_their_csv_cannot_hold(make):
-    make(0.0)
-    for value in (math.nan, math.inf):
-        with pytest.raises(InvalidInputError, match="finite"):
-            make(value)
-

@@ -9,10 +9,8 @@ from hypothesis.extra.numpy import arrays
 from twinmill.errors import InvalidInputError, UnreachableTargetError
 from twinmill.geometry import Pose, matrix_pose_rows, pose_error, pose_rows, quat_from_rotvec, rotvec_from_quat
 from twinmill.kinematics import ArmModel, _chain, _flange, forward_kinematics, inverse_kinematics, jacobian
-from twinmill.pathplan import parse_gcode, plan_sync, transform_path
-from twinmill.stiffness import Wrench
 
-from conftest import DEMO_CONFIG, JOINT_STIFFNESS, make_one_link_arm, make_test_arm
+from conftest import DEMO_CONFIG, JOINT_STIFFNESS, make_one_link_arm, make_test_arm, reachable_stack
 
 
 def dh_frames(arm, q):
@@ -86,18 +84,6 @@ class TestForwardKinematics:
             np.testing.assert_allclose(direct.position, composed.position, atol=1e-12)
             np.testing.assert_allclose(direct.quaternion, composed.quaternion, atol=1e-12)
 
-    def test_nonfinite_q_rejected(self):
-        arm = make_test_arm()
-        with pytest.raises(InvalidInputError):
-            forward_kinematics(arm, [0, 0, np.nan, 0, 0, 0])
-
-    def test_out_of_limit_needs_flag(self):
-        arm = make_test_arm()
-        q = np.zeros(6)
-        q[0] = 3.5
-        with pytest.raises(InvalidInputError):
-            forward_kinematics(arm, q)
-
 
 class TestJacobian:
     def test_one_link_analytic(self):
@@ -131,8 +117,6 @@ class TestJacobian:
         assert J.shape == (2, 3, 6, 6)
         for idx in np.ndindex(2, 3):
             np.testing.assert_allclose(J[idx], jacobian(test_arm, Q[idx]), rtol=0, atol=1e-15)
-        with pytest.raises(InvalidInputError):
-            forward_kinematics(test_arm, Q)
 
     def test_singular_at_full_stretch(self):
         arm = make_one_link_arm(a1=1.0)
@@ -266,11 +250,6 @@ class TestInverseKinematics:
             assert np.linalg.norm(err[:3]) < 1e-6
             assert np.linalg.norm(err[3:]) < 1e-6
 
-    def test_unreachable_target(self, test_arm):
-        target = Pose(np.array([10.0, 0.0, 0.0]))
-        with pytest.raises(UnreachableTargetError):
-            inverse_kinematics(test_arm, target, np.zeros(6))
-
     def test_out_of_workspace_error_carries_residual(self, test_arm):
         try:
             inverse_kinematics(test_arm, Pose(np.array([10.0, 0.0, 0.0])), np.zeros(6))
@@ -342,40 +321,8 @@ class TestInverseKinematics:
         assert exc.value.pos_residual == pytest.approx(1.05e-6, rel=1e-6)
         assert exc.value.rot_residual < 1e-12
 
-    def test_rejects_bad_arguments(self, test_arm):
-        target = forward_kinematics(test_arm, np.zeros(6))
-        with pytest.raises(InvalidInputError):
-            inverse_kinematics(test_arm, target, np.zeros(6), tol_pos=0.0)
-        with pytest.raises(InvalidInputError):
-            inverse_kinematics(test_arm, target, np.full(6, 5.0))
-
-    @pytest.mark.parametrize("name, value", [
-        ("tol_pos", float("nan")), ("tol_pos", float("inf")), ("tol_pos", -1e-6),
-        ("tol_rot", float("nan")), ("tol_rot", float("inf")), ("tol_rot", 0.0),
-        ("max_iter", 2.5), ("max_iter", float("nan")), ("max_iter", float("inf")), ("max_iter", 0),
-        ("tol_pos", np.array([1e-6, 1e-6])), ("tol_rot", [1e-6]), ("max_iter", np.array([50, 50])),
-    ])
-    def test_refuses_arguments_outside_their_domain(self, cfg, name, value):
-        """A NaN tolerance would fail a reachable target, a fractional or
-        NaN max_iter lift the iteration cap, infinite tolerances return
-        the seed and an array has no truth value; each is refused naming
-        the argument and its value, by IK and by plan_sync, which forwards
-        it."""
-        arm = cfg.system.arm1
-        target = forward_kinematics(arm, cfg.ik_seed1 + 0.5)
-        message = f"IK {name} must be "
-        with pytest.raises(InvalidInputError, match=message) as exc:
-            inverse_kinematics(arm, target, cfg.ik_seed1, **{name: value})
-        assert f"got {value}" in str(exc.value)
-        path = transform_path(parse_gcode("G1 X10\n"), Pose(np.array([2.105, -0.020, 1.100])))
-        with pytest.raises(InvalidInputError, match=message):
-            plan_sync(cfg.system, path, Wrench(np.zeros(3)), (cfg.ik_seed1, cfg.ik_seed2), **{name: value})
-
 
 class TestGeometryHelpers:
-    def test_pose_rejects_a_nan_quaternion(self):
-        with pytest.raises(InvalidInputError, match="quaternion norm"):
-            Pose(np.zeros(3), np.array([np.nan, 0.0, 0.0, 0.0]))
 
     def test_rotvec_round_trip(self):
         rng = np.random.default_rng(12)
@@ -458,15 +405,6 @@ def test_pose_and_pose_rows_accept_the_same_inputs(position, direction, w, norm,
         np.testing.assert_array_equal(pose.view(np.uint64), canonical.view(np.uint64))
 
 
-def reachable_stack(arm, n, spread=0.05, seed=21):
-    """Pose rows of n random in-limits configurations and seeds near them."""
-    rng = np.random.default_rng(seed)
-    lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
-    q_star = rng.uniform(lo * 0.8, hi * 0.8, (n, 6))
-    seeds = np.clip(q_star + rng.uniform(-spread, spread, (n, 6)), lo, hi)
-    return forward_kinematics(arm, q_star), seeds
-
-
 def scalar_dls(arm, target, seed, tol_pos=1e-6, tol_rot=1e-6, max_iter=200):
     """Reference: the damped least-squares schedule one target at a time,
     as a plain loop (damping 1e-3, 10x per rejected trial, at most 8
@@ -536,14 +474,6 @@ class TestStackedInverseKinematics:
         assert inverse_kinematics(test_arm, np.empty((0, 7)), np.zeros(6)).shape == (0, 6)
         assert inverse_kinematics(test_arm, np.empty((0, 7)), np.empty((0, 6))).shape == (0, 6)
 
-    def test_unreachable_row_is_named(self, stack):
-        arm, targets, seeds, _ = stack
-        bad = targets[:8].copy()
-        bad[5, :3] = [10.0, 0.0, 0.0]
-        with pytest.raises(UnreachableTargetError) as exc:
-            inverse_kinematics(arm, bad, seeds[:8])
-        assert exc.value.index == 5
-
     @pytest.mark.parametrize("shared", [True, False], ids=["one-seed", "seed-per-row"])
     def test_a_failure_hands_back_the_rows_it_solved(self, stack, shared):
         """`solved` holds the rows before the failing one, bit for bit as a
@@ -561,15 +491,6 @@ class TestStackedInverseKinematics:
         fresh = inverse_kinematics(arm, bad[:9], seed if shared else seed[:9])
         assert not np.array_equal(fresh, np.broadcast_to(seed, (12, 6))[:9])  # the rows iterated
         np.testing.assert_array_equal(exc.value.solved, fresh)
-
-    def test_rows_after_a_failing_row_are_not_solved(self, stack):
-        """A later row that would fail too cannot displace the first one."""
-        arm, targets, seeds, single = stack
-        mixed = np.vstack([forward_kinematics(arm, single[:1]), [[10.0, 0, 0, 1, 0, 0, 0]], targets[2:4]])
-        with pytest.raises(UnreachableTargetError) as exc:
-            inverse_kinematics(arm, mixed, np.vstack([single[:1], seeds[1:4]]), max_iter=1)
-        assert exc.value.index == 1
-        assert "exceeds the arm's extent" in str(exc.value)
 
     def test_a_later_row_failing_later_cannot_displace_the_first(self, stack, monkeypatch):
         from twinmill import kinematics
@@ -590,81 +511,6 @@ class TestStackedInverseKinematics:
         with pytest.raises(UnreachableTargetError) as exc:
             inverse_kinematics(arm, targets[:2], seeds[:2], max_iter=1)
         assert exc.value.index == 0
-
-    def test_first_failing_row_wins(self, stack):
-        """A row that fails while iterating is reported before a later row
-        that fails the reach check."""
-        arm, targets, seeds, single = stack
-        stuck = targets[:6].copy()
-        stuck[4, :3] = [10.0, 0.0, 0.0]
-        with pytest.raises(UnreachableTargetError) as exc:
-            inverse_kinematics(arm, stuck, seeds[:6], max_iter=1)
-        assert exc.value.index == 0
-        assert "did not converge in 1 iterations" in str(exc.value)
-        # Rows already at their target converge without a step.
-        fixed = np.vstack([forward_kinematics(arm, single[:3]), targets[3:4]])
-        with pytest.raises(UnreachableTargetError) as exc:
-            inverse_kinematics(arm, fixed, np.vstack([single[:3], seeds[3:4]]), max_iter=1)
-        assert exc.value.index == 3
-
-    def test_mismatched_stacks_rejected(self, stack):
-        arm, targets, seeds, _ = stack
-        with pytest.raises(InvalidInputError):
-            inverse_kinematics(arm, targets[:3], seeds[:4])
-        with pytest.raises(InvalidInputError):
-            inverse_kinematics(arm, targets[:4].reshape(2, 2, 7), seeds[0])
-        with pytest.raises(InvalidInputError):
-            inverse_kinematics(arm, targets[:4], seeds[:4].reshape(2, 2, 6))
-        with pytest.raises(InvalidInputError):
-            inverse_kinematics(arm, targets[:3], seeds[:3, :5])  # 5 joints
-
-    @pytest.mark.parametrize("arms", [tuple, list])
-    def test_a_sequence_of_arms_is_rejected(self, stack, arms):
-        """Each arm is solved on its own call."""
-        arm, targets, seeds, _ = stack
-        with pytest.raises(InvalidInputError, match="one ArmModel"):
-            inverse_kinematics(arms([arm, arm]), np.stack([targets[:3]] * 2), np.stack([seeds[:3]] * 2))
-
-    @pytest.mark.parametrize("stuck_rows, index", [((2, 3), 2), ((4,), 4)])
-    def test_failure_while_iterating_names_the_earliest_row(self, stack, stuck_rows, index):
-        """With one step allowed, only rows seeded at their solution
-        converge; the rows moved 0.3 m fail in the same step, and the
-        earliest is named."""
-        arm, targets, seeds, _ = stack
-        solved = inverse_kinematics(arm, targets[:6], seeds[:6])
-        stuck = forward_kinematics(arm, solved)
-        stuck[list(stuck_rows), :3] += 0.3
-        with pytest.raises(UnreachableTargetError) as exc:
-            inverse_kinematics(arm, stuck, solved, max_iter=1)
-        assert exc.value.index == index
-        assert "did not converge in 1 iterations" in str(exc.value)
-
-    def test_seed_limits_checked_per_row(self, stack):
-        arm, targets, seeds, _ = stack
-        seeds = seeds[:2].copy()
-        seeds[1, 0] = 3.0  # beyond the +-2.9 rad limit
-        with pytest.raises(InvalidInputError, match="seed violates joint limits"):
-            inverse_kinematics(arm, targets[:2], seeds)
-
-    def test_shared_seed_below_the_lower_limit_rejected(self, stack):
-        arm, targets, seeds, _ = stack
-        seed = seeds[0].copy()
-        seed[5] = -3.0  # beyond the -2.9 rad limit
-        with pytest.raises(InvalidInputError, match="seed violates joint limits"):
-            inverse_kinematics(arm, targets[:2], seed)
-
-    @pytest.mark.parametrize("row, joint, value, message", [
-        (1, 0, 3.0, "IK seed violates joint limits: q1 = 3 rad outside [-2.9, 2.9] rad at seed row 1"),
-        (4, 5, -7.25, "IK seed violates joint limits: q6 = -7.25 rad outside [-2.9, 2.9] rad at seed row 4"),
-        (None, 2, 3.5, "IK seed violates joint limits: q3 = 3.5 rad outside [-2.9, 2.9] rad"),
-    ])
-    def test_seed_violation_names_the_joint_its_limits_and_the_row(self, stack, row, joint, value, message):
-        arm, targets, seeds, _ = stack
-        seeds = seeds[:6].copy() if row is not None else seeds[0].copy()
-        seeds[(row, joint) if row is not None else joint] = value
-        with pytest.raises(InvalidInputError) as exc:
-            inverse_kinematics(arm, targets[:6], seeds)
-        assert str(exc.value) == message
 
     def test_exact_seeds_iterate_no_row(self, stack, monkeypatch):
         """Seeds that already reproduce their targets come back unchanged,
@@ -708,19 +554,6 @@ class TestArmModel:
         np.testing.assert_array_equal(arm.dh_rows, make_test_arm().dh_rows)
         assert arm.joint_limits[0, 0] == -2.9
         assert arm.joint_stiffness[0] == 4e6
-
-    @pytest.mark.parametrize("springs, message", [
-        ([1.0, 1, 1, 0, 1, 1], "joint stiffness entries must be positive"),
-        ([1.0, 1, 1, -0.0, 1, 1], "joint stiffness entries must be positive"),
-        ([1.0, 1, 1, -2, 1, 1], "joint stiffness entries must be positive"),
-        ([1.0, 1, 1, np.nan, 1, 1], "joint stiffness must be 6 finite values"),
-        ([1.0, 1, 1, np.inf, 1, 1], "joint stiffness must be 6 finite values"),
-        ([1.0] * 5, "joint stiffness must be 6 finite values"),
-    ])
-    def test_joint_stiffness_must_be_6_positive_finite_values(self, springs, message):
-        with pytest.raises(InvalidInputError) as exc:
-            dataclasses.replace(make_test_arm(), joint_stiffness=np.array(springs))
-        assert str(exc.value) == message
 
     def test_an_arm_needs_its_joint_stiffness_by_keyword(self):
         arm = make_test_arm()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -43,43 +42,14 @@ class TestModel:
         assert natural_frequency(m, 0.0) == 159.0
         assert natural_frequency(m, 1000.0) == pytest.approx(159.0 + 22.6)
 
-    def test_negative_tension_rejected(self):
-        with pytest.raises(InvalidInputError):
-            natural_frequency(make_model(), -1.0)
-
-    def test_nonpositive_natural_frequency_rejected(self):
-        m = ModalModel("x", 10.0, 0.05, 100.0, -0.1)
-        assert natural_frequency(m, 999.0) == pytest.approx(0.1)
-        for T in (1000.0, 2000.0):
-            with pytest.raises(InvalidInputError, match="not positive"):
-                natural_frequency(m, T)
-            with pytest.raises(InvalidInputError, match="not positive"):
-                effective_stiffness(m, T)
-        with pytest.raises(InvalidInputError):
-            frf_synthesize(m, 2000.0, np.arange(1.0, 10.0))
+    def test_a_falling_natural_frequency_is_taken_while_positive(self):
+        """Refused from 1000 N on (the refusal rows of a falling model)."""
+        assert natural_frequency(ModalModel("x", 10.0, 0.05, 100.0, -0.1), 999.0) == pytest.approx(0.1)
 
     def test_effective_stiffness(self):
         m = make_model()
         k = effective_stiffness(m, 0.0)
         assert k == pytest.approx(60.0 * (2 * math.pi * 159.0) ** 2)
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            make_model(axis="q")
-        with pytest.raises(InvalidInputError):
-            make_model(mass=0.0)
-        with pytest.raises(InvalidInputError):
-            make_model(zeta=1.0)
-        with pytest.raises(InvalidInputError):
-            make_model(f0=0.0)
-
-    @pytest.mark.parametrize("field, value", [
-        ("mass", math.inf), ("mass", math.nan), ("f0", math.inf), ("f0", math.nan),
-        ("sens", math.nan), ("sens", math.inf), ("sens", -math.inf),
-    ])
-    def test_non_finite_parameter_rejected(self, field, value):
-        with pytest.raises(InvalidInputError, match="finite"):
-            make_model(**{field: value})
 
 
 class TestSynthesize:
@@ -109,24 +79,10 @@ class TestSynthesize:
         f_hi = grid[np.argmax(np.abs(frf_synthesize(m, 2000.0, grid).values))]
         assert f_hi - f_lo == pytest.approx(0.0226 * 2000.0, abs=0.1)
 
-    def test_an_undamped_model_is_refused_at_its_natural_frequency_on_the_grid(self):
-        """zeta = 0 is a valid model. At 159 Hz, on the 0.25 Hz grid,
-        k - m w^2 + i c w is exactly 0, so the compliance is refused there,
-        naming the frequency and the tension; off the grid it is finite."""
-        m = make_model(zeta=0.0)
-        grid = np.arange(1.0, 400.0, 0.25)
-        with pytest.raises(InvalidInputError) as exc:
-            frf_synthesize(m, 0.0, grid)
-        assert str(exc.value) == "compliance is unbounded at 159.0 Hz at tension 0 N: k - m w^2 + i c w is 0 there"
-        assert exc.value.index is None
-        assert np.all(np.isfinite(frf_synthesize(m, 0.0, grid + 0.125).values))
-
-    def test_bad_grid(self):
-        m = make_model()
-        with pytest.raises(InvalidInputError):
-            frf_synthesize(m, 0.0, np.array([]))
-        with pytest.raises(InvalidInputError):
-            frf_synthesize(m, 0.0, np.array([1.0, 1.0]))
+    def test_an_undamped_model_is_finite_off_its_natural_frequency(self):
+        """zeta = 0 is a valid model; on a grid through 159 Hz it is refused."""
+        grid = np.arange(1.0, 400.0, 0.25) + 0.125
+        assert np.all(np.isfinite(frf_synthesize(make_model(zeta=0.0), 0.0, grid).values))
 
     def test_frf_arrays_are_read_only_copies(self):
         f, v = np.array([1.0, 2.0]), np.array([1 + 1j, 2 - 1j])
@@ -139,21 +95,8 @@ class TestSynthesize:
         np.testing.assert_array_equal(frf.frequencies, [1.0, 2.0])
         np.testing.assert_array_equal(frf.values, [1 + 1j, 2 - 1j])
 
-    def test_an_empty_frf_is_refused(self):
-        """As an empty impact record is: its CSV would hold no data rows."""
-        with pytest.raises(InvalidInputError, match="^frequencies and values must be 1-D, non-empty and the same "):
-            FrfSeries(np.zeros(0), np.zeros(0))
-
 
 class TestImpactRecord:
-    def test_zero_force_rejected(self):
-        with pytest.raises(InvalidInputError) as exc:
-            ImpactRecord(1000.0, np.zeros(16), np.zeros(16))
-        assert str(exc.value) == "force signal is identically zero"
-
-    def test_no_transient_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ImpactRecord(1000.0, np.ones(16), np.zeros(16))
 
     def test_arrays_are_read_only_copies(self):
         force, acc = np.zeros(16), np.zeros(16)
@@ -166,13 +109,6 @@ class TestImpactRecord:
         force[:] = 0.0  # the caller's arrays stay writeable and are not the record's
         acc[0] = 1.0
         assert record.force[3] == 1.0 and record.acceleration[0] == 0.0
-
-    def test_sample_rate_must_be_finite(self):
-        force = np.zeros(16)
-        force[3] = 1.0
-        for rate in (0.0, math.inf, math.nan):
-            with pytest.raises(InvalidInputError, match="sample rate"):
-                ImpactRecord(rate, force, np.zeros(16))
 
     def test_csv_round_trip(self):
         rec = simulate_impact(make_model(), 500.0, sample_rate=1024.0, duration=0.25)
@@ -211,44 +147,11 @@ class TestH1:
         three = h1_estimate([rec, rec, rec])
         np.testing.assert_allclose(three.values, one.values, rtol=1e-12)
 
-    def test_mixed_metadata_rejected_naming_the_record_and_the_field(self):
-        m = make_model()
-        a = simulate_impact(m, 0.0, sample_rate=2048.0, duration=1.0)
-        b = simulate_impact(m, 500.0, sample_rate=2048.0, duration=1.0)
-        with pytest.raises(InvalidInputError) as exc:
-            h1_estimate([a, b])
-        assert str(exc.value) == "impact record 1 differs from record 0 in tension: 500.0, not 0.0"
-        assert exc.value.index == 1
-        for field, value in (("sample_rate", 4096.0), ("axis", "y"), ("position", "p2")):
-            with pytest.raises(InvalidInputError) as exc:
-                h1_estimate([a, a, dataclasses.replace(a, **{field: value})])
-            assert str(exc.value) == (f"impact record 2 differs from record 0 in {field}: {value!r}, "
-                                      f"not {getattr(a, field)!r}")
-            assert exc.value.index == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            h1_estimate([])
-
-    def test_a_kept_bin_without_force_is_refused_naming_its_frequency(self):
-        """A force of two equal samples is a valid record, and its windowed
-        spectrum is exactly 0 at half the sample rate, where H1 has no
-        value. The DC bin is dropped, so only a kept bin is refused."""
-        force = np.zeros(64)
-        force[3:5] = 100.0
-        rec = ImpactRecord(1000.0, force, np.sin(np.arange(64.0)))
-        with pytest.raises(InvalidInputError) as exc:
-            h1_estimate([rec])
-        assert str(exc.value) == "force auto-spectrum is zero at 500.0 Hz"
-        assert exc.value.index is None
-        # An odd FFT length has no bin at 500 Hz, and gives a finite estimate.
+    def test_a_force_of_two_equal_samples_is_estimated_on_an_odd_length(self):
+        """Its windowed spectrum is exactly 0 at half the sample rate, where
+        an even FFT length is refused; an odd one has no bin there."""
+        rec = ImpactRecord(1000.0, np.repeat([0.0, 100.0, 0.0], [3, 2, 59]), np.sin(np.arange(64.0)))
         assert h1_estimate([rec], nfft=63).frequencies.size == 31
-
-    @pytest.mark.parametrize("nfft", [0, -8, 1, 2.5, 256.0, True])
-    def test_nfft_not_an_integer_of_at_least_2_rejected(self, nfft):
-        rec = simulate_impact(make_model(), 0.0, sample_rate=2048.0, duration=0.25)
-        with pytest.raises(InvalidInputError, match="nfft must be an integer >= 2"):
-            h1_estimate([rec], nfft=nfft)
 
     def test_nfft_of_2_and_numpy_integers_accepted(self):
         rec = simulate_impact(make_model(), 0.0, sample_rate=2048.0, duration=0.25)
@@ -306,16 +209,6 @@ class TestPeakPick:
         grid = np.arange(50.0, 400.0, 0.25)
         assert peak_pick(frf_synthesize(m, 0.0, grid), 250.0, 350.0) == []
 
-    def test_empty_band_rejected(self):
-        m = make_model()
-        grid = np.arange(50.0, 400.0, 0.25)
-        frf = frf_synthesize(m, 0.0, grid)
-        with pytest.raises(InvalidInputError):
-            peak_pick(frf, 300.0, 100.0)
-        for factor in (-1.0, math.nan, math.inf):
-            with pytest.raises(InvalidInputError, match="prominence"):
-                peak_pick(frf, 0.0, 200.0, prominence_factor=factor)
-
 
 class TestFitShift:
     def test_measured_points_frozen_values(self):
@@ -338,44 +231,12 @@ class TestFitShift:
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
         assert fit.intercept == pytest.approx(150.0, rel=1e-12)
 
-    def test_identical_tensions_rank_deficient(self):
-        with pytest.raises(InvalidInputError) as exc:
-            fit_shift([(500.0, 160.0), (500.0, 161.0)])
-        assert str(exc.value) == "all tensions identical: the line fit is rank deficient"
-
-    def test_too_few_points(self):
-        with pytest.raises(InvalidInputError):
-            fit_shift([(0.0, 159.0)])
-
-    @pytest.mark.parametrize("point", [(math.nan, 190.0), (1400.0, math.inf), (-math.inf, 190.0)])
-    def test_non_finite_point_rejected(self, point):
-        with pytest.raises(InvalidInputError, match="finite"):
-            fit_shift(MEASURED_POINTS[:2] + [point])
-
 
 class TestSimulateImpact:
-    @pytest.mark.parametrize("kw", [
-        {"sample_rate": math.nan}, {"sample_rate": math.inf}, {"duration": math.nan},
-        {"duration": math.inf}, {"impact_width": math.nan}, {"impact_width": math.inf},
-        {"sample_rate": 0.0}, {"duration": -1.0}, {"impact_width": 0.0},
-    ])
-    def test_non_finite_or_non_positive_argument_rejected(self, kw):
-        with pytest.raises(InvalidInputError, match="positive and finite"):
-            simulate_impact(make_model(), 0.0, **kw)
-
-    @pytest.mark.parametrize("sample_rate, duration", [(1.0, 1.0), (4096.0, 1e-4), (1e200, 1e200)])
-    def test_record_of_fewer_than_two_or_unbounded_samples_rejected(self, sample_rate, duration):
-        with pytest.raises(InvalidInputError, match="samples"):
-            simulate_impact(make_model(), 0.0, sample_rate=sample_rate, duration=duration)
 
     def test_three_sample_record_accepted(self):
         rec = simulate_impact(make_model(), 0.0, sample_rate=1.0, duration=3.0, impact_width=2.0)
         np.testing.assert_array_equal(rec.force, [0.0, 100.0, 0.0])
-
-    def test_pulse_to_the_record_end_rejected(self):
-        # Every sample after the first is force: no dominant transient.
-        with pytest.raises(InvalidInputError, match="dominant transient"):
-            simulate_impact(make_model(), 0.0, sample_rate=1.0, duration=3.0, impact_width=10.0)
 
 
 class TestPipeline:
@@ -410,10 +271,6 @@ class TestCsv:
         assert "freq_hz,re,im" in text
         assert "0.33333333333333331" in text  # 17 significant digits
         assert "\r" not in text
-
-    def test_frf_bad_header(self):
-        with pytest.raises(InvalidInputError):
-            frf_from_csv("a,b,c\n1,2,3\n")
 
     def test_shift_fit_csv(self):
         fit = fit_shift(MEASURED_POINTS)

@@ -1,7 +1,7 @@
 """Differential property tests of the numpy modal runtime against scipy:
 the peak finder against scipy.signal.find_peaks and simulate_impact against
-scipy.signal.lsim. Skipped where scipy is not installed (CI runs this file
-on its own and fails on any skip)."""
+scipy.signal.lsim. Skipped where scipy is not installed (CI's tier-1 step
+fails on that skip)."""
 
 import math
 

@@ -57,8 +57,9 @@ from twinmill.stiffness import MAX_OFFSET, Wrench, cell_sha256, predicted_tensio
 
 from conftest import (
     DEMO_CONFIG,
+    SLOT_GCODE,
+    WORK_OFFSET,
     arm2_targets,
-    forty_one_column_program,
     json_numbers,
     json_objects,
     json_replaced,
@@ -66,16 +67,9 @@ from conftest import (
     planned_flanges,
 )
 
-# two straight cuts joined by a semicircle, hand-checked lengths
-SLOT_GCODE = """\
-(slot with a semicircular end)
-G1 X40 F300
-G3 X40 Y40 J20
-G1 X0 ; back along the far side
-"""
+# SLOT_GCODE's two straight cuts and semicircle, hand-checked
 SLOT_LENGTH = 0.040 + math.pi * 0.020 + 0.040
 
-WORK_OFFSET = np.array([2.105, -0.020, 1.100])
 SLOT_JSON = (Path(__file__).parent / "data" / "slot_path.json").read_text()
 
 
@@ -130,67 +124,6 @@ class TestParser:
         path = parse_gcode("(header) G1 X10 ; trailing\n; full comment line\n")
         assert len(path.segments) == 1
 
-    def test_unsupported_word_reports_line(self):
-        with pytest.raises(InvalidInputError) as exc:
-            parse_gcode("G1 X10\nM3 S2000\n")
-        assert exc.value.line == 2
-        assert str(exc.value) == "line 2: unsupported word M3"
-
-    def test_unsupported_g_number(self):
-        with pytest.raises(InvalidInputError) as exc:
-            parse_gcode("G17 X10\n")
-        assert str(exc.value) == "line 1: unsupported G17"
-
-    def test_coordinates_before_motion(self):
-        with pytest.raises(InvalidInputError) as exc:
-            parse_gcode("X10\n")
-        assert str(exc.value) == "line 1: coordinates before any motion word"
-
-    def test_arc_radius_mismatch(self):
-        with pytest.raises(InvalidInputError) as exc:
-            parse_gcode("G2 X10 Y0 I-50\n")
-        assert exc.value.line == 1
-        assert str(exc.value) == "line 1: arc radii differ by 10000.0 um (start 50.000 mm, end 60.000 mm)"
-
-    def test_arc_without_center(self):
-        with pytest.raises(InvalidInputError) as exc:
-            parse_gcode("G2 X10 Y0\n")
-        assert str(exc.value) == "line 1: arc without I/J/K center"
-
-    def test_empty_input(self):
-        with pytest.raises(InvalidInputError):
-            parse_gcode("  \n")
-        with pytest.raises(InvalidInputError):
-            parse_gcode("G1 X0\n")  # zero-length move only
-
-    def test_overlong_number_reports_line(self):
-        with pytest.raises(InvalidInputError) as exc:
-            parse_gcode("G1 X10\nG1 X" + "9" * 400 + "\n")
-        assert exc.value.line == 2
-        assert str(exc.value).startswith("line 2: X value out of range")
-
-    def test_negative_feed_reports_line(self):
-        with pytest.raises(InvalidInputError) as exc:
-            parse_gcode("G1 X10 F100\nG1 X20 F-100\n")
-        assert exc.value.line == 2
-        assert str(exc.value) == "line 2: negative feed F-100"
-        assert parse_gcode("G1 X10 F0\n").feed_mm_min == 0.0
-
-    @pytest.mark.parametrize("z", ["-0.3", "-5"])
-    def test_helical_arc_reports_line(self, z):
-        """An arc with a Z move is refused, not planned flat (Z-0.3) or
-        reported as an arc of mismatched radii (Z-5)."""
-        with pytest.raises(InvalidInputError) as exc:
-            parse_gcode(f"G1 X10 Y0\nG3 X0 Y0 Z{z} I-5\n")
-        assert exc.value.line == 2
-        assert str(exc.value) == f"line 2: helical arcs are not supported (Z moves from 0 mm to {z} mm)"
-
-    def test_arc_center_off_plane_reports_line(self):
-        with pytest.raises(InvalidInputError) as exc:
-            parse_gcode("G1 Y1\n\nG3 X2 Y1 I1 J0 K5\n")
-        assert exc.value.line == 3
-        assert str(exc.value) == "line 3: arc start does not lie in the plane through the center"
-
 
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
@@ -205,28 +138,9 @@ def _arc(start, center, sweep):
 
 
 class TestParserPins:
-    """How `parse_gcode` reads a line, pinned: each refusal's message and
-    line, and each accepted line's segments bit for bit (signed zeros too)."""
-
-    @pytest.mark.parametrize("text, cls, line, message", [
-        ("G1 X10\nfoo G1 X20\n", InvalidInputError, 2, "line 2: unparseable text 'foo '"),
-        ("G1 X10 ?? Y5\n", InvalidInputError, 1, "line 1: unparseable text ' ?? '"),
-        ("G1 X10 Y5 junk\n", InvalidInputError, 1, "line 1: unparseable text ' junk'"),
-        ("G1 X10 Q\n", InvalidInputError, 1, "line 1: unparseable text ' Q'"),
-        ("G1 X1.2.3\n", InvalidInputError, 1, "line 1: unparseable text '.3'"),
-        ("G1 X1 (c) Z\n", InvalidInputError, 1, "line 1: unparseable text '   Z'"),
-        # The text before a word, then its range, then the text after the last word.
-        ("G1 X9999999999 junk\n", InvalidInputError, 1, "line 1: X value out of range (|value| > 1e+09)"),
-        ("G1 X10 Y9999999999 junk\n", InvalidInputError, 1, "line 1: Y value out of range (|value| > 1e+09)"),
-        ("junk G1 X9999999999\n", InvalidInputError, 1, "line 1: unparseable text 'junk '"),
-        # A range refusal keeps the word's case; an unsupported word is upper case.
-        ("g1 x9999999999\n", InvalidInputError, 1, "line 1: x value out of range (|value| > 1e+09)"),
-        ("g1 x10\nm3 s2000\n", InvalidInputError, 2, "line 2: unsupported word M3"),
-    ])
-    def test_refusal(self, text, cls, line, message):
-        with pytest.raises(cls) as exc:
-            parse_gcode(text)
-        assert (str(exc.value), exc.value.line) == (message, line)
+    """How `parse_gcode` reads a line, pinned: each accepted line's segments
+    bit for bit (signed zeros too). Its refusals are rows of
+    tests/test_refusals.py."""
 
     @pytest.mark.parametrize("text, segments", [
         # The last word of a letter wins.
@@ -285,15 +199,6 @@ class TestSegments:
         np.testing.assert_allclose(arc.end.position, [0.0, 0.04, 0.0], atol=1e-15)
         assert arc.length == pytest.approx(math.pi * 0.02)
 
-    def test_arc_start_off_plane_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ArcSegment(
-                center=np.zeros(3),
-                normal=np.array([0.0, 0.0, 1.0]),
-                start=Pose(np.array([0.02, 0.0, 0.01])),
-                sweep=1.0,
-            )
-
     def test_arc_arrays_are_read_only_copies(self):
         c, n = np.zeros(3), np.array([0.0, 0.0, 1.0])
         arc = ArcSegment(c, n, Pose(np.array([0.01, 0.0, 0.0])), 1.0)
@@ -304,23 +209,6 @@ class TestSegments:
         c[0] = n[2] = 2.0  # the caller's arrays stay writeable and are not the arc's
         np.testing.assert_array_equal(arc.center, [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(arc.normal, [0.0, 0.0, 1.0])
-
-    def test_arc_normal_must_be_unit(self):
-        with pytest.raises(InvalidInputError):
-            ArcSegment(np.zeros(3), np.array([0.0, 0.0, 2.0]), Pose(np.array([0.01, 0.0, 0.0])), 1.0)
-
-    def test_arc_nan_center_rejected(self):
-        with pytest.raises(InvalidInputError, match="center finite"):
-            ArcSegment(np.array([np.nan, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]),
-                       Pose(np.array([0.01, 0.0, 0.0])), 1.0)
-
-    def test_arc_nan_normal_rejected(self):
-        with pytest.raises(InvalidInputError, match="unit length"):
-            ArcSegment(np.zeros(3), np.array([np.nan, 0.0, 1.0]), Pose(np.array([0.01, 0.0, 0.0])), 1.0)
-
-    def test_arc_nan_sweep_rejected(self):
-        with pytest.raises(InvalidInputError, match="sweep must be finite"):
-            ArcSegment(np.zeros(3), np.array([0.0, 0.0, 1.0]), Pose(np.array([0.01, 0.0, 0.0])), np.nan)
 
     @settings(max_examples=60)
     @given(
@@ -348,38 +236,7 @@ class TestSegments:
         assert arc.point_at(angles).tobytes() == expected.tobytes()
         assert arc.point_at(angles[0]).tobytes() == expected[0].tobytes()
 
-    def test_path_continuity_enforced(self):
-        a = LinearSegment(Pose(np.zeros(3)), Pose(np.array([0.01, 0.0, 0.0])))
-        b = LinearSegment(Pose(np.array([0.02, 0.0, 0.0])), Pose(np.array([0.03, 0.0, 0.0])))
-        with pytest.raises(InvalidInputError):
-            ToolPath((a, b))
-
     # (the later segment's source, the refusal's message prefix, `line`, `path`)
-    @pytest.mark.parametrize("source, prefix, line, at", [
-        (None, "", None, None),
-        (3, "line 3: ", 3, None),
-        ("segments[1]", "segments[1]: ", None, "segments[1]"),
-    ], ids=["built in code", "G-code line", "path JSON element"])
-    def test_a_gap_is_refused_at_the_later_segment(self, source, prefix, line, at):
-        a = LinearSegment(Pose(np.zeros(3)), Pose(np.array([0.01, 0.0, 0.0])), source=1)
-        b = LinearSegment(Pose(np.array([0.02, 0.0, 0.0])), Pose(np.array([0.03, 0.0, 0.0])), source=source)
-        with pytest.raises(InvalidInputError) as exc:
-            ToolPath((a, b))
-        assert str(exc.value) == f"{prefix}toolpath is not C0-continuous (gap 1.000e-02 m)"
-        assert (exc.value.index, exc.value.line, exc.value.path) == (None, line, at)
-
-    @pytest.mark.parametrize("feed", [-100.0, -5e-324, np.nan, np.inf, -np.inf])
-    def test_path_refuses_a_negative_or_non_finite_feed(self, feed):
-        line = LinearSegment(Pose(np.zeros(3)), Pose(np.array([0.01, 0.0, 0.0])))
-        with pytest.raises(InvalidInputError, match="^toolpath feed_mm_min must be finite and >= 0"):
-            ToolPath((line,), feed_mm_min=feed)
-        assert ToolPath((line,), feed_mm_min=0.0).feed_mm_min == 0.0
-
-    @pytest.mark.parametrize("delta", [[0.5], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]],
-                                       [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0]])
-    def test_translate_rejects_a_delta_that_is_not_a_finite_3_vector(self, delta):
-        with pytest.raises(InvalidInputError, match="finite 3-vector"):
-            translate_path(parse_gcode(SLOT_GCODE), delta)
 
     def test_translate_preserves_shape(self):
         path = parse_gcode(SLOT_GCODE)
@@ -401,54 +258,15 @@ class TestJson:
             np.testing.assert_array_equal(a.start.quaternion, b.start.quaternion)
 
 
-def _slot_doc(**changes):
-    doc = json.loads(SLOT_JSON)
-    doc.update(changes)
-    return doc
-
-
-def _linear_without_start():
-    doc = _slot_doc()
-    del doc["segments"][0]["start"]
-    return json.dumps(doc)
-
-
-def _first_segment(**changes):
-    doc = _slot_doc()
-    doc["segments"][0].update(changes)
-    return json.dumps(doc)
-
-
 class TestJsonErrors:
-    @pytest.mark.parametrize("text, where", [
-        ("{}", "missing segments"),
-        (_linear_without_start(), "missing segments[0].start"),
-        ("not json", "not valid JSON"),
-        ("[]", "document: expected an object"),
-        (json.dumps(_slot_doc(feed_mm_min="fast")), "feed_mm_min: expected a finite number"),
-        (json.dumps(_slot_doc(feed_mm_min=True)), "feed_mm_min: expected a finite number"),
-        (json.dumps(_slot_doc(feed_mm_min=10**400)), "feed_mm_min: expected a finite number"),
-        (json.dumps(_slot_doc(feed_mm_min=-100)), "feed_mm_min: expected a feed >= 0, got -100"),
-        (json.dumps(_slot_doc(segments=5)), "segments: expected a list"),
-        (json.dumps(_slot_doc(segments=[7])), "segments[0]: expected an object"),
-        (_first_segment(type="spline"), "segments[0].type: unknown segment type 'spline'"),
-        (_first_segment(type=[]), "segments[0].type: unknown segment type []"),
-        (_first_segment(type={}), "segments[0].type: unknown segment type {}"),
-        (_first_segment(end={"position_m": [0, 0], "quaternion_wxyz": [1, 0, 0, 0]}),
-         "segments[0].end.position_m: expected a list of 3 numbers"),
-        (_first_segment(end={"position_m": [0, 0, None], "quaternion_wxyz": [1, 0, 0, 0]}),
-         "segments[0].end.position_m[2]: expected a finite number"),
-        (_first_segment(end={"position_m": [0, 0, 0], "quaternion_wxyz": [2, 0, 0, 0]}),
-         "segments[0].end: quaternion norm"),
-        ('{"segments": [{"type": "arc", "center_m": [0, 0, 0], "normal": [0, 0, 1], "sweep_rad": 1,'
-         ' "start": {"position_m": [1, 0, 1], "quaternion_wxyz": [1, 0, 0, 0]}}]}',
-         "segments[0]: arc start does not lie in the plane"),
-        ("[" * 100000, "not valid JSON"),
-        (json.dumps(_slot_doc(segments=[])), "segments: toolpath has no segments"),
-    ])
-    def test_bad_input_names_the_schema_path(self, text, where):
-        with pytest.raises(InvalidInputError, match="^path JSON.*" + re.escape(where)):
+    @pytest.mark.parametrize("text, cause", [("not json", json.JSONDecodeError), ("[" * 100000, RecursionError)],
+                             ids=["not json", "100000 brackets"])
+    def test_text_that_is_not_json_is_refused_with_the_decoder_s_message(self, text, cause):
+        with pytest.raises(InvalidInputError) as exc:
             path_from_json(text)
+        assert type(exc.value.__cause__) is cause
+        assert str(exc.value) == f"path JSON is not valid JSON: {exc.value.__cause__}"
+        assert (exc.value.index, exc.value.line, exc.value.path, exc.value.arm, exc.value.file) == (None,) * 5
 
     @pytest.mark.parametrize("bad", [True, "1", None, float("nan"), float("inf")])
     def test_every_number_refuses_a_non_number(self, bad):
@@ -649,13 +467,6 @@ class TestDiscretize:
         poses = discretize(ToolPath((line, arc)), 1e-5, 0.02)
         assert len(poses) == 2
 
-    def test_bad_parameters(self):
-        path = parse_gcode("G1 X10\n")
-        with pytest.raises(InvalidInputError):
-            discretize(path, 0.0, 0.01)
-        with pytest.raises(InvalidInputError):
-            discretize(path, 1e-5, 0.0)
-
     # (path, the refusal's location: its message prefix, `line`, `path`)
     @pytest.mark.parametrize("path, where", [
         # A 10 mm arc swept 1e9 rad asks for 2**34 samples.
@@ -691,14 +502,6 @@ class TestDiscretize:
         assert peak < 1 << 20
         assert str(exc.value).startswith(f"{prefix}takes the path past {pathplan.MAX_SAMPLES} ")
         assert (exc.value.index, exc.value.line, exc.value.path) == (None, line, at)
-
-    def test_sample_cap_names_a_segment_built_in_code_by_its_number(self):
-        """A segment that was not read has no line or element to name."""
-        start = Pose(np.zeros(3))
-        path = ToolPath((LinearSegment(start, Pose(np.array([0.01, 0.0, 0.0]))),
-                         LinearSegment(Pose(np.array([0.01, 0.0, 0.0])), Pose(np.array([1e6, 0.0, 0.0])))))
-        with pytest.raises(InvalidInputError, match=rf"^segment 1 takes the path past {pathplan.MAX_SAMPLES} "):
-            discretize(path, 1e-5, 5e-3)
 
     def test_a_moved_path_keeps_the_sources_of_its_segments(self):
         gcode = transform_path(parse_gcode("G1 X40\n\nG3 X40 Y40 J20\n"), Pose(np.array([2.0, 0.0, 1.0])))
@@ -761,11 +564,6 @@ class TestPlanSync:
             # IK converges to 1e-6 in pose; the stiff branch magnifies that
             np.testing.assert_allclose(back.as_vector(), w.as_vector(), rtol=1e-6, atol=1e-3)
 
-    def test_seeds_must_be_two_six_joint_configurations(self, cfg):
-        for seeds in ((cfg.ik_seed1,), (cfg.ik_seed1, cfg.ik_seed2[:5]), (cfg.ik_seed1,) * 3):
-            with pytest.raises(InvalidInputError):
-                plan_sync(cfg.system, parse_gcode("G1 X4\n"), Wrench(np.zeros(3)), seeds)
-
     @pytest.mark.parametrize("k, value", [(0, 10.0), (1, 10.0), (1, np.nan)])
     def test_a_seed_outside_its_arm_s_limits_is_named(self, cfg, monkeypatch, k, value):
         """The demo slot planned with one arm's q1 seed at 10 rad, or NaN,
@@ -784,32 +582,9 @@ class TestPlanSync:
         assert str(exc.value) == (f"ik_seeds[{k}] (arm {k + 1}): seed violates joint limits: "
                                   f"q1 = {value:g} rad outside [{lo:g}, {hi:g}] rad")
 
-    def test_nan_guards_reject(self, cfg):
-        with pytest.raises(InvalidInputError) as exc:
-            demo_plan(cfg, workspace_box=(np.full(3, np.nan), np.ones(3)))
-        assert str(exc.value) == "tool pose 0 at [ 2.105 -0.02   1.1  ] lies outside the workspace box"
-        assert (exc.value.index, exc.value.arm) == (0, None)
-        with pytest.raises(InvalidInputError) as exc:
-            demo_plan(cfg, gcode="G1 X4\n", joint_jump_max=np.nan)
-        assert str(exc.value) == "joint jump 0.005 rad at setpoint 1 exceeds nan rad"
-        assert (exc.value.index, exc.value.arm) == (1, None)
-
-    def test_workspace_guard(self, cfg):
-        with pytest.raises(InvalidInputError) as exc:
-            demo_plan(cfg, workspace_box=(np.array([0.0, 0.0, 0.0]), np.array([0.1, 0.1, 0.1])))
-        assert str(exc.value) == "tool pose 0 at [ 2.105 -0.02   1.1  ] lies outside the workspace box"
-        assert (exc.value.index, exc.value.arm) == (0, None)
-
     def test_inside_demo_workspace(self, cfg):
         prog = demo_plan(cfg, workspace_box=cfg.workspace_box)
         assert len(prog.pairs) > 10
-
-    def test_continuity_guard(self, cfg):
-        # a single 0.4 m hop moves several joints well past the jump limit
-        with pytest.raises(InvalidInputError) as exc:
-            demo_plan(cfg, gcode="G1 X400\n", max_step=1.0)
-        assert str(exc.value) == "joint jump 0.457 rad at setpoint 1 exceeds 0.2 rad"
-        assert (exc.value.index, exc.value.arm) == (1, None)
 
     def test_ik_failure_mid_path_reports_its_setpoint(self, cfg):
         # The second move leaves the arms' reach at setpoint 135.
@@ -819,13 +594,6 @@ class TestPlanSync:
         assert isinstance(cause, UnreachableTargetError)
         assert str(exc.value) == f"IK failed at setpoint 135 (arm 2 nominal): {NOT_CONVERGED.format(cause)}"
         assert (exc.value.index, exc.value.arm) == (135, 2)
-
-    def test_continuity_jump_mid_path_reports_its_setpoint(self, cfg):
-        with pytest.raises(InvalidInputError) as exc:
-            demo_plan(cfg, gcode="G1 X20\nG1 X40\nG1 X60\nG1 X80\nG0 X480\n", max_step=1.0,
-                      tension=Wrench(np.array([1000.0, 0.0, 0.0])))
-        assert str(exc.value) == "joint jump 0.484 rad at setpoint 5 exceeds 0.2 rad"
-        assert (exc.value.index, exc.value.arm) == (5, None)
 
     def test_offset_beyond_the_bound_reports_setpoint_0(self, cfg):
         """40 kN asks for about 11 mm of arm-2 offset on the demo slot,
@@ -898,14 +666,6 @@ class TestPlanSync:
         assert type(exc.value) is DomainError
         assert (exc.value.index, exc.value.gap) == (20, None)
         assert str(exc.value) == "setpoint 20: planted rank deficiency"
-
-    def test_ik_failure_reports_index(self, cfg):
-        path = transform_path(parse_gcode("G1 X40\n"), Pose(np.array([20.0, 0.0, 0.0])))
-        with pytest.raises(InvalidInputError) as exc:
-            plan_sync(cfg.system, path, Wrench(np.zeros(3)), (cfg.ik_seed1, cfg.ik_seed2))
-        assert str(exc.value) == ("IK failed at setpoint 0 (arm 1): target 19.902 m from base exceeds the arm's "
-                                  "extent 4.090 m (reach + |flange offset|)")
-        assert (exc.value.index, exc.value.arm) == (0, 1)
 
 
 # The `_solve` calls of plan_sync, in order: pass 1 of arm 1 and of arm 2's
@@ -1460,77 +1220,27 @@ class TestSetpoints:
         with pytest.raises(ValueError):
             demo_program.pairs[0].tool_pose.position[0] = 0.0
 
-    def test_sync_program_refuses_a_tuple_of_pairs(self, demo_program):
-        with pytest.raises(InvalidInputError, match="pairs must be Setpoints, got tuple"):
-            dataclasses.replace(demo_program, pairs=tuple(demo_program.pairs))
-        with pytest.raises(InvalidInputError, match="no setpoints"):
-            sp = demo_program.pairs
-            empty = Setpoints(sp.tool_pose[:0], sp.q1[:0], sp.q2[:0])
-            dataclasses.replace(demo_program, pairs=empty)
-
-    @pytest.mark.parametrize("feed", [-100.0, -5e-324, np.nan, np.inf])
-    def test_sync_program_refuses_a_negative_or_non_finite_feed(self, demo_program, feed):
-        with pytest.raises(InvalidInputError, match="^sync program feed_mm_min must be finite and >= 0"):
-            dataclasses.replace(demo_program, feed_mm_min=feed)
-        assert dataclasses.replace(demo_program, feed_mm_min=-0.0).feed_mm_min == 0.0
-
-    @pytest.mark.parametrize("field", ["chord_tol", "max_step"])
-    @pytest.mark.parametrize("value", [-1e-5, -5e-324, np.nan, np.inf])
-    def test_sync_program_refuses_a_negative_or_non_finite_step(self, demo_program, field, value):
-        with pytest.raises(InvalidInputError, match=f"^sync program {field} must be finite and >= 0"):
-            dataclasses.replace(demo_program, **{field: value})
-
     def test_a_setpoint_index_is_its_row(self, demo_program):
         """Setpoints hold three arrays and no index; a fourth array is refused."""
         sp = demo_program.pairs
         assert not hasattr(sp, "index")
         with pytest.raises(TypeError):
             Setpoints(np.arange(len(sp)), sp.tool_pose, sp.q1, sp.q2)
-        with pytest.raises(InvalidInputError, match="one 7-value pose per setpoint"):
-            Setpoints(sp.tool_pose[0], sp.q1[:1], sp.q2[:1])
 
-    def test_bad_pose_row_named_with_its_row(self, demo_program):
-        sp = demo_program.pairs
-        tool = sp.tool_pose.copy()
-        tool[3, 3:] *= 2.0
-        with pytest.raises(InvalidInputError, match=r"^tool_pose: pose row 3: ") as exc:
-            Setpoints(tool, sp.q1, sp.q2)
-        assert exc.value.index == 3
+    def test_a_zero_feed_is_taken(self, demo_program):
+        assert parse_gcode("G1 X10 F0\n").feed_mm_min == 0.0
+        line = LinearSegment(Pose(np.zeros(3)), Pose(np.array([0.01, 0.0, 0.0])))
+        assert ToolPath((line,), feed_mm_min=0.0).feed_mm_min == 0.0
+        assert dataclasses.replace(demo_program, feed_mm_min=-0.0).feed_mm_min == 0.0
 
     def test_pose_rows_check_and_sign_as_pose(self):
         q = np.array([-0.5, 0.5, -0.5, 0.5])
         rows = pose_rows([[0.1, 0.2, 0.3, *q], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
         pose = Pose(np.array([0.1, 0.2, 0.3]), q)
         np.testing.assert_array_equal(rows[0, 3:], pose.quaternion)
-        with pytest.raises(InvalidInputError, match="pose row 1"):
-            pose_rows([[0.0] * 3 + [1.0, 0.0, 0.0, 0.0], [0.0] * 3 + [1.1, 0.0, 0.0, 0.0]])
-        with pytest.raises(InvalidInputError, match="pose row 0"):
-            pose_rows([[np.nan, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
 
 
 class TestProgramCsvRows:
-    def test_truncated_row_rejected(self, demo_program):
-        lines = program_to_csv(demo_program).splitlines()
-        lines[7] = lines[7].rsplit(",", 3)[0]
-        with pytest.raises(InvalidInputError, match="program CSV"):
-            program_from_csv("\n".join(lines) + "\n")
-
-    def test_garbage_header_rejected(self, demo_program):
-        lines = program_to_csv(demo_program).splitlines()
-        assert lines[5].startswith("index,tool_x,")
-        lines[5] = ",".join(f"col{i}" for i in range(20))
-        with pytest.raises(InvalidInputError, match="program CSV line 6: expected header"):
-            program_from_csv("\n".join(lines) + "\n")
-
-    def test_forty_one_column_program_refused_at_its_header(self, cfg, demo_program):
-        """The form that also held the three flange frames has no reader:
-        its header, on line 5, is refused."""
-        with pytest.raises(InvalidInputError) as exc:
-            program_from_csv(forty_one_column_program(cfg.system, demo_program))
-        assert exc.value.line == 5
-        assert str(exc.value).startswith("program CSV line 5: expected header 'index,tool_x,tool_y,tool_z,"
-                                         "tool_qw,tool_qx,tool_qy,tool_qz,q1_0,")
-        assert "found 'index,tool_x,tool_y,tool_z,tool_qw,tool_qx,tool_qy,tool_qz,r1_x," in str(exc.value)
 
     def test_twenty_columns_and_the_cell(self, cfg, demo_program):
         lines = program_to_csv(demo_program).splitlines()
@@ -1538,65 +1248,3 @@ class TestProgramCsvRows:
         assert lines[5] == ",".join(pathplan._COLUMNS)
         assert len(pathplan._COLUMNS) == 20
         assert all(len(line.split(",")) == 20 for line in lines[6:])
-
-    def test_program_without_a_cell_refused_at_its_header(self, demo_program):
-        """Its joints mean nothing without the cell they were planned on."""
-        text = re.sub(r"(?m)^# cell_sha256=.*\n", "", program_to_csv(demo_program))
-        with pytest.raises(InvalidInputError) as exc:
-            program_from_csv(text)
-        assert exc.value.line == 5
-        assert str(exc.value) == "program CSV line 5: no cell_sha256 metadata before the header"
-        with pytest.raises(InvalidInputError, match="cell_sha256 must be 64 lowercase hex digits, got None"):
-            dataclasses.replace(demo_program, cell_sha256=None)
-
-    @pytest.mark.parametrize("cell", ["", "abc", "B" * 64, "0" * 63 + "g", "0" * 65])
-    def test_bad_cell_sha256_named_with_its_line(self, demo_program, cell):
-        text = re.sub(r"(?m)^# cell_sha256=.*$", f"# cell_sha256={cell}", program_to_csv(demo_program))
-        with pytest.raises(InvalidInputError) as exc:
-            program_from_csv(text)
-        assert exc.value.line == 5
-        assert str(exc.value) == (f"program CSV line 5: metadata cell_sha256={cell!r} "
-                                  "is not 64 lowercase hex digits")
-        with pytest.raises(InvalidInputError, match="cell_sha256 must be 64 lowercase hex digits"):
-            dataclasses.replace(demo_program, cell_sha256=cell)
-
-    @pytest.mark.parametrize("wrench", ["1000 0 0 0 0", "1000 0 0 0 0 0 0"])
-    def test_tension_wrench_of_other_than_6_numbers_named(self, demo_program, wrench):
-        text = re.sub(r"(?m)^# tension_wrench=.*$", f"# tension_wrench={wrench}", program_to_csv(demo_program))
-        with pytest.raises(InvalidInputError) as exc:
-            program_from_csv(text)
-        assert str(exc.value) == f"program CSV line 2: metadata tension_wrench='{wrench}' is not 6 numbers"
-        assert exc.value.line == 2
-
-    @pytest.mark.parametrize("index, found", [("2.5", "2.5"), ("1e300", "1e+300"), ("0", "0"), ("2", "2"),
-                                              ("-1", "-1")])
-    def test_index_other_than_its_row_rejected(self, demo_program, index, found):
-        """Line 8 holds setpoint 1."""
-        lines = program_to_csv(demo_program).splitlines()
-        lines[7] = index + lines[7][lines[7].index(","):]
-        with pytest.raises(InvalidInputError) as exc:
-            program_from_csv("\n".join(lines) + "\n")
-        assert str(exc.value) == ("program CSV line 8: indices must count 0, 1, 2, ... in order, "
-                                  f"found {found} where 1 is due")
-        assert exc.value.line == 8
-
-    def test_shifted_indices_refused_at_the_first_row(self, demo_program):
-        """Indices 100, 101, ... read back byte for byte before; they are
-        now refused at line 7, setpoint 0's."""
-        lines = program_to_csv(demo_program).split("\n")
-        lines[6:-1] = [f"{k + 100}{line[line.index(','):]}" for k, line in enumerate(lines[6:-1])]
-        with pytest.raises(InvalidInputError) as exc:
-            program_from_csv("\n".join(lines))
-        assert str(exc.value) == ("program CSV line 7: indices must count 0, 1, 2, ... in order, "
-                                  "found 100 where 0 is due")
-        assert exc.value.line == 7
-
-    def test_index_checked_before_the_metadata(self, demo_program):
-        """An index out of order is refused ahead of a bad metadata value."""
-        text = re.sub(r"(?m)^# chord_tol_m=.*$", "# chord_tol_m=-1", program_to_csv(demo_program))
-        lines = text.splitlines()
-        lines[7] = "5" + lines[7][lines[7].index(","):]
-        for text, line in ((text, 3), ("\n".join(lines) + "\n", 8)):
-            with pytest.raises(InvalidInputError) as exc:
-                program_from_csv(text)
-            assert exc.value.line == line
