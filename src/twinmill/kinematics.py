@@ -343,6 +343,8 @@ def closed_form_ik(arm: ArmModel, target, branch, near=None):
     branch = np.asarray(branch)
     if not (np.issubdtype(branch.dtype, np.integer) and np.all((branch >= 0) & (branch < N_BRANCHES))):
         raise InvalidInputError(f"IK branch must be an integer in 0..{N_BRANCHES - 1}")
+    if branch.shape not in ((), (len(rows),)):
+        raise InvalidInputError(f"IK branch must be one branch or one per row ({len(rows)}), got shape {branch.shape}")
     shoulder, elbow, wrist = (1 - 2 * ((branch >> k) & 1) for k in (2, 1, 0))
     # The wrist centre and the rotation of base^-1 T tail, for each target T.
     R = quat_to_matrix(rows[:, 3:])

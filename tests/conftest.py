@@ -1,5 +1,7 @@
 import copy
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,23 +11,88 @@ from hypothesis import settings
 from twinmill.config import load_config
 from twinmill.geometry import Pose
 from twinmill.kinematics import ArmModel
+from twinmill.pathplan import parse_gcode, plan_sync, transform_path
+from twinmill.stiffness import Wrench
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Joint springs of the test arms, N·m/rad.
 JOINT_STIFFNESS = np.array([4e6, 4e6, 3e6, 1.5e6, 1.5e6, 1e6])
 
 # The illustrative two-robot cell, the one copy the CLI demo, the
 # benchmark and the tests all read.
-DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "system.json"
+DEMO_CONFIG = ROOT / "demo" / "system.json"
 
-# The slot of the demo: two straight cuts joined by a semicircle, and the
-# work offset of the demo `plan` (`--work-offset-mm 2105,-20,1100`).
-SLOT_GCODE = """\
-(slot with a semicircular end)
-G1 X40 F300
-G3 X40 Y40 J20
-G1 X0 ; back along the far side
-"""
-WORK_OFFSET = np.array([2.105, -0.020, 1.100])
+# The demo job: the slot of demo/slot.gcode (two straight cuts joined by a
+# semicircle) planned at the work offset under an axial tension, then
+# deformed, measured by a tracker of noise sigma drawn from the seed, and
+# compensated.
+DEMO_GCODE = DEMO_CONFIG.with_name("slot.gcode")
+SLOT_GCODE = DEMO_GCODE.read_text()
+WORK_OFFSET = np.array([2.105, -0.020, 1.100])  # m
+DEMO_TENSION = 1000.0  # N, along x
+NOISE_SIGMA = 15e-6  # m
+NOISE_SEED = 7
+# The slot's path as `path_to_json` writes it.
+SLOT_JSON = (ROOT / "tests" / "data" / "slot_path.json").read_text()
+
+
+def offset_mm(offset):
+    """A work offset in m as the text of `--work-offset-mm`."""
+    return ",".join(f"{x * 1e3:g}" for x in offset)
+
+
+WORK_OFFSET_MM = offset_mm(WORK_OFFSET)
+
+
+def perfbench(name):
+    """The module perfbench/`name`.py, imported without leaving perfbench/
+    on sys.path or writing bytecode into it."""
+    path, write_bytecode = str(ROOT / "perfbench"), sys.dont_write_bytecode
+    sys.path.insert(0, path)
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(path)
+        sys.dont_write_bytecode = write_bytecode
+
+
+# The benchmark's rasters and their work offset, as perfbench/workloads.py
+# plans them: the full raster has 1345 setpoints on the demo cell, the tiny
+# one 73.
+workloads = perfbench("workloads")
+RASTER_GCODE = workloads.raster_gcode(workloads.SIZES["full"][0])
+TINY_RASTER_GCODE = workloads.raster_gcode(workloads.SIZES["tiny"][0])
+RASTER_OFFSET = workloads.WORK_OFFSET_M
+
+# The demo `plan`, `deform`, `modal` and `frf`, each run in a work
+# directory that holds the impact of `write_demo_impact` and gets its
+# outputs.
+DEMO_COMMANDS = {name: ["--config", str(DEMO_CONFIG), *argv] for name, argv in {
+    "plan": ["plan", str(DEMO_GCODE), "--tension", f"{DEMO_TENSION:g}", "--work-offset-mm", WORK_OFFSET_MM,
+             "--out", "plan.csv"],
+    "deform": ["deform", "plan.csv", "--compensate", "--noise-sigma", repr(NOISE_SIGMA), "--seed", str(NOISE_SEED),
+               "--out", "deform"],
+    "modal": ["modal", "--tensions", "0,500,1400,2000", "--out", "modal"],
+    "frf": ["frf", "impact.csv", "impact.csv", "--out", "frf.csv"],
+}.items()}
+
+
+def write_demo_impact(cfg, work):
+    """work/impact.csv: a simulated 1 s x-axis impact at 0 N, which the
+    demo `frf` reads twice."""
+    from twinmill.modal import impact_record_to_csv, simulate_impact
+
+    (work / "impact.csv").write_text(impact_record_to_csv(simulate_impact(cfg.modal_models["x"], 0.0, duration=1.0)))
+
+
+def demo_plan(cfg, gcode=SLOT_GCODE, tension=Wrench(np.zeros(3)), offset=WORK_OFFSET, **plan_kw):
+    """`gcode` moved to `offset` (m) as the CLI's `plan` moves it, then
+    planned on the cell of `cfg` from its IK seeds under `tension`."""
+    path = transform_path(parse_gcode(gcode), Pose(offset))
+    return plan_sync(cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2), **plan_kw)
+
 
 # Property tests run a fixed example order with no example database or
 # deadline, so tier-1 is deterministic; each test sets its own
@@ -80,24 +147,10 @@ def test_arm():
     return make_test_arm()
 
 
-def plan_slot(cfg, tension):
-    """Slot path planned on the demo cell with an axial tension of
-    `tension` N."""
-    from twinmill.pathplan import parse_gcode, plan_sync, transform_path
-    from twinmill.stiffness import Wrench
-
-    path = transform_path(parse_gcode("G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"),
-                          Pose(np.array([2.105, -0.020, 1.100])))
-    return plan_sync(
-        cfg.system, path, Wrench(np.array([tension, 0.0, 0.0])),
-        (cfg.ik_seed1, cfg.ik_seed2),
-    )
-
-
 @pytest.fixture(scope="session")
 def demo_program(cfg):
-    """Slot path planned on the demo cell with a 1000 N axial tension."""
-    return plan_slot(cfg, 1000.0)
+    """The demo job's program: the slot planned at the demo tension."""
+    return demo_plan(cfg, tension=Wrench(np.array([DEMO_TENSION, 0.0, 0.0])))
 
 
 _NOMINAL_ROWS = {}  # id(program) -> (program, (q1, q2))

@@ -6,9 +6,7 @@ tolerances. Runtime budgets are asserted as well.
 
 
 import dataclasses
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,14 +37,7 @@ from twinmill.modal import (
     peak_pick,
     simulate_impact,
 )
-from twinmill.pathplan import (
-    parse_gcode,
-    path_from_json,
-    path_to_json,
-    plan_sync,
-    transform_path,
-    translate_path,
-)
+from twinmill.pathplan import parse_gcode, path_from_json, path_to_json
 from twinmill.stiffness import (
     CoupledSystem,
     SpringModel,
@@ -56,25 +47,25 @@ from twinmill.stiffness import (
     tension_offset,
 )
 
-from conftest import DEMO_CONFIG, arm2_targets, planned_flanges, random_nonsingular_q
+from conftest import (
+    DEMO_CONFIG,
+    DEMO_TENSION,
+    NOISE_SIGMA,
+    RASTER_OFFSET,
+    SLOT_GCODE,
+    SLOT_JSON,
+    TINY_RASTER_GCODE,
+    arm2_targets,
+    demo_plan,
+    planned_flanges,
+    random_nonsingular_q,
+)
 from test_stiffness import make_twin_system, tool_point_branch_stiffness
-
-ROOT = Path(__file__).resolve().parent.parent
-DATA = Path(__file__).parent / "data"
-SLOT_GCODE = DEMO_CONFIG.with_name("slot.gcode")
-WORK_OFFSET = np.array([2.105, -0.020, 1.100])
 
 
 def _report(num, name, ok):
     print(f"\nACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance criterion {num} ({name}) failed"
-
-
-def _plan_slot(cfg, tension=Wrench(np.zeros(3)), system=None, **kw):
-    path = transform_path(parse_gcode(SLOT_GCODE.read_text()), Pose(WORK_OFFSET))
-    return plan_sync(
-        system or cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2), **kw
-    )
 
 
 def test_acceptance_1_frequency_shift_fit():
@@ -156,7 +147,7 @@ def test_acceptance_4_tension_round_trip():
 def test_acceptance_5_compensation_residual():
     t0 = time.perf_counter()
     cfg = load_config(DEMO_CONFIG)
-    probe = _plan_slot(cfg)
+    probe = demo_plan(cfg)
     mid = probe.pairs[len(probe.pairs) // 2]
     C = np.linalg.inv(coupled_stiffness(cfg.system, mid.q1, mid.q2))
     # least-norm wrench whose deformation at the mid pose is the target,
@@ -174,14 +165,14 @@ def test_acceptance_5_compensation_residual():
     )
     tension = Wrench.from_vector(w0 / alpha)
     assert np.linalg.norm(tension.force) == pytest.approx(1000.0, rel=1e-12)
-    program = _plan_slot(cfg, tension=tension, system=system)
+    program = demo_plan(dataclasses.replace(cfg, system=system), tension=tension)
     reference = nominal_trace(program)
     deformed = simulate_deformation(system, program)
     dev_mid = deformed.points[len(program.pairs) // 2] - reference.points[len(program.pairs) // 2]
     ok = abs(dev_mid[1] - 2.0e-3) < 5e-5 and abs(dev_mid[2] - 1.2e-3) < 5e-5
     rng = np.random.default_rng(5)
     for _ in range(100):
-        noisy = PathTrace(deformed.points + rng.normal(0.0, 15e-6, deformed.points.shape))
+        noisy = PathTrace(deformed.points + rng.normal(0.0, NOISE_SIGMA, deformed.points.shape))
         comp = compensate(noisy, fit_rigid(reference, noisy))
         ok = ok and residual_report(reference, comp).rms < 0.05e-3
     ok = ok and time.perf_counter() - t0 < 30.0
@@ -227,12 +218,10 @@ def test_acceptance_6_kinematics():
 
 def test_acceptance_7_path_planning():
     t0 = time.perf_counter()
-    gcode = SLOT_GCODE.read_text()
-    golden = (DATA / "slot_path.json").read_text()
-    ok = path_to_json(parse_gcode(gcode)) == golden
-    ok = ok and path_to_json(path_from_json(golden)) == golden
+    ok = path_to_json(parse_gcode(SLOT_GCODE)) == SLOT_JSON
+    ok = ok and path_to_json(path_from_json(SLOT_JSON)) == SLOT_JSON
     cfg = load_config(DEMO_CONFIG)
-    program, planned_nominal, commanded = arm2_targets(lambda: _plan_slot(cfg, workspace_box=cfg.workspace_box))
+    program, planned_nominal, commanded = arm2_targets(lambda: demo_plan(cfg, workspace_box=cfg.workspace_box))
     center, size = cfg.workspace_box
     for pair in program.pairs:
         ok = ok and np.all(np.abs(pair.tool_pose.position - center) <= size / 2)
@@ -245,8 +234,7 @@ def test_acceptance_7_path_planning():
     ok = ok and np.all(np.linalg.norm(err[:, 3:], axis=1) <= DEFAULT_TOL_ROT)
     try:
         # a single 0.4 m hop: the joint-space jump guard must fire
-        path = transform_path(parse_gcode("G1 X400\n"), Pose(WORK_OFFSET))
-        plan_sync(cfg.system, path, Wrench(np.zeros(3)), (cfg.ik_seed1, cfg.ik_seed2), max_step=1.0)
+        demo_plan(cfg, gcode="G1 X400\n", max_step=1.0)
         ok = False
     except InvalidInputError as exc:
         ok = ok and exc.index == 1 and str(exc) == "joint jump 0.457 rad at setpoint 1 exceeds 0.2 rad"
@@ -263,25 +251,19 @@ def test_acceptance_9_a_scaled_fit_compensates_another_tension_and_path():
     raster 3.106 um of 473 um (0.809 um); the fit not scaled leaves 233 um
     on the slot."""
     t0 = time.perf_counter()
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
     cfg = load_config(DEMO_CONFIG)
 
     def traces(gcode, tension):
-        path = translate_path(parse_gcode(gcode), workloads.WORK_OFFSET_M)
-        program = plan_sync(cfg.system, path, Wrench(np.array([tension, 0.0, 0.0])), (cfg.ik_seed1, cfg.ik_seed2))
+        program = demo_plan(cfg, gcode=gcode, tension=Wrench(np.array([tension, 0.0, 0.0])), offset=RASTER_OFFSET)
         return nominal_trace(program), simulate_deformation(cfg.system, program)
 
     def rms(reference, measured, fit):
         return residual_report(reference, compensate(measured, fit)).rms
 
-    fit = fit_rigid(*traces(SLOT_GCODE.read_text(), 1000.0))
+    fit = fit_rigid(*traces(SLOT_GCODE, DEMO_TENSION))
     scaled = Pose(2.0 * fit.position, quat_from_rotvec(2.0 * rotvec_from_quat(fit.quaternion)))
-    slot = traces(SLOT_GCODE.read_text(), 2000.0)
-    raster = traces(workloads.raster_gcode(workloads.SIZES["tiny"][0]), 2000.0)
+    slot = traces(SLOT_GCODE, 2 * DEMO_TENSION)
+    raster = traces(TINY_RASTER_GCODE, 2 * DEMO_TENSION)
     ok = rms(*slot, fit) > 200e-6
     # (path at 2000 N, bound on the transferred residual, bound on its ratio to the in-sample one)
     for (reference, measured), bound, ratio in [(slot, 4e-6, 1.1), (raster, 5e-6, 5.0)]:

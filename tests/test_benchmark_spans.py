@@ -7,19 +7,11 @@ The benchmark modules are imported read-only, and the tracer's rebinding of
 twinmill's functions is undone when each operation ends.
 """
 
-import sys
-from pathlib import Path
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import perfbench, workloads
 
 
 def test_every_counted_function_is_called_by_a_tiny_operation():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import spans
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
+    spans = perfbench("spans")
     tracer = spans.Tracer()
     for name in workloads.WORKLOADS:
         workload = workloads.load(name, "tiny", seed=1)

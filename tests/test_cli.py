@@ -15,23 +15,17 @@ from twinmill.geometry import Pose
 from twinmill.pathplan import Setpoints, parse_gcode, path_to_json, program_from_csv, program_to_csv, transform_path
 from twinmill.stiffness import cell_sha256
 
-from conftest import (DEMO_CONFIG, demo_config_dict, edit_line, forty_one_column_program, impact_text, json_replaced,
-                      json_with_a_repeated_key, three_column_impact, truncate)
+from conftest import (DEMO_CONFIG, DEMO_GCODE, SLOT_GCODE, SLOT_JSON, WORK_OFFSET_MM, demo_config_dict, edit_line,
+                      forty_one_column_program, impact_text, json_replaced, json_with_a_repeated_key,
+                      three_column_impact, truncate)
 
-SLOT_GCODE = "G1 X40 F300\nG3 X40 Y40 J20\nG1 X0\n"
-WORK_OFFSET = "2105,-20,1100"
+DEMO = str(DEMO_CONFIG)
+SLOT = str(DEMO_GCODE)
 
 
 @pytest.fixture
 def config_file():
     return str(DEMO_CONFIG)
-
-
-@pytest.fixture
-def gcode_file(tmp_path):
-    p = tmp_path / "slot.gcode"
-    p.write_text(SLOT_GCODE)
-    return str(p)
 
 
 def read_rms(path):
@@ -163,12 +157,12 @@ class TestFrf:
 class TestPlan:
     @pytest.mark.parametrize("axis_args, axis", [([], "x"), (["--tension-axis", "y"], "y"),
                                                  (["--tension-axis", "z"], "z")], ids=["x", "y", "z"])
-    def test_plan_gcode(self, tmp_path, config_file, gcode_file, axis_args, axis):
+    def test_plan_gcode(self, tmp_path, config_file, axis_args, axis):
         """The tension lies on its axis, and `deform` takes the program."""
         out = tmp_path / "program.csv"
         code = cli.main(
-            ["--config", config_file, "plan", gcode_file, "--tension", "1000", *axis_args,
-             "--work-offset-mm", WORK_OFFSET, "--out", str(out)]
+            ["--config", config_file, "plan", SLOT, "--tension", "1000", *axis_args,
+             "--work-offset-mm", WORK_OFFSET_MM, "--out", str(out)]
         )
         assert code == 0
         program = program_from_csv(out.read_text())
@@ -176,10 +170,10 @@ class TestPlan:
         assert program.tension.as_vector().tolist() == [1000.0 * (k == "xyz".index(axis)) for k in range(6)]
         assert cli.main(["--config", config_file, "deform", str(out), "--out", str(tmp_path / "d")]) == 0
 
-    def test_negative_tension_is_planned(self, tmp_path, config_file, gcode_file):
+    def test_negative_tension_is_planned(self, tmp_path, config_file):
         out = tmp_path / "p.csv"
-        assert cli.main(["--config", config_file, "plan", gcode_file, "--tension", "-1000",
-                         "--work-offset-mm", WORK_OFFSET, "--out", str(out)]) == 0
+        assert cli.main(["--config", config_file, "plan", SLOT, "--tension", "-1000",
+                         "--work-offset-mm", WORK_OFFSET_MM, "--out", str(out)]) == 0
         assert program_from_csv(out.read_text()).tension.force[0] == -1000.0
 
     @pytest.mark.parametrize("value, code", [("-2105,-20,1100", 0), ("-20,1,2", 3)])
@@ -217,11 +211,11 @@ class TestPlan:
 
 class TestDeform:
     @pytest.fixture
-    def program_file(self, tmp_path, config_file, gcode_file):
+    def program_file(self, tmp_path, config_file):
         out = tmp_path / "program.csv"
         assert cli.main(
-            ["--config", config_file, "plan", gcode_file, "--tension", "1000",
-             "--work-offset-mm", WORK_OFFSET, "--out", str(out)]
+            ["--config", config_file, "plan", SLOT, "--tension", "1000",
+             "--work-offset-mm", WORK_OFFSET_MM, "--out", str(out)]
         ) == 0
         return str(out)
 
@@ -268,8 +262,8 @@ class TestCellFingerprint:
     @pytest.fixture(scope="class")
     def program_file(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("plan") / "p.csv"
-        assert cli.main(["--config", str(DEMO_CONFIG), "plan", str(DEMO_CONFIG.parent / "slot.gcode"),
-                         "--tension", "1000", "--work-offset-mm", WORK_OFFSET, "--out", str(out)]) == 0
+        assert cli.main(["--config", DEMO, "plan", SLOT, "--tension", "1000", "--work-offset-mm", WORK_OFFSET_MM,
+                         "--out", str(out)]) == 0
         return out
 
     def test_demo_cell_matches_itself(self, tmp_path, program_file):
@@ -324,14 +318,11 @@ class TestCellFingerprint:
 
 def test_an_output_that_cannot_be_written_exits_3(tmp_path, capsys):
     out = tmp_path / "nodir" / "p.csv"
-    code = cli.main(["--config", str(DEMO_CONFIG), "plan", str(DEMO_CONFIG.parent / "slot.gcode"),
-                     "--work-offset-mm", WORK_OFFSET, "--out", str(out)])
+    code = cli.main(["--config", DEMO, "plan", SLOT, "--work-offset-mm", WORK_OFFSET_MM, "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
-DEMO = str(DEMO_CONFIG)
-SLOT = str(DEMO_CONFIG.parent / "slot.gcode")
 PLAN_PATH_JSON = ["--config", DEMO, "plan", "{path.json}", "--out", "{out.csv}"]
 DEFORM_PROGRAM = ["--config", DEMO, "deform", "{program.csv}", "--out", "{out}"]
 
@@ -463,8 +454,8 @@ REFUSALS = {
         PLAN_PATH_JSON, 3,
         "error: {path.json}: path JSON segments[0].start.position_m[0]: expected a finite number, got '0'\n"),
     "path JSON repeated key": (
-        lambda p: {"path.json": json_with_a_repeated_key(json.loads(path_to_json(parse_gcode(SLOT_GCODE))),
-                                                         ("segments", 0, "end"), "position_m", [0, 0, 0])},
+        lambda p: {"path.json": json_with_a_repeated_key(json.loads(SLOT_JSON), ("segments", 0, "end"), "position_m",
+                                                         [0, 0, 0])},
         PLAN_PATH_JSON, 3,
         "error: {path.json}: path JSON segments[0].end.position_m: repeated key\n"),
     "path JSON line past the float range": (
@@ -501,7 +492,7 @@ REFUSALS = {
         "error: {slot.gcode}: line 2: unsupported word Q5\n"),
     "G-code helix": (
         lambda p: {"helix.gcode": "G1 X10 Y0\nG3 X0 Y0 Z-0.3 I-5\n"},
-        ["--config", DEMO, "plan", "{helix.gcode}", "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"], 3,
+        ["--config", DEMO, "plan", "{helix.gcode}", "--work-offset-mm", WORK_OFFSET_MM, "--out", "{out.csv}"], 3,
         "error: {helix.gcode}: line 2: helical arcs are not supported (Z moves from 0 mm to -0.3 mm)\n"),
     "plan outside the workspace": (
         _no_files, ["--config", DEMO, "plan", SLOT, "--out", "{out.csv}"], 3,
@@ -510,13 +501,15 @@ REFUSALS = {
     # any IK and with no numpy warning.
     "plan tension 1e200": (
         _no_files,
-        ["--config", DEMO, "plan", SLOT, "--tension", "1e200", "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"],
-        3, "error: --tension 1e+200: wrench force/torque must be finite 3-vectors of norm below about 1.341e+154\n"),
+        ["--config", DEMO, "plan", SLOT, "--tension", "1e200", "--work-offset-mm", WORK_OFFSET_MM, "--out",
+         "{out.csv}"], 3,
+        "error: --tension 1e+200: wrench force/torque must be finite 3-vectors of norm below about 1.341e+154\n"),
     # 40 kN asks for about 11 mm of arm-2 offset, more than `deform` accepts.
     "plan tension over the offset bound": (
         _no_files,
-        ["--config", DEMO, "plan", SLOT, "--tension", "40000", "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"],
-        3, "error: setpoint 0: commanded arm-2 flange is 1.092e-02 m from the nominal one\n"),
+        ["--config", DEMO, "plan", SLOT, "--tension", "40000", "--work-offset-mm", WORK_OFFSET_MM, "--out",
+         "{out.csv}"], 3,
+        "error: setpoint 0: commanded arm-2 flange is 1.092e-02 m from the nominal one\n"),
     "config of a schema version alone": (
         lambda p: {"system.json": '{"schema_version": 1}'},
         ["--config", "{system.json}", "modal", "--tensions", "0,500", "--out", "{out}"], 2,
@@ -532,7 +525,7 @@ REFUSALS = {
         "each of size <= 8.988e+307\n"),
     **{f"config default {key} {value}": (
         lambda p, key=key, value=value: {"system.json": _config(("defaults", key), value)},
-        ["--config", "{system.json}", "plan", SLOT, "--tension", "1000", "--work-offset-mm", WORK_OFFSET,
+        ["--config", "{system.json}", "plan", SLOT, "--tension", "1000", "--work-offset-mm", WORK_OFFSET_MM,
          "--out", "{out.csv}"], 2,
         f"config error: config.defaults.{key}: expected {expected}, got {value}\n")
        for key, value, expected in [("max_iter", float("nan"), "an integer >= 1"), ("max_iter", 2.7, "an integer >= 1"),
@@ -544,7 +537,7 @@ REFUSALS = {
         "config error: config.ik_seed2_rad[3]: expected a finite number, got None\n"),
     "config IK seed outside its joint limits": (
         lambda p: {"system.json": _config(("ik_seed1_rad", 4), 3.0)},
-        ["--config", "{system.json}", "plan", SLOT, "--work-offset-mm", WORK_OFFSET, "--out", "{out.csv}"], 3,
+        ["--config", "{system.json}", "plan", SLOT, "--work-offset-mm", WORK_OFFSET_MM, "--out", "{out.csv}"], 3,
         "error: ik_seeds[0] (arm 1): seed violates joint limits: q5 = 3 rad outside [-2.2, 2.2] rad\n"),
     "impact sample rate 0": (
         lambda p: {"a.csv": _impact(0.0, rate=0)},
@@ -692,7 +685,7 @@ USAGE = {
         f"twinmill frf: error: argument --nfft: expected an integer >= 2, got '{nfft}'")
        for nfft in ["0", "-3", "1", "1.5"]},
     **{f"plan --tension={value}": (
-        _no_files, ["--config", DEMO, "plan", SLOT, f"--tension={value}", "--work-offset-mm", WORK_OFFSET,
+        _no_files, ["--config", DEMO, "plan", SLOT, f"--tension={value}", "--work-offset-mm", WORK_OFFSET_MM,
                     "--out", "{out.csv}"],
         f"twinmill plan: error: argument --tension: expected a finite number, got '{value}'")
        for value in ["nan", "inf", "-inf", "1e400"]},

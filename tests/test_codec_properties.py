@@ -10,7 +10,6 @@ from twinmill.compensation import PathTrace, trace_from_csv, trace_to_csv
 from twinmill.config import load_config
 from twinmill.csvtable import _BLOCK_VALUES, read_table, write_table
 from twinmill.errors import TwinmillError
-from twinmill.geometry import Pose
 from twinmill.modal import (
     FrfSeries,
     ImpactRecord,
@@ -22,15 +21,12 @@ from twinmill.modal import (
 from twinmill.pathplan import (
     Setpoints,
     SyncProgram,
-    parse_gcode,
-    plan_sync,
     program_from_csv,
     program_to_csv,
-    transform_path,
 )
 from twinmill.stiffness import Wrench
 
-from conftest import DEMO_CONFIG, row_by_row
+from conftest import DEMO_CONFIG, demo_plan, row_by_row
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EDGES = np.array([5e-324, -2.2250738585072014e-308, 0.0, -0.0, 1e300, -1e-300, 1.7976931348623157e308])
@@ -182,9 +178,7 @@ def test_program_round_trip(program):
 
 def _sample_files():
     cfg = load_config(DEMO_CONFIG)
-    path = transform_path(parse_gcode("G1 X2 F300\n"), Pose(np.array([2.105, -0.02, 1.1])))
-    program = plan_sync(cfg.system, path, Wrench(np.array([800.0, 0.0, 0.0])),
-                        (cfg.ik_seed1, cfg.ik_seed2))
+    program = demo_plan(cfg, gcode="G1 X2 F300\n", tension=Wrench(np.array([800.0, 0.0, 0.0])))
     force = np.zeros(12)
     force[2] = 40.0
     impact = ImpactRecord(1024.0, force, np.linspace(-1.0, 1.0, 12), tension=500.0)

@@ -34,7 +34,7 @@ from twinmill.pathplan import (
 )
 from twinmill.stiffness import SpringModel, Wrench, coupled_stiffness
 
-from conftest import arm2_targets, plan_slot, with_pair
+from conftest import WORK_OFFSET, arm2_targets, demo_plan, with_pair
 
 
 def cloud(rng, n=100, scale=0.05):
@@ -291,7 +291,7 @@ _ANISOTROPIC_SPRING[1, 3] = _ANISOTROPIC_SPRING[3, 1] = -2e5
 # Its sample counts (7.4 and 45.8 before rounding up) are far from a power
 # of two, so roundoff from a rigid motion cannot change them.
 _RIGID_MOTION_PATH = transform_path(parse_gcode("G1 X37 F300\nG3 X37 Y34 J17\nG1 X3\n"),
-                                    Pose(np.array([2.105, -0.020, 1.100])))
+                                    Pose(WORK_OFFSET))
 
 
 def _moved_cell(system, G):
@@ -305,7 +305,7 @@ def _moved_cell(system, G):
 def zero_tension_plan(cfg):
     """The demo slot planned at zero tension, with the arm-2 nominal and
     commanded flange rows that `plan_sync` solved for."""
-    return arm2_targets(lambda: plan_slot(cfg, 0.0))
+    return arm2_targets(lambda: demo_plan(cfg))
 
 
 class TestChainRelations:
@@ -331,7 +331,7 @@ class TestChainRelations:
         assert np.all(gaps <= DEFAULT_TOL_POS)
         np.testing.assert_array_equal(simulate_deformation(cfg.system, zero_tension_program).points,
                                       zero.tool_pose[:, :3])
-        program = plan_slot(cfg, tension)
+        program = demo_plan(cfg, tension=Wrench(np.array([tension, 0.0, 0.0])))
         sp = program.pairs
         for name in ("tool_pose", "q1"):
             np.testing.assert_array_equal(getattr(sp, name), getattr(zero, name))
@@ -353,7 +353,7 @@ class TestChainRelations:
 
         tension = sign * magnitude
         reference = per_newton(demo_program, 1000.0)
-        scaled = per_newton(plan_slot(cfg, tension), tension)
+        scaled = per_newton(demo_plan(cfg, tension=Wrench(np.array([tension, 0.0, 0.0]))), tension)
         assert np.max(np.abs(scaled - reference)) <= 1e-3 * np.max(np.abs(reference))
 
     @settings(max_examples=30)

@@ -9,12 +9,11 @@ from hypothesis.extra.numpy import arrays
 from twinmill import csvtable
 from twinmill.csvtable import _BLOCK_VALUES, read_table, write_table
 from twinmill.errors import InvalidInputError
-from twinmill.geometry import Pose
 from twinmill.modal import ModalModel, impact_record_to_csv, simulate_impact
-from twinmill.pathplan import parse_gcode, plan_sync, program_to_csv, transform_path
+from twinmill.pathplan import program_to_csv
 from twinmill.stiffness import Wrench
 
-from conftest import row_by_row
+from conftest import DEMO_TENSION, demo_plan, row_by_row
 
 COLUMNS = ("a", "b", "c")
 BLOCK_ROWS = _BLOCK_VALUES // 3  # rows per kernel call of a table with 3 non-constant columns
@@ -166,8 +165,7 @@ class TestWriteTable:
 
     def test_program_csv_matches_row_by_row_format(self, cfg):
         """The 4 tool quaternion columns of a 3-axis program are constant."""
-        path = transform_path(parse_gcode("G1 X4 F300\n"), Pose(np.array([2.105, -0.020, 1.100])))
-        program = plan_sync(cfg.system, path, Wrench(np.array([1000.0, 0.0, 0.0])), (cfg.ik_seed1, cfg.ik_seed2))
+        program = demo_plan(cfg, gcode="G1 X4 F300\n", tension=Wrench(np.array([DEMO_TENSION, 0.0, 0.0])))
         text = program_to_csv(program)
         sp = program.pairs
         table = np.column_stack([np.arange(len(sp)), sp.tool_pose, sp.q1, sp.q2])

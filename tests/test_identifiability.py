@@ -14,17 +14,15 @@ arm 2's joint 2 and K, the second mostly arm 1's joints 2 and 5, and the
 weakest almost only arm 2's joint-6 spring."""
 
 import dataclasses
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twinmill.compensation import simulate_deformation
-from twinmill.pathplan import parse_gcode, plan_sync, translate_path
 from twinmill.stiffness import SpringModel, Wrench
 
-SIGMA = 15e-6  # m, the tracker noise of CI's deform step
+from conftest import DEMO_TENSION, NOISE_SIGMA, RASTER_OFFSET, TINY_RASTER_GCODE, demo_plan
+
 PINNED = 0.3  # largest standard error of a pinned log-scale combination
 STEP = 1e-3  # log-scale step of the central differences
 
@@ -53,20 +51,14 @@ def sensitivity(system, program):
 
 def standard_errors(S):
     """sigma / s of each singular value s of S, the best-pinned combination first."""
-    return SIGMA / np.linalg.svd(S, compute_uv=False)
+    return NOISE_SIGMA / np.linalg.svd(S, compute_uv=False)
 
 
 @pytest.fixture(scope="module")
 def tiny_raster(cfg):
-    """The benchmark's tiny raster at its work offset, planned at 1000 N along x."""
-    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
-    sys.path.insert(0, perfbench)
-    try:
-        import workloads
-    finally:
-        sys.path.remove(perfbench)
-    path = translate_path(parse_gcode(workloads.raster_gcode(workloads.SIZES["tiny"][0])), workloads.WORK_OFFSET_M)
-    return plan_sync(cfg.system, path, Wrench(np.array([1000.0, 0.0, 0.0])), (cfg.ik_seed1, cfg.ik_seed2))
+    """The benchmark's tiny raster at its work offset, planned at the demo tension."""
+    return demo_plan(cfg, gcode=TINY_RASTER_GCODE, tension=Wrench(np.array([DEMO_TENSION, 0.0, 0.0])),
+                     offset=RASTER_OFFSET)
 
 
 def test_the_slot_pins_two_spring_combinations(cfg, demo_program):

@@ -5,35 +5,28 @@ Each check runs in a fresh interpreter, since this test process has scipy
 loaded already.
 """
 
+import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-from twinmill import config, modal
-
-from conftest import DEMO_CONFIG
-
-ROOT = Path(__file__).resolve().parent.parent
-DEMO = DEMO_CONFIG.parent
+from conftest import DEMO_COMMANDS, DEMO_CONFIG, ROOT, write_demo_impact
 
 
-def run_fresh(script, *args):
-    """Run `script` in a new interpreter with src/ on PYTHONPATH; return its
-    standard output."""
+def run_fresh(script, *args, cwd=None):
+    """Run `script` in a new interpreter with src/ on PYTHONPATH, in the
+    directory `cwd`; return its standard output."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-def test_cli_commands_load_no_scipy(tmp_path):
-    model = config.load_config(DEMO_CONFIG).modal_models["x"]
-    impacts = [tmp_path / "i1.csv", tmp_path / "i2.csv"]
-    for p in impacts:
-        p.write_text(modal.impact_record_to_csv(modal.simulate_impact(model, 0.0, duration=0.5)))
+def test_cli_commands_load_no_scipy(tmp_path, cfg):
+    write_demo_impact(cfg, tmp_path)
     script = """
+import json
 import sys
 
 def scipy_modules(stage):
@@ -44,25 +37,15 @@ import twinmill
 scipy_modules("import twinmill")
 from twinmill import cli
 scipy_modules("import twinmill.cli")
-demo, out, i1, i2 = sys.argv[1:]
-system = ["--config", f"{demo}/system.json"]
-commands = {
-    "plan": system + ["plan", f"{demo}/slot.gcode", "--tension", "1000",
-                      "--work-offset-mm", "2105,-20,1100", "--out", f"{out}/p.csv"],
-    "deform": system + ["deform", f"{out}/p.csv", "--compensate", "--noise-sigma", "15e-6",
-                        "--seed", "7", "--out", f"{out}/d"],
-    "frf": ["frf", i1, i2, "--out", f"{out}/f.csv"],
-    "modal": system + ["modal", "--tensions", "0,500,1400,2000", "--out", f"{out}/m"],
-}
-for name, argv in commands.items():
+for name, argv in json.loads(sys.argv[1]).items():
     assert cli.main(argv) == 0, name
     scipy_modules(name)
 print("ok")
 """
-    assert run_fresh(script, DEMO, tmp_path, *impacts).splitlines()[-1] == "ok"
-    assert (tmp_path / "d" / "residual_after.csv").is_file()
-    assert (tmp_path / "f.csv").is_file()
-    assert (tmp_path / "m" / "shift_fit_x.csv").is_file()
+    assert run_fresh(script, json.dumps(DEMO_COMMANDS), cwd=tmp_path).splitlines()[-1] == "ok"
+    assert (tmp_path / "deform" / "residual_after.csv").is_file()
+    assert (tmp_path / "frf.csv").is_file()
+    assert (tmp_path / "modal" / "shift_fit_x.csv").is_file()
 
 
 def test_simulate_impact_and_peak_pick_load_no_scipy():

@@ -5,7 +5,6 @@ import math
 import operator
 import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,35 +55,23 @@ from twinmill.pathplan import (
 from twinmill.stiffness import MAX_OFFSET, Wrench, cell_sha256, predicted_tension
 
 from conftest import (
-    DEMO_CONFIG,
+    RASTER_GCODE,
+    RASTER_OFFSET,
     SLOT_GCODE,
+    SLOT_JSON,
     WORK_OFFSET,
     arm2_targets,
+    demo_plan,
     json_numbers,
     json_objects,
     json_replaced,
     json_with_a_repeated_key,
     planned_flanges,
+    workloads,
 )
 
 # SLOT_GCODE's two straight cuts and semicircle, hand-checked
 SLOT_LENGTH = 0.040 + math.pi * 0.020 + 0.040
-
-SLOT_JSON = (Path(__file__).parent / "data" / "slot_path.json").read_text()
-
-
-# The benchmark's raster: 11 passes of 300 mm, 20 mm apart, joined by
-# alternating G3/G2 semicircles; 1345 setpoints on the demo cell.
-RASTER_GCODE = "G1 X300 F600\n" + "".join(
-    f"G3 X300 Y{20 * k} J10\nG1 X0\n" if k % 2 else f"G2 X0 Y{20 * k} J10\nG1 X300\n" for k in range(1, 11))
-RASTER_OFFSET = np.array([1.975, -0.110, 1.100])
-
-
-def demo_plan(cfg, gcode=SLOT_GCODE, tension=Wrench(np.zeros(3)), offset=WORK_OFFSET, **kw):
-    path = transform_path(parse_gcode(gcode), Pose(offset))
-    return plan_sync(
-        cfg.system, path, tension, (cfg.ik_seed1, cfg.ik_seed2), **kw
-    )
 
 
 class TestParser:
@@ -349,13 +336,16 @@ def _zero_sweep_between_lines():
     return ToolPath((line, arc, back))
 
 
+# The benchmark's raster cut after its first two turns.
+RASTER_TWO_TURNS = dataclasses.replace(workloads.SIZES["full"][0], passes=3)
+
+
 class TestDiscretizeRows:
     """discretize equals the per-Pose sampler it replaced, bit for bit."""
 
     @pytest.mark.parametrize("path", [
         transform_path(parse_gcode(SLOT_GCODE), Pose(WORK_OFFSET)),
-        transform_path(parse_gcode("G1 X300 F600\nG3 X300 Y20 J10\nG1 X0\nG2 X0 Y40 J10\nG1 X300\n"),
-                       Pose(np.array([1.975, -0.110, 1.100]))),
+        transform_path(parse_gcode(workloads.raster_gcode(RASTER_TWO_TURNS)), Pose(RASTER_OFFSET)),
         _oriented(parse_gcode("G2 X0 Y0 I-50\nG3 X10 Y10 I5 J5\n"), TILTED),
         _lines_turning(),
         _zero_sweep_between_lines(),
@@ -374,8 +364,6 @@ class TestDiscretizeRows:
 # Sample counts far from a power of two (7.4, 45.8, 0.6 before rounding
 # up), so roundoff from a rigid motion cannot change them.
 _ROUNDOFF_SAFE_PATH = _oriented(parse_gcode("G1 X37 F300\nG3 X37 Y34 J17\nG1 X3\n"), TILTED)
-# The work offset of the demo `plan` (`--work-offset-mm 2105,-20,1100`), as the CLI computes it.
-DEMO_WORK_OFFSET = np.array([2105.0, -20.0, 1100.0]) * 1e-3
 
 
 class TestTransformPath:
@@ -392,14 +380,14 @@ class TestTransformPath:
         assert moved.shape == rows.shape
         np.testing.assert_allclose(moved, compose_rows(pose, rows), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("offset", [DEMO_WORK_OFFSET, np.array([1.0 / 3.0, math.pi, -1e-7])],
+    @pytest.mark.parametrize("offset", [WORK_OFFSET, np.array([1.0 / 3.0, math.pi, -1e-7])],
                              ids=["demo", "awkward"])
     def test_a_translation_adds_the_offset_exactly(self, offset):
         """A translation moves every segment position and arc center by
         exactly `+ offset` and leaves orientations, normals, sweeps and the
         feed as they are, so a work-offset plan does not depend on how the
         path is moved."""
-        path = parse_gcode((DEMO_CONFIG.parent / "slot.gcode").read_text())
+        path = parse_gcode(SLOT_GCODE)
         moved = transform_path(path, Pose(offset))
         assert moved.feed_mm_min == path.feed_mm_min
         for a, b in zip(path.segments, moved.segments, strict=True):
@@ -504,8 +492,8 @@ class TestDiscretize:
         assert (exc.value.index, exc.value.line, exc.value.path) == (None, line, at)
 
     def test_a_moved_path_keeps_the_sources_of_its_segments(self):
-        gcode = transform_path(parse_gcode("G1 X40\n\nG3 X40 Y40 J20\n"), Pose(np.array([2.0, 0.0, 1.0])))
-        assert [s.source for s in gcode.segments] == [1, 3]
+        gcode = transform_path(parse_gcode(SLOT_GCODE), Pose(WORK_OFFSET))
+        assert [s.source for s in gcode.segments] == [2, 3, 4]
         moved = translate_path(path_from_json(SLOT_JSON), [0.0, 1.0, 0.0])
         assert [s.source for s in moved.segments] == [f"segments[{k}]" for k in range(len(moved.segments))]
 
@@ -577,8 +565,7 @@ class TestPlanSync:
 
         monkeypatch.setattr(pathplan, "inverse_kinematics", no_ik)
         with pytest.raises(InvalidInputError) as exc:
-            plan_sync(cfg.system, transform_path(parse_gcode(SLOT_GCODE), Pose(WORK_OFFSET)), Wrench(np.zeros(3)),
-                      seeds)
+            demo_plan(dataclasses.replace(cfg, ik_seed1=seeds[0], ik_seed2=seeds[1]))
         assert str(exc.value) == (f"ik_seeds[{k}] (arm {k + 1}): seed violates joint limits: "
                                   f"q1 = {value:g} rad outside [{lo:g}, {hi:g}] rad")
 
@@ -609,8 +596,8 @@ class TestPlanSync:
         bound between those of rows 8 and 9, the plan fails at setpoint 9.
         The gaps are those of the commanded and nominal arm-2 flange rows
         that `plan_sync` hands to `check_closure`."""
-        w = Wrench(np.array([1000.0, 0.0, 0.0]))
-        path = transform_path(parse_gcode("G1 X-40\n"), Pose(WORK_OFFSET + [0.04, 0.0, 0.0]))
+        plan = functools.partial(demo_plan, cfg, gcode="G1 X-40\n", tension=Wrench(np.array([1000.0, 0.0, 0.0])),
+                                 offset=WORK_OFFSET + [0.04, 0.0, 0.0])
         checked = []
         real = pathplan.check_closure
 
@@ -619,12 +606,12 @@ class TestPlanSync:
             return real(actual, planned, *args)
 
         monkeypatch.setattr(pathplan, "check_closure", check_closure)
-        plan_sync(cfg.system, path, w, (cfg.ik_seed1, cfg.ik_seed2))
+        plan()
         [gaps] = checked
         assert np.all(np.diff(gaps) > 0)
         monkeypatch.setattr(pathplan, "MAX_OFFSET", (gaps[8] + gaps[9]) / 2)
         with pytest.raises(DomainError) as exc:
-            plan_sync(cfg.system, path, w, (cfg.ik_seed1, cfg.ik_seed2))
+            plan()
         assert exc.value.index == 9
         assert exc.value.gap == gaps[9]
 

@@ -66,7 +66,6 @@ from twinmill.pathplan import (
     plan_sync,
     program_from_csv,
     program_to_csv,
-    transform_path,
     translate_path,
 )
 from twinmill.stiffness import (
@@ -84,8 +83,9 @@ from twinmill.stiffness import (
 from conftest import (
     JOINT_STIFFNESS,
     SLOT_GCODE,
-    WORK_OFFSET,
+    SLOT_JSON,
     demo_config_dict,
+    demo_plan,
     edit_line,
     forty_one_column_program,
     frf_text,
@@ -116,7 +116,6 @@ MODEL_REFUSALS = {"axis": "axis must be one of ('x', 'y', 'z')", "mass": "mass m
                   "damping_ratio": "damping ratio must lie in [0, 1)",
                   "f0": "zero-tension natural frequency must be positive and finite",
                   "sensitivity": "tension sensitivity must be finite"}
-SLOT_JSON = (Path(__file__).parent / "data" / "slot_path.json").read_text()
 X = np.array([1.0, 0.0, 0.0])
 # The program CSV's header, quoted as a refusal quotes it.
 PROGRAM_HEADER = ("'index,tool_x,tool_y,tool_z,tool_qw,tool_qx,tool_qy,tool_qz,q1_0,q1_1,q1_2,q1_3,q1_4,q1_5,q2_0,q2_1,"
@@ -247,12 +246,6 @@ def _line(x0, x1, source=None):
 
 def _arc(center=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0), start=(0.01, 0.0, 0.0), sweep=1.0):
     return ArcSegment(np.array(center), np.array(normal), Pose(np.array(start)), sweep)
-
-
-def _plan(c, gcode=SLOT_GCODE, tension=0.0, **kw):
-    """The demo cell's plan of `gcode` at the work offset, with an x tension of `tension` N."""
-    return plan_sync(c.system, transform_path(parse_gcode(gcode), Pose(WORK_OFFSET)), Wrench(tension * X),
-                     (c.ik_seed1, c.ik_seed2), **kw)
 
 
 def _program_with_joint(c, p, arm, joint, value, k=7):
@@ -526,22 +519,22 @@ REFUSED = {
        for name, seeds in [("of one arm", lambda c: (c.ik_seed1,)),
                            ("of 5 joints", lambda c: (c.ik_seed1, c.ik_seed2[:5])),
                            ("of three arms", lambda c: (c.ik_seed1,) * 3)]},
-    "plan workspace box nan": refused(lambda c, p: _plan(c, workspace_box=(np.full(3, np.nan), np.ones(3))),
+    "plan workspace box nan": refused(lambda c, p: demo_plan(c, workspace_box=(np.full(3, np.nan), np.ones(3))),
                                       "tool pose 0 at [ 2.105 -0.02   1.1  ] lies outside the workspace box", index=0),
-    "plan outside the workspace": refused(lambda c, p: _plan(c, workspace_box=(np.zeros(3), np.full(3, 0.1))),
+    "plan outside the workspace": refused(lambda c, p: demo_plan(c, workspace_box=(np.zeros(3), np.full(3, 0.1))),
                                           "tool pose 0 at [ 2.105 -0.02   1.1  ] lies outside the workspace box",
                                           index=0),
-    "plan joint jump nan": refused(lambda c, p: _plan(c, gcode="G1 X4\n", joint_jump_max=np.nan),
+    "plan joint jump nan": refused(lambda c, p: demo_plan(c, gcode="G1 X4\n", joint_jump_max=np.nan),
                                    "joint jump 0.005 rad at setpoint 1 exceeds nan rad", index=1),
     # A single 0.4 m hop moves several joints well past the jump limit.
-    "plan joint jump": refused(lambda c, p: _plan(c, gcode="G1 X400\n", max_step=1.0),
+    "plan joint jump": refused(lambda c, p: demo_plan(c, gcode="G1 X400\n", max_step=1.0),
                                "joint jump 0.457 rad at setpoint 1 exceeds 0.2 rad", index=1),
     "plan joint jump mid path": refused(
-        lambda c, p: _plan(c, gcode="G1 X20\nG1 X40\nG1 X60\nG1 X80\nG0 X480\n", max_step=1.0, tension=1000.0),
+        lambda c, p: demo_plan(c, gcode="G1 X20\nG1 X40\nG1 X60\nG1 X80\nG0 X480\n", tension=Wrench(1000.0 * X),
+                               max_step=1.0),
         "joint jump 0.484 rad at setpoint 5 exceeds 0.2 rad", index=5),
     "plan out of reach": refused(
-        lambda c, p: plan_sync(c.system, transform_path(parse_gcode("G1 X40\n"), Pose(np.array([20.0, 0.0, 0.0]))),
-                               Wrench(np.zeros(3)), (c.ik_seed1, c.ik_seed2)),
+        lambda c, p: demo_plan(c, gcode="G1 X40\n", offset=np.array([20.0, 0.0, 0.0])),
         "IK failed at setpoint 0 (arm 1): target 19.902 m from base exceeds the arm's extent 4.090 m "
         "(reach + |flange offset|)", index=0, arm=1),
 
@@ -1018,7 +1011,7 @@ REFUSED = {
         f"IK {arg} must be {'an integer >= 1' if arg == 'max_iter' else 'finite and > 0'}, got {value}")
        for name, call in [("IK", lambda c, **kw: inverse_kinematics(
            c.system.arm1, forward_kinematics(c.system.arm1, c.ik_seed1 + 0.5), c.ik_seed1, **kw)),
-                          ("plan", lambda c, **kw: _plan(c, gcode="G1 X10\n", **kw))]
+                          ("plan", lambda c, **kw: demo_plan(c, gcode="G1 X10\n", **kw))]
        for arg, value in [("tol_pos", np.nan), ("tol_pos", np.inf), ("tol_pos", -1e-6), ("tol_rot", np.nan),
                           ("tol_rot", np.inf), ("tol_rot", 0.0), ("max_iter", 2.5), ("max_iter", np.nan),
                           ("max_iter", np.inf), ("max_iter", 0), ("tol_pos", np.array([1e-6, 1e-6])),
@@ -1088,6 +1081,11 @@ REFUSED = {
         c.system.arm1, forward_kinematics(c.system.arm1, np.zeros((2, 6))), branch),
         "IK branch must be an integer in 0..7")
        for branch in (-1, N_BRANCHES, 1.0, [0, 9])},
+    **{f"closed_form_ik of 3 rows with a branch of shape {shape}": refused(
+        lambda c, p, shape=shape: closed_form_ik(c.system.arm1, forward_kinematics(c.system.arm1, np.zeros((3, 6))),
+                                                 np.zeros(shape, dtype=int)),
+        f"IK branch must be one branch or one per row (3), got shape {shape}")
+       for shape in [(2,), (3, 1)]},
     "closed_form_ik of one pose": refused(lambda c, p: closed_form_ik(
         c.system.arm1, forward_kinematics(c.system.arm1, np.zeros(6)), 0), "closed-form IK takes pose rows [N, 7]"),
 
