@@ -122,6 +122,10 @@ class ResidualReport:
     axis_std: np.ndarray
     axis_max_abs: np.ndarray
 
+    def __post_init__(self):
+        for name in ("deviations", "axis_mean", "axis_std", "axis_max_abs"):
+            object.__setattr__(self, name, frozen(getattr(self, name)))
+
 
 def residual_report(reference: PathTrace, measured: PathTrace) -> ResidualReport:
     if reference.points.shape != measured.points.shape:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import jsondoc, kinematics, pathplan
 from .errors import ConfigError, InvalidInputError
+from .geometry import frozen
 from .kinematics import ArmModel
 from .modal import AXES, ModalModel
 from .stiffness import CoupledSystem, SpringModel
@@ -39,6 +40,11 @@ class SystemConfig:
     defaults: dict
     ik_seed1: np.ndarray
     ik_seed2: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "workspace_box", tuple(frozen(v) for v in self.workspace_box))
+        object.__setattr__(self, "ik_seed1", frozen(self.ik_seed1))
+        object.__setattr__(self, "ik_seed2", frozen(self.ik_seed2))
 
 
 def _arm(d, where):

@@ -112,6 +112,9 @@ class ShiftFit:
     residuals: np.ndarray
     scope: str = "global"
 
+    def __post_init__(self):
+        object.__setattr__(self, "residuals", frozen(self.residuals))
+
 
 def effective_stiffness(model: ModalModel, tension):
     fn = natural_frequency(model, tension)

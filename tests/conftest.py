@@ -66,14 +66,17 @@ RASTER_GCODE = workloads.raster_gcode(workloads.SIZES["full"][0])
 TINY_RASTER_GCODE = workloads.raster_gcode(workloads.SIZES["tiny"][0])
 RASTER_OFFSET = workloads.WORK_OFFSET_M
 
+# The demo job's tension and work offset, and its tracker noise and seed,
+# as options of `plan` and `deform`.
+DEMO_PLAN_OPTIONS = ("--tension", f"{DEMO_TENSION:g}", "--work-offset-mm", WORK_OFFSET_MM)
+DEMO_NOISE_OPTIONS = ("--noise-sigma", repr(NOISE_SIGMA), "--seed", str(NOISE_SEED))
+
 # The demo `plan`, `deform`, `modal` and `frf`, each run in a work
 # directory that holds the impact of `write_demo_impact` and gets its
 # outputs.
 DEMO_COMMANDS = {name: ["--config", str(DEMO_CONFIG), *argv] for name, argv in {
-    "plan": ["plan", str(DEMO_GCODE), "--tension", f"{DEMO_TENSION:g}", "--work-offset-mm", WORK_OFFSET_MM,
-             "--out", "plan.csv"],
-    "deform": ["deform", "plan.csv", "--compensate", "--noise-sigma", repr(NOISE_SIGMA), "--seed", str(NOISE_SEED),
-               "--out", "deform"],
+    "plan": ["plan", str(DEMO_GCODE), *DEMO_PLAN_OPTIONS, "--out", "plan.csv"],
+    "deform": ["deform", "plan.csv", "--compensate", *DEMO_NOISE_OPTIONS, "--out", "deform"],
     "modal": ["modal", "--tensions", "0,500,1400,2000", "--out", "modal"],
     "frf": ["frf", "impact.csv", "impact.csv", "--out", "frf.csv"],
 }.items()}

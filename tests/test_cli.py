@@ -15,17 +15,12 @@ from twinmill.geometry import Pose
 from twinmill.pathplan import Setpoints, parse_gcode, path_to_json, program_from_csv, program_to_csv, transform_path
 from twinmill.stiffness import cell_sha256
 
-from conftest import (DEMO_CONFIG, DEMO_GCODE, SLOT_GCODE, SLOT_JSON, WORK_OFFSET_MM, demo_config_dict, edit_line,
-                      forty_one_column_program, impact_text, json_replaced, json_with_a_repeated_key,
-                      three_column_impact, truncate)
+from conftest import (DEMO_CONFIG, DEMO_GCODE, DEMO_NOISE_OPTIONS, DEMO_PLAN_OPTIONS, DEMO_TENSION, SLOT_GCODE,
+                      SLOT_JSON, WORK_OFFSET_MM, demo_config_dict, edit_line, forty_one_column_program, impact_text,
+                      json_replaced, json_with_a_repeated_key, three_column_impact, truncate)
 
 DEMO = str(DEMO_CONFIG)
 SLOT = str(DEMO_GCODE)
-
-
-@pytest.fixture
-def config_file():
-    return str(DEMO_CONFIG)
 
 
 def read_rms(path):
@@ -48,19 +43,17 @@ def test_unknown_command_exits_64(capsys):
 
 
 class TestConfigHandling:
-    def test_env_var_fallback(self, tmp_path, config_file, monkeypatch):
-        monkeypatch.setenv(cli.CONFIG_ENV_VAR, config_file)
+    def test_env_var_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, DEMO)
         out = tmp_path / "modal_out"
         code = cli.main(["modal", "--tensions", "0,500,1400,2000", "--out", str(out)])
         assert code == 0
         assert (out / "shift_fit_x.csv").exists()
 
-    def test_flag_beats_env(self, tmp_path, config_file, monkeypatch):
+    def test_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(tmp_path / "missing.json"))
         out = tmp_path / "o"
-        code = cli.main(
-            ["--config", config_file, "modal", "--tensions", "0,2000", "--out", str(out)]
-        )
+        code = cli.main(["--config", DEMO, "modal", "--tensions", "0,2000", "--out", str(out)])
         assert code == 0
 
     def test_missing_config_file_exits_2(self, tmp_path):
@@ -89,16 +82,16 @@ class TestUnreadableInput:
         assert str(bad) in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["slot.gcode", "slot.json"])
-    def test_plan_path_file(self, tmp_path, config_file, name, capsys):
+    def test_plan_path_file(self, tmp_path, name, capsys):
         bad = tmp_path / name
         bad.write_bytes(NOT_UTF8)
-        assert cli.main(["--config", config_file, "plan", str(bad), "--out", str(tmp_path / "p.csv")]) == 3
+        assert cli.main(["--config", DEMO, "plan", str(bad), "--out", str(tmp_path / "p.csv")]) == 3
         assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
 
-    def test_deform_program(self, tmp_path, config_file, capsys):
+    def test_deform_program(self, tmp_path, capsys):
         bad = tmp_path / "program.csv"
         bad.write_bytes(NOT_UTF8)
-        assert cli.main(["--config", config_file, "deform", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert cli.main(["--config", DEMO, "deform", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
 
     def test_frf_impact(self, tmp_path, capsys):
@@ -111,10 +104,10 @@ class TestUnreadableInput:
 class TestModal:
     @pytest.mark.parametrize("axis_args, axis", [([], "x"), (["--axis", "y"], "y"), (["--axis", "z"], "z")],
                              ids=["x", "y", "z"])
-    def test_writes_frfs_and_fit(self, tmp_path, config_file, capsys, axis_args, axis):
+    def test_writes_frfs_and_fit(self, tmp_path, capsys, axis_args, axis):
         out = tmp_path / "modal_out"
         code = cli.main(
-            ["--config", config_file, "modal", "--tensions", "0,500,1400,2000", *axis_args,
+            ["--config", DEMO, "modal", "--tensions", "0,500,1400,2000", *axis_args,
              "--out", str(out)]
         )
         assert code == 0
@@ -124,7 +117,7 @@ class TestModal:
         slope = float(
             [l for l in text.splitlines() if l.startswith("# slope")][0].split("=")[1]
         )
-        assert slope == pytest.approx(config.load_config(config_file).modal_models[axis].sensitivity, rel=0.02)
+        assert slope == pytest.approx(config.load_config(DEMO).modal_models[axis].sensitivity, rel=0.02)
         assert "slope=" in capsys.readouterr().out
 
     def test_grid_over_the_cap_refused_before_allocating(self, monkeypatch):
@@ -137,7 +130,7 @@ class TestModal:
 
 
 class TestFrf:
-    def test_h1_from_impacts(self, tmp_path, config_file):
+    def test_h1_from_impacts(self, tmp_path):
         model = modal.ModalModel("x", 60.0, 0.015, 159.0, 0.0226)
         files = []
         for i in range(2):
@@ -157,28 +150,26 @@ class TestFrf:
 class TestPlan:
     @pytest.mark.parametrize("axis_args, axis", [([], "x"), (["--tension-axis", "y"], "y"),
                                                  (["--tension-axis", "z"], "z")], ids=["x", "y", "z"])
-    def test_plan_gcode(self, tmp_path, config_file, axis_args, axis):
+    def test_plan_gcode(self, tmp_path, axis_args, axis):
         """The tension lies on its axis, and `deform` takes the program."""
         out = tmp_path / "program.csv"
         code = cli.main(
-            ["--config", config_file, "plan", SLOT, "--tension", "1000", *axis_args,
-             "--work-offset-mm", WORK_OFFSET_MM, "--out", str(out)]
+            ["--config", DEMO, "plan", SLOT, *DEMO_PLAN_OPTIONS, *axis_args, "--out", str(out)]
         )
         assert code == 0
         program = program_from_csv(out.read_text())
         assert len(program.pairs) > 10
-        assert program.tension.as_vector().tolist() == [1000.0 * (k == "xyz".index(axis)) for k in range(6)]
-        assert cli.main(["--config", config_file, "deform", str(out), "--out", str(tmp_path / "d")]) == 0
+        assert program.tension.as_vector().tolist() == [DEMO_TENSION * (k == "xyz".index(axis)) for k in range(6)]
+        assert cli.main(["--config", DEMO, "deform", str(out), "--out", str(tmp_path / "d")]) == 0
 
-    def test_negative_tension_is_planned(self, tmp_path, config_file):
+    def test_negative_tension_is_planned(self, tmp_path):
         out = tmp_path / "p.csv"
-        assert cli.main(["--config", config_file, "plan", SLOT, "--tension", "-1000",
+        assert cli.main(["--config", DEMO, "plan", SLOT, "--tension", "-1000",
                          "--work-offset-mm", WORK_OFFSET_MM, "--out", str(out)]) == 0
         assert program_from_csv(out.read_text()).tension.force[0] == -1000.0
 
     @pytest.mark.parametrize("value, code", [("-2105,-20,1100", 0), ("-20,1,2", 3)])
-    def test_work_offset_with_a_leading_minus_in_either_spelling(self, tmp_path, config_file, capsys,
-                                                                 value, code):
+    def test_work_offset_with_a_leading_minus_in_either_spelling(self, tmp_path, capsys, value, code):
         """`--work-offset-mm V`, `--work-offset-mm=V` and the abbreviation
         `--work-offset V` plan alike when V starts with a minus sign. The
         slot 4.21 m along x is planned at -2105,-20,1100; at -20,1,2 it
@@ -188,42 +179,37 @@ class TestPlan:
         results = []
         for option in (["--work-offset-mm", value], [f"--work-offset-mm={value}"], ["--work-offset", value]):
             out = tmp_path / f"p{len(results)}.csv"
-            assert cli.main(["--config", config_file, "plan", str(path_file), *option, "--out", str(out)]) == code
+            assert cli.main(["--config", DEMO, "plan", str(path_file), *option, "--out", str(out)]) == code
             results.append((capsys.readouterr().err, out.read_bytes() if out.exists() else None))
         assert results[0] == results[1] == results[2]
         assert (results[0][1] is not None) == (code == 0)
 
-    def test_path_json_that_is_not_json_exits_3(self, tmp_path, config_file, capsys):
+    def test_path_json_that_is_not_json_exits_3(self, tmp_path, capsys):
         """The text after the place is the json module's own."""
         path_file = tmp_path / "path.json"
         path_file.write_text("not json")
-        code = cli.main(["--config", config_file, "plan", str(path_file), "--out", str(tmp_path / "p.csv")])
+        code = cli.main(["--config", DEMO, "plan", str(path_file), "--out", str(tmp_path / "p.csv")])
         assert code == 3
         assert capsys.readouterr().err.startswith(f"error: {path_file}: path JSON")
 
-    def test_missing_path_file_exits_3(self, tmp_path, config_file):
-        code = cli.main(
-            ["--config", config_file, "plan", str(tmp_path / "none.gcode"),
-             "--out", str(tmp_path / "p.csv")]
-        )
+    def test_missing_path_file_exits_3(self, tmp_path):
+        code = cli.main(["--config", DEMO, "plan", str(tmp_path / "none.gcode"), "--out", str(tmp_path / "p.csv")])
         assert code == 3
 
 
 class TestDeform:
     @pytest.fixture
-    def program_file(self, tmp_path, config_file):
+    def program_file(self, tmp_path):
         out = tmp_path / "program.csv"
         assert cli.main(
-            ["--config", config_file, "plan", SLOT, "--tension", "1000",
-             "--work-offset-mm", WORK_OFFSET_MM, "--out", str(out)]
+            ["--config", DEMO, "plan", SLOT, *DEMO_PLAN_OPTIONS, "--out", str(out)]
         ) == 0
         return str(out)
 
-    def test_deform_and_compensate(self, tmp_path, config_file, program_file):
+    def test_deform_and_compensate(self, tmp_path, program_file):
         out = tmp_path / "deform_out"
         code = cli.main(
-            ["--config", config_file, "deform", program_file, "--compensate",
-             "--noise-sigma", "15e-6", "--seed", "7", "--out", str(out)]
+            ["--config", DEMO, "deform", program_file, "--compensate", *DEMO_NOISE_OPTIONS, "--out", str(out)]
         )
         assert code == 0
         before = read_rms(out / "residual_before.csv")
@@ -231,8 +217,8 @@ class TestDeform:
         assert before > 1e-4
         assert after < 5e-5
 
-    def test_noise_at_its_bound_is_accepted(self, tmp_path, config_file, program_file):
-        assert cli.main(["--config", config_file, "deform", program_file, "--compensate", "--noise-sigma",
+    def test_noise_at_its_bound_is_accepted(self, tmp_path, program_file):
+        assert cli.main(["--config", DEMO, "deform", program_file, "--compensate", "--noise-sigma",
                          f"{cli.MAX_NOISE_SIGMA:g}", "--seed", "0", "--out", str(tmp_path / "o")]) == 0
 
 
@@ -262,14 +248,13 @@ class TestCellFingerprint:
     @pytest.fixture(scope="class")
     def program_file(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("plan") / "p.csv"
-        assert cli.main(["--config", DEMO, "plan", SLOT, "--tension", "1000", "--work-offset-mm", WORK_OFFSET_MM,
-                         "--out", str(out)]) == 0
+        assert cli.main(["--config", DEMO, "plan", SLOT, *DEMO_PLAN_OPTIONS, "--out", str(out)]) == 0
         return out
 
     def test_demo_cell_matches_itself(self, tmp_path, program_file):
         cell = cell_sha256(config.load_config(DEMO_CONFIG).system)
         assert f"# cell_sha256={cell}\n" in program_file.read_text()
-        assert cli.main(["--config", str(DEMO_CONFIG), "deform", str(program_file), "--out", str(tmp_path)]) == 0
+        assert cli.main(["--config", DEMO, "deform", str(program_file), "--out", str(tmp_path)]) == 0
 
     def test_reordered_and_reindented_config_hashes_the_same(self, tmp_path, program_file):
         other = tmp_path / "system.json"
@@ -525,8 +510,7 @@ REFUSALS = {
         "each of size <= 8.988e+307\n"),
     **{f"config default {key} {value}": (
         lambda p, key=key, value=value: {"system.json": _config(("defaults", key), value)},
-        ["--config", "{system.json}", "plan", SLOT, "--tension", "1000", "--work-offset-mm", WORK_OFFSET_MM,
-         "--out", "{out.csv}"], 2,
+        ["--config", "{system.json}", "plan", SLOT, *DEMO_PLAN_OPTIONS, "--out", "{out.csv}"], 2,
         f"config error: config.defaults.{key}: expected {expected}, got {value}\n")
        for key, value, expected in [("max_iter", float("nan"), "an integer >= 1"), ("max_iter", 2.7, "an integer >= 1"),
                                     ("tol_pos_m", float("nan"), "a positive finite number"),

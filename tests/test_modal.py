@@ -12,12 +12,9 @@ from twinmill.modal import (
     ModalModel,
     effective_stiffness,
     fit_shift,
-    frf_from_csv,
     frf_synthesize,
     frf_to_csv,
     h1_estimate,
-    impact_record_from_csv,
-    impact_record_to_csv,
     natural_frequency,
     peak_pick,
     shift_fit_to_csv,
@@ -83,41 +80,6 @@ class TestSynthesize:
         """zeta = 0 is a valid model; on a grid through 159 Hz it is refused."""
         grid = np.arange(1.0, 400.0, 0.25) + 0.125
         assert np.all(np.isfinite(frf_synthesize(make_model(zeta=0.0), 0.0, grid).values))
-
-    def test_frf_arrays_are_read_only_copies(self):
-        f, v = np.array([1.0, 2.0]), np.array([1 + 1j, 2 - 1j])
-        frf = FrfSeries(f, v)
-        with pytest.raises(ValueError):
-            frf.frequencies[1] = 0.5
-        with pytest.raises(ValueError):
-            frf.values[0] = 0.0
-        f[1], v[0] = 0.5, 0.0  # the caller's arrays stay writeable and are not the FRF's
-        np.testing.assert_array_equal(frf.frequencies, [1.0, 2.0])
-        np.testing.assert_array_equal(frf.values, [1 + 1j, 2 - 1j])
-
-
-class TestImpactRecord:
-
-    def test_arrays_are_read_only_copies(self):
-        force, acc = np.zeros(16), np.zeros(16)
-        force[3] = 1.0
-        record = ImpactRecord(1000.0, force, acc)
-        with pytest.raises(ValueError):
-            record.force[3] = 0.0
-        with pytest.raises(ValueError):
-            record.acceleration[0] = 1.0
-        force[:] = 0.0  # the caller's arrays stay writeable and are not the record's
-        acc[0] = 1.0
-        assert record.force[3] == 1.0 and record.acceleration[0] == 0.0
-
-    def test_csv_round_trip(self):
-        rec = simulate_impact(make_model(), 500.0, sample_rate=1024.0, duration=0.25)
-        back = impact_record_from_csv(impact_record_to_csv(rec))
-        assert back.sample_rate == rec.sample_rate
-        assert back.tension == rec.tension
-        assert back.axis == rec.axis
-        np.testing.assert_array_equal(back.force, rec.force)
-        np.testing.assert_array_equal(back.acceleration, rec.acceleration)
 
 
 class TestH1:
@@ -255,16 +217,6 @@ class TestPipeline:
 
 
 class TestCsv:
-    def test_frf_round_trip_bitwise(self):
-        m = make_model()
-        frf = frf_synthesize(m, 1400.0, np.arange(10.0, 500.0, 0.25))
-        text = frf_to_csv(frf)
-        back = frf_from_csv(text)
-        np.testing.assert_array_equal(back.frequencies, frf.frequencies)
-        np.testing.assert_array_equal(back.values, frf.values)
-        assert back.tension == frf.tension and back.axis == frf.axis
-        assert frf_to_csv(back) == text
-
     def test_frf_csv_format(self):
         frf = FrfSeries(np.array([1.0 / 3.0]), np.array([1.0 + 2.0j]), tension=500.0)
         text = frf_to_csv(frf)

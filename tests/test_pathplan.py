@@ -47,7 +47,6 @@ from twinmill.pathplan import (
     path_from_json,
     path_to_json,
     plan_sync,
-    program_from_csv,
     program_to_csv,
     transform_path,
     translate_path,
@@ -185,17 +184,6 @@ class TestSegments:
         )
         np.testing.assert_allclose(arc.end.position, [0.0, 0.04, 0.0], atol=1e-15)
         assert arc.length == pytest.approx(math.pi * 0.02)
-
-    def test_arc_arrays_are_read_only_copies(self):
-        c, n = np.zeros(3), np.array([0.0, 0.0, 1.0])
-        arc = ArcSegment(c, n, Pose(np.array([0.01, 0.0, 0.0])), 1.0)
-        with pytest.raises(ValueError):
-            arc.center[0] = 1.0
-        with pytest.raises(ValueError):
-            arc.normal[2] = 2.0
-        c[0] = n[2] = 2.0  # the caller's arrays stay writeable and are not the arc's
-        np.testing.assert_array_equal(arc.center, [0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(arc.normal, [0.0, 0.0, 1.0])
 
     @settings(max_examples=60)
     @given(
@@ -1157,25 +1145,6 @@ class TestCrossPassPrecedence(SeedingCalls):
         assert str(exc.value) == message.format(k=k, gap=gaps[k])
 
 
-class TestProgramCsv:
-    def test_round_trip_bitwise(self, cfg):
-        prog = demo_plan(
-            cfg, gcode="G1 X20 F250\n", tension=Wrench(np.array([500.0, -20.0, 3.0]))
-        )
-        text = program_to_csv(prog)
-        back = program_from_csv(text)
-        assert program_to_csv(back) == text
-        assert back.feed_mm_min == prog.feed_mm_min
-        np.testing.assert_array_equal(back.tension.as_vector(), prog.tension.as_vector())
-        for a, b in zip(prog.pairs, back.pairs):
-            assert a.index == b.index
-            np.testing.assert_array_equal(a.q1, b.q1)
-            np.testing.assert_array_equal(a.q2, b.q2)
-            np.testing.assert_array_equal(a.tool_pose.position, b.tool_pose.position)
-            np.testing.assert_array_equal(a.tool_pose.quaternion, b.tool_pose.quaternion)
-        assert back.cell_sha256 == prog.cell_sha256 == cell_sha256(cfg.system)
-
-
 class TestSetpoints:
     def test_pairs_round_trip_through_the_stack(self, demo_program):
         sp = demo_program.pairs
@@ -1200,12 +1169,6 @@ class TestSetpoints:
                 sp[key]
         with pytest.raises(TypeError):
             sp[1:3]
-
-    def test_arrays_are_read_only(self, demo_program):
-        with pytest.raises(ValueError):
-            demo_program.pairs.q1[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            demo_program.pairs[0].tool_pose.position[0] = 0.0
 
     def test_a_setpoint_index_is_its_row(self, demo_program):
         """Setpoints hold three arrays and no index; a fourth array is refused."""

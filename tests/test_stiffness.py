@@ -285,21 +285,6 @@ class TestTypes:
         with pytest.raises(Exception):
             SpringModel(bad)
 
-    def test_wrench_arrays_are_read_only_copies(self):
-        f, t = np.array([1000.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0])
-        w = Wrench(f, t)
-        with pytest.raises(ValueError):
-            w.force[1] = 7.0
-        with pytest.raises(ValueError):
-            w.torque[0] = 7.0
-        f[0] = t[1] = 5.0  # the caller's arrays stay writeable and are not the wrench's
-        np.testing.assert_array_equal(w.as_vector(), [1000.0, 0.0, 0.0, 0.0, 2.0, 0.0])
-        stacked = Wrench(np.ones((4, 3)))
-        with pytest.raises(ValueError):
-            stacked.force[2, 0] = 7.0
-        with pytest.raises(ValueError):
-            stacked.torque[2, 0] = 7.0
-
     def test_a_wrench_whose_square_is_finite_is_taken(self):
         """Per row of a stack; one whose squared norm overflows is refused."""
         edge = 1.3e154  # its square, 1.69e308, and its sum with two zeros are finite
@@ -308,15 +293,9 @@ class TestTypes:
         stacked[:, 0] = edge
         Wrench(stacked)
 
-    def test_spring_is_read_only(self):
-        K = DEFAULT_SPRING.copy()
-        spring = SpringModel(K)
-        with pytest.raises(ValueError):
-            spring.K[0, 0] *= 2
-        with pytest.raises(ValueError):
-            spring.compliance[0, 0] *= 2
-        K[0, 0] = 1.0  # the caller's array stays writeable and is not the model's
-        np.testing.assert_allclose(spring.compliance, np.linalg.inv(DEFAULT_SPRING), rtol=1e-12)
+    def test_compliance_is_the_inverse_of_k(self):
+        np.testing.assert_allclose(SpringModel(DEFAULT_SPRING).compliance, np.linalg.inv(DEFAULT_SPRING),
+                                   rtol=1e-12)
 
     def test_distinct_bases_required(self):
         arm = make_test_arm()
