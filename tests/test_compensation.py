@@ -15,6 +15,8 @@ from twinmill.compensation import (
     residual_report,
     report_to_csv,
     simulate_deformation,
+    trace_from_csv,
+    trace_to_csv,
 )
 from twinmill.errors import (
     DomainError,
@@ -371,6 +373,16 @@ class TestChainRelations:
         np.testing.assert_allclose(disp_moved, disp @ G.rotation().T, rtol=0, atol=1e-9)
 
 class TestCsv:
+    def test_trace_round_trip_bitwise(self):
+        rng = np.random.default_rng(49)
+        trace = PathTrace(rng.normal(size=(20, 3)), label="demo", tension=1000.0,
+                          noise_sigma=15e-6)
+        text = trace_to_csv(trace)
+        back = trace_from_csv(text)
+        np.testing.assert_array_equal(back.points, trace.points)
+        assert (back.label, back.tension, back.noise_sigma) == ("demo", 1000.0, 15e-6)
+        assert trace_to_csv(back) == text
+
     def test_report_csv_contains_summary(self):
         ref = PathTrace(np.zeros((3, 3)))
         meas = PathTrace(np.full((3, 3), 1e-3))

@@ -12,9 +12,12 @@ from twinmill.modal import (
     ModalModel,
     effective_stiffness,
     fit_shift,
+    frf_from_csv,
     frf_synthesize,
     frf_to_csv,
     h1_estimate,
+    impact_record_from_csv,
+    impact_record_to_csv,
     natural_frequency,
     peak_pick,
     shift_fit_to_csv,
@@ -80,6 +83,17 @@ class TestSynthesize:
         """zeta = 0 is a valid model; on a grid through 159 Hz it is refused."""
         grid = np.arange(1.0, 400.0, 0.25) + 0.125
         assert np.all(np.isfinite(frf_synthesize(make_model(zeta=0.0), 0.0, grid).values))
+
+
+class TestImpactRecord:
+    def test_csv_round_trip(self):
+        rec = simulate_impact(make_model(), 500.0, sample_rate=1024.0, duration=0.25)
+        back = impact_record_from_csv(impact_record_to_csv(rec))
+        assert back.sample_rate == rec.sample_rate
+        assert back.tension == rec.tension
+        assert back.axis == rec.axis
+        np.testing.assert_array_equal(back.force, rec.force)
+        np.testing.assert_array_equal(back.acceleration, rec.acceleration)
 
 
 class TestH1:
@@ -217,6 +231,16 @@ class TestPipeline:
 
 
 class TestCsv:
+    def test_frf_round_trip_bitwise(self):
+        m = make_model()
+        frf = frf_synthesize(m, 1400.0, np.arange(10.0, 500.0, 0.25))
+        text = frf_to_csv(frf)
+        back = frf_from_csv(text)
+        np.testing.assert_array_equal(back.frequencies, frf.frequencies)
+        np.testing.assert_array_equal(back.values, frf.values)
+        assert back.tension == frf.tension and back.axis == frf.axis
+        assert frf_to_csv(back) == text
+
     def test_frf_csv_format(self):
         frf = FrfSeries(np.array([1.0 / 3.0]), np.array([1.0 + 2.0j]), tension=500.0)
         text = frf_to_csv(frf)

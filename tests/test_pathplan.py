@@ -47,6 +47,7 @@ from twinmill.pathplan import (
     path_from_json,
     path_to_json,
     plan_sync,
+    program_from_csv,
     program_to_csv,
     transform_path,
     translate_path,
@@ -1143,6 +1144,25 @@ class TestCrossPassPrecedence(SeedingCalls):
         assert (exc.value.index, exc.value.arm) == (k, arm)
         assert getattr(exc.value, "gap", None) == (gaps[k] if PASS_ORDER[first][0] == OFFSET_BOUND else None)
         assert str(exc.value) == message.format(k=k, gap=gaps[k])
+
+
+class TestProgramCsv:
+    def test_round_trip_bitwise(self, cfg):
+        prog = demo_plan(
+            cfg, gcode="G1 X20 F250\n", tension=Wrench(np.array([500.0, -20.0, 3.0]))
+        )
+        text = program_to_csv(prog)
+        back = program_from_csv(text)
+        assert program_to_csv(back) == text
+        assert back.feed_mm_min == prog.feed_mm_min
+        np.testing.assert_array_equal(back.tension.as_vector(), prog.tension.as_vector())
+        for a, b in zip(prog.pairs, back.pairs):
+            assert a.index == b.index
+            np.testing.assert_array_equal(a.q1, b.q1)
+            np.testing.assert_array_equal(a.q2, b.q2)
+            np.testing.assert_array_equal(a.tool_pose.position, b.tool_pose.position)
+            np.testing.assert_array_equal(a.tool_pose.quaternion, b.tool_pose.quaternion)
+        assert back.cell_sha256 == prog.cell_sha256 == cell_sha256(cfg.system)
 
 
 class TestSetpoints:
