@@ -1,8 +1,10 @@
-"""Import graph: `import twinmill`, every CLI command, simulate_impact and
-peak_pick load numpy only, never a scipy module.
+"""Import graph: `import twinmill` loads no module of the package, and
+every CLI command, simulate_impact and peak_pick load numpy only, never a
+scipy module.
 
-Each check runs in a fresh interpreter, since this test process has scipy
-loaded already.
+Each check runs in a fresh interpreter with warnings as errors, since this
+test process has scipy loaded already. The demo commands' files from that
+run must equal, byte for byte, the files the same commands write in-process.
 """
 
 import json
@@ -10,21 +12,31 @@ import os
 import subprocess
 import sys
 
+from twinmill import cli
+
 from conftest import DEMO_COMMANDS, DEMO_CONFIG, ROOT, write_demo_impact
 
 
 def run_fresh(script, *args, cwd=None):
     """Run `script` in a new interpreter with src/ on PYTHONPATH, in the
-    directory `cwd`; return its standard output."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    directory `cwd`, with every warning an error; return its standard output."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
     done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-def test_cli_commands_load_no_scipy(tmp_path, cfg):
-    write_demo_impact(cfg, tmp_path)
+def csv_files(work):
+    """{path under `work`: bytes} of every CSV file below the directory `work`."""
+    return {path.relative_to(work).as_posix(): path.read_bytes() for path in sorted(work.rglob("*.csv"))}
+
+
+def test_cli_commands_load_no_scipy(tmp_path, cfg, monkeypatch):
+    fresh, in_process = tmp_path / "fresh", tmp_path / "in_process"
+    for work in (fresh, in_process):
+        work.mkdir()
+        write_demo_impact(cfg, work)
     script = """
 import json
 import sys
@@ -35,6 +47,8 @@ def scipy_modules(stage):
 
 import twinmill
 scipy_modules("import twinmill")
+package = sorted(m for m in sys.modules if m.startswith("twinmill."))
+assert not package, f"import twinmill loaded {package}"
 from twinmill import cli
 scipy_modules("import twinmill.cli")
 for name, argv in json.loads(sys.argv[1]).items():
@@ -42,10 +56,13 @@ for name, argv in json.loads(sys.argv[1]).items():
     scipy_modules(name)
 print("ok")
 """
-    assert run_fresh(script, json.dumps(DEMO_COMMANDS), cwd=tmp_path).splitlines()[-1] == "ok"
-    assert (tmp_path / "deform" / "residual_after.csv").is_file()
-    assert (tmp_path / "frf.csv").is_file()
-    assert (tmp_path / "modal" / "shift_fit_x.csv").is_file()
+    assert run_fresh(script, json.dumps(DEMO_COMMANDS), cwd=fresh).splitlines()[-1] == "ok"
+    monkeypatch.chdir(in_process)
+    for name, argv in DEMO_COMMANDS.items():
+        assert cli.main(argv) == cli.EXIT_OK, name
+    written = csv_files(fresh)
+    assert written == csv_files(in_process)
+    assert {"deform/residual_after.csv", "frf.csv", "modal/shift_fit_x.csv"} <= set(written)
 
 
 def test_simulate_impact_and_peak_pick_load_no_scipy():
