@@ -583,11 +583,17 @@ def _branch_seeds(arm, targets, q_before, joint_jump_max):
 
 def _pass_one_blocks(arm, targets, positions, seed, joint_jump_max, q):
     """The pass-1 blocks of one arm's targets [N, 7], as `_solve` takes
-    them. Setpoint 0 comes first, seeded with `seed`. The rest are one
-    block with closed-form seeds on the branch of setpoint 0's solution
-    or, where `_branch_seeds` gives none, the `_seed_blocks` of the tool
-    positions [N, 3], each seeded with the last solution of the block
-    before."""
+    them and `plan_sync` describes: one block of closed-form seeds on the
+    branch of `seed` or, where `_branch_seeds` gives none, setpoint 0
+    seeded with `seed`, then one block of closed-form seeds on the branch
+    of its solution or else the `_seed_blocks` of the tool positions
+    [N, 3], each seeded with the last solution of the block before."""
+    if arm.has_closed_form_ik and len(targets):
+        first = closed_form_ik(arm, targets[:1], ik_branch(arm, seed), near=seed)[0]
+        seeds = _branch_seeds(arm, targets, first, joint_jump_max) if np.all(np.isfinite(first)) else None
+        if seeds is not None:
+            yield 0, len(targets), seeds
+            return
     yield 0, 1, seed
     if len(targets) < 2:  # no setpoint after 0, or none at all
         return
@@ -616,28 +622,30 @@ def plan_sync(
 
     Three passes of stacked IK; each arm is solved on its own. Pass 1
     solves arm 1, then arm 2's nominal (untensioned) flange pose, one
-    stacked IK per block of setpoints. Setpoint 0 comes first, seeded with
-    that arm's `ik_seeds` entry. Where the arm has a closed-form IK, every
-    later setpoint is seeded with its closed-form solution on the branch
-    of the arm's setpoint-0 solution, in one block that needs no solution
-    but setpoint 0's, solved by one IK call per _BLOCK_ROWS rows; the
-    damped least-squares IK certifies each row's tolerance and joint
-    limits. Otherwise, or where a row has no solution within the limits
-    on that branch, or consecutive seeds jump by more than
-    `joint_jump_max` (a wrist passing through q5 = 0), every later block
-    of that arm is seeded with the last solution of the block before and
-    holds the setpoints that lie at most _SEED_SPAN_M of path after that
-    seed setpoint (at least one), so the joint trajectory stays on one
-    branch (with max_step >= _SEED_SPAN_M each block is one setpoint on
-    straight moves). Pass 2 is one stacked tension-offset evaluation from
-    the local configurations, then the MAX_OFFSET bound on the commanded
-    arm-2 flange, as `simulate_deformation` checks the program; a refusal
-    (a rank-deficient Jacobian, a closure gap) gets its setpoint as a
-    prefix, and the pass runs again over the setpoints before it. Pass 3
-    solves arm 2's commanded pose as one block, one IK call per
-    _BLOCK_ROWS rows, seeded in closed form as pass 1 is or, where that
-    gives no seeds, each row with its nominal solution. A joint jump above
-    `joint_jump_max` between consecutive pairs aborts planning.
+    stacked IK per block of setpoints. Where the arm has a closed-form IK,
+    its `ik_seeds` entry picks the branch: every setpoint is seeded with
+    its closed-form solution on that branch (setpoint 0's nearest the
+    entry), in one block, one IK call per _BLOCK_ROWS rows; the damped
+    least-squares IK certifies each row's tolerance and joint limits.
+    Where a row has no solution within the limits on that branch, or
+    consecutive seeds jump by more than `joint_jump_max` (a wrist passing
+    through q5 = 0), setpoint 0 is solved first from the entry and the
+    rest are seeded so on the branch of its solution. Without a
+    closed-form IK, or where that fails too, setpoint 0 is solved first
+    and every later block is seeded with the last solution of the block
+    before and holds the setpoints that lie at most _SEED_SPAN_M of path
+    after that seed setpoint (at least one), so the joint trajectory stays
+    on one branch (with max_step >= _SEED_SPAN_M each block is one
+    setpoint on straight moves). Pass 2 is one stacked tension-offset
+    evaluation from the local configurations, then the MAX_OFFSET bound on
+    the commanded arm-2 flange, as `simulate_deformation` checks the
+    program; a refusal (a rank-deficient Jacobian, a closure gap) gets its
+    setpoint as a prefix, and the pass runs again over the setpoints
+    before it. Pass 3 solves arm 2's commanded pose as one block, one IK
+    call per _BLOCK_ROWS rows, seeded in closed form on the branch of
+    setpoint 0's nominal solution or, where that gives no seeds, each row
+    with its nominal solution. A joint jump above `joint_jump_max` between
+    consecutive pairs aborts planning.
 
     One rule picks the failure raised: each pass runs only over the
     setpoints that every pass before it solved, and a failure cuts those

@@ -59,6 +59,7 @@ from conftest import (
     RASTER_OFFSET,
     SLOT_GCODE,
     SLOT_JSON,
+    TINY_RASTER_GCODE,
     WORK_OFFSET,
     arm2_targets,
     demo_plan,
@@ -730,19 +731,20 @@ class TestPassOneSeeding(SeedingCalls):
         assert len(arm1) + len(arm2) + len(pass3) == len(calls)
         assert [arm for _, arm, _, _ in calls] == [cfg.system.arm1] * len(arm1) + [cfg.system.arm2] * (
             len(arm2) + len(pass3))
-        # Per arm, setpoint 0 from the caller's seed, then one call for the
-        # other 1344, every row seeded in closed form: it waits for no
-        # solution but setpoint 0's.
+        # Per arm, one call for all 1345 setpoints, every row seeded in
+        # closed form on the branch of the caller's seed: it waits for no
+        # solution.
         assert pathplan._BLOCK_ROWS >= n
-        for pass1, seed in ((arm1, cfg.ik_seed1), (arm2, cfg.ik_seed2)):
-            assert [shape for shape, _ in pass1] == [(1, 7), (n - 1, 7)]
-            np.testing.assert_array_equal(pass1[0][1], seed)
-        seeds1, seeds2 = (np.concatenate([seed for _, seed in pass1[1:]]) for pass1 in (arm1, arm2))
-        assert seeds1.shape == seeds2.shape == (n - 1, 6)
+        flanges, nominal = planned_flanges(cfg.system, prog)
+        for pass1, arm, seed, targets in ((arm1, cfg.system.arm1, cfg.ik_seed1, flanges),
+                                          (arm2, cfg.system.arm2, cfg.ik_seed2, nominal)):
+            assert [shape for shape, _ in pass1] == [(n, 7)]
+            np.testing.assert_array_equal(pass1[0][1], closed_form_ik(arm, targets, ik_branch(arm, seed), near=seed))
+        seeds1, seeds2 = (pass1[0][1] for pass1 in (arm1, arm2))
         # Exact seeds need no DLS step: pass 1 returns them as they are.
-        np.testing.assert_array_equal(seeds1, prog.pairs.q1[1:])
+        np.testing.assert_array_equal(seeds1, prog.pairs.q1)
         # Arm 2's seeds are its nominal solutions, 0.2 mm from the commanded.
-        np.testing.assert_allclose(seeds2, prog.pairs.q2[1:], rtol=0, atol=1e-3)
+        np.testing.assert_allclose(seeds2, prog.pairs.q2, rtol=0, atol=1e-3)
         # Pass 3: arm 2's commanded pose in one call, seeded in closed form
         # too, so each seed is its solution.
         assert [shape for shape, _ in pass3] == [(n, 7)]
@@ -753,10 +755,11 @@ class TestPassOneSeeding(SeedingCalls):
         demo_plan(cfg, gcode=RASTER_GCODE, tension=Wrench(np.array([1000.0, 0.0, 0.0])), offset=RASTER_OFFSET)
         for iterating, shared, rows in calls:
             assert rows == (min(iterating, 1) if shared else iterating)
-        # Only setpoint 0 of each arm iterates, from the caller's seed: the
-        # closed-form seeds of every other row meet the tolerance.
-        assert [call[0] for call in calls if call[0]] == [1, 1]
-        assert sum(rows for *_, rows in calls) == 2
+        # No row iterates: the closed-form seeds of every row, setpoint 0
+        # included, meet the tolerance, so IK evaluates no Jacobian.
+        assert len(calls) == 3
+        assert not any(call[0] for call in calls)
+        assert sum(rows for *_, rows in calls) == 0
 
     @staticmethod
     def wrist_flip(cfg, wrist_limit):
@@ -805,7 +808,8 @@ class TestPassOneSeeding(SeedingCalls):
 
     def test_a_wrist_flip_on_arm_1_leaves_arm_2_its_closed_form_seeds(self, cfg, monkeypatch):
         """Only arm 1's pass 1 goes to `_seed_blocks`; arm 2's nominal pose
-        is seeded in closed form on the branch of its setpoint-0 solution."""
+        is seeded in closed form on the branch of its `ik_seeds` entry, in
+        one call."""
         cfg, path = self.wrist_flip(cfg, None)
         arm2 = cfg.system.arm2
         chains = []
@@ -823,16 +827,12 @@ class TestPassOneSeeding(SeedingCalls):
         assert chains == [n]
         assert len(self.solve_calls(calls, ARM1)) == len(list(real(prog.pairs.tool_pose[:, :3])))
         pass1 = self.solve_calls(calls, ARM2_NOMINAL)
-        assert [shape for shape, _ in pass1] == [(1, 7), (n - 1, 7)]
-        np.testing.assert_array_equal(pass1[0][1], cfg.ik_seed2)
+        assert [shape for shape, _ in pass1] == [(n, 7)]
         _, nominal = planned_flanges(cfg.system, prog)
-        q0 = inverse_kinematics(arm2, nominal[:1], cfg.ik_seed2)[0]
-        seeds = pathplan._branch_seeds(arm2, nominal[1:], q0,
-                                       pathplan.DEFAULT_JOINT_JUMP_MAX)
-        assert seeds is not None
-        np.testing.assert_array_equal(pass1[1][1], seeds)
+        seeds = closed_form_ik(arm2, nominal, ik_branch(arm2, cfg.ik_seed2), near=cfg.ik_seed2)
+        np.testing.assert_array_equal(pass1[0][1], seeds)
         # At zero tension q2 is the nominal solution; its seeds were exact.
-        np.testing.assert_array_equal(prog.pairs.q2[1:], seeds)
+        np.testing.assert_array_equal(prog.pairs.q2, seeds)
 
     @pytest.mark.parametrize("plant, gcode, index, cause", [
         ("unreachable", "G1 X200\n", 40,
@@ -885,7 +885,44 @@ class TestPassOneSeeding(SeedingCalls):
             # Each solve re-solves the rows before its failing one, if any.
             shapes = [shape for shape, _ in self.solve_calls(calls, solve)]
             assert sum(rows for rows, _ in shapes) == 40
-        assert [shape for shape, _ in self.solve_calls(calls, ARM2_NOMINAL)] == [(1, 7), (39, 7)]
+        assert [shape for shape, _ in self.solve_calls(calls, ARM2_NOMINAL)] == [(40, 7)]
+
+    def test_a_seed_off_the_paths_wrist_branch_solves_setpoint_0_first(self, cfg, monkeypatch):
+        """Arm 1's seed at q5 = 0, a home pose, lies on wrist branch 0; the
+        slot needs branch 1, and branch 0 puts setpoint 0's q4 past its
+        limit of 3 rad. So arm 1's pass 1 solves setpoint 0 from the seed
+        by damped least squares, then the other rows in one call seeded in
+        closed form on the branch of that solution."""
+        seed = cfg.ik_seed1.copy()
+        seed[4] = 0.0
+        cfg = dataclasses.replace(cfg, ik_seed1=seed)
+        arm1 = cfg.system.arm1
+        calls = self.spy(monkeypatch)
+        prog = demo_plan(cfg)
+        flanges, _ = planned_flanges(cfg.system, prog)
+        q1 = prog.pairs.q1
+        assert (ik_branch(arm1, seed) & 1, ik_branch(arm1, q1[0]) & 1) == (0, 1)
+        first = closed_form_ik(arm1, flanges[:1], ik_branch(arm1, seed), near=seed)[0]
+        assert first[3] > arm1.joint_limits[3, 1]
+        pass1 = self.solve_calls(calls, ARM1)
+        assert [shape for shape, _ in pass1] == [(1, 7), (96, 7)]
+        np.testing.assert_array_equal(pass1[0][1], seed)
+        np.testing.assert_array_equal(q1[0], inverse_kinematics(arm1, flanges[:1], seed)[0])
+        np.testing.assert_array_equal(
+            pass1[1][1], pathplan._branch_seeds(arm1, flanges[1:], q1[0], pathplan.DEFAULT_JOINT_JUMP_MAX))
+
+    @pytest.mark.parametrize("gcode, offset", [(SLOT_GCODE, WORK_OFFSET), (TINY_RASTER_GCODE, RASTER_OFFSET)],
+                             ids=["slot", "tiny-raster"])
+    def test_pass_one_returns_the_closed_form_solutions_bit_for_bit(self, cfg, gcode, offset):
+        """Setpoint 0 included, so FK of it meets its target to rounding,
+        not only to tol_pos."""
+        arm1 = cfg.system.arm1
+        prog = demo_plan(cfg, gcode=gcode, offset=offset, tension=Wrench(np.array([1000.0, 0.0, 0.0])))
+        flanges, _ = planned_flanges(cfg.system, prog)
+        expected = closed_form_ik(arm1, flanges, ik_branch(arm1, cfg.ik_seed1), near=cfg.ik_seed1)
+        np.testing.assert_array_equal(prog.pairs.q1, expected)
+        err = pose_error(forward_kinematics(arm1, prog.pairs.q1[:1]), flanges[:1])
+        assert np.linalg.norm(err[0, :3]) <= 1e-12
 
     def test_a_row_exactly_80_mm_after_its_seed_row_belongs_to_the_block(self):
         # 0.04 + 0.04 == 0.08 in floating point: row 2 lies exactly
