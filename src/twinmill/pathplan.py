@@ -10,7 +10,6 @@ each segment pose's orientation, as `discretize` describes.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 import re
@@ -277,43 +276,7 @@ def translate_path(path: ToolPath, delta) -> ToolPath:
 
 
 # ---------------------------------------------------------------------------
-# Native JSON format (17-significant-digit floats, bit-exact round trip)
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def _dump_json(obj):
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_dump_json(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dump_json(v) for v in obj) + "]"
-    if isinstance(obj, float):
-        return _fmt(obj)
-    return json.dumps(obj)
-
-
-def _pose_to_dict(p: Pose):
-    return {"position_m": list(p.position), "quaternion_wxyz": list(p.quaternion)}
-
-
-def path_to_json(path: ToolPath) -> str:
-    segs = []
-    for s in path.segments:
-        if isinstance(s, LinearSegment):
-            segs.append({"type": "linear", "start": _pose_to_dict(s.start), "end": _pose_to_dict(s.end)})
-        else:
-            segs.append(
-                {
-                    "type": "arc",
-                    "center_m": list(s.center),
-                    "normal": list(s.normal),
-                    "start": _pose_to_dict(s.start),
-                    "sweep_rad": float(s.sweep),
-                }
-            )
-    return _dump_json({"feed_mm_min": float(path.feed_mm_min), "segments": segs}) + "\n"
+# Native JSON path format (read here; `json.dumps` writes one)
 
 
 _SEGMENT_KEYS = {"linear": ("type", "start", "end"),
@@ -739,6 +702,10 @@ def plan_sync(
 _COLUMNS = ["index"] + [f"tool_{f}" for f in ("x", "y", "z", "qw", "qx", "qy", "qz")] + [
     f"q{arm}_{i}" for arm in (1, 2) for i in range(6)
 ]
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
 
 
 def program_to_csv(program: SyncProgram) -> str:

@@ -11,7 +11,7 @@ from hypothesis import settings
 from twinmill.config import load_config
 from twinmill.geometry import Pose
 from twinmill.kinematics import ArmModel
-from twinmill.pathplan import parse_gcode, plan_sync, transform_path
+from twinmill.pathplan import LinearSegment, parse_gcode, plan_sync, transform_path
 from twinmill.stiffness import Wrench
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,7 +33,7 @@ WORK_OFFSET = np.array([2.105, -0.020, 1.100])  # m
 DEMO_TENSION = 1000.0  # N, along x
 NOISE_SIGMA = 15e-6  # m
 NOISE_SEED = 7
-# The slot's path as `path_to_json` writes it.
+# The slot's path in the native JSON format, every float in 17 significant digits.
 SLOT_JSON = (ROOT / "tests" / "data" / "slot_path.json").read_text()
 
 
@@ -313,6 +313,23 @@ def random_nonsingular_q(arm, rng, min_sv=1e-3):
         q = rng.uniform(arm.joint_limits[:, 0] * 0.7, arm.joint_limits[:, 1] * 0.7)
         if np.linalg.svd(jacobian(arm, q), compute_uv=False)[-1] > min_sv:
             return q
+
+
+def path_numbers(path):
+    """Each segment of a toolpath as its type and one float array of its
+    numbers: the start pose's position and quaternion, then a line's end
+    pose or an arc's center, normal and sweep. The feed comes last."""
+    fields = []
+    for s in path.segments:
+        tail = (s.end.position, s.end.quaternion) if isinstance(s, LinearSegment) else (s.center, s.normal, [s.sweep])
+        fields.append((type(s).__name__, np.concatenate([s.start.position, s.start.quaternion, *tail])))
+    return fields + [("feed_mm_min", np.array([path.feed_mm_min], dtype=float))]
+
+
+def path_bits(path):
+    """`path_numbers` as bytes, so that == compares two paths bit for bit,
+    sign bits included."""
+    return [(kind, numbers.tobytes()) for kind, numbers in path_numbers(path)]
 
 
 def json_elements(doc, where="", keys=()):

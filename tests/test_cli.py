@@ -11,13 +11,12 @@ import pytest
 
 from twinmill import cli, config, modal
 from twinmill.errors import TwinmillError
-from twinmill.geometry import Pose
-from twinmill.pathplan import Setpoints, parse_gcode, path_to_json, program_from_csv, program_to_csv, transform_path
+from twinmill.pathplan import Setpoints, program_from_csv, program_to_csv
 from twinmill.stiffness import cell_sha256
 
-from conftest import (DEMO_CONFIG, DEMO_GCODE, DEMO_NOISE_OPTIONS, DEMO_PLAN_OPTIONS, DEMO_TENSION, SLOT_GCODE,
+from conftest import (DEMO_CONFIG, DEMO_GCODE, DEMO_NOISE_OPTIONS, DEMO_PLAN_OPTIONS, DEMO_TENSION,
                       SLOT_JSON, WORK_OFFSET_MM, demo_config_dict, edit_line, forty_one_column_program, impact_text,
-                      json_replaced, json_with_a_repeated_key, three_column_impact, truncate)
+                      json_elements, json_replaced, json_with_a_repeated_key, three_column_impact, truncate)
 
 DEMO = str(DEMO_CONFIG)
 SLOT = str(DEMO_GCODE)
@@ -175,7 +174,11 @@ class TestPlan:
         slot 4.21 m along x is planned at -2105,-20,1100; at -20,1,2 it
         lies outside the workspace box."""
         path_file = tmp_path / "slot.json"
-        path_file.write_text(path_to_json(transform_path(parse_gcode(SLOT_GCODE), Pose([4.21, 0.0, 0.0]))))
+        doc = json.loads(SLOT_JSON)
+        for _, keys, x in list(json_elements(doc)):
+            if keys[-2:] in (("position_m", 0), ("center_m", 0)):
+                doc = json_replaced(doc, keys, x + 4.21)
+        path_file.write_text(json.dumps(doc))
         results = []
         for option in (["--work-offset-mm", value], [f"--work-offset-mm={value}"], ["--work-offset", value]):
             out = tmp_path / f"p{len(results)}.csv"

@@ -5,8 +5,12 @@ scipy module.
 Each check runs in a fresh interpreter with warnings as errors, since this
 test process has scipy loaded already. The demo commands' files from that
 run must equal, byte for byte, the files the same commands write in-process.
+
+Call graph: every public function and class of the package is named by
+code of the package or the benchmark, so no API is kept for tests alone.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -77,3 +81,27 @@ assert not loaded, loaded
 print(len(peaks), round(peaks[0][0]))
 """
     assert run_fresh(script, DEMO_CONFIG) == "1 159\n"
+
+
+# The public functions and classes that only tests call, each with the item
+# of ROADMAP.md that gives it a caller.
+TEST_ONLY = {
+    "stiffness.predicted_tension": "the inverse of tension_offset in acceptance 4; items 21 and 1b call it",
+    "compensation.trace_from_csv": "item 28's `deform --measured` reads its trace with it",
+}
+
+
+def test_every_public_function_and_class_has_a_caller_outside_the_tests():
+    """Each public module-level function and class of src/twinmill occurs
+    as a name or an attribute in src/twinmill or perfbench/, outside its
+    own definition, unless TEST_ONLY names it."""
+    public, named = {}, set()
+    for folder in ("src/twinmill", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+                if own and not own.startswith("_") and folder == "src/twinmill":
+                    public[f"{path.stem}.{own}"] = own
+                named |= {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+                          if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    assert sorted(where for where, name in public.items() if name not in named) == sorted(TEST_ONLY)

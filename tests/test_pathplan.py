@@ -45,7 +45,6 @@ from twinmill.pathplan import (
     discretize,
     parse_gcode,
     path_from_json,
-    path_to_json,
     plan_sync,
     program_from_csv,
     program_to_csv,
@@ -64,9 +63,12 @@ from conftest import (
     arm2_targets,
     demo_plan,
     json_numbers,
+    json_elements,
     json_objects,
     json_replaced,
     json_with_a_repeated_key,
+    path_bits,
+    path_numbers,
     planned_flanges,
     workloads,
 )
@@ -226,13 +228,26 @@ class TestSegments:
 
 class TestJson:
     def test_round_trip_bitwise(self):
-        path = transform_path(parse_gcode(SLOT_GCODE), Pose(np.array([1.0 / 3.0, math.pi, -1e-7])))
-        text = path_to_json(path)
-        back = path_from_json(text)
-        assert path_to_json(back) == text
-        for a, b in zip(path.segments, back.segments):
-            np.testing.assert_array_equal(a.start.position, b.start.position)
-            np.testing.assert_array_equal(a.start.quaternion, b.start.quaternion)
+        """The fixture's 17-digit floats and json.dumps' shortest ones read
+        to the same bits."""
+        text = json.dumps(json.loads(SLOT_JSON))
+        assert text != SLOT_JSON.rstrip("\n")
+        assert path_bits(path_from_json(text)) == path_bits(path_from_json(SLOT_JSON))
+
+    def test_a_negative_zero_written_by_json_dumps_keeps_its_sign_bit(self):
+        """Every zero of the slot made -0.0 reads back as -0.0; the slot has
+        no negative number, so the sign bits are set exactly at its zeros."""
+        doc = json.loads(SLOT_JSON)
+        zeros = [keys for _, keys, value in json_elements(doc) if isinstance(value, (int, float)) and value == 0]
+        for keys in zeros:
+            doc = json_replaced(doc, keys, -0.0)
+        text = json.dumps(doc)
+        assert text.count("-0.0") == len(zeros) > 0
+        read = zip(path_numbers(path_from_json(SLOT_JSON)), path_numbers(path_from_json(text)))
+        for (_, numbers), (_, signed) in read:
+            assert not np.signbit(numbers).any()
+            assert np.array_equal(np.signbit(signed), numbers == 0)
+            assert np.array_equal(signed, numbers)
 
 
 class TestJsonErrors:
